@@ -18,11 +18,6 @@
 #                    end-to-end trace export validated with obs_lint
 #                    (obs_trace_ci/ is left behind for the workflow to
 #                    archive)
-#   ./ci.sh lanes    lane-determinism gate: the full benchmark campaign
-#                    (every kernel, both protocols, invariant checker on)
-#                    runs once sequentially and once under 4 event lanes;
-#                    the reports and every result record (stats + memory
-#                    digests) must be byte-identical
 #   ./ci.sh serve    simulation-service gate: the serve wire-protocol and
 #                    cache/soak test suites, then a release loadgen run
 #                    against an in-process server over a Unix socket —
@@ -193,38 +188,6 @@ obs() {
   target/release/obs_lint "$dir"/*.trace.json
   test -s "$dir/suffix_array-warden.epochs.txt"
   echo "   exported and validated $(ls "$dir"/*.trace.json | wc -l) traces in $dir/"
-}
-
-lanes() {
-  echo "== lane determinism: --lanes 4 campaign vs sequential =="
-  cargo build -q --release --offline -p warden-bench --bin all_figures
-  local bin=target/release/all_figures
-  local dir
-  dir="$(mktemp -d)"
-
-  # The same full campaign (every benchmark, both protocols, the SWMR
-  # invariant checker on) twice: sequential and under 4 event lanes.
-  "$bin" --scale tiny --quiet --check --lanes 1 --campaign-dir "$dir/seq" \
-    >"$dir/seq.out" 2>/dev/null
-  "$bin" --scale tiny --quiet --check --lanes 4 --campaign-dir "$dir/laned" \
-    >"$dir/laned.out" 2>/dev/null
-
-  # The printed report and every result record (simulation statistics,
-  # energy, memory-image digests — the record fingerprint deliberately
-  # excludes the lane count) must be byte-identical.
-  if ! diff -u "$dir/seq.out" "$dir/laned.out"; then
-    echo "FAILED: laned campaign report differs from the sequential one" >&2
-    rm -rf "$dir"
-    exit 1
-  fi
-  if ! diff -r "$dir/seq/records" "$dir/laned/records"; then
-    echo "FAILED: laned result records differ from the sequential ones" >&2
-    rm -rf "$dir"
-    exit 1
-  fi
-  echo "   laned campaign is bit-identical to the sequential reference" \
-    "($(find "$dir/seq/records" -name '*.rec' | wc -l) records compared)"
-  rm -rf "$dir"
 }
 
 serve() {
@@ -452,7 +415,6 @@ case "$stage" in
   smoke) smoke ;;
   bench) bench ;;
   obs) obs ;;
-  lanes) lanes ;;
   serve) serve ;;
   chaos) chaos ;;
   durable) durable ;;
@@ -463,7 +425,6 @@ case "$stage" in
     smoke
     bench
     obs
-    lanes
     serve
     chaos
     durable
@@ -471,7 +432,7 @@ case "$stage" in
     fuzz
     ;;
   *)
-    echo "usage: ci.sh [checks|smoke|bench|obs|lanes|serve|chaos|durable|protocols|fuzz|all]" >&2
+    echo "usage: ci.sh [checks|smoke|bench|obs|serve|chaos|durable|protocols|fuzz|all]" >&2
     exit 2
     ;;
 esac

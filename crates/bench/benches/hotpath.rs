@@ -13,7 +13,7 @@ use warden_coherence::{
 };
 use warden_mem::{Addr, Memory, PAGE_SIZE};
 use warden_pbbs::Scale;
-use warden_sim::{simulate, simulate_with_options, MachineConfig, SimOptions};
+use warden_sim::{simulate, MachineConfig};
 
 /// Region-CAM lookups against a half-full store: the per-access
 /// "is this address WARD?" question, both when it hits and when it misses.
@@ -96,35 +96,5 @@ fn replay(c: &mut Criterion) {
     }
 }
 
-/// The same replays under the sharded-selection lane engine: a lane sweep
-/// per kernel. Every laned replay is bit-identical to the sequential one;
-/// this tracks what the sharded core selection costs (or saves) in wall
-/// clock as the lane count varies.
-fn replay_lanes(c: &mut Criterion) {
-    let machine = MachineConfig::dual_socket().with_cores(4);
-    for &bench in warden_bench::hotpath::KERNELS {
-        let program = bench.build(Scale::Tiny);
-        let name = format!("hotpath/replay_lanes/{}", bench.name());
-        let mut g = c.benchmark_group(&name);
-        for lanes in [1usize, 2, 4] {
-            let opts = SimOptions {
-                lanes,
-                ..SimOptions::default()
-            };
-            g.bench_function(format!("warden/lanes{lanes}"), |b| {
-                b.iter(|| simulate_with_options(&program, &machine, ProtocolId::Warden, &opts))
-            });
-        }
-        g.finish();
-    }
-}
-
-criterion_group!(
-    benches,
-    region_lookup,
-    dir_access,
-    memory_access,
-    replay,
-    replay_lanes
-);
+criterion_group!(benches, region_lookup, dir_access, memory_access, replay);
 criterion_main!(benches);

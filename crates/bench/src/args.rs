@@ -10,7 +10,6 @@
 //! | `--scale tiny\|paper`  | input scale (default `paper`) |
 //! | `--check`              | run the coherence invariant checker |
 //! | `--faults <seed>`      | inject the benign seeded fault plan |
-//! | `--lanes <n>`          | sharded event lanes (bit-identical to sequential) |
 //! | `--markdown <path>`    | `all_figures`: also write the report as markdown |
 //! | `--obs <dir>`          | record observability; export traces + epoch tables here |
 //! | `--campaign-dir <dir>` | durable campaign state (resume after a crash) |
@@ -78,7 +77,6 @@ pub const VALID_FLAGS: &[&str] = &[
     "--fuzz-workloads <n>",
     "--iters <n>",
     "--jobs <n>",
-    "--lanes <n>",
     "--markdown <path>",
     "--mutate <protocol:mutation>",
     "--obs <dir>",
@@ -291,13 +289,6 @@ impl HarnessArgs {
                     };
                 }
                 "--faults" => out.run.faults = Some(number(&mut it, "--faults", "<seed>")?),
-                "--lanes" => {
-                    let n: usize = number(&mut it, "--lanes", "<n>")?;
-                    if n == 0 {
-                        return Err(HarnessError::Args("--lanes must be at least 1".into()));
-                    }
-                    out.run.lanes = n;
-                }
                 "--markdown" => {
                     out.markdown = Some(PathBuf::from(value(&mut it, "--markdown", "<path>")?))
                 }
@@ -474,7 +465,7 @@ impl HarnessArgs {
     }
 
     /// The campaign configuration these flags select: durable under
-    /// `--campaign-dir`, otherwise an ephemeral directory wiped at creation,
+    /// `--campaign-dir`, otherwise a fresh ephemeral directory,
     /// with `--jobs` / `--deadline-ms` / `--retries` / `--quiet` applied.
     pub fn campaign_config(&self) -> CampaignConfig {
         let mut cfg = match &self.campaign_dir {
@@ -516,8 +507,6 @@ mod tests {
             "--check",
             "--faults",
             "7",
-            "--lanes",
-            "4",
             "--markdown",
             "out.md",
             "--obs",
@@ -578,7 +567,6 @@ mod tests {
         assert_eq!(a.scale, SuiteScale::Tiny);
         assert!(a.run.check);
         assert_eq!(a.run.faults, Some(7));
-        assert_eq!(a.run.lanes, 4);
         assert_eq!(a.markdown.as_deref(), Some(std::path::Path::new("out.md")));
         assert_eq!(a.obs.as_deref(), Some(std::path::Path::new("obs.out")));
         assert!(a.run.obs, "--obs also turns on recording");
@@ -647,7 +635,6 @@ mod tests {
         assert!(parse(&["--scale"]).is_err());
         assert!(parse(&["--faults", "xyz"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--lanes", "0"]).is_err());
         assert!(parse(&["--deadline-ms"]).is_err());
         assert!(parse(&["--retries", "-1"]).is_err());
         assert!(parse(&["--clients", "0"]).is_err());

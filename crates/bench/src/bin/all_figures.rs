@@ -167,7 +167,6 @@ fn run() -> Result<(), HarnessError> {
         md.push_str(FIDELITY_ANALYSIS);
         md.push_str(CAMPAIGN_WALKTHROUGH);
         md.push_str(HOTPATH_NOTES);
-        md.push_str(LANED_WALKTHROUGH);
         md.push_str(OBS_WALKTHROUGH);
         std::fs::write(path, md).map_err(|e| HarnessError::Io {
             path: path.clone(),
@@ -329,66 +328,29 @@ throughput and `"speedup"` holds the per-(kernel, protocol) ratio of
 current over baseline throughput. Medians plus back-to-back measurement
 of both builds keep the numbers honest on a noisy box.
 
-The committed report was captured with the lane engine merged (DESIGN.md
-§7j); its `"baseline"` section holds the pre-lanes build's numbers. The
-recorded ratios (0.71–1.08x) overstate the delta: an interleaved A/B of
-the two builds on the same box measured parity within the noise floor
-(best-of-3 ratios 0.87–1.03x, mixed directions — the sequential path
-with `--lanes 1` compiles to the same loop as before), but the box's
+The committed report's `"baseline"` section holds an earlier build's
+numbers, and its recorded ratios overstate the delta: an interleaved
+A/B of the two builds on the same box measured parity within the noise
+floor (best-of-3 ratios 0.87–1.03x, mixed directions), but the box's
 run-to-run spread of *identical* builds had grown to as much as 1.37x
-by capture time (it was ~±5% when the PR 4 baseline was recorded), so
+by capture time (it was ~±5% when the first baseline was recorded), so
 same-session medians drift. Two consequences, both visible in the
 committed artifacts: each committed cell is the per-cell **minimum** of
 three back-to-back captures (a peak-window baseline fails honest later
 runs), and the release-mode guard in
-`crates/bench/tests/bench_guard.rs` holds both the sequential and the
-4-lane throughput on the guarded kernels to a floor of 80% of the
-committed numbers (best-of-5 attempts with backoff) — calibrated to
-catch the structural regressions it exists for (obs costing when
-disabled, lane bookkeeping leaking into the sequential path, a §7e-size
-layout regression — all ≥1.5x effects) rather than to flag weather.
+`crates/bench/tests/bench_guard.rs` holds throughput on the guarded
+kernels to a floor of 80% of the committed numbers (best-of-5 attempts
+with backoff) — calibrated to catch the structural regressions it
+exists for (obs costing when disabled, scheduler bookkeeping leaking
+into the replay loop, a §7e-size layout regression — all ≥1.5x
+effects) rather than to flag weather. The committed numbers predate the
+tournament-tree core pick (DESIGN.md §7j); for perf claims, `perfbench`
+(see its README) supersedes this file.
 
 `ci.sh bench` smoke-runs the criterion suite (`--bench hotpath -- --test`)
 and emits a tiny-scale `BENCH_hotpath_ci.json` artifact on every CI run;
 `cargo bench -p warden-bench --bench hotpath` gives the full criterion
-timings (region CAM, directory masks, page table, end-to-end replay, and
-a per-kernel lane sweep under `hotpath/replay_lanes/`).
-"#;
-
-/// The laned-replay walkthrough appended to the generated report (kept
-/// here for the same reason as the fidelity analysis).
-const LANED_WALKTHROUGH: &str = r#"
-## Laned replay (`--lanes <n>`)
-
-Every replay-shaped harness (`replay`, `all_figures`, the figure
-binaries, `serve`/`loadgen` on the server side) accepts `--lanes <n>`:
-the engine shards core selection into `n` per-socket event lanes merged
-in canonical `(clock, core, seq)` order — an execution-strategy knob,
-never a result knob (DESIGN.md §7j). To see it end to end:
-
-```console
-$ cargo run -q --release -p warden-bench --bin record -- msort /tmp/msort.trace --scale tiny
-$ cargo run -q --release -p warden-bench --bin replay -- /tmp/msort.trace dual-socket --check
-$ cargo run -q --release -p warden-bench --bin replay -- /tmp/msort.trace dual-socket --check --lanes 4
-```
-
-The two replays print identical cycle counts, speedups and checker
-verdicts — only wall time may differ. Lane identity is CI-gated:
-`./ci.sh lanes` runs the full campaign (every kernel, both protocols,
-invariant checker on) at `--lanes 1` and `--lanes 4` and requires the
-reports and all ~72 result records to be byte-identical. The lane count
-is deliberately excluded from the campaign/checkpoint options
-fingerprint, so records and checkpoints written at one lane count
-resume and verify at any other (`tests/lane_determinism.rs` pins this,
-plus lane-count invariance over random proptest traces). The committed
-`BENCH_hotpath.json` tracks 4-lane throughput in its `"laned"` section:
-fib gains (~1.3x in interleaved runs; selection-bound — the laned pick
-replaces the per-event O(ncores) clock scan with an incremental
-O(cores/lane + lanes) merge) while coherence-bound kernels pay the lane
-bookkeeping (a `classify_private` peek per access), measuring 6–26%
-below sequential — the honest cost, tracked per kernel. Threaded lane
-execution — actual parallel wall-clock speedup — is a roadmap item
-gated on the zero-lookahead analysis in DESIGN.md §7j.
+timings (region CAM, directory masks, page table and end-to-end replay).
 "#;
 
 /// The Perfetto walkthrough appended to the generated report (kept here

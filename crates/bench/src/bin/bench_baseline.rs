@@ -34,11 +34,10 @@ fn run() -> Result<(), HarnessError> {
         None => None,
     };
     let samples = hotpath::measure_suite(args.scale.pbbs(), runs);
-    let laned = hotpath::measure_suite_laned(args.scale.pbbs(), runs, hotpath::LANED_LANES);
 
     println!(
-        "{:<8} {:<7} {:>14} {:>16} {:>9} {:>12}",
-        "kernel", "proto", "events/s", "sim cycles/s", "speedup", "laned ev/s"
+        "{:<8} {:<7} {:>14} {:>16} {:>9}",
+        "kernel", "proto", "events/s", "sim cycles/s", "speedup"
     );
     for s in &samples {
         let speedup = baseline
@@ -49,24 +48,13 @@ fn run() -> Result<(), HarnessError> {
                     .map(|(_, _, r)| format!("{r:.2}x"))
             })
             .unwrap_or_else(|| "-".into());
-        let laned_eps = laned
-            .iter()
-            .find(|l| l.kernel == s.kernel && l.protocol == s.protocol)
-            .map(|l| format!("{:.0}", l.events_per_sec))
-            .unwrap_or_else(|| "-".into());
         println!(
-            "{:<8} {:<7} {:>14.0} {:>16.0} {:>9} {:>12}",
-            s.kernel, s.protocol, s.events_per_sec, s.cycles_per_sec, speedup, laned_eps
+            "{:<8} {:<7} {:>14.0} {:>16.0} {:>9}",
+            s.kernel, s.protocol, s.events_per_sec, s.cycles_per_sec, speedup
         );
     }
 
-    let report = hotpath::render_report(
-        &samples,
-        Some(&laned),
-        baseline.as_deref(),
-        args.scale.pbbs(),
-        runs,
-    );
+    let report = hotpath::render_report(&samples, baseline.as_deref(), args.scale.pbbs(), runs);
     let out = args
         .out
         .clone()

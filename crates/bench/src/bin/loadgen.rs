@@ -143,7 +143,6 @@ fn run() -> Result<(), HarnessError> {
             workers: args.jobs.unwrap_or(2),
             queue_cap: args.queue_cap.unwrap_or(16),
             record_trace: args.obs.is_some(),
-            lanes: args.run.lanes.max(1),
             opts,
             disk,
             storage_faults,

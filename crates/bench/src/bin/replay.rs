@@ -16,12 +16,6 @@
 //! the reported stats are bit-identical either way) and writes a Perfetto
 //! trace (`<name>-<protocol>.trace.json`) plus a per-epoch activity table
 //! (`.epochs.txt`) per protocol into the directory.
-//!
-//! `--lanes <n>` shards the scheduler's core selection into `n` per-socket
-//! event lanes merged in canonical `(clock, core, seq)` order — an
-//! execution-strategy knob: a laned replay is bit-identical to the
-//! sequential one (stats, digests, observability), which the
-//! lane-determinism CI gate asserts across the whole benchmark suite.
 
 use warden_bench::{export_outcome, harness_main, HarnessArgs, HarnessError, RunOptions};
 use warden_coherence::ProtocolId;

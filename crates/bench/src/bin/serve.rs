@@ -17,7 +17,6 @@
 //! | `--addr <host:port>` | TCP bind address (default `127.0.0.1:7878`) |
 //! | `--uds <path>`       | also (or only) bind a Unix socket |
 //! | `--jobs <n>`         | worker threads (default 2) |
-//! | `--lanes <n>`        | event lanes per worker simulation (bit-identical) |
 //! | `--queue-cap <n>`    | bounded queue capacity (default 16) |
 //! | `--request-deadline-ms <ms>` | per-request deadline (queue wait + simulation) |
 //! | `--cache-budget <bytes>`     | result-cache byte budget |
@@ -65,7 +64,6 @@ fn run() -> Result<(), HarnessError> {
         workers: args.jobs.unwrap_or(2),
         queue_cap: args.queue_cap.unwrap_or(16),
         record_trace: args.obs.is_some(),
-        lanes: args.run.lanes.max(1),
         opts,
         disk,
         storage_faults,

@@ -41,7 +41,7 @@ use std::fmt;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use warden_coherence::ProtocolId;
@@ -207,14 +207,25 @@ impl CampaignConfig {
         }
     }
 
-    /// A campaign in a per-process directory under the system temp dir,
-    /// wiped at creation so stale state never carries over. Used when no
+    /// A campaign in a fresh directory under the system temp dir, named
+    /// `warden-campaign-<pid>-<n>` and claimed with an exclusive
+    /// `create_dir` (a name that already exists is skipped, never wiped),
+    /// so stale state never carries over and concurrent ephemeral
+    /// campaigns in one process never share a directory. Used when no
     /// `--campaign-dir` is given: the binaries still get supervision
-    /// (isolation, deadlines, retries) without durable resume.
+    /// (isolation, deadlines, retries) without durable resume. If the
+    /// directory cannot be created, [`run_campaign`] reports the I/O error.
     pub fn ephemeral() -> CampaignConfig {
-        let dir = std::env::temp_dir().join(format!("warden-campaign-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        CampaignConfig::new(dir)
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("warden-campaign-{}-{n}", std::process::id()));
+            match fs::create_dir(&dir) {
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                _ => return CampaignConfig::new(dir),
+            }
+        }
     }
 }
 
@@ -881,5 +892,50 @@ mod tests {
         let cfg = CampaignConfig::ephemeral();
         let err = run_campaign(&[spec.clone(), spec], &cfg).unwrap_err();
         assert!(matches!(err, HarnessError::Failed(_)));
+    }
+
+    /// Ephemeral campaigns running at once in one process each get their
+    /// own directory, so none deletes another's records mid-run.
+    #[test]
+    fn concurrent_ephemeral_campaigns_all_succeed() {
+        let specs: Vec<RunSpec> = [Bench::MakeArray, Bench::Primes, Bench::Fib]
+            .into_iter()
+            .flat_map(|bench| {
+                [ProtocolId::Mesi, ProtocolId::Warden].map(|protocol| RunSpec {
+                    id: format!("{}-{}", bench.name(), protocol.name()),
+                    workload: Workload::bench(bench, Scale::Tiny),
+                    machine: MachineConfig::dual_socket().with_cores(2),
+                    protocol,
+                    opts: SimOptions::default(),
+                })
+            })
+            .collect();
+        let dirs: Vec<PathBuf> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|_| {
+                    s.spawn(|| {
+                        let cfg = CampaignConfig {
+                            quiet: true,
+                            workers: 1,
+                            ..CampaignConfig::ephemeral()
+                        };
+                        let results = run_campaign(&specs, &cfg).expect("campaign succeeds");
+                        assert_eq!(results.len(), specs.len());
+                        assert!(results.iter().all(|r| !r.reused), "fresh directory");
+                        cfg.dir
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let unique: std::collections::HashSet<_> = dirs.iter().collect();
+        assert_eq!(
+            unique.len(),
+            dirs.len(),
+            "every campaign owns its directory"
+        );
+        for dir in &dirs {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 }

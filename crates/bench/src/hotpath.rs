@@ -19,7 +19,7 @@ use crate::error::HarnessError;
 use std::time::Instant;
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
-use warden_sim::{simulate_with_options, MachineConfig, SimOptions};
+use warden_sim::{simulate, MachineConfig};
 
 /// The kernels tracked by the baseline. `fib` and `msort` are the paper's
 /// classic divide-and-conquer pair; `dedup`, `suffix-array`, and `nqueens`
@@ -36,13 +36,6 @@ pub const KERNELS: &[Bench] = &[
 
 /// Schema tag written into (and required from) every report.
 pub const SCHEMA: &str = "warden-hotpath-v1";
-
-/// Lane count of the `"laned"` report section: the sharded-selection
-/// engine at one lane per socket pair on the baseline machine. Laned
-/// replays are bit-identical to sequential ones (the lane-determinism CI
-/// gate asserts it); this section tracks their wall-clock cost so a
-/// regression in the sharded selection path is caught like any other.
-pub const LANED_LANES: usize = 4;
 
 /// One (kernel, protocol) throughput sample.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,31 +74,13 @@ pub fn measure_kernel(
     protocol: ProtocolId,
     runs: u32,
 ) -> KernelSample {
-    measure_kernel_laned(bench, scale, machine, protocol, runs, 1)
-}
-
-/// [`measure_kernel`] under the sharded-selection lane engine
-/// ([`SimOptions::lanes`]): the replay is bit-identical, only the
-/// wall-clock differs. `lanes <= 1` measures the plain sequential scan.
-pub fn measure_kernel_laned(
-    bench: Bench,
-    scale: Scale,
-    machine: &MachineConfig,
-    protocol: ProtocolId,
-    runs: u32,
-    lanes: usize,
-) -> KernelSample {
     assert!(runs > 0, "need at least one run");
     let program = bench.build(scale);
-    let opts = SimOptions {
-        lanes,
-        ..SimOptions::default()
-    };
     let mut walls: Vec<u64> = Vec::with_capacity(runs as usize);
     let mut sim_cycles = 0;
     for _ in 0..runs {
         let t0 = Instant::now();
-        let out = simulate_with_options(&program, machine, protocol, &opts);
+        let out = simulate(&program, machine, protocol);
         walls.push(t0.elapsed().as_nanos().max(1) as u64);
         sim_cycles = out.stats.cycles;
     }
@@ -127,19 +102,12 @@ pub fn measure_kernel_laned(
 /// Measure every tracked kernel under MESI and WARDen on the baseline
 /// machine.
 pub fn measure_suite(scale: Scale, runs: u32) -> Vec<KernelSample> {
-    measure_suite_laned(scale, runs, 1)
-}
-
-/// [`measure_suite`] at a given lane count (see [`LANED_LANES`]).
-pub fn measure_suite_laned(scale: Scale, runs: u32, lanes: usize) -> Vec<KernelSample> {
     let machine = baseline_machine();
     let mut out = Vec::new();
     for &bench in KERNELS {
         for protocol in [ProtocolId::Mesi, ProtocolId::Warden] {
             eprint!("  {:<8} {:<6}\r", bench.name(), protocol_name(protocol));
-            out.push(measure_kernel_laned(
-                bench, scale, &machine, protocol, runs, lanes,
-            ));
+            out.push(measure_kernel(bench, scale, &machine, protocol, runs));
         }
     }
     out
@@ -187,14 +155,10 @@ pub fn speedups(current: &[KernelSample], baseline: &[KernelSample]) -> Vec<(Str
         .collect()
 }
 
-/// Render the JSON report. With a `laned` sample set, the report carries a
-/// `"laned"` section (same kernels replayed under [`LANED_LANES`] event
-/// lanes — bit-identical results, independently tracked wall clock). With
-/// a `baseline`, the report also carries that sample set plus the
-/// per-kernel speedup ratios.
+/// Render the JSON report. With a `baseline`, the report also carries that
+/// sample set plus the per-kernel speedup ratios.
 pub fn render_report(
     current: &[KernelSample],
-    laned: Option<&[KernelSample]>,
     baseline: Option<&[KernelSample]>,
     scale: Scale,
     runs: u32,
@@ -210,10 +174,6 @@ pub fn render_report(
         format!("  \"runs\": {runs}"),
         section("kernels", current),
     ];
-    if let Some(lan) = laned {
-        sections.push(format!("  \"laned_lanes\": {LANED_LANES}"));
-        sections.push(section("laned", lan));
-    }
     if let Some(base) = baseline {
         sections.push(section("baseline", base));
         let sp: Vec<String> = speedups(current, base)
@@ -252,16 +212,6 @@ fn num<T: std::str::FromStr>(obj: &str, key: &str) -> Result<T, HarnessError> {
 /// general JSON parser.
 pub fn parse_report(json: &str) -> Result<Vec<KernelSample>, HarnessError> {
     parse_section(json, "kernels")
-}
-
-/// Parse the `"laned"` section (sequential-identical replays under
-/// [`LANED_LANES`] event lanes) out of a report, if present. Reports from
-/// before the lane engine simply have no such section.
-pub fn parse_laned(json: &str) -> Result<Option<Vec<KernelSample>>, HarnessError> {
-    if !json.contains("\"laned\": [") {
-        return Ok(None);
-    }
-    parse_section(json, "laned").map(Some)
 }
 
 fn parse_section(json: &str, name: &str) -> Result<Vec<KernelSample>, HarnessError> {
@@ -317,27 +267,16 @@ mod tests {
     #[test]
     fn report_round_trips_through_parse() {
         let samples = vec![sample("fib", "mesi", 1e6), sample("fib", "warden", 2e6)];
-        let json = render_report(&samples, None, None, Scale::Tiny, 5);
+        let json = render_report(&samples, None, Scale::Tiny, 5);
         let parsed = parse_report(&json).unwrap();
         assert_eq!(parsed, samples);
-        assert_eq!(parse_laned(&json).unwrap(), None, "no laned section");
-    }
-
-    #[test]
-    fn laned_section_round_trips_independently() {
-        let seq = vec![sample("fib", "mesi", 1e6)];
-        let lan = vec![sample("fib", "mesi", 0.9e6)];
-        let json = render_report(&seq, Some(&lan), None, Scale::Tiny, 5);
-        assert!(json.contains(&format!("\"laned_lanes\": {LANED_LANES}")));
-        assert_eq!(parse_report(&json).unwrap(), seq);
-        assert_eq!(parse_laned(&json).unwrap(), Some(lan));
     }
 
     #[test]
     fn baseline_section_yields_speedups() {
         let before = vec![sample("fib", "mesi", 1e6)];
         let after = vec![sample("fib", "mesi", 2e6)];
-        let json = render_report(&after, None, Some(&before), Scale::Tiny, 5);
+        let json = render_report(&after, Some(&before), Scale::Tiny, 5);
         assert!(json.contains("\"baseline\""));
         assert!(json.contains("\"ratio\":2.000"), "{json}");
         // Parsing recovers the *current* samples, not the baseline.
@@ -348,18 +287,6 @@ mod tests {
     fn foreign_documents_are_rejected() {
         assert!(parse_report("{}").is_err());
         assert!(parse_report("{\"schema\": \"warden-hotpath-v1\"}").is_err());
-    }
-
-    #[test]
-    fn laned_measurement_replays_the_same_simulation() {
-        let machine = MachineConfig::single_socket().with_cores(2);
-        let seq = measure_kernel(Bench::Fib, Scale::Tiny, &machine, ProtocolId::Warden, 1);
-        let lan = measure_kernel_laned(Bench::Fib, Scale::Tiny, &machine, ProtocolId::Warden, 1, 2);
-        assert_eq!(
-            seq.sim_cycles, lan.sim_cycles,
-            "laned replay is bit-identical"
-        );
-        assert_eq!(seq.events, lan.events);
     }
 
     #[test]

@@ -54,11 +54,6 @@ pub struct RunOptions {
     /// summaries in its outcome. Passive — stats and the final memory image
     /// are bit-identical with it on or off.
     pub obs: bool,
-    /// Event lanes ([`SimOptions::lanes`]): shard the scheduler's core
-    /// selection into this many per-socket lanes merged in canonical
-    /// `(clock, core, seq)` order. `0`/`1` mean the plain sequential scan;
-    /// any lane count replays bit-identically.
-    pub lanes: usize,
 }
 
 impl RunOptions {
@@ -78,7 +73,6 @@ impl RunOptions {
             check: self.check,
             faults: self.faults.map(FaultPlan::benign),
             obs: self.obs,
-            lanes: self.lanes,
             ..SimOptions::default()
         }
     }
@@ -164,17 +158,14 @@ mod tests {
             check: true,
             faults: Some(7),
             obs: true,
-            lanes: 4,
         };
         let s = o.sim_options();
         assert!(s.check);
         assert!(s.obs);
-        assert_eq!(s.lanes, 4);
         assert_eq!(s.faults.as_ref().map(|p| p.seed), Some(7));
         assert!(s.faults.unwrap().is_benign());
         let d = RunOptions::default().sim_options();
         assert!(!d.check && d.faults.is_none() && !d.obs);
-        assert_eq!(d.lanes, 0, "default is the sequential scan");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! every build, and this test holds it to its zero-cost-when-disabled
 //! promise — replay throughput on the guarded kernels (obs off, the
 //! default) must stay within [`FLOOR`] of the committed
-//! `BENCH_hotpath.json` medians, both sequential and laned.
+//! `BENCH_hotpath.json` medians.
 //!
 //! The real gate only runs in release builds (`cargo test --release
 //! --test bench_guard`): a debug build is ~10x slower than the release
@@ -11,9 +11,7 @@
 //! kernel, so tier-1 `cargo test` still catches a broken or stale baseline
 //! file.
 
-use warden_bench::hotpath::{
-    baseline_machine, measure_kernel_laned, parse_laned, parse_report, KernelSample, LANED_LANES,
-};
+use warden_bench::hotpath::{baseline_machine, measure_kernel, parse_report, KernelSample};
 use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
 
@@ -27,8 +25,8 @@ const GUARDED: &[Bench] = &[Bench::Fib, Bench::SuffixArray, Bench::Nqueens];
 /// committed baseline is already the per-cell minimum of three captures —
 /// see EXPERIMENTS.md), so a tight gate would fail on weather. 0.80
 /// still catches the structural regressions this guard exists for: obs
-/// accidentally costing when disabled, lane bookkeeping leaking into the
-/// sequential path, or a data-layout regression (the §7e flat-index work
+/// accidentally costing when disabled, scheduler bookkeeping leaking into
+/// the replay loop, or a data-layout regression (the §7e flat-index work
 /// was worth ≥1.5x — effects of that size cannot hide under 20%).
 #[cfg(not(debug_assertions))]
 const FLOOR: f64 = 0.80;
@@ -41,29 +39,21 @@ fn protocol_name(p: ProtocolId) -> &'static str {
     }
 }
 
-fn committed_json() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read committed baseline {path}: {e}"))
-}
-
 fn committed_baseline() -> Vec<KernelSample> {
-    parse_report(&committed_json()).expect("committed baseline parses")
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
+    let json = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read committed baseline {path}: {e}"));
+    parse_report(&json).expect("committed baseline parses")
 }
 
-fn committed_laned() -> Vec<KernelSample> {
-    parse_laned(&committed_json())
-        .expect("committed baseline parses")
-        .expect("committed baseline carries a laned section")
-}
-
-/// Measure the guarded kernels at `lanes` and hold each above [`FLOOR`]
-/// of its sample in `baseline`. Shared by the sequential and laned
-/// release gates.
+/// Measure the guarded kernels and hold each above [`FLOOR`] of its
+/// committed sample.
 #[cfg(not(debug_assertions))]
-fn guard_against(baseline: &[KernelSample], lanes: usize, what: &str) {
+#[test]
+fn replay_throughput_stays_above_the_guard_floor() {
     use warden_pbbs::Scale;
 
+    let baseline = committed_baseline();
     let machine = baseline_machine();
     let mut failures = Vec::new();
     for &bench in GUARDED {
@@ -72,7 +62,7 @@ fn guard_against(baseline: &[KernelSample], lanes: usize, what: &str) {
             let base = baseline
                 .iter()
                 .find(|s| s.kernel == bench.name() && s.protocol == proto)
-                .unwrap_or_else(|| panic!("no {what} sample for {}/{proto}", bench.name()));
+                .unwrap_or_else(|| panic!("no baseline sample for {}/{proto}", bench.name()));
             // Wall-clock noise on a shared machine can sink one attempt;
             // a genuine regression sinks all of them. Keep the best, and
             // back off between retries so a single multi-second contention
@@ -80,7 +70,7 @@ fn guard_against(baseline: &[KernelSample], lanes: usize, what: &str) {
             let mut best = 0.0f64;
             for backoff_ms in [0u64, 100, 300, 1000, 3000] {
                 std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                let s = measure_kernel_laned(bench, Scale::Paper, &machine, protocol, 5, lanes);
+                let s = measure_kernel(bench, Scale::Paper, &machine, protocol, 5);
                 best = best.max(s.events_per_sec);
                 if best >= FLOOR * base.events_per_sec {
                     break;
@@ -89,7 +79,7 @@ fn guard_against(baseline: &[KernelSample], lanes: usize, what: &str) {
             let ratio = best / base.events_per_sec;
             if ratio < FLOOR {
                 failures.push(format!(
-                    "  {}/{proto}: {:.1}% of {what} ({:.0} vs {:.0} events/s)",
+                    "  {}/{proto}: {:.1}% of baseline ({:.0} vs {:.0} events/s)",
                     bench.name(),
                     ratio * 100.0,
                     best,
@@ -100,22 +90,12 @@ fn guard_against(baseline: &[KernelSample], lanes: usize, what: &str) {
     }
     assert!(
         failures.is_empty(),
-        "replay throughput fell below {:.0}% of BENCH_hotpath.json ({what}):\n{}\n\
+        "replay throughput fell below {:.0}% of BENCH_hotpath.json:\n{}\n\
          (if the regression is intentional, regenerate the baseline with \
          `bench_baseline --scale paper --runs 15 --out BENCH_hotpath.json`)",
         FLOOR * 100.0,
         failures.join("\n")
     );
-}
-
-// One test, not two: the harness runs `#[test]`s of a binary on parallel
-// threads, and two concurrent measurement loops on a small CI box would
-// contend with each other and fail both gates on noise.
-#[cfg(not(debug_assertions))]
-#[test]
-fn replay_throughput_stays_above_the_guard_floor() {
-    guard_against(&committed_baseline(), 1, "sequential baseline");
-    guard_against(&committed_laned(), LANED_LANES, "laned baseline");
 }
 
 #[cfg(debug_assertions)]
@@ -124,7 +104,6 @@ fn committed_baseline_parses_and_covers_the_guarded_kernels() {
     use warden_pbbs::Scale;
 
     let baseline = committed_baseline();
-    let laned = committed_laned();
     for &bench in GUARDED {
         for protocol in [ProtocolId::Mesi, ProtocolId::Warden] {
             let proto = protocol_name(protocol);
@@ -135,24 +114,16 @@ fn committed_baseline_parses_and_covers_the_guarded_kernels() {
                 "committed baseline is missing {}/{proto}",
                 bench.name()
             );
-            assert!(
-                laned
-                    .iter()
-                    .any(|s| s.kernel == bench.name() && s.protocol == proto),
-                "committed laned section is missing {}/{proto}",
-                bench.name()
-            );
         }
     }
     // Measurement machinery still works end to end (one tiny run; the 3%
     // gate itself is release-only).
-    let s = measure_kernel_laned(
+    let s = measure_kernel(
         Bench::Fib,
         Scale::Tiny,
         &baseline_machine(),
         ProtocolId::Mesi,
         1,
-        LANED_LANES,
     );
     assert!(s.events > 0 && s.events_per_sec > 0.0);
 }

@@ -39,17 +39,19 @@ proptest! {
 
     /// Pause after an arbitrary number of steps, snapshot, resume from the
     /// bytes, and finish: the result must match an uninterrupted reference
-    /// run exactly — stats, energy, and the final memory image.
+    /// run exactly — stats, energy, and the final memory image. The core
+    /// count varies so restores also rebuild padded core-selection trees.
     #[test]
     fn snapshot_at_any_prefix_resumes_identically(
         n in 64u64..512,
         grain in 8u64..64,
         pause in 0u64..5_000,
         proto in 0usize..3,
+        cores in 1usize..=6,
     ) {
         let protocol = [ProtocolId::Msi, ProtocolId::Mesi, ProtocolId::Warden][proto];
         let p = workload(n, grain);
-        let m = MachineConfig::dual_socket().with_cores(2);
+        let m = MachineConfig::dual_socket().with_cores(cores);
         let opts = SimOptions::default();
         let reference = simulate_with_options(&p, &m, protocol, &opts);
 

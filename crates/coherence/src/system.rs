@@ -110,16 +110,12 @@ pub enum AccessKind {
     Rmw,
 }
 
-/// Which private-hierarchy level served a lane-local access.
+/// Which private-hierarchy level served an access that needed no directory
+/// transaction.
 ///
-/// This is the boundary of the engine's lane partition (see
-/// `warden-sim`'s `lanes` module): accesses that resolve entirely inside
-/// one core's private hierarchy are *lane-local* — they touch no
-/// directory set, no LLC slice and no other core's cache, so event lanes
-/// may order them freely between the directory transactions the merge
-/// serializes. Everything that falls through to the directory is a
-/// *merge-mediated* transaction and executes in canonical
-/// `(clock, core, seq)` order.
+/// Such an access resolves entirely inside one core's private hierarchy:
+/// it touches no directory set, no LLC slice and no other core's cache.
+/// Everything else falls through to the protocol's directory transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LocalHit {
     /// Served by the L1 presence filter at `lat.l1`.
@@ -155,7 +151,7 @@ impl PrivateCache {
         }
     }
 
-    /// The lane-local half of a load: serve `block` from the private
+    /// The private half of a load: serve `block` from the private
     /// hierarchy if present, refilling the L1 on an L2 hit. Returns `None`
     /// — with the hierarchy untouched — when the access needs a directory
     /// transaction.
@@ -171,7 +167,7 @@ impl PrivateCache {
         None
     }
 
-    /// The lane-local half of a store: apply `val` in place when the L2
+    /// The private half of a store: apply `val` in place when the L2
     /// holds `block` in a writable (M/E/W) state, marking the written
     /// sectors dirty and promoting the line in the L1. Returns `None` when
     /// the write needs a directory transaction (miss, or a read-only copy
@@ -1387,49 +1383,6 @@ impl CoherenceSystem {
         Ok(())
     }
 
-    /// Classify — without mutating any state — whether a demand access by
-    /// `core` at `addr` would be served lane-locally by the private
-    /// hierarchy, and at which level.
-    ///
-    /// This is the partition predicate of the sharded engine's event
-    /// lanes: `Some(_)` accesses touch only `core`'s own L1/L2 (no
-    /// directory set, no LLC slice, no other core), `None` accesses are
-    /// directory transactions that the deterministic merge must serialize
-    /// in canonical `(clock, core, seq)` order. RMWs always classify as
-    /// `None`: they are performed coherently even on a private copy (the
-    /// region store is consulted first), so they are never lane-local.
-    ///
-    /// The prediction is exact for the machine's *current* state: a
-    /// subsequent directory transaction may of course invalidate the copy
-    /// it relies on, which is precisely why lanes may only run local
-    /// accesses between merge points.
-    pub fn classify_private(&self, core: CoreId, kind: AccessKind, addr: Addr) -> Option<LocalHit> {
-        let block = addr.block();
-        let pc = &self.cores[core];
-        match kind {
-            AccessKind::Load => {
-                if pc.l1.peek(block).is_some() {
-                    Some(LocalHit::L1)
-                } else if pc.l2.peek(block).is_some() {
-                    Some(LocalHit::L2)
-                } else {
-                    None
-                }
-            }
-            AccessKind::Store => match pc.l2.peek(block) {
-                Some(line) if line.state.writable() => {
-                    if pc.l1.peek(block).is_some() {
-                        Some(LocalHit::L1)
-                    } else {
-                        Some(LocalHit::L2)
-                    }
-                }
-                _ => None,
-            },
-            AccessKind::Rmw => None,
-        }
-    }
-
     /// A load of `size` bytes at `addr`. Returns latency in cycles.
     ///
     /// # Panics
@@ -1447,7 +1400,7 @@ impl CoherenceSystem {
     }
 
     fn load_inner(&mut self, core: CoreId, block: BlockAddr) -> u64 {
-        // Lane-local fast path: private hierarchy only.
+        // Fast path: private hierarchy only.
         match self.cores[core].try_local_load(block) {
             Some(LocalHit::L1) => {
                 self.stats.l1_hits += 1;
@@ -1457,7 +1410,7 @@ impl CoherenceSystem {
                 self.stats.l2_hits += 1;
                 self.lat.l2
             }
-            // Merge-mediated directory transaction, served by the protocol.
+            // Directory transaction, served by the protocol.
             None => self.protocol.imp().get_shared(self, core, block),
         }
     }
@@ -1484,7 +1437,7 @@ impl CoherenceSystem {
         let block = addr.block();
         let offset = addr.block_offset();
         let sector_bytes = self.sector_bytes;
-        // Lane-local fast path: writable hit in the private hierarchy.
+        // Fast path: writable hit in the private hierarchy.
         match self.cores[core].try_local_store(block, offset, val, sector_bytes) {
             Some(LocalHit::L1) => {
                 self.stats.l1_hits += 1;
@@ -1494,7 +1447,7 @@ impl CoherenceSystem {
                 self.stats.l2_hits += 1;
                 self.lat.l2
             }
-            // Merge-mediated directory transaction, served by the protocol.
+            // Directory transaction, served by the protocol.
             None => self
                 .protocol
                 .imp()

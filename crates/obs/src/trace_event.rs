@@ -282,6 +282,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The document, already UTF-8 by type; `bytes` is the same data.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -405,10 +407,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return self.err("raw control character in string"),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is checked as UTF-8
-                    // before parsing begins).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).expect("checked utf-8");
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. `pos` only ever advances by
+                    // ASCII bytes or whole scalars, so it is a char boundary.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -472,6 +473,7 @@ impl<'a> Parser<'a> {
 
 fn parse_json(text: &str) -> Result<Json, TraceError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -598,6 +600,20 @@ mod tests {
         );
         let json = b.to_json();
         validate_trace(&json).unwrap();
+    }
+
+    /// Validation is linear in the document: a multi-megabyte trace made
+    /// almost entirely of (partly non-ASCII) strings validates quickly.
+    #[test]
+    fn multi_megabyte_string_heavy_trace_validates() {
+        let mut b = TraceBuilder::new();
+        let name = "région‽-".repeat(128);
+        for i in 0..2_000u64 {
+            b.instant(&name, i, 0, 0, vec![]);
+        }
+        let json = b.to_json();
+        assert!(json.len() > 2_000_000, "{} bytes", json.len());
+        assert_eq!(validate_trace(&json).unwrap().instants, 2_000);
     }
 
     #[test]

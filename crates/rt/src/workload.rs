@@ -20,7 +20,7 @@
 //!   [`WorkloadSpec::token`] is a complete replayable reproducer;
 //! * flows through the standard [`TraceProgram`] representation and the
 //!   `trace_io` codec, so every downstream layer — simulator, invariant
-//!   checker, observability, event lanes, serving, campaigns — consumes
+//!   checker, observability, serving, campaigns — consumes
 //!   generated workloads exactly like hand-written benchmarks.
 //!
 //! [`WorkloadGen`] is the seeded stream of specs the fuzz gate draws from;

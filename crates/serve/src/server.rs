@@ -159,11 +159,6 @@ pub struct ServeConfig {
     /// requires `disk`). The tier degrades on every injected failure —
     /// requests are still served from memory and recompute.
     pub storage_faults: Option<StorageFaultPlan>,
-    /// Event lanes for worker-side simulations ([`SimOptions::lanes`]):
-    /// a server-side execution knob, not part of the wire protocol or the
-    /// cache key — laned replays are bit-identical to sequential ones, so
-    /// results computed at any lane count share one cache entry.
-    pub lanes: usize,
     /// Timeouts, deadline, backoff hint and cache budget.
     pub opts: ServerOptions,
 }
@@ -180,7 +175,6 @@ impl Default for ServeConfig {
             record_trace: false,
             disk: None,
             storage_faults: None,
-            lanes: 1,
             opts: ServerOptions::default(),
         }
     }
@@ -474,9 +468,6 @@ impl Inner {
         let opts = SimOptions {
             check: req.check,
             cancel: Some(cancel.clone()),
-            // Like the cancel token, the lane count is excluded from the
-            // options fingerprint: results are lane-count-invariant.
-            lanes: self.cfg.lanes,
             ..SimOptions::default()
         };
         let (bench, scale) = (req.bench, req.scale);

@@ -68,13 +68,11 @@ pub const MAGIC: [u8; 8] = *b"WARDCKPT";
 ///   the coherence payload its undrained event buffer), outcome records the
 ///   optional observability report, and the options fingerprint covers
 ///   [`SimOptions::obs`]. Older files are rejected, not misdecoded.
-/// * **4** — engine state records the event-lane count the frame was
-///   written under. Informational only: the merged event order is
-///   canonical regardless of sharding, so a frame written at any
-///   [`SimOptions::lanes`] resumes bit-identically at any other, and the
-///   lane count is deliberately **not** part of the options fingerprint
-///   (like the cancel token, it is an execution-strategy knob, not part of
-///   the computation's identity). Older files are rejected, not
+/// * **4** — engine state gained a slot for the scheduler shard count the
+///   frame was written under. The slot is now retired: the engine writes
+///   `1`, and restore range-checks it against `1..=ncores` and ignores it,
+///   so every version-4 frame resumes bit-identically. The count was never
+///   part of the options fingerprint. Older files are rejected, not
 ///   misdecoded.
 pub const VERSION: u32 = 4;
 
@@ -316,12 +314,10 @@ impl CheckpointStore {
 /// that affects a replay. Checkpoints and the campaign runner's result
 /// records both embed this value to bind saved state to its inputs.
 ///
-/// [`SimOptions::cancel`] and [`SimOptions::lanes`] are deliberately
-/// excluded: both are execution-strategy knobs that leave the replay's
-/// event order, statistics and memory images bit-identical, so the same
-/// simulation requested with a different token or lane count is the same
-/// content-addressed computation (and a checkpoint written at one lane
-/// count resumes at any other).
+/// [`SimOptions::cancel`] is deliberately excluded: the token leaves the
+/// replay's event order, statistics and memory images bit-identical, so
+/// the same simulation requested with a different token is the same
+/// content-addressed computation.
 pub fn options_fingerprint(opts: &SimOptions) -> u64 {
     let mut enc = Encoder::new();
     let e = &opts.energy;
@@ -565,10 +561,6 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
         region_peak,
         violations,
         obs,
-        // Like `ObsReport`'s host-side span profile, the lane report is
-        // transient diagnostics: it is not serialized, so a decoded
-        // outcome compares equal across lane counts.
-        lane_report: None,
     })
 }
 
@@ -716,6 +708,45 @@ mod tests {
         assert_eq!(out.memory_image_digest, reference.memory_image_digest);
         assert_eq!(out.energy, reference.energy);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Version-4 frames written while the retired engine slot still
+    /// carried a shard count (any value in `1..=ncores`) resume
+    /// bit-identically; a value outside that range is still rejected.
+    #[test]
+    fn retired_slot_values_from_older_v4_frames_still_resume() {
+        let p = sample_program();
+        let m = MachineConfig::dual_socket().with_cores(4);
+        let opts = SimOptions::default();
+        let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
+
+        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
+        for _ in 0..1_500 {
+            assert!(eng.step(), "trace must outlast the snapshot point");
+        }
+        let payload = unframe(&eng.snapshot_to_bytes()).expect("frame").to_vec();
+        // Identity header (u64, u64, u8, u64), then the engine's completed,
+        // makespan, steps and RNG words, then the retired slot.
+        let slot = 8 + 8 + 1 + 8 + 4 * 8;
+        assert_eq!(payload[slot..slot + 8], 1u64.to_le_bytes());
+        let with_slot = |v: u64| {
+            let mut patched = payload.clone();
+            patched[slot..slot + 8].copy_from_slice(&v.to_le_bytes());
+            frame(&patched)
+        };
+
+        let resumed =
+            SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &with_slot(4))
+                .expect("a slot of 4 resumes");
+        let out = resumed.run();
+        assert_eq!(out.stats, reference.stats);
+        assert_eq!(out.memory_image_digest, reference.memory_image_digest);
+        for bad in [0, m.num_cores() as u64 + 1] {
+            assert!(matches!(
+                SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &with_slot(bad)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! The engine is *access-atomic and clock-ordered*: at every step the core
 //! with the smallest local clock executes its next event, so cross-core
 //! interactions (steals, invalidations, reconciliations) happen in a
-//! deterministic global order given the seed.
+//! deterministic global order given the seed. A tournament tree over
+//! `(clock, core)` (`CorePicker`) makes that pick in `O(log cores)`.
 //!
 //! The engine runs in one of two modes: the one-shot helpers
 //! ([`simulate`], [`simulate_with_options`], [`try_simulate`]) replay a
@@ -19,7 +20,6 @@ use crate::config::MachineConfig;
 use crate::energy::{energy_of, EnergyBreakdown, EnergyParams};
 use crate::error::SimError;
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::lanes::{LaneReport, LaneSet};
 use crate::obs::{timed, ObsRecorder, ObsReport};
 use crate::stats::SimStats;
 use rand::rngs::SmallRng;
@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use warden_coherence::{AccessKind, CoherenceSystem, InvariantViolation, ProtocolId, RegionId};
+use warden_coherence::{CoherenceSystem, InvariantViolation, ProtocolId, RegionId};
 use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_mem::Memory;
 use warden_rt::{Event, TaskId, TraceProgram};
@@ -57,12 +57,6 @@ pub struct SimOutcome {
     /// was set): cycle-stamped event timeline, per-epoch summaries, latency
     /// histograms and the Perfetto exporter.
     pub obs: Option<ObsReport>,
-    /// Per-lane accounting of a laned run (always `None` unless
-    /// [`SimOptions::lanes`] requested more than one lane). Diagnostic
-    /// only: the report is not part of [`SimOutcome::stats`] and is never
-    /// serialized, so statistics, digests and observability reports stay
-    /// bit-identical across lane counts.
-    pub lane_report: Option<LaneReport>,
 }
 
 /// Options for [`simulate_with_options`].
@@ -89,18 +83,6 @@ pub struct SimOptions {
     /// simulation requested with different tokens is the same
     /// content-addressed computation — and it is never checkpointed.
     pub cancel: Option<CancelToken>,
-    /// Event lanes: shard the scheduler's core selection into this many
-    /// per-socket [`LaneSet`](crate::LaneSet) lanes merged in canonical
-    /// `(clock, core, seq)` order. `0` and `1` both mean the plain
-    /// sequential scan; values above the core count clamp down. Laned runs
-    /// are **bit-identical** to sequential runs — same statistics, memory
-    /// digests and observability reports — which the lane-determinism CI
-    /// gate asserts across the whole benchmark suite. Like `cancel`, the
-    /// lane count is an execution-strategy knob, not part of the options
-    /// fingerprint: the same simulation at any lane count is the same
-    /// content-addressed computation, and checkpoints resume across
-    /// differing lane counts.
-    pub lanes: usize,
 }
 
 /// Scheduler steps between polls of the cancellation token in
@@ -213,9 +195,8 @@ pub struct SimEngine<'a> {
     completed: usize,
     makespan: u64,
     steps: u64,
-    /// Sharded core selection (`None` when running the plain sequential
-    /// scan, i.e. [`SimOptions::lanes`] `<= 1`).
-    lane_set: Option<LaneSet>,
+    /// The `(clock, core)` argmin over `cores`, kept current by [`Self::step`].
+    picker: CorePicker,
 }
 
 impl fmt::Debug for SimEngine<'_> {
@@ -288,8 +269,6 @@ impl<'a> SimEngine<'a> {
         };
         cores[0].current = Some(0); // root starts on core 0
 
-        let lane_set = (opts.lanes > 1).then(|| LaneSet::new(machine.topo, opts.lanes));
-
         SimEngine {
             program,
             machine,
@@ -306,7 +285,7 @@ impl<'a> SimEngine<'a> {
             completed: 0,
             makespan: 0,
             steps: 0,
-            lane_set,
+            picker: CorePicker::new(ncores),
         }
     }
 
@@ -365,7 +344,17 @@ impl<'a> SimEngine<'a> {
         if self.is_done() {
             return false;
         }
-        self.step_inner();
+        let cid = self.picker.winner();
+        debug_assert_eq!(
+            cid,
+            (0..self.cores.len())
+                .min_by_key(|&i| (self.cores[i].clock, i))
+                .expect("at least one core"),
+            "tournament tree diverged from the (clock, core) argmin"
+        );
+        self.step_inner(cid);
+        // Only the picked core's clock moves in a step.
+        self.picker.update(cid, self.cores[cid].clock);
         self.steps += 1;
         !self.is_done()
     }
@@ -403,33 +392,11 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    fn step_inner(&mut self) {
+    /// Execute one step on `cid`, the core with the smallest clock (ties:
+    /// lowest id). Advances no clock but `cid`'s.
+    fn step_inner(&mut self, cid: usize) {
         let program = self.program;
         let machine = self.machine;
-        let ncores = self.cores.len();
-
-        // Pick the core with the smallest clock (ties: lowest id) —
-        // either by the plain sequential scan or, when lanes are on, by
-        // the sharded per-lane frontiers merged in canonical
-        // `(clock, core, seq)` order. Both compute the same argmin, so
-        // laned runs replay the identical event order.
-        let cid = match self.lane_set.as_mut() {
-            Some(ls) => {
-                let cores = &self.cores;
-                let cid = ls.pick(|i| cores[i].clock);
-                debug_assert_eq!(
-                    cid,
-                    (0..ncores)
-                        .min_by_key(|&i| (cores[i].clock, i))
-                        .expect("at least one core"),
-                    "laned merge diverged from the canonical sequential order"
-                );
-                cid
-            }
-            None => (0..ncores)
-                .min_by_key(|&i| (self.cores[i].clock, i))
-                .expect("at least one core"),
-        };
 
         let Some(task) = self.cores[cid].current else {
             acquire_work(
@@ -479,12 +446,6 @@ impl<'a> SimEngine<'a> {
         // stay untouched when recording is off.
         let mut obs_access: Option<u64> = None;
         let mut obs_fault_extra = 0u64;
-        // Lane accounting: whether this step's access was served
-        // lane-locally by the issuing core's private hierarchy (classified
-        // *before* the access mutates cache state). Only evaluated when
-        // lanes are on; purely diagnostic either way.
-        let laned = self.lane_set.is_some();
-        let mut lane_local = false;
         match ev {
             Event::Compute { amount } => {
                 let c = machine.compute_cycles(*amount);
@@ -494,9 +455,6 @@ impl<'a> SimEngine<'a> {
             }
             Event::Load { addr, size } => {
                 drain_store_buffer(core);
-                if laned {
-                    lane_local = coh.classify_private(cid, AccessKind::Load, *addr).is_some();
-                }
                 let lat = timed(recorder, "access.load", || {
                     coh.load(cid, *addr, *size as u64)
                 });
@@ -521,11 +479,6 @@ impl<'a> SimEngine<'a> {
                         stats.store_stall_cycles += t - core.clock;
                         core.clock = t;
                     }
-                }
-                if laned {
-                    lane_local = coh
-                        .classify_private(cid, AccessKind::Store, *addr)
-                        .is_some();
                 }
                 let bytes = val.to_le_bytes();
                 let lat = timed(recorder, "access.store", || {
@@ -633,11 +586,6 @@ impl<'a> SimEngine<'a> {
             }
             rec.drain(&mut self.coh, clock, cid);
         }
-        if lane_local {
-            if let Some(ls) = self.lane_set.as_mut() {
-                ls.note_local(cid);
-            }
-        }
         self.makespan = self.makespan.max(self.cores[cid].clock);
     }
 
@@ -690,7 +638,6 @@ impl<'a> SimEngine<'a> {
             region_peak,
             violations,
             obs,
-            lane_report: self.lane_set.as_ref().map(LaneSet::report),
         }
     }
 
@@ -702,13 +649,9 @@ impl<'a> SimEngine<'a> {
         enc.put_u64(self.makespan);
         enc.put_u64(self.steps);
         enc.put_u64(self.rng.state());
-        // The lane count that produced this frame (format version 4).
-        // Informational only: the merged event order is canonical, so a
-        // frame written at any lane count resumes at any other — the
-        // restoring engine keeps its own lanes and rebuilds their
-        // frontiers from the restored clocks. Per-lane accounting is not
-        // persisted; a resumed run's lane report covers the resumed part.
-        enc.put_usize(self.lane_set.as_ref().map_or(1, LaneSet::num_lanes));
+        // Retired slot (format version 4 stored a scheduler shard count
+        // here): always written as 1, ignored on restore.
+        enc.put_usize(1);
 
         enc.put_usize(self.cores.len());
         for core in &self.cores {
@@ -785,17 +728,13 @@ impl<'a> SimEngine<'a> {
         let makespan = dec.take_u64()?;
         let steps = dec.take_u64()?;
         let rng_state = dec.take_u64()?;
-        // Lane count the frame was written under — informational (see
-        // `encode_state`); sanity-checked but otherwise ignored, so a
-        // frame resumes under any lane count.
-        let frame_lanes = dec.take_usize()?;
-        if frame_lanes == 0 || frame_lanes > self.cores.len() {
+        // Retired slot (see `encode_state`): range-checked, then ignored,
+        // so frames written with any value in `1..=ncores` still resume.
+        let retired = dec.take_usize()?;
+        if retired == 0 || retired > self.cores.len() {
             return Err(invalid(
                 "engine",
-                format!(
-                    "{frame_lanes} lanes, machine has {} cores",
-                    self.cores.len()
-                ),
+                format!("retired slot {retired} outside 1..={}", self.cores.len()),
             ));
         }
 
@@ -914,12 +853,71 @@ impl<'a> SimEngine<'a> {
         self.tasks = tasks;
         self.regions = regions;
         self.stats = stats;
-        if let Some(ls) = self.lane_set.as_mut() {
-            // The restored clocks moved behind the lane set's back.
-            let cores = &self.cores;
-            ls.rebuild(|i| cores[i].clock);
-        }
+        // The restored clocks moved behind the picker's back.
+        self.picker.rebuild(self.cores.iter().map(|c| c.clock));
         Ok(())
+    }
+}
+
+/// A fixed-size winner (tournament) tree over the cores' `(clock, core)`
+/// keys: the root holds the argmin, i.e. the core the engine steps next.
+///
+/// Node `1` is the root, node `i` has children `2i` and `2i + 1`, and the
+/// leaves `width..2 * width` are the cores, padded to a power of two. Each
+/// node holds the smaller key of its two children; comparing full
+/// `(clock, core)` tuples breaks clock ties toward the lower core id, and
+/// padding keys `(u64::MAX, usize::MAX)` lose to every real core. A step
+/// moves only the picked core's clock, so [`Self::update`] replays one
+/// leaf-to-root path in `O(log cores)`.
+#[derive(Clone, Debug)]
+struct CorePicker {
+    /// Leaf count: the core count rounded up to a power of two.
+    width: usize,
+    /// `2 * width` keys; index 0 is unused.
+    nodes: Vec<(u64, usize)>,
+}
+
+impl CorePicker {
+    const PAD: (u64, usize) = (u64::MAX, usize::MAX);
+
+    /// A tree over `ncores` cores, all at clock 0.
+    fn new(ncores: usize) -> CorePicker {
+        assert!(ncores > 0, "at least one core");
+        let width = ncores.next_power_of_two();
+        let mut picker = CorePicker {
+            width,
+            nodes: vec![CorePicker::PAD; 2 * width],
+        };
+        picker.rebuild(std::iter::repeat_n(0, ncores));
+        picker
+    }
+
+    /// The core with the smallest `(clock, core)`.
+    fn winner(&self) -> usize {
+        self.nodes[1].1
+    }
+
+    /// Set `core`'s clock and replay its path to the root.
+    fn update(&mut self, core: usize, clock: u64) {
+        let mut i = self.width + core;
+        self.nodes[i] = (clock, core);
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// Reload every leaf from `clocks` (core order) and recompute every
+    /// internal node.
+    fn rebuild(&mut self, clocks: impl Iterator<Item = u64>) {
+        let width = self.width;
+        self.nodes[width..].fill(CorePicker::PAD);
+        for (core, clock) in clocks.enumerate() {
+            self.nodes[width + core] = (clock, core);
+        }
+        for i in (1..width).rev() {
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
     }
 }
 
@@ -1618,5 +1616,53 @@ mod tests {
         // the same ballpark.
         let ratio = a.stats.cycles as f64 / b.stats.cycles as f64;
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// The `(clock, core)` argmin the tree must agree with.
+    fn argmin(clocks: &[u64]) -> usize {
+        (0..clocks.len())
+            .min_by_key(|&i| (clocks[i], i))
+            .expect("at least one core")
+    }
+
+    /// Step the picker the way the engine does: pick, advance only the
+    /// picked core by the next increment, update its leaf.
+    fn drive(picker: &mut CorePicker, clocks: &mut [u64], incs: &[u64]) {
+        for &inc in incs {
+            let got = picker.winner();
+            assert_eq!(
+                got,
+                argmin(clocks),
+                "ncores={} clocks={clocks:?}",
+                clocks.len()
+            );
+            clocks[got] += inc;
+            picker.update(got, clocks[got]);
+        }
+        assert_eq!(picker.winner(), argmin(clocks));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// At every core count from 1 to 64 (so padded leaves take part),
+        /// the tree's pick is the `(clock, core)` argmin under random clock
+        /// increments, zero-cost steps and their ties included — from the
+        /// all-zero start and after a rebuild from arbitrary clocks.
+        #[test]
+        fn core_picker_matches_the_argmin(
+            start in proptest::collection::vec(0u64..8, 64),
+            incs in proptest::collection::vec(0u64..4, 0..300),
+        ) {
+            for ncores in 1usize..=64 {
+                let mut picker = CorePicker::new(ncores);
+                let mut clocks = vec![0u64; ncores];
+                drive(&mut picker, &mut clocks, &incs);
+
+                let mut clocks = start[..ncores].to_vec();
+                picker.rebuild(clocks.iter().copied());
+                drive(&mut picker, &mut clocks, &incs);
+            }
+        }
     }
 }

@@ -42,7 +42,6 @@ mod energy;
 mod engine;
 mod error;
 mod faults;
-mod lanes;
 mod obs;
 pub mod pingpong;
 mod report;
@@ -58,7 +57,6 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use faults::{FaultPlan, FaultStats};
-pub use lanes::{LaneReport, LaneSet, LaneStats, MergeKey};
 pub use obs::{
     EpochSummary, ObsReport, RegionSpan, SimEvent, TimedEvent, DEFAULT_EPOCH_SHIFT,
     MAX_TIMELINE_EVENTS,

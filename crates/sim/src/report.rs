@@ -123,7 +123,6 @@ mod tests {
             region_peak: 0,
             violations: Vec::new(),
             obs: None,
-            lane_report: None,
         }
     }
 

@@ -1,12 +1,9 @@
 //! Property tests of the synthetic workload generator: every generated
-//! spec must build a well-formed, decodable, deterministic DRF trace, and
-//! its simulation must be lane-count invariant.
+//! spec must build a well-formed, decodable, deterministic DRF trace.
 
 use proptest::prelude::*;
-use warden::prelude::*;
 use warden::rt::workload::{SharingPattern, WorkloadGen, WorkloadSpec};
 use warden::rt::{trace_io, TraceProgram};
-use warden::sim::{simulate_with_options, SimOptions};
 
 /// A bounded, always-valid spec: every knob inside the validated range.
 fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
@@ -65,19 +62,6 @@ proptest! {
     #[test]
     fn tokens_round_trip(spec in spec_strategy()) {
         prop_assert_eq!(WorkloadSpec::from_token(&spec.token()).unwrap(), spec);
-    }
-
-    /// The timing replay is lane-count invariant on generated traces:
-    /// sharded scheduling must merge back to the sequential results.
-    #[test]
-    fn simulation_is_lane_count_invariant(spec in spec_strategy(), proto in 0..ProtocolId::ALL.len()) {
-        let proto = ProtocolId::ALL[proto];
-        let m = MachineConfig::dual_socket().with_cores(2);
-        let p = spec.build();
-        let sequential = simulate_with_options(&p, &m, proto, &SimOptions::default());
-        let laned = simulate_with_options(&p, &m, proto, &SimOptions { lanes: 3, ..SimOptions::default() });
-        prop_assert_eq!(sequential.stats, laned.stats);
-        prop_assert_eq!(sequential.memory_image_digest, laned.memory_image_digest);
     }
 
     /// The generator stream itself is deterministic and cycles through the
