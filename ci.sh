@@ -81,11 +81,12 @@ checks() {
   cargo fmt --check
 }
 
-# Completed-run records in a campaign directory (0 before the supervisor
-# has created the directory).
+# Completed-run records in a campaign directory: its top-level `*.rec`
+# result entries, not the quarantined ones (0 before the supervisor has
+# created the directory).
 count_records() {
-  if [ -d "$1/records" ]; then
-    find "$1/records" -name '*.rec' | wc -l
+  if [ -d "$1" ]; then
+    find "$1" -maxdepth 1 -name '*.rec' | wc -l
   else
     echo 0
   fi

@@ -53,7 +53,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use warden_coherence::{ProtocolId, ProtocolMutation};
 use warden_rt::workload::SharingPattern;
-use warden_serve::{DiskTierConfig, StorageFaultPlan};
+use warden_serve::{ResultStoreConfig, StorageFaultPlan};
 
 /// Every flag the harness binaries understand, with value placeholders —
 /// printed by the unknown-flag error.
@@ -425,7 +425,7 @@ impl HarnessArgs {
     /// durability flag would be worse than an error.
     pub fn disk_config(
         &self,
-    ) -> Result<(Option<DiskTierConfig>, Option<StorageFaultPlan>), HarnessError> {
+    ) -> Result<(Option<ResultStoreConfig>, Option<StorageFaultPlan>), HarnessError> {
         let Some(dir) = &self.disk_cache else {
             for (set, flag) in [
                 (self.disk_budget.is_some(), "--disk-budget"),
@@ -441,7 +441,7 @@ impl HarnessArgs {
             }
             return Ok((None, None));
         };
-        let mut cfg = DiskTierConfig::at(dir.clone());
+        let mut cfg = ResultStoreConfig::at(dir.clone());
         if let Some(bytes) = self.disk_budget {
             cfg.budget_bytes = bytes;
         }

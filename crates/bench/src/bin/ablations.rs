@@ -99,7 +99,7 @@ fn marking_policy(ctx: &Ctx) -> Result<String, HarnessError> {
     ];
     let mut specs = Vec::new();
     for (mark, token, _) in variants {
-        let w = Workload::custom(format!("abl1/{token}"), build(mark));
+        let w = Workload::custom(format!("abl1/{token}/{n}"), build(mark));
         specs.extend(pair(&format!("abl1/{token}"), &w, ctx.machine, ctx.opts));
     }
     let results = run_campaign(&specs, ctx.cfg)?;
@@ -125,7 +125,7 @@ fn marking_policy(ctx: &Ctx) -> Result<String, HarnessError> {
 
 fn region_capacity(ctx: &Ctx) -> Result<String, HarnessError> {
     let n = scaled(ctx.scale, 2000, 65_536);
-    let w = Workload::custom("abl2/primes", move || primes(n, 2));
+    let w = Workload::custom(format!("abl2/primes/{n}"), move || primes(n, 2));
     let caps = [8usize, 32, 128, 1024];
     let mut specs = Vec::new();
     for cap in caps {
@@ -161,7 +161,7 @@ fn sectoring(ctx: &Ctx) -> Result<String, HarnessError> {
     // An odd element count keeps the parallel-for split points unaligned to
     // cache blocks, so neighbouring tasks genuinely share boundary blocks.
     let n = scaled(ctx.scale, 16_383, 131_071);
-    let w = Workload::custom("abl3/sector-demo", move || {
+    let w = Workload::custom(format!("abl3/sector-demo/{n}"), move || {
         trace_program("sector-demo", RtOptions::default(), move |ctx| {
             let xs = ctx.alloc::<u8>(n);
             ctx.ward_scope(&xs, |ctx| {
@@ -205,7 +205,7 @@ fn sectoring(ctx: &Ctx) -> Result<String, HarnessError> {
 
 fn store_mshrs(ctx: &Ctx) -> Result<String, HarnessError> {
     let n = scaled(ctx.scale, 2000, 65_536);
-    let w = Workload::custom("abl4/primes", move || primes(n, 2));
+    let w = Workload::custom(format!("abl4/primes/{n}"), move || primes(n, 2));
     let mshrs = [1usize, 4, 10, 56];
     let mut specs = Vec::new();
     for m in mshrs {

@@ -273,16 +273,23 @@ an uninterrupted run — `ci.sh smoke` enforces exactly this, with `kill -9`.
 
 Inside the campaign directory:
 
-* `records/<run>.rec` — one checksummed, atomically-written result record
-  per completed run, embedding the run's identity fingerprint (workload,
-  machine, protocol, simulator options). Records are the source of truth
-  for resume; a record that fails verification or no longer matches its
-  spec is silently re-simulated.
-* `ckpt/<run>/current.ckpt`, `prev.ckpt` — double-buffered mid-run engine
-  snapshots for in-flight runs (cleared when the run completes).
+The directory is a result store — the same one `serve --disk-cache`
+uses — plus a manifest:
+
+* `<key>.rec` — one checksummed, atomically-written result record per
+  completed run, named by the run's key (a hash of the workload token,
+  machine, protocol and simulator options) and holding the full outcome.
+  Records are the source of truth for resume: opening the directory
+  verifies every entry and moves a damaged one to `quarantine/`, and its
+  run is simulated again.
+* `<key>.ckpt` — the newest mid-run engine snapshot of an in-flight run
+  (removed when the run completes).
 * `manifest.json` — the human-readable progress ledger, rewritten
   atomically after every completion. It is *derived* state: resume never
   parses it, so a torn manifest cannot corrupt anything.
+
+A `serve --disk-cache <dir>` daemon started on a finished campaign's
+directory answers the same cells from disk without simulating.
 
 Supervision knobs (all binaries): `--jobs <n>` worker threads,
 `--deadline-ms <ms>` per-run watchdog deadline (an expired run is

@@ -106,6 +106,13 @@ fn run() -> Result<(), HarnessError> {
         }
     }
 
+    // The oracle must compute its digests itself: a server reading the
+    // oracle's own records would conform trivially.
+    if args.campaign_dir.is_some() && args.campaign_dir == args.disk_cache {
+        return Err(HarnessError::Args(
+            "--campaign-dir must differ from --disk-cache: the oracle keeps its own store".into(),
+        ));
+    }
     eprintln!(
         "loadgen: computing {} oracle digest(s) through the campaign runner",
         requests.len()

@@ -11,46 +11,49 @@
 //! * enforces a per-run wall-clock deadline via a watchdog thread that
 //!   flags a cancellation token the run polls between step batches,
 //! * retries failed runs with bounded exponential backoff — a run
-//!   cancelled on deadline snapshots its engine first, so the retry
-//!   *continues* from the checkpoint instead of starting over,
-//! * persists every finished run as a checksummed record file and keeps a
-//!   durable `manifest.json` of per-run status, both written atomically.
+//!   cancelled on deadline leaves a checkpoint frame behind, so the retry
+//!   *continues* from it instead of starting over,
+//! * persists every finished run in a [`ResultStore`] and keeps a durable
+//!   `manifest.json` of per-run status, both written atomically.
 //!
 //! # Crash safety and resume
 //!
-//! A campaign directory holds three kinds of state:
+//! A campaign directory is a result store plus a manifest:
 //!
 //! ```text
-//! <dir>/manifest.json      per-run status (derived, for humans and CI)
-//! <dir>/records/<run>.rec  finished outcomes (framed + checksummed)
-//! <dir>/ckpt/<run>/        mid-run engine checkpoints (two rotating slots)
+//! <dir>/manifest.json  per-run status (derived, for humans and CI)
+//! <dir>/<key>.rec      finished outcomes (framed + checksummed)
+//! <dir>/<key>.ckpt     the newest mid-run engine checkpoint of a run
+//! <dir>/quarantine/    damaged entries the store set aside
 //! ```
 //!
-//! The checksummed record files are the source of truth: on startup the
-//! campaign re-validates each one (frame checksum **and** an embedded
-//! fingerprint of the run's program/machine/protocol/options identity) and
-//! only skips runs whose records verify. `manifest.json` is derived state,
-//! rewritten atomically after every completion — a torn manifest can never
-//! corrupt a resume, and a `kill -9` at any instant loses at most the runs
-//! in flight, which themselves resume from their newest engine checkpoint.
+//! Entries are named by the run's [`RunKey`] — workload token, machine,
+//! protocol and options — so a serving daemon pointed at the directory
+//! finds the same cells. The store's entries are the source of truth: on
+//! startup the store's fsck verifies each one (quarantining damage) and
+//! the campaign skips exactly the runs whose result entries verify.
+//! `manifest.json` is derived state, rewritten atomically after every
+//! completion — a torn manifest can never corrupt a resume, and a
+//! `kill -9` at any instant loses at most the runs in flight, which
+//! themselves resume from their newest checkpoint entry.
 
 use crate::error::{HarnessError, RunFailure};
 use crate::runner::BenchRun;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
-use warden_sim::checkpoint::{self, options_fingerprint, CheckpointError, CheckpointStore};
-use warden_sim::{Comparison, MachineConfig, SimEngine, SimOptions, SimOutcome};
-
-use warden_mem::codec::{fnv1a64, Decoder, Encoder};
+use warden_serve::{result_file_name, RealStorage, ResultStore, ResultStoreConfig};
+use warden_sim::checkpoint;
+use warden_sim::{
+    CancelToken, Comparison, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome,
+};
 
 /// What one campaign run simulates: a PBBS benchmark at a scale, or an
 /// arbitrary trace builder (the ablations' custom programs).
@@ -70,7 +73,7 @@ impl Workload {
     /// A PBBS suite benchmark at the given scale.
     pub fn bench(bench: Bench, scale: Scale) -> Workload {
         Workload {
-            token: format!("bench:{}:{scale:?}", bench.name()),
+            token: bench.token(scale),
             builder: Builder::Bench(bench, scale),
         }
     }
@@ -88,8 +91,8 @@ impl Workload {
         }
     }
 
-    /// The workload's identity token as embedded in run fingerprints
-    /// (`bench:<name>:<scale>` or `custom:<token>`).
+    /// The workload's identity token, hashed into [`RunKey::program`]
+    /// (`bench:<name>:<Scale>` or `custom:<token>`).
     pub fn token(&self) -> &str {
         &self.token
     }
@@ -113,7 +116,7 @@ impl fmt::Debug for Workload {
 /// protocol with simulator options.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    /// Unique id within the campaign (also names the record file).
+    /// Unique id within the campaign (names the run in the manifest).
     pub id: String,
     /// What to simulate.
     pub workload: Workload,
@@ -125,44 +128,24 @@ pub struct RunSpec {
     pub opts: SimOptions,
 }
 
-fn protocol_name(p: ProtocolId) -> &'static str {
-    p.name()
-}
-
 impl RunSpec {
-    /// Fingerprint binding a result record to this spec's identity: the id,
-    /// workload token, machine fingerprint, protocol and options
-    /// fingerprint. A record whose fingerprint differs is ignored on
-    /// resume, so changing any input re-runs the cell.
-    pub fn fingerprint(&self) -> u64 {
-        let mut enc = Encoder::new();
-        enc.put_str(&self.id);
-        enc.put_str(&self.workload.token);
-        enc.put_u64(self.machine.fingerprint());
-        enc.put_str(protocol_name(self.protocol));
-        enc.put_u64(options_fingerprint(&self.opts));
-        fnv1a64(enc.bytes())
-    }
-
-    /// Filesystem-safe name derived from the id.
-    fn slug(&self) -> String {
-        self.id
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '-'
-                }
-            })
-            .collect()
+    /// The cell's identity: the key its result and checkpoint entries are
+    /// stored under. Changing any input re-runs the cell; the id is not
+    /// part of it.
+    pub fn key(&self) -> RunKey {
+        RunKey::new(
+            self.workload.token(),
+            &self.machine,
+            self.protocol,
+            &self.opts,
+        )
     }
 }
 
 /// Supervisor policy for one campaign invocation.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Campaign state directory (manifest, records, checkpoints).
+    /// Campaign state directory: a result store plus the manifest.
     pub dir: PathBuf,
     /// Worker threads executing runs.
     pub workers: usize,
@@ -172,8 +155,7 @@ pub struct CampaignConfig {
     pub retries: u32,
     /// Base backoff between attempts (doubled each retry, capped).
     pub backoff: Duration,
-    /// Engine steps between mid-run checkpoints (the cancellation token is
-    /// polled on the same cadence).
+    /// Engine steps between mid-run checkpoints.
     pub checkpoint_every_steps: u64,
     /// Suppress progress lines on stderr.
     pub quiet: bool,
@@ -207,25 +189,20 @@ impl CampaignConfig {
         }
     }
 
-    /// A campaign in a fresh directory under the system temp dir, named
-    /// `warden-campaign-<pid>-<n>` and claimed with an exclusive
-    /// `create_dir` (a name that already exists is skipped, never wiped),
-    /// so stale state never carries over and concurrent ephemeral
-    /// campaigns in one process never share a directory. Used when no
-    /// `--campaign-dir` is given: the binaries still get supervision
-    /// (isolation, deadlines, retries) without durable resume. If the
-    /// directory cannot be created, [`run_campaign`] reports the I/O error.
+    /// A campaign in a fresh directory under the system temp dir, claimed
+    /// by [`checkpoint::unique_dir`] (`warden-campaign-<pid>-<n>`), so
+    /// stale state never carries over and concurrent ephemeral campaigns
+    /// never share a directory. Used when no `--campaign-dir` is given:
+    /// the binaries still get supervision (isolation, deadlines, retries)
+    /// without durable resume. If no directory can be created,
+    /// [`run_campaign`] reports the I/O error.
     pub fn ephemeral() -> CampaignConfig {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        loop {
-            let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            let dir =
-                std::env::temp_dir().join(format!("warden-campaign-{}-{n}", std::process::id()));
-            match fs::create_dir(&dir) {
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                _ => return CampaignConfig::new(dir),
-            }
-        }
+        let tmp = std::env::temp_dir();
+        let name = "warden-campaign";
+        CampaignConfig::new(
+            checkpoint::unique_dir(&tmp, name)
+                .unwrap_or_else(|_| tmp.join(format!("{name}-{}", std::process::id()))),
+        )
     }
 }
 
@@ -241,28 +218,6 @@ pub struct RunResult {
     /// True when the outcome was loaded from a prior invocation's record
     /// instead of being simulated again.
     pub reused: bool,
-}
-
-// ---------------------------------------------------------------------------
-// Durable result records.
-
-fn encode_record(fingerprint: u64, id: &str, out: &SimOutcome) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(fingerprint);
-    enc.put_str(id);
-    enc.put_bytes(&checkpoint::encode_outcome(out));
-    checkpoint::frame(enc.bytes())
-}
-
-fn decode_record(bytes: &[u8], fingerprint: u64, id: &str) -> Option<SimOutcome> {
-    let payload = checkpoint::unframe(bytes).ok()?;
-    let mut dec = Decoder::new(payload);
-    if dec.take_u64().ok()? != fingerprint || dec.take_str().ok()? != id {
-        return None;
-    }
-    let inner = dec.take_bytes().ok()?.to_vec();
-    dec.finish().ok()?;
-    checkpoint::decode_outcome(&inner).ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -317,14 +272,17 @@ fn render_manifest(entries: &BTreeMap<String, ManifestEntry>) -> String {
 // The supervisor.
 
 struct WatchEntry {
+    /// Index of the spec the entry watches.
+    run: usize,
     deadline: Instant,
-    cancel: Arc<AtomicBool>,
+    cancel: CancelToken,
 }
 
 struct Shared<'a> {
     specs: &'a [RunSpec],
     cfg: &'a CampaignConfig,
-    records_dir: PathBuf,
+    keys: Vec<RunKey>,
+    store: ResultStore,
     queue: Mutex<VecDeque<usize>>,
     slots: Mutex<Vec<Option<RunResult>>>,
     manifest: Mutex<BTreeMap<String, ManifestEntry>>,
@@ -341,9 +299,9 @@ impl Shared<'_> {
             let entries = self.manifest.lock().expect("manifest lock");
             render_manifest(&entries)
         };
-        // Manifest persistence is best-effort derived state; the record
-        // files are authoritative, so a failed write must not fail the run
-        // that just completed.
+        // Manifest persistence is best-effort derived state; the result
+        // entries are authoritative, so a failed write must not fail the
+        // run that just completed.
         if let Err(e) =
             checkpoint::write_atomic(&self.cfg.dir.join("manifest.json"), rendered.as_bytes())
         {
@@ -363,75 +321,44 @@ impl Shared<'_> {
     }
 }
 
-enum ExecError {
-    Deadline,
-    Checkpoint(CheckpointError),
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecError::Deadline => write!(f, "deadline exceeded (progress checkpointed)"),
-            ExecError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-        }
-    }
-}
-
-/// Simulate one spec to completion, checkpointing every
-/// `checkpoint_every_steps` and polling the cancellation token on the same
-/// cadence. Resumes from the newest verifiable checkpoint in `store`; an
-/// unreadable or identity-mismatched checkpoint falls back to a fresh start
-/// (the safe choice — the engine replays deterministically).
+/// Simulate one spec to completion, handing a checkpoint frame to the
+/// store at its checkpoint cadence and once more if `opts.cancel` trips. Resumes
+/// from the spec's checkpoint entry when one verifies; a frame the engine
+/// refuses (identity mismatch) is quarantined and the run starts fresh —
+/// the safe choice, since the engine replays deterministically.
 fn execute(
     spec: &RunSpec,
-    store: &CheckpointStore,
-    every: u64,
-    cancel: &AtomicBool,
-    chaos_panic: bool,
+    key: &RunKey,
+    store: &ResultStore,
+    opts: &SimOptions,
     quiet: bool,
-) -> Result<SimOutcome, ExecError> {
-    if chaos_panic {
-        panic!("chaos monkey: injected panic (test hook)");
-    }
+) -> Result<SimOutcome, SimError> {
     let program = spec.workload.build();
-    let mut eng =
-        match SimEngine::try_resume(&program, &spec.machine, spec.protocol, &spec.opts, store) {
-            Ok(Some(eng)) => {
-                if !quiet {
-                    eprintln!("  [resume] {} from step {}", spec.id, eng.steps());
+    let fresh = || SimEngine::new(&program, &spec.machine, spec.protocol, opts);
+    let eng = match store.checkpoint(key) {
+        None => fresh(),
+        Some((steps, frame)) => {
+            match SimEngine::resume_from_bytes(&program, &spec.machine, spec.protocol, opts, &frame)
+            {
+                Ok(eng) => {
+                    if !quiet {
+                        eprintln!("  [resume] {} from step {steps}", spec.id);
+                    }
+                    eng
                 }
-                eng
-            }
-            Ok(None) => SimEngine::new(&program, &spec.machine, spec.protocol, &spec.opts),
-            Err(e) => {
-                if !quiet {
-                    eprintln!("  [warn] {}: discarding unusable checkpoint ({e})", spec.id);
+                Err(e) => {
+                    if !quiet {
+                        eprintln!("  [warn] {}: discarding unusable checkpoint ({e})", spec.id);
+                    }
+                    store.quarantine_checkpoint(key);
+                    fresh()
                 }
-                SimEngine::new(&program, &spec.machine, spec.protocol, &spec.opts)
-            }
-        };
-    let every = every.max(1);
-    loop {
-        let mut running = true;
-        for _ in 0..every {
-            if !eng.step() {
-                running = false;
-                break;
             }
         }
-        if !running {
-            break;
-        }
-        if cancel.load(Ordering::Relaxed) {
-            // Persist progress so the retry continues instead of restarting.
-            let _ = eng.try_snapshot(store);
-            return Err(ExecError::Deadline);
-        }
-        eng.try_snapshot(store).map_err(ExecError::Checkpoint)?;
-    }
-    let out = eng.finish();
-    let _ = store.clear();
-    Ok(out)
+    };
+    eng.run_with_cancel_frames(store.checkpoint_every(), |steps, frame| {
+        store.put_checkpoint(key, steps, frame)
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -444,37 +371,33 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_one(sh: &Shared<'_>, spec: &RunSpec) -> Result<(SimOutcome, u32), RunFailure> {
-    let ckpt_dir = sh.cfg.dir.join("ckpt").join(spec.slug());
-    let store = CheckpointStore::new(&ckpt_dir).map_err(|e| RunFailure {
-        id: spec.id.clone(),
-        attempts: 0,
-        reason: format!("cannot open checkpoint store: {e}"),
-    })?;
+fn run_one(sh: &Shared<'_>, i: usize) -> Result<(SimOutcome, u32), RunFailure> {
+    let (spec, key) = (&sh.specs[i], &sh.keys[i]);
     let attempts = sh.cfg.retries + 1;
     for attempt in 1..=attempts {
         let chaos = attempt <= sh.cfg.chaos_panic_attempts;
-        let cancel = Arc::new(AtomicBool::new(false));
+        let cancel = CancelToken::new();
         sh.watch.lock().expect("watch lock").push(WatchEntry {
+            run: i,
             deadline: Instant::now() + sh.cfg.deadline,
-            cancel: Arc::clone(&cancel),
+            cancel: cancel.clone(),
         });
+        let opts = SimOptions {
+            cancel: Some(cancel),
+            ..spec.opts.clone()
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute(
-                spec,
-                &store,
-                sh.cfg.checkpoint_every_steps,
-                &cancel,
-                chaos,
-                sh.cfg.quiet,
-            )
+            if chaos {
+                panic!("chaos monkey: injected panic (test hook)");
+            }
+            execute(spec, key, &sh.store, &opts, sh.cfg.quiet)
         }));
-        sh.watch
-            .lock()
-            .expect("watch lock")
-            .retain(|e| !Arc::ptr_eq(&e.cancel, &cancel));
+        sh.watch.lock().expect("watch lock").retain(|e| e.run != i);
         let reason = match result {
             Ok(Ok(out)) => return Ok((out, attempt)),
+            Ok(Err(SimError::Cancelled { .. })) => {
+                "deadline exceeded (progress checkpointed)".to_string()
+            }
             Ok(Err(e)) => e.to_string(),
             Err(payload) => format!("panicked: {}", panic_message(payload.as_ref())),
         };
@@ -512,11 +435,11 @@ fn worker(sh: &Shared<'_>) {
         let next = sh.queue.lock().expect("queue lock").pop_front();
         let Some(i) = next else { break };
         let spec = &sh.specs[i];
-        match run_one(sh, spec) {
+        let began = Instant::now();
+        match run_one(sh, i) {
             Ok((outcome, attempts)) => {
-                let rec_path = sh.records_dir.join(format!("{}.rec", spec.slug()));
-                let bytes = encode_record(spec.fingerprint(), &spec.id, &outcome);
-                if let Err(e) = checkpoint::write_atomic(&rec_path, &bytes) {
+                let compute_us = began.elapsed().as_micros() as u64;
+                if let Err(e) = sh.store.put_result(&sh.keys[i], &outcome, compute_us) {
                     // Without a durable record the result would silently
                     // vanish on resume; treat persist failure as run failure.
                     let fail = RunFailure {
@@ -552,51 +475,66 @@ fn worker(sh: &Shared<'_>) {
 }
 
 /// Run a campaign over `specs`, resuming from any completed work already
-/// recorded under the campaign directory. Results come back in spec order.
+/// stored under the campaign directory. Results come back in spec order.
 ///
 /// # Errors
 ///
 /// [`HarnessError::RunsFailed`] when any run exhausted its retries,
 /// [`HarnessError::Aborted`] when the `abort_after_runs` test hook stopped
-/// the supervisor early, and I/O / checkpoint errors for an unusable
-/// campaign directory. Completed runs stay durable across all of these —
-/// re-invoking resumes from them.
+/// the supervisor early, [`HarnessError::Failed`] when two specs share an
+/// id or a [`RunKey`], and I/O errors for an unusable campaign directory.
+/// Completed runs stay durable across all of these — re-invoking resumes
+/// from them.
 pub fn run_campaign(
     specs: &[RunSpec],
     cfg: &CampaignConfig,
 ) -> Result<Vec<RunResult>, HarnessError> {
+    let keys: Vec<RunKey> = specs.iter().map(RunSpec::key).collect();
     {
-        let mut seen = std::collections::HashSet::new();
-        for s in specs {
-            if !seen.insert(&s.id) {
+        let mut ids = std::collections::HashSet::new();
+        let mut cells = std::collections::HashMap::new();
+        for (s, key) in specs.iter().zip(&keys) {
+            if !ids.insert(&s.id) {
                 return Err(HarnessError::Failed(format!(
                     "duplicate campaign run id {:?}",
                     s.id
                 )));
             }
+            if let Some(first) = cells.insert(key, &s.id) {
+                return Err(HarnessError::Failed(format!(
+                    "campaign runs {first:?} and {:?} simulate the same cell",
+                    s.id
+                )));
+            }
         }
     }
-    let records_dir = cfg.dir.join("records");
-    fs::create_dir_all(&records_dir).map_err(|e| HarnessError::Io {
-        path: records_dir.clone(),
-        source: e,
+    // The campaign's records are its only results: the store must never
+    // evict them, whatever its default budget.
+    let store = ResultStore::open(
+        ResultStoreConfig {
+            budget_bytes: u64::MAX,
+            checkpoint_every: cfg.checkpoint_every_steps,
+            ..ResultStoreConfig::at(&cfg.dir)
+        },
+        Arc::new(RealStorage),
+    )
+    .map_err(|msg| HarnessError::Io {
+        path: cfg.dir.clone(),
+        source: std::io::Error::other(msg),
     })?;
 
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(specs.len());
     let mut manifest = BTreeMap::new();
     let mut todo = VecDeque::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let rec_name = format!("{}.rec", spec.slug());
-        let reused = fs::read(records_dir.join(&rec_name))
-            .ok()
-            .and_then(|bytes| decode_record(&bytes, spec.fingerprint(), &spec.id));
+    for (i, (spec, key)) in specs.iter().zip(&keys).enumerate() {
+        let reused = store.result(key);
         let status = if reused.is_some() { "done" } else { "pending" };
         manifest.insert(
             spec.id.clone(),
             ManifestEntry {
                 status,
                 attempts: 0,
-                record: format!("records/{rec_name}"),
+                record: result_file_name(key),
                 note: String::new(),
             },
         );
@@ -627,7 +565,8 @@ pub fn run_campaign(
     let sh = Shared {
         specs,
         cfg,
-        records_dir,
+        keys,
+        store,
         queue: Mutex::new(todo),
         slots: Mutex::new(slots),
         manifest: Mutex::new(manifest),
@@ -646,7 +585,7 @@ pub fn run_campaign(
                     let now = Instant::now();
                     for entry in sh.watch.lock().expect("watch lock").iter() {
                         if now >= entry.deadline {
-                            entry.cancel.store(true, Ordering::Relaxed);
+                            entry.cancel.cancel();
                         }
                     }
                     std::thread::sleep(Duration::from_millis(5));
@@ -756,7 +695,11 @@ pub fn protocol_campaign(
     opts: &SimOptions,
     cfg: &CampaignConfig,
 ) -> Result<Vec<ProtocolRun>, HarnessError> {
-    assert!(!protocols.is_empty(), "protocol list must be non-empty");
+    if protocols.is_empty() {
+        return Err(HarnessError::Failed(
+            "a protocol campaign needs at least one protocol".into(),
+        ));
+    }
     let scale_token = format!("{scale:?}").to_lowercase();
     let mut specs = Vec::with_capacity(benches.len() * protocols.len());
     for &bench in benches {
@@ -766,7 +709,7 @@ pub fn protocol_campaign(
                     "{}/{scale_token}/{}/{}",
                     machine.name,
                     bench.name(),
-                    protocol_name(protocol)
+                    protocol.name()
                 ),
                 workload: Workload::bench(bench, scale),
                 machine: machine.clone(),
@@ -782,83 +725,148 @@ pub fn protocol_campaign(
             .iter()
             .map(|r| r.outcome.clone())
             .collect();
-        let reference = outcomes[0].memory_image_digest;
-        for (o, &p) in outcomes.iter().zip(protocols) {
-            if o.memory_image_digest != reference {
-                return Err(HarnessError::Failed(format!(
-                    "{}: protocol {} diverged from {} on the final memory image                      ({:#018x} vs {:#018x})",
-                    bench.name(),
-                    protocol_name(p),
-                    protocol_name(protocols[0]),
-                    o.memory_image_digest,
-                    reference,
-                )));
-            }
-            if !o.violations.is_empty() {
-                return Err(HarnessError::Failed(format!(
-                    "{}: protocol {} reported {} invariant violation(s); first: {}",
-                    bench.name(),
-                    protocol_name(p),
-                    o.violations.len(),
-                    o.violations[0],
-                )));
-            }
-        }
+        check_agreement(bench, protocols, &outcomes)?;
         runs.push(ProtocolRun { bench, outcomes });
     }
     Ok(runs)
 }
 
+/// Every outcome must match the first protocol's final memory image and
+/// report no invariant violation.
+fn check_agreement(
+    bench: Bench,
+    protocols: &[ProtocolId],
+    outcomes: &[SimOutcome],
+) -> Result<(), HarnessError> {
+    let reference = outcomes[0].memory_image_digest;
+    for (o, &p) in outcomes.iter().zip(protocols) {
+        if o.memory_image_digest != reference {
+            return Err(HarnessError::Failed(format!(
+                "{}: protocol {} diverged from {} on the final memory image \
+                 ({:#018x} vs {:#018x})",
+                bench.name(),
+                p.name(),
+                protocols[0].name(),
+                o.memory_image_digest,
+                reference,
+            )));
+        }
+        if !o.violations.is_empty() {
+            return Err(HarnessError::Failed(format!(
+                "{}: protocol {} reported {} invariant violation(s); first: {}",
+                bench.name(),
+                p.name(),
+                o.violations.len(),
+                o.violations[0],
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
-    #[test]
-    fn record_roundtrip_binds_identity() {
-        let spec = RunSpec {
-            id: "t/x".into(),
+    fn spec(id: &str, protocol: ProtocolId) -> RunSpec {
+        RunSpec {
+            id: id.into(),
             workload: Workload::bench(Bench::MakeArray, Scale::Tiny),
             machine: MachineConfig::dual_socket().with_cores(2),
-            protocol: ProtocolId::Warden,
+            protocol,
             opts: SimOptions::default(),
-        };
-        let program = spec.workload.build();
-        let out = warden_sim::simulate(&program, &spec.machine, spec.protocol);
-        let bytes = encode_record(spec.fingerprint(), &spec.id, &out);
-        let back = decode_record(&bytes, spec.fingerprint(), &spec.id).expect("verifies");
-        assert_eq!(back.stats, out.stats);
-        assert_eq!(back.memory_image_digest, out.memory_image_digest);
-        // Wrong identity or id: the record is ignored, never misattributed.
-        assert!(decode_record(&bytes, spec.fingerprint() ^ 1, &spec.id).is_none());
-        assert!(decode_record(&bytes, spec.fingerprint(), "t/y").is_none());
-        // Every strict prefix is rejected by the frame.
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_record(&bytes[..cut], spec.fingerprint(), &spec.id).is_none());
         }
     }
 
+    fn quiet(cfg: CampaignConfig) -> CampaignConfig {
+        CampaignConfig {
+            quiet: true,
+            workers: 1,
+            ..cfg
+        }
+    }
+
+    /// The campaign and the server name a benchmark cell the same way, and
+    /// each of the key's four components separates cells.
     #[test]
-    fn fingerprints_separate_matrix_cells() {
-        let base = RunSpec {
-            id: "cell".into(),
-            workload: Workload::bench(Bench::MakeArray, Scale::Tiny),
-            machine: MachineConfig::dual_socket().with_cores(2),
-            protocol: ProtocolId::Mesi,
-            opts: SimOptions::default(),
-        };
+    fn bench_tokens_agree_and_keys_separate_matrix_cells() {
+        for bench in Bench::ALL {
+            for scale in [Scale::Tiny, Scale::Paper] {
+                assert_eq!(Workload::bench(bench, scale).token(), bench.token(scale));
+            }
+        }
+        let base = spec("cell", ProtocolId::Mesi);
+        assert_eq!(base.key(), base.clone().key());
         let mut other = base.clone();
-        other.protocol = ProtocolId::Warden;
-        assert_ne!(base.fingerprint(), other.fingerprint());
-        let mut other = base.clone();
-        other.workload = Workload::bench(Bench::MakeArray, Scale::Paper);
-        assert_ne!(base.fingerprint(), other.fingerprint());
-        let mut other = base.clone();
-        other.machine = MachineConfig::single_socket();
-        assert_ne!(base.fingerprint(), other.fingerprint());
-        let mut other = base.clone();
-        other.opts.check = true;
-        assert_ne!(base.fingerprint(), other.fingerprint());
-        assert_eq!(base.fingerprint(), base.clone().fingerprint());
+        other.id = "renamed".into();
+        assert_eq!(base.key(), other.key(), "the id is not part of the cell");
+        let mut variants = vec![base.clone(); 4];
+        variants[0].workload = Workload::bench(Bench::MakeArray, Scale::Paper);
+        variants[1].machine = MachineConfig::single_socket();
+        variants[2].protocol = ProtocolId::Warden;
+        variants[3].opts.check = true;
+        for other in variants {
+            assert_ne!(base.key(), other.key(), "{other:?}");
+        }
+    }
+
+    /// A finished run is stored under its key and found by any spec of the
+    /// same cell, whatever its id; a different cell misses.
+    #[test]
+    fn records_are_found_by_key_not_by_id() {
+        let cfg = quiet(CampaignConfig::ephemeral());
+        let first = run_campaign(&[spec("a", ProtocolId::Mesi)], &cfg).expect("first run");
+        let again = run_campaign(&[spec("b", ProtocolId::Mesi)], &cfg).expect("second run");
+        assert!(again[0].reused, "same cell, new id: reused");
+        assert_eq!(
+            again[0].outcome.memory_image_digest,
+            first[0].outcome.memory_image_digest
+        );
+        let other = run_campaign(&[spec("c", ProtocolId::Warden)], &cfg).expect("other cell");
+        assert!(!other[0].reused, "another protocol is another cell");
+        let store = ResultStore::open(ResultStoreConfig::at(&cfg.dir), Arc::new(RealStorage))
+            .expect("the campaign directory is a result store");
+        let key = spec("a", ProtocolId::Mesi).key();
+        assert!(cfg.dir.join(result_file_name(&key)).is_file());
+        assert!(store.result(&key).is_some());
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn an_empty_protocol_list_is_a_typed_error() {
+        let cfg = quiet(CampaignConfig::ephemeral());
+        let machine = MachineConfig::dual_socket().with_cores(2);
+        let err = protocol_campaign(
+            &[Bench::MakeArray],
+            Scale::Tiny,
+            &machine,
+            &[],
+            &SimOptions::default(),
+            &cfg,
+        )
+        .unwrap_err();
+        assert!(matches!(err, HarnessError::Failed(_)), "{err}");
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn a_divergence_is_reported_on_one_line() {
+        let program = Bench::MakeArray.build(Scale::Tiny);
+        let machine = MachineConfig::dual_socket().with_cores(2);
+        let out = warden_sim::simulate(&program, &machine, ProtocolId::Mesi);
+        let mut diverged = out.clone();
+        diverged.memory_image_digest ^= 1;
+        let protocols = [ProtocolId::Mesi, ProtocolId::Warden];
+        check_agreement(Bench::MakeArray, &protocols, &[out.clone(), out.clone()])
+            .expect("equal images agree");
+        let err = check_agreement(Bench::MakeArray, &protocols, &[out, diverged]).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("final memory image (0x"),
+            "one space before the digests: {msg}"
+        );
+        assert!(!msg.contains("  "), "no run of spaces: {msg}");
     }
 
     #[test]
@@ -869,7 +877,7 @@ mod tests {
             ManifestEntry {
                 status: "done",
                 attempts: 2,
-                record: "records/a-b.rec".into(),
+                record: "0123456789abcdef.rec".into(),
                 note: "line\nbreak".into(),
             },
         );
@@ -881,17 +889,18 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_ids_are_rejected() {
-        let spec = RunSpec {
-            id: "dup".into(),
-            workload: Workload::bench(Bench::MakeArray, Scale::Tiny),
-            machine: MachineConfig::dual_socket().with_cores(2),
-            protocol: ProtocolId::Mesi,
-            opts: SimOptions::default(),
-        };
+    fn duplicate_ids_and_duplicate_cells_are_rejected() {
         let cfg = CampaignConfig::ephemeral();
-        let err = run_campaign(&[spec.clone(), spec], &cfg).unwrap_err();
+        let dup = spec("dup", ProtocolId::Mesi);
+        let err = run_campaign(&[dup.clone(), dup], &cfg).unwrap_err();
         assert!(matches!(err, HarnessError::Failed(_)));
+        let err = run_campaign(
+            &[spec("one", ProtocolId::Mesi), spec("two", ProtocolId::Mesi)],
+            &cfg,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("same cell"), "{err}");
+        let _ = fs::remove_dir_all(&cfg.dir);
     }
 
     /// Ephemeral campaigns running at once in one process each get their

@@ -81,7 +81,8 @@ mod tests {
         };
         let out = simulate_with_options(&program, &m, ProtocolId::Warden, &opts);
 
-        let dir = std::env::temp_dir().join(format!("warden-obs-export-{}", std::process::id()));
+        let dir = warden_sim::checkpoint::unique_dir(&std::env::temp_dir(), "warden-obs-export")
+            .expect("scratch dir");
         let paths = export_outcome(&dir, "make_array", &out).expect("export succeeds");
         assert_eq!(paths.len(), 2);
         assert!(paths[0].ends_with("make_array-warden.trace.json"));

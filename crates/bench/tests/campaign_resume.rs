@@ -1,7 +1,9 @@
 //! Supervisor-level crash drills for the benchmark campaign runner: a
 //! killed campaign resumes bit-identically from its durable records,
-//! panicking runs are retried and isolated, and a deadline-cancelled run
-//! continues from its mid-run checkpoint instead of restarting.
+//! panicking runs are retried and isolated, a deadline-cancelled run
+//! continues from its mid-run checkpoint instead of restarting, a damaged
+//! record is quarantined and re-run, and a serving daemon started on a
+//! finished campaign's directory serves its cells from disk.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -10,15 +12,19 @@ use warden_bench::{run_campaign, CampaignConfig, HarnessError, RunSpec, Workload
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::{trace_program, RtOptions, TraceProgram};
+use warden_serve::{
+    outcome_digest, Client, DiskBody, DiskEntry, MachinePreset, MachineSpec, Request, Response,
+    ResultStoreConfig, ServeConfig, ServedFrom, Server, SimRequest,
+};
+use warden_sim::checkpoint::unique_dir;
 use warden_sim::{simulate_with_options, MachineConfig, SimOptions};
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "warden-campaign-test-{}-{name}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    unique_dir(
+        &std::env::temp_dir(),
+        &format!("warden-campaign-test-{name}"),
+    )
+    .expect("scratch dir")
 }
 
 fn quiet_cfg(dir: PathBuf) -> CampaignConfig {
@@ -153,16 +159,6 @@ fn big_program() -> TraceProgram {
     })
 }
 
-fn any_ckpt(dir: &Path) -> bool {
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return false;
-    };
-    rd.flatten().any(|e| {
-        let p = e.path();
-        (p.is_dir() && any_ckpt(&p)) || p.extension().is_some_and(|x| x == "ckpt")
-    })
-}
-
 #[test]
 fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
     let machine = MachineConfig::dual_socket().with_cores(2);
@@ -177,8 +173,8 @@ fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
     let reference = simulate_with_options(&p, &machine, ProtocolId::Warden, &SimOptions::default());
 
     // First invocation: an already-expired deadline and no retries. The
-    // watchdog cancels the run after its first checkpoint batch, and the
-    // snapshot taken at cancellation survives on disk.
+    // watchdog cancels the run, and the frame the engine hands out at
+    // cancellation survives in the store under the run's key.
     let dir = scratch("deadline");
     let mut cfg = quiet_cfg(dir.clone());
     cfg.deadline = Duration::ZERO;
@@ -191,10 +187,11 @@ fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
         }
         other => panic!("unexpected error: {other}"),
     }
-    assert!(
-        any_ckpt(&dir),
-        "a mid-run checkpoint must survive the cancelled attempt"
-    );
+    let ckpt = dir.join(format!("{:016x}.ckpt", spec.key().address()));
+    let entry = DiskEntry::decode(&std::fs::read(&ckpt).expect("checkpoint entry"))
+        .expect("the checkpoint entry verifies");
+    assert_eq!(entry.key, spec.key());
+    assert!(matches!(entry.body, DiskBody::Checkpoint { .. }));
 
     // Second invocation with a generous deadline: the run continues from
     // the checkpoint (not from scratch) and matches an uninterrupted
@@ -210,6 +207,101 @@ fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
         reference.memory_image_digest
     );
     assert_eq!(results[0].outcome.energy, reference.energy);
+    assert!(
+        !ckpt.exists(),
+        "a finished run discards the checkpoint it outran"
+    );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The result entries of a campaign directory (not the quarantined ones).
+fn records(dir: &Path) -> Vec<PathBuf> {
+    let mut recs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("campaign dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rec"))
+        .collect();
+    recs.sort();
+    recs
+}
+
+#[test]
+fn a_byte_flipped_record_is_quarantined_and_its_cell_reruns_identically() {
+    let specs = tiny_specs();
+    let dir = scratch("flipped");
+    let reference = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("first campaign");
+    let recs = records(&dir);
+    assert_eq!(recs.len(), specs.len(), "one record per cell");
+    let victim = &recs[0];
+    let mut bytes = std::fs::read(victim).expect("record bytes");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(victim, &bytes).expect("flip one byte");
+
+    let again = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("second campaign");
+    let name = victim.file_name().expect("file name");
+    assert!(
+        dir.join("quarantine").join(name).is_file(),
+        "the damaged record is set aside"
+    );
+    assert_eq!(again.iter().filter(|r| !r.reused).count(), 1, "one re-run");
+    for (a, b) in again.iter().zip(&reference) {
+        assert_eq!(
+            outcome_digest(&a.outcome),
+            outcome_digest(&b.outcome),
+            "{}",
+            a.id
+        );
+    }
+    assert_eq!(
+        records(&dir).len(),
+        specs.len(),
+        "the re-run is stored again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_daemon_on_a_finished_campaign_directory_serves_its_cells_from_disk() {
+    let machine = MachineSpec::new(MachinePreset::DualSocket).with_cores(2);
+    let spec = RunSpec {
+        id: "tokens/warden".into(),
+        workload: Workload::bench(Bench::Tokens, Scale::Tiny),
+        machine: machine.to_machine().expect("valid machine"),
+        protocol: ProtocolId::Warden,
+        opts: SimOptions::default(),
+    };
+    let dir = scratch("warm-daemon");
+    let results =
+        run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone())).expect("campaign");
+
+    let server = Server::start(ServeConfig {
+        tcp: Some("127.0.0.1:0".to_string()),
+        disk: Some(ResultStoreConfig::at(&dir)),
+        ..ServeConfig::default()
+    })
+    .expect("server starts on the campaign directory");
+    let addr = server.tcp_addr().expect("tcp bound").to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let req = SimRequest {
+        bench: Bench::Tokens,
+        scale: Scale::Tiny,
+        machine,
+        protocol: ProtocolId::Warden,
+        check: false,
+    };
+    match client.call(&Request::Simulate(req)).expect("reply") {
+        Response::Outcome { summary, served } => {
+            assert_eq!(served, ServedFrom::Disk);
+            assert_eq!(summary.outcome_digest, outcome_digest(&results[0].outcome));
+        }
+        other => panic!("expected an outcome, got {other:?}"),
+    }
+    drop(client);
+    let report = server.shutdown();
+    assert_eq!(report.metrics.counter("serve_full_sims"), Some(0));
+    assert_eq!(report.metrics.counter("disk_hits"), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }

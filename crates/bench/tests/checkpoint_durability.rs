@@ -1,12 +1,17 @@
 //! End-to-end durability properties of the simulation checkpoint format:
 //! a run snapshotted at *any* point resumes bit-identically, truncated or
-//! corrupted checkpoints never load, and a torn current slot falls back to
-//! the previous good snapshot.
+//! corrupted checkpoints never load, and a torn checkpoint entry in a
+//! campaign's result store is quarantined while the run restarts to the
+//! identical outcome.
 
 use proptest::prelude::*;
+use std::time::Duration;
+use warden_bench::{run_campaign, CampaignConfig, RunSpec, Workload};
 use warden_coherence::ProtocolId;
 use warden_rt::{trace_program, RtOptions, TraceProgram};
-use warden_sim::{simulate_with_options, CheckpointStore, MachineConfig, SimEngine, SimOptions};
+use warden_serve::{DiskBody, DiskEntry};
+use warden_sim::checkpoint::unique_dir;
+use warden_sim::{simulate_with_options, MachineConfig, SimEngine, SimOptions};
 
 /// A parameterized tabulate+reduce workload: fork/join structure, shared
 /// reads, and result flow — enough to exercise caches, regions and the
@@ -29,9 +34,7 @@ fn workload(n: u64, grain: u64) -> TraceProgram {
 }
 
 fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("warden-durability-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    unique_dir(&std::env::temp_dir(), &format!("warden-durability-{name}")).expect("scratch dir")
 }
 
 proptest! {
@@ -110,43 +113,59 @@ proptest! {
     }
 }
 
-/// Kill-point drill through the on-disk store: tear `current.ckpt` at
-/// sampled prefix lengths; recovery must fall back to the previous good
-/// snapshot and still finish identical to the uninterrupted reference.
+/// Kill-point drill through a campaign's result store: a checkpoint entry
+/// torn at sampled prefix lengths is quarantined when the campaign opens
+/// its directory, and the run restarts from cycle 0 to the outcome of an
+/// uninterrupted reference.
 #[test]
-fn torn_current_slot_falls_back_to_last_good_checkpoint() {
+fn a_torn_checkpoint_entry_is_quarantined_and_the_run_restarts_identically() {
     let p = workload(300, 16);
     let m = MachineConfig::dual_socket().with_cores(2);
     let opts = SimOptions::default();
     let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
+    let spec = RunSpec {
+        id: "torn/ckpt".into(),
+        workload: Workload::custom("torn-ckpt", || workload(300, 16)),
+        machine: m.clone(),
+        protocol: ProtocolId::Warden,
+        opts: opts.clone(),
+    };
 
-    let dir = scratch("torn");
-    let store = CheckpointStore::new(&dir).expect("create store");
+    // The entry a killed run leaves behind, 400 steps in.
     let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
     for _ in 0..400 {
-        assert!(eng.step(), "workload must outlast both snapshot points");
+        assert!(eng.step(), "workload must outlast the snapshot point");
     }
-    eng.try_snapshot(&store).expect("first snapshot");
-    for _ in 0..400 {
-        assert!(eng.step(), "workload must outlast both snapshot points");
+    let key = spec.key();
+    let full = DiskEntry {
+        key,
+        body: DiskBody::Checkpoint {
+            steps: eng.steps(),
+            frame: eng.snapshot_to_bytes(),
+        },
     }
-    eng.try_snapshot(&store).expect("second snapshot");
-    drop(eng); // killed between checkpoints
+    .encode();
+    drop(eng);
+    let name = format!("{:016x}.ckpt", key.address());
 
-    let full = std::fs::read(store.current_path()).expect("read current slot");
     let stride = (full.len() / 8).max(1);
     for cut in (0..full.len()).step_by(stride) {
-        std::fs::write(store.current_path(), &full[..cut]).expect("tear current slot");
-        let resumed = SimEngine::try_resume(&p, &m, ProtocolId::Warden, &opts, &store)
-            .expect("fallback must succeed")
-            .expect("previous slot must be present");
-        assert!(
-            resumed.steps() < 800,
-            "must have fallen back to the older snapshot"
-        );
-        let out = resumed.run();
+        let dir = scratch("torn");
+        std::fs::write(dir.join(&name), &full[..cut]).expect("tear the entry");
+        let cfg = CampaignConfig {
+            quiet: true,
+            workers: 1,
+            backoff: Duration::from_millis(1),
+            ..CampaignConfig::new(&dir)
+        };
+        let results = run_campaign(std::slice::from_ref(&spec), &cfg).expect("run completes");
+        let out = &results[0].outcome;
         assert_eq!(out.stats, reference.stats, "torn at {cut} bytes");
         assert_eq!(out.memory_image_digest, reference.memory_image_digest);
+        assert!(
+            dir.join("quarantine").join(&name).is_file(),
+            "the torn entry ({cut} bytes) is set aside as evidence"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

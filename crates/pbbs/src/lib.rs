@@ -140,6 +140,12 @@ impl Bench {
         }
     }
 
+    /// The benchmark's workload token at `scale`, `bench:<name>:<Scale>`:
+    /// the name every stored result of this trace is keyed by.
+    pub fn token(self, scale: Scale) -> String {
+        format!("bench:{}:{scale:?}", self.name())
+    }
+
     /// Look a benchmark up by its display name.
     pub fn by_name(name: &str) -> Option<Bench> {
         Bench::ALL.iter().copied().find(|b| b.name() == name)

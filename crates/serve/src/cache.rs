@@ -14,7 +14,7 @@
 //! the seconds a simulation takes.
 //!
 //! This is the *memory* tier: a miss here does not necessarily mean a full
-//! simulation. When a [`crate::DiskTier`] is configured, the leader's
+//! simulation. When a [`crate::ResultStore`] is configured, the leader's
 //! compute closure first consults the durable tier (persisted result, then
 //! prefix checkpoint) and only simulates from cycle 0 as a last resort —
 //! see `server::leader_compute` and DESIGN.md §7i.

@@ -1,52 +1,55 @@
-//! The crash-safe disk tier behind the in-memory result cache.
+//! The durable result store: one crash-safe directory of simulation
+//! results and mid-run checkpoints, keyed by [`RunKey`]. Campaigns persist
+//! their records in it, and the serving daemon uses it as the disk tier
+//! behind its memory cache — so a daemon started on a finished campaign's
+//! directory serves those cells from disk.
 //!
-//! Two kinds of entry live in one directory, both wrapped in the
-//! checkpoint module's checksummed frame (magic, version, length, payload,
-//! FNV-1a-64 checksum — every strict prefix and every bit flip is a typed
-//! error, never a panic):
+//! Two kinds of entry live in one directory, named by the key's content
+//! address and both wrapped in the checkpoint module's checksummed frame
+//! (magic, version, length, payload, FNV-1a-64 checksum — every strict
+//! prefix and every bit flip is a typed error, never a panic):
 //!
-//! - **result entries** (`r-*.ent`): a finished [`OutcomeSummary`] plus
-//!   the compute time it cost, keyed by the same `(options, trace,
-//!   machine, protocol)` fingerprint as the memory cache — a server
-//!   restart serves repeats bit-identically from disk with zero
-//!   re-simulations;
-//! - **checkpoint entries** (`c-*.ent`): a framed [`warden_sim`] engine
+//! - **result entries** (`<key>.rec`): the [`encode_outcome`] bytes of a
+//!   finished [`SimOutcome`] plus the compute time it cost;
+//! - **checkpoint entries** (`<key>.ckpt`): a framed [`warden_sim`] engine
 //!   snapshot taken every `checkpoint_every` scheduler steps while a
 //!   simulation runs (and once more on cooperative cancellation). A later
-//!   request for the same key whose result is gone — evicted, cancelled
-//!   mid-flight, or lost to a crash — resumes from the newest frame
-//!   instead of cycle 0. The engine's identity-bound resume re-verifies
-//!   the program/machine/protocol/options fingerprints inside the frame,
-//!   so a hash collision or stale file can never resume the wrong run.
+//!   run of the same key whose result is missing resumes from the newest
+//!   frame instead of cycle 0. The engine's identity-bound resume
+//!   re-verifies the program/machine/protocol/options fingerprints inside
+//!   the frame, so a stale file can never resume the wrong run.
 //!
 //! Writes go through [`Storage::write_atomic`] (temp file + `fsync` +
 //! rename + parent `fsync`), so a crash at any point leaves either the old
-//! entry or the new one, never a mixture. Opening the tier runs an
-//! **fsck-style scan**: orphaned `*.tmp` files are swept, every entry is
+//! entry or the new one, never a mixture. Opening the store runs an
+//! **fsck-style scan**: orphaned entry temp files are swept, every entry is
 //! read and verified, and anything truncated, corrupt, version-skewed or
 //! misnamed is **quarantined** into a `quarantine/` subdirectory — the
 //! scan never panics and never deletes bytes it cannot prove worthless.
+//! Other files (a campaign's `manifest.json`) are left alone.
 //!
-//! The tier enforces a byte budget with cost-aware eviction (value ×
-//! size, like the memory cache): results weigh their measured compute
-//! time, checkpoints the steps they save. Every storage failure degrades —
-//! a typed counter bumps ([`DiskStats`]) and the caller recomputes; no
-//! request ever fails because the disk did.
+//! The store can enforce a byte budget (unbounded by default) with
+//! cost-aware eviction (value × size, like the memory cache): results
+//! weigh their measured compute time, checkpoints the steps they save.
+//! Storage failures degrade — a typed counter bumps ([`DiskStats`]) and
+//! the caller recomputes; [`ResultStore::put_result`] also returns the
+//! error, for callers whose result would otherwise be lost.
+//!
+//! [`encode_outcome`]: warden_sim::checkpoint::encode_outcome
 
-use crate::proto::OutcomeSummary;
-use crate::server::CacheKey;
 use crate::storage::{is_enospc, Storage};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use warden_mem::codec::{fnv1a64, CodecError, Decoder, Encoder};
+use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_sim::checkpoint::{self, CheckpointError};
+use warden_sim::{RunKey, SimOutcome};
 
-/// How to run a [`DiskTier`].
+/// How to run a [`ResultStore`].
 #[derive(Clone, Debug)]
-pub struct DiskTierConfig {
+pub struct ResultStoreConfig {
     /// Directory holding the entries (created if missing).
     pub dir: PathBuf,
     /// Byte budget across all entries; cost-aware eviction keeps residency
@@ -58,19 +61,19 @@ pub struct DiskTierConfig {
     pub checkpoint_every: u64,
 }
 
-/// Default disk budget: generous for summaries, bounded for soak runs.
-pub const DEFAULT_DISK_BUDGET: u64 = 64 << 20;
 /// Default steps between checkpoint frames — coarse enough to cost nothing
 /// on tiny traces, fine enough that a paper-scale replay leaves several
 /// frames behind.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
 
-impl DiskTierConfig {
-    /// A tier rooted at `dir` with default budget and checkpoint cadence.
-    pub fn at(dir: impl Into<PathBuf>) -> DiskTierConfig {
-        DiskTierConfig {
+impl ResultStoreConfig {
+    /// A store rooted at `dir` with the default checkpoint cadence and no
+    /// byte budget: results are full outcomes (megabytes at paper scale),
+    /// and a budget would evict — delete — a campaign's records.
+    pub fn at(dir: impl Into<PathBuf>) -> ResultStoreConfig {
+        ResultStoreConfig {
             dir: dir.into(),
-            budget_bytes: DEFAULT_DISK_BUDGET,
+            budget_bytes: u64::MAX,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
@@ -83,13 +86,13 @@ impl DiskTierConfig {
     }
 }
 
-/// One decoded on-disk entry: the cache key it belongs to plus its body.
-/// The codec is public so the fuzz suite can hold it to the
+/// One decoded on-disk entry: the key it belongs to plus its body. The
+/// codec is public so the fuzz suite can hold it to the
 /// every-prefix-fails / every-corruption-is-typed contract directly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiskEntry {
-    /// The content address this entry serves.
-    pub key: CacheKey,
+    /// The cell this entry belongs to.
+    pub key: RunKey,
     /// Result or checkpoint body.
     pub body: DiskBody,
 }
@@ -97,12 +100,12 @@ pub struct DiskEntry {
 /// The body of a [`DiskEntry`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum DiskBody {
-    /// A finished simulation summary and the compute time it cost (µs),
-    /// which weighs the entry for eviction.
+    /// A finished simulation and the compute time it cost (µs), which
+    /// weighs the entry for eviction.
     Result {
-        /// The served summary (boxed: it dwarfs the checkpoint variant).
-        summary: Box<OutcomeSummary>,
-        /// Leader compute time in microseconds.
+        /// The [`checkpoint::encode_outcome`] bytes of the outcome.
+        outcome: Vec<u8>,
+        /// Compute time in microseconds.
         compute_us: u64,
     },
     /// A paused-engine frame taken `steps` into the replay. The bytes are
@@ -118,26 +121,29 @@ pub enum DiskBody {
 const KIND_RESULT: u8 = 0;
 const KIND_CHECKPOINT: u8 = 1;
 
+impl DiskBody {
+    fn kind(&self) -> u8 {
+        match self {
+            DiskBody::Result { .. } => KIND_RESULT,
+            DiskBody::Checkpoint { .. } => KIND_CHECKPOINT,
+        }
+    }
+}
+
 impl DiskEntry {
     /// Serialize into a checksummed file image (checkpoint frame around
     /// the entry payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        match &self.body {
-            DiskBody::Result { .. } => enc.put_u8(KIND_RESULT),
-            DiskBody::Checkpoint { .. } => enc.put_u8(KIND_CHECKPOINT),
-        }
-        enc.put_u64(self.key.options_fp);
-        enc.put_u64(self.key.trace_fp);
-        enc.put_u64(self.key.machine_fp);
-        enc.put_u8(self.key.protocol);
+        enc.put_u8(self.body.kind());
+        self.key.encode_into(&mut enc);
         match &self.body {
             DiskBody::Result {
-                summary,
+                outcome,
                 compute_us,
             } => {
-                summary.encode_into(&mut enc);
                 enc.put_u64(*compute_us);
+                enc.put_bytes(outcome);
             }
             DiskBody::Checkpoint { steps, frame } => {
                 enc.put_u64(*steps);
@@ -151,19 +157,13 @@ impl DiskEntry {
     /// malformed payloads are all typed [`CheckpointError`]s — the fsck
     /// scan quarantines on any of them, it never panics.
     pub fn decode(bytes: &[u8]) -> Result<DiskEntry, CheckpointError> {
-        let payload = checkpoint::unframe(bytes)?;
-        let mut dec = Decoder::new(payload);
+        let mut dec = Decoder::new(checkpoint::unframe(bytes)?);
         let kind = dec.take_u8()?;
-        let key = CacheKey {
-            options_fp: dec.take_u64()?,
-            trace_fp: dec.take_u64()?,
-            machine_fp: dec.take_u64()?,
-            protocol: dec.take_u8()?,
-        };
+        let key = RunKey::decode_from(&mut dec)?;
         let body = match kind {
             KIND_RESULT => DiskBody::Result {
-                summary: Box::new(OutcomeSummary::decode_from(&mut dec)?),
                 compute_us: dec.take_u64()?,
+                outcome: dec.take_bytes()?.to_vec(),
             },
             KIND_CHECKPOINT => DiskBody::Checkpoint {
                 steps: dec.take_u64()?,
@@ -181,7 +181,7 @@ impl DiskEntry {
     }
 }
 
-/// Counters the tier exports through the server's metrics snapshot.
+/// Counters the store exports through the server's metrics snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Result entries served.
@@ -211,7 +211,7 @@ pub struct DiskStats {
     /// Writes failed for any other reason (also degraded, never fatal).
     pub write_errors: u64,
     /// Reads that failed at the I/O layer (not decode failures — those
-    /// quarantine).
+    /// quarantine — and not files removed since they were indexed).
     pub read_errors: u64,
 }
 
@@ -229,11 +229,10 @@ struct Index {
     next_seq: u64,
 }
 
-/// The disk tier. All methods degrade on storage failure — they bump a
-/// typed counter and return "miss"/unit, never an error the serving path
-/// would have to surface.
-pub struct DiskTier {
-    cfg: DiskTierConfig,
+/// The result store. Lookups degrade on storage failure — they bump a
+/// typed counter and return a miss, never an error.
+pub struct ResultStore {
+    cfg: ResultStoreConfig,
     storage: Arc<dyn Storage>,
     index: Mutex<Index>,
     hits: AtomicU64,
@@ -250,30 +249,27 @@ pub struct DiskTier {
     read_errors: AtomicU64,
 }
 
-const ENTRY_SUFFIX: &str = ".ent";
+const RESULT_SUFFIX: &str = ".rec";
+const CHECKPOINT_SUFFIX: &str = ".ckpt";
 const TMP_SUFFIX: &str = ".tmp";
 const QUARANTINE_DIR: &str = "quarantine";
 
-fn key_hash(kind: u8, key: &CacheKey) -> u64 {
-    let mut enc = Encoder::new();
-    enc.put_u8(kind);
-    enc.put_u64(key.options_fp);
-    enc.put_u64(key.trace_fp);
-    enc.put_u64(key.machine_fp);
-    enc.put_u8(key.protocol);
-    fnv1a64(enc.bytes())
+fn entry_name(kind: u8, key: &RunKey) -> String {
+    let suffix = if kind == KIND_RESULT {
+        RESULT_SUFFIX
+    } else {
+        CHECKPOINT_SUFFIX
+    };
+    format!("{:016x}{suffix}", key.address())
 }
 
-fn entry_name(kind: u8, key: &CacheKey) -> String {
-    let prefix = if kind == KIND_RESULT { 'r' } else { 'c' };
-    format!("{prefix}-{:016x}{ENTRY_SUFFIX}", key_hash(kind, key))
+/// The file name of `key`'s result entry inside a store directory.
+pub fn result_file_name(key: &RunKey) -> String {
+    entry_name(KIND_RESULT, key)
 }
 
-fn body_kind(body: &DiskBody) -> u8 {
-    match body {
-        DiskBody::Result { .. } => KIND_RESULT,
-        DiskBody::Checkpoint { .. } => KIND_CHECKPOINT,
-    }
+fn is_entry_name(name: &str) -> bool {
+    name.ends_with(RESULT_SUFFIX) || name.ends_with(CHECKPOINT_SUFFIX)
 }
 
 /// Eviction weight. Results weigh their measured compute time; a
@@ -287,21 +283,21 @@ fn entry_weight(body: &DiskBody, bytes: u64) -> u128 {
     value as u128 * bytes.max(1) as u128
 }
 
-impl DiskTier {
-    /// Open (creating if missing) a tier rooted at `cfg.dir`, running the
+impl ResultStore {
+    /// Open (creating if missing) a store rooted at `cfg.dir`, running the
     /// fsck scan: sweep orphaned temp files, verify every entry, and
     /// quarantine anything unreadable. Never panics on a damaged
     /// directory; only a genuinely unusable root (cannot create or list)
     /// is an error.
-    pub fn open(cfg: DiskTierConfig, storage: Arc<dyn Storage>) -> Result<DiskTier, String> {
+    pub fn open(cfg: ResultStoreConfig, storage: Arc<dyn Storage>) -> Result<ResultStore, String> {
         cfg.validate()?;
         storage
             .create_dir_all(&cfg.dir)
-            .map_err(|e| format!("cannot create disk tier at {}: {e}", cfg.dir.display()))?;
+            .map_err(|e| format!("cannot create result store at {}: {e}", cfg.dir.display()))?;
         storage
             .create_dir_all(&cfg.dir.join(QUARANTINE_DIR))
             .map_err(|e| format!("cannot create quarantine dir: {e}"))?;
-        let tier = DiskTier {
+        let store = ResultStore {
             storage,
             index: Mutex::new(Index {
                 slots: HashMap::new(),
@@ -322,11 +318,11 @@ impl DiskTier {
             read_errors: AtomicU64::new(0),
             cfg,
         };
-        tier.fsck()?;
-        Ok(tier)
+        store.fsck()?;
+        Ok(store)
     }
 
-    /// The tier's root directory.
+    /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.cfg.dir
     }
@@ -340,22 +336,21 @@ impl DiskTier {
         let paths = self
             .storage
             .list(&self.cfg.dir)
-            .map_err(|e| format!("cannot scan disk tier {}: {e}", self.cfg.dir.display()))?;
+            .map_err(|e| format!("cannot scan result store {}: {e}", self.cfg.dir.display()))?;
         let mut scanned: Vec<(String, PathBuf)> = Vec::new();
         for path in paths {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            if name == QUARANTINE_DIR {
+            if let Some(stem) = name.strip_suffix(TMP_SUFFIX) {
+                if is_entry_name(stem) {
+                    // An interrupted write's orphan; the rename never
+                    // happened, so nothing references it.
+                    let _ = self.storage.remove(&path);
+                }
                 continue;
             }
-            if name.ends_with(TMP_SUFFIX) {
-                // An interrupted write's orphan; the rename never happened,
-                // so nothing references it.
-                let _ = self.storage.remove(&path);
-                continue;
-            }
-            if name.ends_with(ENTRY_SUFFIX) {
+            if is_entry_name(name) {
                 scanned.push((name.to_string(), path));
             }
         }
@@ -364,7 +359,7 @@ impl DiskTier {
         for (name, path) in scanned {
             match self.storage.read(&path) {
                 Ok(bytes) => match DiskEntry::decode(&bytes) {
-                    Ok(entry) if entry_name(body_kind(&entry.body), &entry.key) == name => {
+                    Ok(entry) if entry_name(entry.body.kind(), &entry.key) == name => {
                         self.admit(
                             &name,
                             bytes.len() as u64,
@@ -373,8 +368,7 @@ impl DiskTier {
                     }
                     // Decodes but under the wrong name (stale rename, hash
                     // drift): treat as damage, not data.
-                    Ok(_) => self.quarantine(&name),
-                    Err(_) => self.quarantine(&name),
+                    Ok(_) | Err(_) => self.quarantine(&name),
                 },
                 Err(_) => {
                     self.read_errors.fetch_add(1, Ordering::Relaxed);
@@ -383,6 +377,14 @@ impl DiskTier {
             }
         }
         Ok(())
+    }
+
+    /// Drop `name` from the index without touching the file.
+    fn forget(&self, name: &str) {
+        let mut idx = self.index.lock().expect("disk index lock");
+        if let Some(slot) = idx.slots.remove(name) {
+            idx.resident -= slot.bytes;
+        }
     }
 
     /// Move a damaged entry aside (never delete what might be evidence);
@@ -394,10 +396,7 @@ impl DiskTier {
             let _ = self.storage.remove(&from);
         }
         self.quarantined.fetch_add(1, Ordering::Relaxed);
-        let mut idx = self.index.lock().expect("disk index lock");
-        if let Some(slot) = idx.slots.remove(name) {
-            idx.resident -= slot.bytes;
-        }
+        self.forget(name);
     }
 
     fn admit(&self, name: &str, bytes: u64, weight: u128) {
@@ -442,27 +441,33 @@ impl DiskTier {
             .contains_key(name)
     }
 
-    /// Read and verify the entry at `name`, quarantining on any damage.
-    fn load(&self, name: &str, kind: u8, key: &CacheKey) -> Option<DiskEntry> {
-        if !self.indexed(name) {
+    /// Read and verify the `kind` entry of `key`, quarantining on any
+    /// damage.
+    fn load(&self, kind: u8, key: &RunKey) -> Option<DiskBody> {
+        let name = entry_name(kind, key);
+        if !self.indexed(&name) {
             return None;
         }
-        match self.storage.read(&self.cfg.dir.join(name)) {
+        match self.storage.read(&self.cfg.dir.join(&name)) {
             Ok(bytes) => match DiskEntry::decode(&bytes) {
-                Ok(entry) if entry.key == *key && body_kind(&entry.body) == kind => Some(entry),
+                Ok(entry) if entry.key == *key && entry.body.kind() == kind => Some(entry.body),
                 // A different key under this name is a hash collision
                 // (last-writer-wins): a miss, not damage.
                 Ok(_) => None,
                 Err(_) => {
-                    self.quarantine(name);
+                    self.quarantine(&name);
                     None
                 }
             },
-            Err(e) => {
-                if e.kind() != io::ErrorKind::NotFound {
-                    self.read_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                self.quarantine(name);
+            // Removed since it was indexed (discarded or evicted by
+            // another handle): a miss, not damage.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.forget(&name);
+                None
+            }
+            Err(_) => {
+                self.read_errors.fetch_add(1, Ordering::Relaxed);
+                self.quarantine(&name);
                 None
             }
         }
@@ -470,35 +475,30 @@ impl DiskTier {
 
     /// Look up a finished result. `None` is a miss (including every
     /// degraded read — the caller recomputes).
-    pub fn result(&self, key: &CacheKey) -> Option<(OutcomeSummary, u64)> {
-        let name = entry_name(KIND_RESULT, key);
-        match self.load(&name, KIND_RESULT, key) {
-            Some(DiskEntry {
-                body:
-                    DiskBody::Result {
-                        summary,
-                        compute_us,
-                    },
-                ..
-            }) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((*summary, compute_us))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    pub fn result(&self, key: &RunKey) -> Option<SimOutcome> {
+        let found = match self.load(KIND_RESULT, key) {
+            Some(DiskBody::Result { outcome, .. }) => match checkpoint::decode_outcome(&outcome) {
+                Ok(out) => Some(out),
+                Err(_) => {
+                    self.quarantine(&entry_name(KIND_RESULT, key));
+                    None
+                }
+            },
+            _ => None,
+        };
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Look up the newest checkpoint frame for `key`.
-    pub fn checkpoint(&self, key: &CacheKey) -> Option<(u64, Vec<u8>)> {
-        let name = entry_name(KIND_CHECKPOINT, key);
-        match self.load(&name, KIND_CHECKPOINT, key) {
-            Some(DiskEntry {
-                body: DiskBody::Checkpoint { steps, frame },
-                ..
-            }) => {
+    pub fn checkpoint(&self, key: &RunKey) -> Option<(u64, Vec<u8>)> {
+        match self.load(KIND_CHECKPOINT, key) {
+            Some(DiskBody::Checkpoint { steps, frame }) => {
                 self.checkpoint_hits.fetch_add(1, Ordering::Relaxed);
                 Some((steps, frame))
             }
@@ -506,8 +506,8 @@ impl DiskTier {
         }
     }
 
-    fn put(&self, key: &CacheKey, body: DiskBody) {
-        let kind = body_kind(&body);
+    fn put(&self, key: &RunKey, body: DiskBody) -> io::Result<()> {
+        let kind = body.kind();
         let name = entry_name(kind, key);
         let entry = DiskEntry { key: *key, body };
         let image = entry.encode();
@@ -519,36 +519,42 @@ impl DiskTier {
                     self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
                 }
                 self.admit(&name, image.len() as u64, weight);
+                Ok(())
             }
-            Err(e) if is_enospc(&e) => {
-                // Disk full: degrade — memory and recompute keep serving.
-                self.enospc_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
+            Err(e) => {
                 // write_atomic never damages the destination, so whatever
                 // the index holds for this name is still the old, valid
                 // entry (or nothing).
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
+                let counter = if is_enospc(&e) {
+                    &self.enospc_degraded
+                } else {
+                    &self.write_errors
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                Err(e)
             }
         }
     }
 
     /// Durably store a finished result, and drop the key's checkpoint —
-    /// the frame is a strict prefix of work that is now complete.
-    pub fn put_result(&self, key: &CacheKey, summary: &OutcomeSummary, compute_us: u64) {
-        self.put(
+    /// the frame is a strict prefix of work that is now complete. A failed
+    /// write is counted and returned.
+    pub fn put_result(&self, key: &RunKey, out: &SimOutcome, compute_us: u64) -> io::Result<()> {
+        let stored = self.put(
             key,
             DiskBody::Result {
-                summary: Box::new(summary.clone()),
+                outcome: checkpoint::encode_outcome(out),
                 compute_us,
             },
         );
         self.discard_checkpoint(key);
+        stored
     }
 
-    /// Durably store (replacing) the key's checkpoint frame.
-    pub fn put_checkpoint(&self, key: &CacheKey, steps: u64, frame: &[u8]) {
-        self.put(
+    /// Durably store (replacing) the key's checkpoint frame. A failed
+    /// write is counted; the run goes on without it.
+    pub fn put_checkpoint(&self, key: &RunKey, steps: u64, frame: &[u8]) {
+        let _ = self.put(
             key,
             DiskBody::Checkpoint {
                 steps,
@@ -558,19 +564,15 @@ impl DiskTier {
     }
 
     /// Remove the key's checkpoint entry (normal completion — not damage).
-    pub fn discard_checkpoint(&self, key: &CacheKey) {
+    pub fn discard_checkpoint(&self, key: &RunKey) {
         let name = entry_name(KIND_CHECKPOINT, key);
-        let mut idx = self.index.lock().expect("disk index lock");
-        if let Some(slot) = idx.slots.remove(&name) {
-            idx.resident -= slot.bytes;
-        }
-        drop(idx);
+        self.forget(&name);
         let _ = self.storage.remove(&self.cfg.dir.join(&name));
     }
 
     /// Quarantine the key's checkpoint entry: the outer frame verified but
     /// the engine refused it (identity mismatch, inner corruption).
-    pub fn quarantine_checkpoint(&self, key: &CacheKey) {
+    pub fn quarantine_checkpoint(&self, key: &RunKey) {
         self.quarantine(&entry_name(KIND_CHECKPOINT, key));
     }
 
@@ -579,7 +581,7 @@ impl DiskTier {
         self.index.lock().expect("disk index lock").slots.len()
     }
 
-    /// Whether the tier holds no entries.
+    /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

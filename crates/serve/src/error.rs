@@ -1,7 +1,7 @@
 //! Typed failures for the serving layer.
 //!
 //! Disk-tier storage failures are deliberately absent: the durable tier
-//! ([`crate::DiskTier`]) never fails a request — ENOSPC, write errors, and
+//! ([`crate::ResultStore`]) never fails a request — ENOSPC, write errors, and
 //! corrupt entries degrade to memory-only serving or a recomputation, each
 //! recorded by a typed counter in [`crate::DiskStats`] rather than an error
 //! a client could see.

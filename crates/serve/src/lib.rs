@@ -7,8 +7,9 @@
 //! speaking a length-prefixed binary protocol (built on the workspace's
 //! hand-rolled [`warden_mem::codec`]) over TCP and Unix sockets, with
 //!
-//! - a **content-addressed result cache** keyed by `(options fingerprint,
-//!   trace digest, machine fingerprint, protocol)` with **single-flight**
+//! - a **content-addressed result cache** keyed by the simulator's
+//!   [`warden_sim::RunKey`] (workload token, machine, protocol, options
+//!   fingerprints) with **single-flight**
 //!   semantics — N concurrent identical requests cost one simulation
 //!   ([`cache::SingleFlight`]);
 //! - a **bounded request queue** with typed backpressure
@@ -25,12 +26,14 @@
 //! - a **byte-budgeted cache** with cost-aware eviction (compute time ×
 //!   size; in-flight entries are never evicted) and full residency
 //!   metrics;
-//! - a **crash-safe disk tier** ([`disk::DiskTier`]) behind the memory
-//!   cache: finished results are persisted with the checkpoint module's
+//! - a **crash-safe disk tier** ([`disk::ResultStore`]) behind the memory
+//!   cache: finished outcomes are persisted with the checkpoint module's
 //!   atomic-write + checksummed-frame discipline and survive restarts
 //!   bit-identically; an fsck-style startup scan quarantines (never
 //!   panics on) torn, corrupt or version-skewed entries; a byte budget
-//!   with cost-aware eviction bounds it;
+//!   with cost-aware eviction bounds it. The benchmark campaigns persist
+//!   into the same store under the same key, so a campaign directory
+//!   warms the daemon;
 //! - **prefix-checkpoint resume**: long replays persist periodic engine
 //!   frames (and one on cancellation), so a repeat of interrupted work
 //!   resumes from the newest frame instead of cycle 0 — the wire reports
@@ -68,12 +71,12 @@ pub mod storage;
 
 pub use cache::{CacheStats, Computed, FlightError, SingleFlight, Source};
 pub use client::{Client, ResilientClient, RetryPolicy};
-pub use disk::{DiskBody, DiskEntry, DiskStats, DiskTier, DiskTierConfig};
+pub use disk::{result_file_name, DiskBody, DiskEntry, DiskStats, ResultStore, ResultStoreConfig};
 pub use error::ServeError;
 pub use proto::{
-    outcome_digest, protocol_tag, summarize_outcome, ErrorKind, FrameEvent, MachinePreset,
-    MachineSpec, OutcomeSummary, Request, Response, ServedFrom, SimRequest,
+    outcome_digest, summarize_outcome, ErrorKind, FrameEvent, MachinePreset, MachineSpec,
+    OutcomeSummary, Request, Response, ServedFrom, SimRequest,
 };
-pub use server::{CacheKey, ServeConfig, Server, ServerOptions, ShutdownReport};
+pub use server::{ServeConfig, Server, ServerOptions, ShutdownReport};
 pub use signal::{drain_requested, install_sigterm_drain};
 pub use storage::{FaultyStorage, RealStorage, Storage, StorageFaultPlan, StorageFaultStats};

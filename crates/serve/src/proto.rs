@@ -294,8 +294,8 @@ impl MachineSpec {
 // Requests.
 
 /// One simulation request: which benchmark trace to replay, on which
-/// machine, under which protocol. The server resolves this to a cache key
-/// of `(options fingerprint, trace digest, machine fingerprint, protocol)`.
+/// machine, under which protocol. The server resolves this to a
+/// [`warden_sim::RunKey`] (workload token, machine, protocol, options).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimRequest {
     /// The PBBS benchmark whose trace to replay.
@@ -341,23 +341,12 @@ fn scale_from_tag(tag: u8) -> Result<Scale, CodecError> {
     }
 }
 
-/// The canonical on-wire tag for a protocol (shared with the cache key) —
-/// the registry's own frozen tag, so every registered protocol is
-/// addressable and unknown tags are rejected with a typed error.
-pub fn protocol_tag(p: ProtocolId) -> u8 {
-    p.tag()
-}
-
-fn protocol_from_tag(tag: u8) -> Result<ProtocolId, CodecError> {
-    ProtocolId::from_tag(tag)
-}
-
 impl SimRequest {
     fn encode_into(&self, enc: &mut Encoder) {
         enc.put_str(self.bench.name());
         enc.put_u8(scale_tag(self.scale));
         self.machine.encode_into(enc);
-        enc.put_u8(protocol_tag(self.protocol));
+        enc.put_u8(self.protocol.tag());
         enc.put_bool(self.check);
     }
 
@@ -369,7 +358,7 @@ impl SimRequest {
         })?;
         let scale = scale_from_tag(dec.take_u8()?)?;
         let machine = MachineSpec::decode_from(dec)?;
-        let protocol = protocol_from_tag(dec.take_u8()?)?;
+        let protocol = ProtocolId::from_tag(dec.take_u8()?)?;
         let check = dec.take_bool()?;
         Ok(SimRequest {
             bench,
@@ -592,7 +581,7 @@ impl OutcomeSummary {
     }
 
     pub(crate) fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u8(protocol_tag(self.protocol));
+        enc.put_u8(self.protocol.tag());
         enc.put_str(&self.machine);
         self.stats.encode_into(enc);
         enc.put_u64(self.memory_image_digest);
@@ -601,7 +590,7 @@ impl OutcomeSummary {
     }
 
     pub(crate) fn decode_from(dec: &mut Decoder<'_>) -> Result<OutcomeSummary, CodecError> {
-        let protocol = protocol_from_tag(dec.take_u8()?)?;
+        let protocol = ProtocolId::from_tag(dec.take_u8()?)?;
         let machine = dec.take_str()?;
         let stats = SimStats::decode_from(dec)?;
         let memory_image_digest = dec.take_u64()?;

@@ -24,11 +24,11 @@
 //! only then joins the threads.
 
 use crate::cache::{CacheStats, Computed, FlightError, SingleFlight, Source};
-use crate::disk::{DiskStats, DiskTier, DiskTierConfig};
+use crate::disk::{DiskStats, ResultStore, ResultStoreConfig};
 use crate::error::ServeError;
 use crate::proto::{
-    self, protocol_tag, summarize_outcome, ErrorKind, FrameEvent, OutcomeSummary, Request,
-    Response, ServedFrom, SimRequest,
+    self, summarize_outcome, ErrorKind, FrameEvent, OutcomeSummary, Request, Response, ServedFrom,
+    SimRequest,
 };
 use crate::storage::{FaultyStorage, RealStorage, Storage, StorageFaultPlan};
 use std::cell::Cell;
@@ -41,26 +41,9 @@ use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use warden_coherence::ProtocolId;
 use warden_obs::{ArgVal, AtomicGauge, Gauge, Hist, MetricsRegistry, TraceBuilder};
-use warden_pbbs::Scale;
 use warden_rt::TraceProgram;
-use warden_sim::checkpoint::options_fingerprint;
-use warden_sim::{CancelToken, MachineConfig, SimEngine, SimError, SimOptions, SimOutcome};
-
-/// The content address of one simulation result: everything that determines
-/// the outcome bytes, nothing that doesn't.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// [`options_fingerprint`] over the resolved [`SimOptions`].
-    pub options_fp: u64,
-    /// [`TraceProgram::fingerprint`] of the replayed trace.
-    pub trace_fp: u64,
-    /// [`warden_sim::MachineConfig::fingerprint`] of the machine.
-    pub machine_fp: u64,
-    /// The protocol's canonical wire tag ([`protocol_tag`]).
-    pub protocol: u8,
-}
+use warden_sim::{CancelToken, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome};
 
 /// Tunables that used to be hard-coded constants, now validated at
 /// [`Server::start`]: every timeout the serving loops run on, the
@@ -150,11 +133,11 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Record a Chrome trace-event timeline of every request.
     pub record_trace: bool,
-    /// The crash-safe disk tier behind the memory cache (`None` disables
-    /// it): finished results survive restarts, and periodic checkpoint
-    /// frames let an interrupted replay resume instead of restarting at
-    /// cycle 0.
-    pub disk: Option<DiskTierConfig>,
+    /// The crash-safe result store behind the memory cache (`None`
+    /// disables it): finished results survive restarts, and periodic
+    /// checkpoint frames let an interrupted replay resume instead of
+    /// restarting at cycle 0. A campaign directory works as-is.
+    pub disk: Option<ResultStoreConfig>,
     /// Inject seeded storage faults under the disk tier (chaos drills;
     /// requires `disk`). The tier degrades on every injected failure —
     /// requests are still served from memory and recompute.
@@ -216,10 +199,11 @@ struct Inner {
     draining: AtomicBool,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    results: SingleFlight<CacheKey, Arc<OutcomeSummary>>,
-    /// Built traces, also single-flight: concurrent cold requests for the
-    /// same benchmark build its trace once.
-    traces: SingleFlight<(&'static str, u8), Arc<TraceProgram>>,
+    results: SingleFlight<RunKey, Arc<OutcomeSummary>>,
+    /// Built traces, keyed by [`RunKey::program`] and also single-flight:
+    /// concurrent cold requests for the same benchmark build its trace
+    /// once.
+    traces: SingleFlight<u64, Arc<TraceProgram>>,
     meters: Mutex<Meters>,
     requests: AtomicU64,
     pings: AtomicU64,
@@ -238,7 +222,7 @@ struct Inner {
     resumes: AtomicU64,
     /// Replays that ran from cycle 0 to completion.
     full_sims: AtomicU64,
-    disk: Option<Arc<DiskTier>>,
+    disk: Option<Arc<ResultStore>>,
     faults: Option<Arc<FaultyStorage>>,
     conns_live: AtomicGauge,
     trace: Option<Mutex<TraceBuilder>>,
@@ -250,13 +234,6 @@ struct Inner {
 /// Events kept in a recorded timeline before further ones are counted as
 /// dropped instead of queued (a soak run must not grow without bound).
 const TRACE_EVENT_CAP: usize = 100_000;
-
-fn scale_wire_tag(s: Scale) -> u8 {
-    match s {
-        Scale::Tiny => 0,
-        Scale::Paper => 1,
-    }
-}
 
 impl Inner {
     fn draining(&self) -> bool {
@@ -470,34 +447,14 @@ impl Inner {
             cancel: Some(cancel.clone()),
             ..SimOptions::default()
         };
-        let (bench, scale) = (req.bench, req.scale);
-        let trace = match self
-            .traces
-            .get_or_compute((bench.name(), scale_wire_tag(scale)), || {
-                Ok(Arc::new(bench.build(scale)))
-            }) {
-            Ok((t, _)) => t,
-            Err(msg) => {
-                self.internal_errors.fetch_add(1, Ordering::Relaxed);
-                return Response::Error {
-                    kind: ErrorKind::Internal,
-                    msg: format!("trace construction failed: {msg}"),
-                };
-            }
-        };
-        let key = CacheKey {
-            options_fp: options_fingerprint(&opts),
-            trace_fp: trace.fingerprint(),
-            machine_fp: machine.fingerprint(),
-            protocol: protocol_tag(req.protocol),
-        };
+        let key = RunKey::new(&req.bench.token(req.scale), &machine, req.protocol, &opts);
         // Set by the leader closure: whether this flight's result came off
         // the disk tier, resumed from a checkpoint frame, or ran from
         // cycle 0. Callers that hit the memory cache or coalesced never run
         // the closure, so `Source` overrides it below.
         let leader_served = Cell::new(ServedFrom::Fresh);
         let computed = self.results.get_or_compute_with(key, || {
-            self.leader_compute(&key, &trace, &machine, req.protocol, &opts, &leader_served)
+            self.leader_compute(&key, req, &machine, &opts, &leader_served)
         });
         match computed {
             Ok((summary, source)) => Response::Outcome {
@@ -533,8 +490,9 @@ impl Inner {
     }
 
     /// The single-flight leader's compute path, in durability order:
-    /// 1. the disk tier may hold the finished result (a prior process
-    ///    computed it — zero re-simulation);
+    /// 1. the result store may hold the finished result (a prior process
+    ///    or a campaign computed it — zero re-simulation, and no trace is
+    ///    built);
     /// 2. a persisted checkpoint frame may hold a prefix of the run (a
     ///    crashed, cancelled or evicted flight got partway — resume from
     ///    its step count instead of cycle 0);
@@ -547,40 +505,42 @@ impl Inner {
     /// storage did.
     fn leader_compute(
         &self,
-        key: &CacheKey,
-        trace: &TraceProgram,
+        key: &RunKey,
+        req: &SimRequest,
         machine: &MachineConfig,
-        protocol: ProtocolId,
         opts: &SimOptions,
         served: &Cell<ServedFrom>,
     ) -> Result<Computed<Arc<OutcomeSummary>>, String> {
         if let Some(disk) = &self.disk {
-            if let Some((summary, _compute_us)) = disk.result(key) {
+            if let Some(out) = disk.result(key) {
                 served.set(ServedFrom::Disk);
-                return Ok(Computed::Ready(Arc::new(summary)));
+                return Ok(Computed::Ready(Arc::new(summarize_outcome(&out))));
             }
         }
+        let (trace, _) = self
+            .traces
+            .get_or_compute(key.program, || Ok(Arc::new(req.bench.build(req.scale))))
+            .map_err(|msg| format!("trace construction failed: {msg}"))?;
         let began = Instant::now();
         let mut engine: Option<SimEngine<'_>> = None;
         if let Some(disk) = &self.disk {
             if let Some((_steps, frame)) = disk.checkpoint(key) {
-                match SimEngine::resume_from_bytes(trace, machine, protocol, opts, &frame) {
+                match SimEngine::resume_from_bytes(&trace, machine, req.protocol, opts, &frame) {
                     Ok(eng) => {
                         served.set(ServedFrom::Resumed);
                         self.resumes.fetch_add(1, Ordering::Relaxed);
                         engine = Some(eng);
                     }
                     // The outer frame verified but the engine refused the
-                    // payload (identity mismatch from a fingerprint
-                    // collision, inner corruption): set it aside and run
-                    // from cycle 0.
+                    // payload (identity mismatch, inner corruption): set
+                    // it aside and run from cycle 0.
                     Err(_) => disk.quarantine_checkpoint(key),
                 }
             }
         }
         let result: Result<SimOutcome, SimError> = match engine {
             Some(eng) => self.run_framed(eng, key),
-            None => SimEngine::try_new(trace, machine, protocol, opts)
+            None => SimEngine::try_new(&trace, machine, req.protocol, opts)
                 .and_then(|eng| self.run_framed(eng, key)),
         };
         match result {
@@ -588,11 +548,12 @@ impl Inner {
                 if served.get() == ServedFrom::Fresh {
                     self.full_sims.fetch_add(1, Ordering::Relaxed);
                 }
-                let summary = summarize_outcome(&out);
                 if let Some(disk) = &self.disk {
-                    disk.put_result(key, &summary, began.elapsed().as_micros() as u64);
+                    // A failed persist is counted in the store's stats;
+                    // the result is still served from memory.
+                    let _ = disk.put_result(key, &out, began.elapsed().as_micros() as u64);
                 }
-                Ok(Computed::Ready(Arc::new(summary)))
+                Ok(Computed::Ready(Arc::new(summarize_outcome(&out))))
             }
             // A cancelled leader vacates its slot: waiters coalesced on
             // this flight loop back and retry under their own deadlines
@@ -606,7 +567,7 @@ impl Inner {
 
     /// Run an engine to completion, persisting periodic checkpoint frames
     /// when the disk tier asks for them.
-    fn run_framed(&self, eng: SimEngine<'_>, key: &CacheKey) -> Result<SimOutcome, SimError> {
+    fn run_framed(&self, eng: SimEngine<'_>, key: &RunKey) -> Result<SimOutcome, SimError> {
         match &self.disk {
             Some(disk) if disk.checkpoint_every() > 0 => eng
                 .run_with_cancel_frames(disk.checkpoint_every(), |steps, frame| {
@@ -856,7 +817,7 @@ impl Server {
                     }
                 };
                 Some(Arc::new(
-                    DiskTier::open(tier_cfg.clone(), storage).map_err(ServeError::Config)?,
+                    ResultStore::open(tier_cfg.clone(), storage).map_err(ServeError::Config)?,
                 ))
             }
         };

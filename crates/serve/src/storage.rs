@@ -1,7 +1,7 @@
 //! The storage abstraction under the disk cache tier, with seeded fault
 //! injection.
 //!
-//! [`DiskTier`](crate::disk::DiskTier) never touches the filesystem
+//! [`ResultStore`](crate::disk::ResultStore) never touches the filesystem
 //! directly: every read, atomic write, rename and directory listing goes
 //! through the [`Storage`] trait. Production uses [`RealStorage`], whose
 //! atomic write is the checkpoint module's temp-file + `fsync` + rename +
@@ -352,11 +352,8 @@ mod tests {
     use super::*;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("warden-storage-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
+        warden_sim::checkpoint::unique_dir(&std::env::temp_dir(), &format!("warden-storage-{name}"))
+            .expect("scratch dir")
     }
 
     #[test]
@@ -538,28 +535,29 @@ mod tests {
     #[test]
     fn corrupt_reads_flip_exactly_one_byte_deterministically() {
         let dir = scratch("corrupt");
-        let s = FaultyStorage::new(
-            RealStorage,
-            StorageFaultPlan {
-                seed: 42,
-                torn_write_prob: 0.0,
-                enospc_prob: 0.0,
-                corrupt_read_prob: 1.0,
-                crash_before_rename_prob: 0.0,
-                crash_after_rename_prob: 0.0,
-            },
-        );
+        let plan = StorageFaultPlan {
+            seed: 42,
+            torn_write_prob: 0.0,
+            enospc_prob: 0.0,
+            corrupt_read_prob: 1.0,
+            crash_before_rename_prob: 0.0,
+            crash_after_rename_prob: 0.0,
+        };
         let path = dir.join("r.bin");
         let payload = vec![0u8; 32];
         std::fs::write(&path, &payload).unwrap();
-        let got = s.read(&path).unwrap();
-        let diffs: Vec<usize> = (0..32).filter(|&i| got[i] != payload[i]).collect();
+        let flipped = |s: &FaultyStorage| -> Vec<usize> {
+            let got = s.read(&path).unwrap();
+            (0..32).filter(|&i| got[i] != payload[i]).collect()
+        };
+        let s = FaultyStorage::new(RealStorage, plan);
+        let diffs = flipped(&s);
         assert_eq!(diffs.len(), 1, "exactly one byte flipped");
         assert_eq!(s.stats().corrupt_reads, 1);
 
         // Same seed, same flip.
-        let s2 = FaultyStorage::new(RealStorage, StorageFaultPlan::seeded(42));
-        let _ = s2;
+        let s2 = FaultyStorage::new(RealStorage, plan);
+        assert_eq!(flipped(&s2), diffs, "the same seed flips the same byte");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

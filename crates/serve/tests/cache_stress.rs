@@ -9,26 +9,27 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
+use warden_coherence::ProtocolId;
 use warden_serve::cache::{SingleFlight, Source};
-use warden_serve::CacheKey;
+use warden_sim::RunKey;
 
 const THREADS: usize = 32;
 const ROUNDS: usize = 25;
 const HOT_KEYS: u64 = 4;
 
-fn key(n: u64) -> CacheKey {
+fn key(n: u64) -> RunKey {
     // Spread the fields so distinct logical keys differ in every component.
-    CacheKey {
-        options_fp: n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        trace_fp: n ^ 0xdead_beef,
-        machine_fp: n.rotate_left(17),
-        protocol: (n % 3) as u8,
+    RunKey {
+        program: n ^ 0xdead_beef,
+        machine: n.rotate_left(17),
+        protocol: ProtocolId::ALL[(n % 5) as usize],
+        options: n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
     }
 }
 
 #[test]
 fn single_flight_under_32_thread_storm() {
-    let cache: Arc<SingleFlight<CacheKey, u64>> = Arc::new(SingleFlight::new(8));
+    let cache: Arc<SingleFlight<RunKey, u64>> = Arc::new(SingleFlight::new(8));
     // One probe counter per key, incremented inside the compute closure.
     let probes: Arc<Mutex<HashMap<u64, Arc<AtomicUsize>>>> = Arc::new(Mutex::new(HashMap::new()));
     let fresh_total = Arc::new(AtomicU64::new(0));

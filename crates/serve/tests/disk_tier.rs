@@ -8,54 +8,62 @@
 //! request.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use warden_coherence::ProtocolId;
 use warden_serve::{
-    CacheKey, DiskTier, DiskTierConfig, FaultyStorage, OutcomeSummary, RealStorage,
-    StorageFaultPlan,
+    outcome_digest, FaultyStorage, RealStorage, ResultStore, ResultStoreConfig, StorageFaultPlan,
 };
-use warden_sim::SimStats;
+use warden_sim::{MachineConfig, RunKey, SimOptions, SimOutcome};
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("warden-disk-tier-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    warden_sim::checkpoint::unique_dir(&std::env::temp_dir(), &format!("warden-disk-tier-{name}"))
+        .expect("scratch dir")
 }
 
-fn key(tag: u64) -> CacheKey {
-    CacheKey {
-        options_fp: tag,
-        trace_fp: tag.wrapping_mul(3),
-        machine_fp: tag.wrapping_mul(5),
-        protocol: (tag % 3) as u8,
+fn key(tag: u64) -> RunKey {
+    RunKey {
+        program: tag,
+        machine: tag.wrapping_mul(3),
+        protocol: ProtocolId::ALL[(tag % 5) as usize],
+        options: tag.wrapping_mul(5),
     }
 }
 
-fn summary(tag: u64) -> OutcomeSummary {
-    OutcomeSummary {
-        protocol: ProtocolId::Warden,
-        machine: format!("machine-{tag}"),
-        stats: SimStats {
-            cycles: tag,
-            instructions: tag * 2,
-            ..SimStats::default()
-        },
-        memory_image_digest: tag ^ 0xABCD,
-        region_peak: tag + 7,
-        outcome_digest: tag ^ 0x5A5A,
-    }
+/// A real outcome (one tiny replay, shared by every test), made distinct
+/// per tag through its cycle count.
+fn outcome(tag: u64) -> SimOutcome {
+    static BASE: OnceLock<SimOutcome> = OnceLock::new();
+    let mut out = BASE
+        .get_or_init(|| {
+            let program = warden_pbbs::Bench::Primes.build(warden_pbbs::Scale::Tiny);
+            let machine = MachineConfig::dual_socket().with_cores(2);
+            warden_sim::simulate_with_options(
+                &program,
+                &machine,
+                ProtocolId::Warden,
+                &SimOptions::default(),
+            )
+        })
+        .clone();
+    out.stats.cycles = tag;
+    out
 }
 
-fn open_real(dir: &PathBuf) -> DiskTier {
-    DiskTier::open(DiskTierConfig::at(dir), Arc::new(RealStorage)).expect("tier opens")
+/// Whether `got` is bit-identical to `outcome(tag)`.
+fn same(got: &SimOutcome, tag: u64) -> bool {
+    outcome_digest(got) == outcome_digest(&outcome(tag))
 }
 
-fn open_faulty(dir: &PathBuf, plan: StorageFaultPlan) -> DiskTier {
-    DiskTier::open(
-        DiskTierConfig::at(dir),
+fn open_real(dir: &PathBuf) -> ResultStore {
+    ResultStore::open(ResultStoreConfig::at(dir), Arc::new(RealStorage)).expect("store opens")
+}
+
+fn open_faulty(dir: &PathBuf, plan: StorageFaultPlan) -> ResultStore {
+    ResultStore::open(
+        ResultStoreConfig::at(dir),
         Arc::new(FaultyStorage::new(RealStorage, plan)),
     )
-    .expect("tier opens")
+    .expect("store opens")
 }
 
 /// A plan that injects nothing except the one listed fault.
@@ -77,16 +85,16 @@ fn results_and_checkpoints_survive_a_reopen_bit_identically() {
     let dir = scratch("reopen");
     {
         let tier = open_real(&dir);
-        tier.put_result(&key(1), &summary(1), 1_000);
+        tier.put_result(&key(1), &outcome(1), 1_000)
+            .expect("persisted");
         tier.put_checkpoint(&key(2), 500, b"frame-bytes");
         assert_eq!(tier.stats().writes, 2);
     }
     // The process is gone; a new one opens the same directory.
     let tier = open_real(&dir);
     assert_eq!(tier.len(), 2, "fsck admitted both entries");
-    let (summary_back, compute_us) = tier.result(&key(1)).expect("result survives");
-    assert_eq!(summary_back, summary(1));
-    assert_eq!(compute_us, 1_000);
+    let back = tier.result(&key(1)).expect("result survives");
+    assert!(same(&back, 1));
     let (steps, frame) = tier.checkpoint(&key(2)).expect("checkpoint survives");
     assert_eq!((steps, frame.as_slice()), (500, &b"frame-bytes"[..]));
     assert_eq!(tier.stats().quarantined, 0);
@@ -99,7 +107,8 @@ fn a_finished_result_discards_the_checkpoint_it_outran() {
     let tier = open_real(&dir);
     tier.put_checkpoint(&key(9), 100, b"prefix");
     assert!(tier.checkpoint(&key(9)).is_some());
-    tier.put_result(&key(9), &summary(9), 42);
+    tier.put_result(&key(9), &outcome(9), 42)
+        .expect("persisted");
     assert!(
         tier.checkpoint(&key(9)).is_none(),
         "the frame is a strict prefix of completed work"
@@ -113,22 +122,24 @@ fn fsck_sweeps_orphaned_temp_files_and_quarantines_damage() {
     let dir = scratch("fsck");
     {
         let tier = open_real(&dir);
-        tier.put_result(&key(1), &summary(1), 10);
-        tier.put_result(&key(2), &summary(2), 10);
+        tier.put_result(&key(1), &outcome(1), 10).unwrap();
+        tier.put_result(&key(2), &outcome(2), 10).unwrap();
     }
     // A crash mid-write leaves a temp orphan; bit rot truncates one entry;
     // a stray file squats under an entry name it doesn't hash to.
-    std::fs::write(dir.join("r-0000000000000abc.ent.tmp"), b"torn").unwrap();
+    std::fs::write(dir.join("0000000000000abc.rec.tmp"), b"torn").unwrap();
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "ent"))
+        .filter(|p| p.extension().is_some_and(|e| e == "rec"))
         .collect();
     entries.sort();
     let victim = &entries[0];
     let bytes = std::fs::read(victim).unwrap();
     std::fs::write(victim, &bytes[..bytes.len() / 2]).unwrap();
-    std::fs::write(dir.join("r-00000000deadbeef.ent"), &bytes).unwrap();
+    std::fs::write(dir.join("00000000deadbeef.rec"), &bytes).unwrap();
+    // A campaign's manifest is not an entry: it is left alone.
+    std::fs::write(dir.join("manifest.json"), b"{}").unwrap();
 
     let tier = open_real(&dir);
     let stats = tier.stats();
@@ -138,9 +149,10 @@ fn fsck_sweeps_orphaned_temp_files_and_quarantines_damage() {
     );
     assert_eq!(tier.len(), 1, "the intact entry is admitted");
     assert!(
-        !dir.join("r-0000000000000abc.ent.tmp").exists(),
+        !dir.join("0000000000000abc.rec.tmp").exists(),
         "temp orphans are swept"
     );
+    assert!(dir.join("manifest.json").exists(), "non-entries stay");
     assert!(
         std::fs::read_dir(dir.join("quarantine")).unwrap().count() >= 2,
         "damage is preserved as evidence, not deleted"
@@ -157,28 +169,29 @@ fn fsck_sweeps_orphaned_temp_files_and_quarantines_damage() {
 
 #[test]
 fn the_byte_budget_evicts_cheapest_first_and_never_overshoots() {
-    let dir = scratch("budget");
+    let probe_dir = scratch("budget-probe");
     let probe = {
-        let tier = open_real(&dir);
-        tier.put_result(&key(1), &summary(1), 1);
+        let tier = open_real(&probe_dir);
+        tier.put_result(&key(1), &outcome(1), 1).unwrap();
         tier.stats().resident_bytes
     };
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&probe_dir);
+    let dir = scratch("budget");
 
     // Room for roughly two entries. Insert three with ascending value:
     // the cheapest (lowest compute time) must be the one evicted.
     let budget = probe * 2 + probe / 2;
-    let tier = DiskTier::open(
-        DiskTierConfig {
+    let tier = ResultStore::open(
+        ResultStoreConfig {
             budget_bytes: budget,
-            ..DiskTierConfig::at(&dir)
+            ..ResultStoreConfig::at(&dir)
         },
         Arc::new(RealStorage),
     )
     .expect("tier opens");
-    tier.put_result(&key(1), &summary(1), 10);
-    tier.put_result(&key(2), &summary(2), 10_000);
-    tier.put_result(&key(3), &summary(3), 10_000_000);
+    tier.put_result(&key(1), &outcome(1), 10).unwrap();
+    tier.put_result(&key(2), &outcome(2), 10_000).unwrap();
+    tier.put_result(&key(3), &outcome(3), 10_000_000).unwrap();
     let stats = tier.stats();
     assert!(
         stats.resident_bytes <= budget,
@@ -194,7 +207,11 @@ fn the_byte_budget_evicts_cheapest_first_and_never_overshoots() {
 fn enospc_degrades_with_a_typed_counter_and_keeps_serving_misses() {
     let dir = scratch("enospc");
     let tier = open_faulty(&dir, only(|p| p.enospc_prob = 1.0));
-    tier.put_result(&key(1), &summary(1), 10);
+    let err = tier.put_result(&key(1), &outcome(1), 10).unwrap_err();
+    assert!(
+        warden_serve::storage::is_enospc(&err),
+        "the error is returned"
+    );
     tier.put_checkpoint(&key(1), 100, b"frame");
     let stats = tier.stats();
     assert_eq!(stats.writes, 0, "{stats:?}");
@@ -210,7 +227,7 @@ fn torn_writes_are_caught_on_read_and_quarantined() {
     let tier = open_faulty(&dir, only(|p| p.torn_write_prob = 1.0));
     // The torn write *reports success* — exactly the lying-disk case — so
     // the entry is indexed; the checksum catches it on first read.
-    tier.put_result(&key(1), &summary(1), 10);
+    tier.put_result(&key(1), &outcome(1), 10).unwrap();
     assert_eq!(tier.stats().writes, 1);
     assert!(tier.result(&key(1)).is_none());
     let stats = tier.stats();
@@ -223,7 +240,7 @@ fn torn_writes_are_caught_on_read_and_quarantined() {
 fn corrupt_reads_quarantine_instead_of_serving_flipped_bits() {
     let dir = scratch("corrupt-read");
     let tier = open_faulty(&dir, only(|p| p.corrupt_read_prob = 1.0));
-    tier.put_result(&key(1), &summary(1), 10);
+    tier.put_result(&key(1), &outcome(1), 10).unwrap();
     assert!(
         tier.result(&key(1)).is_none(),
         "a flipped byte can never decode"
@@ -237,25 +254,25 @@ fn a_crash_mid_write_never_damages_the_old_entry() {
     let dir = scratch("crash-mid-write");
     {
         let tier = open_real(&dir);
-        tier.put_result(&key(1), &summary(1), 10);
+        tier.put_result(&key(1), &outcome(1), 10).unwrap();
     }
     {
         // The process "crashes" before the rename while overwriting: the
         // write errors, the destination keeps the OLD bytes.
         let tier = open_faulty(&dir, only(|p| p.crash_before_rename_prob = 1.0));
-        tier.put_result(&key(1), &summary(999), 10);
+        assert!(tier.put_result(&key(1), &outcome(999), 10).is_err());
         let stats = tier.stats();
         assert_eq!(stats.writes, 0, "{stats:?}");
         assert_eq!(stats.write_errors, 1, "{stats:?}");
-        let (back, _) = tier.result(&key(1)).expect("old entry intact");
-        assert_eq!(back, summary(1), "never a mixture of old and new");
+        let back = tier.result(&key(1)).expect("old entry intact");
+        assert!(same(&back, 1), "never a mixture of old and new");
     }
     // The restart drill: reopen sweeps the orphaned temp file and still
     // serves the old entry bit-identically.
     let tier = open_real(&dir);
     assert_eq!(tier.stats().quarantined, 0);
-    let (back, _) = tier.result(&key(1)).expect("old entry survives restart");
-    assert_eq!(back, summary(1));
+    let back = tier.result(&key(1)).expect("old entry survives restart");
+    assert!(same(&back, 1));
     assert!(std::fs::read_dir(&dir).unwrap().all(|e| !e
         .unwrap()
         .path()
@@ -271,19 +288,19 @@ fn a_crash_after_rename_is_already_durable() {
         let tier = open_faulty(&dir, only(|p| p.crash_after_rename_prob = 1.0));
         // The write lands, then the process "dies" before acknowledging:
         // the tier counts an error, but the bytes are durable.
-        tier.put_result(&key(1), &summary(1), 10);
+        assert!(tier.put_result(&key(1), &outcome(1), 10).is_err());
         assert_eq!(tier.stats().write_errors, 1);
     }
     let tier = open_real(&dir);
-    let (back, _) = tier.result(&key(1)).expect("the rename made it durable");
-    assert_eq!(back, summary(1));
+    let back = tier.result(&key(1)).expect("the rename made it durable");
+    assert!(same(&back, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
     for seed in 0..8u64 {
-        let dir = scratch(&format!("storm-{seed}"));
+        let dir = scratch("storm");
         let plan = StorageFaultPlan {
             torn_write_prob: 0.2,
             enospc_prob: 0.2,
@@ -294,9 +311,9 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
         };
         let tier = open_faulty(&dir, plan);
         for tag in 0..32u64 {
-            tier.put_result(&key(tag), &summary(tag), tag + 1);
-            if let Some((back, _)) = tier.result(&key(tag)) {
-                assert_eq!(back, summary(tag), "a hit must be bit-identical");
+            let _ = tier.put_result(&key(tag), &outcome(tag), tag + 1);
+            if let Some(back) = tier.result(&key(tag)) {
+                assert!(same(&back, tag), "a hit must be bit-identical");
             }
         }
         // Reopening after the storm must also never panic, and every
@@ -304,10 +321,29 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
         drop(tier);
         let tier = open_real(&dir);
         for tag in 0..32u64 {
-            if let Some((back, _)) = tier.result(&key(tag)) {
-                assert_eq!(back, summary(tag));
+            if let Some(back) = tier.result(&key(tag)) {
+                assert!(same(&back, tag));
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// An entry removed behind the store's back (discarded or evicted by
+/// another handle between the index check and the read) is a miss, not
+/// damage: nothing is quarantined and no read error is counted.
+#[test]
+fn an_entry_deleted_behind_the_store_is_a_clean_miss() {
+    let dir = scratch("deleted");
+    let tier = open_real(&dir);
+    tier.put_result(&key(4), &outcome(4), 10).unwrap();
+    let path = dir.join(warden_serve::result_file_name(&key(4)));
+    std::fs::remove_file(&path).expect("entry file exists");
+    assert!(tier.result(&key(4)).is_none());
+    let stats = tier.stats();
+    assert_eq!(stats.quarantined, 0, "{stats:?}");
+    assert_eq!(stats.read_errors, 0, "{stats:?}");
+    assert_eq!(stats.misses, 1, "{stats:?}");
+    assert!(tier.is_empty(), "the slot is dropped");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -34,10 +34,9 @@
 //! [`write_atomic`] writes to a sibling `*.tmp` file, `fsync`s it, renames
 //! it over the destination and `fsync`s the parent directory, so the
 //! destination path always holds either the old or the new complete file.
-//! [`CheckpointStore`] keeps two slots (`current.ckpt`, `prev.ckpt`):
-//! `save` first rotates `current` to `prev` and then writes the new file
-//! atomically, and `load` falls back to `prev` when `current` is missing or
-//! unreadable — a crash at *any* point loses at most one snapshot interval.
+//! Where a frame is kept is the caller's business: campaigns and the
+//! serving daemon both persist frames and finished outcomes in one
+//! content-addressed store keyed by [`RunKey`].
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyBreakdown;
@@ -49,6 +48,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use warden_coherence::{InvariantViolation, ProtocolId};
 use warden_mem::codec::{fnv1a64, CodecError, Decoder, Encoder};
 use warden_mem::Memory;
@@ -233,86 +233,27 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// A two-slot checkpoint directory: `current.ckpt` is the newest snapshot,
-/// `prev.ckpt` the one before it. Saving rotates current → prev before the
-/// atomic write, and loading falls back to `prev` when `current` is missing
-/// or fails verification, so a crash mid-save loses at most one snapshot
-/// interval and a torn file is never resumed from.
-#[derive(Clone, Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-}
-
-impl CheckpointStore {
-    /// Open (creating if necessary) a checkpoint directory.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<CheckpointStore, CheckpointError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        Ok(CheckpointStore { dir })
-    }
-
-    /// Path of the newest snapshot slot.
-    pub fn current_path(&self) -> PathBuf {
-        self.dir.join("current.ckpt")
-    }
-
-    /// Path of the previous snapshot slot.
-    pub fn prev_path(&self) -> PathBuf {
-        self.dir.join("prev.ckpt")
-    }
-
-    /// Store a framed checkpoint: rotate the current slot to `prev`, then
-    /// write the new file atomically.
-    pub fn save(&self, framed: &[u8]) -> Result<(), CheckpointError> {
-        let cur = self.current_path();
-        match fs::rename(&cur, self.prev_path()) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(&cur, e)),
+/// Create a new, empty directory under `parent` named
+/// `<prefix>-<pid>-<n>`, `n` from a process-wide counter. The name is
+/// claimed with an exclusive `create_dir`: one that already exists is
+/// skipped, never reused or wiped, so no two callers — in this process or
+/// another — ever share a directory.
+pub fn unique_dir(parent: &Path, prefix: &str) -> std::io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = parent.join(format!("{prefix}-{}-{n}", std::process::id()));
+        match fs::create_dir(&dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            r => return r.map(|()| dir),
         }
-        write_atomic(&cur, framed)
-    }
-
-    /// Load the newest verifiable checkpoint payload: `current.ckpt` if it
-    /// verifies, else `prev.ckpt`. Returns `Ok(None)` when neither slot
-    /// exists, and the verification error only when a slot exists but no
-    /// slot is readable.
-    pub fn load(&self) -> Result<Option<Vec<u8>>, CheckpointError> {
-        let mut first_err = None;
-        for path in [self.current_path(), self.prev_path()] {
-            match fs::read(&path) {
-                Ok(bytes) => match unframe(&bytes) {
-                    Ok(payload) => return Ok(Some(payload.to_vec())),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => first_err = first_err.or(Some(io_err(&path, e))),
-            }
-        }
-        match first_err {
-            None => Ok(None),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Delete both slots (e.g. after a run completes and its outcome has
-    /// been recorded elsewhere).
-    pub fn clear(&self) -> Result<(), CheckpointError> {
-        for path in [self.current_path(), self.prev_path()] {
-            match fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err(&path, e)),
-            }
-        }
-        Ok(())
     }
 }
 
 /// Fingerprint of the simulation options (energy parameters, checker flag
 /// and fault plan) — everything besides the program, machine and protocol
-/// that affects a replay. Checkpoints and the campaign runner's result
-/// records both embed this value to bind saved state to its inputs.
+/// that affects a replay. Checkpoints embed this value to bind saved state
+/// to its inputs, and it is the `options` component of every [`RunKey`].
 ///
 /// [`SimOptions::cancel`] is deliberately excluded: the token leaves the
 /// replay's event order, statistics and memory images bit-identical, so
@@ -366,6 +307,71 @@ pub fn options_fingerprint(opts: &SimOptions) -> u64 {
     fnv1a64(enc.bytes())
 }
 
+/// The identity of one simulation cell: what to replay, on which machine,
+/// under which protocol, with which options. Campaign records, mid-run
+/// checkpoints and the serving daemon's results are all stored under it,
+/// so a cell computed by one is found by the others.
+///
+/// `program` hashes the workload's *token* (`bench:<name>:<Scale>` or
+/// `custom:<token>`), not the trace's content fingerprint, so a lookup
+/// never has to build the trace. A token names exactly one program; the
+/// checkpoint frame still carries the content fingerprint, so a stale
+/// frame can never resume.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct RunKey {
+    /// FNV-1a-64 of the workload token.
+    pub program: u64,
+    /// [`MachineConfig::fingerprint`].
+    pub machine: u64,
+    /// The protocol.
+    pub protocol: ProtocolId,
+    /// [`options_fingerprint`].
+    pub options: u64,
+}
+
+impl RunKey {
+    /// The key of `token` replayed on `machine` under `protocol` with
+    /// `opts`.
+    pub fn new(
+        token: &str,
+        machine: &MachineConfig,
+        protocol: ProtocolId,
+        opts: &SimOptions,
+    ) -> RunKey {
+        RunKey {
+            program: fnv1a64(token.as_bytes()),
+            machine: machine.fingerprint(),
+            protocol,
+            options: options_fingerprint(opts),
+        }
+    }
+
+    /// Append the key's fields to `enc`.
+    pub fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.program);
+        enc.put_u64(self.machine);
+        enc.put_u8(self.protocol.tag());
+        enc.put_u64(self.options);
+    }
+
+    /// Decode a key written by [`RunKey::encode_into`].
+    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<RunKey, CodecError> {
+        Ok(RunKey {
+            program: dec.take_u64()?,
+            machine: dec.take_u64()?,
+            protocol: ProtocolId::from_tag(dec.take_u8()?)?,
+            options: dec.take_u64()?,
+        })
+    }
+
+    /// The key's content address: a hash of all four components.
+    pub fn address(&self) -> u64 {
+        let mut enc = Encoder::new();
+        self.encode_into(&mut enc);
+        fnv1a64(enc.bytes())
+    }
+}
+
 impl<'a> SimEngine<'a> {
     /// Serialize the paused engine into a complete framed checkpoint
     /// (identity header + full simulation state + checksum).
@@ -384,12 +390,6 @@ impl<'a> SimEngine<'a> {
         frame(enc.bytes())
     }
 
-    /// Write a snapshot of the paused engine into `store`, rotating the
-    /// previous snapshot into the fallback slot.
-    pub fn try_snapshot(&mut self, store: &CheckpointStore) -> Result<(), CheckpointError> {
-        store.save(&self.snapshot_to_bytes())
-    }
-
     /// Reconstruct a paused engine from framed checkpoint bytes. The
     /// supplied `(program, machine, protocol, opts)` must fingerprint-match
     /// the ones the checkpoint was taken under.
@@ -400,18 +400,7 @@ impl<'a> SimEngine<'a> {
         opts: &SimOptions,
         bytes: &[u8],
     ) -> Result<SimEngine<'a>, CheckpointError> {
-        let payload = unframe(bytes)?;
-        SimEngine::resume_from_payload(program, machine, protocol, opts, payload)
-    }
-
-    fn resume_from_payload(
-        program: &'a TraceProgram,
-        machine: &'a MachineConfig,
-        protocol: ProtocolId,
-        opts: &SimOptions,
-        payload: &[u8],
-    ) -> Result<SimEngine<'a>, CheckpointError> {
-        let mut dec = Decoder::new(payload);
+        let mut dec = Decoder::new(unframe(bytes)?);
         if dec.take_u64()? != program.fingerprint() {
             return Err(CheckpointError::Mismatch { what: "program" });
         }
@@ -437,8 +426,8 @@ impl<'a> SimEngine<'a> {
     /// later identity-bound resume (`every == 0` is clamped to 1).
     ///
     /// `on_frame` receives the step count and the complete checkpoint
-    /// frame; what it does with them (a [`CheckpointStore`], a serving
-    /// tier's disk slot) is the caller's business, and its failures are
+    /// frame; what it does with them (typically a result store's
+    /// checkpoint entry) is the caller's business, and its failures are
     /// the caller's to swallow — this loop never stops simulating because
     /// a snapshot could not be persisted.
     ///
@@ -478,28 +467,10 @@ impl<'a> SimEngine<'a> {
             }
         }
     }
-
-    /// Resume from the newest verifiable checkpoint in `store`, or return
-    /// `Ok(None)` when the store holds no checkpoint (fresh start). A
-    /// torn `current.ckpt` silently falls back to `prev.ckpt`.
-    pub fn try_resume(
-        program: &'a TraceProgram,
-        machine: &'a MachineConfig,
-        protocol: ProtocolId,
-        opts: &SimOptions,
-        store: &CheckpointStore,
-    ) -> Result<Option<SimEngine<'a>>, CheckpointError> {
-        match store.load()? {
-            None => Ok(None),
-            Some(payload) => Ok(Some(SimEngine::resume_from_payload(
-                program, machine, protocol, opts, &payload,
-            )?)),
-        }
-    }
 }
 
 /// Serialize a finished run's [`SimOutcome`] into a framed, checksummed
-/// record (used by the campaign runner's durable result files).
+/// record (the body of every stored result entry).
 pub fn encode_outcome(out: &SimOutcome) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u8(out.protocol.tag());
@@ -582,14 +553,6 @@ mod tests {
         })
     }
 
-    /// A unique scratch directory under the system temp dir, cleaned on
-    /// entry so reruns start fresh.
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("warden-ckpt-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn frame_roundtrip_and_every_prefix_fails() {
         let payload = b"some checkpoint payload".to_vec();
@@ -643,36 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn store_rotates_and_falls_back_to_prev_on_torn_current() {
-        let dir = scratch("store");
-        let store = CheckpointStore::new(&dir).expect("create store");
-        assert!(store.load().expect("empty store loads").is_none());
-
-        store.save(&frame(b"first")).expect("save first");
-        store.save(&frame(b"second")).expect("save second");
-        assert_eq!(store.load().unwrap().unwrap(), b"second");
-
-        // Tear the current slot at every prefix length: recovery must land
-        // on the previous snapshot each time.
-        let full = fs::read(store.current_path()).unwrap();
-        for cut in 0..full.len() {
-            fs::write(store.current_path(), &full[..cut]).unwrap();
-            assert_eq!(
-                store.load().unwrap().unwrap(),
-                b"first",
-                "torn current ({cut} bytes) must fall back to prev"
-            );
-        }
-
-        // Both slots torn: a typed error, never a bogus payload.
-        fs::write(store.prev_path(), b"garbage").unwrap();
-        assert!(store.load().is_err());
-
-        store.clear().expect("clear");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn snapshot_resume_cycle_is_bit_identical() {
         let p = sample_program();
         let m = tiny_machine();
@@ -683,31 +616,61 @@ mod tests {
         };
         let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
 
-        let dir = scratch("resume");
-        let store = CheckpointStore::new(&dir).expect("create store");
-        assert!(
-            SimEngine::try_resume(&p, &m, ProtocolId::Warden, &opts, &store)
-                .expect("empty resume")
-                .is_none()
-        );
-
         let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
         for _ in 0..1_500 {
             if !eng.step() {
                 break;
             }
         }
-        eng.try_snapshot(&store).expect("snapshot");
+        let dir = unique_dir(&std::env::temp_dir(), "warden-ckpt-resume").expect("scratch dir");
+        let path = dir.join("run.ckpt");
+        write_atomic(&path, &eng.snapshot_to_bytes()).expect("snapshot");
         drop(eng); // the interrupted process is gone
 
-        let resumed = SimEngine::try_resume(&p, &m, ProtocolId::Warden, &opts, &store)
-            .expect("resume")
-            .expect("checkpoint present");
+        let bytes = fs::read(&path).expect("read snapshot");
+        let resumed = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &bytes)
+            .expect("resume");
         let out = resumed.run();
         assert_eq!(out.stats, reference.stats);
         assert_eq!(out.memory_image_digest, reference.memory_image_digest);
         assert_eq!(out.energy, reference.energy);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Each of the four key components separates cells; equal inputs give
+    /// equal keys and addresses.
+    #[test]
+    fn run_keys_separate_every_component() {
+        let m = tiny_machine();
+        let opts = SimOptions::default();
+        let base = RunKey::new("bench:primes:Tiny", &m, ProtocolId::Mesi, &opts);
+        assert_eq!(
+            base,
+            RunKey::new("bench:primes:Tiny", &m, ProtocolId::Mesi, &opts)
+        );
+        let checked = SimOptions {
+            check: true,
+            ..SimOptions::default()
+        };
+        for other in [
+            RunKey::new("bench:primes:Paper", &m, ProtocolId::Mesi, &opts),
+            RunKey::new(
+                "bench:primes:Tiny",
+                &m.clone().with_seed(9),
+                ProtocolId::Mesi,
+                &opts,
+            ),
+            RunKey::new("bench:primes:Tiny", &m, ProtocolId::Warden, &opts),
+            RunKey::new("bench:primes:Tiny", &m, ProtocolId::Mesi, &checked),
+        ] {
+            assert_ne!(base, other);
+            assert_ne!(base.address(), other.address());
+        }
+        let mut enc = Encoder::new();
+        base.encode_into(&mut enc);
+        let mut dec = Decoder::new(enc.bytes());
+        assert_eq!(RunKey::decode_from(&mut dec).expect("key decodes"), base);
+        dec.finish().expect("no trailing bytes");
     }
 
     /// Version-4 frames written while the retired engine slot still

@@ -48,7 +48,7 @@ mod report;
 mod stats;
 
 pub use cancel::CancelToken;
-pub use checkpoint::{CheckpointError, CheckpointStore};
+pub use checkpoint::{CheckpointError, RunKey};
 pub use config::MachineConfig;
 pub use energy::{energy_of, EnergyBreakdown, EnergyParams};
 pub use engine::{

@@ -14,7 +14,8 @@ fn quiet(mut cfg: CampaignConfig) -> CampaignConfig {
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("warden-fuzztest-{tag}-{}", std::process::id()))
+    warden::sim::checkpoint::unique_dir(&std::env::temp_dir(), &format!("warden-fuzztest-{tag}"))
+        .expect("scratch dir")
 }
 
 #[test]
@@ -34,7 +35,6 @@ fn clean_generated_workloads_agree_under_every_protocol() {
 #[test]
 fn mutated_protocol_is_caught_shrunk_and_archived() {
     let dir = temp_dir("artifacts");
-    let _ = std::fs::remove_dir_all(&dir);
     let cfg = quiet(CampaignConfig::ephemeral());
     let mut opts = FuzzOptions::new(4, 11);
     opts.mutate = Some((ProtocolId::SelfInv, ProtocolMutation::SkipSelfInvalidate));
@@ -95,7 +95,6 @@ fn atlas_sweep_resumes_after_mid_sweep_kill_byte_identically() {
     // Interrupted sweep: stop the supervisor mid-flight (the same state a
     // SIGKILL leaves on disk — completed runs recorded, the rest queued).
     let dir = temp_dir("atlas-resume");
-    let _ = std::fs::remove_dir_all(&dir);
     let mut killed = quiet(CampaignConfig::new(&dir));
     killed.workers = 1;
     killed.abort_after_runs = Some(23);

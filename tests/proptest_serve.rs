@@ -1,5 +1,5 @@
-//! Property tests of the `warden-serve` wire protocol and the disk tier's
-//! on-disk entry codec: every request and response variant must survive
+//! Property tests of the `warden-serve` wire protocol and the result
+//! store's on-disk entry codec: every request and response variant must survive
 //! encode→decode exactly; every strict prefix of a valid payload must fail
 //! with a typed [`CodecError`] (never panic, never silently decode to
 //! something else); every strict prefix of a complete *frame* must fail
@@ -15,10 +15,10 @@ use warden::obs::{Hist, MetricsRegistry};
 use warden::pbbs::{Bench, Scale};
 use warden::serve::proto::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use warden::serve::{
-    CacheKey, DiskBody, DiskEntry, ErrorKind, FrameEvent, MachinePreset, MachineSpec,
-    OutcomeSummary, Request, Response, ServeError, ServedFrom, SimRequest,
+    DiskBody, DiskEntry, ErrorKind, FrameEvent, MachinePreset, MachineSpec, OutcomeSummary,
+    Request, Response, ServeError, ServedFrom, SimRequest,
 };
-use warden::sim::SimStats;
+use warden::sim::{RunKey, SimStats};
 
 fn bench() -> impl Strategy<Value = Bench> {
     (0usize..Bench::ALL.len()).prop_map(|i| Bench::ALL[i])
@@ -145,27 +145,28 @@ fn served_from() -> impl Strategy<Value = ServedFrom> {
     (0usize..ServedFrom::ALL.len()).prop_map(|i| ServedFrom::ALL[i])
 }
 
-fn cache_key() -> impl Strategy<Value = CacheKey> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>()).prop_map(
-        |(options_fp, trace_fp, machine_fp, protocol)| CacheKey {
-            options_fp,
-            trace_fp,
-            machine_fp,
+fn run_key() -> impl Strategy<Value = RunKey> {
+    let protocol = (0usize..ProtocolId::ALL.len()).prop_map(|i| ProtocolId::ALL[i]);
+    (any::<u64>(), any::<u64>(), protocol, any::<u64>()).prop_map(
+        |(program, machine, protocol, options)| RunKey {
+            program,
+            machine,
             protocol,
+            options,
         },
     )
 }
 
 fn disk_entry() -> impl Strategy<Value = DiskEntry> {
+    let bytes = || proptest::collection::vec(any::<u8>(), 0..96);
     let body = prop_oneof![
-        (summary(), any::<u64>()).prop_map(|(summary, compute_us)| DiskBody::Result {
-            summary: Box::new(summary),
+        (bytes(), any::<u64>()).prop_map(|(outcome, compute_us)| DiskBody::Result {
+            outcome,
             compute_us
         }),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..96))
-            .prop_map(|(steps, frame)| DiskBody::Checkpoint { steps, frame }),
+        (any::<u64>(), bytes()).prop_map(|(steps, frame)| DiskBody::Checkpoint { steps, frame }),
     ];
-    (cache_key(), body).prop_map(|(key, body)| DiskEntry { key, body })
+    (run_key(), body).prop_map(|(key, body)| DiskEntry { key, body })
 }
 
 fn response() -> impl Strategy<Value = Response> {

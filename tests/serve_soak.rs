@@ -16,19 +16,16 @@ use warden::obs::validate_trace;
 use warden::pbbs::{Bench, Scale};
 use warden::serve::proto::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use warden::serve::{
-    outcome_digest, protocol_tag, CacheKey, Client, DiskTier, DiskTierConfig, FrameEvent,
-    MachinePreset, MachineSpec, RealStorage, Request, ResilientClient, Response, RetryPolicy,
-    ServeConfig, ServedFrom, Server, ServerOptions, SimRequest, StorageFaultPlan,
+    outcome_digest, Client, FrameEvent, MachinePreset, MachineSpec, RealStorage, Request,
+    ResilientClient, Response, ResultStore, ResultStoreConfig, RetryPolicy, ServeConfig,
+    ServedFrom, Server, ServerOptions, SimRequest, StorageFaultPlan,
 };
-use warden::sim::checkpoint::options_fingerprint;
-use warden::sim::{simulate_with_options, SimEngine, SimOptions};
+use warden::sim::checkpoint::unique_dir;
+use warden::sim::{simulate_with_options, RunKey, SimEngine, SimOptions};
 
 /// A fresh scratch directory for one durability drill.
 fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("warden-soak-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+    unique_dir(&std::env::temp_dir(), &format!("warden-soak-{name}")).expect("scratch dir")
 }
 
 /// Four benchmarks × both protocols on a small dual-socket machine: the
@@ -555,7 +552,7 @@ fn restart_warm_serves_bit_identically_from_disk_without_resimulating() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        disk: Some(DiskTierConfig::at(&dir)),
+        disk: Some(ResultStoreConfig::at(&dir)),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -577,7 +574,7 @@ fn restart_warm_serves_bit_identically_from_disk_without_resimulating() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        disk: Some(DiskTierConfig::at(&dir)),
+        disk: Some(ResultStoreConfig::at(&dir)),
         ..ServeConfig::default()
     })
     .expect("server restarts on the populated directory");
@@ -633,22 +630,22 @@ fn a_prefix_sharing_request_resumes_from_a_persisted_checkpoint() {
     }
     let steps = eng.steps();
     let frame = eng.snapshot_to_bytes();
-    let key = CacheKey {
-        options_fp: options_fingerprint(&opts),
-        trace_fp: program.fingerprint(),
-        machine_fp: resolved.fingerprint(),
-        protocol: protocol_tag(ProtocolId::Warden),
-    };
+    let key = RunKey::new(
+        &Bench::Tokens.token(Scale::Tiny),
+        &resolved,
+        ProtocolId::Warden,
+        &opts,
+    );
     {
-        let tier =
-            DiskTier::open(DiskTierConfig::at(&dir), Arc::new(RealStorage)).expect("tier opens");
+        let tier = ResultStore::open(ResultStoreConfig::at(&dir), Arc::new(RealStorage))
+            .expect("tier opens");
         tier.put_checkpoint(&key, steps, &frame);
         assert_eq!(tier.stats().checkpoints_written, 1);
     }
 
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(DiskTierConfig::at(&dir)),
+        disk: Some(ResultStoreConfig::at(&dir)),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -685,7 +682,7 @@ fn a_full_disk_degrades_to_memory_serving_and_never_fails_a_request() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        disk: Some(DiskTierConfig::at(&dir)),
+        disk: Some(ResultStoreConfig::at(&dir)),
         storage_faults: Some(StorageFaultPlan {
             torn_write_prob: 0.0,
             enospc_prob: 1.0,
@@ -725,7 +722,7 @@ fn corrupt_disk_entries_are_quarantined_and_recomputed_never_served() {
     // Populate one result entry.
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(DiskTierConfig::at(&dir)),
+        disk: Some(ResultStoreConfig::at(&dir)),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -742,7 +739,7 @@ fn corrupt_disk_entries_are_quarantined_and_recomputed_never_served() {
     let mut flipped = 0usize;
     for entry in std::fs::read_dir(&dir).expect("read dir") {
         let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "ent") {
+        if path.extension().is_some_and(|e| e == "rec") {
             let mut bytes = std::fs::read(&path).expect("entry bytes");
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0xFF;
@@ -759,7 +756,7 @@ fn corrupt_disk_entries_are_quarantined_and_recomputed_never_served() {
     // it), and the request is recomputed from scratch — still correct.
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(DiskTierConfig::at(&dir)),
+        disk: Some(ResultStoreConfig::at(&dir)),
         ..ServeConfig::default()
     })
     .expect("fsck never refuses to start over damage");
