@@ -225,7 +225,7 @@ chaos() {
   echo "   -- Unix-socket upstream --"
   target/release/loadgen --spawn --chaos --chaos-seed 7 \
     --uds "$dir/warden.sock" --scale tiny --clients 8 --iters 6 --quiet \
-    --request-deadline-ms 30000 --cache-budget 65536 \
+    --request-deadline-ms 30000 --cache-budget 4096 \
     --out chaos_metrics_ci.json --obs "$dir"
   target/release/obs_lint "$dir/loadgen.trace.json"
   test -s chaos_metrics_ci.json
@@ -239,11 +239,17 @@ chaos() {
     echo "FAILED: chaos run reports no cache hits" >&2
     exit 1
   fi
+  # The budget sits below the 5,480 B working set, so the cache must evict;
+  # otherwise the "peak within budget" audit above checks nothing.
+  if ! grep -qE '"cache_evictions": [1-9]' chaos_metrics_ci.json; then
+    echo "FAILED: chaos run never evicted under its cache budget" >&2
+    exit 1
+  fi
 
   echo "   -- TCP upstream --"
   target/release/loadgen --spawn --chaos --chaos-seed 11 \
     --scale tiny --clients 8 --iters 6 --quiet \
-    --request-deadline-ms 30000 --cache-budget 65536
+    --request-deadline-ms 30000 --cache-budget 4096
   echo "   wrote chaos_metrics_ci.json and validated $dir/loadgen.trace.json"
 }
 

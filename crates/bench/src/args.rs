@@ -24,15 +24,12 @@
 //! | `--uds <path>`         | `serve`/`loadgen`: Unix-socket path to bind/connect |
 //! | `--clients <n>`        | `loadgen`: concurrent client connections |
 //! | `--iters <n>`          | `loadgen`: requests per client |
-//! | `--queue-cap <n>`      | `serve`/`loadgen --spawn`: bounded queue capacity |
 //! | `--spawn`              | `loadgen`: start an in-process server to drive |
 //! | `--chaos`              | `loadgen`: drive through the fault-injecting proxy |
 //! | `--chaos-seed <seed>`  | `loadgen`: seed for the chaos fault stream |
 //! | `--request-deadline-ms <ms>` | `serve`/`loadgen --spawn`: per-request deadline |
 //! | `--cache-budget <bytes>` | `serve`/`loadgen --spawn`: result-cache byte budget |
 //! | `--disk-cache <dir>`   | `serve`/`loadgen --spawn`: crash-safe disk tier directory |
-//! | `--disk-budget <bytes>` | byte budget for the disk tier |
-//! | `--checkpoint-every <steps>` | steps between prefix-checkpoint frames (0 = off) |
 //! | `--storage-chaos`      | inject seeded storage faults into the disk tier |
 //! | `--storage-chaos-seed <seed>` | seed for the storage-fault stream |
 //! | `--fuzz-workloads <n>` | `fuzzgen`: generated workloads per gate run |
@@ -53,7 +50,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use warden_coherence::{ProtocolId, ProtocolMutation};
 use warden_rt::workload::SharingPattern;
-use warden_serve::{ResultStoreConfig, StorageFaultPlan};
+use warden_serve::StorageFaultPlan;
 
 /// Every flag the harness binaries understand, with value placeholders —
 /// printed by the unknown-flag error.
@@ -67,10 +64,8 @@ pub const VALID_FLAGS: &[&str] = &[
     "--chaos",
     "--chaos-seed <seed>",
     "--check",
-    "--checkpoint-every <steps>",
     "--clients <n>",
     "--deadline-ms <ms>",
-    "--disk-budget <bytes>",
     "--disk-cache <dir>",
     "--faults <seed>",
     "--fuzz-seed <seed>",
@@ -83,7 +78,6 @@ pub const VALID_FLAGS: &[&str] = &[
     "--out <path>",
     "--patterns <names|all>",
     "--protocols <names|all>",
-    "--queue-cap <n>",
     "--quiet",
     "--replay <token>",
     "--request-deadline-ms <ms>",
@@ -136,8 +130,6 @@ pub struct HarnessArgs {
     pub clients: Option<usize>,
     /// `--iters <n>`: requests each load-generator client sends.
     pub iters: Option<usize>,
-    /// `--queue-cap <n>`: bounded request-queue capacity for the server.
-    pub queue_cap: Option<usize>,
     /// `--spawn`: `loadgen` starts an in-process server to drive.
     pub spawn: bool,
     /// `--chaos`: `loadgen` interposes the fault-injecting proxy and
@@ -154,11 +146,6 @@ pub struct HarnessArgs {
     pub cache_budget: Option<u64>,
     /// `--disk-cache <dir>`: enable the crash-safe disk tier rooted here.
     pub disk_cache: Option<PathBuf>,
-    /// `--disk-budget <bytes>`: byte budget for the disk tier.
-    pub disk_budget: Option<u64>,
-    /// `--checkpoint-every <steps>`: scheduler steps between periodic
-    /// prefix-checkpoint frames (0 disables periodic frames).
-    pub checkpoint_every: Option<u64>,
     /// `--storage-chaos`: inject the seeded storage-fault plan into the
     /// disk tier (requires `--disk-cache`).
     pub storage_chaos: bool,
@@ -332,13 +319,6 @@ impl HarnessArgs {
                     }
                     out.iters = Some(n);
                 }
-                "--queue-cap" => {
-                    let n: usize = number(&mut it, "--queue-cap", "<n>")?;
-                    if n == 0 {
-                        return Err(HarnessError::Args("--queue-cap must be at least 1".into()));
-                    }
-                    out.queue_cap = Some(n);
-                }
                 "--spawn" => out.spawn = true,
                 "--chaos" => out.chaos = true,
                 "--chaos-seed" => out.chaos_seed = Some(number(&mut it, "--chaos-seed", "<seed>")?),
@@ -362,18 +342,6 @@ impl HarnessArgs {
                 }
                 "--disk-cache" => {
                     out.disk_cache = Some(PathBuf::from(value(&mut it, "--disk-cache", "<dir>")?))
-                }
-                "--disk-budget" => {
-                    let bytes: u64 = number(&mut it, "--disk-budget", "<bytes>")?;
-                    if bytes == 0 {
-                        return Err(HarnessError::Args(
-                            "--disk-budget must be at least 1 byte".into(),
-                        ));
-                    }
-                    out.disk_budget = Some(bytes);
-                }
-                "--checkpoint-every" => {
-                    out.checkpoint_every = Some(number(&mut it, "--checkpoint-every", "<steps>")?)
                 }
                 "--storage-chaos" => out.storage_chaos = true,
                 "--storage-chaos-seed" => {
@@ -419,17 +387,13 @@ impl HarnessArgs {
         self.run.sim_options()
     }
 
-    /// The disk-tier configuration (and, under `--storage-chaos`, the
-    /// seeded storage-fault plan) these flags select. The disk-dependent
-    /// flags are rejected without `--disk-cache` — a silently ignored
-    /// durability flag would be worse than an error.
-    pub fn disk_config(
-        &self,
-    ) -> Result<(Option<ResultStoreConfig>, Option<StorageFaultPlan>), HarnessError> {
+    /// The disk-tier directory (and, under `--storage-chaos`, the seeded
+    /// storage-fault plan) these flags select. The disk-dependent flags
+    /// are rejected without `--disk-cache` — a silently ignored durability
+    /// flag would be worse than an error.
+    pub fn disk_config(&self) -> Result<(Option<PathBuf>, Option<StorageFaultPlan>), HarnessError> {
         let Some(dir) = &self.disk_cache else {
             for (set, flag) in [
-                (self.disk_budget.is_some(), "--disk-budget"),
-                (self.checkpoint_every.is_some(), "--checkpoint-every"),
                 (self.storage_chaos, "--storage-chaos"),
                 (self.storage_chaos_seed.is_some(), "--storage-chaos-seed"),
             ] {
@@ -441,13 +405,6 @@ impl HarnessArgs {
             }
             return Ok((None, None));
         };
-        let mut cfg = ResultStoreConfig::at(dir.clone());
-        if let Some(bytes) = self.disk_budget {
-            cfg.budget_bytes = bytes;
-        }
-        if let Some(steps) = self.checkpoint_every {
-            cfg.checkpoint_every = steps;
-        }
         let faults = if self.storage_chaos {
             Some(match self.storage_chaos_seed {
                 Some(seed) => StorageFaultPlan::seeded(seed),
@@ -461,7 +418,7 @@ impl HarnessArgs {
             }
             None
         };
-        Ok((Some(cfg), faults))
+        Ok((Some(dir.clone()), faults))
     }
 
     /// The campaign configuration these flags select: durable under
@@ -528,8 +485,6 @@ mod tests {
             "8",
             "--iters",
             "4",
-            "--queue-cap",
-            "2",
             "--spawn",
             "--chaos",
             "--chaos-seed",
@@ -540,10 +495,6 @@ mod tests {
             "65536",
             "--disk-cache",
             "tier",
-            "--disk-budget",
-            "1048576",
-            "--checkpoint-every",
-            "50000",
             "--storage-chaos",
             "--storage-chaos-seed",
             "13",
@@ -581,18 +532,13 @@ mod tests {
         assert!(a.quiet);
         assert_eq!(a.addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(a.uds.as_deref(), Some(std::path::Path::new("sock")));
-        assert_eq!(
-            (a.clients, a.iters, a.queue_cap),
-            (Some(8), Some(4), Some(2))
-        );
+        assert_eq!((a.clients, a.iters), (Some(8), Some(4)));
         assert!(a.spawn);
         assert!(a.chaos);
         assert_eq!(a.chaos_seed, Some(42));
         assert_eq!(a.request_deadline_ms, Some(1500));
         assert_eq!(a.cache_budget, Some(65536));
         assert_eq!(a.disk_cache.as_deref(), Some(std::path::Path::new("tier")));
-        assert_eq!(a.disk_budget, Some(1_048_576));
-        assert_eq!(a.checkpoint_every, Some(50_000));
         assert!(a.storage_chaos);
         assert_eq!(a.storage_chaos_seed, Some(13));
         assert_eq!((a.fuzz_workloads, a.fuzz_seed), (Some(5), Some(2023)));
@@ -627,6 +573,12 @@ mod tests {
         for flag in VALID_FLAGS {
             assert!(msg.contains(flag), "{msg} should list {flag}");
         }
+        // Serve-stack knobs that no script set are gone, not ignored.
+        for gone in ["--queue-cap", "--disk-budget", "--checkpoint-every"] {
+            let msg = parse(&[gone, "1"]).unwrap_err().to_string();
+            assert!(msg.contains("unrecognized flag"), "{gone}: {msg}");
+            assert!(!VALID_FLAGS.iter().any(|f| f.starts_with(gone)), "{gone}");
+        }
     }
 
     #[test]
@@ -639,14 +591,20 @@ mod tests {
         assert!(parse(&["--retries", "-1"]).is_err());
         assert!(parse(&["--clients", "0"]).is_err());
         assert!(parse(&["--iters", "0"]).is_err());
-        assert!(parse(&["--queue-cap", "0"]).is_err());
         assert!(parse(&["--addr"]).is_err());
         assert!(parse(&["--chaos-seed", "many"]).is_err());
         assert!(parse(&["--request-deadline-ms", "0"]).is_err());
         assert!(parse(&["--cache-budget", "0"]).is_err());
+        // Retired serve-stack flags fail as unknown flags, whatever the value.
+        for gone in [
+            ["--queue-cap", "0"],
+            ["--disk-budget", "0"],
+            ["--checkpoint-every", "soon"],
+        ] {
+            let msg = parse(&gone).unwrap_err().to_string();
+            assert!(msg.contains("unrecognized flag"), "{gone:?}: {msg}");
+        }
         assert!(parse(&["--disk-cache"]).is_err());
-        assert!(parse(&["--disk-budget", "0"]).is_err());
-        assert!(parse(&["--checkpoint-every", "soon"]).is_err());
         assert!(parse(&["--storage-chaos-seed", "many"]).is_err());
         assert!(parse(&["--fuzz-workloads", "0"]).is_err());
         assert!(parse(&["--fuzz-seed", "lots"]).is_err());
@@ -671,13 +629,9 @@ mod tests {
         let (cfg, faults) = parse(&[]).unwrap().disk_config().unwrap();
         assert!(cfg.is_none() && faults.is_none());
 
-        let (cfg, faults) = parse(&[
+        let (dir, faults) = parse(&[
             "--disk-cache",
             "tier",
-            "--disk-budget",
-            "4096",
-            "--checkpoint-every",
-            "100",
             "--storage-chaos",
             "--storage-chaos-seed",
             "7",
@@ -685,16 +639,11 @@ mod tests {
         .unwrap()
         .disk_config()
         .unwrap();
-        let cfg = cfg.unwrap();
-        assert_eq!(cfg.dir, std::path::Path::new("tier"));
-        assert_eq!(cfg.budget_bytes, 4096);
-        assert_eq!(cfg.checkpoint_every, 100);
+        assert_eq!(dir.as_deref(), Some(std::path::Path::new("tier")));
         assert_eq!(faults.unwrap(), StorageFaultPlan::seeded(7));
 
         // Disk-dependent flags without the tier are errors, not no-ops.
         for orphan in [
-            vec!["--disk-budget", "4096"],
-            vec!["--checkpoint-every", "100"],
             vec!["--storage-chaos"],
             vec!["--storage-chaos-seed", "7"],
             vec!["--disk-cache", "tier", "--storage-chaos-seed", "7"],

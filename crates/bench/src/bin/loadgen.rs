@@ -19,7 +19,6 @@
 //! | `--uds <path>`       | connect over (or bind) a Unix socket instead |
 //! | `--clients <n>`      | concurrent connections (default 8) |
 //! | `--iters <n>`        | requests per client (default 6) |
-//! | `--queue-cap <n>`    | `--spawn`: bounded queue capacity |
 //! | `--jobs <n>`         | `--spawn`: server workers; always: oracle workers |
 //! | `--scale tiny|paper` | input scale for the plan |
 //! | `--check`            | run the invariant checker inside each simulation |
@@ -30,8 +29,6 @@
 //! | `--request-deadline-ms <ms>` | `--spawn`: per-request deadline on the server |
 //! | `--cache-budget <bytes>`     | `--spawn`: result-cache byte budget |
 //! | `--disk-cache <dir>` | `--spawn`: crash-safe disk tier directory |
-//! | `--disk-budget <bytes>`      | `--spawn`: disk-tier byte budget |
-//! | `--checkpoint-every <steps>` | `--spawn`: steps between prefix-checkpoint frames |
 //! | `--storage-chaos`    | `--spawn`: inject seeded storage faults into the disk tier |
 //! | `--storage-chaos-seed <seed>` | seed for the storage-fault stream |
 //!
@@ -50,9 +47,7 @@ use warden_bench::runner::SuiteScale;
 use warden_bench::{harness_main, HarnessArgs, HarnessError};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
-use warden_serve::{
-    MachinePreset, MachineSpec, RetryPolicy, ServeConfig, Server, ServerOptions, SimRequest,
-};
+use warden_serve::{MachinePreset, MachineSpec, RetryPolicy, ServeConfig, Server, SimRequest};
 
 fn main() {
     harness_main(run);
@@ -128,18 +123,6 @@ fn run() -> Result<(), HarnessError> {
         ));
     }
     let (server, target) = if args.spawn {
-        let mut opts = ServerOptions::default();
-        if let Some(ms) = args.request_deadline_ms {
-            opts.request_deadline = Some(Duration::from_millis(ms));
-        }
-        if let Some(bytes) = args.cache_budget {
-            opts.cache_budget_bytes = bytes;
-        }
-        if args.chaos {
-            // Tighten the stall bound so the proxy's slow-loris hold
-            // (750 ms) trips it well inside the run.
-            opts.frame_stall = Duration::from_millis(250);
-        }
         let cfg = ServeConfig {
             tcp: match (&args.addr, &args.uds) {
                 (Some(addr), _) => Some(addr.clone()),
@@ -148,11 +131,11 @@ fn run() -> Result<(), HarnessError> {
             },
             uds: args.uds.clone(),
             workers: args.jobs.unwrap_or(2),
-            queue_cap: args.queue_cap.unwrap_or(16),
             record_trace: args.obs.is_some(),
-            opts,
             disk,
             storage_faults,
+            request_deadline: args.request_deadline_ms.map(Duration::from_millis),
+            cache_budget_bytes: args.cache_budget.unwrap_or(u64::MAX),
             ..ServeConfig::default()
         };
         let server = Server::start(cfg).map_err(|e| HarnessError::Failed(e.to_string()))?;
@@ -177,6 +160,8 @@ fn run() -> Result<(), HarnessError> {
             seed: args
                 .chaos_seed
                 .unwrap_or_else(|| ChaosConfig::default().seed),
+            // Longer than the server's 250 ms mid-frame stall bound, so
+            // every slow-loris hold trips it well inside the run.
             loris_hold: Duration::from_millis(750),
             ..ChaosConfig::default()
         };
@@ -314,7 +299,11 @@ fn run() -> Result<(), HarnessError> {
                     "cache residency peaked at {peak} bytes, over the {budget}-byte budget"
                 )));
             }
-            println!("loadgen: cache peak {peak} B stayed within the {budget} B budget");
+            println!(
+                "loadgen: cache peak {peak} B stayed within the {budget} B budget \
+                 ({} eviction(s))",
+                counter("cache_evictions")
+            );
         }
     }
 

@@ -17,12 +17,9 @@
 //! | `--addr <host:port>` | TCP bind address (default `127.0.0.1:7878`) |
 //! | `--uds <path>`       | also (or only) bind a Unix socket |
 //! | `--jobs <n>`         | worker threads (default 2) |
-//! | `--queue-cap <n>`    | bounded queue capacity (default 16) |
 //! | `--request-deadline-ms <ms>` | per-request deadline (queue wait + simulation) |
 //! | `--cache-budget <bytes>`     | result-cache byte budget |
 //! | `--disk-cache <dir>` | crash-safe disk tier: results + prefix checkpoints |
-//! | `--disk-budget <bytes>`      | disk-tier byte budget |
-//! | `--checkpoint-every <steps>` | steps between prefix-checkpoint frames |
 //! | `--storage-chaos`    | inject seeded storage faults (drills only) |
 //! | `--storage-chaos-seed <seed>` | seed for the storage-fault stream |
 //! | `--obs <dir>`        | record a request timeline; write `serve.trace.json` there |
@@ -32,7 +29,7 @@ use std::io::BufRead;
 use std::time::Duration;
 use warden_bench::loadgen::{metrics_json, LoadReport};
 use warden_bench::{harness_main, HarnessArgs, HarnessError};
-use warden_serve::{drain_requested, install_sigterm_drain, ServeConfig, Server, ServerOptions};
+use warden_serve::{drain_requested, install_sigterm_drain, ServeConfig, Server};
 
 fn main() {
     harness_main(run);
@@ -46,13 +43,6 @@ fn run() -> Result<(), HarnessError> {
             args.positional
         )));
     }
-    let mut opts = ServerOptions::default();
-    if let Some(ms) = args.request_deadline_ms {
-        opts.request_deadline = Some(Duration::from_millis(ms));
-    }
-    if let Some(bytes) = args.cache_budget {
-        opts.cache_budget_bytes = bytes;
-    }
     let (disk, storage_faults) = args.disk_config()?;
     let cfg = ServeConfig {
         tcp: match (&args.addr, &args.uds) {
@@ -62,17 +52,17 @@ fn run() -> Result<(), HarnessError> {
         },
         uds: args.uds.clone(),
         workers: args.jobs.unwrap_or(2),
-        queue_cap: args.queue_cap.unwrap_or(16),
         record_trace: args.obs.is_some(),
-        opts,
         disk,
         storage_faults,
+        request_deadline: args.request_deadline_ms.map(Duration::from_millis),
+        cache_budget_bytes: args.cache_budget.unwrap_or(u64::MAX),
         ..ServeConfig::default()
     };
     let workers = cfg.workers;
     let queue_cap = cfg.queue_cap;
     let chaos = cfg.storage_faults.is_some();
-    let disk_dir = cfg.disk.as_ref().map(|d| d.dir.clone());
+    let disk_dir = cfg.disk.clone();
     let server = Server::start(cfg).map_err(|e| HarnessError::Failed(e.to_string()))?;
     if let Some(addr) = server.tcp_addr() {
         println!("serve: listening on {addr} ({workers} workers, queue {queue_cap})");

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
-use warden_serve::{result_file_name, RealStorage, ResultStore, ResultStoreConfig};
+use warden_serve::{result_file_name, RealStorage, ResultStore};
 use warden_sim::checkpoint;
 use warden_sim::{
     CancelToken, Comparison, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome,
@@ -322,7 +322,7 @@ impl Shared<'_> {
 }
 
 /// Simulate one spec to completion, handing a checkpoint frame to the
-/// store at its checkpoint cadence and once more if `opts.cancel` trips. Resumes
+/// store every `checkpoint_every` steps and once more if `opts.cancel` trips. Resumes
 /// from the spec's checkpoint entry when one verifies; a frame the engine
 /// refuses (identity mismatch) is quarantined and the run starts fresh —
 /// the safe choice, since the engine replays deterministically.
@@ -330,6 +330,7 @@ fn execute(
     spec: &RunSpec,
     key: &RunKey,
     store: &ResultStore,
+    checkpoint_every: u64,
     opts: &SimOptions,
     quiet: bool,
 ) -> Result<SimOutcome, SimError> {
@@ -356,7 +357,7 @@ fn execute(
             }
         }
     };
-    eng.run_with_cancel_frames(store.checkpoint_every(), |steps, frame| {
+    eng.run_with_cancel_frames(checkpoint_every, |steps, frame| {
         store.put_checkpoint(key, steps, frame)
     })
 }
@@ -390,7 +391,14 @@ fn run_one(sh: &Shared<'_>, i: usize) -> Result<(SimOutcome, u32), RunFailure> {
             if chaos {
                 panic!("chaos monkey: injected panic (test hook)");
             }
-            execute(spec, key, &sh.store, &opts, sh.cfg.quiet)
+            execute(
+                spec,
+                key,
+                &sh.store,
+                sh.cfg.checkpoint_every_steps,
+                &opts,
+                sh.cfg.quiet,
+            )
         }));
         sh.watch.lock().expect("watch lock").retain(|e| e.run != i);
         let reason = match result {
@@ -508,20 +516,11 @@ pub fn run_campaign(
             }
         }
     }
-    // The campaign's records are its only results: the store must never
-    // evict them, whatever its default budget.
-    let store = ResultStore::open(
-        ResultStoreConfig {
-            budget_bytes: u64::MAX,
-            checkpoint_every: cfg.checkpoint_every_steps,
-            ..ResultStoreConfig::at(&cfg.dir)
-        },
-        Arc::new(RealStorage),
-    )
-    .map_err(|msg| HarnessError::Io {
-        path: cfg.dir.clone(),
-        source: std::io::Error::other(msg),
-    })?;
+    let store =
+        ResultStore::open(&cfg.dir, Arc::new(RealStorage)).map_err(|msg| HarnessError::Io {
+            path: cfg.dir.clone(),
+            source: std::io::Error::other(msg),
+        })?;
 
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(specs.len());
     let mut manifest = BTreeMap::new();
@@ -825,7 +824,7 @@ mod tests {
         );
         let other = run_campaign(&[spec("c", ProtocolId::Warden)], &cfg).expect("other cell");
         assert!(!other[0].reused, "another protocol is another cell");
-        let store = ResultStore::open(ResultStoreConfig::at(&cfg.dir), Arc::new(RealStorage))
+        let store = ResultStore::open(&cfg.dir, Arc::new(RealStorage))
             .expect("the campaign directory is a result store");
         let key = spec("a", ProtocolId::Mesi).key();
         assert!(cfg.dir.join(result_file_name(&key)).is_file());

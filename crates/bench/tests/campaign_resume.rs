@@ -14,7 +14,7 @@ use warden_pbbs::{Bench, Scale};
 use warden_rt::{trace_program, RtOptions, TraceProgram};
 use warden_serve::{
     outcome_digest, Client, DiskBody, DiskEntry, MachinePreset, MachineSpec, Request, Response,
-    ResultStoreConfig, ServeConfig, ServedFrom, Server, SimRequest,
+    ServeConfig, ServedFrom, Server, SimRequest,
 };
 use warden_sim::checkpoint::unique_dir;
 use warden_sim::{simulate_with_options, MachineConfig, SimOptions};
@@ -279,7 +279,7 @@ fn a_daemon_on_a_finished_campaign_directory_serves_its_cells_from_disk() {
 
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .expect("server starts on the campaign directory");

@@ -1,5 +1,5 @@
-//! A sharded, content-addressed result cache with single-flight semantics
-//! and a cost-aware byte budget.
+//! A content-addressed result cache with single-flight semantics and a
+//! cost-aware byte budget.
 //!
 //! The cache maps a key to a value computed exactly once: the first thread
 //! to ask for a missing key becomes the **leader** and runs the compute
@@ -8,10 +8,9 @@
 //! publishes the value. N identical requests therefore cost one
 //! simulation — the batching mechanism behind `warden-serve`.
 //!
-//! Keys are spread over independently locked shards so unrelated requests
-//! never contend; the per-key flight state lives outside the shard lock, so
-//! a shard is only held for map lookups and residency accounting, never for
-//! the seconds a simulation takes.
+//! One mutex guards one map. The per-key flight state lives outside that
+//! lock, so the map is only held for lookups and residency accounting,
+//! never for the seconds a simulation takes.
 //!
 //! This is the *memory* tier: a miss here does not necessarily mean a full
 //! simulation. When a [`crate::ResultStore`] is configured, the leader's
@@ -36,20 +35,19 @@
 //!
 //! # Byte budget and eviction
 //!
-//! A [`SingleFlight::bounded`] cache carries a total byte budget, split
-//! evenly across shards so every eviction decision is lock-local and
-//! deterministic. Each published value is weighed by a caller-supplied
-//! weigher; when a shard exceeds its slice of the budget it evicts
-//! completed entries in ascending **cost weight** — measured compute time
-//! (µs) × resident size (bytes), oldest first on ties — so the entries
-//! that are cheapest to recompute are sacrificed first. In-flight
-//! (pending) entries are never evicted: a leader's slot cannot be pulled
-//! out from under its waiters. A value larger than a whole shard's budget
-//! is served to its callers but never retained.
+//! A [`SingleFlight::bounded`] cache carries one byte budget for the whole
+//! map. Each published value is weighed by a caller-supplied weigher; when
+//! the cache would exceed its budget it evicts completed entries in
+//! ascending **cost weight** — measured compute time (µs) × resident size
+//! (bytes), oldest first on ties — so the entries that are cheapest to
+//! recompute are sacrificed first. A working set that fits the budget is
+//! never evicted. In-flight (pending) entries are never evicted: a
+//! leader's slot cannot be pulled out from under its waiters. A value
+//! larger than the whole budget is served to its callers but never
+//! retained.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,7 +100,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Total bytes released by evictions.
     pub evicted_bytes: u64,
-    /// Bytes currently retained across all shards.
+    /// Bytes currently retained.
     pub resident_bytes: u64,
     /// High-water mark of [`CacheStats::resident_bytes`].
     pub resident_peak: u64,
@@ -122,7 +120,7 @@ struct Flight<V> {
 
 struct Entry<V> {
     flight: Arc<Flight<V>>,
-    /// Whether this entry's bytes are counted in the shard's residency
+    /// Whether this entry's bytes are counted in the cache's residency
     /// (set when the leader publishes; pending entries are never retained
     /// and never evicted).
     retained: bool,
@@ -133,21 +131,19 @@ struct Entry<V> {
     seq: u64,
 }
 
-struct ShardMap<K, V> {
-    map: HashMap<K, Entry<V>>,
-    resident: u64,
+struct Map<K, V> {
+    entries: HashMap<K, Entry<V>>,
     seq: u64,
 }
 
-type Shard<K, V> = Mutex<ShardMap<K, V>>;
 type Weigher<V> = Box<dyn Fn(&V) -> u64 + Send + Sync>;
 
-/// The sharded single-flight cache. `V` is cloned out on every hit, so
-/// callers wrap heavyweight values in an `Arc`.
+/// The single-flight cache. `V` is cloned out on every hit, so callers
+/// wrap heavyweight values in an `Arc`.
 pub struct SingleFlight<K, V> {
-    shards: Box<[Shard<K, V>]>,
-    /// Per-shard slice of the byte budget (`u64::MAX` when unbounded).
-    shard_budget: u64,
+    map: Mutex<Map<K, V>>,
+    /// Byte budget for the whole map (`u64::MAX` when unbounded).
+    budget: u64,
     weigher: Weigher<V>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -156,43 +152,30 @@ pub struct SingleFlight<K, V> {
     cancelled: AtomicU64,
     evictions: AtomicU64,
     evicted_bytes: AtomicU64,
+    /// Retained bytes. Only changed under the map lock, so it is exact
+    /// whenever that lock is held.
     resident: AtomicGauge,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
-    /// An unbounded cache with `shards` independently locked shards (at
-    /// least one). Values are weighed by their shallow size, so residency
-    /// is still reported, but nothing is ever evicted.
-    pub fn new(shards: usize) -> SingleFlight<K, V> {
-        SingleFlight::bounded(shards, u64::MAX, |_| std::mem::size_of::<V>() as u64)
+    /// An unbounded cache. Values are weighed by their shallow size, so
+    /// residency is still reported, but nothing is ever evicted.
+    pub fn new() -> SingleFlight<K, V> {
+        SingleFlight::bounded(u64::MAX, |_| std::mem::size_of::<V>() as u64)
     }
 
-    /// A bounded cache: `budget_bytes` total, split evenly across `shards`
-    /// (each shard evicts locally against its own slice, so decisions are
-    /// deterministic and never take more than one lock). `weigher` reports
-    /// each value's resident size in bytes.
+    /// A bounded cache holding at most `budget_bytes` of retained values.
+    /// `weigher` reports each value's resident size in bytes.
     pub fn bounded(
-        shards: usize,
         budget_bytes: u64,
         weigher: impl Fn(&V) -> u64 + Send + Sync + 'static,
     ) -> SingleFlight<K, V> {
-        let shards = shards.max(1);
-        let shard_budget = if budget_bytes == u64::MAX {
-            u64::MAX
-        } else {
-            budget_bytes / shards as u64
-        };
         SingleFlight {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ShardMap {
-                        map: HashMap::new(),
-                        resident: 0,
-                        seq: 0,
-                    })
-                })
-                .collect(),
-            shard_budget,
+            map: Mutex::new(Map {
+                entries: HashMap::new(),
+                seq: 0,
+            }),
+            budget: budget_bytes,
             weigher: Box::new(weigher),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -205,27 +188,22 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
         }
     }
 
-    fn shard_of(&self, key: &K) -> &Shard<K, V> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+    fn lock(&self) -> std::sync::MutexGuard<'_, Map<K, V>> {
+        self.map.lock().expect("cache map lock")
     }
 
-    /// Entries across all shards (in-flight computations count — they own
-    /// a map slot from the moment a leader claims them).
+    /// Entries in the map (in-flight computations count — they own a slot
+    /// from the moment a leader claims them).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").map.len())
-            .sum()
+        self.lock().entries.len()
     }
 
-    /// Whether no entry exists in any shard.
+    /// Whether the map holds no entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Bytes currently retained across all shards.
+    /// Bytes currently retained.
     pub fn resident_bytes(&self) -> u64 {
         self.resident.value()
     }
@@ -233,11 +211,6 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     /// High-water mark of resident bytes over the cache's lifetime.
     pub fn resident_peak(&self) -> u64 {
         self.resident.peak()
-    }
-
-    /// The per-shard slice of the byte budget (`u64::MAX` if unbounded).
-    pub fn shard_budget(&self) -> u64 {
-        self.shard_budget
     }
 
     /// A snapshot of the counters and residency gauges.
@@ -290,15 +263,15 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
         let mut f = Some(f);
         loop {
             let (flight, leader) = {
-                let mut shard = self.shard_of(&key).lock().expect("cache shard lock");
-                match shard.map.get(&key) {
+                let mut map = self.lock();
+                match map.entries.get(&key) {
                     Some(entry) => (Arc::clone(&entry.flight), false),
                     None => {
                         let flight = Arc::new(Flight {
                             state: Mutex::new(FlightState::Pending),
                             cv: Condvar::new(),
                         });
-                        shard.map.insert(
+                        map.entries.insert(
                             key.clone(),
                             Entry {
                                 flight: Arc::clone(&flight),
@@ -318,8 +291,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
                 return self.lead(&key, &flight, f);
             }
 
-            // Waiter: block on the flight, outside every shard lock. The
-            // guard is dropped before the outer loop re-locks the shard.
+            // Waiter: block on the flight, outside the map lock. The guard
+            // is dropped before the outer loop re-locks the map.
             let mut state = flight.state.lock().expect("flight lock");
             let mut waited = false;
             loop {
@@ -399,64 +372,68 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     /// terminal state is published, so nobody can coalesce onto a flight
     /// that will never succeed.
     fn vacate(&self, key: &K, flight: &Arc<Flight<V>>) {
-        let mut shard = self.shard_of(key).lock().expect("cache shard lock");
-        if shard
-            .map
+        let mut map = self.lock();
+        if map
+            .entries
             .get(key)
             .is_some_and(|e| Arc::ptr_eq(&e.flight, flight))
         {
-            shard.map.remove(key);
+            map.entries.remove(key);
         }
     }
 
-    /// Account a freshly published value against the shard's budget slice
-    /// and evict the cheapest completed entries until it fits. A value
-    /// that alone exceeds the slice is served but never retained.
+    /// Account a freshly published value against the budget and evict the
+    /// cheapest completed entries until it fits. A value that alone
+    /// exceeds the budget is served but never retained.
     fn retain(&self, key: &K, flight: &Arc<Flight<V>>, v: &V, compute_us: u64) {
         let bytes = (self.weigher)(v);
         let weight = u128::from(compute_us.max(1)) * u128::from(bytes.max(1));
-        let mut shard = self.shard_of(key).lock().expect("cache shard lock");
-        if !shard
-            .map
+        let mut map = self.lock();
+        if !map
+            .entries
             .get(key)
             .is_some_and(|e| Arc::ptr_eq(&e.flight, flight))
         {
             return; // Slot reassigned (cannot happen today, but stay safe).
         }
-        if bytes > self.shard_budget {
-            shard.map.remove(key);
+        if bytes > self.budget {
+            map.entries.remove(key);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
             return;
         }
         // Make room *before* accounting the new entry, so the resident
         // gauge — and therefore its peak — never exceeds the budget, even
-        // transiently. `bytes <= shard_budget` here, so evicting retained
-        // entries (resident reaches 0 in the limit) always makes it fit.
-        while shard.resident.saturating_add(bytes) > self.shard_budget {
-            let victim = shard
-                .map
+        // transiently. `bytes <= budget` here, so evicting retained entries
+        // (resident reaches 0 in the limit) always makes it fit.
+        while self.resident.value().saturating_add(bytes) > self.budget {
+            let victim = map
+                .entries
                 .iter()
                 .filter(|(_, e)| e.retained)
                 .min_by_key(|(_, e)| (e.weight, e.seq))
                 .map(|(k, _)| k.clone())
                 .expect("resident > 0 implies a retained entry");
-            let evicted = shard.map.remove(&victim).expect("victim present");
-            shard.resident -= evicted.bytes;
+            let evicted = map.entries.remove(&victim).expect("victim present");
             self.resident.sub(evicted.bytes);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             self.evicted_bytes
                 .fetch_add(evicted.bytes, Ordering::Relaxed);
         }
-        let seq = shard.seq;
-        shard.seq += 1;
-        let entry = shard.map.get_mut(key).expect("slot verified above");
+        let seq = map.seq;
+        map.seq += 1;
+        let entry = map.entries.get_mut(key).expect("slot verified above");
         entry.retained = true;
         entry.bytes = bytes;
         entry.weight = weight;
         entry.seq = seq;
-        shard.resident += bytes;
         self.resident.add(bytes);
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Default for SingleFlight<K, V> {
+    fn default() -> SingleFlight<K, V> {
+        SingleFlight::new()
     }
 }
 
@@ -467,7 +444,7 @@ mod tests {
 
     #[test]
     fn value_computed_once_then_cached() {
-        let cache: SingleFlight<u64, u64> = SingleFlight::new(4);
+        let cache: SingleFlight<u64, u64> = SingleFlight::new();
         let probe = AtomicUsize::new(0);
         let compute = || {
             probe.fetch_add(1, Ordering::SeqCst);
@@ -488,7 +465,7 @@ mod tests {
 
     #[test]
     fn failure_is_not_cached_and_retries_fresh() {
-        let cache: SingleFlight<u64, u64> = SingleFlight::new(4);
+        let cache: SingleFlight<u64, u64> = SingleFlight::new();
         let err = cache
             .get_or_compute(1, || Err("boom".to_string()))
             .unwrap_err();
@@ -501,7 +478,7 @@ mod tests {
 
     #[test]
     fn panicking_leader_fails_typed_and_vacates() {
-        let cache: SingleFlight<u64, u64> = SingleFlight::new(1);
+        let cache: SingleFlight<u64, u64> = SingleFlight::new();
         let err = cache
             .get_or_compute(3, || panic!("exploding compute"))
             .unwrap_err();
@@ -513,7 +490,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_coalesce() {
-        let cache: Arc<SingleFlight<u64, u64>> = Arc::new(SingleFlight::new(4));
+        let cache: Arc<SingleFlight<u64, u64>> = Arc::new(SingleFlight::new());
         let probe = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8)
@@ -548,7 +525,7 @@ mod tests {
 
     #[test]
     fn cancelled_leader_vacates_and_caller_sees_cancelled() {
-        let cache: SingleFlight<u64, u64> = SingleFlight::new(2);
+        let cache: SingleFlight<u64, u64> = SingleFlight::new();
         let err = cache
             .get_or_compute_with(9, || Ok(Computed::Cancelled))
             .unwrap_err();
@@ -565,7 +542,7 @@ mod tests {
 
     #[test]
     fn waiters_on_a_cancelled_leader_retry_for_leadership() {
-        let cache: Arc<SingleFlight<u64, u64>> = Arc::new(SingleFlight::new(1));
+        let cache: Arc<SingleFlight<u64, u64>> = Arc::new(SingleFlight::new());
         let entered = Arc::new(std::sync::Barrier::new(2));
         let leader = {
             let cache = Arc::clone(&cache);
@@ -592,11 +569,11 @@ mod tests {
 
     #[test]
     fn budget_evicts_cheapest_weight_first() {
-        // One shard, 100-byte budget. Weight = compute µs × bytes; entry 1
+        // A 100-byte budget. Weight = compute µs × bytes; entry 1
         // is made expensive (a deliberate 10 ms compute) so the cheap
         // 30-byte entry is deterministically the lighter weight.
         let cache: SingleFlight<u64, Vec<u8>> =
-            SingleFlight::bounded(1, 100, |v: &Vec<u8>| v.len() as u64);
+            SingleFlight::bounded(100, |v: &Vec<u8>| v.len() as u64);
         cache
             .get_or_compute(1, || {
                 std::thread::sleep(std::time::Duration::from_millis(10));
@@ -628,7 +605,7 @@ mod tests {
     #[test]
     fn oversize_value_is_served_but_not_retained() {
         let cache: SingleFlight<u64, Vec<u8>> =
-            SingleFlight::bounded(1, 64, |v: &Vec<u8>| v.len() as u64);
+            SingleFlight::bounded(64, |v: &Vec<u8>| v.len() as u64);
         let (v, src) = cache.get_or_compute(1, || Ok(vec![7u8; 1000])).unwrap();
         assert_eq!((v.len(), src), (1000, Source::Fresh));
         assert!(cache.is_empty(), "oversize entries must not be retained");
@@ -646,7 +623,7 @@ mod tests {
         // concurrent publish that overflows the budget must evict around
         // it, never through it.
         let cache: Arc<SingleFlight<u64, Vec<u8>>> =
-            Arc::new(SingleFlight::bounded(1, 64, |v: &Vec<u8>| v.len() as u64));
+            Arc::new(SingleFlight::bounded(64, |v: &Vec<u8>| v.len() as u64));
         let entered = Arc::new(std::sync::Barrier::new(2));
         let release = Arc::new(std::sync::Barrier::new(2));
         let pending = {

@@ -7,7 +7,9 @@
 //! timeout, which a blocking socket never produces.
 
 use crate::error::ServeError;
-use crate::proto::{self, FrameEvent, OutcomeSummary, Request, Response, ServedFrom, SimRequest};
+use crate::proto::{
+    self, FrameEvent, OutcomeSummary, Request, Response, ServedFrom, SimRequest, DEFAULT_MAX_FRAME,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -15,7 +17,6 @@ use std::time::{Duration, Instant};
 /// A connected client.
 pub struct Client<S> {
     stream: S,
-    max_frame: u64,
 }
 
 impl Client<TcpStream> {
@@ -41,23 +42,14 @@ impl Client<std::os::unix::net::UnixStream> {
 impl<S: Read + Write> Client<S> {
     /// Wrap an already-connected stream.
     pub fn over(stream: S) -> Client<S> {
-        Client {
-            stream,
-            max_frame: proto::DEFAULT_MAX_FRAME,
-        }
-    }
-
-    /// Override the frame size cap (must match the server's).
-    pub fn with_max_frame(mut self, max: u64) -> Client<S> {
-        self.max_frame = max;
-        self
+        Client { stream }
     }
 
     /// Send one request and wait for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ServeError> {
-        proto::write_frame(&mut self.stream, &req.encode(), self.max_frame)?;
+        proto::write_frame(&mut self.stream, &req.encode(), DEFAULT_MAX_FRAME)?;
         loop {
-            match proto::read_frame(&mut self.stream, self.max_frame)? {
+            match proto::read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
                 FrameEvent::Frame(payload) => return Ok(Response::decode(&payload)?),
                 FrameEvent::Idle => continue,
                 FrameEvent::Eof => {
@@ -217,7 +209,6 @@ impl<T: Read + Write + Send> Conn for T {}
 /// harness drives the full conformance suite through it.
 pub struct ResilientClient {
     endpoint: Endpoint,
-    max_frame: u64,
     policy: RetryPolicy,
     conn: Option<Box<dyn Conn>>,
     rng: u64,
@@ -257,19 +248,12 @@ impl ResilientClient {
         policy.validate()?;
         Ok(ResilientClient {
             endpoint,
-            max_frame: proto::DEFAULT_MAX_FRAME,
             rng: policy.seed | 1,
             policy,
             conn: None,
             reconnects: 0,
             retries: 0,
         })
-    }
-
-    /// Override the frame size cap (must match the server's).
-    pub fn with_max_frame(mut self, max: u64) -> ResilientClient {
-        self.max_frame = max;
-        self
     }
 
     /// Reconnections performed so far.
@@ -351,11 +335,11 @@ impl ResilientClient {
         }
         let result = (|| {
             let conn = self.conn.as_mut().expect("dialed above");
-            proto::write_frame(conn, &req.encode(), self.max_frame)?;
+            proto::write_frame(conn, &req.encode(), DEFAULT_MAX_FRAME)?;
             loop {
                 match proto::read_frame_stall_bounded(
                     conn,
-                    self.max_frame,
+                    DEFAULT_MAX_FRAME,
                     Some(self.policy.frame_stall),
                 )? {
                     FrameEvent::Frame(payload) => return Ok(Response::decode(&payload)?),
@@ -425,6 +409,9 @@ impl ResilientClient {
                 Err(e @ ServeError::Deadline { .. }) => return Err(e),
                 Err(e) => last = e.to_string(),
             }
+            if attempt + 1 == attempts {
+                break; // No attempt follows, so nothing to back off for.
+            }
             // Back off before the next attempt, never past the deadline.
             let mut pause = self.backoff(attempt, floor_ms);
             if let Some(rem) = self.remaining(started)? {
@@ -436,7 +423,8 @@ impl ResilientClient {
         Err(ServeError::RetriesExhausted { attempts, last })
     }
 
-    /// Liveness check with the same retry machinery.
+    /// Liveness check: one round trip (dialing first if needed), no
+    /// retries.
     pub fn ping(&mut self) -> Result<(), ServeError> {
         let started = Instant::now();
         match self.round_trip(&Request::Ping, started)? {
@@ -639,9 +627,49 @@ mod tests {
         let err = client.simulate(req).expect_err("server only says Busy");
         let elapsed = started.elapsed();
         assert!(matches!(err, ServeError::RetriesExhausted { .. }));
+        // One ≥1 ms sleep between each pair of attempts; none after the
+        // last.
         assert!(
-            elapsed >= Duration::from_millis(attempts as u64),
+            elapsed >= Duration::from_millis(attempts as u64 - 1),
             "retry storm completed in {elapsed:?} — backoff sleeps collapsed to zero"
+        );
+    }
+
+    #[test]
+    fn an_exhausted_call_does_not_sleep_after_its_last_attempt() {
+        // Nobody listens on the port, so the single attempt fails at once.
+        // Its 400 ms backoff would only delay the error: no retry follows.
+        let port = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr").port()
+        };
+        let mut client = ResilientClient::tcp(
+            format!("127.0.0.1:{port}"),
+            RetryPolicy {
+                max_attempts: 1,
+                base_backoff: Duration::from_millis(400),
+                max_backoff: Duration::from_millis(400),
+                ..RetryPolicy::default()
+            },
+        )
+        .expect("valid policy");
+        let req = SimRequest {
+            bench: Bench::Fib,
+            scale: Scale::Tiny,
+            machine: MachineSpec::new(MachinePreset::DualSocket).with_cores(2),
+            protocol: ProtocolId::Warden,
+            check: false,
+        };
+        let started = Instant::now();
+        let err = client.simulate(req).expect_err("nothing listens");
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(err, ServeError::RetriesExhausted { attempts: 1, .. }),
+            "{err:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(150),
+            "an exhausted call slept {elapsed:?} after its last attempt"
         );
     }
 }

@@ -12,8 +12,8 @@
 //! - **result entries** (`<key>.rec`): the [`encode_outcome`] bytes of a
 //!   finished [`SimOutcome`] plus the compute time it cost;
 //! - **checkpoint entries** (`<key>.ckpt`): a framed [`warden_sim`] engine
-//!   snapshot taken every `checkpoint_every` scheduler steps while a
-//!   simulation runs (and once more on cooperative cancellation). A later
+//!   snapshot taken at the caller's cadence while a simulation runs (and
+//!   once more on cooperative cancellation). A later
 //!   run of the same key whose result is missing resumes from the newest
 //!   frame instead of cycle 0. The engine's identity-bound resume
 //!   re-verifies the program/machine/protocol/options fingerprints inside
@@ -28,17 +28,17 @@
 //! scan never panics and never deletes bytes it cannot prove worthless.
 //! Other files (a campaign's `manifest.json`) are left alone.
 //!
-//! The store can enforce a byte budget (unbounded by default) with
-//! cost-aware eviction (value × size, like the memory cache): results
-//! weigh their measured compute time, checkpoints the steps they save.
-//! Storage failures degrade — a typed counter bumps ([`DiskStats`]) and
-//! the caller recomputes; [`ResultStore::put_result`] also returns the
-//! error, for callers whose result would otherwise be lost.
+//! The store never deletes a valid entry on its own: a campaign's records
+//! are its results, and the daemon's results are full outcomes worth
+//! keeping. Storage failures degrade — a typed counter bumps
+//! ([`DiskStats`]) and the caller recomputes; [`ResultStore::put_result`]
+//! also returns the error, for callers whose result would otherwise be
+//! lost.
 //!
 //! [`encode_outcome`]: warden_sim::checkpoint::encode_outcome
 
 use crate::storage::{is_enospc, Storage};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,45 +46,6 @@ use std::sync::{Arc, Mutex};
 use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_sim::checkpoint::{self, CheckpointError};
 use warden_sim::{RunKey, SimOutcome};
-
-/// How to run a [`ResultStore`].
-#[derive(Clone, Debug)]
-pub struct ResultStoreConfig {
-    /// Directory holding the entries (created if missing).
-    pub dir: PathBuf,
-    /// Byte budget across all entries; cost-aware eviction keeps residency
-    /// under it. `u64::MAX` is unbounded.
-    pub budget_bytes: u64,
-    /// Scheduler steps between periodic checkpoint frames of a running
-    /// simulation (`0` disables periodic frames; a cancelled run still
-    /// leaves one final frame).
-    pub checkpoint_every: u64,
-}
-
-/// Default steps between checkpoint frames — coarse enough to cost nothing
-/// on tiny traces, fine enough that a paper-scale replay leaves several
-/// frames behind.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
-
-impl ResultStoreConfig {
-    /// A store rooted at `dir` with the default checkpoint cadence and no
-    /// byte budget: results are full outcomes (megabytes at paper scale),
-    /// and a budget would evict — delete — a campaign's records.
-    pub fn at(dir: impl Into<PathBuf>) -> ResultStoreConfig {
-        ResultStoreConfig {
-            dir: dir.into(),
-            budget_bytes: u64::MAX,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-        }
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        if self.budget_bytes == 0 {
-            return Err("the disk budget must be non-zero (use u64::MAX for unbounded)".into());
-        }
-        Ok(())
-    }
-}
 
 /// One decoded on-disk entry: the key it belongs to plus its body. The
 /// codec is public so the fuzz suite can hold it to the
@@ -100,8 +61,7 @@ pub struct DiskEntry {
 /// The body of a [`DiskEntry`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum DiskBody {
-    /// A finished simulation and the compute time it cost (µs), which
-    /// weighs the entry for eviction.
+    /// A finished simulation and the compute time it cost (µs).
     Result {
         /// The [`checkpoint::encode_outcome`] bytes of the outcome.
         outcome: Vec<u8>,
@@ -197,14 +157,6 @@ pub struct DiskStats {
     /// Entries moved to `quarantine/` (torn, corrupt, version-skewed,
     /// misnamed) — at open-time fsck or on a failed read.
     pub quarantined: u64,
-    /// Entries evicted for the byte budget.
-    pub evictions: u64,
-    /// Bytes those evictions reclaimed.
-    pub evicted_bytes: u64,
-    /// Bytes currently resident.
-    pub resident_bytes: u64,
-    /// High-water residency.
-    pub resident_peak: u64,
     /// Writes refused by a full disk (`ENOSPC`) — served degraded from
     /// memory + recompute instead.
     pub enospc_degraded: u64,
@@ -215,35 +167,19 @@ pub struct DiskStats {
     pub read_errors: u64,
 }
 
-struct Slot {
-    bytes: u64,
-    /// Eviction weight: what the entry saves × what it costs to keep.
-    weight: u128,
-    /// Insertion order, the tiebreak (older evicts first).
-    seq: u64,
-}
-
-struct Index {
-    slots: HashMap<String, Slot>,
-    resident: u64,
-    next_seq: u64,
-}
-
 /// The result store. Lookups degrade on storage failure — they bump a
 /// typed counter and return a miss, never an error.
 pub struct ResultStore {
-    cfg: ResultStoreConfig,
+    dir: PathBuf,
     storage: Arc<dyn Storage>,
-    index: Mutex<Index>,
+    /// Names of the entries verified at open or written since.
+    index: Mutex<HashSet<String>>,
     hits: AtomicU64,
     misses: AtomicU64,
     checkpoint_hits: AtomicU64,
     checkpoints_written: AtomicU64,
     writes: AtomicU64,
     quarantined: AtomicU64,
-    evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
-    resident_peak: AtomicU64,
     enospc_degraded: AtomicU64,
     write_errors: AtomicU64,
     read_errors: AtomicU64,
@@ -272,51 +208,33 @@ fn is_entry_name(name: &str) -> bool {
     name.ends_with(RESULT_SUFFIX) || name.ends_with(CHECKPOINT_SUFFIX)
 }
 
-/// Eviction weight. Results weigh their measured compute time; a
-/// checkpoint frame saves roughly its steps of replay, scaled down so a
-/// frame never outweighs the finished result it is a prefix of.
-fn entry_weight(body: &DiskBody, bytes: u64) -> u128 {
-    let value = match body {
-        DiskBody::Result { compute_us, .. } => (*compute_us).max(1),
-        DiskBody::Checkpoint { steps, .. } => (*steps / 100).max(1),
-    };
-    value as u128 * bytes.max(1) as u128
-}
-
 impl ResultStore {
-    /// Open (creating if missing) a store rooted at `cfg.dir`, running the
+    /// Open (creating if missing) a store rooted at `dir`, running the
     /// fsck scan: sweep orphaned temp files, verify every entry, and
     /// quarantine anything unreadable. Never panics on a damaged
     /// directory; only a genuinely unusable root (cannot create or list)
     /// is an error.
-    pub fn open(cfg: ResultStoreConfig, storage: Arc<dyn Storage>) -> Result<ResultStore, String> {
-        cfg.validate()?;
+    pub fn open(dir: impl Into<PathBuf>, storage: Arc<dyn Storage>) -> Result<ResultStore, String> {
+        let dir = dir.into();
         storage
-            .create_dir_all(&cfg.dir)
-            .map_err(|e| format!("cannot create result store at {}: {e}", cfg.dir.display()))?;
+            .create_dir_all(&dir)
+            .map_err(|e| format!("cannot create result store at {}: {e}", dir.display()))?;
         storage
-            .create_dir_all(&cfg.dir.join(QUARANTINE_DIR))
+            .create_dir_all(&dir.join(QUARANTINE_DIR))
             .map_err(|e| format!("cannot create quarantine dir: {e}"))?;
         let store = ResultStore {
+            dir,
             storage,
-            index: Mutex::new(Index {
-                slots: HashMap::new(),
-                resident: 0,
-                next_seq: 0,
-            }),
+            index: Mutex::new(HashSet::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             checkpoint_hits: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
-            resident_peak: AtomicU64::new(0),
             enospc_degraded: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
-            cfg,
         };
         store.fsck()?;
         Ok(store)
@@ -324,19 +242,14 @@ impl ResultStore {
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.cfg.dir
-    }
-
-    /// Steps between periodic checkpoint frames (0 = disabled).
-    pub fn checkpoint_every(&self) -> u64 {
-        self.cfg.checkpoint_every
+        &self.dir
     }
 
     fn fsck(&self) -> Result<(), String> {
         let paths = self
             .storage
-            .list(&self.cfg.dir)
-            .map_err(|e| format!("cannot scan result store {}: {e}", self.cfg.dir.display()))?;
+            .list(&self.dir)
+            .map_err(|e| format!("cannot scan result store {}: {e}", self.dir.display()))?;
         let mut scanned: Vec<(String, PathBuf)> = Vec::new();
         for path in paths {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -360,11 +273,7 @@ impl ResultStore {
             match self.storage.read(&path) {
                 Ok(bytes) => match DiskEntry::decode(&bytes) {
                     Ok(entry) if entry_name(entry.body.kind(), &entry.key) == name => {
-                        self.admit(
-                            &name,
-                            bytes.len() as u64,
-                            entry_weight(&entry.body, bytes.len() as u64),
-                        );
+                        self.admit(&name);
                     }
                     // Decodes but under the wrong name (stale rename, hash
                     // drift): treat as damage, not data.
@@ -381,17 +290,14 @@ impl ResultStore {
 
     /// Drop `name` from the index without touching the file.
     fn forget(&self, name: &str) {
-        let mut idx = self.index.lock().expect("disk index lock");
-        if let Some(slot) = idx.slots.remove(name) {
-            idx.resident -= slot.bytes;
-        }
+        self.index.lock().expect("disk index lock").remove(name);
     }
 
     /// Move a damaged entry aside (never delete what might be evidence);
     /// fall back to removal if even the rename fails.
     fn quarantine(&self, name: &str) {
-        let from = self.cfg.dir.join(name);
-        let to = self.cfg.dir.join(QUARANTINE_DIR).join(name);
+        let from = self.dir.join(name);
+        let to = self.dir.join(QUARANTINE_DIR).join(name);
         if self.storage.rename(&from, &to).is_err() {
             let _ = self.storage.remove(&from);
         }
@@ -399,46 +305,15 @@ impl ResultStore {
         self.forget(name);
     }
 
-    fn admit(&self, name: &str, bytes: u64, weight: u128) {
-        let mut idx = self.index.lock().expect("disk index lock");
-        if let Some(old) = idx.slots.remove(name) {
-            idx.resident -= old.bytes;
-        }
-        // Evict-before-insert, cheapest weight first (oldest on ties), so
-        // residency never overshoots the budget.
-        while idx.resident.saturating_add(bytes) > self.cfg.budget_bytes {
-            let victim = idx
-                .slots
-                .iter()
-                .min_by_key(|(_, s)| (s.weight, s.seq))
-                .map(|(n, _)| n.clone());
-            let Some(victim) = victim else { break };
-            let slot = idx.slots.remove(&victim).expect("victim indexed");
-            idx.resident -= slot.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_bytes.fetch_add(slot.bytes, Ordering::Relaxed);
-            let _ = self.storage.remove(&self.cfg.dir.join(&victim));
-        }
-        if bytes > self.cfg.budget_bytes {
-            // Larger than the whole budget: serve it, don't retain it.
-            let _ = self.storage.remove(&self.cfg.dir.join(name));
-            return;
-        }
-        let seq = idx.next_seq;
-        idx.next_seq += 1;
-        idx.slots
-            .insert(name.to_string(), Slot { bytes, weight, seq });
-        idx.resident += bytes;
-        self.resident_peak
-            .fetch_max(idx.resident, Ordering::Relaxed);
-    }
-
-    fn indexed(&self, name: &str) -> bool {
+    fn admit(&self, name: &str) {
         self.index
             .lock()
             .expect("disk index lock")
-            .slots
-            .contains_key(name)
+            .insert(name.to_string());
+    }
+
+    fn indexed(&self, name: &str) -> bool {
+        self.index.lock().expect("disk index lock").contains(name)
     }
 
     /// Read and verify the `kind` entry of `key`, quarantining on any
@@ -448,7 +323,7 @@ impl ResultStore {
         if !self.indexed(&name) {
             return None;
         }
-        match self.storage.read(&self.cfg.dir.join(&name)) {
+        match self.storage.read(&self.dir.join(&name)) {
             Ok(bytes) => match DiskEntry::decode(&bytes) {
                 Ok(entry) if entry.key == *key && entry.body.kind() == kind => Some(entry.body),
                 // A different key under this name is a hash collision
@@ -459,8 +334,8 @@ impl ResultStore {
                     None
                 }
             },
-            // Removed since it was indexed (discarded or evicted by
-            // another handle): a miss, not damage.
+            // Removed since it was indexed (discarded by another handle):
+            // a miss, not damage.
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.forget(&name);
                 None
@@ -511,14 +386,13 @@ impl ResultStore {
         let name = entry_name(kind, key);
         let entry = DiskEntry { key: *key, body };
         let image = entry.encode();
-        let weight = entry_weight(&entry.body, image.len() as u64);
-        match self.storage.write_atomic(&self.cfg.dir.join(&name), &image) {
+        match self.storage.write_atomic(&self.dir.join(&name), &image) {
             Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
                 if kind == KIND_CHECKPOINT {
                     self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
                 }
-                self.admit(&name, image.len() as u64, weight);
+                self.admit(&name);
                 Ok(())
             }
             Err(e) => {
@@ -536,19 +410,20 @@ impl ResultStore {
         }
     }
 
-    /// Durably store a finished result, and drop the key's checkpoint —
+    /// Durably store a finished result, then drop the key's checkpoint —
     /// the frame is a strict prefix of work that is now complete. A failed
-    /// write is counted and returned.
+    /// write is counted and returned, and the checkpoint stays: it is the
+    /// run's only durable progress, so a retry resumes from it.
     pub fn put_result(&self, key: &RunKey, out: &SimOutcome, compute_us: u64) -> io::Result<()> {
-        let stored = self.put(
+        self.put(
             key,
             DiskBody::Result {
                 outcome: checkpoint::encode_outcome(out),
                 compute_us,
             },
-        );
+        )?;
         self.discard_checkpoint(key);
-        stored
+        Ok(())
     }
 
     /// Durably store (replacing) the key's checkpoint frame. A failed
@@ -567,7 +442,7 @@ impl ResultStore {
     pub fn discard_checkpoint(&self, key: &RunKey) {
         let name = entry_name(KIND_CHECKPOINT, key);
         self.forget(&name);
-        let _ = self.storage.remove(&self.cfg.dir.join(&name));
+        let _ = self.storage.remove(&self.dir.join(&name));
     }
 
     /// Quarantine the key's checkpoint entry: the outer frame verified but
@@ -578,7 +453,7 @@ impl ResultStore {
 
     /// Entries currently indexed.
     pub fn len(&self) -> usize {
-        self.index.lock().expect("disk index lock").slots.len()
+        self.index.lock().expect("disk index lock").len()
     }
 
     /// Whether the store holds no entries.
@@ -588,7 +463,6 @@ impl ResultStore {
 
     /// Counter snapshot.
     pub fn stats(&self) -> DiskStats {
-        let idx = self.index.lock().expect("disk index lock");
         DiskStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -596,10 +470,6 @@ impl ResultStore {
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            resident_bytes: idx.resident,
-            resident_peak: self.resident_peak.load(Ordering::Relaxed),
             enospc_degraded: self.enospc_degraded.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
             read_errors: self.read_errors.load(Ordering::Relaxed),

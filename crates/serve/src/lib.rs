@@ -23,17 +23,16 @@
 //!   cancelled through [`warden_sim::CancelToken`], freeing the worker. A
 //!   cancelled single-flight leader vacates its slot so coalesced waiters
 //!   retry under their own deadlines;
-//! - a **byte-budgeted cache** with cost-aware eviction (compute time ×
-//!   size; in-flight entries are never evicted) and full residency
-//!   metrics;
+//! - one **byte budget** for the whole cache, with cost-aware eviction
+//!   (compute time × size; in-flight entries are never evicted) and full
+//!   residency metrics;
 //! - a **crash-safe disk tier** ([`disk::ResultStore`]) behind the memory
 //!   cache: finished outcomes are persisted with the checkpoint module's
 //!   atomic-write + checksummed-frame discipline and survive restarts
 //!   bit-identically; an fsck-style startup scan quarantines (never
-//!   panics on) torn, corrupt or version-skewed entries; a byte budget
-//!   with cost-aware eviction bounds it. The benchmark campaigns persist
-//!   into the same store under the same key, so a campaign directory
-//!   warms the daemon;
+//!   panics on) torn, corrupt or version-skewed entries. The benchmark
+//!   campaigns persist into the same store under the same key, so a
+//!   campaign directory warms the daemon;
 //! - **prefix-checkpoint resume**: long replays persist periodic engine
 //!   frames (and one on cancellation), so a repeat of interrupted work
 //!   resumes from the newest frame instead of cycle 0 — the wire reports
@@ -42,7 +41,7 @@
 //!   seeded torn writes, `ENOSPC`, corrupt-on-read and crashes on either
 //!   side of the rename, under which the tier must degrade (typed counter
 //!   bumps, recompute) and never fail a request;
-//! - **slow-loris defense**: a mid-frame stall bound drops drip-feeding
+//! - **slow-loris defense**: a 250 ms mid-frame stall bound drops drip-feeding
 //!   connections and frees their slots ([`ServeError::Stalled`]);
 //! - a **resilient client** ([`client::ResilientClient`]) that reconnects,
 //!   retries with jittered exponential backoff, honors `Busy` retry-after
@@ -71,12 +70,12 @@ pub mod storage;
 
 pub use cache::{CacheStats, Computed, FlightError, SingleFlight, Source};
 pub use client::{Client, ResilientClient, RetryPolicy};
-pub use disk::{result_file_name, DiskBody, DiskEntry, DiskStats, ResultStore, ResultStoreConfig};
+pub use disk::{result_file_name, DiskBody, DiskEntry, DiskStats, ResultStore};
 pub use error::ServeError;
 pub use proto::{
     outcome_digest, summarize_outcome, ErrorKind, FrameEvent, MachinePreset, MachineSpec,
     OutcomeSummary, Request, Response, ServedFrom, SimRequest,
 };
-pub use server::{ServeConfig, Server, ServerOptions, ShutdownReport};
+pub use server::{ServeConfig, Server, ShutdownReport};
 pub use signal::{drain_requested, install_sigterm_drain};
 pub use storage::{FaultyStorage, RealStorage, Storage, StorageFaultPlan, StorageFaultStats};

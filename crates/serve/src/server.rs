@@ -24,7 +24,7 @@
 //! only then joins the threads.
 
 use crate::cache::{CacheStats, Computed, FlightError, SingleFlight, Source};
-use crate::disk::{DiskStats, ResultStore, ResultStoreConfig};
+use crate::disk::{DiskStats, ResultStore};
 use crate::error::ServeError;
 use crate::proto::{
     self, summarize_outcome, ErrorKind, FrameEvent, OutcomeSummary, Request, Response, ServedFrom,
@@ -45,76 +45,29 @@ use warden_obs::{ArgVal, AtomicGauge, Gauge, Hist, MetricsRegistry, TraceBuilder
 use warden_rt::TraceProgram;
 use warden_sim::{CancelToken, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome};
 
-/// Tunables that used to be hard-coded constants, now validated at
-/// [`Server::start`]: every timeout the serving loops run on, the
-/// per-request deadline, the `Busy` retry hint, and the result-cache byte
-/// budget.
-#[derive(Clone, Debug)]
-pub struct ServerOptions {
-    /// Per-connection socket read timeout. This is the tick at which an
-    /// idle connection re-checks the drain flag, and the resolution of the
-    /// mid-frame stall clock.
-    pub read_timeout: Duration,
-    /// How long a started frame may sit with no new bytes before the
-    /// connection is dropped as a slow-loris ([`ServeError::Stalled`]).
-    /// Must be at least [`ServerOptions::read_timeout`] (the stall clock
-    /// only advances on read-timeout ticks).
-    pub frame_stall: Duration,
-    /// How long an acceptor sleeps between polls of its non-blocking
-    /// listener (bounds both accept latency and drain latency).
-    pub accept_poll: Duration,
-    /// Deadline for one `Simulate` request, covering queue wait *plus*
-    /// simulation. On expiry the client gets a typed
-    /// [`Response::DeadlineExceeded`] immediately and the replay is
-    /// cooperatively cancelled so the worker frees up. `None` waits
-    /// without bound (the pre-deadline behavior).
-    pub request_deadline: Option<Duration>,
-    /// The backoff hint carried in [`Response::Busy`] replies.
-    pub busy_retry_ms: u32,
-    /// Byte budget for the result cache (`u64::MAX` = unbounded). Split
-    /// evenly across `cache_shards`; cost-aware eviction keeps residency
-    /// under it at all times.
-    pub cache_budget_bytes: u64,
-}
+/// Per-connection socket read timeout: the tick at which an idle
+/// connection re-checks the drain flag, and the resolution of the
+/// mid-frame stall clock.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
-impl Default for ServerOptions {
-    fn default() -> ServerOptions {
-        ServerOptions {
-            read_timeout: Duration::from_millis(50),
-            frame_stall: Duration::from_secs(2),
-            accept_poll: Duration::from_millis(10),
-            request_deadline: None,
-            busy_retry_ms: 25,
-            cache_budget_bytes: u64::MAX,
-        }
-    }
-}
+/// How long a started request frame may sit with no new bytes before the
+/// connection is dropped as a slow loris ([`ServeError::Stalled`]). The
+/// only request frame is a `SimRequest` well under 1 KiB, so an honest
+/// client never stalls this long mid-frame.
+const FRAME_STALL: Duration = Duration::from_millis(250);
 
-impl ServerOptions {
-    fn validate(&self) -> Result<(), ServeError> {
-        let bad = |msg: &str| Err(ServeError::Config(msg.into()));
-        if self.read_timeout.is_zero() {
-            return bad("read timeout must be non-zero");
-        }
-        if self.frame_stall < self.read_timeout {
-            return bad("frame stall bound must be at least the read timeout \
-                 (the stall clock advances on read-timeout ticks)");
-        }
-        if self.accept_poll.is_zero() {
-            return bad("accept poll interval must be non-zero");
-        }
-        if self.request_deadline.is_some_and(|d| d.is_zero()) {
-            return bad("a request deadline must be non-zero (use None for unbounded)");
-        }
-        if self.busy_retry_ms == 0 {
-            return bad("the Busy retry-after hint must be non-zero");
-        }
-        if self.cache_budget_bytes == 0 {
-            return bad("the cache byte budget must be non-zero (use u64::MAX for unbounded)");
-        }
-        Ok(())
-    }
-}
+/// How long an acceptor sleeps between polls of its non-blocking listener
+/// (bounds both accept latency and drain latency).
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// The backoff hint carried in [`Response::Busy`] replies.
+const BUSY_RETRY_MS: u32 = 25;
+
+/// Scheduler steps between the periodic checkpoint frames a running
+/// replay persists to the disk tier — coarse enough to cost nothing on
+/// tiny traces, fine enough that a paper-scale replay leaves several
+/// frames behind.
+const CHECKPOINT_EVERY: u64 = 250_000;
 
 /// How to run a [`Server`].
 #[derive(Clone, Debug)]
@@ -127,23 +80,26 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded request-queue capacity; a full queue answers `Busy`.
     pub queue_cap: usize,
-    /// Frame payload size cap for both directions.
-    pub max_frame: u64,
-    /// Shards in the result cache.
-    pub cache_shards: usize,
     /// Record a Chrome trace-event timeline of every request.
     pub record_trace: bool,
-    /// The crash-safe result store behind the memory cache (`None`
-    /// disables it): finished results survive restarts, and periodic
-    /// checkpoint frames let an interrupted replay resume instead of
-    /// restarting at cycle 0. A campaign directory works as-is.
-    pub disk: Option<ResultStoreConfig>,
+    /// Directory of the crash-safe result store behind the memory cache
+    /// (`None` disables it): finished results survive restarts, and
+    /// periodic checkpoint frames let an interrupted replay resume instead
+    /// of restarting at cycle 0. A campaign directory works as-is.
+    pub disk: Option<PathBuf>,
     /// Inject seeded storage faults under the disk tier (chaos drills;
     /// requires `disk`). The tier degrades on every injected failure —
     /// requests are still served from memory and recompute.
     pub storage_faults: Option<StorageFaultPlan>,
-    /// Timeouts, deadline, backoff hint and cache budget.
-    pub opts: ServerOptions,
+    /// Deadline for one `Simulate` request, covering queue wait *plus*
+    /// simulation. On expiry the client gets a typed
+    /// [`Response::DeadlineExceeded`] immediately and the replay is
+    /// cooperatively cancelled so the worker frees up. `None` waits
+    /// without bound.
+    pub request_deadline: Option<Duration>,
+    /// Byte budget for the whole result cache (`u64::MAX` = unbounded);
+    /// cost-aware eviction keeps residency under it at all times.
+    pub cache_budget_bytes: u64,
 }
 
 impl Default for ServeConfig {
@@ -153,12 +109,11 @@ impl Default for ServeConfig {
             uds: None,
             workers: 2,
             queue_cap: 16,
-            max_frame: proto::DEFAULT_MAX_FRAME,
-            cache_shards: 8,
             record_trace: false,
             disk: None,
             storage_faults: None,
-            opts: ServerOptions::default(),
+            request_deadline: None,
+            cache_budget_bytes: u64::MAX,
         }
     }
 }
@@ -307,10 +262,6 @@ impl Inner {
             reg.set_counter("disk_checkpoints_written", d.checkpoints_written);
             reg.set_counter("disk_writes", d.writes);
             reg.set_counter("disk_quarantined", d.quarantined);
-            reg.set_counter("disk_evictions", d.evictions);
-            reg.set_counter("disk_evicted_bytes", d.evicted_bytes);
-            reg.set_counter("disk_resident_bytes", d.resident_bytes);
-            reg.set_counter("disk_resident_peak", d.resident_peak);
             reg.set_counter("disk_enospc_degraded", d.enospc_degraded);
             reg.set_counter("disk_write_errors", d.write_errors);
             reg.set_counter("disk_read_errors", d.read_errors);
@@ -370,7 +321,7 @@ impl Inner {
                 return Response::Busy {
                     queue_len: q.len() as u32,
                     queue_cap: self.cfg.queue_cap as u32,
-                    retry_after_ms: self.cfg.opts.busy_retry_ms,
+                    retry_after_ms: BUSY_RETRY_MS,
                 };
             }
             q.push_back(Job {
@@ -394,7 +345,7 @@ impl Inner {
                 msg: "worker dropped the request".to_string(),
             }
         };
-        match self.cfg.opts.request_deadline {
+        match self.cfg.request_deadline {
             None => match rx.recv() {
                 Ok(resp) => resp,
                 Err(_) => worker_died(self),
@@ -471,7 +422,6 @@ impl Inner {
                 // and exists so the worker's bookkeeping stays uniform.
                 let deadline_ms = self
                     .cfg
-                    .opts
                     .request_deadline
                     .map_or(0, |d| d.as_millis() as u64);
                 Response::DeadlineExceeded {
@@ -566,14 +516,13 @@ impl Inner {
     }
 
     /// Run an engine to completion, persisting periodic checkpoint frames
-    /// when the disk tier asks for them.
+    /// when the disk tier is on.
     fn run_framed(&self, eng: SimEngine<'_>, key: &RunKey) -> Result<SimOutcome, SimError> {
         match &self.disk {
-            Some(disk) if disk.checkpoint_every() > 0 => eng
-                .run_with_cancel_frames(disk.checkpoint_every(), |steps, frame| {
-                    disk.put_checkpoint(key, steps, frame)
-                }),
-            _ => eng.run_with_cancel(),
+            Some(disk) => eng.run_with_cancel_frames(CHECKPOINT_EVERY, |steps, frame| {
+                disk.put_checkpoint(key, steps, frame)
+            }),
+            None => eng.run_with_cancel(),
         }
     }
 }
@@ -651,8 +600,8 @@ fn worker_loop(inner: &Inner, worker_id: u32) {
 
 /// Serve one connection until EOF, error, stall, or drain.
 fn connection_loop(inner: &Arc<Inner>, stream: &mut (impl Read + Write)) {
-    let max = inner.cfg.max_frame;
-    let stall = Some(inner.cfg.opts.frame_stall);
+    let max = proto::DEFAULT_MAX_FRAME;
+    let stall = Some(FRAME_STALL);
     loop {
         match proto::read_frame_stall_bounded(stream, max, stall) {
             Ok(FrameEvent::Idle) => {
@@ -734,37 +683,27 @@ fn spawn_conn(inner: &Arc<Inner>, mut stream: impl Read + Write + Send + 'static
 }
 
 fn tcp_acceptor(inner: Arc<Inner>, listener: TcpListener) {
-    let poll = inner.cfg.opts.accept_poll;
-    let read_timeout = inner.cfg.opts.read_timeout;
     while !inner.draining() {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(read_timeout));
+                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 spawn_conn(&inner, stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
 }
 
 #[cfg(unix)]
 fn uds_acceptor(inner: Arc<Inner>, listener: std::os::unix::net::UnixListener) {
-    let poll = inner.cfg.opts.accept_poll;
-    let read_timeout = inner.cfg.opts.read_timeout;
     while !inner.draining() {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(read_timeout));
+                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 spawn_conn(&inner, stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
 }
@@ -795,7 +734,16 @@ impl Server {
                 "the request queue needs a non-zero capacity".into(),
             ));
         }
-        cfg.opts.validate()?;
+        if cfg.request_deadline.is_some_and(|d| d.is_zero()) {
+            return Err(ServeError::Config(
+                "a request deadline must be non-zero (use None for unbounded)".into(),
+            ));
+        }
+        if cfg.cache_budget_bytes == 0 {
+            return Err(ServeError::Config(
+                "the cache byte budget must be non-zero (use u64::MAX for unbounded)".into(),
+            ));
+        }
         if cfg.storage_faults.is_some() && cfg.disk.is_none() {
             return Err(ServeError::Config(
                 "storage-fault injection requires a disk tier to inject into".into(),
@@ -807,7 +755,7 @@ impl Server {
         let mut faults = None;
         let disk = match &cfg.disk {
             None => None,
-            Some(tier_cfg) => {
+            Some(dir) => {
                 let storage: Arc<dyn Storage> = match cfg.storage_faults {
                     None => Arc::new(RealStorage),
                     Some(plan) => {
@@ -817,7 +765,7 @@ impl Server {
                     }
                 };
                 Some(Arc::new(
-                    ResultStore::open(tier_cfg.clone(), storage).map_err(ServeError::Config)?,
+                    ResultStore::open(dir.clone(), storage).map_err(ServeError::Config)?,
                 ))
             }
         };
@@ -836,12 +784,10 @@ impl Server {
             // Weigh cached summaries by their exact wire size: it is what
             // a hit actually ships, and it makes the byte budget auditable
             // from the outside.
-            results: SingleFlight::bounded(
-                cfg.cache_shards,
-                cfg.opts.cache_budget_bytes,
-                |v: &Arc<OutcomeSummary>| v.wire_size(),
-            ),
-            traces: SingleFlight::new(4),
+            results: SingleFlight::bounded(cfg.cache_budget_bytes, |v: &Arc<OutcomeSummary>| {
+                v.wire_size()
+            }),
+            traces: SingleFlight::new(),
             meters: Mutex::new(Meters {
                 latency_us: Hist::new(),
                 queue_wait_us: Hist::new(),

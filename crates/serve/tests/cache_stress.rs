@@ -1,4 +1,4 @@
-//! Concurrency stress for the sharded single-flight cache: 32 threads
+//! Concurrency stress for the single-flight cache: 32 threads
 //! hammer a mix of hot keys (all threads collide) and cold keys (each
 //! thread owns some), with a probe counter proving **exactly one** compute
 //! ran per unique key, and every thread receiving the identical value.
@@ -29,7 +29,7 @@ fn key(n: u64) -> RunKey {
 
 #[test]
 fn single_flight_under_32_thread_storm() {
-    let cache: Arc<SingleFlight<RunKey, u64>> = Arc::new(SingleFlight::new(8));
+    let cache: Arc<SingleFlight<RunKey, u64>> = Arc::new(SingleFlight::new());
     // One probe counter per key, incremented inside the compute closure.
     let probes: Arc<Mutex<HashMap<u64, Arc<AtomicUsize>>>> = Arc::new(Mutex::new(HashMap::new()));
     let fresh_total = Arc::new(AtomicU64::new(0));
@@ -121,7 +121,7 @@ fn single_flight_under_32_thread_storm() {
 #[test]
 fn panicking_leaders_never_strand_waiters() {
     const ATTACKERS: usize = 16;
-    let cache: Arc<SingleFlight<u64, u64>> = Arc::new(SingleFlight::new(4));
+    let cache: Arc<SingleFlight<u64, u64>> = Arc::new(SingleFlight::new());
     let probe = Arc::new(AtomicUsize::new(0));
     let gate = Arc::new(Barrier::new(ATTACKERS));
 
@@ -163,6 +163,34 @@ fn panicking_leaders_never_strand_waiters() {
     assert_eq!(cache.len(), 1);
 }
 
+#[test]
+fn a_working_set_that_fits_the_budget_is_never_evicted() {
+    // 64 keys of mixed sizes (1..=97 bytes) and a budget of exactly their
+    // total: one pool for the whole cache holds all of them. (A budget
+    // split over per-key-hash slices would evict here, since the keys
+    // never spread evenly.)
+    let size = |k: u64| 1 + (k * 37) % 97;
+    let budget: u64 = (0..64).map(size).sum();
+    let cache: SingleFlight<u64, Vec<u8>> =
+        SingleFlight::bounded(budget, |v: &Vec<u8>| v.len() as u64);
+    for k in 0..64 {
+        let (_, src) = cache
+            .get_or_compute(k, || Ok(vec![k as u8; size(k) as usize]))
+            .unwrap();
+        assert_eq!(src, Source::Fresh);
+    }
+    let s = cache.stats();
+    assert_eq!(s.evictions, 0, "{s:?}");
+    assert_eq!(s.resident_bytes, budget);
+    for k in 0..64 {
+        let (v, src) = cache
+            .get_or_compute(k, || panic!("key {k} was evicted"))
+            .unwrap();
+        assert_eq!((v.len() as u64, src), (size(k), Source::Cached));
+    }
+    assert_eq!(cache.stats().hits, 64);
+}
+
 // ---------------------------------------------------------------------------
 // Property tests of the byte budget.
 
@@ -183,7 +211,7 @@ proptest! {
         ops in proptest::collection::vec((0u64..16, 1u64..96), 1..80),
     ) {
         let cache: Arc<SingleFlight<u64, Vec<u8>>> =
-            Arc::new(SingleFlight::bounded(1, budget, |v: &Vec<u8>| v.len() as u64));
+            Arc::new(SingleFlight::bounded(budget, |v: &Vec<u8>| v.len() as u64));
         let produced = Arc::new(AtomicU64::new(0));
         let ops: Arc<[(u64, u64)]> = ops.into();
         let gate = Arc::new(Barrier::new(2));
@@ -249,7 +277,7 @@ proptest! {
         pinned_size in 1u64..24,
     ) {
         let cache: Arc<SingleFlight<u64, Vec<u8>>> =
-            Arc::new(SingleFlight::bounded(1, budget, |v: &Vec<u8>| v.len() as u64));
+            Arc::new(SingleFlight::bounded(budget, |v: &Vec<u8>| v.len() as u64));
         const PINNED: u64 = u64::MAX; // outside the storm's key space
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
@@ -315,7 +343,7 @@ proptest! {
         // one more insert must evict exactly one resident entry.
         let budget = (cheap_count + 1) * size;
         let cache: SingleFlight<u64, Vec<u8>> =
-            SingleFlight::bounded(1, budget, |v: &Vec<u8>| v.len() as u64);
+            SingleFlight::bounded(budget, |v: &Vec<u8>| v.len() as u64);
 
         const EXPENSIVE: u64 = 100;
         cache

@@ -1,17 +1,19 @@
 //! Integration drills for the crash-safe disk tier: round trips across a
-//! process "restart" (drop + reopen), fsck sweeping and quarantine,
-//! budget-driven eviction, and graceful degradation under every injected
+//! process "restart" (drop + reopen), fsck sweeping and quarantine, and
+//! graceful degradation under every injected
 //! storage fault — torn writes, `ENOSPC`, corrupt reads, and crashes on
 //! either side of the rename. The invariant throughout: the tier answers
 //! hit-or-miss and bumps a typed counter; it never panics and never
 //! surfaces an error the serving path would have to turn into a failed
 //! request.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use warden_coherence::ProtocolId;
+use warden_serve::storage::ENOSPC_OS_ERROR;
 use warden_serve::{
-    outcome_digest, FaultyStorage, RealStorage, ResultStore, ResultStoreConfig, StorageFaultPlan,
+    outcome_digest, FaultyStorage, RealStorage, ResultStore, Storage, StorageFaultPlan,
 };
 use warden_sim::{MachineConfig, RunKey, SimOptions, SimOutcome};
 
@@ -55,15 +57,11 @@ fn same(got: &SimOutcome, tag: u64) -> bool {
 }
 
 fn open_real(dir: &PathBuf) -> ResultStore {
-    ResultStore::open(ResultStoreConfig::at(dir), Arc::new(RealStorage)).expect("store opens")
+    ResultStore::open(dir, Arc::new(RealStorage)).expect("store opens")
 }
 
 fn open_faulty(dir: &PathBuf, plan: StorageFaultPlan) -> ResultStore {
-    ResultStore::open(
-        ResultStoreConfig::at(dir),
-        Arc::new(FaultyStorage::new(RealStorage, plan)),
-    )
-    .expect("store opens")
+    ResultStore::open(dir, Arc::new(FaultyStorage::new(RealStorage, plan))).expect("store opens")
 }
 
 /// A plan that injects nothing except the one listed fault.
@@ -168,42 +166,6 @@ fn fsck_sweeps_orphaned_temp_files_and_quarantines_damage() {
 }
 
 #[test]
-fn the_byte_budget_evicts_cheapest_first_and_never_overshoots() {
-    let probe_dir = scratch("budget-probe");
-    let probe = {
-        let tier = open_real(&probe_dir);
-        tier.put_result(&key(1), &outcome(1), 1).unwrap();
-        tier.stats().resident_bytes
-    };
-    let _ = std::fs::remove_dir_all(&probe_dir);
-    let dir = scratch("budget");
-
-    // Room for roughly two entries. Insert three with ascending value:
-    // the cheapest (lowest compute time) must be the one evicted.
-    let budget = probe * 2 + probe / 2;
-    let tier = ResultStore::open(
-        ResultStoreConfig {
-            budget_bytes: budget,
-            ..ResultStoreConfig::at(&dir)
-        },
-        Arc::new(RealStorage),
-    )
-    .expect("tier opens");
-    tier.put_result(&key(1), &outcome(1), 10).unwrap();
-    tier.put_result(&key(2), &outcome(2), 10_000).unwrap();
-    tier.put_result(&key(3), &outcome(3), 10_000_000).unwrap();
-    let stats = tier.stats();
-    assert!(
-        stats.resident_bytes <= budget,
-        "residency within budget: {stats:?}"
-    );
-    assert!(stats.evictions >= 1, "{stats:?}");
-    assert!(tier.result(&key(1)).is_none(), "the cheap entry went first");
-    assert!(tier.result(&key(3)).is_some(), "the valuable entry stayed");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn enospc_degrades_with_a_typed_counter_and_keeps_serving_misses() {
     let dir = scratch("enospc");
     let tier = open_faulty(&dir, only(|p| p.enospc_prob = 1.0));
@@ -218,6 +180,49 @@ fn enospc_degrades_with_a_typed_counter_and_keeps_serving_misses() {
     assert_eq!(stats.enospc_degraded, 2, "{stats:?}");
     assert!(tier.result(&key(1)).is_none(), "a clean miss, not an error");
     assert!(tier.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Real storage whose disk is full for result entries only: every `.rec`
+/// write fails with `ENOSPC`, checkpoint frames still land.
+struct FullForResults;
+
+impl Storage for FullForResults {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealStorage.read(path)
+    }
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if path.extension().is_some_and(|e| e == "rec") {
+            return Err(io::Error::from_raw_os_error(ENOSPC_OS_ERROR));
+        }
+        RealStorage.write_atomic(path, bytes)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        RealStorage.remove(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealStorage.rename(from, to)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        RealStorage.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        RealStorage.create_dir_all(dir)
+    }
+}
+
+#[test]
+fn a_failed_result_write_keeps_the_checkpoint() {
+    let dir = scratch("enospc-keeps-checkpoint");
+    let tier = ResultStore::open(&dir, Arc::new(FullForResults)).expect("store opens");
+    tier.put_checkpoint(&key(5), 300, b"prefix");
+    let err = tier.put_result(&key(5), &outcome(5), 10).unwrap_err();
+    assert!(warden_serve::storage::is_enospc(&err), "{err}");
+    // The frame is the run's only durable progress: a retry resumes from
+    // it instead of cycle 0.
+    let (steps, frame) = tier.checkpoint(&key(5)).expect("checkpoint kept");
+    assert_eq!((steps, frame.as_slice()), (300, &b"prefix"[..]));
+    assert_eq!(tier.stats().enospc_degraded, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -329,8 +334,8 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
     }
 }
 
-/// An entry removed behind the store's back (discarded or evicted by
-/// another handle between the index check and the read) is a miss, not
+/// An entry removed behind the store's back (discarded by another handle
+/// between the index check and the read) is a miss, not
 /// damage: nothing is quarantined and no read error is counted.
 #[test]
 fn an_entry_deleted_behind_the_store_is_a_clean_miss() {

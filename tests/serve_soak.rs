@@ -17,8 +17,8 @@ use warden::pbbs::{Bench, Scale};
 use warden::serve::proto::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use warden::serve::{
     outcome_digest, Client, FrameEvent, MachinePreset, MachineSpec, RealStorage, Request,
-    ResilientClient, Response, ResultStore, ResultStoreConfig, RetryPolicy, ServeConfig,
-    ServedFrom, Server, ServerOptions, SimRequest, StorageFaultPlan,
+    ResilientClient, Response, ResultStore, RetryPolicy, ServeConfig, ServedFrom, Server,
+    SimRequest, StorageFaultPlan,
 };
 use warden::sim::checkpoint::unique_dir;
 use warden::sim::{simulate_with_options, RunKey, SimEngine, SimOptions};
@@ -172,25 +172,28 @@ fn backpressure_rejects_typed_then_recovers_without_leaks() {
 fn oversized_frames_are_rejected_typed_on_the_wire() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        max_frame: 64,
         ..ServeConfig::default()
     })
     .expect("server starts");
     let addr = server.tcp_addr().expect("tcp bound").to_string();
 
-    // Hand-craft a frame header promising a payload far over the cap; the
+    // Hand-craft a frame header promising a payload over the cap; the
     // server must answer `TooLarge` without reading (or allocating) it.
+    let len = DEFAULT_MAX_FRAME + 1;
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     let mut raw = Vec::new();
     raw.extend_from_slice(b"WSRV");
     raw.push(warden::serve::proto::PROTO_VERSION);
-    raw.extend_from_slice(&(1_000_000u32).to_le_bytes());
+    raw.extend_from_slice(&(len as u32).to_le_bytes());
     stream.write_all(&raw).expect("header sent");
     // Read the reply directly — the server answers TooLarge and hangs up.
-    match warden::serve::proto::read_frame(&mut stream, 1 << 20).expect("response frame") {
+    match warden::serve::proto::read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("response frame")
+    {
         warden::serve::FrameEvent::Frame(payload) => {
             match Response::decode(&payload).expect("typed response") {
-                Response::TooLarge { len, max } => assert_eq!((len, max), (1_000_000, 64)),
+                Response::TooLarge { len: got, max } => {
+                    assert_eq!((got, max), (len, DEFAULT_MAX_FRAME))
+                }
                 other => panic!("expected TooLarge, got {other:?}"),
             }
         }
@@ -285,10 +288,7 @@ fn deadline_drill_cancels_the_long_request_and_frees_the_worker() {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 1,
         queue_cap: 4,
-        opts: ServerOptions {
-            request_deadline: Some(deadline),
-            ..ServerOptions::default()
-        },
+        request_deadline: Some(deadline),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -390,10 +390,6 @@ fn deadline_drill_cancels_the_long_request_and_frees_the_worker() {
 fn slow_loris_connections_are_reclaimed_within_the_stall_bound() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        opts: ServerOptions {
-            frame_stall: Duration::from_millis(200),
-            ..ServerOptions::default()
-        },
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -411,7 +407,7 @@ fn slow_loris_connections_are_reclaimed_within_the_stall_bound() {
 
     // The stall bound (not the peers closing — they never do) must free
     // every slot. Generous wall deadline for loaded CI machines; the
-    // per-connection bound under test is the 200 ms stall.
+    // per-connection bound under test is the server's 250 ms stall.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let m = server.metrics_snapshot();
@@ -552,7 +548,7 @@ fn restart_warm_serves_bit_identically_from_disk_without_resimulating() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -574,7 +570,7 @@ fn restart_warm_serves_bit_identically_from_disk_without_resimulating() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .expect("server restarts on the populated directory");
@@ -637,15 +633,14 @@ fn a_prefix_sharing_request_resumes_from_a_persisted_checkpoint() {
         &opts,
     );
     {
-        let tier = ResultStore::open(ResultStoreConfig::at(&dir), Arc::new(RealStorage))
-            .expect("tier opens");
+        let tier = ResultStore::open(&dir, Arc::new(RealStorage)).expect("tier opens");
         tier.put_checkpoint(&key, steps, &frame);
         assert_eq!(tier.stats().checkpoints_written, 1);
     }
 
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -682,7 +677,7 @@ fn a_full_disk_degrades_to_memory_serving_and_never_fails_a_request() {
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
         workers: 2,
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         storage_faults: Some(StorageFaultPlan {
             torn_write_prob: 0.0,
             enospc_prob: 1.0,
@@ -722,7 +717,7 @@ fn corrupt_disk_entries_are_quarantined_and_recomputed_never_served() {
     // Populate one result entry.
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .expect("server starts");
@@ -756,7 +751,7 @@ fn corrupt_disk_entries_are_quarantined_and_recomputed_never_served() {
     // it), and the request is recomputed from scratch — still correct.
     let server = Server::start(ServeConfig {
         tcp: Some("127.0.0.1:0".to_string()),
-        disk: Some(ResultStoreConfig::at(&dir)),
+        disk: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .expect("fsck never refuses to start over damage");
