@@ -137,7 +137,7 @@ struct Job {
     enqueued: Instant,
     /// Cancelled by the connection thread when the request's deadline
     /// expires; polled by the replay engine every
-    /// [`warden_sim::CANCEL_CHECK_EVENTS`] scheduler steps.
+    /// [`warden_sim::CANCEL_CHECK_EVENTS`] engine `step` calls.
     cancel: CancelToken,
 }
 

@@ -425,6 +425,12 @@ impl<'a> SimEngine<'a> {
     /// interrupted replay always leaves its latest progress behind for a
     /// later identity-bound resume (`every == 0` is clamped to 1).
     ///
+    /// Parked idle cores count toward the cadence only when they rejoin
+    /// (see [`SimEngine::step`]), so a frame may land later than `every`
+    /// steps after the previous one by at most one parked stretch; the
+    /// step count handed to `on_frame` is exact. Where frames fall never
+    /// changes an observability-off outcome.
+    ///
     /// `on_frame` receives the step count and the complete checkpoint
     /// frame; what it does with them (typically a result store's
     /// checkpoint entry) is the caller's business, and its failures are
@@ -458,7 +464,7 @@ impl<'a> SimEngine<'a> {
                     return Ok(self.finish());
                 }
                 burst += 1;
-                if self.steps() >= next {
+                if self.steps_unparked() >= next {
                     let steps = self.steps();
                     let frame = self.snapshot_to_bytes();
                     on_frame(steps, &frame);
@@ -684,7 +690,7 @@ mod tests {
         let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
 
         let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..1_500 {
+        while eng.steps() < 1_500 {
             assert!(eng.step(), "trace must outlast the snapshot point");
         }
         let payload = unframe(&eng.snapshot_to_bytes()).expect("frame").to_vec();

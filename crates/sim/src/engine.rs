@@ -6,12 +6,15 @@
 //! with the smallest local clock executes its next event, so cross-core
 //! interactions (steals, invalidations, reconciliations) happen in a
 //! deterministic global order given the seed. A tournament tree over
-//! `(clock, core)` (`CorePicker`) makes that pick in `O(log cores)`.
+//! `(clock, core)` (`CorePicker`) makes that pick in `O(log cores)`. An idle
+//! core that finds every deque empty can only tick its clock until some
+//! core forks, so it *parks* instead: it leaves the tree, and its ticks are
+//! added in closed form when it rejoins (see [`SimEngine::step`]).
 //!
 //! The engine runs in one of two modes: the one-shot helpers
 //! ([`simulate`], [`simulate_with_options`], [`try_simulate`]) replay a
 //! whole trace and return the [`SimOutcome`], while [`SimEngine`] exposes
-//! the same replay one scheduler step at a time so a run can be paused,
+//! the same replay a few scheduler steps at a time so a run can be paused,
 //! snapshotted to a crash-safe checkpoint (see [`crate::checkpoint`]) and
 //! resumed bit-identically.
 
@@ -76,7 +79,7 @@ pub struct SimOptions {
     pub obs: bool,
     /// Cooperative cancellation: when set, [`SimEngine::run_with_cancel`]
     /// (and [`try_simulate`]) poll the token every
-    /// [`CANCEL_CHECK_EVENTS`] scheduler steps and return a typed
+    /// [`CANCEL_CHECK_EVENTS`] [`SimEngine::step`] calls and return a typed
     /// [`SimError::Cancelled`] once it trips. `None` (the default) costs
     /// nothing: the cancellable run loop collapses to the plain one. The
     /// token is **not** part of the options fingerprint — the same
@@ -85,10 +88,12 @@ pub struct SimOptions {
     pub cancel: Option<CancelToken>,
 }
 
-/// Scheduler steps between polls of the cancellation token in
-/// [`SimEngine::run_with_cancel`]. At the measured millions of events per
-/// second this bounds cancellation latency to well under a millisecond,
-/// while keeping the hot loop free of per-event atomic loads.
+/// [`SimEngine::step`] calls between polls of the cancellation token in
+/// [`SimEngine::run_with_cancel`]. One call runs one step of a busy or
+/// stealing core (parked idle ticks ride along for free), so at the
+/// measured millions of events per second this bounds cancellation latency
+/// to well under a millisecond, while keeping the hot loop free of
+/// per-event atomic loads.
 pub const CANCEL_CHECK_EVENTS: u64 = 4096;
 
 struct Core {
@@ -167,8 +172,8 @@ pub fn simulate_with_options(
     SimEngine::new(program, machine, protocol, opts).run()
 }
 
-/// A resumable replay: the whole simulation state of one run, advanced one
-/// scheduler step at a time.
+/// A resumable replay: the whole simulation state of one run, advanced a
+/// few scheduler steps at a time (see [`Self::step`]).
 ///
 /// `SimEngine::new(p, m, proto, opts).run()` is exactly
 /// [`simulate_with_options`]`(p, m, proto, opts)`. Between any two
@@ -194,9 +199,18 @@ pub struct SimEngine<'a> {
     stats: SimStats,
     completed: usize,
     makespan: u64,
+    /// Scheduler steps run so far, not counting the ticks parked cores
+    /// have taken since they parked (see [`Self::steps`]).
     steps: u64,
-    /// The `(clock, core)` argmin over `cores`, kept current by [`Self::step`].
+    /// The `(clock, core)` argmin over the unparked cores, kept current by
+    /// [`Self::step`]; a parked core's leaf holds the padding key.
     picker: CorePicker,
+    /// Cores whose deque is non-empty, one bit per core (machines have at
+    /// most 64 cores: the directory's sharer sets are `u64` bitmasks).
+    stocked: u64,
+    /// Parked cores: idle while `stocked == 0`, out of the picker, each at
+    /// the clock it parked at. Non-zero only while `stocked` is zero.
+    parked: u64,
 }
 
 impl fmt::Debug for SimEngine<'_> {
@@ -206,7 +220,7 @@ impl fmt::Debug for SimEngine<'_> {
             .field("machine", &self.machine.name)
             .field("protocol", &self.protocol)
             .field("completed", &self.completed)
-            .field("steps", &self.steps)
+            .field("steps", &self.steps())
             .finish_non_exhaustive()
     }
 }
@@ -286,6 +300,8 @@ impl<'a> SimEngine<'a> {
             makespan: 0,
             steps: 0,
             picker: CorePicker::new(ncores),
+            stocked: 0,
+            parked: 0,
         }
     }
 
@@ -309,8 +325,23 @@ impl<'a> SimEngine<'a> {
         self.completed >= self.program.tasks.len()
     }
 
-    /// Scheduler steps executed so far (each [`Self::step`] that did work).
+    /// Scheduler steps executed so far: every event, task completion,
+    /// steal and idle tick, as if each idle tick had been stepped on its
+    /// own. Parked cores count the ticks they take before the next step.
     pub fn steps(&self) -> u64 {
+        let key = self.picker.winner();
+        let tick = self.machine.idle_tick;
+        let parked: u64 = set_bits(self.parked)
+            .map(|i| idle_ticks_before(self.cores[i].clock, i, key, tick))
+            .sum();
+        self.steps + parked
+    }
+
+    /// [`Self::steps`] without the ticks parked cores have taken since
+    /// they parked: `O(1)`, and behind `steps()` by at most one parked
+    /// stretch, because parked cores rejoin at the next fork onto empty
+    /// deques.
+    pub(crate) fn steps_unparked(&self) -> u64 {
         self.steps
     }
 
@@ -336,27 +367,108 @@ impl<'a> SimEngine<'a> {
         &self.opts
     }
 
-    /// Execute one scheduler step (one event, one task completion or one
-    /// work-acquisition attempt on the core with the smallest clock).
+    /// Advance the replay by at least one scheduler step: one event, task
+    /// completion or steal on the unparked core with the smallest
+    /// `(clock, core)`, plus the idle ticks parked cores take meanwhile.
     /// Returns `true` while more work remains; once it returns `false` the
     /// replay is complete and [`Self::finish`] produces the outcome.
+    ///
+    /// An idle core picked while every deque is empty can do nothing but
+    /// add `idle_tick` to its clock, step after step, until some core forks.
+    /// Instead of stepping it, the engine parks it: the core leaves the
+    /// picker at the clock `c` it parked at. When a step at key `(T, b)`
+    /// forks onto the empty deques or completes the last task, every parked
+    /// core `i` takes at once the `n` ticks a step-by-step replay would
+    /// have run before that step, those with `(c + j·idle_tick, i) <
+    /// (T, b)` (`idle_ticks_before`), and rejoins the picker. Readers of
+    /// clocks ([`Self::steps`], checkpoints, [`Self::finish`]) see the same
+    /// ticks counted up to the next step, so every observable number equals
+    /// the tick-by-tick replay's.
     pub fn step(&mut self) -> bool {
-        if self.is_done() {
-            return false;
+        loop {
+            if self.is_done() {
+                return false;
+            }
+            let key @ (_, cid) = self.picker.winner();
+            if cfg!(debug_assertions) {
+                self.check_schedule(cid);
+            }
+            if self.cores[cid].current.is_none() && self.stocked == 0 {
+                self.parked |= 1 << cid;
+                self.picker.park(cid);
+                continue;
+            }
+            self.step_inner(cid);
+            // Only the picked core's clock moves in a step.
+            self.picker.update(cid, self.cores[cid].clock);
+            self.steps += 1;
+            // Parked cores exist only while every deque is empty, so a
+            // non-empty one now means this step forked.
+            if self.parked != 0 && (self.stocked != 0 || self.is_done()) {
+                self.unpark_all(key);
+            }
+            return !self.is_done();
         }
-        let cid = self.picker.winner();
-        debug_assert_eq!(
-            cid,
-            (0..self.cores.len())
-                .min_by_key(|&i| (self.cores[i].clock, i))
-                .expect("at least one core"),
+    }
+
+    /// Give every parked core the idle ticks it takes before the step at
+    /// `key`, then put it back in the picker.
+    fn unpark_all(&mut self, key: (u64, usize)) {
+        let tick = self.machine.idle_tick;
+        for i in set_bits(std::mem::take(&mut self.parked)) {
+            let n = idle_ticks_before(self.cores[i].clock, i, key, tick);
+            self.cores[i].clock += n * tick;
+            self.stats.idle_cycles += n * tick;
+            self.steps += n;
+            self.picker.update(i, self.cores[i].clock);
+        }
+    }
+
+    /// Unpark every parked core at the next step's key, so clocks, idle
+    /// cycles and the step count read as in a tick-by-tick replay paused
+    /// before that step. Each rejoining core's key lands after the next
+    /// step's, so the schedule does not change.
+    fn settle(&mut self) {
+        if self.parked != 0 {
+            self.unpark_all(self.picker.winner());
+        }
+    }
+
+    /// The cores whose deque is non-empty, by a scan (`stocked` keeps the
+    /// same set current step by step).
+    fn nonempty_deques(&self) -> u64 {
+        (0..self.cores.len())
+            .filter(|&i| !self.cores[i].deque.is_empty())
+            .fold(0, |m, i| m | 1 << i)
+    }
+
+    /// The scheduler invariants, checked at every pick of a debug build:
+    /// the picker's winner is the `(clock, core)` argmin over the unparked
+    /// cores, `stocked` is the set of non-empty deques, a parked core runs
+    /// no task, and cores park only while every deque is empty.
+    fn check_schedule(&self, cid: usize) {
+        let is_parked = |i: usize| self.parked & (1 << i) != 0;
+        let argmin = (0..self.cores.len())
+            .filter(|&i| !is_parked(i))
+            .min_by_key(|&i| (self.cores[i].clock, i));
+        assert_eq!(
+            Some(cid),
+            argmin,
             "tournament tree diverged from the (clock, core) argmin"
         );
-        self.step_inner(cid);
-        // Only the picked core's clock moves in a step.
-        self.picker.update(cid, self.cores[cid].clock);
-        self.steps += 1;
-        !self.is_done()
+        assert_eq!(
+            self.stocked,
+            self.nonempty_deques(),
+            "stocked is not the non-empty deques"
+        );
+        assert!(
+            set_bits(self.parked).all(|i| self.cores[i].current.is_none()),
+            "a parked core holds a task"
+        );
+        assert!(
+            self.parked == 0 || self.stocked == 0,
+            "a core is parked while a deque holds work"
+        );
     }
 
     /// Run the replay to completion and produce the outcome. Ignores any
@@ -368,7 +480,7 @@ impl<'a> SimEngine<'a> {
     }
 
     /// Run the replay to completion, polling the [`SimOptions::cancel`]
-    /// token (if any) every [`CANCEL_CHECK_EVENTS`] scheduler steps. With
+    /// token (if any) every [`CANCEL_CHECK_EVENTS`] [`Self::step`] calls. With
     /// no token installed this is exactly [`Self::run`] — the per-step
     /// loop carries no extra branch. With a token, a trip is observed
     /// within one check interval and surfaces as a typed
@@ -380,7 +492,9 @@ impl<'a> SimEngine<'a> {
         };
         loop {
             if token.is_cancelled() {
-                return Err(SimError::Cancelled { steps: self.steps });
+                return Err(SimError::Cancelled {
+                    steps: self.steps(),
+                });
             }
             let mut burst = 0u64;
             while burst < CANCEL_CHECK_EVENTS {
@@ -402,6 +516,7 @@ impl<'a> SimEngine<'a> {
             acquire_work(
                 cid,
                 &mut self.cores,
+                &mut self.stocked,
                 machine,
                 &mut self.rng,
                 &mut self.stats,
@@ -440,6 +555,7 @@ impl<'a> SimEngine<'a> {
         let stats = &mut self.stats;
         let regions = &mut self.regions;
         let tasks = &mut self.tasks;
+        let stocked = &mut self.stocked;
         let core = &mut self.cores[cid];
         // Observability bookkeeping filled in by the access arms and
         // consumed after the match (where the core borrow has ended); both
@@ -534,6 +650,9 @@ impl<'a> SimEngine<'a> {
                 for &c in &children[1..] {
                     core.deque.push_back(c);
                 }
+                if !core.deque.is_empty() {
+                    *stocked |= 1 << cid;
+                }
             }
             Event::RegionAdd { start, end, token } => {
                 if coh.uses_regions() {
@@ -593,6 +712,7 @@ impl<'a> SimEngine<'a> {
     /// Frames are execution history — a resumed run keeps the one recorded
     /// before its snapshot, an uninterrupted run records none.
     pub(crate) fn note_checkpoint_frame(&mut self) {
+        self.settle();
         if let Some(rec) = self.recorder.as_mut() {
             let clock = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
             rec.note_checkpoint_frame(clock);
@@ -604,6 +724,7 @@ impl<'a> SimEngine<'a> {
     /// [`Self::step`] has returned `false`; calling it earlier reports the
     /// partial run as-is.
     pub fn finish(mut self) -> SimOutcome {
+        self.settle();
         if let Some(inj) = self.injector.as_mut() {
             // End-of-run cleanup: release decoys still pinned, so region
             // state matches a fault-free run (unbilled, like the flush
@@ -643,8 +764,11 @@ impl<'a> SimEngine<'a> {
 
     /// Serialize the complete mutable simulation state (scheduler, cores,
     /// store buffers, RNG, fault injector, coherence system, memory image
-    /// and statistics) at the current instruction boundary.
-    pub(crate) fn encode_state(&self, enc: &mut Encoder) {
+    /// and statistics) at the current instruction boundary. Unparks every
+    /// parked core first, so the encoding holds no parking state and equals
+    /// a tick-by-tick replay's.
+    pub(crate) fn encode_state(&mut self, enc: &mut Encoder) {
+        self.settle();
         enc.put_usize(self.completed);
         enc.put_u64(self.makespan);
         enc.put_u64(self.steps);
@@ -853,7 +977,10 @@ impl<'a> SimEngine<'a> {
         self.tasks = tasks;
         self.regions = regions;
         self.stats = stats;
-        // The restored clocks moved behind the picker's back.
+        // The restored clocks moved behind the picker's back; nothing is
+        // parked (encodings are settled).
+        self.stocked = self.nonempty_deques();
+        self.parked = 0;
         self.picker.rebuild(self.cores.iter().map(|c| c.clock));
         Ok(())
     }
@@ -866,9 +993,10 @@ impl<'a> SimEngine<'a> {
 /// leaves `width..2 * width` are the cores, padded to a power of two. Each
 /// node holds the smaller key of its two children; comparing full
 /// `(clock, core)` tuples breaks clock ties toward the lower core id, and
-/// padding keys `(u64::MAX, usize::MAX)` lose to every real core. A step
-/// moves only the picked core's clock, so [`Self::update`] replays one
-/// leaf-to-root path in `O(log cores)`.
+/// padding keys `(u64::MAX, usize::MAX)` lose to every real core; a parked
+/// core holds the padding key too. A step moves only the picked core's
+/// clock, so [`Self::update`] replays one leaf-to-root path in
+/// `O(log cores)`.
 #[derive(Clone, Debug)]
 struct CorePicker {
     /// Leaf count: the core count rounded up to a power of two.
@@ -892,15 +1020,24 @@ impl CorePicker {
         picker
     }
 
-    /// The core with the smallest `(clock, core)`.
-    fn winner(&self) -> usize {
-        self.nodes[1].1
+    /// The smallest `(clock, core)` key.
+    fn winner(&self) -> (u64, usize) {
+        self.nodes[1]
     }
 
     /// Set `core`'s clock and replay its path to the root.
     fn update(&mut self, core: usize, clock: u64) {
+        self.set(core, (clock, core));
+    }
+
+    /// Take `core` out of the running: its leaf gets the padding key.
+    fn park(&mut self, core: usize) {
+        self.set(core, CorePicker::PAD);
+    }
+
+    fn set(&mut self, core: usize, key: (u64, usize)) {
         let mut i = self.width + core;
-        self.nodes[i] = (clock, core);
+        self.nodes[i] = key;
         while i > 1 {
             i /= 2;
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
@@ -931,7 +1068,39 @@ fn drain_store_buffer(core: &mut Core) {
     }
 }
 
-/// An idle core looks for work: its own deque first, then a random victim.
+/// The number of idle ticks a core parked at clock `parked_at` takes before
+/// the step at `key` runs: the count of `j ≥ 0` with
+/// `(parked_at + j·tick, core) < key`. A tick-by-tick replay runs exactly
+/// these, because it executes steps in `(clock, core)` order. `tick` is
+/// non-zero ([`MachineConfig::validate`]).
+fn idle_ticks_before(parked_at: u64, core: usize, (t, b): (u64, usize), tick: u64) -> u64 {
+    match t.checked_sub(parked_at) {
+        None => 0,
+        // `d / tick` ticks land strictly before `t`; one more lands before
+        // `t` too when the division has a remainder, or lands on `t` and
+        // wins the tie on core id.
+        Some(d) => d / tick + u64::from(d % tick != 0 || core < b),
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
+}
+
+/// An idle core takes work: its own deque first, else it steals from a
+/// random victim. The engine calls this only while some deque is
+/// non-empty (an idle core that finds them all empty parks instead), so a
+/// core with an empty deque always finds a victim.
+///
+/// The victims are the set bits of `stocked` (the thief's own bit is clear:
+/// its deque is empty), and `gen_range(0..count)` picks the k-th of them in
+/// core order: the same draw and the same victim as a scan over all cores,
+/// so replays stay bit-identical.
 ///
 /// Taking a task — popped or stolen — is a sync point for the lazy
 /// protocols: the consumer self-invalidates so it observes everything the
@@ -941,40 +1110,29 @@ fn drain_store_buffer(core: &mut Core) {
 fn acquire_work(
     cid: usize,
     cores: &mut [Core],
+    stocked: &mut u64,
     machine: &MachineConfig,
     rng: &mut SmallRng,
     stats: &mut SimStats,
     coh: &mut CoherenceSystem,
 ) {
-    if let Some(t) = cores[cid].deque.pop_back() {
-        cores[cid].current = Some(t);
-        let sync = coh.task_sync(cid);
-        cores[cid].clock += sync;
-        stats.region_cycles += sync;
-        return;
+    let (task, from) = match cores[cid].deque.pop_back() {
+        Some(t) => (t, cid),
+        None => {
+            stats.steal_attempts += 1;
+            let k = rng.gen_range(0..stocked.count_ones() as usize);
+            let victim = set_bits(*stocked).nth(k).expect("k < victim count");
+            let stolen = cores[victim].deque.pop_front().expect("victim non-empty");
+            cores[cid].clock += machine.steal_cost;
+            stats.steal_cycles += machine.steal_cost;
+            stats.steals += 1;
+            (stolen, victim)
+        }
+    };
+    if cores[from].deque.is_empty() {
+        *stocked &= !(1 << from);
     }
-    // Count-then-nth instead of collecting a victims Vec: the hot idle path
-    // allocates nothing, and `gen_range(0..count)` draws exactly the same
-    // RNG value the old `gen_range(0..victims.len())` did, so replay stays
-    // bit-identical.
-    let is_victim = |i: &usize| *i != cid && !cores[*i].deque.is_empty();
-    let count = (0..cores.len()).filter(is_victim).count();
-    if count == 0 {
-        cores[cid].clock += machine.idle_tick;
-        stats.idle_cycles += machine.idle_tick;
-        return;
-    }
-    stats.steal_attempts += 1;
-    let k = rng.gen_range(0..count);
-    let victim = (0..cores.len())
-        .filter(is_victim)
-        .nth(k)
-        .expect("k < victim count");
-    let stolen = cores[victim].deque.pop_front().expect("victim non-empty");
-    cores[cid].clock += machine.steal_cost;
-    stats.steal_cycles += machine.steal_cost;
-    cores[cid].current = Some(stolen);
-    stats.steals += 1;
+    cores[cid].current = Some(task);
     let sync = coh.task_sync(cid);
     cores[cid].clock += sync;
     stats.region_cycles += sync;
@@ -987,6 +1145,37 @@ mod tests {
 
     fn tiny_machine() -> MachineConfig {
         MachineConfig::dual_socket().with_cores(2)
+    }
+
+    /// A fork-join trace (a small fib) that leaves most of a 48-core
+    /// machine idle, so cores park for most of the run.
+    fn fork_join_program() -> TraceProgram {
+        use warden_rt::TaskCtx;
+        fn fib(ctx: &mut TaskCtx<'_>, n: u64) -> u64 {
+            if n < 2 {
+                ctx.work(40);
+                return n;
+            }
+            let (a, b) = ctx.fork2(|c| fib(c, n - 1), |c| fib(c, n - 2));
+            a + b
+        }
+        trace_program("fib", RtOptions::default(), |ctx| {
+            let out = ctx.alloc::<u64>(1);
+            let r = fib(ctx, 11);
+            ctx.write(&out, 0, r);
+        })
+    }
+
+    fn assert_same_outcome(a: &SimOutcome, b: &SimOutcome, what: &str) {
+        assert_eq!(a.stats, b.stats, "{what}: stats");
+        let bits = |e: &EnergyBreakdown| {
+            [e.interconnect_nj, e.in_processor_nj, e.static_nj].map(f64::to_bits)
+        };
+        assert_eq!(bits(&a.energy), bits(&b.energy), "{what}: energy bits");
+        assert_eq!(
+            a.memory_image_digest, b.memory_image_digest,
+            "{what}: image digest"
+        );
     }
 
     fn sample_program() -> TraceProgram {
@@ -1089,7 +1278,8 @@ mod tests {
         // Deterministic mid-run cancellation: advance the engine partway by
         // hand, flip the token (as the serving layer does from another
         // thread), then hand the rest of the replay to `run_with_cancel`.
-        // It must stop at its first poll rather than finish the program.
+        // It must stop at its first poll rather than finish the program:
+        // the step count it reports is the one at the flip.
         let p = sample_program();
         let m = tiny_machine();
         let full = {
@@ -1097,16 +1287,16 @@ mod tests {
             while eng.step() {}
             eng.steps()
         };
-        let head = full / 2;
         let token = CancelToken::new();
         let opts = SimOptions {
             cancel: Some(token.clone()),
             ..SimOptions::default()
         };
         let mut eng = SimEngine::try_new(&p, &m, ProtocolId::Warden, &opts).expect("valid machine");
-        for _ in 0..head {
+        while eng.steps() < full / 2 {
             assert!(eng.step(), "half the run must not exhaust the program");
         }
+        let head = eng.steps();
         token.cancel();
         match eng.run_with_cancel() {
             Err(SimError::Cancelled { steps }) => {
@@ -1158,6 +1348,64 @@ mod tests {
         assert_eq!(resumed.memory_image_digest, reference.memory_image_digest);
         assert_eq!(resumed.energy, reference.energy);
         assert!(resumed.violations.is_empty());
+    }
+
+    #[test]
+    fn snapshots_with_parked_cores_are_canonical_and_resume_identically() {
+        // On 48 cores most snapshots fall while cores are parked. Each one
+        // must encode canonically, keep the step count across a restore,
+        // and resume to the uninterrupted run's outcome; the run it was
+        // taken from (settled at every snapshot) must end the same way too,
+        // as must a framed run, whose frames settle it at other points.
+        let p = fork_join_program();
+        let m = MachineConfig::many_socket(4);
+        let opts = SimOptions::default();
+        for proto in [ProtocolId::Warden, ProtocolId::Dls] {
+            let reference = simulate_with_options(&p, &m, proto, &opts);
+            let full = {
+                let mut eng = SimEngine::new(&p, &m, proto, &opts);
+                while eng.step() {}
+                eng.steps()
+            };
+            let mut eng = SimEngine::new(&p, &m, proto, &opts);
+            let mut parked_snapshots = 0;
+            for k in 0..16 {
+                while eng.steps() < full * k / 16 {
+                    assert!(eng.step(), "the run outlasts its last snapshot");
+                }
+                parked_snapshots += usize::from(eng.parked != 0);
+                let steps = eng.steps();
+                let mut enc = Encoder::new();
+                eng.encode_state(&mut enc);
+                assert_eq!(eng.steps(), steps, "settling keeps the step count");
+                let bytes = enc.into_bytes();
+
+                let mut fresh = SimEngine::new(&p, &m, proto, &opts);
+                let mut dec = Decoder::new(&bytes);
+                fresh.apply_state(&mut dec).expect("state applies");
+                dec.finish().expect("no trailing bytes");
+                let mut enc2 = Encoder::new();
+                fresh.encode_state(&mut enc2);
+                assert_eq!(enc2.bytes(), &bytes[..], "snapshot must be canonical");
+                assert_eq!(fresh.steps(), steps, "restore keeps the step count");
+                let what = format!("{proto} resumed at step {steps}");
+                assert_same_outcome(&fresh.run(), &reference, &what);
+            }
+            assert!(
+                parked_snapshots >= 8,
+                "{proto}: only {parked_snapshots} of 16 snapshots had parked cores"
+            );
+            while eng.step() {}
+            assert_eq!(eng.steps(), full);
+            assert_same_outcome(&eng.finish(), &reference, "settled run");
+
+            let mut frames = 0;
+            let framed = SimEngine::new(&p, &m, proto, &opts)
+                .run_with_cancel_frames(97, |_, _| frames += 1)
+                .expect("no cancel token");
+            assert!(frames > 10);
+            assert_same_outcome(&framed, &reference, "framed run");
+        }
     }
 
     #[test]
@@ -1570,18 +1818,28 @@ mod tests {
     #[test]
     fn cycle_categories_conserve_core_time() {
         // Every clock advance in the engine is classified into exactly one
-        // category, so the categories must sum to the cores' total time.
-        for (bench, m) in [
-            ("sample", tiny_machine()),
-            ("sample", MachineConfig::dual_socket()),
+        // category, so the categories must sum to the cores' total time —
+        // also on 48 cores, where parked cores' idle ticks are added in
+        // closed form, and with injected fault stalls.
+        let (sample, fib) = (sample_program(), fork_join_program());
+        let plain = SimOptions::default();
+        let benign = SimOptions {
+            faults: Some(FaultPlan::benign(3)),
+            ..SimOptions::default()
+        };
+        for (bench, p, m, opts) in [
+            ("sample", &sample, tiny_machine(), &plain),
+            ("sample", &sample, MachineConfig::dual_socket(), &plain),
+            ("fib", &fib, MachineConfig::many_socket(4), &plain),
+            ("fib", &fib, MachineConfig::many_socket(4), &benign),
         ] {
-            let p = sample_program();
-            for proto in [ProtocolId::Msi, ProtocolId::Mesi, ProtocolId::Warden] {
-                let s = simulate(&p, &m, proto).stats;
+            for proto in ProtocolId::ALL {
+                let s = simulate_with_options(p, &m, proto, opts).stats;
                 let classified: u64 = s.cycle_breakdown().iter().map(|&(_, c)| c).sum();
                 assert_eq!(
                     classified, s.core_cycles_total,
-                    "{bench} {proto}: breakdown must conserve core time"
+                    "{bench} on {} {proto}: breakdown must conserve core time",
+                    m.name
                 );
             }
         }
@@ -1629,7 +1887,7 @@ mod tests {
     /// picked core by the next increment, update its leaf.
     fn drive(picker: &mut CorePicker, clocks: &mut [u64], incs: &[u64]) {
         for &inc in incs {
-            let got = picker.winner();
+            let (_, got) = picker.winner();
             assert_eq!(
                 got,
                 argmin(clocks),
@@ -1639,7 +1897,43 @@ mod tests {
             clocks[got] += inc;
             picker.update(got, clocks[got]);
         }
-        assert_eq!(picker.winner(), argmin(clocks));
+        assert_eq!(picker.winner().1, argmin(clocks));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The closed-form tick count equals a tick-by-tick count of the
+        /// parked core's keys `(c + j·tick, i)` that precede the step's key
+        /// `(T, b)`: with `T` below, at and above `c`, `T − c` a multiple of
+        /// the tick or not, the parked core's id below or above the
+        /// stepping core's, and ticks of 1, 60 and others.
+        #[test]
+        fn idle_ticks_before_matches_a_tick_by_tick_count(
+            c in 20_000u64..1_000_000,
+            tick in proptest::prop_oneof![
+                proptest::strategy::Just(1u64),
+                proptest::strategy::Just(60u64),
+                1u64..200,
+            ],
+            gap in (0u64..50, 0u64..200, proptest::prelude::any::<bool>()),
+            side in 0usize..3,
+            ids in (0usize..64, 0usize..64),
+        ) {
+            let (whole, rem, exact) = gap;
+            let (i, b) = (ids.0, if ids.0 == ids.1 { (ids.1 + 1) % 64 } else { ids.1 });
+            let offset = whole * tick + if exact { 0 } else { rem % tick };
+            let t = match side {
+                0 => c - offset - 1,
+                1 => c,
+                _ => c + offset,
+            };
+            let mut brute = 0;
+            while (c + brute * tick, i) < (t, b) {
+                brute += 1;
+            }
+            proptest::prop_assert_eq!(idle_ticks_before(c, i, (t, b), tick), brute);
+        }
     }
 
     proptest::proptest! {
