@@ -4,7 +4,9 @@
 #   ./ci.sh checks   build, full test suite (the integration-test profile
 #                    runs the coherence invariant checker — see
 #                    tests/invariant_checker.rs and tests/fault_injection.rs),
-#                    lints, and formatting
+#                    the benchmark's own tests (perfbench/: a seeded defect
+#                    is counted, work counters repeat), lints, and
+#                    formatting
 #   ./ci.sh smoke    kill/resume drill: SIGKILL a tiny benchmark campaign
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
@@ -73,6 +75,9 @@ checks() {
 
   echo "== tests (workspace) =="
   cargo test -q --workspace --offline
+
+  echo "== tests (benchmark) =="
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
   echo "== clippy (deny warnings) =="
   cargo clippy --workspace --all-targets --offline -- -D warnings

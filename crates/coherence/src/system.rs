@@ -240,6 +240,9 @@ pub struct CoherenceSystem {
     /// Reusable page buffer for reconciliation walks (avoids a fresh
     /// allocation per forced walk).
     scratch_pages: Vec<PageAddr>,
+    /// Reusable block buffer for SelfInv sync points (avoids a fresh
+    /// allocation per task boundary).
+    scratch_blocks: Vec<BlockAddr>,
     /// Write-mask sector granularity in bytes (see [`CacheConfig`]).
     sector_bytes: u64,
     /// Optional directory-transition recorder (see [`Self::enable_dir_log`]).
@@ -403,6 +406,7 @@ impl CoherenceSystem {
             dir_pages: warden_mem::PageMap::new(),
             region_cache: vec![RegionCache::default(); topo.num_cores()],
             scratch_pages: Vec::new(),
+            scratch_blocks: Vec::new(),
             sector_bytes: cfg.sector_bytes,
             dir_log: None,
             check: None,
@@ -1546,9 +1550,11 @@ impl CoherenceSystem {
     /// sectors self-downgrade (write-mask merge at the LLC) and clean
     /// copies self-invalidate. Returns the latency to charge the core.
     pub(crate) fn si_sync(&mut self, core: CoreId) -> u64 {
-        let blocks: Vec<BlockAddr> = self.cores[core].l2.iter().map(|(b, _)| b).collect();
+        let mut blocks = std::mem::take(&mut self.scratch_blocks);
+        blocks.clear();
+        blocks.extend(self.cores[core].l2.iter().map(|(b, _)| b));
         let mut flushed = 0u64;
-        for block in blocks {
+        for &block in &blocks {
             if self.mutations.skip_self_invalidate {
                 // Mutation: only dirty lines leave (self-downgrade without
                 // self-invalidate) — clean residue survives the sync.
@@ -1572,9 +1578,8 @@ impl CoherenceSystem {
             self.handle_priv_eviction(core, block, line);
         }
         // The protocol's sync-point invariant: nothing may survive.
-        if let Some(mut chk) = self.check.take() {
-            let residue: Vec<BlockAddr> = self.cores[core].l2.iter().map(|(b, _)| b).collect();
-            for block in residue {
+        if let Some(chk) = &mut self.check {
+            for (block, _) in self.cores[core].l2.iter() {
                 chk.report(
                     InvariantKind::SyncResidue,
                     block,
@@ -1582,8 +1587,9 @@ impl CoherenceSystem {
                     format!("core {core} kept a private line across a sync point"),
                 );
             }
-            self.check = Some(chk);
         }
+        blocks.clear();
+        self.scratch_blocks = blocks;
         flushed * self.lat.reconcile_per_block
     }
 

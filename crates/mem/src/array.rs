@@ -7,10 +7,23 @@
 //! vectors touched only on a hit. With ~100-byte payloads this cuts the
 //! memory traffic of a 20-way scan by an order of magnitude, which is where
 //! the simulator's hot loop spends its time.
+//!
+//! Storage follows the footprint, not the geometry. A set gets its ways
+//! (tags, LRU stamps, payload vector) from a dense arena the first time a
+//! line is inserted into it; until then it costs one index word. The
+//! paper's machine holds 24,576 sets per LLC slice, and a small kernel
+//! touches a few thousand blocks in all, so building, walking, flushing and
+//! freeing only the touched sets is what keeps engine setup and teardown
+//! proportional to the run rather than to the machine.
 
 use crate::codec::{CodecError, Decoder, Encoder};
 use crate::{BlockAddr, CacheGeometry};
 use std::fmt;
+
+/// Low bits of an index word: the set's live line count. The high bits
+/// hold the set's dense storage id.
+const FILL_BITS: u32 = 32;
+const FILL_MASK: u64 = (1 << FILL_BITS) - 1;
 
 /// A block evicted by [`CacheArray::insert`], handed back to the caller so
 /// the protocol layer can write it back or notify the directory.
@@ -33,7 +46,8 @@ pub struct Evicted<T> {
 /// re-scanning the set for every read and write of the same line.
 #[derive(Clone, Copy, Debug)]
 pub struct Slot {
-    set: u32,
+    /// Dense storage id of the line's set.
+    dense: u32,
     way: u32,
 }
 
@@ -69,38 +83,81 @@ impl<'a, T> LookupMut<'a, T> {
 pub struct CacheArray<T> {
     geometry: CacheGeometry,
     assoc: usize,
-    /// Raw block number per way slot, `assoc` slots per set; only the first
-    /// `fill[set]` slots of a set are live. Within-set slot order matches
-    /// the order lines were stored (inserts append, removals swap the last
-    /// live slot in), exactly like the former `Vec<Line>` storage — victim
-    /// selection on LRU ties depends on it. Kept as bare `u64` (not
-    /// `BlockAddr`) so construction takes the `alloc_zeroed` fast path:
-    /// a paper-scale LLC slice is tens of megabytes of slots, and a memset
-    /// at that size costs more than a small kernel's entire replay.
+    /// One word per set: `dense << FILL_BITS | fill`, where `dense` is the
+    /// set's storage id and `fill` its live line count. A set without
+    /// storage reads `0`: a fill of zero, so a lookup there misses after
+    /// this one read.
+    index: Vec<u64>,
+    /// One bit per set that has storage; walks visit these in set order.
+    stored: Vec<u64>,
+    /// Raw block number per way slot, `assoc` slots per dense id; only the
+    /// first `fill` slots of a set are live. Within-set slot order is the
+    /// order lines were stored (inserts append, removals swap the last
+    /// live slot in) — victim selection on LRU ties depends on it.
     blocks: Vec<u64>,
     /// LRU stamp per way slot, parallel to `blocks`; read only on a hit or
     /// during victim selection, so tag scans stay within `blocks`.
     lru: Vec<u64>,
-    /// Live line count per set.
-    fill: Vec<u32>,
-    /// `payloads[set][way]`, same within-set order as `tags`.
+    /// `payloads[dense][way]`, same within-set order as `blocks`.
     payloads: Vec<Vec<T>>,
     tick: u64,
     len: usize,
 }
 
+/// Live line count of an index word.
+#[inline]
+fn fill_of(word: u64) -> usize {
+    (word & FILL_MASK) as usize
+}
+
+/// Dense storage id of an index word.
+#[inline]
+fn dense_of(word: u64) -> usize {
+    (word >> FILL_BITS) as usize
+}
+
+/// Indices of the set bits of `word`, the `w`-th word of a bitmap,
+/// ascending.
+fn word_ones(w: usize, word: u64) -> impl Iterator<Item = usize> {
+    let mut bits = word;
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            w * 64 + bit
+        })
+    })
+}
+
+/// Indices of the set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| word_ones(w, word))
+}
+
 impl<T> CacheArray<T> {
-    /// Create an empty array with the given geometry.
+    /// Create an empty array with the given geometry. No set has storage
+    /// yet; each gets its ways on its first insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than `u32::MAX` sets.
     pub fn new(geometry: CacheGeometry) -> CacheArray<T> {
         let num_sets = geometry.num_sets() as usize;
-        let assoc = geometry.associativity() as usize;
+        assert!(
+            u32::try_from(num_sets).is_ok(),
+            "cache arrays hold at most u32::MAX sets"
+        );
         CacheArray {
             geometry,
-            assoc,
-            blocks: vec![0; num_sets * assoc],
-            lru: vec![0; num_sets * assoc],
-            fill: vec![0; num_sets],
-            payloads: (0..num_sets).map(|_| Vec::new()).collect(),
+            assoc: geometry.associativity() as usize,
+            index: vec![0; num_sets],
+            stored: vec![0; num_sets.div_ceil(64)],
+            blocks: Vec::new(),
+            lru: Vec::new(),
+            payloads: Vec::new(),
             tick: 0,
             len: 0,
         }
@@ -126,60 +183,71 @@ impl<T> CacheArray<T> {
         self.tick
     }
 
-    /// The way index of `block` within its set, if resident.
+    /// The slot of `block` within its set, if resident.
     #[inline]
-    fn find(&self, set: usize, block: BlockAddr) -> Option<usize> {
-        let base = set * self.assoc;
-        let n = self.fill[set] as usize;
-        self.blocks[base..base + n]
+    fn find(&self, set: usize, block: BlockAddr) -> Option<Slot> {
+        let word = self.index[set];
+        let base = dense_of(word) * self.assoc;
+        let way = self.blocks[base..base + fill_of(word)]
             .iter()
-            .position(|&b| b == block.0)
+            .position(|&b| b == block.0)?;
+        Some(Slot {
+            dense: dense_of(word) as u32,
+            way: way as u32,
+        })
+    }
+
+    /// Position of `slot` in `blocks` and `lru`.
+    #[inline]
+    fn way_index(&self, slot: Slot) -> usize {
+        slot.dense as usize * self.assoc + slot.way as usize
+    }
+
+    /// The dense storage id of `set`, giving the set its ways first if it
+    /// has none.
+    fn storage(&mut self, set: usize) -> usize {
+        let bit = 1u64 << (set % 64);
+        if self.stored[set / 64] & bit == 0 {
+            self.stored[set / 64] |= bit;
+            self.index[set] = (self.payloads.len() as u64) << FILL_BITS;
+            self.blocks.resize(self.blocks.len() + self.assoc, 0);
+            self.lru.resize(self.lru.len() + self.assoc, 0);
+            self.payloads.push(Vec::new());
+        }
+        dense_of(self.index[set])
     }
 
     /// Look up a block without touching LRU state (a "probe", as a directory
     /// snoop would do).
     pub fn peek(&self, block: BlockAddr) -> Option<&T> {
         let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        Some(&self.payloads[set][way])
+        Some(self.at(self.find(set, block)?))
     }
 
     /// Look up a block, updating LRU state (a demand access).
     pub fn get(&mut self, block: BlockAddr) -> Option<&T> {
-        let tick = self.bump();
-        let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        self.lru[set * self.assoc + way] = tick;
-        Some(&self.payloads[set][way])
+        let slot = self.get_slot(block)?;
+        Some(self.at(slot))
     }
 
     /// Look up a block mutably, updating LRU state.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut T> {
-        let tick = self.bump();
-        let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        self.lru[set * self.assoc + way] = tick;
-        Some(&mut self.payloads[set][way])
+        let slot = self.get_slot(block)?;
+        Some(self.at_mut(slot))
     }
 
     /// Look up a block mutably *without* updating LRU state (for snoops and
     /// reconciliation scans that should not perturb replacement).
     pub fn peek_mut(&mut self, block: BlockAddr) -> Option<&mut T> {
-        let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        Some(&mut self.payloads[set][way])
+        let slot = self.locate(block)?;
+        Some(self.at_mut(slot))
     }
 
     /// Locate a resident block without touching LRU state, returning a
     /// [`Slot`] handle for repeated O(1) access to the same line.
     #[inline]
     pub fn locate(&self, block: BlockAddr) -> Option<Slot> {
-        let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        Some(Slot {
-            set: set as u32,
-            way: way as u32,
-        })
+        self.find(self.geometry.set_of(block) as usize, block)
     }
 
     /// Locate a resident block, updating LRU state (a demand access), and
@@ -188,13 +256,10 @@ impl<T> CacheArray<T> {
     #[inline]
     pub fn get_slot(&mut self, block: BlockAddr) -> Option<Slot> {
         let tick = self.bump();
-        let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        self.lru[set * self.assoc + way] = tick;
-        Some(Slot {
-            set: set as u32,
-            way: way as u32,
-        })
+        let slot = self.locate(block)?;
+        let i = self.way_index(slot);
+        self.lru[i] = tick;
+        Some(slot)
     }
 
     /// Mark `slot` as most-recently used, exactly as a [`Self::get`] on its
@@ -203,7 +268,8 @@ impl<T> CacheArray<T> {
     #[inline]
     pub fn touch(&mut self, slot: Slot) {
         let tick = self.bump();
-        self.lru[slot.set as usize * self.assoc + slot.way as usize] = tick;
+        let i = self.way_index(slot);
+        self.lru[i] = tick;
     }
 
     /// The payload at `slot` (no LRU effect).
@@ -214,7 +280,7 @@ impl<T> CacheArray<T> {
     /// changed since [`Self::locate`]).
     #[inline]
     pub fn at(&self, slot: Slot) -> &T {
-        &self.payloads[slot.set as usize][slot.way as usize]
+        &self.payloads[slot.dense as usize][slot.way as usize]
     }
 
     /// The payload at `slot`, mutably (no LRU effect).
@@ -225,20 +291,20 @@ impl<T> CacheArray<T> {
     /// changed since [`Self::locate`]).
     #[inline]
     pub fn at_mut(&mut self, slot: Slot) -> &mut T {
-        &mut self.payloads[slot.set as usize][slot.way as usize]
+        &mut self.payloads[slot.dense as usize][slot.way as usize]
     }
 
-    /// Remove the line at `way` of `set`, swap-filling the hole with the
+    /// Remove the line at `slot` of `set`, swap-filling the hole with the
     /// set's last live line (the same order perturbation `Vec::swap_remove`
-    /// produced — encodings and victim selection depend on it).
-    fn remove_at(&mut self, set: usize, way: usize) -> (BlockAddr, T) {
-        let base = set * self.assoc;
-        let n = self.fill[set] as usize;
-        let block = BlockAddr(self.blocks[base + way]);
-        self.blocks[base + way] = self.blocks[base + n - 1];
-        self.lru[base + way] = self.lru[base + n - 1];
-        let payload = self.payloads[set].swap_remove(way);
-        self.fill[set] -= 1;
+    /// produces — encodings and victim selection depend on it).
+    fn remove_at(&mut self, set: usize, slot: Slot) -> (BlockAddr, T) {
+        let i = self.way_index(slot);
+        let last = slot.dense as usize * self.assoc + fill_of(self.index[set]) - 1;
+        let block = BlockAddr(self.blocks[i]);
+        self.blocks[i] = self.blocks[last];
+        self.lru[i] = self.lru[last];
+        let payload = self.payloads[slot.dense as usize].swap_remove(slot.way as usize);
+        self.index[set] -= 1;
         self.len -= 1;
         (block, payload)
     }
@@ -250,14 +316,16 @@ impl<T> CacheArray<T> {
     pub fn insert(&mut self, block: BlockAddr, payload: T) -> Option<Evicted<T>> {
         let tick = self.bump();
         let set = self.geometry.set_of(block) as usize;
-        if let Some(way) = self.find(set, block) {
-            self.lru[set * self.assoc + way] = tick;
-            self.payloads[set][way] = payload;
+        if let Some(slot) = self.find(set, block) {
+            let i = self.way_index(slot);
+            self.lru[i] = tick;
+            *self.at_mut(slot) = payload;
             return None;
         }
+        let dense = self.storage(set);
+        let base = dense * self.assoc;
         let mut evicted = None;
-        let base = set * self.assoc;
-        if self.fill[set] as usize == self.assoc {
+        if fill_of(self.index[set]) == self.assoc {
             // First minimum wins on LRU ties, like `Iterator::min_by_key`.
             let victim = self.lru[base..base + self.assoc]
                 .iter()
@@ -265,17 +333,21 @@ impl<T> CacheArray<T> {
                 .min_by_key(|&(_, &lru)| lru)
                 .expect("full set is non-empty")
                 .0;
-            let (vblock, vpayload) = self.remove_at(set, victim);
+            let slot = Slot {
+                dense: dense as u32,
+                way: victim as u32,
+            };
+            let (vblock, vpayload) = self.remove_at(set, slot);
             evicted = Some(Evicted {
                 block: vblock,
                 payload: vpayload,
             });
         }
-        let n = self.fill[set] as usize;
+        let n = fill_of(self.index[set]);
         self.blocks[base + n] = block.0;
         self.lru[base + n] = tick;
-        self.payloads[set].push(payload);
-        self.fill[set] += 1;
+        self.payloads[dense].push(payload);
+        self.index[set] += 1;
         self.len += 1;
         evicted
     }
@@ -283,49 +355,63 @@ impl<T> CacheArray<T> {
     /// Remove a block, returning its payload if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<T> {
         let set = self.geometry.set_of(block) as usize;
-        let way = self.find(set, block)?;
-        Some(self.remove_at(set, way).1)
+        let slot = self.find(set, block)?;
+        Some(self.remove_at(set, slot).1)
     }
 
-    /// Iterate over all resident lines (block, payload).
+    /// Iterate over all resident lines (block, payload), in set order and,
+    /// within a set, in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &T)> {
-        self.payloads.iter().enumerate().flat_map(move |(set, ps)| {
-            let base = set * self.assoc;
-            ps.iter()
+        ones(&self.stored).flat_map(move |set| {
+            let dense = dense_of(self.index[set]);
+            let base = dense * self.assoc;
+            self.payloads[dense]
+                .iter()
                 .enumerate()
                 .map(move |(way, p)| (BlockAddr(self.blocks[base + way]), p))
         })
     }
 
     /// Remove every line for which `pred` returns true, invoking `on_removed`
-    /// for each (used for WARD-region flushes during reconciliation).
+    /// for each (used for WARD-region flushes during reconciliation). Sets
+    /// are visited in set order.
     pub fn drain_matching(
         &mut self,
         mut pred: impl FnMut(BlockAddr, &T) -> bool,
         mut on_removed: impl FnMut(BlockAddr, T),
     ) {
-        for set in 0..self.fill.len() {
-            let base = set * self.assoc;
-            let mut way = 0;
-            while way < self.fill[set] as usize {
-                if pred(BlockAddr(self.blocks[base + way]), &self.payloads[set][way]) {
-                    let (block, payload) = self.remove_at(set, way);
-                    on_removed(block, payload);
-                } else {
-                    way += 1;
+        for w in 0..self.stored.len() {
+            for set in word_ones(w, self.stored[w]) {
+                let dense = dense_of(self.index[set]);
+                let mut way = 0;
+                while way < fill_of(self.index[set]) {
+                    let slot = Slot {
+                        dense: dense as u32,
+                        way: way as u32,
+                    };
+                    if pred(BlockAddr(self.blocks[self.way_index(slot)]), self.at(slot)) {
+                        let (block, payload) = self.remove_at(set, slot);
+                        on_removed(block, payload);
+                    } else {
+                        way += 1;
+                    }
                 }
             }
         }
     }
 
-    /// Remove all lines, invoking `on_removed` for each (a full cache flush).
+    /// Remove all lines, invoking `on_removed` for each in [`Self::iter`]
+    /// order (a full cache flush). Sets keep their storage.
     pub fn drain_all(&mut self, mut on_removed: impl FnMut(BlockAddr, T)) {
-        for set in 0..self.fill.len() {
-            let base = set * self.assoc;
-            for (way, payload) in self.payloads[set].drain(..).enumerate() {
-                on_removed(BlockAddr(self.blocks[base + way]), payload);
+        for w in 0..self.stored.len() {
+            for set in word_ones(w, self.stored[w]) {
+                let dense = dense_of(self.index[set]);
+                let base = dense * self.assoc;
+                for (way, payload) in self.payloads[dense].drain(..).enumerate() {
+                    on_removed(BlockAddr(self.blocks[base + way]), payload);
+                }
+                self.index[set] &= !FILL_MASK;
             }
-            self.fill[set] = 0;
         }
         self.len = 0;
     }
@@ -337,29 +423,33 @@ impl<T> CacheArray<T> {
 
     /// Serialize the array's complete replacement state: the LRU tick and,
     /// per set, every line *in its exact storage order* with its LRU stamp.
-    /// Order matters for bit-identical resume: [`Self::insert`] evicts with
-    /// a swap-remove, so within-set position influences future victim
-    /// selection whenever LRU stamps tie.
+    /// Every set is written, in set order, with a zero count for a set
+    /// holding no lines, whether or not it has storage. Order matters for
+    /// bit-identical resume: [`Self::insert`] evicts with a swap-remove, so
+    /// within-set position influences future victim selection whenever LRU
+    /// stamps tie.
     ///
     /// Payloads are emitted through `put` so the protocol layer controls
     /// their encoding.
     pub fn encode_with(&self, enc: &mut Encoder, mut put: impl FnMut(&mut Encoder, &T)) {
         enc.put_u64(self.tick);
-        enc.put_usize(self.fill.len());
-        for set in 0..self.fill.len() {
-            let base = set * self.assoc;
-            let n = self.fill[set] as usize;
+        enc.put_usize(self.index.len());
+        for &word in &self.index {
+            let n = fill_of(word);
             enc.put_usize(n);
+            let dense = dense_of(word);
+            let base = dense * self.assoc;
             for way in 0..n {
                 enc.put_u64(self.blocks[base + way]);
                 enc.put_u64(self.lru[base + way]);
-                put(enc, &self.payloads[set][way]);
+                put(enc, &self.payloads[dense][way]);
             }
         }
     }
 
     /// Decode an array serialized by [`Self::encode_with`] into the given
     /// geometry, restoring tick, per-set line order and LRU stamps exactly.
+    /// Only sets that hold lines get storage.
     pub fn decode_with(
         geometry: CacheGeometry,
         dec: &mut Decoder<'_>,
@@ -387,7 +477,11 @@ impl<T> CacheArray<T> {
                     detail: format!("set {set_idx} holds {n} lines, associativity is {ways}"),
                 });
             }
-            let base = set_idx * ways;
+            if n == 0 {
+                continue;
+            }
+            let dense = out.storage(set_idx);
+            let base = dense * ways;
             for way in 0..n {
                 let block = BlockAddr(dec.take_u64()?);
                 if geometry.set_of(block) as usize != set_idx {
@@ -406,9 +500,9 @@ impl<T> CacheArray<T> {
                 let payload = take(dec)?;
                 out.blocks[base + way] = block.0;
                 out.lru[base + way] = lru;
-                out.payloads[set_idx].push(payload);
+                out.payloads[dense].push(payload);
             }
-            out.fill[set_idx] = n as u32;
+            out.index[set_idx] += n as u64;
             out.len += n;
         }
         Ok(out)
