@@ -4,12 +4,97 @@ use crate::codec::{CodecError, Decoder, Encoder};
 use crate::{Addr, BlockAddr, BlockData, PageAddr, PageMap, BLOCK_SIZE, PAGE_SIZE};
 use std::fmt;
 
-/// A sparse, page-granular simulated main memory.
+/// Bytes of one cache block.
+type Block = [u8; BLOCK_SIZE as usize];
+
+/// Cache blocks per page.
+const BLOCKS_PER_PAGE: usize = (PAGE_SIZE / BLOCK_SIZE) as usize;
+
+const ZERO_BLOCK: Block = [0; BLOCK_SIZE as usize];
+
+/// The index of `block` within its page.
+#[inline]
+fn block_index(block: BlockAddr) -> usize {
+    (block.0 % BLOCKS_PER_PAGE as u64) as usize
+}
+
+/// One resident page: the blocks of it that have been written.
 ///
-/// Pages materialize (zero-filled) on first touch. The HLPL runtime computes
-/// program results directly in a `Memory`, and the coherence simulators move
-/// `BlockData` between it and the caches, so final memory images can be
-/// compared between protocols.
+/// The heap hierarchy hands every task fresh pages, so a typical page holds
+/// only a block or two of data; storing just those keeps an image's size
+/// proportional to what the run wrote rather than to the pages it touched.
+#[derive(Clone)]
+struct Page {
+    /// `slots[i]` is one more than the index in `blocks` of the page's
+    /// block `i`, or 0 if that block is absent (it reads as zero).
+    slots: [u8; BLOCKS_PER_PAGE],
+    /// The stored blocks, in the order they were first written.
+    blocks: Vec<Block>,
+}
+
+impl Page {
+    fn new() -> Page {
+        Page {
+            slots: [0; BLOCKS_PER_PAGE],
+            blocks: Vec::new(),
+        }
+    }
+
+    /// The bytes of block `i`, or `None` if it is absent.
+    #[inline]
+    fn block(&self, i: usize) -> Option<&Block> {
+        match self.slots[i] {
+            0 => None,
+            s => Some(&self.blocks[s as usize - 1]),
+        }
+    }
+
+    /// Write `src` at byte `off` of block `i`. An absent block is stored
+    /// only if `src` has a non-zero byte: zeros over an absent block change
+    /// nothing a reader can see.
+    #[inline]
+    fn write(&mut self, i: usize, off: usize, src: &[u8]) {
+        if self.slots[i] == 0 {
+            if src.iter().all(|&b| b == 0) {
+                return;
+            }
+            self.blocks.push(ZERO_BLOCK);
+            self.slots[i] = self.blocks.len() as u8;
+        }
+        let s = self.slots[i] as usize - 1;
+        self.blocks[s][off..off + src.len()].copy_from_slice(src);
+    }
+
+    /// Whether every byte of the page is zero.
+    fn is_zero(&self) -> bool {
+        self.blocks.iter().all(|b| *b == ZERO_BLOCK)
+    }
+
+    /// The page's blocks in address order, absent ones as zeros.
+    fn blocks_in_order(&self) -> impl Iterator<Item = &Block> {
+        (0..BLOCKS_PER_PAGE).map(|i| self.block(i).unwrap_or(&ZERO_BLOCK))
+    }
+
+    /// The page's 4 KiB of bytes.
+    fn to_bytes(&self) -> [u8; PAGE_SIZE as usize] {
+        let mut out = [0; PAGE_SIZE as usize];
+        for (dst, src) in out
+            .chunks_exact_mut(BLOCK_SIZE as usize)
+            .zip(self.blocks_in_order())
+        {
+            dst.copy_from_slice(src);
+        }
+        out
+    }
+}
+
+/// A sparse, block-granular simulated main memory.
+///
+/// A page becomes resident on its first write, and stores only the 64-byte
+/// blocks written with a non-zero byte; everything else reads as zero. The
+/// HLPL runtime computes program results directly in a `Memory`, and the
+/// coherence simulators move `BlockData` between it and the caches, so final
+/// memory images can be compared between protocols.
 ///
 /// # Example
 ///
@@ -25,7 +110,7 @@ use std::fmt;
 pub struct Memory {
     /// Flat page table: dense over the program's address span, spilling to
     /// a hash map only for far outliers (see [`PageMap`]).
-    pages: PageMap<Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageMap<Page>,
 }
 
 impl Memory {
@@ -34,44 +119,56 @@ impl Memory {
         Memory::default()
     }
 
-    /// Number of materialized pages.
+    /// Number of resident pages (pages written at least once, including
+    /// those written only with zeros).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
 
-    fn page_mut(&mut self, page: PageAddr) -> &mut [u8; PAGE_SIZE as usize] {
-        self.pages
-            .or_insert_with(page, || Box::new([0; PAGE_SIZE as usize]))
+    /// The stored bytes of `block`, or `None` if it reads as zero.
+    #[inline]
+    fn block(&self, block: BlockAddr) -> Option<&Block> {
+        self.pages.get(block.page())?.block(block_index(block))
     }
 
-    /// Read `dst.len()` bytes starting at `addr`. May cross page boundaries.
+    /// The resident pages in ascending address order.
+    fn sorted_pages(&self) -> Vec<(PageAddr, &Page)> {
+        let mut pages: Vec<(PageAddr, &Page)> = self.pages.iter().collect();
+        pages.sort_by_key(|&(p, _)| p);
+        pages
+    }
+
+    /// Read `dst.len()` bytes starting at `addr`. May cross block and page
+    /// boundaries.
     pub fn read_bytes(&self, addr: Addr, dst: &mut [u8]) {
         let mut cur = addr;
         let mut done = 0;
         while done < dst.len() {
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let n = in_page.min(dst.len() - done);
-            match self.pages.get(cur.page()) {
-                Some(p) => {
-                    let off = cur.page_offset() as usize;
-                    dst[done..done + n].copy_from_slice(&p[off..off + n]);
-                }
-                None => dst[done..done + n].fill(0),
+            let off = cur.block_offset() as usize;
+            let n = (BLOCK_SIZE as usize - off).min(dst.len() - done);
+            let out = &mut dst[done..done + n];
+            match self.block(cur.block()) {
+                Some(b) => out.copy_from_slice(&b[off..off + n]),
+                None => out.fill(0),
             }
             done += n;
             cur += n as u64;
         }
     }
 
-    /// Write `src` starting at `addr`. May cross page boundaries.
+    /// Write `src` starting at `addr`. May cross block and page boundaries.
     pub fn write_bytes(&mut self, addr: Addr, src: &[u8]) {
         let mut cur = addr;
         let mut done = 0;
         while done < src.len() {
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let n = in_page.min(src.len() - done);
-            let off = cur.page_offset() as usize;
-            self.page_mut(cur.page())[off..off + n].copy_from_slice(&src[done..done + n]);
+            let off = cur.block_offset() as usize;
+            let n = (BLOCK_SIZE as usize - off).min(src.len() - done);
+            let block = cur.block();
+            self.pages.or_insert_with(block.page(), Page::new).write(
+                block_index(block),
+                off,
+                &src[done..done + n],
+            );
             done += n;
             cur += n as u64;
         }
@@ -101,29 +198,32 @@ impl Memory {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    /// Read a whole cache block.
+    /// Read a whole cache block: one page lookup and one slot read.
+    #[inline]
     pub fn read_block(&self, block: BlockAddr) -> BlockData {
-        let mut data = BlockData::zeroed();
-        self.read_bytes(block.base(), data.bytes_mut());
-        data
+        self.block(block)
+            .map_or_else(BlockData::zeroed, |b| BlockData::from_bytes(*b))
     }
 
-    /// Write a whole cache block.
+    /// Write a whole cache block: one page lookup and one slot read.
+    #[inline]
     pub fn write_block(&mut self, block: BlockAddr, data: &BlockData) {
-        self.write_bytes(block.base(), data.bytes());
+        self.pages.or_insert_with(block.page(), Page::new).write(
+            block_index(block),
+            0,
+            data.bytes(),
+        );
     }
 
-    /// The resident pages in ascending address order (all-zero pages are
-    /// skipped: they are indistinguishable from absent pages).
-    pub fn resident(&self) -> Vec<(PageAddr, &[u8; PAGE_SIZE as usize])> {
-        let mut out: Vec<(PageAddr, &[u8; PAGE_SIZE as usize])> = self
-            .pages
-            .iter()
-            .filter(|(_, data)| data.iter().any(|&b| b != 0))
-            .map(|(p, data)| (p, &**data))
-            .collect();
-        out.sort_by_key(|&(p, _)| p);
-        out
+    /// The resident pages with a non-zero byte, in ascending address order,
+    /// each as its 4 KiB of bytes (all-zero pages are skipped: they are
+    /// indistinguishable from absent pages).
+    pub fn resident(&self) -> Vec<(PageAddr, [u8; PAGE_SIZE as usize])> {
+        self.sorted_pages()
+            .into_iter()
+            .filter(|(_, page)| !page.is_zero())
+            .map(|(p, page)| (p, page.to_bytes()))
+            .collect()
     }
 
     /// A content digest of the memory image (FNV-1a folded over 64-bit
@@ -137,17 +237,12 @@ impl Memory {
     pub fn digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut pages: Vec<(PageAddr, &[u8; PAGE_SIZE as usize])> =
-            self.pages.iter().map(|(p, data)| (p, &**data)).collect();
-        pages.sort_by_key(|&(p, _)| p);
+        // An absent block is eight zero words, two per lane, and folding a
+        // zero word into a lane multiplies it by the prime.
+        const ZERO_BLOCK_FOLD: u64 = FNV_PRIME.wrapping_mul(FNV_PRIME);
         let mut h = FNV_OFFSET;
-        for (p, data) in pages {
-            // PAGE_SIZE is a multiple of 32, so the page splits exactly into
-            // groups of four u64 words.
-            let words = data
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-            if words.clone().all(|w| w == 0) {
+        for (p, page) in self.sorted_pages() {
+            if page.is_zero() {
                 continue;
             }
             h = (h ^ p.0).wrapping_mul(FNV_PRIME);
@@ -155,14 +250,21 @@ impl Memory {
             // one dependent multiply per word, and its latency alone is a
             // visible slice of a multi-megabyte final-image hash.
             let mut lanes = [h, h ^ FNV_PRIME, h.rotate_left(17), h.rotate_left(43)];
-            let mut it = words;
-            while let (Some(a), Some(b), Some(c), Some(d)) =
-                (it.next(), it.next(), it.next(), it.next())
-            {
-                lanes[0] = (lanes[0] ^ a).wrapping_mul(FNV_PRIME);
-                lanes[1] = (lanes[1] ^ b).wrapping_mul(FNV_PRIME);
-                lanes[2] = (lanes[2] ^ c).wrapping_mul(FNV_PRIME);
-                lanes[3] = (lanes[3] ^ d).wrapping_mul(FNV_PRIME);
+            for i in 0..BLOCKS_PER_PAGE {
+                let Some(block) = page.block(i) else {
+                    for lane in &mut lanes {
+                        *lane = lane.wrapping_mul(ZERO_BLOCK_FOLD);
+                    }
+                    continue;
+                };
+                // A block is 8 words, so it splits exactly into two groups
+                // of four, one word per lane.
+                for group in block.chunks_exact(32) {
+                    for (lane, w) in lanes.iter_mut().zip(group.chunks_exact(8)) {
+                        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+                        *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
+                    }
+                }
             }
             for lane in lanes {
                 h = (h ^ lane).wrapping_mul(FNV_PRIME);
@@ -172,18 +274,18 @@ impl Memory {
     }
 
     /// Serialize the full memory image (every resident page, including
-    /// all-zero ones, in ascending address order). Keeping zero pages makes a
-    /// decoded memory structurally identical to the original, not just
-    /// semantically equal — a checkpointed run must resume with the exact
-    /// page map it was snapshotted with.
+    /// all-zero ones, in ascending address order, as 4 KiB of bytes each).
+    /// Keeping zero pages makes a decoded memory structurally identical to
+    /// the original, not just semantically equal — a checkpointed run must
+    /// resume with the exact page map it was snapshotted with.
     pub fn encode_into(&self, enc: &mut Encoder) {
-        let mut pages: Vec<(PageAddr, &[u8; PAGE_SIZE as usize])> =
-            self.pages.iter().map(|(p, data)| (p, &**data)).collect();
-        pages.sort_by_key(|&(p, _)| p);
+        let pages = self.sorted_pages();
         enc.put_usize(pages.len());
-        for (p, data) in pages {
+        for (p, page) in pages {
             enc.put_u64(p.0);
-            enc.put_raw(&data[..]);
+            for block in page.blocks_in_order() {
+                enc.put_raw(block);
+            }
         }
     }
 
@@ -202,9 +304,11 @@ impl Memory {
             }
             last = Some(addr);
             let raw = dec.take_raw(PAGE_SIZE as usize)?;
-            let mut data = Box::new([0u8; PAGE_SIZE as usize]);
-            data.copy_from_slice(raw);
-            pages.insert(PageAddr(addr), data);
+            let mut page = Page::new();
+            for (i, block) in raw.chunks_exact(BLOCK_SIZE as usize).enumerate() {
+                page.write(i, 0, block);
+            }
+            pages.insert(PageAddr(addr), page);
         }
         Ok(Memory { pages })
     }
@@ -336,6 +440,45 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = crate::codec::Decoder::new(&bytes);
         assert!(Memory::decode_from(&mut dec).is_err());
+    }
+
+    /// Number of blocks `page` stores.
+    fn stored_blocks(mem: &Memory, page: u64) -> usize {
+        mem.pages.get(PageAddr(page)).map_or(0, |p| p.blocks.len())
+    }
+
+    #[test]
+    fn only_blocks_with_data_are_stored() {
+        let mut mem = Memory::new();
+        mem.write_bytes(Addr(0), &[0; PAGE_SIZE as usize]);
+        assert_eq!((mem.resident_pages(), stored_blocks(&mem, 0)), (1, 0));
+        // Three bytes across a block boundary store two blocks.
+        mem.write_bytes(Addr(BLOCK_SIZE - 1), &[1, 2, 3]);
+        assert_eq!(stored_blocks(&mem, 0), 2);
+        // Zeros over stored blocks overwrite them in place.
+        mem.write_bytes(Addr(BLOCK_SIZE - 1), &[0; 3]);
+        assert_eq!(mem.read_u64(Addr(BLOCK_SIZE - 1)), 0);
+        mem.write_block(BlockAddr(5), &BlockData::zeroed());
+        assert_eq!(stored_blocks(&mem, 0), 2);
+        assert_eq!(mem.digest(), Memory::new().digest());
+    }
+
+    #[test]
+    fn digest_folds_absent_blocks_as_zero_words() {
+        let mut sparse = Memory::new();
+        sparse.write_u64(Addr(3 * BLOCK_SIZE + 8), 0xabcd);
+        sparse.write_u8(Addr(PAGE_SIZE - 1), 7);
+        // The same image with every block of the page stored.
+        let mut dense = sparse.clone();
+        let page = dense.pages.get_mut(PageAddr(0)).unwrap();
+        for i in 0..BLOCKS_PER_PAGE {
+            if page.slots[i] == 0 {
+                page.blocks.push(ZERO_BLOCK);
+                page.slots[i] = page.blocks.len() as u8;
+            }
+        }
+        assert_eq!(stored_blocks(&dense, 0), BLOCKS_PER_PAGE);
+        assert_eq!(dense.digest(), sparse.digest());
     }
 
     #[test]

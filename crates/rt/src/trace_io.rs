@@ -248,7 +248,7 @@ fn put_memory<W: Write>(w: &mut W, mem: &Memory) -> io::Result<()> {
     put_u32(w, pages.len() as u32)?;
     for (p, data) in pages {
         put_u64(w, p.0)?;
-        w.write_all(data)?;
+        w.write_all(&data)?;
     }
     Ok(())
 }
@@ -260,6 +260,8 @@ fn get_memory<R: Read>(r: &mut R) -> Decode<Memory> {
     for _ in 0..n {
         let page = PageAddr(get_u64(r)?);
         r.read_exact(&mut buf)?;
+        // Makes the page resident but stores only its non-zero blocks:
+        // `Memory` keeps no block that was only ever written with zeros.
         mem.write_bytes(page.base(), &buf);
     }
     Ok(mem)
