@@ -6,7 +6,7 @@
 #                    tests/invariant_checker.rs and tests/fault_injection.rs),
 #                    the benchmark's own tests (perfbench/: a seeded defect
 #                    is counted, work counters repeat), lints, and
-#                    formatting
+#                    formatting (of the workspace and of perfbench/)
 #   ./ci.sh smoke    kill/resume drill: SIGKILL a tiny benchmark campaign
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
@@ -82,8 +82,14 @@ checks() {
   echo "== clippy (deny warnings) =="
   cargo clippy --workspace --all-targets --offline -- -D warnings
 
+  echo "== clippy (benchmark, deny warnings) =="
+  cargo clippy --all-targets --offline --manifest-path perfbench/Cargo.toml -- -D warnings
+
   echo "== rustfmt (check) =="
   cargo fmt --check
+
+  echo "== rustfmt (benchmark, check) =="
+  cargo fmt --check --manifest-path perfbench/Cargo.toml
 }
 
 # Completed-run records in a campaign directory: its top-level `*.rec`
