@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
-use warden_serve::{result_file_name, RealStorage, ResultStore};
+use warden_serve::{result_file_name, FaultyStorage, RealStorage, ResultStore, Storage};
 use warden_sim::checkpoint;
 use warden_sim::{
     CancelToken, Comparison, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome,
@@ -166,6 +166,10 @@ pub struct CampaignConfig {
     /// invocation, leaving the rest queued (simulates a mid-campaign kill).
     #[doc(hidden)]
     pub abort_after_runs: Option<usize>,
+    /// Test hook: put the result store on this fault-injecting storage
+    /// instead of the real filesystem.
+    #[doc(hidden)]
+    pub storage_faults: Option<Arc<FaultyStorage>>,
 }
 
 impl CampaignConfig {
@@ -186,6 +190,7 @@ impl CampaignConfig {
             quiet: false,
             chaos_panic_attempts: 0,
             abort_after_runs: None,
+            storage_faults: None,
         }
     }
 
@@ -516,11 +521,14 @@ pub fn run_campaign(
             }
         }
     }
-    let store =
-        ResultStore::open(&cfg.dir, Arc::new(RealStorage)).map_err(|msg| HarnessError::Io {
-            path: cfg.dir.clone(),
-            source: std::io::Error::other(msg),
-        })?;
+    let storage: Arc<dyn Storage> = match &cfg.storage_faults {
+        Some(faulty) => faulty.clone(),
+        None => Arc::new(RealStorage),
+    };
+    let store = ResultStore::open(&cfg.dir, storage).map_err(|msg| HarnessError::Io {
+        path: cfg.dir.clone(),
+        source: std::io::Error::other(msg),
+    })?;
 
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(specs.len());
     let mut manifest = BTreeMap::new();

@@ -6,17 +6,19 @@
 //! finished campaign's directory serves its cells from disk.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use warden_bench::{run_campaign, CampaignConfig, HarnessError, RunSpec, Workload};
 use warden_coherence::ProtocolId;
+use warden_mem::codec::fnv1a64;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::{trace_program, RtOptions, TraceProgram};
 use warden_serve::{
-    outcome_digest, Client, DiskBody, DiskEntry, MachinePreset, MachineSpec, Request, Response,
-    ServeConfig, ServedFrom, Server, SimRequest,
+    outcome_digest, Client, DiskBody, DiskEntry, FaultyStorage, MachinePreset, MachineSpec,
+    RealStorage, Request, Response, ServeConfig, ServedFrom, Server, SimRequest, StorageFaultPlan,
 };
-use warden_sim::checkpoint::unique_dir;
+use warden_sim::checkpoint::{encode_outcome, unique_dir};
 use warden_sim::{simulate_with_options, MachineConfig, SimOptions};
 
 fn scratch(name: &str) -> PathBuf {
@@ -261,6 +263,62 @@ fn a_byte_flipped_record_is_quarantined_and_its_cell_reruns_identically() {
         "the re-run is stored again"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign whose result store sits on seeded storage faults (torn
+/// writes, `ENOSPC`, corrupt reads, crashes on either side of the rename)
+/// never reports a wrong outcome: a run either matches the uninterrupted
+/// reference or fails typed because its record could not be persisted.
+/// Resuming on real storage then completes the reference report exactly.
+#[test]
+fn a_campaign_under_storage_faults_resumes_to_the_reference_report() {
+    let specs = tiny_specs();
+    let ref_dir = scratch("faults-ref");
+    let reference = run_campaign(&specs, &quiet_cfg(ref_dir.clone())).expect("reference");
+    let digests = |results: &[warden_bench::RunResult]| -> Vec<(String, u64)> {
+        results
+            .iter()
+            .map(|r| (r.id.clone(), fnv1a64(&encode_outcome(&r.outcome))))
+            .collect()
+    };
+    let (mut injected, mut quarantined) = (0, 0);
+    for seed in 1..=4 {
+        let dir = scratch(&format!("faults-{seed}"));
+        let faulty = Arc::new(FaultyStorage::new(
+            RealStorage,
+            StorageFaultPlan::seeded(seed),
+        ));
+        let mut cfg = quiet_cfg(dir.clone());
+        cfg.checkpoint_every_steps = 256;
+        cfg.storage_faults = Some(faulty.clone());
+        // The second invocation reads the first one's entries back through
+        // the faults.
+        for _ in 0..2 {
+            match run_campaign(&specs, &cfg) {
+                Ok(results) => assert_eq!(digests(&results), digests(&reference), "seed {seed}"),
+                Err(HarnessError::RunsFailed(fails)) => {
+                    for f in fails {
+                        assert!(
+                            f.reason.starts_with("cannot persist result record"),
+                            "seed {seed}: {f}"
+                        );
+                    }
+                }
+                Err(other) => panic!("seed {seed}: unexpected error: {other}"),
+            }
+        }
+        injected += faulty.stats().injected();
+
+        let resumed = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("resume");
+        assert_eq!(digests(&resumed), digests(&reference), "seed {seed}");
+        quarantined += std::fs::read_dir(dir.join("quarantine"))
+            .expect("quarantine dir")
+            .count();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(injected > 0, "the plans injected no fault");
+    assert!(quarantined > 0, "no damaged entry was quarantined");
+    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]

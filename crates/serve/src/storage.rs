@@ -215,6 +215,15 @@ pub struct FaultyStorage {
     crash_after_rename: AtomicU64,
 }
 
+impl std::fmt::Debug for FaultyStorage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultyStorage")
+            .field("plan", &self.plan)
+            .field("injected", &self.stats())
+            .finish_non_exhaustive()
+    }
+}
+
 /// The raw `ENOSPC` errno, so injected disk-full failures are
 /// indistinguishable from real ones.
 pub const ENOSPC_OS_ERROR: i32 = 28;
