@@ -17,21 +17,9 @@
 //! | `--deadline-ms <ms>`   | per-run watchdog deadline |
 //! | `--retries <n>`        | retry budget per campaign run |
 //! | `--quiet`              | suppress campaign progress lines |
-//! | `--out <path>`         | `bench_baseline`/`loadgen`: report destination |
+//! | `--out <path>`         | `bench_baseline`: report destination |
 //! | `--baseline <path>`    | `bench_baseline`: earlier report to compare against |
 //! | `--runs <n>`           | `bench_baseline`: repetitions per sample |
-//! | `--addr <host:port>`   | `serve`/`loadgen`: TCP address to bind/connect |
-//! | `--uds <path>`         | `serve`/`loadgen`: Unix-socket path to bind/connect |
-//! | `--clients <n>`        | `loadgen`: concurrent client connections |
-//! | `--iters <n>`          | `loadgen`: requests per client |
-//! | `--spawn`              | `loadgen`: start an in-process server to drive |
-//! | `--chaos`              | `loadgen`: drive through the fault-injecting proxy |
-//! | `--chaos-seed <seed>`  | `loadgen`: seed for the chaos fault stream |
-//! | `--request-deadline-ms <ms>` | `serve`/`loadgen --spawn`: per-request deadline |
-//! | `--cache-budget <bytes>` | `serve`/`loadgen --spawn`: result-cache byte budget |
-//! | `--disk-cache <dir>`   | `serve`/`loadgen --spawn`: crash-safe disk tier directory |
-//! | `--storage-chaos`      | inject seeded storage faults into the disk tier |
-//! | `--storage-chaos-seed <seed>` | seed for the storage-fault stream |
 //! | `--fuzz-workloads <n>` | `fuzzgen`: generated workloads per gate run |
 //! | `--fuzz-seed <seed>`   | `fuzzgen`: workload-generator stream seed |
 //! | `--patterns <names|all>` | `fuzzgen`: sharing patterns to generate |
@@ -50,27 +38,19 @@ use std::path::PathBuf;
 use std::time::Duration;
 use warden_coherence::{ProtocolId, ProtocolMutation};
 use warden_rt::workload::SharingPattern;
-use warden_serve::StorageFaultPlan;
 
 /// Every flag the harness binaries understand, with value placeholders —
 /// printed by the unknown-flag error.
 pub const VALID_FLAGS: &[&str] = &[
-    "--addr <host:port>",
     "--artifacts <dir>",
     "--atlas <dir>",
     "--baseline <path>",
-    "--cache-budget <bytes>",
     "--campaign-dir <dir>",
-    "--chaos",
-    "--chaos-seed <seed>",
     "--check",
-    "--clients <n>",
     "--deadline-ms <ms>",
-    "--disk-cache <dir>",
     "--faults <seed>",
     "--fuzz-seed <seed>",
     "--fuzz-workloads <n>",
-    "--iters <n>",
     "--jobs <n>",
     "--markdown <path>",
     "--mutate <protocol:mutation>",
@@ -80,14 +60,9 @@ pub const VALID_FLAGS: &[&str] = &[
     "--protocols <names|all>",
     "--quiet",
     "--replay <token>",
-    "--request-deadline-ms <ms>",
     "--retries <n>",
     "--runs <n>",
     "--scale <tiny|paper>",
-    "--spawn",
-    "--storage-chaos",
-    "--storage-chaos-seed <seed>",
-    "--uds <path>",
 ];
 
 /// Parsed command line shared by the harness binaries.
@@ -120,37 +95,6 @@ pub struct HarnessArgs {
     pub baseline: Option<PathBuf>,
     /// `--runs <n>`: repetitions per throughput sample.
     pub runs: Option<u32>,
-    /// `--addr <host:port>`: TCP address for `serve` (bind) and `loadgen`
-    /// (connect).
-    pub addr: Option<String>,
-    /// `--uds <path>`: Unix-socket path for `serve` (bind) and `loadgen`
-    /// (connect).
-    pub uds: Option<PathBuf>,
-    /// `--clients <n>`: concurrent load-generator connections.
-    pub clients: Option<usize>,
-    /// `--iters <n>`: requests each load-generator client sends.
-    pub iters: Option<usize>,
-    /// `--spawn`: `loadgen` starts an in-process server to drive.
-    pub spawn: bool,
-    /// `--chaos`: `loadgen` interposes the fault-injecting proxy and
-    /// drives it with resilient clients.
-    pub chaos: bool,
-    /// `--chaos-seed <seed>`: seed for the deterministic fault stream
-    /// (also salts the clients' retry jitter).
-    pub chaos_seed: Option<u64>,
-    /// `--request-deadline-ms <ms>`: per-request server deadline covering
-    /// queue wait plus simulation.
-    pub request_deadline_ms: Option<u64>,
-    /// `--cache-budget <bytes>`: byte budget for the server's result
-    /// cache.
-    pub cache_budget: Option<u64>,
-    /// `--disk-cache <dir>`: enable the crash-safe disk tier rooted here.
-    pub disk_cache: Option<PathBuf>,
-    /// `--storage-chaos`: inject the seeded storage-fault plan into the
-    /// disk tier (requires `--disk-cache`).
-    pub storage_chaos: bool,
-    /// `--storage-chaos-seed <seed>`: seed for the storage-fault stream.
-    pub storage_chaos_seed: Option<u64>,
     /// `--protocols <names|all>`: which registered coherence protocols a
     /// binary runs, as comma-separated registry names (`mesi,warden,si`) or
     /// `all`. `None` keeps each binary's default (usually MESI + WARDen).
@@ -303,51 +247,6 @@ impl HarnessArgs {
                     out.baseline = Some(PathBuf::from(value(&mut it, "--baseline", "<path>")?))
                 }
                 "--runs" => out.runs = Some(number(&mut it, "--runs", "<n>")?),
-                "--addr" => out.addr = Some(value(&mut it, "--addr", "<host:port>")?),
-                "--uds" => out.uds = Some(PathBuf::from(value(&mut it, "--uds", "<path>")?)),
-                "--clients" => {
-                    let n: usize = number(&mut it, "--clients", "<n>")?;
-                    if n == 0 {
-                        return Err(HarnessError::Args("--clients must be at least 1".into()));
-                    }
-                    out.clients = Some(n);
-                }
-                "--iters" => {
-                    let n: usize = number(&mut it, "--iters", "<n>")?;
-                    if n == 0 {
-                        return Err(HarnessError::Args("--iters must be at least 1".into()));
-                    }
-                    out.iters = Some(n);
-                }
-                "--spawn" => out.spawn = true,
-                "--chaos" => out.chaos = true,
-                "--chaos-seed" => out.chaos_seed = Some(number(&mut it, "--chaos-seed", "<seed>")?),
-                "--request-deadline-ms" => {
-                    let ms: u64 = number(&mut it, "--request-deadline-ms", "<ms>")?;
-                    if ms == 0 {
-                        return Err(HarnessError::Args(
-                            "--request-deadline-ms must be at least 1".into(),
-                        ));
-                    }
-                    out.request_deadline_ms = Some(ms);
-                }
-                "--cache-budget" => {
-                    let bytes: u64 = number(&mut it, "--cache-budget", "<bytes>")?;
-                    if bytes == 0 {
-                        return Err(HarnessError::Args(
-                            "--cache-budget must be at least 1 byte".into(),
-                        ));
-                    }
-                    out.cache_budget = Some(bytes);
-                }
-                "--disk-cache" => {
-                    out.disk_cache = Some(PathBuf::from(value(&mut it, "--disk-cache", "<dir>")?))
-                }
-                "--storage-chaos" => out.storage_chaos = true,
-                "--storage-chaos-seed" => {
-                    out.storage_chaos_seed =
-                        Some(number(&mut it, "--storage-chaos-seed", "<seed>")?)
-                }
                 "--protocols" => {
                     let v = value(&mut it, "--protocols", "<names|all>")?;
                     out.protocols = Some(parse_protocols(&v)?);
@@ -385,40 +284,6 @@ impl HarnessArgs {
     /// The simulator options the robustness switches select.
     pub fn sim_options(&self) -> warden_sim::SimOptions {
         self.run.sim_options()
-    }
-
-    /// The disk-tier directory (and, under `--storage-chaos`, the seeded
-    /// storage-fault plan) these flags select. The disk-dependent flags
-    /// are rejected without `--disk-cache` — a silently ignored durability
-    /// flag would be worse than an error.
-    pub fn disk_config(&self) -> Result<(Option<PathBuf>, Option<StorageFaultPlan>), HarnessError> {
-        let Some(dir) = &self.disk_cache else {
-            for (set, flag) in [
-                (self.storage_chaos, "--storage-chaos"),
-                (self.storage_chaos_seed.is_some(), "--storage-chaos-seed"),
-            ] {
-                if set {
-                    return Err(HarnessError::Args(format!(
-                        "{flag} requires --disk-cache <dir>"
-                    )));
-                }
-            }
-            return Ok((None, None));
-        };
-        let faults = if self.storage_chaos {
-            Some(match self.storage_chaos_seed {
-                Some(seed) => StorageFaultPlan::seeded(seed),
-                None => StorageFaultPlan::default(),
-            })
-        } else {
-            if self.storage_chaos_seed.is_some() {
-                return Err(HarnessError::Args(
-                    "--storage-chaos-seed requires --storage-chaos".into(),
-                ));
-            }
-            None
-        };
-        Ok((Some(dir.clone()), faults))
     }
 
     /// The campaign configuration these flags select: durable under
@@ -477,27 +342,6 @@ mod tests {
             "--retries",
             "1",
             "--quiet",
-            "--addr",
-            "127.0.0.1:0",
-            "--uds",
-            "sock",
-            "--clients",
-            "8",
-            "--iters",
-            "4",
-            "--spawn",
-            "--chaos",
-            "--chaos-seed",
-            "42",
-            "--request-deadline-ms",
-            "1500",
-            "--cache-budget",
-            "65536",
-            "--disk-cache",
-            "tier",
-            "--storage-chaos",
-            "--storage-chaos-seed",
-            "13",
             "--fuzz-workloads",
             "5",
             "--fuzz-seed",
@@ -530,17 +374,6 @@ mod tests {
             (Some(3), Some(250), Some(1))
         );
         assert!(a.quiet);
-        assert_eq!(a.addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(a.uds.as_deref(), Some(std::path::Path::new("sock")));
-        assert_eq!((a.clients, a.iters), (Some(8), Some(4)));
-        assert!(a.spawn);
-        assert!(a.chaos);
-        assert_eq!(a.chaos_seed, Some(42));
-        assert_eq!(a.request_deadline_ms, Some(1500));
-        assert_eq!(a.cache_budget, Some(65536));
-        assert_eq!(a.disk_cache.as_deref(), Some(std::path::Path::new("tier")));
-        assert!(a.storage_chaos);
-        assert_eq!(a.storage_chaos_seed, Some(13));
         assert_eq!((a.fuzz_workloads, a.fuzz_seed), (Some(5), Some(2023)));
         assert_eq!(
             a.patterns.as_deref(),
@@ -589,23 +422,34 @@ mod tests {
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--deadline-ms"]).is_err());
         assert!(parse(&["--retries", "-1"]).is_err());
-        assert!(parse(&["--clients", "0"]).is_err());
-        assert!(parse(&["--iters", "0"]).is_err());
-        assert!(parse(&["--addr"]).is_err());
-        assert!(parse(&["--chaos-seed", "many"]).is_err());
-        assert!(parse(&["--request-deadline-ms", "0"]).is_err());
-        assert!(parse(&["--cache-budget", "0"]).is_err());
-        // Retired serve-stack flags fail as unknown flags, whatever the value.
+        // Retired serve-stack and daemon flags fail as unknown flags,
+        // whatever the value.
         for gone in [
             ["--queue-cap", "0"],
             ["--disk-budget", "0"],
             ["--checkpoint-every", "soon"],
+            ["--addr", "127.0.0.1:0"],
+            ["--uds", "sock"],
+            ["--clients", "8"],
+            ["--iters", "4"],
+            ["--spawn", "1"],
+            ["--chaos", "1"],
+            ["--chaos-seed", "42"],
+            ["--request-deadline-ms", "1500"],
+            ["--cache-budget", "65536"],
+            ["--disk-cache", "tier"],
+            ["--storage-chaos", "1"],
+            ["--storage-chaos-seed", "13"],
         ] {
             let msg = parse(&gone).unwrap_err().to_string();
             assert!(msg.contains("unrecognized flag"), "{gone:?}: {msg}");
+            assert!(
+                !VALID_FLAGS
+                    .iter()
+                    .any(|f| f.split(' ').next() == Some(gone[0])),
+                "{gone:?}"
+            );
         }
-        assert!(parse(&["--disk-cache"]).is_err());
-        assert!(parse(&["--storage-chaos-seed", "many"]).is_err());
         assert!(parse(&["--fuzz-workloads", "0"]).is_err());
         assert!(parse(&["--fuzz-seed", "lots"]).is_err());
         assert!(parse(&["--patterns", "zigzag"]).is_err());
@@ -622,33 +466,5 @@ mod tests {
             parse_patterns("migratory, migratory,ping-pong").unwrap(),
             vec![SharingPattern::Migratory, SharingPattern::PingPong]
         );
-    }
-
-    #[test]
-    fn disk_flags_compose_and_orphans_are_rejected() {
-        let (cfg, faults) = parse(&[]).unwrap().disk_config().unwrap();
-        assert!(cfg.is_none() && faults.is_none());
-
-        let (dir, faults) = parse(&[
-            "--disk-cache",
-            "tier",
-            "--storage-chaos",
-            "--storage-chaos-seed",
-            "7",
-        ])
-        .unwrap()
-        .disk_config()
-        .unwrap();
-        assert_eq!(dir.as_deref(), Some(std::path::Path::new("tier")));
-        assert_eq!(faults.unwrap(), StorageFaultPlan::seeded(7));
-
-        // Disk-dependent flags without the tier are errors, not no-ops.
-        for orphan in [
-            vec!["--storage-chaos"],
-            vec!["--storage-chaos-seed", "7"],
-            vec!["--disk-cache", "tier", "--storage-chaos-seed", "7"],
-        ] {
-            assert!(parse(&orphan).unwrap().disk_config().is_err(), "{orphan:?}");
-        }
     }
 }

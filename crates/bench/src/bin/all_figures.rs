@@ -273,8 +273,7 @@ an uninterrupted run — `ci.sh smoke` enforces exactly this, with `kill -9`.
 
 Inside the campaign directory:
 
-The directory is a result store — the same one `serve --disk-cache`
-uses — plus a manifest:
+The directory is a result store plus a manifest:
 
 * `<key>.rec` — one checksummed, atomically-written result record per
   completed run, named by the run's key (a hash of the workload token,
@@ -287,9 +286,6 @@ uses — plus a manifest:
 * `manifest.json` — the human-readable progress ledger, rewritten
   atomically after every completion. It is *derived* state: resume never
   parses it, so a torn manifest cannot corrupt anything.
-
-A `serve --disk-cache <dir>` daemon started on a finished campaign's
-directory answers the same cells from disk without simulating.
 
 Supervision knobs (all binaries): `--jobs <n>` worker threads,
 `--deadline-ms <ms>` per-run watchdog deadline (an expired run is

@@ -28,10 +28,11 @@
 //! ```
 //!
 //! Entries are named by the run's [`RunKey`] — workload token, machine,
-//! protocol and options — so a serving daemon pointed at the directory
-//! finds the same cells. The store's entries are the source of truth: on
-//! startup the store's fsck verifies each one (quarantining damage) and
-//! the campaign skips exactly the runs whose result entries verify.
+//! protocol and options — so any campaign that simulates the same cell
+//! finds it, whatever its run id. The store's entries are the source of
+//! truth: on startup the store's fsck verifies each one (quarantining
+//! damage) and the campaign skips exactly the runs whose result entries
+//! verify.
 //! `manifest.json` is derived state, rewritten atomically after every
 //! completion — a torn manifest can never corrupt a resume, and a
 //! `kill -9` at any instant loses at most the runs in flight, which
@@ -39,6 +40,8 @@
 
 use crate::error::{HarnessError, RunFailure};
 use crate::runner::BenchRun;
+use crate::storage::{FaultyStorage, RealStorage, Storage};
+use crate::store::{result_file_name, ResultStore};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,7 +52,6 @@ use std::time::{Duration, Instant};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
-use warden_serve::{result_file_name, FaultyStorage, RealStorage, ResultStore, Storage};
 use warden_sim::checkpoint;
 use warden_sim::{
     CancelToken, Comparison, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome,
@@ -794,7 +796,7 @@ mod tests {
         }
     }
 
-    /// The campaign and the server name a benchmark cell the same way, and
+    /// A benchmark workload's token is the suite's own token for it, and
     /// each of the key's four components separates cells.
     #[test]
     fn bench_tokens_agree_and_keys_separate_matrix_cells() {

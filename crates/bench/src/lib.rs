@@ -17,9 +17,7 @@
 //! | `area`        | §6.1 — CACTI-style area estimates |
 //! | `ablations`   | design-choice ablations from DESIGN.md |
 //! | `all_figures` | everything above, plus an EXPERIMENTS.md-style report |
-//! | `serve`       | the `warden-serve` simulation server (drains on stdin EOF/`quit`) |
 //! | `fuzzgen`     | seeded differential coherence fuzz gate + coherence-atlas sweep |
-//! | `loadgen`     | oracle-backed conformance load generator for `serve` |
 //!
 //! Run with `cargo run -p warden-bench --release --bin <name> [-- --scale tiny]`.
 //!
@@ -37,16 +35,16 @@
 pub mod args;
 pub mod atlas;
 pub mod campaign;
-pub mod chaos;
 pub mod error;
 pub mod figures;
 pub mod fmt;
 pub mod fuzz;
 pub mod hotpath;
-pub mod loadgen;
 pub mod obs_export;
 pub mod paper;
 pub mod runner;
+pub mod storage;
+pub mod store;
 
 pub use args::{parse_patterns, parse_protocols, HarnessArgs};
 pub use atlas::{atlas_machines, run_atlas, Atlas, AtlasCell};

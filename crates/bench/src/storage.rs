@@ -1,19 +1,17 @@
-//! The storage abstraction under the disk cache tier, with seeded fault
+//! The storage abstraction under the result store, with seeded fault
 //! injection.
 //!
-//! [`ResultStore`](crate::disk::ResultStore) never touches the filesystem
+//! [`ResultStore`](crate::store::ResultStore) never touches the filesystem
 //! directly: every read, atomic write, rename and directory listing goes
 //! through the [`Storage`] trait. Production uses [`RealStorage`], whose
 //! atomic write is the checkpoint module's temp-file + `fsync` + rename +
-//! parent-directory-`fsync` discipline. Chaos drills swap in
+//! parent-directory-`fsync` discipline. Fault drills swap in
 //! [`FaultyStorage`], which wraps a real storage and injects the failure
 //! modes a disk actually exhibits — torn writes that "succeed", `ENOSPC`,
 //! bit rot on read, and crashes on either side of the rename — from a
-//! seeded deterministic stream (the same splitmix64 scheme as the
-//! wire-level `ChaosProxy` in `warden-bench`), so a failing run replays
-//! exactly.
+//! seeded splitmix64 stream, so a failing run replays exactly.
 //!
-//! The injected faults are chosen to exercise the tier's whole recovery
+//! The injected faults are chosen to exercise the store's whole recovery
 //! surface:
 //!
 //! - a **torn write** leaves a non-empty strict prefix at the destination
@@ -21,13 +19,13 @@
 //!   on the next read (quarantine, recompute). Payloads shorter than two
 //!   bytes have no such prefix, so they are written cleanly and never
 //!   counted as torn;
-//! - **`ENOSPC`** surfaces as the real `os error 28`, so the tier's
+//! - **`ENOSPC`** surfaces as the real `os error 28`, so the store's
 //!   degradation path is tested against exactly what a full disk returns;
 //! - **corrupt-on-read** flips one seeded byte in an otherwise intact
 //!   file (quarantine, recompute);
 //! - a **crash before the rename** leaves a complete temporary file and an
 //!   untouched destination (fsck removes the orphan; the old entry still
-//!   serves);
+//!   loads);
 //! - a **crash after the rename** reports failure although the new bytes
 //!   are durable — the caller must treat the entry as lost, and a later
 //!   fsck legitimately rediscovers it.
@@ -38,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use warden_sim::checkpoint::{write_atomic, CheckpointError};
 
-/// Every filesystem operation the disk tier performs. Implementations must
+/// Every filesystem operation the result store performs. Implementations must
 /// be safe to call from multiple worker threads.
 pub trait Storage: Send + Sync {
     /// Read a whole file.
@@ -50,7 +48,7 @@ pub trait Storage: Send + Sync {
     /// Remove a file (missing files are not an error for callers that
     /// tolerate them; they get the raw `NotFound`).
     fn remove(&self, path: &Path) -> io::Result<()>;
-    /// Rename a file within the tier's directory.
+    /// Rename a file within the store's directory.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// List the entries of a directory.
     fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
@@ -146,32 +144,6 @@ impl StorageFaultPlan {
             ..StorageFaultPlan::default()
         }
     }
-
-    /// Reject nonsensical probabilities.
-    pub fn validate(&self) -> Result<(), String> {
-        let probs = [
-            ("torn_write_prob", self.torn_write_prob),
-            ("enospc_prob", self.enospc_prob),
-            ("corrupt_read_prob", self.corrupt_read_prob),
-            ("crash_before_rename_prob", self.crash_before_rename_prob),
-            ("crash_after_rename_prob", self.crash_after_rename_prob),
-        ];
-        for (name, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} must be within [0, 1], got {p}"));
-            }
-        }
-        let write_sum = self.torn_write_prob
-            + self.enospc_prob
-            + self.crash_before_rename_prob
-            + self.crash_after_rename_prob;
-        if write_sum > 1.0 {
-            return Err(format!(
-                "write fault probabilities sum to {write_sum}, which exceeds 1"
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Counts of the faults a [`FaultyStorage`] has actually injected.
@@ -202,7 +174,7 @@ impl StorageFaultStats {
 
 /// A [`Storage`] that wraps another and injects seeded faults. Metadata
 /// operations (`remove`, `rename`, `list`, `create_dir_all`) pass through
-/// untouched — the tier's recovery logic must survive data-path faults,
+/// untouched — the store's recovery logic must survive data-path faults,
 /// not a byzantine filesystem.
 pub struct FaultyStorage {
     inner: Box<dyn Storage>,
@@ -254,11 +226,6 @@ impl FaultyStorage {
             crash_before_rename: AtomicU64::new(0),
             crash_after_rename: AtomicU64::new(0),
         }
-    }
-
-    /// The plan this storage injects from.
-    pub fn plan(&self) -> StorageFaultPlan {
-        self.plan
     }
 
     /// What has been injected so far.
@@ -568,24 +535,5 @@ mod tests {
         let s2 = FaultyStorage::new(RealStorage, plan);
         assert_eq!(flipped(&s2), diffs, "the same seed flips the same byte");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn plans_validate() {
-        assert!(StorageFaultPlan::default().validate().is_ok());
-        assert!(StorageFaultPlan {
-            torn_write_prob: 1.5,
-            ..StorageFaultPlan::default()
-        }
-        .validate()
-        .is_err());
-        assert!(StorageFaultPlan {
-            torn_write_prob: 0.5,
-            enospc_prob: 0.5,
-            crash_before_rename_prob: 0.5,
-            ..StorageFaultPlan::default()
-        }
-        .validate()
-        .is_err());
     }
 }

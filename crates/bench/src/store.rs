@@ -1,8 +1,6 @@
 //! The durable result store: one crash-safe directory of simulation
-//! results and mid-run checkpoints, keyed by [`RunKey`]. Campaigns persist
-//! their records in it, and the serving daemon uses it as the disk tier
-//! behind its memory cache — so a daemon started on a finished campaign's
-//! directory serves those cells from disk.
+//! results and mid-run checkpoints, keyed by [`RunKey`]. A campaign
+//! directory is one of these stores plus the campaign's manifest.
 //!
 //! Two kinds of entry live in one directory, named by the key's content
 //! address and both wrapped in the checkpoint module's checksummed frame
@@ -29,18 +27,17 @@
 //! Other files (a campaign's `manifest.json`) are left alone.
 //!
 //! The store never deletes a valid entry on its own: a campaign's records
-//! are its results, and the daemon's results are full outcomes worth
-//! keeping. Storage failures degrade — a typed counter bumps
+//! are its results. Storage failures degrade — a typed counter bumps
 //! ([`DiskStats`]) and the caller recomputes; [`ResultStore::put_result`]
-//! also returns the error, for callers whose result would otherwise be
-//! lost.
+//! also returns the error, because the campaign's result would otherwise
+//! be lost.
 //!
 //! [`encode_outcome`]: warden_sim::checkpoint::encode_outcome
 
 use crate::storage::{is_enospc, Storage};
 use std::collections::HashSet;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use warden_mem::codec::{CodecError, Decoder, Encoder};
@@ -141,26 +138,20 @@ impl DiskEntry {
     }
 }
 
-/// Counters the store exports through the server's metrics snapshot.
+/// The store's degradation counters, for tests and diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
-    /// Result entries served.
-    pub hits: u64,
     /// Result lookups that found nothing usable.
     pub misses: u64,
-    /// Checkpoint frames served for a resume attempt.
-    pub checkpoint_hits: u64,
-    /// Checkpoint frames durably written.
-    pub checkpoints_written: u64,
     /// Entries durably written (results + checkpoints).
     pub writes: u64,
     /// Entries moved to `quarantine/` (torn, corrupt, version-skewed,
     /// misnamed) — at open-time fsck or on a failed read.
     pub quarantined: u64,
-    /// Writes refused by a full disk (`ENOSPC`) — served degraded from
-    /// memory + recompute instead.
+    /// Writes refused by a full disk (`ENOSPC`); the caller recomputes or
+    /// fails the run.
     pub enospc_degraded: u64,
-    /// Writes failed for any other reason (also degraded, never fatal).
+    /// Writes failed for any other reason (also degraded, never a panic).
     pub write_errors: u64,
     /// Reads that failed at the I/O layer (not decode failures — those
     /// quarantine — and not files removed since they were indexed).
@@ -174,10 +165,7 @@ pub struct ResultStore {
     storage: Arc<dyn Storage>,
     /// Names of the entries verified at open or written since.
     index: Mutex<HashSet<String>>,
-    hits: AtomicU64,
     misses: AtomicU64,
-    checkpoint_hits: AtomicU64,
-    checkpoints_written: AtomicU64,
     writes: AtomicU64,
     quarantined: AtomicU64,
     enospc_degraded: AtomicU64,
@@ -226,10 +214,7 @@ impl ResultStore {
             dir,
             storage,
             index: Mutex::new(HashSet::new()),
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            checkpoint_hits: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             enospc_degraded: AtomicU64::new(0),
@@ -238,11 +223,6 @@ impl ResultStore {
         };
         store.fsck()?;
         Ok(store)
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn fsck(&self) -> Result<(), String> {
@@ -361,22 +341,16 @@ impl ResultStore {
             },
             _ => None,
         };
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
     /// Look up the newest checkpoint frame for `key`.
     pub fn checkpoint(&self, key: &RunKey) -> Option<(u64, Vec<u8>)> {
         match self.load(KIND_CHECKPOINT, key) {
-            Some(DiskBody::Checkpoint { steps, frame }) => {
-                self.checkpoint_hits.fetch_add(1, Ordering::Relaxed);
-                Some((steps, frame))
-            }
+            Some(DiskBody::Checkpoint { steps, frame }) => Some((steps, frame)),
             _ => None,
         }
     }
@@ -389,9 +363,6 @@ impl ResultStore {
         match self.storage.write_atomic(&self.dir.join(&name), &image) {
             Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
-                if kind == KIND_CHECKPOINT {
-                    self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                }
                 self.admit(&name);
                 Ok(())
             }
@@ -439,7 +410,7 @@ impl ResultStore {
     }
 
     /// Remove the key's checkpoint entry (normal completion — not damage).
-    pub fn discard_checkpoint(&self, key: &RunKey) {
+    fn discard_checkpoint(&self, key: &RunKey) {
         let name = entry_name(KIND_CHECKPOINT, key);
         self.forget(&name);
         let _ = self.storage.remove(&self.dir.join(&name));
@@ -464,10 +435,7 @@ impl ResultStore {
     /// Counter snapshot.
     pub fn stats(&self) -> DiskStats {
         DiskStats {
-            hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            checkpoint_hits: self.checkpoint_hits.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             enospc_degraded: self.enospc_degraded.load(Ordering::Relaxed),

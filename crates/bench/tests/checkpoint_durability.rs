@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
+use warden_bench::store::{DiskBody, DiskEntry};
 use warden_bench::{run_campaign, CampaignConfig, RunSpec, Workload};
 use warden_coherence::ProtocolId;
 use warden_rt::{trace_program, RtOptions, TraceProgram};
-use warden_serve::{DiskBody, DiskEntry};
 use warden_sim::checkpoint::unique_dir;
 use warden_sim::{simulate_with_options, MachineConfig, SimEngine, SimOptions};
 

@@ -1,20 +1,21 @@
-//! Integration drills for the crash-safe disk tier: round trips across a
+//! Integration drills for the crash-safe result store: round trips across a
 //! process "restart" (drop + reopen), fsck sweeping and quarantine, and
 //! graceful degradation under every injected
 //! storage fault — torn writes, `ENOSPC`, corrupt reads, and crashes on
-//! either side of the rename. The invariant throughout: the tier answers
+//! either side of the rename. The invariant throughout: a lookup answers
 //! hit-or-miss and bumps a typed counter; it never panics and never
-//! surfaces an error the serving path would have to turn into a failed
-//! request.
+//! returns wrong data.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
-use warden_coherence::ProtocolId;
-use warden_serve::storage::ENOSPC_OS_ERROR;
-use warden_serve::{
-    outcome_digest, FaultyStorage, RealStorage, ResultStore, Storage, StorageFaultPlan,
+use warden_bench::storage::{
+    is_enospc, FaultyStorage, RealStorage, Storage, StorageFaultPlan, ENOSPC_OS_ERROR,
 };
+use warden_bench::store::{result_file_name, ResultStore};
+use warden_coherence::ProtocolId;
+use warden_mem::codec::fnv1a64;
+use warden_sim::checkpoint::encode_outcome;
 use warden_sim::{MachineConfig, RunKey, SimOptions, SimOutcome};
 
 fn scratch(name: &str) -> PathBuf {
@@ -53,7 +54,7 @@ fn outcome(tag: u64) -> SimOutcome {
 
 /// Whether `got` is bit-identical to `outcome(tag)`.
 fn same(got: &SimOutcome, tag: u64) -> bool {
-    outcome_digest(got) == outcome_digest(&outcome(tag))
+    fnv1a64(&encode_outcome(got)) == fnv1a64(&encode_outcome(&outcome(tag)))
 }
 
 fn open_real(dir: &PathBuf) -> ResultStore {
@@ -170,10 +171,7 @@ fn enospc_degrades_with_a_typed_counter_and_keeps_serving_misses() {
     let dir = scratch("enospc");
     let tier = open_faulty(&dir, only(|p| p.enospc_prob = 1.0));
     let err = tier.put_result(&key(1), &outcome(1), 10).unwrap_err();
-    assert!(
-        warden_serve::storage::is_enospc(&err),
-        "the error is returned"
-    );
+    assert!(is_enospc(&err), "the error is returned");
     tier.put_checkpoint(&key(1), 100, b"frame");
     let stats = tier.stats();
     assert_eq!(stats.writes, 0, "{stats:?}");
@@ -217,7 +215,7 @@ fn a_failed_result_write_keeps_the_checkpoint() {
     let tier = ResultStore::open(&dir, Arc::new(FullForResults)).expect("store opens");
     tier.put_checkpoint(&key(5), 300, b"prefix");
     let err = tier.put_result(&key(5), &outcome(5), 10).unwrap_err();
-    assert!(warden_serve::storage::is_enospc(&err), "{err}");
+    assert!(is_enospc(&err), "{err}");
     // The frame is the run's only durable progress: a retry resumes from
     // it instead of cycle 0.
     let (steps, frame) = tier.checkpoint(&key(5)).expect("checkpoint kept");
@@ -342,7 +340,7 @@ fn an_entry_deleted_behind_the_store_is_a_clean_miss() {
     let dir = scratch("deleted");
     let tier = open_real(&dir);
     tier.put_result(&key(4), &outcome(4), 10).unwrap();
-    let path = dir.join(warden_serve::result_file_name(&key(4)));
+    let path = dir.join(result_file_name(&key(4)));
     std::fs::remove_file(&path).expect("entry file exists");
     assert!(tier.result(&key(4)).is_none());
     let stats = tier.stats();

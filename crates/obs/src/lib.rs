@@ -5,10 +5,9 @@
 //!
 //! * [`metrics`] — a serializable [`MetricsRegistry`] of named counters and
 //!   [`Hist`] log2-bucket histograms (miss latency, reconciliation size,
-//!   region lifetime, ...), plus the [`Gauge`] level instrument (queue
-//!   depth, in-flight requests) used by the serving layer, with the same
-//!   hand-rolled codec conventions as the rest of the workspace (typed
-//!   errors, every-prefix truncation safe).
+//!   region lifetime, ...), with the same hand-rolled codec conventions
+//!   as the rest of the workspace (typed errors, every-prefix truncation
+//!   safe).
 //! * [`trace_event`] — a builder and validator for the Chrome trace-event
 //!   JSON format that Perfetto and `chrome://tracing` load directly.
 //! * [`span`] — wall-clock phase-scoped span aggregation ([`SpanSet`]),
@@ -25,6 +24,6 @@ pub mod metrics;
 pub mod span;
 pub mod trace_event;
 
-pub use metrics::{AtomicGauge, Gauge, Hist, MetricsRegistry};
+pub use metrics::{Hist, MetricsRegistry};
 pub use span::{SpanAgg, SpanSet};
 pub use trace_event::{validate_trace, ArgVal, TraceBuilder, TraceError, TraceStats};

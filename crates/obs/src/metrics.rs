@@ -218,208 +218,6 @@ impl fmt::Display for Hist {
     }
 }
 
-/// A level instrument: a value that moves both ways (queue depth, in-flight
-/// requests, open connections) with a high watermark.
-///
-/// Counters only go up and histograms summarize samples; a gauge answers
-/// "how full is it *right now*, and how full did it ever get". The serving
-/// layer samples its request queue through one of these. A gauge is plain
-/// data — callers that share one across threads wrap it in their own lock,
-/// the same ownership discipline as the rest of this module.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Gauge {
-    value: u64,
-    peak: u64,
-    moves: u64,
-}
-
-impl Default for Gauge {
-    fn default() -> Gauge {
-        Gauge::new()
-    }
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge {
-            value: 0,
-            peak: 0,
-            moves: 0,
-        }
-    }
-
-    /// Set the level to `v`.
-    pub fn set(&mut self, v: u64) {
-        self.value = v;
-        self.peak = self.peak.max(v);
-        self.moves += 1;
-    }
-
-    /// Raise the level by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.set(self.value.saturating_add(n));
-    }
-
-    /// Lower the level by `n` (saturating at zero — a release without a
-    /// matching acquire must not wrap to `u64::MAX`).
-    pub fn sub(&mut self, n: u64) {
-        self.set(self.value.saturating_sub(n));
-    }
-
-    /// The current level.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The highest level ever set.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    /// How many times the level moved.
-    pub fn moves(&self) -> u64 {
-        self.moves
-    }
-
-    /// Flatten the gauge into `registry` as three counters named
-    /// `<name>_current`, `<name>_peak` and `<name>_moves` — the bridge into
-    /// the existing registry codec, which snapshots ride through unchanged.
-    pub fn export_into(&self, registry: &mut MetricsRegistry, name: &str) {
-        registry.set_counter(&format!("{name}_current"), self.value);
-        registry.set_counter(&format!("{name}_peak"), self.peak);
-        registry.set_counter(&format!("{name}_moves"), self.moves);
-    }
-
-    /// Serialize the gauge.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.value);
-        enc.put_u64(self.peak);
-        enc.put_u64(self.moves);
-    }
-
-    /// Decode a gauge serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Gauge, CodecError> {
-        let value = dec.take_u64()?;
-        let peak = dec.take_u64()?;
-        let moves = dec.take_u64()?;
-        if peak < value {
-            return Err(CodecError::Invalid {
-                what: "gauge",
-                detail: format!("peak {peak} below the current value {value}"),
-            });
-        }
-        Ok(Gauge { value, peak, moves })
-    }
-}
-
-impl fmt::Display for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (peak {})", self.value, self.peak)
-    }
-}
-
-/// A [`Gauge`] whose movements are lock-free: value, peak and move count
-/// are atomics, so many threads can raise and lower the level without
-/// sharing a mutex.
-///
-/// The serving layer needs this where a plain [`Gauge`] forces a lock onto
-/// a hot path — per-request in-flight tracking, live connection counts,
-/// and the result cache's resident-byte accounting (where the *peak* is
-/// the value a byte-budget proof wants: it must never exceed the
-/// configured budget). The peak is maintained with a compare-exchange
-/// maximum, so it is exact even under contention.
-#[derive(Debug, Default)]
-pub struct AtomicGauge {
-    value: std::sync::atomic::AtomicU64,
-    peak: std::sync::atomic::AtomicU64,
-    moves: std::sync::atomic::AtomicU64,
-}
-
-impl AtomicGauge {
-    /// A gauge at zero.
-    pub fn new() -> AtomicGauge {
-        AtomicGauge::default()
-    }
-
-    fn raise_peak(&self, candidate: u64) {
-        use std::sync::atomic::Ordering;
-        self.peak.fetch_max(candidate, Ordering::AcqRel);
-    }
-
-    /// Set the level to `v`.
-    pub fn set(&self, v: u64) {
-        use std::sync::atomic::Ordering;
-        self.value.store(v, Ordering::Release);
-        self.raise_peak(v);
-        self.moves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Raise the level by `n` and return the new level.
-    pub fn add(&self, n: u64) -> u64 {
-        use std::sync::atomic::Ordering;
-        let now = self
-            .value
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                Some(v.saturating_add(n))
-            })
-            .expect("fetch_update closure always returns Some")
-            .saturating_add(n);
-        self.raise_peak(now);
-        self.moves.fetch_add(1, Ordering::Relaxed);
-        now
-    }
-
-    /// Lower the level by `n` (saturating at zero, like [`Gauge::sub`]) and
-    /// return the new level.
-    pub fn sub(&self, n: u64) -> u64 {
-        use std::sync::atomic::Ordering;
-        let now = self
-            .value
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                Some(v.saturating_sub(n))
-            })
-            .expect("fetch_update closure always returns Some")
-            .saturating_sub(n);
-        self.moves.fetch_add(1, Ordering::Relaxed);
-        now
-    }
-
-    /// The current level.
-    pub fn value(&self) -> u64 {
-        self.value.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// The highest level ever reached.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// How many times the level moved.
-    pub fn moves(&self) -> u64 {
-        self.moves.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Snapshot into a plain [`Gauge`] (for export or comparison). The
-    /// three fields are read independently, so a snapshot taken while other
-    /// threads move the level is a *consistent-enough* view: the peak is
-    /// always ≥ every value it is snapshotted with.
-    pub fn snapshot(&self) -> Gauge {
-        let value = self.value();
-        let peak = self.peak().max(value);
-        Gauge {
-            value,
-            peak,
-            moves: self.moves(),
-        }
-    }
-
-    /// Flatten into `registry`, exactly like [`Gauge::export_into`].
-    pub fn export_into(&self, registry: &mut MetricsRegistry, name: &str) {
-        self.snapshot().export_into(registry, name);
-    }
-}
-
 /// An ordered collection of named counters and histograms.
 ///
 /// The registry is the serialization surface of the observability layer:
@@ -635,64 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_level_and_peak() {
-        let mut g = Gauge::new();
-        assert_eq!(g.value(), 0);
-        assert_eq!(g.peak(), 0);
-        g.add(3);
-        g.add(2);
-        assert_eq!(g.value(), 5);
-        assert_eq!(g.peak(), 5);
-        g.sub(4);
-        assert_eq!(g.value(), 1);
-        assert_eq!(g.peak(), 5, "peak survives the drain");
-        g.sub(100);
-        assert_eq!(g.value(), 0, "sub saturates at zero");
-        g.set(2);
-        assert_eq!(g.moves(), 5);
-        assert_eq!(g.to_string(), "2 (peak 5)");
-    }
-
-    #[test]
-    fn gauge_export_flattens_to_counters() {
-        let mut g = Gauge::new();
-        g.add(7);
-        g.sub(3);
-        let mut r = MetricsRegistry::new();
-        g.export_into(&mut r, "queue_depth");
-        assert_eq!(r.counter("queue_depth_current"), Some(4));
-        assert_eq!(r.counter("queue_depth_peak"), Some(7));
-        assert_eq!(r.counter("queue_depth_moves"), Some(2));
-    }
-
-    #[test]
-    fn gauge_codec_round_trips_and_rejects_bad_watermarks() {
-        let mut g = Gauge::new();
-        g.add(9);
-        g.sub(2);
-        let mut enc = Encoder::new();
-        g.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = Gauge::decode_from(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(back, g);
-        // Every strict prefix fails with a typed error.
-        for cut in 0..bytes.len() {
-            assert!(Gauge::decode_from(&mut Decoder::new(&bytes[..cut])).is_err());
-        }
-        // A peak below the current value is structurally impossible.
-        let mut enc = Encoder::new();
-        enc.put_u64(5); // value
-        enc.put_u64(3); // peak < value
-        enc.put_u64(1); // moves
-        assert!(matches!(
-            Gauge::decode_from(&mut Decoder::new(enc.bytes())),
-            Err(CodecError::Invalid { .. })
-        ));
-    }
-
-    #[test]
     fn registry_round_trips_and_looks_up() {
         let mut r = MetricsRegistry::new();
         r.set_counter("accesses", 10);
@@ -717,44 +457,6 @@ mod tests {
         let mut enc2 = Encoder::new();
         back.encode_into(&mut enc2);
         assert_eq!(enc2.bytes(), &bytes[..]);
-    }
-
-    #[test]
-    fn atomic_gauge_tracks_peak_exactly_under_contention() {
-        let g = std::sync::Arc::new(AtomicGauge::new());
-        // 8 threads each add 5 then sub 5; the peak is whatever simultaneity
-        // the scheduler produced, but accounting must balance to zero and
-        // the peak must be at least one thread's worth and at most all of
-        // them.
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let g = std::sync::Arc::clone(&g);
-                std::thread::spawn(move || {
-                    let seen = g.add(5);
-                    assert!(g.peak() >= seen);
-                    std::thread::yield_now();
-                    g.sub(5);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(g.value(), 0);
-        assert!(g.peak() >= 5 && g.peak() <= 40, "peak {}", g.peak());
-        assert_eq!(g.moves(), 16);
-
-        // sub saturates instead of wrapping, like the plain Gauge.
-        g.sub(1);
-        assert_eq!(g.value(), 0);
-
-        let snap = g.snapshot();
-        assert_eq!(snap.value(), 0);
-        assert_eq!(snap.peak(), g.peak());
-        let mut reg = MetricsRegistry::new();
-        g.export_into(&mut reg, "cache_resident_bytes");
-        assert_eq!(reg.counter("cache_resident_bytes_current"), Some(0));
-        assert_eq!(reg.counter("cache_resident_bytes_peak"), Some(g.peak()));
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! [`write_atomic`] writes to a sibling `*.tmp` file, `fsync`s it, renames
 //! it over the destination and `fsync`s the parent directory, so the
 //! destination path always holds either the old or the new complete file.
-//! Where a frame is kept is the caller's business: campaigns and the
-//! serving daemon both persist frames and finished outcomes in one
-//! content-addressed store keyed by [`RunKey`].
+//! Where a frame is kept is the caller's business: campaigns persist
+//! frames and finished outcomes in a content-addressed store keyed by
+//! [`RunKey`].
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyBreakdown;
@@ -308,9 +308,9 @@ pub fn options_fingerprint(opts: &SimOptions) -> u64 {
 }
 
 /// The identity of one simulation cell: what to replay, on which machine,
-/// under which protocol, with which options. Campaign records, mid-run
-/// checkpoints and the serving daemon's results are all stored under it,
-/// so a cell computed by one is found by the others.
+/// under which protocol, with which options. Campaign records and mid-run
+/// checkpoints are both stored under it, so a cell computed by one
+/// campaign is found by the next.
 ///
 /// `program` hashes the workload's *token* (`bench:<name>:<Scale>` or
 /// `custom:<token>`), not the trace's content fingerprint, so a lookup
@@ -440,9 +440,8 @@ impl<'a> SimEngine<'a> {
     /// Note for observability-enabled runs: every snapshot records a
     /// checkpoint-frame event in the run's history (see
     /// [`SimEngine::snapshot_to_bytes`]), so a framed run's outcome digest
-    /// differs from an unframed one when `opts.obs` is set. Callers that
-    /// serve digests (the serving layer) run with observability off, where
-    /// the note is a no-op and digests are unaffected.
+    /// differs from an unframed one when `opts.obs` is set. With
+    /// observability off the note is a no-op and digests are unaffected.
     pub fn run_with_cancel_frames(
         mut self,
         every: u64,
@@ -767,8 +766,8 @@ mod tests {
                 .expect("final frame resumes");
         assert_eq!(resumed.steps(), steps);
         // The cancel token is excluded from the options fingerprint, so the
-        // frame also resumes under plain options — the serving layer's
-        // retry path.
+        // frame also resumes under plain options — a campaign retry's
+        // path.
         let retried = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &frame)
             .expect("frame resumes under a fresh request's options")
             .run();

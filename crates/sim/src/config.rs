@@ -84,8 +84,8 @@ impl MachineConfig {
 
     /// [`Self::many_socket`] behind validation: a socket count whose cores
     /// would overflow the 64-bit sharer bitmask (or a zero socket count) is
-    /// a typed [`SimError`] instead of a panic — the serving layer feeds
-    /// client-supplied machine descriptions through this.
+    /// a typed [`SimError`] instead of a panic, for callers that take the
+    /// socket count from user input.
     pub fn try_many_socket(sockets: usize) -> Result<MachineConfig, SimError> {
         let cores_per_socket = 12;
         let bad = |msg: String| SimError::Config(CoherenceError::BadConfig(msg));

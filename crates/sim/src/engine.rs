@@ -1276,7 +1276,7 @@ mod tests {
     #[test]
     fn mid_run_cancellation_stops_at_the_next_poll_boundary() {
         // Deterministic mid-run cancellation: advance the engine partway by
-        // hand, flip the token (as the serving layer does from another
+        // hand, flip the token (as the campaign watchdog does from another
         // thread), then hand the rest of the replay to `run_with_cancel`.
         // It must stop at its first poll rather than finish the program:
         // the step count it reports is the one at the flip.

@@ -36,7 +36,6 @@ pub use warden_mem as mem;
 pub use warden_obs as obs;
 pub use warden_pbbs as pbbs;
 pub use warden_rt as rt;
-pub use warden_serve as serve;
 pub use warden_sim as sim;
 
 /// The most commonly used items, for glob import in examples and tests.
