@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository CI. Two stages, both offline against the vendored crates:
+# Repository CI. Six stages, all offline against the vendored crates:
 #
 #   ./ci.sh checks   build, full test suite (the integration-test profile
 #                    runs the coherence invariant checker — see
@@ -20,32 +20,6 @@
 #                    end-to-end trace export validated with obs_lint
 #                    (obs_trace_ci/ is left behind for the workflow to
 #                    archive)
-#   ./ci.sh serve    simulation-service gate: the serve wire-protocol and
-#                    cache/soak test suites, then a release loadgen run
-#                    against an in-process server over a Unix socket —
-#                    every response digest-checked against a direct
-#                    simulation, the request timeline validated with
-#                    obs_lint, and serve_metrics_ci.json left behind for
-#                    the workflow to archive
-#   ./ci.sh chaos    fault-tolerance gate: the same conformance suite
-#                    driven through the seeded fault-injecting proxy
-#                    (torn frames, partial writes, byte delays,
-#                    slow-loris, resets) by resilient clients — once
-#                    with a Unix-socket upstream and once over TCP.
-#                    Every response must still match its oracle digest,
-#                    the drained server must show no leaked work, the
-#                    cache must respect its byte budget, the timeline is
-#                    obs_lint-validated, and chaos_metrics_ci.json is
-#                    left behind for the workflow to archive
-#   ./ci.sh durable  durability gate: a cold loadgen run populates the
-#                    crash-safe disk tier, the server is SIGKILLed and
-#                    restarted on the same directory, and a warm run must
-#                    serve every repeat bit-identically from disk with
-#                    zero re-simulations (durable_metrics_ci.json is left
-#                    behind for the workflow to archive); then the full
-#                    conformance suite runs once more with seeded storage
-#                    faults (torn writes, ENOSPC, corrupt reads, crashes
-#                    around rename) injected under the disk tier
 #   ./ci.sh protocols  protocol-zoo gate: the full tiny campaign runs once
 #                    with --protocols all and the invariant checker on
 #                    (the campaign layer fails the run if any protocol's
@@ -202,151 +176,6 @@ obs() {
   echo "   exported and validated $(ls "$dir"/*.trace.json | wc -l) traces in $dir/"
 }
 
-serve() {
-  echo "== serve protocol + cache + soak test suites =="
-  cargo test -q --offline -p warden-serve
-  cargo test -q --offline --test proptest_serve --test serve_soak
-
-  echo "== loadgen conformance run (in-process server, Unix socket) =="
-  cargo build -q --release --offline -p warden-bench --bin loadgen --bin obs_lint
-  local dir=serve_ci
-  rm -rf "$dir"
-  mkdir -p "$dir"
-  target/release/loadgen --spawn --uds "$dir/warden.sock" --scale tiny \
-    --clients 8 --iters 6 --quiet \
-    --out serve_metrics_ci.json --obs "$dir"
-  target/release/obs_lint "$dir/loadgen.trace.json"
-  test -s serve_metrics_ci.json
-  # The run must have exercised the cache: a zero hit count would mean the
-  # content addressing silently stopped working.
-  if ! grep -qE '"cache_hits": [1-9]' serve_metrics_ci.json; then
-    echo "FAILED: loadgen reports no cache hits" >&2
-    exit 1
-  fi
-  echo "   wrote serve_metrics_ci.json and validated $dir/loadgen.trace.json"
-}
-
-chaos() {
-  echo "== chaos conformance (seeded fault-injecting proxy) =="
-  cargo build -q --release --offline -p warden-bench --bin loadgen --bin obs_lint
-  local dir=chaos_ci
-  rm -rf "$dir"
-  mkdir -p "$dir"
-
-  echo "   -- Unix-socket upstream --"
-  target/release/loadgen --spawn --chaos --chaos-seed 7 \
-    --uds "$dir/warden.sock" --scale tiny --clients 8 --iters 6 --quiet \
-    --request-deadline-ms 30000 --cache-budget 4096 \
-    --out chaos_metrics_ci.json --obs "$dir"
-  target/release/obs_lint "$dir/loadgen.trace.json"
-  test -s chaos_metrics_ci.json
-  # The resilient clients must have been exercised: a chaos run in which
-  # no client ever reconnected means the proxy injected nothing.
-  if ! grep -qE '"reconnects": [1-9]' chaos_metrics_ci.json; then
-    echo "FAILED: chaos run reports no client reconnects" >&2
-    exit 1
-  fi
-  if ! grep -qE '"cache_hits": [1-9]' chaos_metrics_ci.json; then
-    echo "FAILED: chaos run reports no cache hits" >&2
-    exit 1
-  fi
-  # The budget sits below the 5,480 B working set, so the cache must evict;
-  # otherwise the "peak within budget" audit above checks nothing.
-  if ! grep -qE '"cache_evictions": [1-9]' chaos_metrics_ci.json; then
-    echo "FAILED: chaos run never evicted under its cache budget" >&2
-    exit 1
-  fi
-
-  echo "   -- TCP upstream --"
-  target/release/loadgen --spawn --chaos --chaos-seed 11 \
-    --scale tiny --clients 8 --iters 6 --quiet \
-    --request-deadline-ms 30000 --cache-budget 4096
-  echo "   wrote chaos_metrics_ci.json and validated $dir/loadgen.trace.json"
-}
-
-# Poll a server's captured stdout for its bound TCP address.
-serve_addr() {
-  local out="$1" addr="" i
-  for i in $(seq 1 200); do
-    addr=$(sed -n 's/^serve: listening on \([0-9.]*:[0-9]*\).*/\1/p' "$out")
-    if [ -n "$addr" ]; then
-      echo "$addr"
-      return 0
-    fi
-    sleep 0.05
-  done
-  return 1
-}
-
-durable() {
-  echo "== durable serving: restart-warm drill + storage chaos =="
-  cargo build -q --release --offline -p warden-bench --bin serve --bin loadgen
-  local dir=durable_ci
-  rm -rf "$dir"
-  mkdir -p "$dir"
-
-  echo "   -- cold run: populate the disk tier --"
-  # The serve daemon drains on stdin EOF, so each instance reads a fifo
-  # that the script holds open until it wants the server gone.
-  mkfifo "$dir/ctl1"
-  target/release/serve --addr 127.0.0.1:0 --disk-cache "$dir/tier" \
-    <"$dir/ctl1" >"$dir/serve1.out" 2>/dev/null &
-  local pid=$!
-  exec 3>"$dir/ctl1"
-  local addr
-  if ! addr=$(serve_addr "$dir/serve1.out"); then
-    echo "FAILED: cold server never reported its address" >&2
-    exit 1
-  fi
-  target/release/loadgen --addr "$addr" --scale tiny --clients 4 --iters 4 \
-    --quiet --out "$dir/cold_metrics.json"
-
-  # Results are durable on disk before each reply is sent, so SIGKILL —
-  # not a drain — must lose nothing.
-  kill -9 "$pid" 2>/dev/null || true
-  wait "$pid" 2>/dev/null || true
-  exec 3>&-
-  echo "   SIGKILLed the populated server"
-
-  echo "   -- warm run: restart on the same tier --"
-  mkfifo "$dir/ctl2"
-  target/release/serve --addr 127.0.0.1:0 --disk-cache "$dir/tier" \
-    <"$dir/ctl2" >"$dir/serve2.out" 2>/dev/null &
-  pid=$!
-  exec 4>"$dir/ctl2"
-  if ! addr=$(serve_addr "$dir/serve2.out"); then
-    echo "FAILED: restarted server never reported its address" >&2
-    exit 1
-  fi
-  # Conformance inside loadgen re-checks every response against its oracle
-  # digest, so "served from disk" and "bit-identical" are proved together.
-  target/release/loadgen --addr "$addr" --scale tiny --clients 4 --iters 4 \
-    --quiet --out durable_metrics_ci.json
-  echo quit >&4
-  exec 4>&-
-  wait "$pid" 2>/dev/null || true
-  test -s durable_metrics_ci.json
-  if ! grep -qE '"disk_hits": [1-9]' durable_metrics_ci.json; then
-    echo "FAILED: restarted server served nothing from the disk tier" >&2
-    exit 1
-  fi
-  if grep -qE '"serve_full_sims": [1-9]' durable_metrics_ci.json; then
-    echo "FAILED: restarted server re-simulated instead of serving from disk" >&2
-    exit 1
-  fi
-  echo "   restart-warm OK: disk hits, zero re-simulations, digests conform"
-
-  echo "   -- seeded storage-fault conformance run --"
-  target/release/loadgen --spawn --scale tiny --clients 6 --iters 6 --quiet \
-    --disk-cache "$dir/chaos-tier" --storage-chaos --storage-chaos-seed 7 \
-    --out "$dir/storage_chaos_metrics.json"
-  if ! grep -qE '"storage_faults_injected": [1-9]' "$dir/storage_chaos_metrics.json"; then
-    echo "FAILED: storage-chaos run injected no faults" >&2
-    exit 1
-  fi
-  echo "   wrote durable_metrics_ci.json and $dir/storage_chaos_metrics.json"
-}
-
 protocols() {
   echo "== protocol zoo: differential suite + per-protocol goldens =="
   cargo test -q --offline --test protocol_zoo --test golden_stats
@@ -433,9 +262,6 @@ case "$stage" in
   smoke) smoke ;;
   bench) bench ;;
   obs) obs ;;
-  serve) serve ;;
-  chaos) chaos ;;
-  durable) durable ;;
   protocols) protocols ;;
   fuzz) fuzz ;;
   all)
@@ -443,14 +269,11 @@ case "$stage" in
     smoke
     bench
     obs
-    serve
-    chaos
-    durable
     protocols
     fuzz
     ;;
   *)
-    echo "usage: ci.sh [checks|smoke|bench|obs|serve|chaos|durable|protocols|fuzz|all]" >&2
+    echo "usage: ci.sh [checks|smoke|bench|obs|protocols|fuzz|all]" >&2
     exit 2
     ;;
 esac
