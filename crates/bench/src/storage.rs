@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use warden_sim::checkpoint::{write_atomic, CheckpointError};
 
-/// Every filesystem operation the result store performs. Implementations must
-/// be safe to call from multiple worker threads.
+/// Every filesystem operation the result store performs. Implementations
+/// must be safe to call from multiple worker threads.
 pub trait Storage: Send + Sync {
     /// Read a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
