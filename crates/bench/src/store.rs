@@ -138,7 +138,8 @@ impl DiskEntry {
     }
 }
 
-/// The store's degradation counters, for tests and diagnostics.
+/// The store's miss, write and degradation counters, for tests and
+/// diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Result lookups that found nothing usable.
