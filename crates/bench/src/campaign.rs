@@ -302,16 +302,16 @@ struct Shared<'a> {
 
 impl Shared<'_> {
     fn write_manifest(&self) {
-        let rendered = {
-            let entries = self.manifest.lock().expect("manifest lock");
-            render_manifest(&entries)
-        };
+        // The lock is held through the write: every write goes through the
+        // same `manifest.json.tmp`, and the latest entries must land last.
+        let entries = self.manifest.lock().expect("manifest lock");
         // Manifest persistence is best-effort derived state; the result
         // entries are authoritative, so a failed write must not fail the
         // run that just completed.
-        if let Err(e) =
-            checkpoint::write_atomic(&self.cfg.dir.join("manifest.json"), rendered.as_bytes())
-        {
+        if let Err(e) = checkpoint::write_atomic(
+            &self.cfg.dir.join("manifest.json"),
+            render_manifest(&entries).as_bytes(),
+        ) {
             if !self.cfg.quiet {
                 eprintln!("  [warn] cannot write manifest: {e}");
             }
@@ -909,6 +909,74 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("same cell"), "{err}");
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// Workers finishing at once all persist their manifest updates: once
+    /// `set_status` returns, `manifest.json` shows it, and the last write
+    /// lists every run as done.
+    #[test]
+    fn concurrent_manifest_updates_all_persist() {
+        const THREADS: usize = 4;
+        const RUNS: usize = 25;
+        let specs: Vec<RunSpec> = (0..THREADS * RUNS)
+            .map(|i| spec(&format!("run-{i}"), ProtocolId::Mesi))
+            .collect();
+        let cfg = quiet(CampaignConfig::ephemeral());
+        let manifest = specs
+            .iter()
+            .map(|s| {
+                let entry = ManifestEntry {
+                    status: "pending",
+                    attempts: 0,
+                    record: result_file_name(&s.key()),
+                    note: String::new(),
+                };
+                (s.id.clone(), entry)
+            })
+            .collect();
+        let sh = Shared {
+            specs: &specs,
+            cfg: &cfg,
+            keys: specs.iter().map(RunSpec::key).collect(),
+            store: ResultStore::open(&cfg.dir, Arc::new(RealStorage)).expect("open store"),
+            queue: Mutex::new(VecDeque::new()),
+            slots: Mutex::new(Vec::new()),
+            manifest: Mutex::new(manifest),
+            watch: Mutex::new(Vec::new()),
+            failures: Mutex::new(Vec::new()),
+            completed: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            stop_watchdog: AtomicBool::new(false),
+        };
+        sh.write_manifest();
+        let path = cfg.dir.join("manifest.json");
+        let shows = |id: &str, status: &str| {
+            let text = fs::read_to_string(&path).unwrap_or_default();
+            text.contains(&format!(
+                "{{\"id\": {}, \"status\": \"{status}\"",
+                json_str(id)
+            ))
+        };
+        std::thread::scope(|s| {
+            for chunk in specs.chunks(RUNS) {
+                let (sh, shows) = (&sh, &shows);
+                s.spawn(move || {
+                    for spec in chunk {
+                        sh.set_status(&spec.id, "running", 1, String::new());
+                        sh.set_status(&spec.id, "done", 1, String::new());
+                        assert!(shows(&spec.id, "done"), "{} not persisted", spec.id);
+                    }
+                });
+            }
+        });
+        for spec in &specs {
+            assert!(
+                shows(&spec.id, "done"),
+                "final manifest: {} not done",
+                spec.id
+            );
+        }
         let _ = fs::remove_dir_all(&cfg.dir);
     }
 
