@@ -75,37 +75,24 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `sockets * 12 > 64` (sharer-bitmask width) or `sockets`
-    /// is zero. [`Self::try_many_socket`] is the non-panicking form for
-    /// callers handing over externally supplied socket counts.
+    /// Panics if `sockets` is zero, or if its `sockets * 12` cores would
+    /// overflow the 64-wide sharer bitmask.
     pub fn many_socket(sockets: usize) -> MachineConfig {
-        MachineConfig::try_many_socket(sockets).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::many_socket`] behind validation: a socket count whose cores
-    /// would overflow the 64-bit sharer bitmask (or a zero socket count) is
-    /// a typed [`SimError`] instead of a panic, for callers that take the
-    /// socket count from user input.
-    pub fn try_many_socket(sockets: usize) -> Result<MachineConfig, SimError> {
         let cores_per_socket = 12;
-        let bad = |msg: String| SimError::Config(CoherenceError::BadConfig(msg));
-        if sockets == 0 {
-            return Err(bad("a machine needs at least one socket".into()));
-        }
+        assert!(sockets > 0, "a machine needs at least one socket");
         let cores = sockets
             .checked_mul(cores_per_socket)
-            .ok_or_else(|| bad(format!("{sockets} sockets overflow the core count")))?;
-        if cores > 64 {
-            return Err(bad(format!(
-                "{sockets} sockets x {cores_per_socket} cores = {cores} cores exceed the \
-                 64-wide sharer bitmask"
-            )));
-        }
-        Ok(MachineConfig::base(
+            .unwrap_or_else(|| panic!("{sockets} sockets overflow the core count"));
+        assert!(
+            cores <= 64,
+            "{sockets} sockets x {cores_per_socket} cores = {cores} cores exceed the 64-wide \
+             sharer bitmask"
+        );
+        MachineConfig::base(
             &format!("{sockets}-socket"),
             sockets,
             LatencyModel::xeon_gold_6126(),
-        ))
+        )
     }
 
     /// An arbitrary machine-space sweep point: `sockets` × `cores_per_socket`
@@ -260,30 +247,18 @@ mod tests {
     }
 
     #[test]
-    fn try_many_socket_splits_ok_from_typed_rejection() {
+    fn many_socket_fits_up_to_the_sharer_bitmask() {
         // 5 sockets x 12 cores = 60 <= 64: the widest machine that fits.
-        let m = MachineConfig::try_many_socket(5).expect("60 cores fit the bitmask");
+        let m = MachineConfig::many_socket(5);
         assert_eq!(m.num_cores(), 60);
         assert_eq!(m.name, "5-socket");
         m.validate().expect("preset validates");
-        // The panicking wrapper delegates, so both paths agree.
-        assert_eq!(
-            MachineConfig::many_socket(5).fingerprint(),
-            MachineConfig::try_many_socket(5).unwrap().fingerprint()
-        );
-        // 6 sockets x 12 = 72 > 64: typed error, not a panic.
-        let err = MachineConfig::try_many_socket(6).unwrap_err();
-        assert!(matches!(err, SimError::Config(_)));
-        assert!(err.to_string().contains("sharer bitmask"), "{err}");
-        // Zero sockets and overflow-sized counts are rejected the same way.
-        assert!(matches!(
-            MachineConfig::try_many_socket(0),
-            Err(SimError::Config(_))
-        ));
-        assert!(matches!(
-            MachineConfig::try_many_socket(usize::MAX),
-            Err(SimError::Config(_))
-        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one socket")]
+    fn many_socket_panics_on_zero_sockets() {
+        let _ = MachineConfig::many_socket(0);
     }
 
     #[test]
