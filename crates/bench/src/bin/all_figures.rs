@@ -166,7 +166,6 @@ fn run() -> Result<(), HarnessError> {
         }
         md.push_str(FIDELITY_ANALYSIS);
         md.push_str(CAMPAIGN_WALKTHROUGH);
-        md.push_str(HOTPATH_NOTES);
         md.push_str(OBS_WALKTHROUGH);
         std::fs::write(path, md).map_err(|e| HarnessError::Io {
             path: path.clone(),
@@ -293,67 +292,6 @@ checkpointed, cancelled, and retried — long runs can finish across
 deadline slices), `--retries <n>` attempts beyond the first (panics are
 caught and retried with exponential backoff), `--quiet` to silence
 progress lines.
-"#;
-
-/// The hot-path throughput notes appended to the generated report (kept
-/// here for the same reason as the fidelity analysis).
-const HOTPATH_NOTES: &str = r#"
-## Hot-path replay throughput (`BENCH_hotpath.json`)
-
-Not a paper figure: this tracks the *simulator's own* speed, so layout
-regressions in the replay loop are caught rather than silently eaten by
-longer campaign wall times. The committed `BENCH_hotpath.json` records
-replay throughput on five paper kernels (`fib`, `msort`, `dedup`,
-`suffix-array`, `nqueens` — this pbbs port has no `bfs`) under MESI and
-WARDen on the dual-socket 8-core machine.
-
-Regenerate it in two steps. First capture a baseline from the build you
-want to compare against (e.g. the previous commit):
-
-```console
-$ cargo run -q --release -p warden-bench --bin bench_baseline -- \
-      --scale paper --runs 15 --out /tmp/hotpath_before.json
-```
-
-then measure the current build against it:
-
-```console
-$ cargo run -q --release -p warden-bench --bin bench_baseline -- \
-      --scale paper --runs 15 --baseline /tmp/hotpath_before.json \
-      --out BENCH_hotpath.json
-fib      mesi           4124081       41540340     2.87x
-...
-```
-
-Each sample is the **median** wall time of `--runs` replays of a trace
-built once outside the timed region; `events_per_sec` is the replay
-throughput and `"speedup"` holds the per-(kernel, protocol) ratio of
-current over baseline throughput. Medians plus back-to-back measurement
-of both builds keep the numbers honest on a noisy box.
-
-The committed report's `"baseline"` section holds an earlier build's
-numbers, and its recorded ratios overstate the delta: an interleaved
-A/B of the two builds on the same box measured parity within the noise
-floor (best-of-3 ratios 0.87–1.03x, mixed directions), but the box's
-run-to-run spread of *identical* builds had grown to as much as 1.37x
-by capture time (it was ~±5% when the first baseline was recorded), so
-same-session medians drift. Two consequences, both visible in the
-committed artifacts: each committed cell is the per-cell **minimum** of
-three back-to-back captures (a peak-window baseline fails honest later
-runs), and the release-mode guard in
-`crates/bench/tests/bench_guard.rs` holds throughput on the guarded
-kernels to a floor of 80% of the committed numbers (best-of-5 attempts
-with backoff) — calibrated to catch the structural regressions it
-exists for (obs costing when disabled, scheduler bookkeeping leaking
-into the replay loop, a §7e-size layout regression — all ≥1.5x
-effects) rather than to flag weather. The committed numbers predate the
-tournament-tree core pick (DESIGN.md §7j); for perf claims, `perfbench`
-(see its README) supersedes this file.
-
-`ci.sh bench` smoke-runs the criterion suite (`--bench hotpath -- --test`)
-and emits a tiny-scale `BENCH_hotpath_ci.json` artifact on every CI run;
-`cargo bench -p warden-bench --bench hotpath` gives the full criterion
-timings (region CAM, directory masks, page table and end-to-end replay).
 "#;
 
 /// The Perfetto walkthrough appended to the generated report (kept here
