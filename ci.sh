@@ -1,25 +1,26 @@
 #!/usr/bin/env bash
-# Repository CI. Six stages, all offline against the vendored crates:
+# Repository CI. Five stages, all offline against the vendored crates:
 #
 #   ./ci.sh checks   build, full test suite (the integration-test profile
 #                    runs the coherence invariant checker — see
 #                    tests/invariant_checker.rs and tests/fault_injection.rs),
 #                    the benchmark's own tests (perfbench/: a seeded defect
-#                    is counted, work counters repeat), lints, and
+#                    is counted, work counters repeat), a smoke run of the
+#                    criterion suites (--test mode: every benchmark body
+#                    executes once, no timing gate), lints, and
 #                    formatting (of the workspace and of perfbench/)
 #   ./ci.sh smoke    kill/resume drill: SIGKILL a tiny benchmark campaign
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
-#   ./ci.sh bench    build and smoke-run the criterion hot-path suite
-#                    (--test mode: every benchmark body executes once, no
-#                    timing gate), then emit BENCH_hotpath.json at tiny
-#                    scale so the workflow can archive it
+#                    (whose progress output must carry no manifest-write
+#                    warning)
 #   ./ci.sh obs      observability gate: golden-stats snapshots,
 #                    cross-protocol consistency checks, the release-mode
-#                    throughput guard against BENCH_hotpath.json, and an
-#                    end-to-end trace export validated with obs_lint
-#                    (obs_trace_ci/ is left behind for the workflow to
-#                    archive)
+#                    exact-work guard (tests/exact_work.rs: both benchmark
+#                    workloads at paper scale replay exactly the pinned
+#                    work), and an end-to-end trace export validated with
+#                    obs_lint (obs_trace_ci/ is left behind for the
+#                    workflow to archive)
 #   ./ci.sh protocols  protocol-zoo gate: the full tiny campaign runs once
 #                    with --protocols all and the invariant checker on
 #                    (the campaign layer fails the run if any protocol's
@@ -27,8 +28,9 @@
 #                    protocol-zoo differential suite and per-protocol
 #                    golden stats run, and a per-protocol replay report
 #                    is written into protocols_report_ci/ for the
-#                    workflow to archive; bench_guard re-confirms the
-#                    MESI/WARDen replay throughput envelope
+#                    workflow to archive; finally the paper-scale
+#                    figures are regenerated and must be a line-for-line
+#                    prefix of the committed EXPERIMENTS.md
 #   ./ci.sh fuzz     differential fuzz gate: the workload-generator test
 #                    suites, then 50 seeded synthetic workloads × every
 #                    registered protocol with the invariant checker on —
@@ -52,6 +54,9 @@ checks() {
 
   echo "== tests (benchmark) =="
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
+  echo "== criterion suites (smoke, --test mode) =="
+  cargo bench -q --offline -p warden-bench --bench microbench --bench ablation -- --test
 
   echo "== clippy (deny warnings) =="
   cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -84,8 +89,14 @@ smoke() {
   local dir
   dir="$(mktemp -d)"
 
-  # Uninterrupted reference campaign.
-  "$bin" --scale tiny --quiet --campaign-dir "$dir/ref" >"$dir/ref.out" 2>/dev/null
+  # Uninterrupted reference campaign, with its progress lines kept: the
+  # concurrent workers must persist every manifest update.
+  "$bin" --scale tiny --campaign-dir "$dir/ref" >"$dir/ref.out" 2>"$dir/ref.err"
+  if grep 'cannot write manifest' "$dir/ref.err" >&2; then
+    echo "FAILED: the reference campaign could not write its manifest" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
   local total
   total=$(count_records "$dir/ref")
 
@@ -144,23 +155,12 @@ smoke() {
   rm -rf "$dir"
 }
 
-bench() {
-  echo "== hot-path criterion suite (smoke, --test mode) =="
-  cargo bench -q --offline -p warden-bench --bench hotpath -- --test
-
-  echo "== hot-path throughput report (tiny scale) =="
-  cargo build -q --release --offline -p warden-bench --bin bench_baseline
-  target/release/bench_baseline --scale tiny --runs 3 --out BENCH_hotpath_ci.json
-  test -s BENCH_hotpath_ci.json
-  echo "   wrote BENCH_hotpath_ci.json"
-}
-
 obs() {
   echo "== golden-stats snapshots + cross-protocol consistency =="
   cargo test -q --offline --test golden_stats --test stats_consistency
 
-  echo "== throughput guard (obs compiled in, disabled) =="
-  cargo test -q --release --offline -p warden-bench --test bench_guard
+  echo "== exact work of both benchmark workloads (release, paper scale) =="
+  cargo test -q --release --offline --test exact_work
 
   echo "== trace export + validation =="
   cargo build -q --release --offline -p warden-bench \
@@ -204,8 +204,19 @@ protocols() {
   done
   echo "   zoo campaign + $(ls "$dir"/report-*.txt | wc -l) per-protocol reports in $dir/"
 
-  echo "== throughput envelope unchanged (bench_guard) =="
-  cargo test -q --release --offline -p warden-bench --test bench_guard
+  echo "== paper figures: regenerate and match EXPERIMENTS.md =="
+  # The generated report is the head of EXPERIMENTS.md; the hand-written
+  # sections follow it.
+  target/release/all_figures --scale paper --quiet \
+    --markdown "$dir/paper_figures.md" >/dev/null 2>"$dir/paper_figures.err"
+  local lines
+  lines=$(wc -l <"$dir/paper_figures.md")
+  if ! head -n "$lines" EXPERIMENTS.md | diff -u --label EXPERIMENTS.md \
+    --label "$dir/paper_figures.md" - "$dir/paper_figures.md"; then
+    echo "FAILED: regenerated paper figures differ from EXPERIMENTS.md" >&2
+    exit 1
+  fi
+  echo "   $lines generated lines match the head of EXPERIMENTS.md"
 }
 
 fuzz() {
@@ -260,20 +271,18 @@ stage="${1:-all}"
 case "$stage" in
   checks) checks ;;
   smoke) smoke ;;
-  bench) bench ;;
   obs) obs ;;
   protocols) protocols ;;
   fuzz) fuzz ;;
   all)
     checks
     smoke
-    bench
     obs
     protocols
     fuzz
     ;;
   *)
-    echo "usage: ci.sh [checks|smoke|bench|obs|protocols|fuzz|all]" >&2
+    echo "usage: ci.sh [checks|smoke|obs|protocols|fuzz|all]" >&2
     exit 2
     ;;
 esac
