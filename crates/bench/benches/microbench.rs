@@ -1,12 +1,15 @@
 //! Criterion microbenchmarks of the simulator's hot paths: the region
-//! store, the cache arrays, individual coherence transactions, trace
-//! capture, and end-to-end replay.
+//! store, the cache arrays, the backing memory, individual coherence
+//! transactions, trace capture, and end-to-end replay.
+//!
+//! Run with `cargo bench -p warden-bench --bench microbench`; `-- --test`
+//! executes every body once without the timing loops.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use warden_coherence::{
     CacheConfig, CoherenceSystem, LatencyModel, ProtocolId, RegionStore, Topology,
 };
-use warden_mem::{Addr, BlockAddr, CacheArray, CacheGeometry, PAGE_SIZE};
+use warden_mem::{Addr, BlockAddr, CacheArray, CacheGeometry, Memory, PAGE_SIZE};
 use warden_pbbs::{Bench, Scale};
 use warden_rt::{trace_program, RtOptions};
 use warden_sim::{pingpong, simulate, MachineConfig, Placement};
@@ -29,6 +32,19 @@ fn region_store(c: &mut Criterion) {
         }
         b.iter(|| store.contains(black_box(Addr(100 * PAGE_SIZE + 7))));
     });
+    // The per-access "is this address WARD?" question for an address
+    // between regions.
+    c.bench_function("region_store/lookup_miss", |b| {
+        let mut store = RegionStore::new(1024);
+        for i in 0..512u64 {
+            store.add(Addr(2 * i * PAGE_SIZE), Addr((2 * i + 1) * PAGE_SIZE));
+        }
+        let mut page = 0u64;
+        b.iter(|| {
+            page = (page + 2) % 1024;
+            store.contains(black_box(Addr((page + 1) * PAGE_SIZE)))
+        });
+    });
 }
 
 fn cache_array(c: &mut Criterion) {
@@ -44,6 +60,22 @@ fn cache_array(c: &mut Criterion) {
         let mut arr: CacheArray<u64> = CacheArray::new(CacheGeometry::new(32 * 1024, 8));
         arr.insert(BlockAddr(42), 1);
         b.iter(|| arr.get(black_box(BlockAddr(42))).copied());
+    });
+}
+
+/// Block reads across a wide address range: the page-table lookup behind
+/// every LLC miss.
+fn memory(c: &mut Criterion) {
+    c.bench_function("memory/read_block", |b| {
+        let mut mem = Memory::new();
+        for page in 0..512u64 {
+            mem.write_bytes(Addr(page * PAGE_SIZE), &[page as u8; 64]);
+        }
+        let mut a = 0u64;
+        b.iter(|| {
+            a = (a + PAGE_SIZE + 64) % (512 * PAGE_SIZE);
+            mem.read_block(black_box(Addr(a).block()))
+        });
     });
 }
 
@@ -86,6 +118,17 @@ fn coherence(c: &mut Criterion) {
             sys.remove_region(id);
         });
     });
+    // Stores streaming over 256 pages from two sockets: every store walks
+    // the directory's per-page block masks.
+    c.bench_function("coherence/dir_store_stream", |b| {
+        let mut sys = mk(ProtocolId::Mesi);
+        let mut a = 0u64;
+        b.iter(|| {
+            a = (a + 64) % (256 * PAGE_SIZE);
+            sys.store(0, black_box(Addr(a)), &[1]);
+            sys.store(13, black_box(Addr(a)), &[2]);
+        });
+    });
 }
 
 fn end_to_end(c: &mut Criterion) {
@@ -111,5 +154,12 @@ fn end_to_end(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, region_store, cache_array, coherence, end_to_end);
+criterion_group!(
+    benches,
+    region_store,
+    cache_array,
+    memory,
+    coherence,
+    end_to_end
+);
 criterion_main!(benches);

@@ -17,9 +17,6 @@
 //! | `--deadline-ms <ms>`   | per-run watchdog deadline |
 //! | `--retries <n>`        | retry budget per campaign run |
 //! | `--quiet`              | suppress campaign progress lines |
-//! | `--out <path>`         | `bench_baseline`: report destination |
-//! | `--baseline <path>`    | `bench_baseline`: earlier report to compare against |
-//! | `--runs <n>`           | `bench_baseline`: repetitions per sample |
 //! | `--fuzz-workloads <n>` | `fuzzgen`: generated workloads per gate run |
 //! | `--fuzz-seed <seed>`   | `fuzzgen`: workload-generator stream seed |
 //! | `--patterns <names|all>` | `fuzzgen`: sharing patterns to generate |
@@ -44,7 +41,6 @@ use warden_rt::workload::SharingPattern;
 pub const VALID_FLAGS: &[&str] = &[
     "--artifacts <dir>",
     "--atlas <dir>",
-    "--baseline <path>",
     "--campaign-dir <dir>",
     "--check",
     "--deadline-ms <ms>",
@@ -55,13 +51,11 @@ pub const VALID_FLAGS: &[&str] = &[
     "--markdown <path>",
     "--mutate <protocol:mutation>",
     "--obs <dir>",
-    "--out <path>",
     "--patterns <names|all>",
     "--protocols <names|all>",
     "--quiet",
     "--replay <token>",
     "--retries <n>",
-    "--runs <n>",
     "--scale <tiny|paper>",
 ];
 
@@ -88,13 +82,6 @@ pub struct HarnessArgs {
     pub retries: Option<u32>,
     /// `--quiet`: suppress campaign progress lines on stderr.
     pub quiet: bool,
-    /// `--out <path>`: where `bench_baseline` writes its JSON report.
-    pub out: Option<PathBuf>,
-    /// `--baseline <path>`: an earlier `bench_baseline` report to embed as
-    /// the before side of the comparison.
-    pub baseline: Option<PathBuf>,
-    /// `--runs <n>`: repetitions per throughput sample.
-    pub runs: Option<u32>,
     /// `--protocols <names|all>`: which registered coherence protocols a
     /// binary runs, as comma-separated registry names (`mesi,warden,si`) or
     /// `all`. `None` keeps each binary's default (usually MESI + WARDen).
@@ -242,11 +229,6 @@ impl HarnessArgs {
                     out.deadline_ms = Some(number(&mut it, "--deadline-ms", "<ms>")?)
                 }
                 "--retries" => out.retries = Some(number(&mut it, "--retries", "<n>")?),
-                "--out" => out.out = Some(PathBuf::from(value(&mut it, "--out", "<path>")?)),
-                "--baseline" => {
-                    out.baseline = Some(PathBuf::from(value(&mut it, "--baseline", "<path>")?))
-                }
-                "--runs" => out.runs = Some(number(&mut it, "--runs", "<n>")?),
                 "--protocols" => {
                     let v = value(&mut it, "--protocols", "<names|all>")?;
                     out.protocols = Some(parse_protocols(&v)?);
@@ -422,8 +404,8 @@ mod tests {
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--deadline-ms"]).is_err());
         assert!(parse(&["--retries", "-1"]).is_err());
-        // Retired serve-stack and daemon flags fail as unknown flags,
-        // whatever the value.
+        // Retired serve-stack, daemon and throughput-baseline flags fail
+        // as unknown flags, whatever the value.
         for gone in [
             ["--queue-cap", "0"],
             ["--disk-budget", "0"],
@@ -440,6 +422,9 @@ mod tests {
             ["--disk-cache", "tier"],
             ["--storage-chaos", "1"],
             ["--storage-chaos-seed", "13"],
+            ["--out", "BENCH.json"],
+            ["--baseline", "before.json"],
+            ["--runs", "3"],
         ] {
             let msg = parse(&gone).unwrap_err().to_string();
             assert!(msg.contains("unrecognized flag"), "{gone:?}: {msg}");

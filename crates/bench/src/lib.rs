@@ -39,7 +39,6 @@ pub mod error;
 pub mod figures;
 pub mod fmt;
 pub mod fuzz;
-pub mod hotpath;
 pub mod obs_export;
 pub mod paper;
 pub mod runner;
