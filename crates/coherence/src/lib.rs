@@ -67,4 +67,4 @@ pub use region::{AddRegion, RegionId, RegionStore};
 pub use state::{DirState, LlcLine, PrivLine, PrivState, ProtocolId};
 pub use stats::CoherenceStats;
 pub use system::{AccessKind, CacheConfig, CoherenceSystem, DirKind, LocalHit, WriteVal};
-pub use topo::{CoreId, LatencyModel, SocketId, Topology};
+pub use topo::{CoreId, Divisor, LatencyModel, SocketId, Topology};

@@ -20,8 +20,10 @@ pub type SocketId = usize;
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Topology {
-    num_sockets: usize,
-    cores_per_socket: usize,
+    /// The socket count, which [`Self::home_of`] takes blocks modulo.
+    sockets: Divisor,
+    /// The cores per socket, which [`Self::socket_of`] divides by.
+    cores_per_socket: Divisor,
 }
 
 impl Topology {
@@ -39,24 +41,24 @@ impl Topology {
             "at most 64 cores supported (sharer bitmask width)"
         );
         Topology {
-            num_sockets,
-            cores_per_socket,
+            sockets: Divisor::new(num_sockets as u64),
+            cores_per_socket: Divisor::new(cores_per_socket as u64),
         }
     }
 
     /// Number of sockets.
     pub fn num_sockets(self) -> usize {
-        self.num_sockets
+        self.sockets.get() as usize
     }
 
     /// Cores per socket.
     pub fn cores_per_socket(self) -> usize {
-        self.cores_per_socket
+        self.cores_per_socket.get() as usize
     }
 
     /// Total cores in the machine.
     pub fn num_cores(self) -> usize {
-        self.num_sockets * self.cores_per_socket
+        self.num_sockets() * self.cores_per_socket()
     }
 
     /// The socket a core belongs to.
@@ -66,14 +68,79 @@ impl Topology {
     /// Panics if `core` is out of range.
     pub fn socket_of(self, core: CoreId) -> SocketId {
         assert!(core < self.num_cores(), "core {core} out of range");
-        core / self.cores_per_socket
+        self.cores_per_socket.quotient(core as u64) as usize
     }
 
     /// Home socket (directory + LLC slice) of a cache block, interleaved by
     /// block address.
     pub fn home_of(self, block: warden_mem::BlockAddr) -> SocketId {
-        (block.0 % self.num_sockets as u64) as usize
+        self.sockets.remainder(block.0) as usize
     }
+}
+
+/// Exact division and remainder by a divisor fixed at construction, by two
+/// multiplications with its reciprocal instead of a hardware divide.
+///
+/// With `M = ⌈2^128 / d⌉` and `M·d = 2^128 + e` (`0 ≤ e < d`), every 64-bit
+/// `n = q·d + r` has `M·n / 2^128 = q + (r + e·n / 2^128) / d`, and
+/// `e·n < 2^128`, so the floor is `q` and the fraction times `d` floors to
+/// `r`: both are exact for every `n` and every non-zero `d` (Lemire, Kaser
+/// and Kurz, "Faster remainder by direct computation", 2019). `M` is kept
+/// modulo 2^128, which drops only `d = 1`'s top bit (`M = 2^128`):
+/// [`Self::quotient`] adds it back, and [`Self::remainder`] never needed it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Divisor {
+    d: u64,
+    /// `⌈2^128 / d⌉ mod 2^128`.
+    m: u128,
+}
+
+impl Divisor {
+    /// The reciprocal of `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    pub fn new(d: u64) -> Divisor {
+        assert!(d > 0, "division by zero");
+        Divisor {
+            d,
+            m: (u128::MAX / u128::from(d)).wrapping_add(1),
+        }
+    }
+
+    /// The divisor itself.
+    pub fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `n / d`.
+    pub fn quotient(self, n: u64) -> u64 {
+        let q = mul_hi(self.m, n);
+        if self.d == 1 {
+            n
+        } else {
+            q
+        }
+    }
+
+    /// `n % d`.
+    pub fn remainder(self, n: u64) -> u64 {
+        mul_hi(self.m.wrapping_mul(u128::from(n)), self.d)
+    }
+
+    /// `n.div_ceil(d)`.
+    pub fn div_ceil(self, n: u64) -> u64 {
+        let q = self.quotient(n);
+        q + u64::from(q * self.d != n)
+    }
+}
+
+/// `⌊a·b / 2^128⌋`: the top 64 bits of a 128 × 64-bit product.
+fn mul_hi(a: u128, b: u64) -> u64 {
+    let b = u128::from(b);
+    let lo = (a as u64 as u128 * b) >> 64;
+    (((a >> 64) * b + lo) >> 64) as u64
 }
 
 /// Access latencies in cycles, mirroring the paper's Table 2 plus the
@@ -235,6 +302,81 @@ mod tests {
         for b in 0..100 {
             assert_eq!(t.home_of(BlockAddr(b)), 0);
         }
+    }
+
+    /// `socket_of` is the plain quotient for every socket width the 64-core
+    /// sharer mask allows, every socket count that fits with it, and every
+    /// core of each such machine.
+    #[test]
+    fn socket_of_is_the_plain_quotient_on_every_machine() {
+        for cps in 1..=64 {
+            for sockets in 1..=64 / cps {
+                let t = Topology::new(sockets, cps);
+                for core in 0..t.num_cores() {
+                    assert_eq!(t.socket_of(core), core / cps, "{sockets}x{cps} core {core}");
+                }
+            }
+        }
+    }
+
+    /// `home_of` is the plain remainder for every socket count from 1 to 64,
+    /// over the edge blocks (0, 1 and the last block of the address space)
+    /// and random blocks, both block-sized and full 64-bit.
+    #[test]
+    fn home_of_is_the_plain_remainder_for_every_socket_count() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5EED);
+        let blocks: Vec<u64> = [0, 1, u64::MAX >> 6, u64::MAX]
+            .into_iter()
+            .chain((0..2000).map(|i| rng.gen::<u64>() >> (6 * (i % 2))))
+            .collect();
+        for sockets in 1..=64 {
+            let t = Topology::new(sockets, 1);
+            for &b in &blocks {
+                assert_eq!(
+                    t.home_of(BlockAddr(b)),
+                    (b % sockets as u64) as usize,
+                    "{sockets} sockets, block {b:#x}"
+                );
+            }
+        }
+    }
+
+    /// `Divisor` agrees with the hardware `/`, `%` and `div_ceil` at the
+    /// edges of both operands: every divisor up to 300, powers of two and
+    /// their neighbours up to `u64::MAX`, and random divisors, each against
+    /// dividends near 0, near multiples of the divisor, near `u64::MAX`,
+    /// and random.
+    #[test]
+    fn divisor_matches_the_hardware_divide() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xD1F);
+        let mut divisors: Vec<u64> = (1..=300).collect();
+        for k in 1..64 {
+            divisors.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        divisors.extend([u64::MAX - 1, u64::MAX]);
+        divisors.extend((0..200).map(|i| (rng.gen::<u64>() >> (i % 64)).max(1)));
+        for d in divisors {
+            let div = Divisor::new(d);
+            assert_eq!(div.get(), d);
+            let mut ns = vec![0, 1, 2, u64::MAX - 1, u64::MAX];
+            for base in [d, u64::MAX / d * d, u64::MAX / d / 2 * d] {
+                ns.extend([base.wrapping_sub(1), base, base.wrapping_add(1)]);
+            }
+            ns.extend((0..50).map(|_| rng.gen::<u64>()));
+            for n in ns {
+                assert_eq!(div.quotient(n), n / d, "{n} / {d}");
+                assert_eq!(div.remainder(n), n % d, "{n} % {d}");
+                assert_eq!(div.div_ceil(n), n.div_ceil(d), "{n} div_ceil {d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "division by zero")]
+    fn divisor_of_zero_panics() {
+        Divisor::new(0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Machine configurations for the evaluated systems (paper Table 2 and §7.3).
 
 use crate::error::SimError;
-use warden_coherence::{CacheConfig, CoherenceError, LatencyModel, Topology};
+use warden_coherence::{CacheConfig, CoherenceError, Divisor, LatencyModel, Topology};
 
 /// Full description of one simulated machine.
 #[derive(Clone, Debug)]
@@ -161,8 +161,26 @@ impl MachineConfig {
     }
 
     /// Cycles for `n` instructions of pure compute.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpi_den` is zero, or (in debug builds) if `n * cpi_num`
+    /// overflows.
     pub fn compute_cycles(&self, n: u64) -> u64 {
-        (n * self.cpi_num).div_ceil(self.cpi_den)
+        self.compute_cost().cycles(n)
+    }
+
+    /// [`Self::compute_cycles`] with the reciprocal of `cpi_den` computed
+    /// once, for the replay's per-event path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpi_den` is zero.
+    pub(crate) fn compute_cost(&self) -> ComputeCost {
+        ComputeCost {
+            num: self.cpi_num,
+            den: Divisor::new(self.cpi_den),
+        }
     }
 
     /// A stable fingerprint over every parameter that affects a replay.
@@ -231,6 +249,22 @@ impl MachineConfig {
             return bad("idle tick must be non-zero (idle cores must advance time)".into());
         }
         Ok(())
+    }
+}
+
+/// A machine's CPI as a numerator and a precomputed reciprocal of its
+/// denominator (see [`MachineConfig::compute_cost`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ComputeCost {
+    num: u64,
+    den: Divisor,
+}
+
+impl ComputeCost {
+    /// `(n * cpi_num).div_ceil(cpi_den)`: the same product, so the same
+    /// overflow (a panic in debug builds, wrapping in release).
+    pub(crate) fn cycles(self, n: u64) -> u64 {
+        self.den.div_ceil(n * self.num)
     }
 }
 
@@ -341,6 +375,56 @@ mod tests {
         assert_eq!(m.compute_cycles(4), 2);
         assert_eq!(m.compute_cycles(5), 3);
         assert_eq!(m.compute_cycles(0), 0);
+    }
+
+    /// `compute_cycles` (through the precomputed reciprocal) equals the
+    /// plain `(n * cpi_num).div_ceil(cpi_den)` for the shipped CPI ratio of
+    /// every preset and for others (whole, non-power-of-two and improper
+    /// fractions): for every `n` up to 20,000, the 20,000 `n` below the
+    /// overflow point of `n * cpi_num` and random `n` between. Past that
+    /// point both overflow alike: a panic in debug builds, the same wrapped
+    /// product in release.
+    #[test]
+    fn compute_cycles_equals_the_plain_expression() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xC1);
+        let shipped = [
+            MachineConfig::single_socket(),
+            MachineConfig::dual_socket(),
+            MachineConfig::disaggregated(),
+            MachineConfig::many_socket(4),
+            MachineConfig::sweep_point("p", 3, 5, LatencyModel::cxl()).unwrap(),
+        ]
+        .map(|m| (m.cpi_num, m.cpi_den));
+        let others = [(1, 1), (1, 3), (2, 3), (3, 4), (7, 5), (5, 1), (1, 1 << 40)];
+        for (num, den) in shipped.into_iter().chain(others) {
+            let m = MachineConfig {
+                cpi_num: num,
+                cpi_den: den,
+                ..MachineConfig::dual_socket()
+            };
+            let cost = m.compute_cost();
+            let limit = u64::MAX / num;
+            let ns = (0..=20_000)
+                .chain(limit - 20_000..=limit)
+                .chain((0..20_000).map(|_| rng.gen_range(0..=limit)));
+            for n in ns {
+                assert_eq!(
+                    cost.cycles(n),
+                    (n * num).div_ceil(den),
+                    "{n} at {num}/{den}"
+                );
+            }
+            for n in [limit.saturating_add(1), u64::MAX] {
+                if n <= limit {
+                    continue;
+                }
+                let plain = std::panic::catch_unwind(|| (n * num).div_ceil(den)).ok();
+                let fast = std::panic::catch_unwind(|| cost.cycles(n)).ok();
+                assert_eq!(fast, plain, "overflow at {n} x {num}/{den}");
+                assert_eq!(plain.is_none(), cfg!(debug_assertions));
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! resumed bit-identically.
 
 use crate::cancel::CancelToken;
-use crate::config::MachineConfig;
+use crate::config::{ComputeCost, MachineConfig};
 use crate::energy::{energy_of, EnergyBreakdown, EnergyParams};
 use crate::error::SimError;
 use crate::faults::{FaultInjector, FaultPlan};
@@ -205,6 +205,8 @@ pub struct SimEngine<'a> {
     /// The `(clock, core)` argmin over the unparked cores, kept current by
     /// [`Self::step`]; a parked core's leaf holds the padding key.
     picker: CorePicker,
+    /// The machine's CPI with its denominator's reciprocal precomputed.
+    compute: ComputeCost,
     /// Cores whose deque is non-empty, one bit per core (machines have at
     /// most 64 cores: the directory's sharer sets are `u64` bitmasks).
     stocked: u64,
@@ -232,8 +234,9 @@ impl<'a> SimEngine<'a> {
     /// # Panics
     ///
     /// Panics if the trace is malformed (see
-    /// [`TraceProgram::check_invariants`]); use [`Self::try_new`] to also
-    /// validate the machine and fault plan up front.
+    /// [`TraceProgram::check_invariants`]) or the machine's `cpi_den` is
+    /// zero; use [`Self::try_new`] to validate the machine and fault plan
+    /// up front.
     pub fn new(
         program: &'a TraceProgram,
         machine: &'a MachineConfig,
@@ -300,6 +303,7 @@ impl<'a> SimEngine<'a> {
             makespan: 0,
             steps: 0,
             picker: CorePicker::new(ncores),
+            compute: machine.compute_cost(),
             stocked: 0,
             parked: 0,
         }
@@ -526,7 +530,8 @@ impl<'a> SimEngine<'a> {
         };
 
         let events = &program.tasks[task].events;
-        if self.tasks[task].next_event == events.len() {
+        let next = self.tasks[task].next_event;
+        if next == events.len() {
             // Task complete: a sync point — lazy protocols self-downgrade
             // and self-invalidate here so the join edge publishes this
             // task's writes (free for the eager protocols).
@@ -547,8 +552,11 @@ impl<'a> SimEngine<'a> {
             return;
         }
 
-        let ev = &events[self.tasks[task].next_event];
-        self.tasks[task].next_event += 1;
+        if next.is_multiple_of(FETCH_CHUNK) {
+            fetch_next_chunk(events, next);
+        }
+        let ev = &events[next];
+        self.tasks[task].next_event = next + 1;
         let coh = &mut self.coh;
         let injector = &mut self.injector;
         let recorder = &mut self.recorder;
@@ -564,7 +572,7 @@ impl<'a> SimEngine<'a> {
         let mut obs_fault_extra = 0u64;
         match ev {
             Event::Compute { amount } => {
-                let c = machine.compute_cycles(*amount);
+                let c = self.compute.cycles(*amount);
                 core.clock += c;
                 stats.compute_cycles += c;
                 stats.instructions += *amount;
@@ -990,44 +998,60 @@ impl<'a> SimEngine<'a> {
 /// keys: the root holds the argmin, i.e. the core the engine steps next.
 ///
 /// Node `1` is the root, node `i` has children `2i` and `2i + 1`, and the
-/// leaves `width..2 * width` are the cores, padded to a power of two. Each
-/// node holds the smaller key of its two children; comparing full
-/// `(clock, core)` tuples breaks clock ties toward the lower core id, and
-/// padding keys `(u64::MAX, usize::MAX)` lose to every real core; a parked
-/// core holds the padding key too. A step moves only the picked core's
-/// clock, so [`Self::update`] replays one leaf-to-root path in
-/// `O(log cores)`.
+/// leaves `64..128` are the cores: a machine has at most 64 (the directory's
+/// sharer sets are `u64` bitmasks), so every tree has the same six levels.
+/// A key packs `(clock, core)` into one integer, `clock << 64 | core`, whose
+/// order is the tuple's, so each node is the smaller of its children's keys
+/// by a branch-free integer `min`; clock ties go to the lower core id. The
+/// padding key `u128::MAX` loses to every real core (core ids are below
+/// 64); leaves past the machine's cores and parked cores hold it. A step
+/// moves only the picked core's clock, so [`Self::update`] replays one
+/// leaf-to-root path.
 #[derive(Clone, Debug)]
 struct CorePicker {
-    /// Leaf count: the core count rounded up to a power of two.
-    width: usize,
-    /// `2 * width` keys; index 0 is unused.
-    nodes: Vec<(u64, usize)>,
+    /// `2 * LEAVES` keys; index 0 is unused.
+    nodes: [u128; 2 * CorePicker::LEAVES],
 }
 
 impl CorePicker {
-    const PAD: (u64, usize) = (u64::MAX, usize::MAX);
+    /// Leaf count: the most cores a machine has.
+    const LEAVES: usize = 64;
+
+    const PAD: u128 = u128::MAX;
 
     /// A tree over `ncores` cores, all at clock 0.
     fn new(ncores: usize) -> CorePicker {
-        assert!(ncores > 0, "at least one core");
-        let width = ncores.next_power_of_two();
+        assert!(
+            (1..=CorePicker::LEAVES).contains(&ncores),
+            "1 to 64 cores, not {ncores}"
+        );
         let mut picker = CorePicker {
-            width,
-            nodes: vec![CorePicker::PAD; 2 * width],
+            nodes: [CorePicker::PAD; 2 * CorePicker::LEAVES],
         };
         picker.rebuild(std::iter::repeat_n(0, ncores));
         picker
     }
 
+    /// The packed key of `core` at `clock`: `clock · 2^64 + core` with
+    /// `core < 2^64`, so keys compare by clock first and by core on a tie.
+    fn key(clock: u64, core: usize) -> u128 {
+        u128::from(clock) << 64 | core as u128
+    }
+
+    /// `(clock, core)` back from a packed key; the padding key reads as
+    /// `(u64::MAX, usize::MAX)`.
+    fn unpack(key: u128) -> (u64, usize) {
+        ((key >> 64) as u64, key as u64 as usize)
+    }
+
     /// The smallest `(clock, core)` key.
     fn winner(&self) -> (u64, usize) {
-        self.nodes[1]
+        CorePicker::unpack(self.nodes[1])
     }
 
     /// Set `core`'s clock and replay its path to the root.
     fn update(&mut self, core: usize, clock: u64) {
-        self.set(core, (clock, core));
+        self.set(core, CorePicker::key(clock, core));
     }
 
     /// Take `core` out of the running: its leaf gets the padding key.
@@ -1035,26 +1059,64 @@ impl CorePicker {
         self.set(core, CorePicker::PAD);
     }
 
-    fn set(&mut self, core: usize, key: (u64, usize)) {
-        let mut i = self.width + core;
+    /// Give `core`'s leaf `key` and replay its path to the root. Each node
+    /// on the path becomes the smaller of the key just written below it and
+    /// that key's sibling, so the climb reads only siblings, never a node
+    /// it has just stored. The six levels unroll into straight-line code,
+    /// and each pick is a conditional move: which key wins is a coin flip.
+    /// Kept out of line, because inlined into the engine's step loop the
+    /// compiler turns those moves back into branches, which mispredict.
+    #[inline(never)]
+    fn set(&mut self, core: usize, mut key: u128) {
+        let mut i = CorePicker::LEAVES + core;
         self.nodes[i] = key;
-        while i > 1 {
+        for _ in 0..CorePicker::LEAVES.trailing_zeros() {
+            let sibling = self.nodes[i ^ 1];
+            key = std::hint::select_unpredictable(sibling < key, sibling, key);
             i /= 2;
-            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+            self.nodes[i] = key;
         }
     }
 
     /// Reload every leaf from `clocks` (core order) and recompute every
     /// internal node.
     fn rebuild(&mut self, clocks: impl Iterator<Item = u64>) {
-        let width = self.width;
-        self.nodes[width..].fill(CorePicker::PAD);
+        let leaves = CorePicker::LEAVES;
+        self.nodes[leaves..].fill(CorePicker::PAD);
         for (core, clock) in clocks.enumerate() {
-            self.nodes[width + core] = (clock, core);
+            self.nodes[leaves + core] = CorePicker::key(clock, core);
         }
-        for i in (1..width).rev() {
+        for i in (1..leaves).rev() {
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
         }
+    }
+}
+
+/// Events per host cache line (at least one).
+const EVENTS_PER_LINE: usize = if size_of::<Event>() < 64 {
+    64 / size_of::<Event>()
+} else {
+    1
+};
+
+/// Host cache lines read ahead of a task's cursor at once.
+const FETCH_LINES: usize = 4;
+
+/// Events per read-ahead chunk: [`FETCH_LINES`] lines.
+const FETCH_CHUNK: usize = FETCH_LINES * EVENTS_PER_LINE;
+
+/// Read the first event of each line of the chunk after the one starting at
+/// `next`, so that chunk's line misses overlap here instead of each stalling
+/// the step that reaches it. A task's events are read one per step, and the
+/// steps rotate over up to 64 tasks' streams, which the host's prefetchers do
+/// not follow, and `#![forbid(unsafe_code)]` leaves no prefetch instruction.
+/// `black_box` keeps the otherwise unused reads; the indices clamp to the
+/// last event instead of branching.
+fn fetch_next_chunk(events: &[Event], next: usize) {
+    let last = events.len() - 1;
+    for line in 0..FETCH_LINES {
+        let ev = &events[(next + FETCH_CHUNK + line * EVENTS_PER_LINE).min(last)];
+        std::hint::black_box(std::mem::discriminant(ev));
     }
 }
 
@@ -1876,28 +1938,90 @@ mod tests {
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
     }
 
-    /// The `(clock, core)` argmin the tree must agree with.
-    fn argmin(clocks: &[u64]) -> usize {
+    /// The `(clock, core)` argmin over the unparked cores: the key the
+    /// tree's root must hold (`None` while every core is parked).
+    fn argmin(clocks: &[u64], parked: u64) -> Option<(u64, usize)> {
         (0..clocks.len())
-            .min_by_key(|&i| (clocks[i], i))
-            .expect("at least one core")
+            .filter(|&i| parked & 1 << i == 0)
+            .map(|i| (clocks[i], i))
+            .min()
     }
 
-    /// Step the picker the way the engine does: pick, advance only the
-    /// picked core by the next increment, update its leaf.
-    fn drive(picker: &mut CorePicker, clocks: &mut [u64], incs: &[u64]) {
-        for &inc in incs {
-            let (_, got) = picker.winner();
+    /// Drive the picker the way the engine does, checking its winner
+    /// against the argmin before every op and after the last. An op
+    /// `(inc, action)` parks the picked core (action 0), unparks every
+    /// parked core at its clock (action 1), or advances only the picked
+    /// core's clock by `inc`, saturating at `u64::MAX`, and updates its
+    /// leaf (any other action).
+    fn drive(picker: &mut CorePicker, clocks: &mut [u64], ops: &[(u64, u8)]) {
+        let mut parked = 0u64;
+        let check = |picker: &CorePicker, clocks: &[u64], parked: u64| {
+            let want = argmin(clocks, parked);
             assert_eq!(
-                got,
-                argmin(clocks),
-                "ncores={} clocks={clocks:?}",
+                picker.winner(),
+                want.unwrap_or((u64::MAX, usize::MAX)),
+                "ncores={} clocks={clocks:?} parked={parked:#x}",
                 clocks.len()
             );
-            clocks[got] += inc;
-            picker.update(got, clocks[got]);
+            want.map(|(_, core)| core)
+        };
+        for &(inc, action) in ops {
+            let picked = check(picker, clocks, parked);
+            match (action, picked) {
+                (0, Some(core)) => {
+                    parked |= 1 << core;
+                    picker.park(core);
+                }
+                (1, _) => {
+                    for i in set_bits(std::mem::take(&mut parked)) {
+                        picker.update(i, clocks[i]);
+                    }
+                }
+                (_, Some(core)) => {
+                    clocks[core] = clocks[core].saturating_add(inc);
+                    picker.update(core, clocks[core]);
+                }
+                _ => {}
+            }
         }
-        assert_eq!(picker.winner().1, argmin(clocks));
+        check(picker, clocks, parked);
+    }
+
+    /// The packed key orders exactly like the `(clock, core)` tuple and
+    /// unpacks to it, and every real key loses only to the padding key:
+    /// over every pair of keys built from the boundary clocks (0, the
+    /// middle of the range, `u64::MAX` and their neighbours) and the
+    /// boundary core ids of a 64-core machine.
+    #[test]
+    fn packed_keys_order_like_clock_core_tuples() {
+        let clocks = [
+            0,
+            1,
+            2,
+            u64::MAX / 2,
+            u64::MAX / 2 + 1,
+            u64::MAX - 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let cores = [0usize, 1, 2, 31, 32, 62, 63];
+        let tuples: Vec<(u64, usize)> = clocks
+            .iter()
+            .flat_map(|&c| cores.iter().map(move |&i| (c, i)))
+            .collect();
+        for &a in &tuples {
+            let ka = CorePicker::key(a.0, a.1);
+            assert_eq!(CorePicker::unpack(ka), a);
+            assert!(ka < CorePicker::PAD, "{a:?} must beat the padding key");
+            for &b in &tuples {
+                assert_eq!(
+                    ka.cmp(&CorePicker::key(b.0, b.1)),
+                    a.cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        assert_eq!(CorePicker::unpack(CorePicker::PAD), (u64::MAX, usize::MAX));
     }
 
     proptest::proptest! {
@@ -1941,21 +2065,42 @@ mod tests {
 
         /// At every core count from 1 to 64 (so padded leaves take part),
         /// the tree's pick is the `(clock, core)` argmin under random clock
-        /// increments, zero-cost steps and their ties included — from the
-        /// all-zero start and after a rebuild from arbitrary clocks.
+        /// increments, zero-cost steps and their ties included, with cores
+        /// parking (their leaves take the padding key) and rejoining, every
+        /// core parked at once included — from the all-zero start and after
+        /// a rebuild from arbitrary clocks: small ones, ones at and near
+        /// `u64::MAX` (where increments saturate, so cores tie there), and
+        /// one clock shared by every core.
         #[test]
         fn core_picker_matches_the_argmin(
-            start in proptest::collection::vec(0u64..8, 64),
-            incs in proptest::collection::vec(0u64..4, 0..300),
+            start in proptest::collection::vec(
+                proptest::prop_oneof![0u64..8, u64::MAX - 8..=u64::MAX],
+                64,
+            ),
+            same in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (
+                    // One increment in 17 jumps to `u64::MAX`.
+                    proptest::strategy::Strategy::prop_map(0u64..17, |i| {
+                        if i == 16 { u64::MAX } else { i % 4 }
+                    }),
+                    0u8..8,
+                ),
+                0..300,
+            ),
         ) {
             for ncores in 1usize..=64 {
                 let mut picker = CorePicker::new(ncores);
                 let mut clocks = vec![0u64; ncores];
-                drive(&mut picker, &mut clocks, &incs);
+                drive(&mut picker, &mut clocks, &ops);
 
-                let mut clocks = start[..ncores].to_vec();
+                let mut clocks = if same {
+                    vec![start[0]; ncores]
+                } else {
+                    start[..ncores].to_vec()
+                };
                 picker.rebuild(clocks.iter().copied());
-                drive(&mut picker, &mut clocks, &incs);
+                drive(&mut picker, &mut clocks, &ops);
             }
         }
     }
