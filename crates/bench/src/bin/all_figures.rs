@@ -243,15 +243,16 @@ const FIDELITY_ANALYSIS: &str = r#"
 const CAMPAIGN_WALKTHROUGH: &str = r#"
 ## Interrupting and resuming a campaign
 
-Every figure binary routes its simulations through the campaign runner.
-Without flags the campaign state lives in a per-process temp directory
-(supervision without durability); pass `--campaign-dir <dir>` to make the
-run crash-safe:
+`all_figures` routes its simulations through the campaign runner, one
+campaign per machine suite. Without flags the campaign state lives in a
+per-process temp directory (supervision without durability); pass
+`--campaign-dir <dir>` to make the run crash-safe:
 
 ```console
-$ cargo run -p warden-bench --release --bin fig8 -- --scale tiny --campaign-dir /tmp/fig8.campaign
+$ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign
+Figure 7 (single socket)…
 campaign: 28 run(s), 0 reused from records, 28 to execute (4 worker(s))
-  [done] dual-socket/tiny/bfs/mesi (attempt 1)
+  [done] single-socket/tiny/dedup/warden (attempt 1)
   ...
 ^C                                   # or kill -9, an OOM kill, a power cut
 ```
@@ -259,9 +260,10 @@ campaign: 28 run(s), 0 reused from records, 28 to execute (4 worker(s))
 Re-running the *same command* resumes instead of restarting:
 
 ```console
-$ cargo run -p warden-bench --release --bin fig8 -- --scale tiny --campaign-dir /tmp/fig8.campaign
+$ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign
+Figure 7 (single socket)…
 campaign: 28 run(s), 17 reused from records, 11 to execute (4 worker(s))
-  [resume] dual-socket/tiny/primes/warden from step 1500000
+  [resume] single-socket/tiny/primes/warden from step 1500000
   ...
 ```
 

@@ -1,22 +1,13 @@
 //! Experiment harness regenerating every table and figure of the WARDen
 //! paper's evaluation (§6.2 validation and §7).
 //!
-//! The library provides the shared machinery; each binary under `src/bin/`
-//! regenerates one table or figure:
+//! The library provides the shared machinery; the binaries under `src/bin/`
+//! drive it:
 //!
 //! | binary        | regenerates |
 //! |---------------|-------------|
-//! | `table1`      | Table 1 — ping-pong latency validation |
-//! | `table2`      | Table 2 — simulated system specification |
-//! | `fig7`        | Figure 7 — single-socket speedup + energy |
-//! | `fig8`        | Figure 8 — dual-socket speedup + energy |
-//! | `fig9`        | Figure 9 — inv+downgrade reduction vs speedup |
-//! | `fig10`       | Figure 10 — downgrade/invalidations breakdown |
-//! | `fig11`       | Figure 11 — IPC improvement |
-//! | `fig12`       | Figure 12 — disaggregated machine |
-//! | `area`        | §6.1 — CACTI-style area estimates |
+//! | `all_figures` | every table and figure of the evaluation (Tables 1–2, Figures 7–12, the §6.1 area estimates) as one EXPERIMENTS.md-style report |
 //! | `ablations`   | design-choice ablations from DESIGN.md |
-//! | `all_figures` | everything above, plus an EXPERIMENTS.md-style report |
 //! | `fuzzgen`     | seeded differential coherence fuzz gate + coherence-atlas sweep |
 //!
 //! Run with `cargo run -p warden-bench --release --bin <name> [-- --scale tiny]`.
