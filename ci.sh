@@ -13,7 +13,8 @@
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
 #                    (whose progress output must carry no manifest-write
-#                    warning)
+#                    warning) and the resumed campaign to have quarantined
+#                    nothing (every survivor's entry must read back)
 #   ./ci.sh obs      observability gate: golden-stats snapshots,
 #                    cross-protocol consistency checks, the release-mode
 #                    exact-work guard (tests/exact_work.rs: both benchmark
@@ -151,7 +152,17 @@ smoke() {
     rm -rf "$dir"
     exit 1
   fi
-  echo "   resumed report is bit-identical to the uninterrupted reference"
+  # A survivor's entry the resumed campaign cannot read is quarantined and
+  # recomputed to the same report, so an encoder/decoder mismatch would
+  # pass every check above: require that nothing was set aside.
+  if [ -n "$(ls -A "$dir/victim/quarantine" 2>/dev/null)" ]; then
+    echo "FAILED: the resumed campaign quarantined entries:" >&2
+    ls -A "$dir/victim/quarantine" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
+  echo "   resumed report is bit-identical to the uninterrupted reference;" \
+    "nothing quarantined"
   rm -rf "$dir"
 }
 

@@ -9,8 +9,8 @@
 //! Robustness switches: `--check` runs the coherence invariant checker on
 //! both protocols (any violation is reported and fails the run);
 //! `--faults <seed>` injects the benign seeded fault plan — region-CAM
-//! exhaustion storms, forced reconciliations, latency spikes, and a flaky
-//! remote link — which must leave the final memory image untouched.
+//! exhaustion storms, forced reconciliations and latency spikes — which
+//! must leave the final memory image untouched.
 //!
 //! `--obs <dir>` records protocol observability on both runs (passive:
 //! the reported stats are bit-identical either way) and writes a Perfetto
@@ -45,13 +45,12 @@ fn report_robustness(outcome: &SimOutcome, opts: &RunOptions) -> bool {
         let f = &outcome.stats.faults;
         println!(
             "[{:?}] faults injected: {} CAM storms ({} decoy regions), {} forced \
-             reconciles, {} latency spikes, {} link retries ({} stall cycles)",
+             reconciles, {} latency spikes ({} stall cycles)",
             outcome.protocol,
             f.cam_storms,
             f.decoy_regions,
             f.forced_reconciles,
             f.latency_spikes,
-            f.link_retries,
             f.stall_cycles,
         );
     }

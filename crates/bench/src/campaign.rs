@@ -450,11 +450,9 @@ fn worker(sh: &Shared<'_>) {
         let next = sh.queue.lock().expect("queue lock").pop_front();
         let Some(i) = next else { break };
         let spec = &sh.specs[i];
-        let began = Instant::now();
         match run_one(sh, i) {
             Ok((outcome, attempts)) => {
-                let compute_us = began.elapsed().as_micros() as u64;
-                if let Err(e) = sh.store.put_result(&sh.keys[i], &outcome, compute_us) {
+                if let Err(e) = sh.store.put_result(&sh.keys[i], &outcome) {
                     // Without a durable record the result would silently
                     // vanish on resume; treat persist failure as run failure.
                     let fail = RunFailure {

@@ -8,7 +8,7 @@
 //! prefix and every bit flip is a typed error, never a panic):
 //!
 //! - **result entries** (`<key>.rec`): the [`encode_outcome`] bytes of a
-//!   finished [`SimOutcome`] plus the compute time it cost;
+//!   finished [`SimOutcome`];
 //! - **checkpoint entries** (`<key>.ckpt`): a framed [`warden_sim`] engine
 //!   snapshot taken at the caller's cadence while a simulation runs (and
 //!   once more on cooperative cancellation). A later
@@ -58,12 +58,10 @@ pub struct DiskEntry {
 /// The body of a [`DiskEntry`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum DiskBody {
-    /// A finished simulation and the compute time it cost (µs).
+    /// A finished simulation.
     Result {
         /// The [`checkpoint::encode_outcome`] bytes of the outcome.
         outcome: Vec<u8>,
-        /// Compute time in microseconds.
-        compute_us: u64,
     },
     /// A paused-engine frame taken `steps` into the replay. The bytes are
     /// themselves a complete checkpoint frame (identity header included).
@@ -95,13 +93,7 @@ impl DiskEntry {
         enc.put_u8(self.body.kind());
         self.key.encode_into(&mut enc);
         match &self.body {
-            DiskBody::Result {
-                outcome,
-                compute_us,
-            } => {
-                enc.put_u64(*compute_us);
-                enc.put_bytes(outcome);
-            }
+            DiskBody::Result { outcome } => enc.put_bytes(outcome),
             DiskBody::Checkpoint { steps, frame } => {
                 enc.put_u64(*steps);
                 enc.put_bytes(frame);
@@ -119,7 +111,6 @@ impl DiskEntry {
         let key = RunKey::decode_from(&mut dec)?;
         let body = match kind {
             KIND_RESULT => DiskBody::Result {
-                compute_us: dec.take_u64()?,
                 outcome: dec.take_bytes()?.to_vec(),
             },
             KIND_CHECKPOINT => DiskBody::Checkpoint {
@@ -333,7 +324,7 @@ impl ResultStore {
     /// degraded read — the caller recomputes).
     pub fn result(&self, key: &RunKey) -> Option<SimOutcome> {
         let found = match self.load(KIND_RESULT, key) {
-            Some(DiskBody::Result { outcome, .. }) => match checkpoint::decode_outcome(&outcome) {
+            Some(DiskBody::Result { outcome }) => match checkpoint::decode_outcome(&outcome) {
                 Ok(out) => Some(out),
                 Err(_) => {
                     self.quarantine(&entry_name(KIND_RESULT, key));
@@ -386,12 +377,11 @@ impl ResultStore {
     /// the frame is a strict prefix of work that is now complete. A failed
     /// write is counted and returned, and the checkpoint stays: it is the
     /// run's only durable progress, so a retry resumes from it.
-    pub fn put_result(&self, key: &RunKey, out: &SimOutcome, compute_us: u64) -> io::Result<()> {
+    pub fn put_result(&self, key: &RunKey, out: &SimOutcome) -> io::Result<()> {
         self.put(
             key,
             DiskBody::Result {
                 outcome: checkpoint::encode_outcome(out),
-                compute_us,
             },
         )?;
         self.discard_checkpoint(key);

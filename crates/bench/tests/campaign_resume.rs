@@ -2,7 +2,8 @@
 //! killed campaign resumes bit-identically from its durable records,
 //! panicking runs are retried and isolated, a deadline-cancelled run
 //! continues from its mid-run checkpoint instead of restarting, a damaged
-//! record is quarantined and re-run, and a campaign under seeded storage
+//! record is quarantined and re-run, entries of an older format version
+//! are quarantined and recomputed, and a campaign under seeded storage
 //! faults never reports a wrong outcome and resumes to the reference.
 
 use std::path::{Path, PathBuf};
@@ -10,14 +11,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use warden_bench::storage::{FaultyStorage, RealStorage, StorageFaultPlan};
-use warden_bench::store::{DiskBody, DiskEntry};
+use warden_bench::store::{DiskBody, DiskEntry, ResultStore};
 use warden_bench::{run_campaign, CampaignConfig, HarnessError, RunSpec, Workload};
 use warden_coherence::ProtocolId;
 use warden_mem::codec::fnv1a64;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::{trace_program, RtOptions, TraceProgram};
 use warden_sim::checkpoint::{encode_outcome, unique_dir};
-use warden_sim::{simulate_with_options, MachineConfig, SimOptions};
+use warden_sim::{simulate_with_options, MachineConfig, SimEngine, SimOptions};
 
 fn scratch(name: &str) -> PathBuf {
     unique_dir(
@@ -261,6 +262,67 @@ fn a_byte_flipped_record_is_quarantined_and_its_cell_reruns_identically() {
         "the re-run is stored again"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `framed` re-stamped as format version `version`, with a checksum that
+/// holds: a well-formed frame a reader of another version wrote.
+fn restamp(mut framed: Vec<u8>, version: u32) -> Vec<u8> {
+    let body = framed.len() - 8;
+    framed[8..12].copy_from_slice(&version.to_le_bytes());
+    let sum = fnv1a64(&framed[..body]);
+    framed[body..].copy_from_slice(&sum.to_le_bytes());
+    framed
+}
+
+/// A version-4 result entry and checkpoint entry for a cell are both
+/// quarantined when the store opens, and the campaign recomputes the cell
+/// to the reference outcome instead of trusting either.
+#[test]
+fn version_4_entries_are_quarantined_and_recomputed() {
+    let spec = tiny_specs().remove(0);
+    let ref_dir = scratch("skew-ref");
+    let reference = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(ref_dir.clone()))
+        .expect("reference")
+        .remove(0);
+
+    let key = spec.key();
+    let program = Bench::MakeArray.build(Scale::Tiny);
+    let mut eng = SimEngine::new(&program, &spec.machine, spec.protocol, &spec.opts);
+    for _ in 0..200 {
+        eng.step();
+    }
+    let old = |body| restamp(DiskEntry { key, body }.encode(), 4);
+    let rec = old(DiskBody::Result {
+        outcome: restamp(encode_outcome(&reference.outcome), 4),
+    });
+    let ckpt = old(DiskBody::Checkpoint {
+        steps: eng.steps(),
+        frame: restamp(eng.snapshot_to_bytes(), 4),
+    });
+
+    let dir = scratch("skew");
+    let names = [".rec", ".ckpt"].map(|ext| format!("{:016x}{ext}", key.address()));
+    std::fs::write(dir.join(&names[0]), rec).expect("write v4 record");
+    std::fs::write(dir.join(&names[1]), ckpt).expect("write v4 checkpoint");
+    let store = ResultStore::open(dir.clone(), Arc::new(RealStorage)).expect("open");
+    assert_eq!(store.stats().quarantined, 2, "both are set aside");
+    assert!(store.is_empty());
+    drop(store);
+    for name in &names {
+        assert!(dir.join("quarantine").join(name).is_file(), "{name}");
+    }
+
+    let again = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
+        .expect("recomputed campaign")
+        .remove(0);
+    assert!(!again.reused, "the cell is recomputed, not read back");
+    assert_eq!(
+        fnv1a64(&encode_outcome(&again.outcome)),
+        fnv1a64(&encode_outcome(&reference.outcome))
+    );
+    for d in [ref_dir, dir] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
 }
 
 /// A campaign whose result store sits on seeded storage faults (torn

@@ -84,8 +84,7 @@ fn results_and_checkpoints_survive_a_reopen_bit_identically() {
     let dir = scratch("reopen");
     {
         let tier = open_real(&dir);
-        tier.put_result(&key(1), &outcome(1), 1_000)
-            .expect("persisted");
+        tier.put_result(&key(1), &outcome(1)).expect("persisted");
         tier.put_checkpoint(&key(2), 500, b"frame-bytes");
         assert_eq!(tier.stats().writes, 2);
     }
@@ -106,8 +105,7 @@ fn a_finished_result_discards_the_checkpoint_it_outran() {
     let tier = open_real(&dir);
     tier.put_checkpoint(&key(9), 100, b"prefix");
     assert!(tier.checkpoint(&key(9)).is_some());
-    tier.put_result(&key(9), &outcome(9), 42)
-        .expect("persisted");
+    tier.put_result(&key(9), &outcome(9)).expect("persisted");
     assert!(
         tier.checkpoint(&key(9)).is_none(),
         "the frame is a strict prefix of completed work"
@@ -121,8 +119,8 @@ fn fsck_sweeps_orphaned_temp_files_and_quarantines_damage() {
     let dir = scratch("fsck");
     {
         let tier = open_real(&dir);
-        tier.put_result(&key(1), &outcome(1), 10).unwrap();
-        tier.put_result(&key(2), &outcome(2), 10).unwrap();
+        tier.put_result(&key(1), &outcome(1)).unwrap();
+        tier.put_result(&key(2), &outcome(2)).unwrap();
     }
     // A crash mid-write leaves a temp orphan; bit rot truncates one entry;
     // a stray file squats under an entry name it doesn't hash to.
@@ -170,7 +168,7 @@ fn fsck_sweeps_orphaned_temp_files_and_quarantines_damage() {
 fn enospc_degrades_with_a_typed_counter_and_keeps_serving_misses() {
     let dir = scratch("enospc");
     let tier = open_faulty(&dir, only(|p| p.enospc_prob = 1.0));
-    let err = tier.put_result(&key(1), &outcome(1), 10).unwrap_err();
+    let err = tier.put_result(&key(1), &outcome(1)).unwrap_err();
     assert!(is_enospc(&err), "the error is returned");
     tier.put_checkpoint(&key(1), 100, b"frame");
     let stats = tier.stats();
@@ -214,7 +212,7 @@ fn a_failed_result_write_keeps_the_checkpoint() {
     let dir = scratch("enospc-keeps-checkpoint");
     let tier = ResultStore::open(&dir, Arc::new(FullForResults)).expect("store opens");
     tier.put_checkpoint(&key(5), 300, b"prefix");
-    let err = tier.put_result(&key(5), &outcome(5), 10).unwrap_err();
+    let err = tier.put_result(&key(5), &outcome(5)).unwrap_err();
     assert!(is_enospc(&err), "{err}");
     // The frame is the run's only durable progress: a retry resumes from
     // it instead of cycle 0.
@@ -230,7 +228,7 @@ fn torn_writes_are_caught_on_read_and_quarantined() {
     let tier = open_faulty(&dir, only(|p| p.torn_write_prob = 1.0));
     // The torn write *reports success* — exactly the lying-disk case — so
     // the entry is indexed; the checksum catches it on first read.
-    tier.put_result(&key(1), &outcome(1), 10).unwrap();
+    tier.put_result(&key(1), &outcome(1)).unwrap();
     assert_eq!(tier.stats().writes, 1);
     assert!(tier.result(&key(1)).is_none());
     let stats = tier.stats();
@@ -243,7 +241,7 @@ fn torn_writes_are_caught_on_read_and_quarantined() {
 fn corrupt_reads_quarantine_instead_of_serving_flipped_bits() {
     let dir = scratch("corrupt-read");
     let tier = open_faulty(&dir, only(|p| p.corrupt_read_prob = 1.0));
-    tier.put_result(&key(1), &outcome(1), 10).unwrap();
+    tier.put_result(&key(1), &outcome(1)).unwrap();
     assert!(
         tier.result(&key(1)).is_none(),
         "a flipped byte can never decode"
@@ -257,13 +255,13 @@ fn a_crash_mid_write_never_damages_the_old_entry() {
     let dir = scratch("crash-mid-write");
     {
         let tier = open_real(&dir);
-        tier.put_result(&key(1), &outcome(1), 10).unwrap();
+        tier.put_result(&key(1), &outcome(1)).unwrap();
     }
     {
         // The process "crashes" before the rename while overwriting: the
         // write errors, the destination keeps the OLD bytes.
         let tier = open_faulty(&dir, only(|p| p.crash_before_rename_prob = 1.0));
-        assert!(tier.put_result(&key(1), &outcome(999), 10).is_err());
+        assert!(tier.put_result(&key(1), &outcome(999)).is_err());
         let stats = tier.stats();
         assert_eq!(stats.writes, 0, "{stats:?}");
         assert_eq!(stats.write_errors, 1, "{stats:?}");
@@ -291,7 +289,7 @@ fn a_crash_after_rename_is_already_durable() {
         let tier = open_faulty(&dir, only(|p| p.crash_after_rename_prob = 1.0));
         // The write lands, then the process "dies" before acknowledging:
         // the tier counts an error, but the bytes are durable.
-        assert!(tier.put_result(&key(1), &outcome(1), 10).is_err());
+        assert!(tier.put_result(&key(1), &outcome(1)).is_err());
         assert_eq!(tier.stats().write_errors, 1);
     }
     let tier = open_real(&dir);
@@ -314,7 +312,7 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
         };
         let tier = open_faulty(&dir, plan);
         for tag in 0..32u64 {
-            let _ = tier.put_result(&key(tag), &outcome(tag), tag + 1);
+            let _ = tier.put_result(&key(tag), &outcome(tag));
             if let Some(back) = tier.result(&key(tag)) {
                 assert!(same(&back, tag), "a hit must be bit-identical");
             }
@@ -339,7 +337,7 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
 fn an_entry_deleted_behind_the_store_is_a_clean_miss() {
     let dir = scratch("deleted");
     let tier = open_real(&dir);
-    tier.put_result(&key(4), &outcome(4), 10).unwrap();
+    tier.put_result(&key(4), &outcome(4)).unwrap();
     let path = dir.join(result_file_name(&key(4)));
     std::fs::remove_file(&path).expect("entry file exists");
     assert!(tier.result(&key(4)).is_none());

@@ -10,6 +10,9 @@ type Block = [u8; BLOCK_SIZE as usize];
 /// Cache blocks per page.
 const BLOCKS_PER_PAGE: usize = (PAGE_SIZE / BLOCK_SIZE) as usize;
 
+// The encoding keeps one bit per block of a page in a `u64`.
+const _: () = assert!(BLOCKS_PER_PAGE == 64);
+
 const ZERO_BLOCK: Block = [0; BLOCK_SIZE as usize];
 
 /// The index of `block` within its page.
@@ -70,19 +73,19 @@ impl Page {
         self.blocks.iter().all(|b| *b == ZERO_BLOCK)
     }
 
-    /// The page's blocks in address order, absent ones as zeros.
-    fn blocks_in_order(&self) -> impl Iterator<Item = &Block> {
-        (0..BLOCKS_PER_PAGE).map(|i| self.block(i).unwrap_or(&ZERO_BLOCK))
+    /// The page's blocks that hold a non-zero byte, with their indices, in
+    /// address order.
+    fn nonzero_blocks(&self) -> impl Iterator<Item = (usize, &Block)> {
+        (0..BLOCKS_PER_PAGE).filter_map(|i| Some((i, self.block(i).filter(|b| **b != ZERO_BLOCK)?)))
     }
 
     /// The page's 4 KiB of bytes.
     fn to_bytes(&self) -> [u8; PAGE_SIZE as usize] {
         let mut out = [0; PAGE_SIZE as usize];
-        for (dst, src) in out
-            .chunks_exact_mut(BLOCK_SIZE as usize)
-            .zip(self.blocks_in_order())
-        {
-            dst.copy_from_slice(src);
+        for (i, dst) in out.chunks_exact_mut(BLOCK_SIZE as usize).enumerate() {
+            if let Some(src) = self.block(i) {
+                dst.copy_from_slice(src);
+            }
         }
         out
     }
@@ -273,40 +276,55 @@ impl Memory {
         h
     }
 
-    /// Serialize the full memory image (every resident page, including
-    /// all-zero ones, in ascending address order, as 4 KiB of bytes each).
-    /// Keeping zero pages makes a decoded memory structurally identical to
-    /// the original, not just semantically equal — a checkpointed run must
-    /// resume with the exact page map it was snapshotted with.
+    /// Serialize the full memory image: every resident page in ascending
+    /// address order, each as its page address, a `u64` bitmap of its
+    /// blocks that hold a non-zero byte (bit `i` for block `i`), and those
+    /// blocks' 64 bytes in index order. An image costs what the run wrote,
+    /// not 4 KiB per page it touched.
+    ///
+    /// A resident all-zero page is written as bitmap 0, which keeps a
+    /// decoded memory's page map identical to the original's, not just
+    /// semantically equal — a checkpointed run must resume with the exact
+    /// page map it was snapshotted with.
     pub fn encode_into(&self, enc: &mut Encoder) {
         let pages = self.sorted_pages();
         enc.put_usize(pages.len());
         for (p, page) in pages {
             enc.put_u64(p.0);
-            for block in page.blocks_in_order() {
+            enc.put_u64(page.nonzero_blocks().fold(0, |m, (i, _)| m | 1 << i));
+            for (_, block) in page.nonzero_blocks() {
                 enc.put_raw(block);
             }
         }
     }
 
-    /// Decode a memory image produced by [`Self::encode_into`].
+    /// Decode a memory image produced by [`Self::encode_into`]. Pages out
+    /// of address order and listed blocks that are all zero are rejected:
+    /// the encoder writes neither, so each image has one encoding.
     pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Memory, CodecError> {
-        let n = dec.take_count(8 + PAGE_SIZE as usize)?;
+        let invalid = |what, detail| CodecError::Invalid { what, detail };
+        let n = dec.take_count(8 + 8)?;
         let mut pages = PageMap::new();
         let mut last: Option<u64> = None;
         for _ in 0..n {
             let addr = dec.take_u64()?;
             if last.is_some_and(|prev| addr <= prev) {
-                return Err(CodecError::Invalid {
-                    what: "memory page",
-                    detail: format!("page {addr:#x} out of order"),
-                });
+                return Err(invalid(
+                    "memory page",
+                    format!("page {addr:#x} out of order"),
+                ));
             }
             last = Some(addr);
-            let raw = dec.take_raw(PAGE_SIZE as usize)?;
+            let mask = dec.take_u64()?;
             let mut page = Page::new();
-            for (i, block) in raw.chunks_exact(BLOCK_SIZE as usize).enumerate() {
-                page.write(i, 0, block);
+            for i in (0..BLOCKS_PER_PAGE).filter(|&i| mask >> i & 1 == 1) {
+                page.write(i, 0, dec.take_raw(BLOCK_SIZE as usize)?);
+                if page.block(i).is_none() {
+                    return Err(invalid(
+                        "memory block",
+                        format!("block {i} of page {addr:#x} is listed but all zero"),
+                    ));
+                }
             }
             pages.insert(PageAddr(addr), page);
         }
@@ -429,17 +447,40 @@ mod tests {
         assert_eq!(m.first_difference(&back, Addr(0), 12 * PAGE_SIZE), None);
     }
 
+    /// Page address, bitmap and listed blocks for each page.
+    fn encode_pages(pages: &[(u64, u64, &[Block])]) -> Vec<u8> {
+        let mut enc = crate::codec::Encoder::new();
+        enc.put_usize(pages.len());
+        for &(addr, mask, blocks) in pages {
+            enc.put_u64(addr);
+            enc.put_u64(mask);
+            for b in blocks {
+                enc.put_raw(b);
+            }
+        }
+        enc.into_bytes()
+    }
+
+    fn decodes(bytes: &[u8]) -> bool {
+        let mut dec = crate::codec::Decoder::new(bytes);
+        Memory::decode_from(&mut dec).is_ok() && dec.finish().is_ok()
+    }
+
     #[test]
     fn codec_rejects_out_of_order_pages() {
-        let mut enc = crate::codec::Encoder::new();
-        enc.put_usize(2);
-        enc.put_u64(5);
-        enc.put_raw(&[0; PAGE_SIZE as usize]);
-        enc.put_u64(5); // duplicate / not strictly ascending
-        enc.put_raw(&[0; PAGE_SIZE as usize]);
-        let bytes = enc.into_bytes();
-        let mut dec = crate::codec::Decoder::new(&bytes);
-        assert!(Memory::decode_from(&mut dec).is_err());
+        let data = [[7; BLOCK_SIZE as usize]];
+        assert!(decodes(&encode_pages(&[(5, 0, &[]), (6, 1 << 3, &data)])));
+        // Duplicate / not strictly ascending.
+        assert!(!decodes(&encode_pages(&[(5, 0, &[]), (5, 0, &[])])));
+        assert!(!decodes(&encode_pages(&[(6, 1 << 3, &data), (5, 0, &[])])));
+    }
+
+    #[test]
+    fn codec_rejects_listed_zero_and_missing_blocks() {
+        let (data, zero) = ([7; BLOCK_SIZE as usize], ZERO_BLOCK);
+        assert!(decodes(&encode_pages(&[(5, 0b101, &[data, data])])));
+        assert!(!decodes(&encode_pages(&[(5, 0b101, &[data, zero])])));
+        assert!(!decodes(&encode_pages(&[(5, 0b101, &[data])])));
     }
 
     /// Number of blocks `page` stores.

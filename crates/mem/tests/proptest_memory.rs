@@ -2,7 +2,8 @@
 //! reference image that stores one zero-filled 4 KiB page per touched page.
 //!
 //! The oracle below is the page-per-`Box` layout `Memory` used to have,
-//! with its digest and encoding. Both get the same random ops — byte writes
+//! with its digest, and an encoding derived from its 4 KiB pages. Both get
+//! the same random ops — byte writes
 //! that cross block and page boundaries, all-zero writes, whole-block and
 //! `u64` writes, pages far enough apart to land in `PageMap`'s spill tier,
 //! and a `clone()` that later ops are fed to — and after every op the test
@@ -99,13 +100,23 @@ impl Oracle {
         h
     }
 
-    /// Every page ever written, all-zero ones included, in address order.
+    /// Every page ever written, all-zero ones included, in address order:
+    /// its address, a bitmap of its 64-byte blocks that hold a non-zero
+    /// byte, then those blocks in index order.
     fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_usize(self.pages.len());
         for (&p, data) in &self.pages {
+            let live: Vec<(usize, &[u8])> = data
+                .chunks_exact(64)
+                .enumerate()
+                .filter(|(_, b)| b.iter().any(|&x| x != 0))
+                .collect();
             enc.put_u64(p);
-            enc.put_raw(&data[..]);
+            enc.put_u64(live.iter().map(|&(i, _)| 1u64 << i).sum());
+            for (_, block) in live {
+                enc.put_raw(block);
+            }
         }
         enc.into_bytes()
     }

@@ -69,12 +69,17 @@ pub const MAGIC: [u8; 8] = *b"WARDCKPT";
 ///   optional observability report, and the options fingerprint covers
 ///   [`SimOptions::obs`]. Older files are rejected, not misdecoded.
 /// * **4** — engine state gained a slot for the scheduler shard count the
-///   frame was written under. The slot is now retired: the engine writes
-///   `1`, and restore range-checks it against `1..=ncores` and ignores it,
-///   so every version-4 frame resumes bit-identically. The count was never
-///   part of the options fingerprint. Older files are rejected, not
-///   misdecoded.
-pub const VERSION: u32 = 4;
+///   frame was written under (later written as a constant `1` and
+///   ignored). Older files are rejected, not misdecoded.
+/// * **5** — three cuts in one format change. The engine's shard-count
+///   slot is gone. The fault injector's state and the options fingerprint
+///   lost the degraded-link model (its five plan values, its window cursor
+///   and its five counters), and the energy parameters lost the link-retry
+///   price. A memory image stores each resident page as its address, a
+///   `u64` bitmap of its blocks that hold a non-zero byte, and those
+///   blocks in index order, instead of 4 KiB of bytes. Older files are
+///   rejected, not misdecoded.
+pub const VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const FOOTER_LEN: usize = 8;
@@ -273,7 +278,6 @@ pub fn options_fingerprint(opts: &SimOptions) -> u64 {
         e.e_ctrl_inter,
         e.e_data_intra,
         e.e_data_inter,
-        e.e_link_retry,
         e.p_static_core,
         e.p_static_uncore,
         e.freq_ghz,
@@ -292,11 +296,6 @@ pub fn options_fingerprint(opts: &SimOptions) -> u64 {
             enc.put_u64(p.forced_reconcile_pages);
             enc.put_f64(p.spike_prob);
             enc.put_u64(p.spike_cycles);
-            enc.put_f64(p.link_degrade_prob);
-            enc.put_u64(p.link_degrade_len);
-            enc.put_u64(p.link_timeout);
-            enc.put_u32(p.link_max_retries);
-            enc.put_u64(p.link_backoff_base);
             enc.put_usize(p.mutations.len());
             for m in &p.mutations {
                 enc.put_str(&format!("{m:?}"));
@@ -676,45 +675,6 @@ mod tests {
         let mut dec = Decoder::new(enc.bytes());
         assert_eq!(RunKey::decode_from(&mut dec).expect("key decodes"), base);
         dec.finish().expect("no trailing bytes");
-    }
-
-    /// Version-4 frames written while the retired engine slot still
-    /// carried a shard count (any value in `1..=ncores`) resume
-    /// bit-identically; a value outside that range is still rejected.
-    #[test]
-    fn retired_slot_values_from_older_v4_frames_still_resume() {
-        let p = sample_program();
-        let m = MachineConfig::dual_socket().with_cores(4);
-        let opts = SimOptions::default();
-        let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        while eng.steps() < 1_500 {
-            assert!(eng.step(), "trace must outlast the snapshot point");
-        }
-        let payload = unframe(&eng.snapshot_to_bytes()).expect("frame").to_vec();
-        // Identity header (u64, u64, u8, u64), then the engine's completed,
-        // makespan, steps and RNG words, then the retired slot.
-        let slot = 8 + 8 + 1 + 8 + 4 * 8;
-        assert_eq!(payload[slot..slot + 8], 1u64.to_le_bytes());
-        let with_slot = |v: u64| {
-            let mut patched = payload.clone();
-            patched[slot..slot + 8].copy_from_slice(&v.to_le_bytes());
-            frame(&patched)
-        };
-
-        let resumed =
-            SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &with_slot(4))
-                .expect("a slot of 4 resumes");
-        let out = resumed.run();
-        assert_eq!(out.stats, reference.stats);
-        assert_eq!(out.memory_image_digest, reference.memory_image_digest);
-        for bad in [0, m.num_cores() as u64 + 1] {
-            assert!(matches!(
-                SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &with_slot(bad)),
-                Err(CheckpointError::Corrupt(_))
-            ));
-        }
     }
 
     #[test]

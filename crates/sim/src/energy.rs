@@ -37,9 +37,6 @@ pub struct EnergyParams {
     pub e_data_intra: f64,
     /// 64 B data message crossing the inter-socket link (nJ).
     pub e_data_inter: f64,
-    /// One retried remote-link transaction under fault injection (nJ): a
-    /// timed-out request's wasted traversal plus the retry handshake.
-    pub e_link_retry: f64,
     /// Static power per core (W).
     pub p_static_core: f64,
     /// Static power per socket uncore (W).
@@ -61,7 +58,6 @@ impl Default for EnergyParams {
             e_ctrl_inter: 2.0,
             e_data_intra: 0.6,
             e_data_inter: 8.0,
-            e_link_retry: 10.0,
             p_static_core: 0.8,
             p_static_uncore: 2.0,
             freq_ghz: 3.3,
@@ -123,8 +119,7 @@ pub fn energy_of(stats: &SimStats, topo: Topology, p: &EnergyParams) -> EnergyBr
     let interconnect = c.ctrl_intra as f64 * p.e_ctrl_intra
         + c.ctrl_inter as f64 * p.e_ctrl_inter
         + c.data_intra as f64 * p.e_data_intra
-        + c.data_inter as f64 * p.e_data_inter
-        + stats.faults.link_retries as f64 * p.e_link_retry;
+        + c.data_inter as f64 * p.e_data_inter;
 
     let static_nj_per_cycle = (topo.num_cores() as f64 * p.p_static_core
         + topo.num_sockets() as f64 * p.p_static_uncore)
@@ -179,22 +174,6 @@ mod tests {
         let fast = energy_of(&stats(1000, 100, |_| {}), topo, &p);
         assert!(fast.static_nj < slow.static_nj);
         assert!(fast.total_savings_vs(&slow) > 0.0);
-    }
-
-    #[test]
-    fn link_retries_cost_interconnect_energy() {
-        let topo = Topology::new(2, 12);
-        let p = EnergyParams::default();
-        let clean = stats(1000, 100, |_| {});
-        let mut flaky = clean.clone();
-        flaky.faults.link_retries = 40;
-        let e_clean = energy_of(&clean, topo, &p);
-        let e_flaky = energy_of(&flaky, topo, &p);
-        assert!(e_flaky.interconnect_nj > e_clean.interconnect_nj);
-        assert!(
-            (e_flaky.interconnect_nj - e_clean.interconnect_nj - 40.0 * p.e_link_retry).abs()
-                < 1e-9
-        );
     }
 
     #[test]

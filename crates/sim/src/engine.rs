@@ -587,7 +587,7 @@ impl<'a> SimEngine<'a> {
                 stats.instructions += 1;
                 stats.memory_accesses += 1;
                 if let Some(inj) = injector.as_mut() {
-                    let extra = inj.after_access(lat, machine, coh);
+                    let extra = inj.after_access(coh);
                     core.clock += extra;
                     obs_fault_extra += extra;
                 }
@@ -616,7 +616,7 @@ impl<'a> SimEngine<'a> {
                 stats.instructions += 1;
                 stats.memory_accesses += 1;
                 if let Some(inj) = injector.as_mut() {
-                    let extra = inj.after_access(lat, machine, coh);
+                    let extra = inj.after_access(coh);
                     core.clock += extra;
                     obs_fault_extra += extra;
                 }
@@ -641,7 +641,7 @@ impl<'a> SimEngine<'a> {
                 stats.instructions += 1;
                 stats.memory_accesses += 1;
                 if let Some(inj) = injector.as_mut() {
-                    let extra = inj.after_access(lat, machine, coh);
+                    let extra = inj.after_access(coh);
                     core.clock += extra;
                     obs_fault_extra += extra;
                 }
@@ -781,9 +781,6 @@ impl<'a> SimEngine<'a> {
         enc.put_u64(self.makespan);
         enc.put_u64(self.steps);
         enc.put_u64(self.rng.state());
-        // Retired slot (format version 4 stored a scheduler shard count
-        // here): always written as 1, ignored on restore.
-        enc.put_usize(1);
 
         enc.put_usize(self.cores.len());
         for core in &self.cores {
@@ -860,15 +857,6 @@ impl<'a> SimEngine<'a> {
         let makespan = dec.take_u64()?;
         let steps = dec.take_u64()?;
         let rng_state = dec.take_u64()?;
-        // Retired slot (see `encode_state`): range-checked, then ignored,
-        // so frames written with any value in `1..=ncores` still resume.
-        let retired = dec.take_usize()?;
-        if retired == 0 || retired > self.cores.len() {
-            return Err(invalid(
-                "engine",
-                format!("retired slot {retired} outside 1..={}", self.cores.len()),
-            ));
-        }
 
         let ncores = dec.take_usize()?;
         if ncores != self.cores.len() {

@@ -10,13 +10,9 @@
 //!   reconciled on demand while their regions are still active (the blocks
 //!   re-enter W on their next access).
 //! * **Latency spikes** — random memory accesses stall for extra cycles
-//!   (modelling contention the timing model doesn't otherwise capture).
-//! * **Degraded remote link** — for windows of the run, every transaction
-//!   that crossed the remote link (latency at or above the machine's
-//!   inter-socket figure, e.g. every remote access of the disaggregated
-//!   config) times out and retries with exponential backoff; retry and
-//!   backoff cycles are accounted explicitly in [`FaultStats`] and priced by
-//!   the energy model's `e_link_retry`.
+//!   (modelling contention the timing model doesn't otherwise capture,
+//!   remote-link congestion included: the paper models a remote socket or
+//!   node by its latency alone).
 //! * **ProtocolId mutations** — deliberate protocol defects
 //!   ([`ProtocolMutation`]) the invariant checker must detect.
 //!
@@ -26,7 +22,6 @@
 //! but never the final memory image (the engine's tests assert bit-identical
 //! images against fault-free runs).
 
-use crate::config::MachineConfig;
 use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -63,27 +58,14 @@ pub struct FaultPlan {
     pub spike_prob: f64,
     /// Extra stall cycles one spike costs.
     pub spike_cycles: u64,
-    /// Per-remote-access probability that the remote link enters a degraded
-    /// window, in `[0, 1]`.
-    pub link_degrade_prob: f64,
-    /// Memory accesses a degraded-link window lasts.
-    pub link_degrade_len: u64,
-    /// Cycles a remote transaction waits before timing out during a
-    /// degraded window.
-    pub link_timeout: u64,
-    /// Most retries one degraded transaction performs (at least 1 is
-    /// always performed while the link is degraded).
-    pub link_max_retries: u32,
-    /// Backoff cycles before the first retry; doubles per retry.
-    pub link_backoff_base: u64,
     /// ProtocolId defects to install (empty for a benign plan).
     pub mutations: Vec<ProtocolMutation>,
 }
 
 impl FaultPlan {
     /// A benign plan exercising every non-mutating fault with moderate
-    /// intensity: storms, forced reconciliations, spikes and a flaky link,
-    /// but no protocol defects — the final memory image must match a
+    /// intensity: storms, forced reconciliations and spikes, but no
+    /// protocol defects — the final memory image must match a
     /// fault-free run bit for bit.
     pub fn benign(seed: u64) -> FaultPlan {
         FaultPlan {
@@ -94,11 +76,6 @@ impl FaultPlan {
             forced_reconcile_pages: 4,
             spike_prob: 0.01,
             spike_cycles: 800,
-            link_degrade_prob: 0.02,
-            link_degrade_len: 200,
-            link_timeout: 2_000,
-            link_max_retries: 4,
-            link_backoff_base: 500,
             mutations: Vec::new(),
         }
     }
@@ -110,7 +87,6 @@ impl FaultPlan {
             cam_storm_period: 0,
             forced_reconcile_period: 0,
             spike_prob: 0.0,
-            link_degrade_prob: 0.0,
             mutations: vec![m],
             ..FaultPlan::benign(seed)
         }
@@ -128,8 +104,8 @@ impl FaultPlan {
         self.mutations.is_empty()
     }
 
-    /// Check the plan's parameters for plausibility: probabilities in
-    /// `[0, 1]`, bounded retries, and non-zero windows for enabled faults.
+    /// Check the plan's parameters for plausibility: a probability in
+    /// `[0, 1]` and non-zero windows for enabled faults.
     pub fn validate(&self) -> Result<(), SimError> {
         let bad = |msg: String| Err(SimError::BadFaultPlan(msg));
         if !(0.0..=1.0).contains(&self.spike_prob) {
@@ -138,26 +114,11 @@ impl FaultPlan {
                 self.spike_prob
             ));
         }
-        if !(0.0..=1.0).contains(&self.link_degrade_prob) {
-            return bad(format!(
-                "link degrade probability {} outside [0, 1]",
-                self.link_degrade_prob
-            ));
-        }
-        if self.link_max_retries == 0 || self.link_max_retries > 16 {
-            return bad(format!(
-                "link_max_retries {} outside 1..=16",
-                self.link_max_retries
-            ));
-        }
         if self.cam_storm_period > 0 && self.cam_storm_len == 0 {
             return bad("cam_storm_len must be non-zero when storms are enabled".into());
         }
         if self.forced_reconcile_period > 0 && self.forced_reconcile_pages == 0 {
             return bad("forced_reconcile_pages must be non-zero when enabled".into());
-        }
-        if self.link_degrade_prob > 0.0 && self.link_degrade_len == 0 {
-            return bad("link_degrade_len must be non-zero when the link can degrade".into());
         }
         Ok(())
     }
@@ -176,18 +137,8 @@ pub struct FaultStats {
     pub decoy_regions: u64,
     /// Forced mid-region reconciliation walks performed.
     pub forced_reconciles: u64,
-    /// Degraded-link windows entered.
-    pub link_degrade_windows: u64,
-    /// Remote-transaction timeouts (each causes one retry).
-    pub link_timeouts: u64,
-    /// Remote-transaction retries performed.
-    pub link_retries: u64,
-    /// Cycles spent waiting for timed-out remote transactions.
-    pub timeout_cycles: u64,
-    /// Cycles spent in retry backoff.
-    pub backoff_cycles: u64,
-    /// Total extra stall cycles injected into core clocks (spikes +
-    /// timeouts + backoff + forced-reconciliation walks). Every injected
+    /// Total extra stall cycles injected into core clocks (spikes, storm
+    /// decoys and their release, forced-reconciliation walks). Every injected
     /// cycle is classified here and nowhere else, keeping the engine's
     /// cycle-conservation invariant intact.
     pub stall_cycles: u64,
@@ -204,11 +155,6 @@ macro_rules! for_each_fault_counter {
             cam_storms,
             decoy_regions,
             forced_reconciles,
-            link_degrade_windows,
-            link_timeouts,
-            link_retries,
-            timeout_cycles,
-            backoff_cycles,
             stall_cycles,
         );
     };
@@ -263,8 +209,6 @@ pub(crate) struct FaultInjector {
     decoys_release_at: u64,
     /// Next decoy page index (decoys never reuse addresses within a run).
     next_decoy_page: u64,
-    /// Access count until which the remote link is degraded.
-    degraded_until: u64,
     /// Program address range, for forced-reconciliation targets.
     addr_lo: Addr,
     addr_hi: Addr,
@@ -283,7 +227,6 @@ impl FaultInjector {
             decoys: Vec::new(),
             decoys_release_at: 0,
             next_decoy_page: 0,
-            degraded_until: 0,
             addr_lo: addr_range.0,
             addr_hi: addr_range.1,
             stats: FaultStats::default(),
@@ -297,15 +240,10 @@ impl FaultInjector {
         }
     }
 
-    /// Called after every demand memory access (load/store/rmw) with the
-    /// latency the coherence system charged. Returns extra stall cycles to
-    /// add to the issuing core's clock; all bookkeeping is internal.
-    pub(crate) fn after_access(
-        &mut self,
-        lat: u64,
-        machine: &MachineConfig,
-        coh: &mut CoherenceSystem,
-    ) -> u64 {
+    /// Called after every demand memory access (load/store/rmw). Returns
+    /// extra stall cycles to add to the issuing core's clock; all
+    /// bookkeeping is internal.
+    pub(crate) fn after_access(&mut self, coh: &mut CoherenceSystem) -> u64 {
         self.accesses += 1;
         let mut extra = 0u64;
 
@@ -320,28 +258,6 @@ impl FaultInjector {
         if self.plan.spike_prob > 0.0 && self.rng.gen::<f64>() < self.plan.spike_prob {
             self.stats.latency_spikes += 1;
             extra += self.plan.spike_cycles;
-        }
-
-        // Degraded remote link: any transaction whose latency reached the
-        // inter-socket figure crossed the remote link at least once.
-        if lat >= machine.lat.intersocket {
-            if self.accesses < self.degraded_until {
-                let retries = 1 + self.rng.gen_range(0..self.plan.link_max_retries);
-                let mut backoff = self.plan.link_backoff_base;
-                for _ in 0..retries {
-                    self.stats.link_timeouts += 1;
-                    self.stats.link_retries += 1;
-                    self.stats.timeout_cycles += self.plan.link_timeout;
-                    self.stats.backoff_cycles += backoff;
-                    extra += self.plan.link_timeout + backoff;
-                    backoff = backoff.saturating_mul(2);
-                }
-            } else if self.plan.link_degrade_prob > 0.0
-                && self.rng.gen::<f64>() < self.plan.link_degrade_prob
-            {
-                self.stats.link_degrade_windows += 1;
-                self.degraded_until = self.accesses + self.plan.link_degrade_len;
-            }
         }
 
         // Forced mid-region reconciliation of a random page range.
@@ -415,7 +331,6 @@ impl FaultInjector {
         }
         enc.put_u64(self.decoys_release_at);
         enc.put_u64(self.next_decoy_page);
-        enc.put_u64(self.degraded_until);
         enc.put_u64(self.addr_lo.0);
         enc.put_u64(self.addr_hi.0);
         self.stats.encode_into(enc);
@@ -435,7 +350,6 @@ impl FaultInjector {
         }
         let decoys_release_at = dec.take_u64()?;
         let next_decoy_page = dec.take_u64()?;
-        let degraded_until = dec.take_u64()?;
         let addr_lo = Addr(dec.take_u64()?);
         let addr_hi = Addr(dec.take_u64()?);
         let stats = FaultStats::decode_from(dec)?;
@@ -446,7 +360,6 @@ impl FaultInjector {
         self.decoys = decoys;
         self.decoys_release_at = decoys_release_at;
         self.next_decoy_page = next_decoy_page;
-        self.degraded_until = degraded_until;
         self.addr_lo = addr_lo;
         self.addr_hi = addr_hi;
         self.stats = stats;
@@ -479,20 +392,6 @@ mod tests {
                 },
             ),
             (
-                "degrade probability",
-                FaultPlan {
-                    link_degrade_prob: -0.1,
-                    ..FaultPlan::benign(0)
-                },
-            ),
-            (
-                "link_max_retries",
-                FaultPlan {
-                    link_max_retries: 0,
-                    ..FaultPlan::benign(0)
-                },
-            ),
-            (
                 "cam_storm_len",
                 FaultPlan {
                     cam_storm_len: 0,
@@ -503,13 +402,6 @@ mod tests {
                 "forced_reconcile_pages",
                 FaultPlan {
                     forced_reconcile_pages: 0,
-                    ..FaultPlan::benign(0)
-                },
-            ),
-            (
-                "link_degrade_len",
-                FaultPlan {
-                    link_degrade_len: 0,
                     ..FaultPlan::benign(0)
                 },
             ),

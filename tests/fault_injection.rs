@@ -1,7 +1,7 @@
 //! Benign fault injection must be semantically invisible: across the whole
 //! benchmark suite, under both protocols, a run with CAM-exhaustion storms,
-//! forced reconciliations, latency spikes, and a flaky remote link must end
-//! with a final memory image bit-identical to the fault-free run.
+//! forced reconciliations and latency spikes must end with a final memory
+//! image bit-identical to the fault-free run.
 
 use proptest::prelude::*;
 use warden::pbbs::{Bench, Scale};
@@ -55,11 +55,8 @@ fn benign_faults_preserve_every_benchmark_image() {
                 shaken.violations[0]
             );
             let f = &shaken.stats.faults;
-            let events = f.latency_spikes + f.cam_storms + f.forced_reconciles + f.link_retries;
+            let events = f.latency_spikes + f.cam_storms + f.forced_reconciles;
             injected_anything |= events > 0;
-            // Injected delay is accounted, never lost: link timeouts and
-            // backoffs are part of the recorded stall total.
-            assert!(f.timeout_cycles + f.backoff_cycles <= f.stall_cycles);
         }
     }
     assert!(
@@ -87,11 +84,10 @@ fn fault_injection_is_deterministic() {
 fn fault_stats_feed_the_latency_and_energy_models() {
     let m = machine();
     let p = Bench::Primes.build(Scale::Tiny);
-    // A plan that spikes on every access, with an aggressive flaky link.
+    // A plan that spikes on every access.
     let mut plan = FaultPlan::benign(5);
     plan.spike_prob = 1.0;
     plan.spike_cycles = 50;
-    plan.link_degrade_prob = 0.5;
     let opts = SimOptions {
         faults: Some(plan),
         ..SimOptions::default()
@@ -104,12 +100,10 @@ fn fault_stats_feed_the_latency_and_energy_models() {
         "universal latency spikes must slow the run down"
     );
     assert_eq!(clean.memory_image_digest, shaken.memory_image_digest);
-    if shaken.stats.faults.link_retries > 0 {
-        assert!(
-            shaken.energy.interconnect_nj > clean.energy.interconnect_nj,
-            "link retries must cost interconnect energy"
-        );
-    }
+    assert!(
+        shaken.energy.static_nj > clean.energy.static_nj,
+        "a run the spikes stretched must burn more static energy"
+    );
 }
 
 #[test]

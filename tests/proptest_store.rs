@@ -24,10 +24,7 @@ fn run_key() -> impl Strategy<Value = RunKey> {
 fn disk_entry() -> impl Strategy<Value = DiskEntry> {
     let bytes = || proptest::collection::vec(any::<u8>(), 0..96);
     let body = prop_oneof![
-        (bytes(), any::<u64>()).prop_map(|(outcome, compute_us)| DiskBody::Result {
-            outcome,
-            compute_us
-        }),
+        bytes().prop_map(|outcome| DiskBody::Result { outcome }),
         (any::<u64>(), bytes()).prop_map(|(steps, frame)| DiskBody::Checkpoint { steps, frame }),
     ];
     (run_key(), body).prop_map(|(key, body)| DiskEntry { key, body })
