@@ -5,9 +5,7 @@
 #                    runs the coherence invariant checker — see
 #                    tests/invariant_checker.rs and tests/fault_injection.rs),
 #                    the benchmark's own tests (perfbench/: a seeded defect
-#                    is counted, work counters repeat), a smoke run of the
-#                    criterion suites (--test mode: every benchmark body
-#                    executes once, no timing gate), lints, and
+#                    is counted, work counters repeat), lints, and
 #                    formatting (of the workspace and of perfbench/)
 #   ./ci.sh smoke    kill/resume drill: SIGKILL a tiny benchmark campaign
 #                    mid-flight, resume it, and require the resumed report
@@ -55,9 +53,6 @@ checks() {
 
   echo "== tests (benchmark) =="
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-
-  echo "== criterion suites (smoke, --test mode) =="
-  cargo bench -q --offline -p warden-bench --bench microbench --bench ablation -- --test
 
   echo "== clippy (deny warnings) =="
   cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -11,7 +11,7 @@
 //! | `--check`              | run the coherence invariant checker |
 //! | `--faults <seed>`      | inject the benign seeded fault plan |
 //! | `--markdown <path>`    | `all_figures`: also write the report as markdown |
-//! | `--obs <dir>`          | record observability; export traces + epoch tables here |
+//! | `--obs <dir>`          | `all_figures`, `replay`: record one direct run per protocol; export traces + epoch tables here |
 //! | `--campaign-dir <dir>` | durable campaign state (resume after a crash) |
 //! | `--jobs <n>`           | campaign worker threads |
 //! | `--deadline-ms <ms>`   | per-run watchdog deadline |
@@ -68,8 +68,9 @@ pub struct HarnessArgs {
     pub run: RunOptions,
     /// `--markdown <path>`, if given.
     pub markdown: Option<PathBuf>,
-    /// `--obs <dir>`: record protocol observability and write Perfetto
-    /// trace + epoch-summary exports into this directory.
+    /// `--obs <dir>`: `all_figures` and `replay` record one direct run per
+    /// protocol and write Perfetto trace + epoch-summary exports into this
+    /// directory. Campaign runs never record.
     pub obs: Option<PathBuf>,
     /// `--campaign-dir <dir>`, if given (otherwise campaigns use an
     /// ephemeral directory under the system temp dir).
@@ -210,10 +211,7 @@ impl HarnessArgs {
                 "--markdown" => {
                     out.markdown = Some(PathBuf::from(value(&mut it, "--markdown", "<path>")?))
                 }
-                "--obs" => {
-                    out.obs = Some(PathBuf::from(value(&mut it, "--obs", "<dir>")?));
-                    out.run.obs = true;
-                }
+                "--obs" => out.obs = Some(PathBuf::from(value(&mut it, "--obs", "<dir>")?)),
                 "--campaign-dir" => {
                     out.campaign_dir =
                         Some(PathBuf::from(value(&mut it, "--campaign-dir", "<dir>")?))
@@ -303,7 +301,7 @@ mod tests {
         let a = parse(&[]).unwrap();
         assert_eq!(a.scale, SuiteScale::Paper);
         assert!(!a.run.check && a.run.faults.is_none() && a.positional.is_empty());
-        assert!(!a.run.obs && a.obs.is_none());
+        assert!(a.obs.is_none());
 
         let a = parse(&[
             "--scale",
@@ -346,7 +344,6 @@ mod tests {
         assert_eq!(a.run.faults, Some(7));
         assert_eq!(a.markdown.as_deref(), Some(std::path::Path::new("out.md")));
         assert_eq!(a.obs.as_deref(), Some(std::path::Path::new("obs.out")));
-        assert!(a.run.obs, "--obs also turns on recording");
         assert_eq!(
             a.campaign_dir.as_deref(),
             Some(std::path::Path::new("camp"))

@@ -16,7 +16,7 @@ use warden_bench::{
 };
 use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
-use warden_sim::{mean, simulate_with_options, MachineConfig, SimOptions};
+use warden_sim::{mean, MachineConfig, SimEngine};
 
 fn mean_of(runs: &[BenchRun], f: impl Fn(&warden_sim::Comparison) -> f64) -> f64 {
     let cmps: Vec<_> = runs.iter().map(|r| r.cmp.clone()).collect();
@@ -31,13 +31,7 @@ fn run() -> Result<(), HarnessError> {
     let args = HarnessArgs::parse()?;
     let cfg = args.campaign_config();
     let scale = args.scale.pbbs();
-    // Observability is exported from one dedicated instrumented run (below)
-    // rather than recorded on all ~60 campaign runs, which would bloat the
-    // durable records with per-event timelines.
-    let opts = SimOptions {
-        obs: false,
-        ..args.sim_options()
-    };
+    let opts = args.sim_options();
     let t0 = std::time::Instant::now();
 
     eprintln!("Table 1 (ping-pong validation)…");
@@ -126,14 +120,10 @@ fn run() -> Result<(), HarnessError> {
 
     if let Some(dir) = &args.obs {
         eprintln!("Observability export (suffix-array, dual socket)…");
-        let obs_opts = SimOptions {
-            obs: true,
-            ..args.sim_options()
-        };
         let program = Bench::SuffixArray.build(scale);
         for proto in [ProtocolId::Mesi, ProtocolId::Warden] {
-            let out = simulate_with_options(&program, &dual, proto, &obs_opts);
-            for p in export_outcome(dir, &program.name, &out)? {
+            let (_, report) = SimEngine::new(&program, &dual, proto, &opts).run_observed();
+            for p in export_outcome(dir, &program.name, proto, &report)? {
                 eprintln!("wrote {}", p.display());
             }
         }

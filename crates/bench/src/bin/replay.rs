@@ -12,7 +12,7 @@
 //! exhaustion storms, forced reconciliations and latency spikes — which
 //! must leave the final memory image untouched.
 //!
-//! `--obs <dir>` records protocol observability on both runs (passive:
+//! `--obs <dir>` records protocol observability on every run (passive:
 //! the reported stats are bit-identical either way) and writes a Perfetto
 //! trace (`<name>-<protocol>.trace.json`) plus a per-epoch activity table
 //! (`.epochs.txt`) per protocol into the directory.
@@ -20,7 +20,7 @@
 use warden_bench::{export_outcome, harness_main, HarnessArgs, HarnessError, RunOptions};
 use warden_coherence::ProtocolId;
 use warden_rt::{summarize, trace_io};
-use warden_sim::{simulate_with_options, try_simulate, Comparison, MachineConfig, SimOutcome};
+use warden_sim::{Comparison, MachineConfig, SimEngine, SimOutcome};
 
 fn machine_by_name(name: &str) -> Option<MachineConfig> {
     Some(match name {
@@ -93,13 +93,18 @@ fn run() -> Result<(), HarnessError> {
         .protocols
         .clone()
         .unwrap_or_else(|| vec![ProtocolId::Mesi, ProtocolId::Warden]);
-    // Validate machine and plan once through the fallible entry point, then
-    // reuse the infallible one for the remaining protocols.
-    let first = try_simulate(&program, &machine, protocols[0], &sim_opts)
-        .map_err(|e| HarnessError::Failed(format!("cannot simulate: {e}")))?;
-    let mut outcomes = vec![first];
-    for &p in &protocols[1..] {
-        outcomes.push(simulate_with_options(&program, &machine, p, &sim_opts));
+    let mut outcomes = Vec::with_capacity(protocols.len());
+    let mut reports = Vec::new();
+    for &p in &protocols {
+        let engine = SimEngine::try_new(&program, &machine, p, &sim_opts)
+            .map_err(|e| HarnessError::Failed(format!("cannot simulate: {e}")))?;
+        if args.obs.is_some() {
+            let (outcome, report) = engine.run_observed();
+            outcomes.push(outcome);
+            reports.push(report);
+        } else {
+            outcomes.push(engine.run());
+        }
     }
     let mut clean = true;
     for o in &outcomes {
@@ -133,9 +138,9 @@ fn run() -> Result<(), HarnessError> {
         );
     }
     if let Some(dir) = &args.obs {
-        for outcome in &outcomes {
-            for p in export_outcome(dir, &program.name, outcome)? {
-                println!("wrote {}", p.display());
+        for (report, &p) in reports.iter().zip(&protocols) {
+            for path in export_outcome(dir, &program.name, p, report)? {
+                println!("wrote {}", path.display());
             }
         }
     }

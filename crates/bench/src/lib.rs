@@ -47,4 +47,4 @@ pub use fuzz::{
     check_spec, parse_mutation_spec, run_fuzz_gate, Disagreement, FuzzOptions, FuzzReport,
 };
 pub use obs_export::export_outcome;
-pub use runner::{run_bench, run_pair, suite, BenchRun, RunOptions, SuiteScale};
+pub use runner::{run_bench, run_pair, BenchRun, RunOptions, SuiteScale};

@@ -1,8 +1,8 @@
 //! Writing observability artifacts to disk.
 //!
-//! A run simulated with [`SimOptions::obs`](warden_sim::SimOptions) carries
-//! an [`ObsReport`](warden_sim::ObsReport) in its outcome; this module turns
-//! that report into files under the `--obs <dir>` directory:
+//! A run driven by [`SimEngine::run_observed`](warden_sim::SimEngine)
+//! returns an [`ObsReport`] next to its outcome; this module turns that
+//! report into files under the `--obs <dir>` directory:
 //!
 //! * `<label>-<protocol>.trace.json` — a Chrome trace-event timeline.
 //!   Open it at <https://ui.perfetto.dev> (or `chrome://tracing`) to see
@@ -17,7 +17,8 @@
 
 use crate::error::HarnessError;
 use std::path::{Path, PathBuf};
-use warden_sim::SimOutcome;
+use warden_coherence::ProtocolId;
+use warden_sim::ObsReport;
 
 fn write(path: &Path, text: &str) -> Result<(), HarnessError> {
     std::fs::write(path, text).map_err(|e| HarnessError::Io {
@@ -26,27 +27,19 @@ fn write(path: &Path, text: &str) -> Result<(), HarnessError> {
     })
 }
 
-/// Export one observed outcome's trace + epoch summary into `dir`
-/// (created if missing). Returns the paths written, trace first.
-///
-/// Fails with a typed error if the outcome carries no report — the caller
-/// forgot to simulate with [`SimOptions::obs`](warden_sim::SimOptions).
+/// Export the trace + epoch summary of one run observed under `protocol`
+/// into `dir` (created if missing). Returns the paths written, trace first.
 pub fn export_outcome(
     dir: &Path,
     label: &str,
-    outcome: &SimOutcome,
+    protocol: ProtocolId,
+    rep: &ObsReport,
 ) -> Result<Vec<PathBuf>, HarnessError> {
-    let Some(rep) = &outcome.obs else {
-        return Err(HarnessError::Failed(format!(
-            "{label}: outcome carries no observability report \
-             (simulate with SimOptions::obs or pass --obs)"
-        )));
-    };
     std::fs::create_dir_all(dir).map_err(|e| HarnessError::Io {
         path: dir.into(),
         source: e,
     })?;
-    let proto = format!("{:?}", outcome.protocol).to_lowercase();
+    let proto = format!("{protocol:?}").to_lowercase();
     let stem = format!("{label}-{proto}");
 
     let trace_path = dir.join(format!("{stem}.trace.json"));
@@ -67,23 +60,20 @@ pub fn export_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warden_coherence::ProtocolId;
     use warden_pbbs::{Bench, Scale};
-    use warden_sim::{simulate_with_options, MachineConfig, SimOptions};
+    use warden_sim::{MachineConfig, SimEngine, SimOptions};
 
     #[test]
-    fn exports_are_wellformed_and_refuse_unobserved_runs() {
+    fn exports_are_wellformed() {
         let program = Bench::MakeArray.build(Scale::Tiny);
         let m = MachineConfig::dual_socket().with_cores(4);
-        let opts = SimOptions {
-            obs: true,
-            ..SimOptions::default()
-        };
-        let out = simulate_with_options(&program, &m, ProtocolId::Warden, &opts);
+        let (_, rep) =
+            SimEngine::new(&program, &m, ProtocolId::Warden, &SimOptions::default()).run_observed();
 
         let dir = warden_sim::checkpoint::unique_dir(&std::env::temp_dir(), "warden-obs-export")
             .expect("scratch dir");
-        let paths = export_outcome(&dir, "make_array", &out).expect("export succeeds");
+        let paths =
+            export_outcome(&dir, "make_array", ProtocolId::Warden, &rep).expect("export succeeds");
         assert_eq!(paths.len(), 2);
         assert!(paths[0].ends_with("make_array-warden.trace.json"));
         assert!(paths[1].ends_with("make_array-warden.epochs.txt"));
@@ -93,9 +83,6 @@ mod tests {
         assert!(stats.events > 0);
         let epochs = std::fs::read_to_string(&paths[1]).unwrap();
         assert!(epochs.contains("== event counts =="));
-
-        let plain = simulate_with_options(&program, &m, ProtocolId::Warden, &SimOptions::default());
-        assert!(export_outcome(&dir, "make_array", &plain).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,5 @@
 //! Running benchmarks under both protocols and collecting comparisons.
 
-use crate::args::HarnessArgs;
-use crate::error::HarnessError;
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
@@ -19,16 +17,6 @@ pub enum SuiteScale {
 }
 
 impl SuiteScale {
-    /// Parse from process arguments (`--scale tiny|paper`, default paper).
-    ///
-    /// Parsing is strict: an unrecognized `--` flag anywhere on the command
-    /// line is rejected with an error listing the valid flags
-    /// ([`crate::args::VALID_FLAGS`]) — a typo like `--scael` fails the run
-    /// instead of silently selecting the default.
-    pub fn from_args() -> Result<SuiteScale, HarnessError> {
-        Ok(HarnessArgs::parse()?.scale)
-    }
-
     /// The pbbs scale this maps to.
     pub fn pbbs(self) -> Scale {
         match self {
@@ -41,38 +29,22 @@ impl SuiteScale {
 /// Robustness switches shared by the harness binaries: `--check` turns on
 /// the coherence invariant checker for every simulated run, and
 /// `--faults <seed>` replays the run under the benign seeded fault plan
-/// (CAM-exhaustion storms, forced reconciliations, latency spikes, degraded
-/// links) — none of which may change the final memory image.
+/// (CAM-exhaustion storms, forced reconciliations, latency spikes) — none
+/// of which may change the final memory image.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Enable the invariant checker ([`SimOptions::check`]).
     pub check: bool,
     /// Seed for [`FaultPlan::benign`], if fault injection was requested.
     pub faults: Option<u64>,
-    /// Enable the observability recorder ([`SimOptions::obs`]): every run
-    /// carries a protocol-event timeline, metrics registry, and per-epoch
-    /// summaries in its outcome. Passive — stats and the final memory image
-    /// are bit-identical with it on or off.
-    pub obs: bool,
 }
 
 impl RunOptions {
-    /// Parse from process arguments (`--check`, `--faults <seed>`).
-    ///
-    /// Parsing is strict: an unparsable seed or an unrecognized `--` flag
-    /// is a hard error listing the valid flags
-    /// ([`crate::args::VALID_FLAGS`]) — a typo like `--chek` fails the run
-    /// instead of silently proceeding unchecked.
-    pub fn from_args() -> Result<RunOptions, HarnessError> {
-        Ok(HarnessArgs::parse()?.run)
-    }
-
     /// The simulator options these switches select.
     pub fn sim_options(&self) -> SimOptions {
         SimOptions {
             check: self.check,
             faults: self.faults.map(FaultPlan::benign),
-            obs: self.obs,
             ..SimOptions::default()
         }
     }
@@ -124,22 +96,6 @@ pub fn run_bench(bench: Bench, scale: Scale, machine: &MachineConfig) -> BenchRu
     }
 }
 
-/// Run a set of benchmarks in-process, printing one progress line each.
-///
-/// This is the unsupervised path kept for tests and library callers; the
-/// harness binaries route through [`crate::campaign::campaign_suite`],
-/// which adds panic isolation, watchdog deadlines, retries and durable
-/// crash-safe resume.
-pub fn suite(benches: &[Bench], scale: Scale, machine: &MachineConfig) -> Vec<BenchRun> {
-    benches
-        .iter()
-        .map(|&b| {
-            eprint!("  {:<14}\r", b.name());
-            run_bench(b, scale, machine)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,15 +113,13 @@ mod tests {
         let o = RunOptions {
             check: true,
             faults: Some(7),
-            obs: true,
         };
         let s = o.sim_options();
         assert!(s.check);
-        assert!(s.obs);
         assert_eq!(s.faults.as_ref().map(|p| p.seed), Some(7));
         assert!(s.faults.unwrap().is_benign());
         let d = RunOptions::default().sim_options();
-        assert!(!d.check && d.faults.is_none() && !d.obs);
+        assert!(!d.check && d.faults.is_none());
     }
 
     #[test]

@@ -274,11 +274,12 @@ fn restamp(mut framed: Vec<u8>, version: u32) -> Vec<u8> {
     framed
 }
 
-/// A version-4 result entry and checkpoint entry for a cell are both
-/// quarantined when the store opens, and the campaign recomputes the cell
-/// to the reference outcome instead of trusting either.
+/// A result entry and a checkpoint entry of an older format version (4 and
+/// 5) for a cell are both quarantined when the store opens, and the
+/// campaign recomputes the cell to the reference outcome instead of
+/// trusting either.
 #[test]
-fn version_4_entries_are_quarantined_and_recomputed() {
+fn older_version_entries_are_quarantined_and_recomputed() {
     let spec = tiny_specs().remove(0);
     let ref_dir = scratch("skew-ref");
     let reference = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(ref_dir.clone()))
@@ -291,38 +292,51 @@ fn version_4_entries_are_quarantined_and_recomputed() {
     for _ in 0..200 {
         eng.step();
     }
-    let old = |body| restamp(DiskEntry { key, body }.encode(), 4);
-    let rec = old(DiskBody::Result {
-        outcome: restamp(encode_outcome(&reference.outcome), 4),
-    });
-    let ckpt = old(DiskBody::Checkpoint {
-        steps: eng.steps(),
-        frame: restamp(eng.snapshot_to_bytes(), 4),
-    });
+    let (steps, frame) = (eng.steps(), eng.snapshot_to_bytes());
+    for version in [4, 5] {
+        let old = |body| restamp(DiskEntry { key, body }.encode(), version);
+        let rec = old(DiskBody::Result {
+            outcome: restamp(encode_outcome(&reference.outcome), version),
+        });
+        let ckpt = old(DiskBody::Checkpoint {
+            steps,
+            frame: restamp(frame.clone(), version),
+        });
 
-    let dir = scratch("skew");
-    let names = [".rec", ".ckpt"].map(|ext| format!("{:016x}{ext}", key.address()));
-    std::fs::write(dir.join(&names[0]), rec).expect("write v4 record");
-    std::fs::write(dir.join(&names[1]), ckpt).expect("write v4 checkpoint");
-    let store = ResultStore::open(dir.clone(), Arc::new(RealStorage)).expect("open");
-    assert_eq!(store.stats().quarantined, 2, "both are set aside");
-    assert!(store.is_empty());
-    drop(store);
-    for name in &names {
-        assert!(dir.join("quarantine").join(name).is_file(), "{name}");
-    }
+        let dir = scratch(&format!("skew-v{version}"));
+        let names = [".rec", ".ckpt"].map(|ext| format!("{:016x}{ext}", key.address()));
+        std::fs::write(dir.join(&names[0]), rec).expect("write old record");
+        std::fs::write(dir.join(&names[1]), ckpt).expect("write old checkpoint");
+        let store = ResultStore::open(dir.clone(), Arc::new(RealStorage)).expect("open");
+        assert_eq!(
+            store.stats().quarantined,
+            2,
+            "v{version}: both are set aside"
+        );
+        assert!(store.is_empty());
+        drop(store);
+        for name in &names {
+            assert!(
+                dir.join("quarantine").join(name).is_file(),
+                "v{version}: {name}"
+            );
+        }
 
-    let again = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
-        .expect("recomputed campaign")
-        .remove(0);
-    assert!(!again.reused, "the cell is recomputed, not read back");
-    assert_eq!(
-        fnv1a64(&encode_outcome(&again.outcome)),
-        fnv1a64(&encode_outcome(&reference.outcome))
-    );
-    for d in [ref_dir, dir] {
-        let _ = std::fs::remove_dir_all(&d);
+        let again = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
+            .expect("recomputed campaign")
+            .remove(0);
+        assert!(
+            !again.reused,
+            "v{version}: the cell is recomputed, not read back"
+        );
+        assert_eq!(
+            fnv1a64(&encode_outcome(&again.outcome)),
+            fnv1a64(&encode_outcome(&reference.outcome)),
+            "v{version}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// A campaign whose result store sits on seeded storage faults (torn

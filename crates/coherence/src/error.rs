@@ -1,56 +1,18 @@
 //! Typed errors for recoverable misuse of the coherence engine.
 //!
-//! The panicking entry points ([`crate::CoherenceSystem::load`] and friends)
-//! remain the convenient API for trusted callers (the replay engine feeds
-//! them validated traces); the `try_*` variants return a [`CoherenceError`]
-//! instead, so callers handling untrusted input — decoded trace files, fault
-//! injectors, fuzzers — can reject bad operations without unwinding.
+//! The demand-access entry points ([`crate::CoherenceSystem::load`] and
+//! friends) panic on malformed operations: their callers feed them validated
+//! traces. Configuration checks, protocol-name lookups and
+//! [`crate::CoherenceSystem::try_set_memory`] return a [`CoherenceError`]
+//! instead, so callers handling untrusted input can reject it without
+//! unwinding.
 
 use std::fmt;
-use warden_mem::Addr;
 
 /// A rejected coherence-engine operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CoherenceError {
-    /// The core id does not exist on this machine.
-    CoreOutOfRange {
-        /// The offending core id.
-        core: usize,
-        /// Cores on the machine.
-        num_cores: usize,
-    },
-    /// An access would straddle a cache-block boundary.
-    CrossesBlockBoundary {
-        /// Access address.
-        addr: Addr,
-        /// Access size in bytes.
-        size: u64,
-    },
-    /// A store or RMW carried no bytes.
-    EmptyAccess {
-        /// Access address.
-        addr: Addr,
-    },
-    /// An atomic's operand width is outside `1..=8` bytes.
-    BadRmwSize {
-        /// The offending size.
-        size: u64,
-    },
-    /// Region bounds are not page-aligned.
-    UnalignedRegion {
-        /// Region start.
-        start: Addr,
-        /// Region end (exclusive).
-        end: Addr,
-    },
-    /// Region bounds describe an empty or inverted range.
-    EmptyRegion {
-        /// Region start.
-        start: Addr,
-        /// Region end (exclusive).
-        end: Addr,
-    },
     /// `set_memory` was called after the caches warmed up.
     CachesNotCold,
     /// A protocol name did not match any registered protocol.
@@ -65,25 +27,6 @@ pub enum CoherenceError {
 impl fmt::Display for CoherenceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoherenceError::CoreOutOfRange { core, num_cores } => {
-                write!(
-                    f,
-                    "core {core} out of range (machine has {num_cores} cores)"
-                )
-            }
-            CoherenceError::CrossesBlockBoundary { addr, size } => {
-                write!(f, "access at {addr} size {size} crosses a block boundary")
-            }
-            CoherenceError::EmptyAccess { addr } => write!(f, "empty access at {addr}"),
-            CoherenceError::BadRmwSize { size } => {
-                write!(f, "rmw size {size} outside 1..=8 bytes")
-            }
-            CoherenceError::UnalignedRegion { start, end } => {
-                write!(f, "region [{start}, {end}) bounds must be page-aligned")
-            }
-            CoherenceError::EmptyRegion { start, end } => {
-                write!(f, "region [{start}, {end}) must be non-empty")
-            }
             CoherenceError::CachesNotCold => {
                 write!(f, "set_memory requires cold caches")
             }
@@ -106,11 +49,10 @@ mod tests {
 
     #[test]
     fn display_names_the_problem() {
-        let e = CoherenceError::CrossesBlockBoundary {
-            addr: Addr(0x3c),
-            size: 8,
+        let e = CoherenceError::UnknownProtocol {
+            name: "moesi".into(),
         };
-        assert!(e.to_string().contains("crosses a block boundary"));
+        assert!(e.to_string().contains("unknown protocol"));
         let e = CoherenceError::BadConfig("l1 latency must be below l2".into());
         assert!(e.to_string().contains("l1 latency"));
     }

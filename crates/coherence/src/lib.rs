@@ -59,12 +59,12 @@ pub use check::{
     CheckerReport, InvariantChecker, InvariantKind, InvariantViolation, ProtocolMutation,
 };
 pub use error::CoherenceError;
-pub use obs::{decode_events, encode_events, EventClass, EventSink, ProtocolEvent};
+pub use obs::{EventClass, ProtocolEvent};
 pub use protocol::{
     DlsProtocol, MesiProtocol, MsiProtocol, Protocol, SelfInvProtocol, WardenProtocol,
 };
 pub use region::{AddRegion, RegionId, RegionStore};
 pub use state::{DirState, LlcLine, PrivLine, PrivState, ProtocolId};
 pub use stats::CoherenceStats;
-pub use system::{AccessKind, CacheConfig, CoherenceSystem, DirKind, LocalHit, WriteVal};
+pub use system::{CacheConfig, CoherenceSystem, DirKind, LocalHit, WriteVal};
 pub use topo::{CoreId, Divisor, LatencyModel, SocketId, Topology};

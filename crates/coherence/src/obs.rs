@@ -6,7 +6,7 @@
 //! it, what a reconciliation merged. The events are the raw material for the
 //! observability layer in `warden-sim` (cycle-stamped timelines, per-epoch
 //! summaries, Perfetto export); the coherence crate itself only defines the
-//! vocabulary and a checkpoint codec for it.
+//! vocabulary. Events live in memory only: no snapshot or record holds them.
 //!
 //! Emission is opt-in ([`crate::CoherenceSystem::enable_obs`]) and costs one
 //! `Option` check per directory transaction when disabled — the L1/L2 hit
@@ -14,7 +14,6 @@
 
 use crate::system::DirKind;
 use crate::topo::CoreId;
-use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_mem::{Addr, BlockAddr};
 
 /// One observable protocol action, in directory order.
@@ -182,185 +181,6 @@ impl ProtocolEvent {
             _ => None,
         }
     }
-
-    /// Serialize one event (tag byte + fields).
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        match *self {
-            ProtocolEvent::GetS {
-                core,
-                block,
-                dir,
-                ward,
-            } => {
-                enc.put_u8(0);
-                enc.put_usize(core);
-                enc.put_u64(block.0);
-                enc.put_u8(dir.tag());
-                enc.put_bool(ward);
-            }
-            ProtocolEvent::GetM {
-                core,
-                block,
-                dir,
-                ward,
-                upgrade,
-            } => {
-                enc.put_u8(1);
-                enc.put_usize(core);
-                enc.put_u64(block.0);
-                enc.put_u8(dir.tag());
-                enc.put_bool(ward);
-                enc.put_bool(upgrade);
-            }
-            ProtocolEvent::WardEntrySync { block, owner } => {
-                enc.put_u8(2);
-                enc.put_u64(block.0);
-                enc.put_usize(owner);
-            }
-            ProtocolEvent::RmwEscape { core, block } => {
-                enc.put_u8(3);
-                enc.put_usize(core);
-                enc.put_u64(block.0);
-            }
-            ProtocolEvent::Reconcile {
-                block,
-                holders,
-                writebacks,
-                drops,
-            } => {
-                enc.put_u8(4);
-                enc.put_u64(block.0);
-                enc.put_u32(holders);
-                enc.put_u32(writebacks);
-                enc.put_u32(drops);
-            }
-            ProtocolEvent::RegionAdd { id, start, end } => {
-                enc.put_u8(5);
-                enc.put_u64(id);
-                enc.put_u64(start.0);
-                enc.put_u64(end.0);
-            }
-            ProtocolEvent::RegionOverflow { start, end } => {
-                enc.put_u8(6);
-                enc.put_u64(start.0);
-                enc.put_u64(end.0);
-            }
-            ProtocolEvent::RegionRemove { id, blocks } => {
-                enc.put_u8(7);
-                enc.put_u64(id);
-                enc.put_u64(blocks);
-            }
-            ProtocolEvent::PrivEviction {
-                core,
-                block,
-                writeback,
-            } => {
-                enc.put_u8(8);
-                enc.put_usize(core);
-                enc.put_u64(block.0);
-                enc.put_bool(writeback);
-            }
-            ProtocolEvent::LlcEviction { block, writeback } => {
-                enc.put_u8(9);
-                enc.put_u64(block.0);
-                enc.put_bool(writeback);
-            }
-        }
-    }
-
-    /// Decode one event serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<ProtocolEvent, CodecError> {
-        Ok(match dec.take_u8()? {
-            0 => ProtocolEvent::GetS {
-                core: dec.take_usize()?,
-                block: BlockAddr(dec.take_u64()?),
-                dir: DirKind::from_tag(dec.take_u8()?)?,
-                ward: dec.take_bool()?,
-            },
-            1 => ProtocolEvent::GetM {
-                core: dec.take_usize()?,
-                block: BlockAddr(dec.take_u64()?),
-                dir: DirKind::from_tag(dec.take_u8()?)?,
-                ward: dec.take_bool()?,
-                upgrade: dec.take_bool()?,
-            },
-            2 => ProtocolEvent::WardEntrySync {
-                block: BlockAddr(dec.take_u64()?),
-                owner: dec.take_usize()?,
-            },
-            3 => ProtocolEvent::RmwEscape {
-                core: dec.take_usize()?,
-                block: BlockAddr(dec.take_u64()?),
-            },
-            4 => ProtocolEvent::Reconcile {
-                block: BlockAddr(dec.take_u64()?),
-                holders: dec.take_u32()?,
-                writebacks: dec.take_u32()?,
-                drops: dec.take_u32()?,
-            },
-            5 => ProtocolEvent::RegionAdd {
-                id: dec.take_u64()?,
-                start: Addr(dec.take_u64()?),
-                end: Addr(dec.take_u64()?),
-            },
-            6 => ProtocolEvent::RegionOverflow {
-                start: Addr(dec.take_u64()?),
-                end: Addr(dec.take_u64()?),
-            },
-            7 => ProtocolEvent::RegionRemove {
-                id: dec.take_u64()?,
-                blocks: dec.take_u64()?,
-            },
-            8 => ProtocolEvent::PrivEviction {
-                core: dec.take_usize()?,
-                block: BlockAddr(dec.take_u64()?),
-                writeback: dec.take_bool()?,
-            },
-            9 => ProtocolEvent::LlcEviction {
-                block: BlockAddr(dec.take_u64()?),
-                writeback: dec.take_bool()?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "protocol event",
-                    tag: tag as u64,
-                })
-            }
-        })
-    }
-}
-
-/// Serialize a whole event buffer (length-prefixed).
-pub fn encode_events(events: &[ProtocolEvent], enc: &mut Encoder) {
-    enc.put_usize(events.len());
-    for ev in events {
-        ev.encode_into(enc);
-    }
-}
-
-/// Decode a buffer serialized by [`encode_events`].
-pub fn decode_events(dec: &mut Decoder<'_>) -> Result<Vec<ProtocolEvent>, CodecError> {
-    // Smallest event is a tag plus one varint-free field pair; 2 bytes is a
-    // safe floor that still bounds a hostile length prefix.
-    let n = dec.take_count(2)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(ProtocolEvent::decode_from(dec)?);
-    }
-    Ok(out)
-}
-
-/// A consumer of protocol events. The engine's buffer is the canonical
-/// implementation; tests use it to script expectations.
-pub trait EventSink {
-    /// Accept one event.
-    fn accept(&mut self, ev: ProtocolEvent);
-}
-
-impl EventSink for Vec<ProtocolEvent> {
-    fn accept(&mut self, ev: ProtocolEvent) {
-        self.push(ev);
-    }
 }
 
 #[cfg(test)]
@@ -419,46 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_round_trips() {
-        let events = samples();
-        let mut enc = Encoder::new();
-        encode_events(&events, &mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = decode_events(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(back, events);
-    }
-
-    #[test]
-    fn every_prefix_truncation_is_a_typed_error() {
-        let events = samples();
-        let mut enc = Encoder::new();
-        encode_events(&events, &mut enc);
-        let bytes = enc.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            let r = decode_events(&mut dec).and_then(|v| dec.finish().map(|()| v));
-            assert!(r.is_err(), "prefix of {cut} bytes decoded successfully");
-        }
-    }
-
-    #[test]
-    fn bad_tag_is_rejected() {
-        let mut enc = Encoder::new();
-        enc.put_u8(250);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        match ProtocolEvent::decode_from(&mut dec) {
-            Err(CodecError::BadTag { what, tag }) => {
-                assert_eq!(what, "protocol event");
-                assert_eq!(tag, 250);
-            }
-            other => panic!("expected BadTag, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn names_and_cores_are_stable() {
         for ev in samples() {
             assert!(!ev.name().is_empty());
@@ -479,15 +259,5 @@ mod tests {
             .core(),
             None
         );
-    }
-
-    #[test]
-    fn vec_is_an_event_sink() {
-        let mut sink: Vec<ProtocolEvent> = Vec::new();
-        sink.accept(ProtocolEvent::RmwEscape {
-            core: 1,
-            block: BlockAddr(2),
-        });
-        assert_eq!(sink.len(), 1);
     }
 }

@@ -12,7 +12,7 @@ use crate::check::{
     ProtocolMutation,
 };
 use crate::error::CoherenceError;
-use crate::obs::{decode_events, encode_events, EventClass, ProtocolEvent};
+use crate::obs::{EventClass, ProtocolEvent};
 use crate::region::{AddRegion, RegionId, RegionStore};
 use crate::state::{DirState, LlcLine, PrivLine, PrivState, ProtocolId};
 use crate::stats::CoherenceStats;
@@ -95,19 +95,6 @@ impl CacheConfig {
         }
         Ok(())
     }
-}
-
-/// The kind of a demand access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessKind {
-    /// A load; blocks the core for the returned latency.
-    Load,
-    /// A store; retires through the store buffer.
-    Store,
-    /// An atomic read-modify-write; blocks like a load and is always
-    /// performed coherently, even inside WARD regions (see
-    /// [`CoherenceSystem::rmw`]).
-    Rmw,
 }
 
 /// Which private-hierarchy level served an access that needed no directory
@@ -246,12 +233,14 @@ pub struct CoherenceSystem {
     /// Write-mask sector granularity in bytes (see [`CacheConfig`]).
     sector_bytes: u64,
     /// Optional directory-transition recorder (see [`Self::enable_dir_log`]).
+    /// An in-memory test aid: never serialized.
     dir_log: Option<Vec<(BlockAddr, DirKind)>>,
     /// Optional invariant checker (see [`Self::enable_checker`]).
     check: Option<InvariantChecker>,
     /// Optional protocol-event buffer (see [`Self::enable_obs`]). Drained by
     /// the simulation engine after every access; directory transactions pay
     /// one `Option` check when disabled, the L1/L2 hit path pays nothing.
+    /// Never serialized.
     obs: Option<Vec<ProtocolEvent>>,
     /// Injected protocol defects (see [`Self::inject_mutation`]).
     mutations: MutationSet,
@@ -880,11 +869,11 @@ impl CoherenceSystem {
     /// (including LRU order and ticks — eviction order must replay
     /// identically), the LLC slices with their co-located directory entries,
     /// the region CAM, the memory image, the stats counters, the dirty-page
-    /// index, the optional transition log, the optional invariant checker
-    /// and the optional protocol-event buffer.
+    /// index and the optional invariant checker.
     ///
     /// Configuration (topology, latencies, geometries, protocol, injected
-    /// mutations) is *not* serialized; [`Self::restore_state`] is called on a
+    /// mutations) is *not* serialized, nor are the in-memory debugging aids
+    /// (the transition log and the protocol-event buffer); [`Self::restore_state`] is called on a
     /// freshly constructed system carrying the same configuration, and the
     /// caller binds config identity via fingerprints at the framing layer.
     pub fn encode_state(&self, enc: &mut warden_mem::codec::Encoder) {
@@ -908,31 +897,10 @@ impl CoherenceSystem {
             enc.put_u64(page.0);
             enc.put_u64(mask);
         }
-        match &self.dir_log {
-            Some(log) => {
-                enc.put_bool(true);
-                enc.put_usize(log.len());
-                for (block, kind) in log {
-                    enc.put_u64(block.0);
-                    enc.put_u8(kind.tag());
-                }
-            }
-            None => enc.put_bool(false),
-        }
         match &self.check {
             Some(chk) => {
                 enc.put_bool(true);
                 chk.encode_into(enc);
-            }
-            None => enc.put_bool(false),
-        }
-        match &self.obs {
-            Some(buf) => {
-                enc.put_bool(true);
-                // The engine drains the buffer after every access, so at a
-                // checkpoint boundary this is normally empty — but any
-                // undrained events must survive a restore.
-                encode_events(buf, enc);
             }
             None => enc.put_bool(false),
         }
@@ -1007,24 +975,8 @@ impl CoherenceSystem {
             }
             dir_pages.insert(page, mask);
         }
-        let dir_log = if dec.take_bool()? {
-            let n = dec.take_count(9)?;
-            let mut log = Vec::with_capacity(n);
-            for _ in 0..n {
-                let block = BlockAddr(dec.take_u64()?);
-                log.push((block, DirKind::from_tag(dec.take_u8()?)?));
-            }
-            Some(log)
-        } else {
-            None
-        };
         let check = if dec.take_bool()? {
             Some(InvariantChecker::decode_from(dec)?)
-        } else {
-            None
-        };
-        let obs = if dec.take_bool()? {
-            Some(decode_events(dec)?)
         } else {
             None
         };
@@ -1034,9 +986,7 @@ impl CoherenceSystem {
         self.memory = memory;
         self.stats = stats;
         self.dir_pages = dir_pages;
-        self.dir_log = dir_log;
         self.check = check;
-        self.obs = obs;
         // The per-core region caches are derived from the replaced store;
         // the defaults never validate against any epoch, forcing re-lookup.
         self.region_cache.fill(RegionCache::default());
@@ -1256,125 +1206,6 @@ impl CoherenceSystem {
     }
 
     // ----- demand accesses ------------------------------------------------
-
-    /// Perform a demand access of the given kind. Returns the latency in
-    /// cycles. Stores return their full completion latency; the timing
-    /// simulator models the store buffer that hides it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses a cache-block boundary or `core` is out
-    /// of range.
-    pub fn access(&mut self, core: CoreId, kind: AccessKind, addr: Addr, data: &[u8]) -> u64 {
-        match kind {
-            AccessKind::Load => self.load(core, addr, data.len() as u64),
-            AccessKind::Store => self.store(core, addr, data),
-            AccessKind::Rmw => self.rmw(core, addr, data),
-        }
-    }
-
-    // ----- fallible API ---------------------------------------------------
-    //
-    // The panicking entry points above stay the convenient API for trusted
-    // callers; the `try_*` variants below reject malformed operations with a
-    // typed [`CoherenceError`] instead of unwinding, for callers handling
-    // untrusted input (decoded traces, fuzzers, fault injectors).
-
-    /// Validate the core id and access geometry shared by the `try_*`
-    /// entry points.
-    fn validate_access(&self, core: CoreId, addr: Addr, len: u64) -> Result<(), CoherenceError> {
-        if core >= self.cores.len() {
-            return Err(CoherenceError::CoreOutOfRange {
-                core,
-                num_cores: self.cores.len(),
-            });
-        }
-        if addr.block_offset() + len > BLOCK_SIZE {
-            return Err(CoherenceError::CrossesBlockBoundary { addr, size: len });
-        }
-        Ok(())
-    }
-
-    /// Fallible [`Self::load`].
-    pub fn try_load(&mut self, core: CoreId, addr: Addr, size: u64) -> Result<u64, CoherenceError> {
-        self.validate_access(core, addr, size)?;
-        Ok(self.load(core, addr, size))
-    }
-
-    /// Fallible [`Self::store`].
-    pub fn try_store(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        data: &[u8],
-    ) -> Result<u64, CoherenceError> {
-        if data.is_empty() {
-            return Err(CoherenceError::EmptyAccess { addr });
-        }
-        self.validate_access(core, addr, data.len() as u64)?;
-        Ok(self.store(core, addr, data))
-    }
-
-    /// Fallible [`Self::rmw`].
-    pub fn try_rmw(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        data: &[u8],
-    ) -> Result<u64, CoherenceError> {
-        if data.is_empty() {
-            return Err(CoherenceError::EmptyAccess { addr });
-        }
-        self.validate_access(core, addr, data.len() as u64)?;
-        Ok(self.rmw(core, addr, data))
-    }
-
-    /// Fallible [`Self::rmw_add`].
-    pub fn try_rmw_add(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        size: u64,
-        delta: u64,
-    ) -> Result<u64, CoherenceError> {
-        if !(1..=8).contains(&size) {
-            return Err(CoherenceError::BadRmwSize { size });
-        }
-        self.validate_access(core, addr, size)?;
-        Ok(self.rmw_add(core, addr, size, delta))
-    }
-
-    /// Fallible [`Self::access`].
-    pub fn try_access(
-        &mut self,
-        core: CoreId,
-        kind: AccessKind,
-        addr: Addr,
-        data: &[u8],
-    ) -> Result<u64, CoherenceError> {
-        match kind {
-            AccessKind::Load => self.try_load(core, addr, data.len() as u64),
-            AccessKind::Store => self.try_store(core, addr, data),
-            AccessKind::Rmw => self.try_rmw(core, addr, data),
-        }
-    }
-
-    /// Fallible [`Self::add_region`] — rejects unaligned or empty bounds
-    /// instead of panicking. `Ok(None)` still means the safe MESI fallback
-    /// (non-WARDen protocol or directory CAM overflow).
-    pub fn try_add_region(
-        &mut self,
-        start: Addr,
-        end: Addr,
-    ) -> Result<Option<RegionId>, CoherenceError> {
-        if !start.0.is_multiple_of(PAGE_SIZE) || !end.0.is_multiple_of(PAGE_SIZE) {
-            return Err(CoherenceError::UnalignedRegion { start, end });
-        }
-        if start >= end {
-            return Err(CoherenceError::EmptyRegion { start, end });
-        }
-        Ok(self.add_region(start, end))
-    }
 
     /// Fallible [`Self::set_memory`].
     pub fn try_set_memory(&mut self, memory: Memory) -> Result<(), CoherenceError> {
@@ -1704,15 +1535,6 @@ impl CoherenceSystem {
         let mut le = [0u8; 8];
         le[..size as usize].copy_from_slice(&data.bytes()[off..off + size as usize]);
         u64::from_le_bytes(le)
-    }
-
-    /// Full-block write (used by the runtime for freshly allocated pages).
-    /// Semantically a store of 64 bytes.
-    pub fn store_block(&mut self, core: CoreId, block: BlockAddr, data: &BlockData) -> u64 {
-        self.stats.stores += 1;
-        let t = self.store_path(core, block.base(), WriteVal::Bytes(data.bytes()));
-        self.run_checks();
-        t
     }
 
     // ----- GetS -----------------------------------------------------------

@@ -42,7 +42,6 @@ use crate::config::MachineConfig;
 use crate::energy::EnergyBreakdown;
 use crate::engine::{SimEngine, SimOptions, SimOutcome, CANCEL_CHECK_EVENTS};
 use crate::error::SimError;
-use crate::obs::ObsReport;
 use crate::stats::SimStats;
 use std::fmt;
 use std::fs;
@@ -66,8 +65,8 @@ pub const MAGIC: [u8; 8] = *b"WARDCKPT";
 ///   misdecoded.
 /// * **3** — engine state gained the optional observability recorder (and
 ///   the coherence payload its undrained event buffer), outcome records the
-///   optional observability report, and the options fingerprint covers
-///   [`SimOptions::obs`]. Older files are rejected, not misdecoded.
+///   optional observability report, and the options fingerprint covered the
+///   observability switch. Older files are rejected, not misdecoded.
 /// * **4** — engine state gained a slot for the scheduler shard count the
 ///   frame was written under (later written as a constant `1` and
 ///   ignored). Older files are rejected, not misdecoded.
@@ -79,7 +78,13 @@ pub const MAGIC: [u8; 8] = *b"WARDCKPT";
 ///   `u64` bitmap of its blocks that hold a non-zero byte, and those
 ///   blocks in index order, instead of 4 KiB of bytes. Older files are
 ///   rejected, not misdecoded.
-pub const VERSION: u32 = 5;
+/// * **6** — observability left durable state. The engine state lost its
+///   recorder section, the coherence payload its event-buffer and
+///   directory-transition-log sections, the outcome record its report, and
+///   the options fingerprint its observability byte: recording is now a
+///   property of one direct run ([`SimEngine::run_observed`]), never of a
+///   snapshot or a record. Older files are rejected, not misdecoded.
+pub const VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const FOOTER_LEN: usize = 8;
@@ -285,7 +290,6 @@ pub fn options_fingerprint(opts: &SimOptions) -> u64 {
         enc.put_f64(v);
     }
     enc.put_bool(opts.check);
-    enc.put_bool(opts.obs);
     match &opts.faults {
         Some(p) => {
             enc.put_bool(true);
@@ -375,11 +379,9 @@ impl<'a> SimEngine<'a> {
     /// Serialize the paused engine into a complete framed checkpoint
     /// (identity header + full simulation state + checksum).
     ///
-    /// Takes `&mut self` because an observability-enabled engine records a
-    /// checkpoint-frame event first — part of the run's execution history,
-    /// so the frame itself is included in the snapshot and survives resume.
+    /// Takes `&mut self` because parked idle cores are settled first (see
+    /// [`SimEngine::step`]), so the frame equals a tick-by-tick replay's.
     pub fn snapshot_to_bytes(&mut self) -> Vec<u8> {
-        self.note_checkpoint_frame();
         let mut enc = Encoder::new();
         enc.put_u64(self.program_ref().fingerprint());
         enc.put_u64(self.machine_ref().fingerprint());
@@ -428,19 +430,13 @@ impl<'a> SimEngine<'a> {
     /// (see [`SimEngine::step`]), so a frame may land later than `every`
     /// steps after the previous one by at most one parked stretch; the
     /// step count handed to `on_frame` is exact. Where frames fall never
-    /// changes an observability-off outcome.
+    /// changes the outcome.
     ///
     /// `on_frame` receives the step count and the complete checkpoint
     /// frame; what it does with them (typically a result store's
     /// checkpoint entry) is the caller's business, and its failures are
     /// the caller's to swallow — this loop never stops simulating because
     /// a snapshot could not be persisted.
-    ///
-    /// Note for observability-enabled runs: every snapshot records a
-    /// checkpoint-frame event in the run's history (see
-    /// [`SimEngine::snapshot_to_bytes`]), so a framed run's outcome digest
-    /// differs from an unframed one when `opts.obs` is set. With
-    /// observability off the note is a no-op and digests are unaffected.
     pub fn run_with_cancel_frames(
         mut self,
         every: u64,
@@ -490,13 +486,6 @@ pub fn encode_outcome(out: &SimOutcome) -> Vec<u8> {
     for v in &out.violations {
         v.encode_into(&mut enc);
     }
-    match &out.obs {
-        Some(rep) => {
-            enc.put_bool(true);
-            rep.encode_into(&mut enc);
-        }
-        None => enc.put_bool(false),
-    }
     frame(enc.bytes())
 }
 
@@ -520,11 +509,6 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
     for _ in 0..n {
         violations.push(InvariantViolation::decode_from(&mut dec)?);
     }
-    let obs = if dec.take_bool()? {
-        Some(ObsReport::decode_from(&mut dec)?)
-    } else {
-        None
-    };
     dec.finish()?;
     Ok(SimOutcome {
         protocol,
@@ -535,7 +519,6 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
         final_memory,
         region_peak,
         violations,
-        obs,
     })
 }
 
@@ -781,62 +764,6 @@ mod tests {
         let a = resumed.run();
         let b = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn obs_reports_ride_records_and_checkpoints() {
-        use crate::obs::SimEvent;
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions {
-            obs: true,
-            ..SimOptions::default()
-        };
-        let out = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-
-        // The report travels inside the outcome record (host spans do not).
-        let bytes = encode_outcome(&out);
-        let back = decode_outcome(&bytes).expect("record decodes");
-        assert_eq!(back.stats, out.stats);
-        let (a, b) = (back.obs.unwrap(), out.obs.clone().unwrap());
-        assert_eq!(a.timeline, b.timeline);
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.region_spans, b.region_spans);
-        assert!(a.spans.is_empty(), "host spans do not ride records");
-
-        // A snapshot taken with obs on refuses to resume without it, and
-        // the matching resume keeps the pre-snapshot event history plus the
-        // checkpoint-frame marker.
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..500 {
-            eng.step();
-        }
-        let snap = eng.snapshot_to_bytes();
-        let plain = SimOptions::default();
-        let err =
-            SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &plain, &snap).unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { what: "options" }));
-
-        let resumed = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &snap)
-            .expect("resume")
-            .run();
-        assert_eq!(resumed.stats, out.stats);
-        let rep = resumed.obs.unwrap();
-        assert!(
-            rep.timeline
-                .iter()
-                .any(|t| t.event == SimEvent::CheckpointFrame),
-            "checkpoint frame is part of the resumed run's history"
-        );
-        assert!(
-            !out.obs
-                .unwrap()
-                .timeline
-                .iter()
-                .any(|t| t.event == SimEvent::CheckpointFrame),
-            "an uninterrupted run records no frame"
-        );
     }
 
     #[test]

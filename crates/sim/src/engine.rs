@@ -56,10 +56,6 @@ pub struct SimOutcome {
     /// Invariant violations found by the checker (always empty unless
     /// [`SimOptions::check`] was set; must be empty on an unmutated run).
     pub violations: Vec<InvariantViolation>,
-    /// The observability report (always `None` unless [`SimOptions::obs`]
-    /// was set): cycle-stamped event timeline, per-epoch summaries, latency
-    /// histograms and the Perfetto exporter.
-    pub obs: Option<ObsReport>,
 }
 
 /// Options for [`simulate_with_options`].
@@ -72,11 +68,6 @@ pub struct SimOptions {
     /// Run the coherence invariant checker after every directory
     /// transaction; violations land in [`SimOutcome::violations`].
     pub check: bool,
-    /// Record cycle-stamped protocol events, per-epoch summaries and
-    /// latency histograms; the report lands in [`SimOutcome::obs`].
-    /// Recording is passive — statistics and memory images stay
-    /// bit-identical to an unobserved run.
-    pub obs: bool,
     /// Cooperative cancellation: when set, [`SimEngine::run_with_cancel`]
     /// (and [`try_simulate`]) poll the token every
     /// [`CANCEL_CHECK_EVENTS`] [`SimEngine::step`] calls and return a typed
@@ -128,25 +119,7 @@ pub fn simulate(
     machine: &MachineConfig,
     protocol: ProtocolId,
 ) -> SimOutcome {
-    simulate_with_energy(program, machine, protocol, &EnergyParams::default())
-}
-
-/// [`simulate`] with explicit energy parameters.
-pub fn simulate_with_energy(
-    program: &TraceProgram,
-    machine: &MachineConfig,
-    protocol: ProtocolId,
-    energy_params: &EnergyParams,
-) -> SimOutcome {
-    simulate_with_options(
-        program,
-        machine,
-        protocol,
-        &SimOptions {
-            energy: *energy_params,
-            ..SimOptions::default()
-        },
-    )
+    simulate_with_options(program, machine, protocol, &SimOptions::default())
 }
 
 /// [`simulate_with_options`] behind up-front validation: rejects an
@@ -187,6 +160,8 @@ pub struct SimEngine<'a> {
     opts: SimOptions,
     coh: CoherenceSystem,
     injector: Option<FaultInjector>,
+    /// Installed only by [`Self::run_observed`], which consumes the engine,
+    /// so an engine that can still be snapshotted never holds one.
     recorder: Option<ObsRecorder>,
     rng: SmallRng,
     cores: Vec<Core>,
@@ -248,12 +223,6 @@ impl<'a> SimEngine<'a> {
         if opts.check {
             coh.enable_checker();
         }
-        let recorder = if opts.obs {
-            coh.enable_obs();
-            Some(ObsRecorder::new())
-        } else {
-            None
-        };
         let injector = opts
             .faults
             .clone()
@@ -293,7 +262,7 @@ impl<'a> SimEngine<'a> {
             opts: opts.clone(),
             coh,
             injector,
-            recorder,
+            recorder: None,
             rng,
             cores,
             tasks,
@@ -716,22 +685,33 @@ impl<'a> SimEngine<'a> {
         self.makespan = self.makespan.max(self.cores[cid].clock);
     }
 
-    /// Record a checkpoint-frame event at the run's current leading clock.
-    /// Frames are execution history — a resumed run keeps the one recorded
-    /// before its snapshot, an uninterrupted run records none.
-    pub(crate) fn note_checkpoint_frame(&mut self) {
-        self.settle();
-        if let Some(rec) = self.recorder.as_mut() {
-            let clock = self.cores.iter().map(|c| c.clock).max().unwrap_or(0);
-            rec.note_checkpoint_frame(clock);
-        }
+    /// Run the replay to completion with the observability recorder
+    /// installed, and return the outcome together with its [`ObsReport`]:
+    /// cycle-stamped event timeline, per-epoch summaries, latency
+    /// histograms and the Perfetto exporter. Recording is passive — the
+    /// outcome is bit-identical to [`Self::run`]'s. Events are recorded
+    /// from this call on, so call it on a freshly built engine for a whole
+    /// run's history. Ignores any [`SimOptions::cancel`] token, like
+    /// [`Self::run`].
+    pub fn run_observed(mut self) -> (SimOutcome, ObsReport) {
+        self.coh.enable_obs();
+        self.recorder = Some(ObsRecorder::new());
+        while self.step() {}
+        let (outcome, report) = self.conclude();
+        (outcome, report.expect("the recorder was installed above"))
     }
 
     /// Consume the engine and produce the [`SimOutcome`] (end-of-run
     /// cleanup, cache flush, energy accounting). Meaningful once
     /// [`Self::step`] has returned `false`; calling it earlier reports the
     /// partial run as-is.
-    pub fn finish(mut self) -> SimOutcome {
+    pub fn finish(self) -> SimOutcome {
+        self.conclude().0
+    }
+
+    /// [`Self::finish`], also folding the recorder (if installed) into its
+    /// report.
+    fn conclude(mut self) -> (SimOutcome, Option<ObsReport>) {
         self.settle();
         if let Some(inj) = self.injector.as_mut() {
             // End-of-run cleanup: release decoys still pinned, so region
@@ -757,7 +737,7 @@ impl<'a> SimEngine<'a> {
         // cloning it (the clone used to rival the replay itself on
         // multi-megabyte images).
         let final_memory = self.coh.take_memory();
-        SimOutcome {
+        let outcome = SimOutcome {
             protocol: self.protocol,
             machine: self.machine.name.clone(),
             memory_image_digest: final_memory.digest(),
@@ -766,8 +746,8 @@ impl<'a> SimEngine<'a> {
             energy,
             region_peak,
             violations,
-            obs,
-        }
+        };
+        (outcome, obs)
     }
 
     /// Serialize the complete mutable simulation state (scheduler, cores,
@@ -825,13 +805,6 @@ impl<'a> SimEngine<'a> {
             Some(inj) => {
                 enc.put_bool(true);
                 inj.encode_state(enc);
-            }
-            None => enc.put_bool(false),
-        }
-        match &self.recorder {
-            Some(rec) => {
-                enc.put_bool(true);
-                rec.encode_state(enc);
             }
             None => enc.put_bool(false),
         }
@@ -951,17 +924,6 @@ impl<'a> SimEngine<'a> {
         }
         if let Some(inj) = self.injector.as_mut() {
             inj.apply_state(dec)?;
-        }
-        let has_recorder = dec.take_bool()?;
-        if has_recorder != self.recorder.is_some() {
-            return Err(invalid(
-                "engine",
-                "observability presence differs from the checkpoint".into(),
-            ));
-        }
-        if let Some(rec) = self.recorder.as_mut() {
-            // The span profile restarts empty: it measures the host.
-            *rec = ObsRecorder::decode_state(dec)?;
         }
         self.coh.restore_state(dec)?;
 
@@ -1464,19 +1426,14 @@ mod tests {
         let p = sample_program();
         let m = tiny_machine();
         let plain = simulate(&p, &m, ProtocolId::Warden);
-        assert!(plain.obs.is_none(), "obs is opt-in");
-        let opts = SimOptions {
-            obs: true,
-            ..SimOptions::default()
-        };
-        let observed = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
+        let (observed, rep) =
+            SimEngine::new(&p, &m, ProtocolId::Warden, &SimOptions::default()).run_observed();
         assert_eq!(
             observed.stats, plain.stats,
             "recording must not perturb the run"
         );
         assert_eq!(observed.memory_image_digest, plain.memory_image_digest);
 
-        let rep = observed.obs.expect("report present");
         assert!(!rep.timeline.is_empty());
         assert!(
             rep.metrics.counter("GetS").unwrap_or(0)
@@ -1507,46 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn state_transfer_preserves_observability_history() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions {
-            obs: true,
-            ..SimOptions::default()
-        };
-        let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..2_000 {
-            if !eng.step() {
-                break;
-            }
-        }
-        let mut enc = Encoder::new();
-        eng.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut fresh = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        let mut dec = Decoder::new(&bytes);
-        fresh.apply_state(&mut dec).expect("state applies");
-        dec.finish().expect("no trailing bytes");
-        let mut enc2 = Encoder::new();
-        fresh.encode_state(&mut enc2);
-        assert_eq!(
-            enc2.bytes(),
-            &bytes[..],
-            "snapshot stays canonical with the recorder live"
-        );
-
-        let resumed = fresh.run();
-        assert_eq!(resumed.stats, reference.stats);
-        let (a, b) = (resumed.obs.unwrap(), reference.obs.unwrap());
-        assert_eq!(a.timeline, b.timeline, "event history survives transfer");
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.metrics, b.metrics);
-    }
-
-    #[test]
     fn state_transfer_rejects_wrong_shapes() {
         let p = sample_program();
         let m = tiny_machine();
@@ -1571,21 +1488,6 @@ mod tests {
         };
         let mut other = SimEngine::new(&p, &m, ProtocolId::Warden, &faulty);
         assert!(other.apply_state(&mut Decoder::new(&bytes)).is_err());
-
-        // An observed state refuses an engine without a recorder.
-        let observed = SimOptions {
-            obs: true,
-            ..SimOptions::default()
-        };
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &observed);
-        for _ in 0..500 {
-            eng.step();
-        }
-        let mut enc = Encoder::new();
-        eng.encode_state(&mut enc);
-        let obs_bytes = enc.into_bytes();
-        let mut other = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        assert!(other.apply_state(&mut Decoder::new(&obs_bytes)).is_err());
     }
 
     #[test]
@@ -1851,14 +1753,17 @@ mod tests {
     fn energy_params_scale_reported_energy() {
         let p = sample_program();
         let m = tiny_machine();
-        let cheap = simulate_with_energy(&p, &m, ProtocolId::Mesi, &EnergyParams::default());
-        let pricey = simulate_with_energy(
+        let cheap = simulate(&p, &m, ProtocolId::Mesi);
+        let pricey = simulate_with_options(
             &p,
             &m,
             ProtocolId::Mesi,
-            &EnergyParams {
-                e_dram: 100.0,
-                ..EnergyParams::default()
+            &SimOptions {
+                energy: EnergyParams {
+                    e_dram: 100.0,
+                    ..EnergyParams::default()
+                },
+                ..SimOptions::default()
             },
         );
         assert!(pricey.energy.in_processor_nj > cheap.energy.in_processor_nj);

@@ -52,8 +52,8 @@ pub use checkpoint::{CheckpointError, RunKey};
 pub use config::MachineConfig;
 pub use energy::{energy_of, EnergyBreakdown, EnergyParams};
 pub use engine::{
-    simulate, simulate_with_energy, simulate_with_options, try_simulate, SimEngine, SimOptions,
-    SimOutcome, CANCEL_CHECK_EVENTS,
+    simulate, simulate_with_options, try_simulate, SimEngine, SimOptions, SimOutcome,
+    CANCEL_CHECK_EVENTS,
 };
 pub use error::SimError;
 pub use faults::{FaultPlan, FaultStats};

@@ -14,22 +14,20 @@
 //! * tracks live regions so each add/remove pair becomes a [`RegionSpan`]
 //!   renderable as a Perfetto duration slice.
 //!
-//! The finished run carries all of it out as an [`ObsReport`]
-//! ([`crate::SimOutcome::obs`]), which exports a Chrome trace-event JSON
-//! timeline ([`ObsReport::trace_event_json`]) that Perfetto and
-//! `chrome://tracing` load directly, plus plain-text epoch and summary
-//! renderings for the harness's `--obs` flag.
+//! The finished run hands all of it out as an [`ObsReport`], which exports
+//! a Chrome trace-event JSON timeline ([`ObsReport::trace_event_json`]) that
+//! Perfetto and `chrome://tracing` load directly, plus plain-text epoch and
+//! summary renderings for the harness's `--obs` flag.
 //!
-//! Recording is opt-in ([`crate::SimOptions::obs`]) and purely passive: it
-//! never touches clocks, the RNG or any statistic, so an instrumented run
-//! produces bit-identical [`crate::SimStats`] and memory images. The
-//! recorder state is part of the engine checkpoint (a resumed run keeps its
-//! history); only the wall-clock [`SpanSet`] profile is host-side and
-//! deliberately excluded from serialization and determinism guarantees.
+//! Recording is a property of one direct run
+//! ([`crate::SimEngine::run_observed`]) and purely passive: it never
+//! touches clocks, the RNG or any statistic, so an instrumented run produces
+//! bit-identical [`crate::SimStats`] and memory images. The recorder lives
+//! in memory only: no checkpoint or campaign record carries it, and the
+//! wall-clock [`SpanSet`] profile is outside every determinism guarantee.
 
 use std::fmt::Write as _;
 use warden_coherence::{CoherenceSystem, ProtocolEvent};
-use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_obs::{ArgVal, Hist, MetricsRegistry, SpanSet, TraceBuilder};
 
 /// Default epoch width exponent: epochs are `1 << 14 = 16384` cycles.
@@ -45,7 +43,7 @@ pub const MAX_TIMELINE_EVENTS: usize = 1_000_000;
 const MAX_EPOCHS: usize = 1 << 20;
 
 /// One observable simulation-level action: a protocol event, or something
-/// only the engine can see (injected fault stalls, checkpoint frames).
+/// only the engine can see (injected fault stalls).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEvent {
     /// A coherence-protocol event drained from the directory.
@@ -57,10 +55,6 @@ pub enum SimEvent {
         /// Extra cycles the injector charged.
         cycles: u64,
     },
-    /// A checkpoint frame was serialized at this point of the run. Frames
-    /// are execution history: a resumed run keeps the event, an
-    /// uninterrupted run never has one.
-    CheckpointFrame,
 }
 
 impl SimEvent {
@@ -69,42 +63,7 @@ impl SimEvent {
         match self {
             SimEvent::Protocol(p) => p.name(),
             SimEvent::FaultStall { .. } => "FaultStall",
-            SimEvent::CheckpointFrame => "CheckpointFrame",
         }
-    }
-
-    /// Serialize one event (tag byte + payload).
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        match *self {
-            SimEvent::Protocol(p) => {
-                enc.put_u8(0);
-                p.encode_into(enc);
-            }
-            SimEvent::FaultStall { core, cycles } => {
-                enc.put_u8(1);
-                enc.put_usize(core);
-                enc.put_u64(cycles);
-            }
-            SimEvent::CheckpointFrame => enc.put_u8(2),
-        }
-    }
-
-    /// Decode an event serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<SimEvent, CodecError> {
-        Ok(match dec.take_u8()? {
-            0 => SimEvent::Protocol(ProtocolEvent::decode_from(dec)?),
-            1 => SimEvent::FaultStall {
-                core: dec.take_usize()?,
-                cycles: dec.take_u64()?,
-            },
-            2 => SimEvent::CheckpointFrame,
-            t => {
-                return Err(CodecError::BadTag {
-                    what: "sim event",
-                    tag: t as u64,
-                })
-            }
-        })
     }
 }
 
@@ -120,24 +79,6 @@ pub struct TimedEvent {
     pub event: SimEvent,
 }
 
-impl TimedEvent {
-    /// Serialize one stamped event.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.cycle);
-        enc.put_usize(self.core);
-        self.event.encode_into(enc);
-    }
-
-    /// Decode an event serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<TimedEvent, CodecError> {
-        Ok(TimedEvent {
-            cycle: dec.take_u64()?,
-            core: dec.take_usize()?,
-            event: SimEvent::decode_from(dec)?,
-        })
-    }
-}
-
 /// One completed WARD region: its directory id, the cycle it was added,
 /// the cycle its reconciliation walk completed, and how many dirty blocks
 /// that walk visited. Exported as a Perfetto duration slice.
@@ -151,56 +92,6 @@ pub struct RegionSpan {
     pub death: u64,
     /// Dirty blocks the reconciliation walk visited.
     pub blocks: u64,
-}
-
-impl RegionSpan {
-    fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.id);
-        enc.put_u64(self.birth);
-        enc.put_u64(self.death);
-        enc.put_u64(self.blocks);
-    }
-
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<RegionSpan, CodecError> {
-        let s = RegionSpan {
-            id: dec.take_u64()?,
-            birth: dec.take_u64()?,
-            death: dec.take_u64()?,
-            blocks: dec.take_u64()?,
-        };
-        if s.death < s.birth {
-            return Err(CodecError::Invalid {
-                what: "region span",
-                detail: format!(
-                    "region {} dies at {} before birth {}",
-                    s.id, s.death, s.birth
-                ),
-            });
-        }
-        Ok(s)
-    }
-}
-
-/// Every counter of [`EpochSummary`] in declaration order — shared by the
-/// encode and decode macros so a newly added counter fails to compile
-/// unless it is wired into both.
-macro_rules! for_each_epoch_counter {
-    ($m:ident, $($args:tt)*) => {
-        $m!(
-            $($args)*:
-            events,
-            misses,
-            miss_cycles,
-            reconciles,
-            region_adds,
-            region_removes,
-            ward_entry_syncs,
-            rmw_escapes,
-            evictions,
-            fault_stall_cycles,
-            checkpoint_frames,
-        );
-    };
 }
 
 /// Activity within one epoch (`1 << epoch_shift` cycles) of simulated time.
@@ -227,40 +118,17 @@ pub struct EpochSummary {
     pub evictions: u64,
     /// Cycles the fault injector stalled cores.
     pub fault_stall_cycles: u64,
-    /// Checkpoint frames serialized.
-    pub checkpoint_frames: u64,
 }
 
 impl EpochSummary {
-    fn encode_into(&self, enc: &mut Encoder) {
-        macro_rules! put {
-            ($self:ident, $enc:ident: $($f:ident),* $(,)?) => {
-                $( $enc.put_u64($self.$f); )*
-            };
-        }
-        for_each_epoch_counter!(put, self, enc);
-    }
-
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<EpochSummary, CodecError> {
-        let mut s = EpochSummary::default();
-        macro_rules! take {
-            ($s:ident, $dec:ident: $($f:ident),* $(,)?) => {
-                $( $s.$f = $dec.take_u64()?; )*
-            };
-        }
-        for_each_epoch_counter!(take, s, dec);
-        Ok(s)
-    }
-
     /// Whether nothing at all happened in this epoch.
     pub fn is_empty(&self) -> bool {
         *self == EpochSummary::default()
     }
 }
 
-/// The engine-side recorder: owns every accumulator while the run is live.
-/// Everything except the wall-clock span profile and the drain scratch
-/// buffer is checkpointed, so a resumed run keeps its history.
+/// The engine-side recorder: owns every accumulator while an observed run
+/// is live.
 #[derive(Clone, Debug)]
 pub(crate) struct ObsRecorder {
     epoch_shift: u32,
@@ -275,7 +143,7 @@ pub(crate) struct ObsRecorder {
     /// Live regions: `(directory id, birth cycle)`, sorted by id.
     region_births: Vec<(u64, u64)>,
     region_spans: Vec<RegionSpan>,
-    /// Host-side profile; transient (reset on restore, never serialized).
+    /// Host-side profile.
     spans: SpanSet,
     /// Drain scratch; transient.
     scratch: Vec<ProtocolEvent>,
@@ -334,17 +202,6 @@ impl ObsRecorder {
             cycle,
             core,
             event: SimEvent::FaultStall { core, cycles },
-        });
-    }
-
-    /// Record that a checkpoint frame was serialized at `cycle`.
-    pub(crate) fn note_checkpoint_frame(&mut self, cycle: u64) {
-        self.epoch_mut(cycle).checkpoint_frames += 1;
-        self.counts.add_counter("CheckpointFrame", 1);
-        self.push(TimedEvent {
-            cycle,
-            core: 0,
-            event: SimEvent::CheckpointFrame,
         });
     }
 
@@ -430,94 +287,6 @@ impl ObsRecorder {
             spans: self.spans,
         }
     }
-
-    /// Serialize the recorder (everything except the host-side span profile
-    /// and the drain scratch buffer) for an engine checkpoint.
-    pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u32(self.epoch_shift);
-        enc.put_u64(self.dropped);
-        enc.put_usize(self.timeline.len());
-        for ev in &self.timeline {
-            ev.encode_into(enc);
-        }
-        enc.put_usize(self.epochs.len());
-        for e in &self.epochs {
-            e.encode_into(enc);
-        }
-        self.counts.encode_into(enc);
-        self.miss_latency.encode_into(enc);
-        self.recon_blocks.encode_into(enc);
-        self.region_lifetime.encode_into(enc);
-        enc.put_usize(self.region_births.len());
-        for &(id, birth) in &self.region_births {
-            enc.put_u64(id);
-            enc.put_u64(birth);
-        }
-        enc.put_usize(self.region_spans.len());
-        for s in &self.region_spans {
-            s.encode_into(enc);
-        }
-    }
-
-    /// Decode recorder state serialized by [`Self::encode_state`]. The span
-    /// profile restarts empty: it measures the host, not the run.
-    pub(crate) fn decode_state(dec: &mut Decoder<'_>) -> Result<ObsRecorder, CodecError> {
-        let epoch_shift = dec.take_u32()?;
-        if epoch_shift >= 64 {
-            return Err(CodecError::Invalid {
-                what: "obs recorder",
-                detail: format!("epoch shift {epoch_shift} out of range"),
-            });
-        }
-        let dropped = dec.take_u64()?;
-        let n = dec.take_count(17)?;
-        let mut timeline = Vec::with_capacity(n);
-        for _ in 0..n {
-            timeline.push(TimedEvent::decode_from(dec)?);
-        }
-        let n = dec.take_count(88)?;
-        let mut epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            epochs.push(EpochSummary::decode_from(dec)?);
-        }
-        let counts = MetricsRegistry::decode_from(dec)?;
-        let miss_latency = Hist::decode_from(dec)?;
-        let recon_blocks = Hist::decode_from(dec)?;
-        let region_lifetime = Hist::decode_from(dec)?;
-        let n = dec.take_count(16)?;
-        let mut region_births = Vec::with_capacity(n);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let id = dec.take_u64()?;
-            if prev.is_some_and(|p| id <= p) {
-                return Err(CodecError::Invalid {
-                    what: "obs recorder",
-                    detail: "region births not sorted by id".into(),
-                });
-            }
-            prev = Some(id);
-            region_births.push((id, dec.take_u64()?));
-        }
-        let n = dec.take_count(32)?;
-        let mut region_spans = Vec::with_capacity(n);
-        for _ in 0..n {
-            region_spans.push(RegionSpan::decode_from(dec)?);
-        }
-        Ok(ObsRecorder {
-            epoch_shift,
-            timeline,
-            dropped,
-            epochs,
-            counts,
-            miss_latency,
-            recon_blocks,
-            region_lifetime,
-            region_births,
-            region_spans,
-            spans: SpanSet::new(),
-            scratch: Vec::new(),
-        })
-    }
 }
 
 /// Time `f` under `name` when a recorder is present, or just run it.
@@ -529,10 +298,6 @@ pub(crate) fn timed<R>(rec: &mut Option<ObsRecorder>, name: &str, f: impl FnOnce
 }
 
 /// Everything the observability layer learned about one finished run.
-///
-/// The codec ([`Self::encode_into`]/[`Self::decode_from`]) carries the
-/// metrics, epochs, timeline and region spans — the wall-clock [`SpanSet`]
-/// profile is host-side and decodes as empty.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsReport {
     /// Epoch width exponent: epoch `i` covers cycles `[i << shift, (i+1)
@@ -551,69 +316,12 @@ pub struct ObsReport {
     pub region_spans: Vec<RegionSpan>,
     /// Events the timeline cap discarded (summaries still counted them).
     pub dropped_events: u64,
-    /// Host wall-clock profile of the instrumented phases. Transient:
-    /// excluded from the codec and from any determinism guarantee.
+    /// Host wall-clock profile of the instrumented phases, outside any
+    /// determinism guarantee.
     pub spans: SpanSet,
 }
 
 impl ObsReport {
-    /// Serialize the report (without the host-side span profile).
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u32(self.epoch_shift);
-        enc.put_u64(self.dropped_events);
-        self.metrics.encode_into(enc);
-        enc.put_usize(self.epochs.len());
-        for e in &self.epochs {
-            e.encode_into(enc);
-        }
-        enc.put_usize(self.timeline.len());
-        for ev in &self.timeline {
-            ev.encode_into(enc);
-        }
-        enc.put_usize(self.region_spans.len());
-        for s in &self.region_spans {
-            s.encode_into(enc);
-        }
-    }
-
-    /// Decode a report serialized by [`Self::encode_into`] (its span
-    /// profile comes back empty).
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<ObsReport, CodecError> {
-        let epoch_shift = dec.take_u32()?;
-        if epoch_shift >= 64 {
-            return Err(CodecError::Invalid {
-                what: "obs report",
-                detail: format!("epoch shift {epoch_shift} out of range"),
-            });
-        }
-        let dropped_events = dec.take_u64()?;
-        let metrics = MetricsRegistry::decode_from(dec)?;
-        let n = dec.take_count(88)?;
-        let mut epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            epochs.push(EpochSummary::decode_from(dec)?);
-        }
-        let n = dec.take_count(17)?;
-        let mut timeline = Vec::with_capacity(n);
-        for _ in 0..n {
-            timeline.push(TimedEvent::decode_from(dec)?);
-        }
-        let n = dec.take_count(32)?;
-        let mut region_spans = Vec::with_capacity(n);
-        for _ in 0..n {
-            region_spans.push(RegionSpan::decode_from(dec)?);
-        }
-        Ok(ObsReport {
-            epoch_shift,
-            metrics,
-            epochs,
-            timeline,
-            region_spans,
-            dropped_events,
-            spans: SpanSet::new(),
-        })
-    }
-
     /// Export the run as Chrome trace-event JSON (the format Perfetto and
     /// `chrome://tracing` open directly).
     ///
@@ -650,9 +358,6 @@ impl ObsReport {
                         core as u32,
                         vec![("cycles".to_string(), ArgVal::U64(cycles))],
                     );
-                }
-                SimEvent::CheckpointFrame => {
-                    tb.instant("CheckpointFrame", te.cycle, PID, tid, Vec::new());
                 }
             }
         }
@@ -780,46 +485,7 @@ fn protocol_args(p: &ProtocolEvent) -> Vec<(String, ArgVal)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warden_mem::BlockAddr;
     use warden_obs::validate_trace;
-
-    fn sample_events() -> Vec<SimEvent> {
-        vec![
-            SimEvent::Protocol(ProtocolEvent::RmwEscape {
-                core: 3,
-                block: BlockAddr(0x40),
-            }),
-            SimEvent::FaultStall {
-                core: 1,
-                cycles: 250,
-            },
-            SimEvent::CheckpointFrame,
-        ]
-    }
-
-    #[test]
-    fn sim_event_codec_roundtrips_and_rejects_prefixes() {
-        for ev in sample_events() {
-            let mut enc = Encoder::new();
-            ev.encode_into(&mut enc);
-            let bytes = enc.into_bytes();
-            let mut dec = Decoder::new(&bytes);
-            assert_eq!(SimEvent::decode_from(&mut dec).unwrap(), ev);
-            dec.finish().unwrap();
-            for cut in 0..bytes.len() {
-                let mut dec = Decoder::new(&bytes[..cut]);
-                assert!(SimEvent::decode_from(&mut dec).is_err());
-            }
-        }
-        let mut dec = Decoder::new(&[9]);
-        assert!(matches!(
-            SimEvent::decode_from(&mut dec),
-            Err(CodecError::BadTag {
-                what: "sim event",
-                tag: 9
-            })
-        ));
-    }
 
     #[test]
     fn recorder_builds_epochs_histograms_and_spans() {
@@ -838,7 +504,6 @@ mod tests {
         );
         rec.record_protocol(e0 + 1, 1, ProtocolEvent::RegionRemove { id: 7, blocks: 9 });
         rec.note_fault_stall(e0 + 2, 1, 77);
-        rec.note_checkpoint_frame(e0 + 3);
 
         let rep = rec.into_report();
         assert_eq!(rep.epochs.len(), 2);
@@ -847,7 +512,6 @@ mod tests {
         assert_eq!(rep.epochs[0].region_adds, 1);
         assert_eq!(rep.epochs[1].region_removes, 1);
         assert_eq!(rep.epochs[1].fault_stall_cycles, 77);
-        assert_eq!(rep.epochs[1].checkpoint_frames, 1);
         assert_eq!(rep.region_spans.len(), 1);
         let rs = rep.region_spans[0];
         assert_eq!((rs.id, rs.birth, rs.death, rs.blocks), (7, 20, e0 + 1, 9));
@@ -858,80 +522,8 @@ mod tests {
         assert_eq!(lifetimes.max(), Some(e0 + 1 - 20));
         assert_eq!(rep.metrics.hist("recon_walk_blocks").unwrap().sum(), 9);
         assert_eq!(rep.metrics.hist("miss_latency_cycles").unwrap().count(), 1);
-        assert_eq!(rep.timeline.len(), 4);
+        assert_eq!(rep.timeline.len(), 3);
         assert_eq!(rep.dropped_events, 0);
-    }
-
-    #[test]
-    fn report_codec_roundtrips_and_rejects_prefixes() {
-        let mut rec = ObsRecorder::new();
-        rec.note_access(3, 99, 12);
-        rec.record_protocol(
-            5,
-            2,
-            ProtocolEvent::GetS {
-                core: 2,
-                block: BlockAddr(0x80),
-                dir: warden_coherence::DirKind::Uncached,
-                ward: false,
-            },
-        );
-        rec.note_fault_stall(6, 2, 11);
-        let rep = rec.into_report();
-
-        let mut enc = Encoder::new();
-        rep.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = ObsReport::decode_from(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(back, rep);
-
-        // Canonical: re-encoding the decoded report is byte-identical.
-        let mut enc2 = Encoder::new();
-        back.encode_into(&mut enc2);
-        assert_eq!(enc2.bytes(), &bytes[..]);
-
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            assert!(ObsReport::decode_from(&mut dec).is_err());
-        }
-    }
-
-    #[test]
-    fn recorder_state_roundtrips_without_the_span_profile() {
-        let mut rec = ObsRecorder::new();
-        rec.record_protocol(
-            9,
-            0,
-            ProtocolEvent::RegionAdd {
-                id: 3,
-                start: warden_mem::Addr(0),
-                end: warden_mem::Addr(4096),
-            },
-        );
-        rec.note_access(9, 50, 12);
-        rec.spans.add("access.load", 123);
-
-        let mut enc = Encoder::new();
-        rec.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = ObsRecorder::decode_state(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert!(back.spans.is_empty(), "span profile is host-side");
-        assert_eq!(back.region_births, rec.region_births);
-        assert_eq!(back.timeline, rec.timeline);
-
-        // Canonical re-encode (the checkpoint layer's core property).
-        let mut enc2 = Encoder::new();
-        back.encode_state(&mut enc2);
-        assert_eq!(enc2.bytes(), &bytes[..]);
-
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            assert!(ObsRecorder::decode_state(&mut dec).is_err());
-        }
     }
 
     #[test]
@@ -941,7 +533,7 @@ mod tests {
             TimedEvent {
                 cycle: 0,
                 core: 0,
-                event: SimEvent::CheckpointFrame,
+                event: SimEvent::FaultStall { core: 0, cycles: 1 },
             };
             MAX_TIMELINE_EVENTS
         ];

@@ -122,7 +122,6 @@ mod tests {
             final_memory: Memory::new(),
             region_peak: 0,
             violations: Vec::new(),
-            obs: None,
         }
     }
 

@@ -1,206 +1,8 @@
-//! Property tests of the observability codecs: every randomly generated
-//! protocol event, timed event, metrics registry, and report must survive
-//! encode→decode exactly, and every strict prefix of an encoding must fail
-//! with a typed error — never panic, never silently decode to a different
-//! value. Plus unit tests pinning the log2 histogram's bucket boundaries.
+//! Unit tests pinning the observability layer's log2 histogram: its bucket
+//! boundaries and the summary statistics it tracks.
 
-use proptest::prelude::*;
-use warden::coherence::{DirKind, ProtocolEvent};
-use warden::mem::codec::{Decoder, Encoder};
-use warden::mem::{Addr, BlockAddr};
-use warden::obs::{Hist, MetricsRegistry, SpanSet};
-use warden::sim::{EpochSummary, ObsReport, RegionSpan, SimEvent, TimedEvent};
-
-fn dir_kind() -> impl Strategy<Value = DirKind> {
-    prop_oneof![
-        Just(DirKind::Uncached),
-        Just(DirKind::Shared),
-        Just(DirKind::Owned),
-        Just(DirKind::Ward),
-    ]
-}
-
-fn protocol_event() -> impl Strategy<Value = ProtocolEvent> {
-    prop_oneof![
-        (0usize..64, any::<u64>(), dir_kind(), any::<bool>()).prop_map(
-            |(core, block, dir, ward)| ProtocolEvent::GetS {
-                core,
-                block: BlockAddr(block),
-                dir,
-                ward,
-            }
-        ),
-        (
-            0usize..64,
-            any::<u64>(),
-            dir_kind(),
-            any::<bool>(),
-            any::<bool>()
-        )
-            .prop_map(|(core, block, dir, ward, upgrade)| ProtocolEvent::GetM {
-                core,
-                block: BlockAddr(block),
-                dir,
-                ward,
-                upgrade,
-            }),
-        (any::<u64>(), 0usize..64).prop_map(|(block, owner)| ProtocolEvent::WardEntrySync {
-            block: BlockAddr(block),
-            owner,
-        }),
-        (0usize..64, any::<u64>()).prop_map(|(core, block)| ProtocolEvent::RmwEscape {
-            core,
-            block: BlockAddr(block),
-        }),
-        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
-            |(block, holders, writebacks, drops)| ProtocolEvent::Reconcile {
-                block: BlockAddr(block),
-                holders,
-                writebacks,
-                drops,
-            }
-        ),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(id, start, end)| {
-            ProtocolEvent::RegionAdd {
-                id,
-                start: Addr(start),
-                end: Addr(end),
-            }
-        }),
-        (any::<u64>(), any::<u64>()).prop_map(|(start, end)| ProtocolEvent::RegionOverflow {
-            start: Addr(start),
-            end: Addr(end),
-        }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(id, blocks)| ProtocolEvent::RegionRemove { id, blocks }),
-        (0usize..64, any::<u64>(), any::<bool>()).prop_map(|(core, block, writeback)| {
-            ProtocolEvent::PrivEviction {
-                core,
-                block: BlockAddr(block),
-                writeback,
-            }
-        }),
-        (any::<u64>(), any::<bool>()).prop_map(|(block, writeback)| ProtocolEvent::LlcEviction {
-            block: BlockAddr(block),
-            writeback,
-        }),
-    ]
-}
-
-fn sim_event() -> impl Strategy<Value = SimEvent> {
-    prop_oneof![
-        protocol_event().prop_map(SimEvent::Protocol),
-        (0usize..256, any::<u64>())
-            .prop_map(|(core, cycles)| SimEvent::FaultStall { core, cycles }),
-        Just(SimEvent::CheckpointFrame),
-    ]
-}
-
-/// Encode, decode, require equality and no trailing bytes, then require
-/// every strict prefix to fail with a typed error.
-fn assert_roundtrip_and_prefixes<T: PartialEq + std::fmt::Debug>(
-    value: &T,
-    encode: impl Fn(&T, &mut Encoder),
-    decode: impl Fn(&mut Decoder<'_>) -> Result<T, warden::mem::codec::CodecError>,
-) {
-    let mut enc = Encoder::new();
-    encode(value, &mut enc);
-    let bytes = enc.into_bytes();
-    let mut dec = Decoder::new(&bytes);
-    let back = decode(&mut dec).expect("full encoding decodes");
-    dec.finish().expect("no trailing bytes");
-    assert_eq!(&back, value);
-    for cut in 0..bytes.len() {
-        let mut dec = Decoder::new(&bytes[..cut]);
-        // Some prefixes decode a structurally complete value early; those
-        // must then fail the no-trailing/finish contract instead.
-        if let Ok(early) = decode(&mut dec) {
-            assert_eq!(
-                &early, value,
-                "prefix of {cut} bytes decoded a different value"
-            );
-            panic!(
-                "strict prefix ({cut} of {} bytes) decoded fully",
-                bytes.len()
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn sim_events_roundtrip_and_reject_prefixes(ev in sim_event()) {
-        assert_roundtrip_and_prefixes(&ev, SimEvent::encode_into, SimEvent::decode_from);
-    }
-
-    #[test]
-    fn timed_events_roundtrip_and_reject_prefixes(
-        cycle in any::<u64>(),
-        core in 0usize..512,
-        ev in sim_event(),
-    ) {
-        let t = TimedEvent { cycle, core, event: ev };
-        assert_roundtrip_and_prefixes(&t, TimedEvent::encode_into, TimedEvent::decode_from);
-    }
-
-    #[test]
-    fn metrics_registries_roundtrip_and_reject_prefixes(
-        counters in proptest::collection::vec(any::<u64>(), 0..8),
-        samples in proptest::collection::vec(any::<u64>(), 0..32),
-    ) {
-        let mut reg = MetricsRegistry::new();
-        for (i, v) in counters.iter().enumerate() {
-            reg.set_counter(&format!("counter.{i}"), *v);
-        }
-        let mut h = Hist::new();
-        for v in &samples {
-            h.add(*v);
-        }
-        reg.set_hist("samples", h);
-        assert_roundtrip_and_prefixes(
-            &reg,
-            MetricsRegistry::encode_into,
-            MetricsRegistry::decode_from,
-        );
-    }
-
-    #[test]
-    fn reports_roundtrip_and_reject_prefixes(
-        shift in 0u32..24,
-        events in proptest::collection::vec((any::<u64>(), 0usize..8, sim_event()), 0..12),
-        epochs in proptest::collection::vec(any::<u64>(), 0..6),
-        dropped in any::<u64>(),
-    ) {
-        let mut metrics = MetricsRegistry::new();
-        metrics.set_counter("timeline.events", events.len() as u64);
-        let mut rep = ObsReport {
-            epoch_shift: shift,
-            metrics,
-            epochs: epochs
-                .iter()
-                .map(|&n| EpochSummary { events: n, ..EpochSummary::default() })
-                .collect(),
-            timeline: events
-                .iter()
-                .map(|&(cycle, core, event)| TimedEvent { cycle, core, event })
-                .collect(),
-            region_spans: Vec::new(),
-            dropped_events: dropped,
-            spans: SpanSet::default(),
-        };
-        for (i, &(cycle, _, _)) in events.iter().enumerate() {
-            rep.region_spans.push(RegionSpan {
-                id: i as u64,
-                birth: cycle,
-                death: cycle.saturating_add(i as u64),
-                blocks: i as u64,
-            });
-        }
-        assert_roundtrip_and_prefixes(&rep, ObsReport::encode_into, ObsReport::decode_from);
-    }
-}
+use warden::obs::metrics::HIST_BUCKETS;
+use warden::obs::Hist;
 
 #[test]
 fn hist_bucket_boundaries_are_exact_powers_of_two() {
@@ -218,17 +20,32 @@ fn hist_bucket_boundaries_are_exact_powers_of_two() {
         assert_eq!(Hist::bucket_lower_bound(i), 1u64 << (i - 1));
         assert_eq!(Hist::bucket_upper_bound(i), (1u64 << i) - 1);
     }
+    // Every bucket, the zero bucket and the top one included, holds its
+    // own bounds.
+    for i in 0..HIST_BUCKETS {
+        assert_eq!(Hist::bucket_of(Hist::bucket_lower_bound(i)), i);
+        assert_eq!(Hist::bucket_of(Hist::bucket_upper_bound(i)), i);
+    }
 }
 
 #[test]
 fn hist_summary_statistics_track_added_values() {
     let mut h = Hist::new();
-    for v in [0, 1, 2, 3, 1024, u64::MAX] {
+    assert_eq!((h.min(), h.max(), h.mean()), (None, None, None));
+    for v in [5u64, 0, 1000, 5] {
         h.add(v);
     }
-    assert_eq!(h.count(), 6);
+    assert_eq!(h.sum(), 1010);
+    assert_eq!(h.mean(), Some(252.5));
+    for v in [1, 2, 3, 1024, u64::MAX] {
+        h.add(v);
+    }
+    assert_eq!(h.count(), 9);
     assert_eq!(h.min(), Some(0));
     assert_eq!(h.max(), Some(u64::MAX));
     let buckets: Vec<(usize, u64)> = h.nonzero_buckets().collect();
-    assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 2), (11, 1), (64, 1)]);
+    assert_eq!(
+        buckets,
+        vec![(0, 1), (1, 1), (2, 2), (3, 2), (10, 1), (11, 1), (64, 1)]
+    );
 }

@@ -26,7 +26,6 @@ fn machine() -> MachineConfig {
 fn checked_opts() -> SimOptions {
     SimOptions {
         check: true,
-        obs: true,
         ..SimOptions::default()
     }
 }
