@@ -291,9 +291,11 @@ progress lines.
 const OBS_WALKTHROUGH: &str = r#"
 ## Reading a reconciliation timeline in Perfetto
 
-Every simulation can record a protocol-event timeline (`--obs <dir>` on
-`replay` and `all_figures`; recording is passive, so the reported stats
-are bit-identical either way). The export is Chrome trace-event JSON:
+One direct run per protocol can record a protocol-event timeline.
+`--obs <dir>` affects only `replay` and `all_figures`; campaign runs and
+their records never carry a timeline. Recording is passive, so the
+reported stats are bit-identical either way. The export is Chrome
+trace-event JSON:
 
 ```console
 $ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --obs obs.out
