@@ -1,9 +1,11 @@
 //! Strict command-line parsing shared by every harness binary.
 //!
-//! All binaries accept the same flag vocabulary (each uses the subset it
-//! needs); anything starting with `--` that is not in the list below is
+//! All binaries share one flag vocabulary, and each names the subset it
+//! reads. Anything starting with `--` that is not in the list below is
 //! rejected with an error naming the valid flags — a typo like `--chek`
-//! fails the run instead of silently proceeding unchecked.
+//! fails the run instead of silently proceeding unchecked — and a valid
+//! flag the binary does not read is rejected with an error naming the ones
+//! it does, so `breakdown --obs d` fails instead of writing nothing to `d`.
 //!
 //! | flag                   | meaning |
 //! |------------------------|---------|
@@ -153,6 +155,28 @@ pub fn parse_protocols(v: &str) -> Result<Vec<ProtocolId>, HarnessError> {
     Ok(out)
 }
 
+/// The name of a [`VALID_FLAGS`] entry, without its value placeholder.
+fn flag_name(entry: &str) -> &str {
+    entry.split(' ').next().unwrap_or(entry)
+}
+
+/// A valid flag that the running binary does not read.
+fn not_read(flag: &str, reads: &[&str]) -> HarnessError {
+    let listed: Vec<&str> = VALID_FLAGS
+        .iter()
+        .copied()
+        .filter(|f| reads.contains(&flag_name(f)))
+        .collect();
+    HarnessError::Args(if listed.is_empty() {
+        format!("this binary reads no flags, got {flag:?}")
+    } else {
+        format!(
+            "this binary does not read {flag:?}; its flags: {}",
+            listed.join(", ")
+        )
+    })
+}
+
 fn unknown(flag: &str) -> HarnessError {
     HarnessError::Args(format!(
         "unrecognized flag {flag:?}; valid flags: {}",
@@ -181,17 +205,36 @@ fn number<T: std::str::FromStr>(
 }
 
 impl HarnessArgs {
-    /// Parse the process arguments. Unknown `--` flags are rejected with an
-    /// error listing [`VALID_FLAGS`].
-    pub fn parse() -> Result<HarnessArgs, HarnessError> {
-        HarnessArgs::parse_from(std::env::args().skip(1))
+    /// Parse the process arguments for a binary that reads the flags named
+    /// in `reads` (names without placeholders, such as `"--scale"`).
+    /// Unknown `--` flags are rejected with an error listing
+    /// [`VALID_FLAGS`]; a valid flag outside `reads` is rejected with an
+    /// error listing `reads`.
+    pub fn parse(reads: &[&str]) -> Result<HarnessArgs, HarnessError> {
+        HarnessArgs::parse_from(std::env::args().skip(1), reads)
     }
 
     /// Parse from an explicit argument list (tests).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<HarnessArgs, HarnessError> {
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        reads: &[&str],
+    ) -> Result<HarnessArgs, HarnessError> {
+        debug_assert!(
+            reads
+                .iter()
+                .all(|r| VALID_FLAGS.iter().any(|f| flag_name(f) == *r)),
+            "{reads:?} names a flag outside VALID_FLAGS"
+        );
         let mut out = HarnessArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            if a.starts_with("--") && !reads.contains(&a.as_str()) {
+                return Err(if VALID_FLAGS.iter().any(|f| flag_name(f) == a) {
+                    not_read(&a, reads)
+                } else {
+                    unknown(&a)
+                });
+            }
             match a.as_str() {
                 "--check" => out.run.check = true,
                 "--quiet" => out.quiet = true,
@@ -292,8 +335,10 @@ impl HarnessArgs {
 mod tests {
     use super::*;
 
+    /// Parse as a binary that reads every flag.
     fn parse(args: &[&str]) -> Result<HarnessArgs, HarnessError> {
-        HarnessArgs::parse_from(args.iter().map(|s| s.to_string()))
+        let all: Vec<&str> = VALID_FLAGS.iter().map(|f| flag_name(f)).collect();
+        HarnessArgs::parse_from(args.iter().map(|s| s.to_string()), &all)
     }
 
     #[test]
@@ -391,6 +436,34 @@ mod tests {
             assert!(msg.contains("unrecognized flag"), "{gone}: {msg}");
             assert!(!VALID_FLAGS.iter().any(|f| f.starts_with(gone)), "{gone}");
         }
+    }
+
+    #[test]
+    fn flags_a_binary_does_not_read_are_rejected() {
+        let reads = ["--scale", "--quiet"];
+        let parse_as =
+            |args: &[&str]| HarnessArgs::parse_from(args.iter().map(|s| s.to_string()), &reads);
+        let a = parse_as(&["--scale", "tiny", "--quiet", "primes"]).unwrap();
+        assert_eq!(a.scale, SuiteScale::Tiny);
+        assert!(a.quiet);
+        let err = parse_as(&["--obs", "d"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.contains("\"--obs\""), "{msg}");
+        assert!(
+            msg.contains("--quiet, --scale <tiny|paper>") && !msg.contains("--check"),
+            "{msg}"
+        );
+        // An unknown flag still lists the whole vocabulary.
+        let msg = parse_as(&["--chek"]).unwrap_err().to_string();
+        assert!(
+            msg.contains("unrecognized flag") && msg.contains("--check"),
+            "{msg}"
+        );
+        let msg = HarnessArgs::parse_from(["--check".to_string()], &[])
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("reads no flags"), "{msg}");
     }
 
     #[test]

@@ -28,7 +28,19 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&[
+        "--scale",
+        "--check",
+        "--faults",
+        "--markdown",
+        "--obs",
+        "--campaign-dir",
+        "--jobs",
+        "--deadline-ms",
+        "--retries",
+        "--quiet",
+        "--protocols",
+    ])?;
     let cfg = args.campaign_config();
     let scale = args.scale.pbbs();
     let opts = args.sim_options();

@@ -22,7 +22,16 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&[
+        "--scale",
+        "--check",
+        "--faults",
+        "--campaign-dir",
+        "--jobs",
+        "--deadline-ms",
+        "--retries",
+        "--quiet",
+    ])?;
     let cfg = args.campaign_config();
     let machine = MachineConfig::dual_socket();
     let labels: Vec<&str> = SimStats::default()

@@ -26,7 +26,21 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&[
+        "--protocols",
+        "--fuzz-workloads",
+        "--fuzz-seed",
+        "--patterns",
+        "--mutate",
+        "--artifacts",
+        "--atlas",
+        "--replay",
+        "--campaign-dir",
+        "--jobs",
+        "--deadline-ms",
+        "--retries",
+        "--quiet",
+    ])?;
     let cfg = args.campaign_config();
     let protocols = args
         .protocols

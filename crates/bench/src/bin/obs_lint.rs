@@ -16,7 +16,7 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&[])?;
     if args.positional.is_empty() {
         return Err(HarnessError::Args(
             "usage: obs_lint <trace.json> [<trace.json>…]".into(),

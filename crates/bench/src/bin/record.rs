@@ -14,7 +14,7 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&["--scale"])?;
     let [name, path] = args.positional.as_slice() else {
         return Err(HarnessError::Args(format!(
             "usage: record <benchmark> <output-file> [--scale tiny]\nbenchmarks: {}",

@@ -62,7 +62,7 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&["--check", "--faults", "--protocols", "--obs"])?;
     let Some(path) = args.positional.first() else {
         return Err(HarnessError::Args(
             "usage: replay <trace-file> [single-socket|dual-socket|4-socket|disaggregated] \

@@ -12,7 +12,7 @@ fn main() {
 }
 
 fn run() -> Result<(), HarnessError> {
-    let args = HarnessArgs::parse()?;
+    let args = HarnessArgs::parse(&["--scale"])?;
     let mut rows = Vec::new();
     for bench in Bench::ALL {
         eprint!("  {:<14}\r", bench.name());

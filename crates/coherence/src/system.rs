@@ -412,11 +412,6 @@ impl CoherenceSystem {
         self.obs = Some(Vec::new());
     }
 
-    /// Whether [`Self::enable_obs`] ran.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Move the buffered protocol events since the last drain into `out`
     /// (appending; `out` is not cleared). No-op when observability is off.
     pub fn drain_events(&mut self, out: &mut Vec<ProtocolEvent>) {

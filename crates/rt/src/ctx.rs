@@ -484,7 +484,7 @@ impl<'a> TaskCtx<'a> {
         self.st.stats.tasks += 2;
         self.st.stats.max_depth = self.st.stats.max_depth.max(depth);
         self.emit(Event::Fork {
-            children: vec![ca, cb],
+            children: Box::new([ca, cb]),
         });
 
         // Run the children depth-first (logical execution order; the timing
@@ -815,14 +815,14 @@ pub fn trace_program(
     st.stats.pages_recycled = st.heaps.pages_recycled;
     let initial = st.initial_memory.unwrap_or_else(|| st.memory.clone());
     let high = st.heaps.high_water;
-    TraceProgram {
-        name: name.to_owned(),
-        tasks: st.tasks,
-        memory: st.memory,
-        stats: st.stats,
-        address_range: (Addr(BASE_ADDR), Addr(high)),
-        initial_memory: initial,
-    }
+    TraceProgram::assemble(
+        name.to_owned(),
+        st.tasks,
+        st.memory,
+        st.stats,
+        (Addr(BASE_ADDR), Addr(high)),
+        initial,
+    )
 }
 
 /// Decrement a page's covering-region count, removing it at zero.

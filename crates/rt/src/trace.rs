@@ -73,8 +73,10 @@ pub enum Event {
     /// Spawn children; the task suspends here and resumes at the next event
     /// once all children have completed (fork-join).
     Fork {
-        /// Spawned child task ids, in deque-push order.
-        children: Vec<TaskId>,
+        /// Spawned child task ids, in deque-push order. A boxed slice, not a
+        /// `Vec`: its 16 B fit beside the tag, so no variant is wider than a
+        /// `Store`'s and every event is 24 B.
+        children: Box<[TaskId]>,
     },
     /// Execute an Add-Region instruction for `[start, end)` (paper §6.1).
     RegionAdd {
@@ -91,6 +93,11 @@ pub enum Event {
         token: RegionToken,
     },
 }
+
+// The trace is the largest thing the simulator holds, and the engine reads
+// it one event per step. `Store`, `Rmw` and `RegionAdd` carry 17–20 B of
+// fields behind the tag, so 24 B is the floor for these field types.
+const _: () = assert!(size_of::<Event>() == 24);
 
 impl Event {
     /// Instructions this event retires on the core (region instructions are
@@ -174,6 +181,33 @@ pub struct TraceProgram {
 }
 
 impl TraceProgram {
+    /// Assemble a program from its parts. Capture ([`crate::trace_program`])
+    /// and decoding ([`crate::trace_io::decode_trace`]) both end here, so
+    /// every task's event list, and the task list, leave them with
+    /// `capacity() == len()`: a list grown by doubling would otherwise keep
+    /// up to half its slots as slack for the whole replay.
+    pub(crate) fn assemble(
+        name: String,
+        mut tasks: Vec<TaskTrace>,
+        memory: Memory,
+        stats: RtStats,
+        address_range: (Addr, Addr),
+        initial_memory: Memory,
+    ) -> TraceProgram {
+        for task in &mut tasks {
+            task.events.shrink_to_fit();
+        }
+        tasks.shrink_to_fit();
+        TraceProgram {
+            name,
+            tasks,
+            memory,
+            stats,
+            address_range,
+            initial_memory,
+        }
+    }
+
     /// Total events across all tasks.
     pub fn total_events(&self) -> u64 {
         self.stats.events
@@ -357,7 +391,13 @@ mod tests {
             .instructions(),
             1
         );
-        assert_eq!(Event::Fork { children: vec![1] }.instructions(), 0);
+        assert_eq!(
+            Event::Fork {
+                children: Box::new([1])
+            }
+            .instructions(),
+            0
+        );
         assert_eq!(Event::RegionRemove { token: 0 }.instructions(), 1);
     }
 
@@ -399,7 +439,9 @@ mod tests {
     #[test]
     fn invariants_accept_well_formed() {
         let p = mini_program(
-            vec![Event::Fork { children: vec![1] }],
+            vec![Event::Fork {
+                children: Box::new([1]),
+            }],
             Some(TaskTrace {
                 parent: Some(0),
                 depth: 1,

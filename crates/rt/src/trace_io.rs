@@ -223,7 +223,7 @@ fn get_event<R: Read>(r: &mut R, ntasks: usize) -> Decode<Event> {
             if n == 0 || n > ntasks {
                 return Err(TraceDecodeError::ForkChildCount(n));
             }
-            let mut children = Vec::with_capacity(n);
+            let mut children = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 let c = get_u64(r)? as usize;
                 if c >= ntasks {
@@ -231,7 +231,9 @@ fn get_event<R: Read>(r: &mut R, ntasks: usize) -> Decode<Event> {
                 }
                 children.push(c);
             }
-            Event::Fork { children }
+            Event::Fork {
+                children: children.into_boxed_slice(),
+            }
         }
         6 => Event::RegionAdd {
             start: Addr(get_u64(r)?),
@@ -381,14 +383,14 @@ pub fn decode_trace<R: Read>(r: &mut R) -> Decode<TraceProgram> {
     let address_range = (Addr(get_u64(r)?), Addr(get_u64(r)?));
     let initial_memory = get_memory(r)?;
     let memory = get_memory(r)?;
-    Ok(TraceProgram {
+    Ok(TraceProgram::assemble(
         name,
         tasks,
         memory,
         stats,
         address_range,
         initial_memory,
-    })
+    ))
 }
 
 /// Deserialize a trace written by [`write_trace`] behind an `io::Result`
@@ -438,6 +440,23 @@ mod tests {
         assert_eq!(q.memory.digest(), p.memory.digest());
         assert_eq!(q.initial_memory.digest(), p.initial_memory.digest());
         q.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn tasks_longer_than_the_preallocation_decode_without_slack() {
+        // Decoding preallocates at most 1 << 16 events per task, so a longer
+        // task grows by doubling; finalization must still end slack-free.
+        let mut p = sample();
+        p.tasks[0]
+            .events
+            .extend((0..(1 << 16) + 1000).map(|amount| Event::Compute { amount }));
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &p).unwrap();
+        let q = read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(q.tasks[0].events, p.tasks[0].events);
+        for t in &q.tasks {
+            assert_eq!(t.events.capacity(), t.events.len());
+        }
     }
 
     #[test]

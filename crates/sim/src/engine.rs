@@ -1042,30 +1042,53 @@ impl CorePicker {
     }
 }
 
-/// Events per host cache line (at least one).
-const EVENTS_PER_LINE: usize = if size_of::<Event>() < 64 {
-    64 / size_of::<Event>()
-} else {
-    1
-};
+/// Bytes per host cache line.
+const HOST_LINE: usize = 64;
 
-/// Host cache lines read ahead of a task's cursor at once.
-const FETCH_LINES: usize = 4;
+/// Bytes per trace event (24, asserted where `Event` is defined).
+const EVENT_BYTES: usize = size_of::<Event>();
 
-/// Events per read-ahead chunk: [`FETCH_LINES`] lines.
-const FETCH_CHUNK: usize = FETCH_LINES * EVENTS_PER_LINE;
+/// Greatest common divisor, for the chunk size below.
+const fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
 
-/// Read the first event of each line of the chunk after the one starting at
-/// `next`, so that chunk's line misses overlap here instead of each stalling
-/// the step that reaches it. A task's events are read one per step, and the
-/// steps rotate over up to 64 tasks' streams, which the host's prefetchers do
-/// not follow, and `#![forbid(unsafe_code)]` leaves no prefetch instruction.
-/// `black_box` keeps the otherwise unused reads; the indices clamp to the
-/// last event instead of branching.
+/// Events per read-ahead chunk: the fewest whole events that end on a line
+/// boundary, `lcm(EVENT_BYTES, HOST_LINE) / EVENT_BYTES`, so 8 events.
+const FETCH_CHUNK: usize = HOST_LINE / gcd(EVENT_BYTES, HOST_LINE);
+
+/// Host lines one chunk fills: 3 for 24-byte events.
+const FETCH_LINES: usize = FETCH_CHUNK * EVENT_BYTES / HOST_LINE;
+
+// Reading ahead a single line measured slower than a chunk (DESIGN.md §7k).
+const _: () = assert!(FETCH_LINES >= 3);
+
+/// Touch every host line the chunk after the one starting at `next` starts
+/// an event in, so that chunk's line misses overlap here instead of each
+/// stalling the step that reaches it. A task's events are read one per
+/// step, and the steps rotate over up to 64 tasks' streams, which the
+/// host's prefetchers do not follow, and `#![forbid(unsafe_code)]` leaves no
+/// prefetch instruction.
+///
+/// A chunk fills whole lines, so every chunk of a task starts at the
+/// array's own offset within a line. Each read takes the first event that
+/// starts at or after a line boundary, found from byte offsets; the tag
+/// leads the event, so the read lands in that line. Unless the array is
+/// line-aligned a chunk straddles [`FETCH_LINES`]` + 1` lines, hence one
+/// read more; when the last of them holds no start of this chunk, that read
+/// takes the following chunk's first event. `black_box` keeps the otherwise
+/// unused reads; the indices clamp to the last event instead of branching.
 fn fetch_next_chunk(events: &[Event], next: usize) {
     let last = events.len() - 1;
-    for line in 0..FETCH_LINES {
-        let ev = &events[(next + FETCH_CHUNK + line * EVENTS_PER_LINE).min(last)];
+    let first = next + FETCH_CHUNK;
+    let phase = events.as_ptr() as usize % HOST_LINE;
+    for line in 0..=FETCH_LINES {
+        let offset = (line * HOST_LINE).saturating_sub(phase);
+        let ev = &events[(first + offset.div_ceil(EVENT_BYTES)).min(last)];
         std::hint::black_box(std::mem::discriminant(ev));
     }
 }

@@ -3,7 +3,7 @@
 
 use warden::pbbs::{Bench, Scale};
 use warden::prelude::*;
-use warden::rt::trace_io;
+use warden::rt::{trace_io, TraceProgram};
 
 #[test]
 fn serialized_traces_replay_identically() {
@@ -38,4 +38,24 @@ fn trace_files_round_trip_through_disk() {
     assert_eq!(q.name, p.name);
     assert_eq!(q.stats, p.stats);
     assert_eq!(q.memory.digest(), p.memory.digest());
+}
+
+#[test]
+fn traces_keep_no_growth_slack() {
+    let slack = |p: &TraceProgram| -> Vec<(usize, usize, usize)> {
+        p.tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.events.capacity() != t.events.len())
+            .map(|(i, t)| (i, t.events.len(), t.events.capacity()))
+            .collect()
+    };
+    for bench in Bench::ALL {
+        let captured = bench.build(Scale::Tiny);
+        assert_eq!(slack(&captured), [], "{} captured", bench.name());
+        let mut buf = Vec::new();
+        trace_io::write_trace(&mut buf, &captured).unwrap();
+        let decoded = trace_io::read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(slack(&decoded), [], "{} decoded", bench.name());
+    }
 }
