@@ -17,9 +17,11 @@
 #                    cross-protocol consistency checks, the release-mode
 #                    exact-work guard (tests/exact_work.rs: both benchmark
 #                    workloads at paper scale replay exactly the pinned
-#                    work), and an end-to-end trace export validated with
-#                    obs_lint (obs_trace_ci/ is left behind for the
-#                    workflow to archive)
+#                    work), the release-mode trace-bytes guard
+#                    (tests/trace_bytes.rs: the 14 paper-scale captures
+#                    encode exactly the pinned bytes), and an end-to-end
+#                    trace export validated with obs_lint (obs_trace_ci/
+#                    is left behind for the workflow to archive)
 #   ./ci.sh protocols  protocol-zoo gate: the full tiny campaign runs once
 #                    with --protocols all and the invariant checker on
 #                    (the campaign layer fails the run if any protocol's
@@ -165,8 +167,8 @@ obs() {
   echo "== golden-stats snapshots + cross-protocol consistency =="
   cargo test -q --offline --test golden_stats --test stats_consistency
 
-  echo "== exact work of both benchmark workloads (release, paper scale) =="
-  cargo test -q --release --offline --test exact_work
+  echo "== exact work and trace bytes of the benchmark (release, paper scale) =="
+  cargo test -q --release --offline --test exact_work --test trace_bytes
 
   echo "== trace export + validation =="
   cargo build -q --release --offline -p warden-bench \
