@@ -1,8 +1,11 @@
-//! Flat, page-indexed map backing the simulator's hot lookups.
+//! Flat, page-indexed map backing the hot page lookups of replay and of
+//! trace capture.
 //!
 //! Every demand access asks at least one page-keyed question — "is this
 //! page resident?", "which region owns it?", "which blocks of it does the
-//! directory track?". A `HashMap<PageAddr, _>` answers each in ~100ns of
+//! directory track?". Capture asks two more of every traced access — "which
+//! heap owns this page?" (the runtime's disentanglement check) and "is it
+//! WARD-marked?". A `HashMap<PageAddr, _>` answers each in ~100ns of
 //! SipHash and probing; a [`PageMap`] answers in one bounds check and one
 //! array index, because real programs touch a *compact* range of pages
 //! (the MPL runtime bump-allocates from a fixed heap base).

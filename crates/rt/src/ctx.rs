@@ -11,8 +11,7 @@ use crate::disentangle::{is_ancestor_or_self, CheckMode, ScopeKind, WardScopeSta
 use crate::heap::{HeapManager, BASE_ADDR};
 use crate::scalar::{Scalar, SimSlice};
 use crate::trace::{Event, RegionToken, RmwOp, RtStats, TaskId, TaskTrace, TraceProgram};
-use std::collections::HashMap;
-use warden_mem::{Addr, Memory, PageAddr};
+use warden_mem::{Addr, Memory, PageAddr, PageMap};
 
 /// When the runtime marks WARD regions (paper §4.2 vs. ablation baselines).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,10 +73,9 @@ pub(crate) struct RtState {
     pub opts: RtOptions,
     next_token: RegionToken,
     /// Pages currently WARD-marked, with a count of covering regions (for
-    /// the accesses-in-ward statistic; regions may overlap).
-    marked_pages: HashMap<PageAddr, u32>,
-    /// Token → range, to unmark on RegionRemove.
-    token_ranges: HashMap<RegionToken, (Addr, Addr)>,
+    /// the accesses-in-ward statistic, read on every memory event; regions
+    /// may overlap).
+    marked_pages: PageMap<u32>,
     /// Declared WARD scopes currently active (checker state).
     ward_scopes: Vec<WardScopeState>,
 }
@@ -92,8 +90,7 @@ impl RtState {
             stats: RtStats::default(),
             opts,
             next_token: 0,
-            marked_pages: HashMap::new(),
-            token_ranges: HashMap::new(),
+            marked_pages: PageMap::new(),
             ward_scopes: Vec::new(),
         }
     }
@@ -158,7 +155,7 @@ impl<'a> TaskCtx<'a> {
                 }
                 _ => unreachable!(),
             };
-            if self.st.marked_pages.contains_key(&addr.page()) {
+            if self.st.marked_pages.contains(addr.page()) {
                 self.st.stats.accesses_in_ward += 1;
             }
         }
@@ -254,9 +251,8 @@ impl<'a> TaskCtx<'a> {
         self.st.next_token += 1;
         self.st.stats.regions_marked += 1;
         self.st.heaps.push_region(self.task, token, start, end);
-        self.st.token_ranges.insert(token, (start, end));
         for p in crate::pages_between(start, end) {
-            *self.st.marked_pages.entry(p).or_insert(0) += 1;
+            *self.st.marked_pages.or_insert_with(p, || 0) += 1;
         }
         self.emit(Event::RegionAdd { start, end, token });
     }
@@ -267,7 +263,6 @@ impl<'a> TaskCtx<'a> {
             for p in crate::pages_between(start, end) {
                 unmark_page(&mut self.st.marked_pages, p);
             }
-            self.st.token_ranges.remove(&token);
             self.st.tasks[self.task]
                 .events
                 .push(Event::RegionRemove { token });
@@ -733,9 +728,8 @@ impl<'a> TaskCtx<'a> {
             let token = self.st.next_token;
             self.st.next_token += 1;
             self.st.stats.regions_marked += 1;
-            self.st.token_ranges.insert(token, (start, end));
             for p in crate::pages_between(start, end) {
-                *self.st.marked_pages.entry(p).or_insert(0) += 1;
+                *self.st.marked_pages.or_insert_with(p, || 0) += 1;
             }
             self.emit(Event::RegionAdd { start, end, token });
             Some(token)
@@ -756,7 +750,6 @@ impl<'a> TaskCtx<'a> {
             for p in crate::pages_between(start, end) {
                 unmark_page(&mut self.st.marked_pages, p);
             }
-            self.st.token_ranges.remove(&token);
             self.emit(Event::RegionRemove { token });
         }
         r
@@ -826,11 +819,11 @@ pub fn trace_program(
 }
 
 /// Decrement a page's covering-region count, removing it at zero.
-fn unmark_page(marked: &mut HashMap<warden_mem::PageAddr, u32>, p: warden_mem::PageAddr) {
-    if let Some(n) = marked.get_mut(&p) {
+fn unmark_page(marked: &mut PageMap<u32>, p: PageAddr) {
+    if let Some(n) = marked.get_mut(p) {
         *n -= 1;
         if *n == 0 {
-            marked.remove(&p);
+            marked.remove(p);
         }
     }
 }

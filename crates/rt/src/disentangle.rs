@@ -15,6 +15,7 @@
 
 use crate::trace::{TaskId, TaskTrace};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use warden_mem::Addr;
 
 /// How strictly the runtime checks the memory discipline.
@@ -28,18 +29,51 @@ pub enum CheckMode {
 }
 
 /// Whether `anc` is `t` or one of `t`'s ancestors in the spawn tree.
+///
+/// Only the root has depth 0, so it is everyone's ancestor and an access
+/// to a root-owned page costs no walk. Otherwise the walk climbs from `t`
+/// only to `anc`'s depth, where the one ancestor of `t` at that depth
+/// either is `anc` or `anc` is not an ancestor at all.
 pub(crate) fn is_ancestor_or_self(tasks: &[TaskTrace], anc: TaskId, t: TaskId) -> bool {
+    let depth = tasks[anc].depth;
+    if depth == 0 {
+        return true;
+    }
     let mut cur = t;
-    loop {
-        if cur == anc {
-            return true;
-        }
-        match tasks[cur].parent {
-            Some(p) => cur = p,
-            None => return false,
+    while tasks[cur].depth > depth {
+        cur = tasks[cur]
+            .parent
+            .expect("a task deeper than another has a parent");
+    }
+    cur == anc
+}
+
+/// Multiplicative (Fibonacci) hashing for the byte-address keys of a
+/// declared scope. The keys come from the runtime's own allocator, never
+/// from outside input, so SipHash's resistance to crafted collisions buys
+/// nothing, and a multiply by an odd constant keeps consecutive bytes in
+/// distinct buckets.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
+
+/// Byte → task map of a declared scope.
+type ByteMap = HashMap<Addr, TaskId, BuildHasherDefault<AddrHasher>>;
 
 /// Which discipline a declared scope enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,9 +98,9 @@ pub(crate) struct WardScopeState {
     pub start: Addr,
     pub end: Addr,
     /// Byte → task that wrote it inside the scope.
-    pub writers: HashMap<Addr, TaskId>,
+    pub writers: ByteMap,
     /// Byte → a task that read it inside the scope (DRF scopes only).
-    pub readers: HashMap<Addr, TaskId>,
+    pub readers: ByteMap,
 }
 
 impl WardScopeState {
@@ -75,8 +109,8 @@ impl WardScopeState {
             kind,
             start,
             end,
-            writers: HashMap::new(),
-            readers: HashMap::new(),
+            writers: ByteMap::default(),
+            readers: ByteMap::default(),
         }
     }
 
@@ -168,6 +202,62 @@ impl std::error::Error for WardViolation {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: the full parent-chain walk `is_ancestor_or_self` once
+    /// was, climbing from `t` to the root.
+    fn on_parent_chain(tasks: &[TaskTrace], anc: TaskId, t: TaskId) -> bool {
+        let mut cur = t;
+        loop {
+            if cur == anc {
+                return true;
+            }
+            match tasks[cur].parent {
+                Some(p) => cur = p,
+                None => return false,
+            }
+        }
+    }
+
+    /// A spawn tree where task `i + 1`'s parent is `picks[i] % (i + 1)`:
+    /// every task's parent precedes it, as in the runtime.
+    fn spawn_tree(picks: &[usize]) -> Vec<TaskTrace> {
+        let mut tasks = vec![TaskTrace {
+            parent: None,
+            depth: 0,
+            events: vec![],
+        }];
+        for (i, pick) in picks.iter().enumerate() {
+            let parent = pick % (i + 1);
+            let depth = tasks[parent].depth + 1;
+            tasks.push(TaskTrace {
+                parent: Some(parent),
+                depth,
+                events: vec![],
+            });
+        }
+        tasks
+    }
+
+    proptest! {
+        #[test]
+        fn depth_bounded_walk_matches_the_parent_chain(
+            picks in proptest::collection::vec(any::<usize>(), 0..48),
+        ) {
+            let tasks = spawn_tree(&picks);
+            for anc in 0..tasks.len() {
+                for t in 0..tasks.len() {
+                    prop_assert_eq!(
+                        is_ancestor_or_self(&tasks, anc, t),
+                        on_parent_chain(&tasks, anc, t),
+                        "anc {} t {}",
+                        anc,
+                        t
+                    );
+                }
+            }
+        }
+    }
 
     fn chain(n: usize) -> Vec<TaskTrace> {
         (0..n)

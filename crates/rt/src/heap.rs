@@ -1,10 +1,15 @@
 //! The heap hierarchy: per-task bump-allocated heaps of pages, merged into
 //! the parent at join (paper §2.1, Figure 2), plus the runtime arena and the
 //! recycled-page pool.
+//!
+//! Every traced access asks [`HeapManager::owner_of`] which heap owns its
+//! page, for the disentanglement check. The page → allocating-heap map is
+//! a [`PageMap`], so that question is a bounds check and an array index
+//! plus a union-find lookup, never a hash: the allocator hands out one
+//! compact page range from [`BASE_ADDR`] up.
 
 use crate::trace::{RegionToken, TaskId};
-use std::collections::HashMap;
-use warden_mem::{Addr, PageAddr, PAGE_SIZE};
+use warden_mem::{Addr, PageAddr, PageMap, PAGE_SIZE};
 
 /// Owner sentinel for runtime-arena pages (scheduler metadata, join cells):
 /// they belong to the language runtime, not to any heap, and are therefore
@@ -65,7 +70,7 @@ pub(crate) struct HeapManager {
     recycle: bool,
     heaps: Vec<HeapInfo>,
     /// Page → heap id that allocated it.
-    page_owner: HashMap<PageAddr, usize>,
+    page_owner: PageMap<usize>,
     /// Union-find over heap ids implementing heap merging at joins.
     uf: Vec<usize>,
     /// Runtime-arena free list of join-cell slots.
@@ -94,7 +99,7 @@ impl HeapManager {
             next_page: BASE_ADDR / PAGE_SIZE,
             recycle,
             heaps: Vec::new(),
-            page_owner: HashMap::new(),
+            page_owner: PageMap::new(),
             uf: Vec::new(),
             arena_free: Vec::new(),
             arena_frontier: 0,
@@ -295,7 +300,7 @@ impl HeapManager {
     /// The (merged) heap that currently owns `page`: `None` for arena pages
     /// and for addresses outside any allocation.
     pub fn owner_of(&mut self, page: PageAddr) -> Option<usize> {
-        match self.page_owner.get(&page).copied() {
+        match self.page_owner.get(page).copied() {
             None => None,
             Some(ARENA_OWNER) => None,
             Some(h) => Some(self.find(h)),
@@ -306,7 +311,7 @@ impl HeapManager {
     /// bookkeeping and tests.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn allocator_of(&self, page: PageAddr) -> Option<usize> {
-        self.page_owner.get(&page).copied()
+        self.page_owner.get(page).copied()
     }
 }
 

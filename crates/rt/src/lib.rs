@@ -220,6 +220,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "disentanglement violation")]
+    fn cousin_line_access_below_depth_one_is_disentanglement_violation() {
+        trace_program("t", RtOptions::default(), |ctx| {
+            ctx.fork2(
+                |p| {
+                    // Under p (depth 1): x (depth 2) allocates and writes;
+                    // x's heap stays live until p's join. y's child (depth
+                    // 3) then reads it, so the check must climb one step
+                    // to depth 2 and tell y from x.
+                    let shared: std::cell::Cell<Option<SimSlice<u64>>> = std::cell::Cell::new(None);
+                    p.fork2(
+                        |x| {
+                            let s = x.alloc::<u64>(8);
+                            x.write(&s, 0, 1);
+                            shared.set(Some(s));
+                        },
+                        |y| {
+                            y.fork2(
+                                |y1| {
+                                    if let Some(s) = shared.get() {
+                                        let _ = y1.read(&s, 0);
+                                    }
+                                },
+                                |_| (),
+                            );
+                        },
+                    );
+                },
+                |_| (),
+            );
+        });
+    }
+
+    #[test]
     fn ancestor_access_is_allowed() {
         trace_program("t", RtOptions::default(), |ctx| {
             let xs = ctx.alloc::<u64>(64);
