@@ -239,9 +239,8 @@ mod tests {
                         |y| {
                             y.fork2(
                                 |y1| {
-                                    if let Some(s) = shared.get() {
-                                        let _ = y1.read(&s, 0);
-                                    }
+                                    let s = shared.get().expect("x ran before y");
+                                    let _ = y1.read(&s, 0);
                                 },
                                 |_| (),
                             );
