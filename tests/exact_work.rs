@@ -21,6 +21,10 @@
 //!   counters `perfbench --seed 1` prints. It runs in release builds only
 //!   (`cargo test --release --test exact_work`); a debug build would take
 //!   minutes.
+//! - `tests/fixtures/final_images.txt`: fib and quickhull on
+//!   `many_socket(4)` and msort and suffix-array on `dual_socket()`, at
+//!   tiny scale and the machines' default scheduler seed, pinning each
+//!   run's total `steps` and the `memory_image_digest` of its final image.
 //!
 //! The two replay-work tables pin trace `events`, scheduler `steps`,
 //! coherence `accesses`, `dir_lookups`, invalidations plus downgrades
@@ -68,6 +72,7 @@ struct Cell<'a> {
     events: u64,
     steps: u64,
     stats: SimStats,
+    image: u64,
 }
 
 impl Cell<'_> {
@@ -120,6 +125,19 @@ fn replay_line(c: &Cell) -> String {
     )
 }
 
+/// `<bench> <machine> <protocol> seed=<n> steps=<n> image=<digest>`.
+fn image_line(c: &Cell) -> String {
+    format!(
+        "{} {} {} seed={} steps={} image={:#018x}",
+        c.bench.name(),
+        c.machine.name,
+        c.protocol.name(),
+        c.seed,
+        c.steps,
+        c.image,
+    )
+}
+
 /// Replay every cell of `tables` to completion, one `line` per cell, in
 /// table, bench, seed and protocol order.
 fn measure(tables: &[Cells], line: fn(&Cell) -> String) -> String {
@@ -134,6 +152,7 @@ fn measure(tables: &[Cells], line: fn(&Cell) -> String) -> String {
                         SimEngine::new(&program, &machine, protocol, &SimOptions::default());
                     while eng.step() {}
                     let steps = eng.steps();
+                    let outcome = eng.finish();
                     let cell = Cell {
                         bench,
                         machine: &machine,
@@ -141,7 +160,8 @@ fn measure(tables: &[Cells], line: fn(&Cell) -> String) -> String {
                         seed,
                         events: program.total_events(),
                         steps,
-                        stats: eng.finish().stats,
+                        stats: outcome.stats,
+                        image: outcome.memory_image_digest,
                     };
                     writeln!(out, "{}", line(&cell)).unwrap();
                 }
@@ -207,6 +227,28 @@ fn tiny_replays_do_exactly_the_pinned_work() {
         seeds: &[1, 7],
     };
     check("replay_work_tiny.txt", &[cells], replay_line);
+}
+
+/// The default scheduler seed of every built-in machine.
+const DEFAULT_SEED: u64 = 0xC60_2023;
+
+#[test]
+fn default_seed_runs_end_at_the_pinned_steps_and_images() {
+    assert_eq!(MachineConfig::dual_socket().seed, DEFAULT_SEED);
+    assert_eq!(MachineConfig::many_socket(4).seed, DEFAULT_SEED);
+    let many = Cells {
+        benches: &[Bench::Fib, Bench::Quickhull],
+        machine: || MachineConfig::many_socket(4),
+        scale: Scale::Tiny,
+        seeds: &[DEFAULT_SEED],
+    };
+    let dual = Cells {
+        benches: &[Bench::Msort, Bench::SuffixArray],
+        machine: MachineConfig::dual_socket,
+        scale: Scale::Tiny,
+        seeds: &[DEFAULT_SEED],
+    };
+    check("final_images.txt", &[many, dual], image_line);
 }
 
 /// `perfbench`'s `pbbs-dual` and `forkjoin-48` workloads at seed 1.
