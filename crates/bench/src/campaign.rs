@@ -11,8 +11,8 @@
 //! * enforces a per-run wall-clock deadline via a watchdog thread that
 //!   flags a cancellation token the run polls between step batches,
 //! * retries failed runs with bounded exponential backoff — a run
-//!   cancelled on deadline leaves a checkpoint frame behind, so the retry
-//!   *continues* from it instead of starting over,
+//!   cancelled on deadline leaves nothing behind, so its retry starts again
+//!   from step 0,
 //! * persists every finished run in a [`ResultStore`] and keeps a durable
 //!   `manifest.json` of per-run status, both written atomically.
 //!
@@ -23,7 +23,6 @@
 //! ```text
 //! <dir>/manifest.json  per-run status (derived, for humans and CI)
 //! <dir>/<key>.rec      finished outcomes (framed + checksummed)
-//! <dir>/<key>.ckpt     the newest mid-run engine checkpoint of a run
 //! <dir>/quarantine/    damaged entries the store set aside
 //! ```
 //!
@@ -35,8 +34,10 @@
 //! verify.
 //! `manifest.json` is derived state, rewritten atomically after every
 //! completion — a torn manifest can never corrupt a resume, and a
-//! `kill -9` at any instant loses at most the runs in flight, which
-//! themselves resume from their newest checkpoint entry.
+//! `kill -9` at any instant loses at most the runs in flight, which the
+//! next invocation reruns from step 0. Crash safety is per cell: a
+//! paper-scale cell replays in well under a second, so an engine's mid-run
+//! state is never persisted.
 
 use crate::error::{HarnessError, RunFailure};
 use crate::runner::BenchRun;
@@ -131,8 +132,7 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The cell's identity: the key its result and checkpoint entries are
-    /// stored under. Changing any input re-runs the cell; the id is not
+    /// The cell's identity: the key its result entry is stored under. Changing any input re-runs the cell; the id is not
     /// part of it.
     pub fn key(&self) -> RunKey {
         RunKey::new(
@@ -157,8 +157,6 @@ pub struct CampaignConfig {
     pub retries: u32,
     /// Base backoff between attempts (doubled each retry, capped).
     pub backoff: Duration,
-    /// Engine steps between mid-run checkpoints.
-    pub checkpoint_every_steps: u64,
     /// Suppress progress lines on stderr.
     pub quiet: bool,
     /// Test hook: panic the first N attempts of every run (chaos monkey).
@@ -176,8 +174,8 @@ pub struct CampaignConfig {
 
 impl CampaignConfig {
     /// A durable campaign rooted at `dir`, with default supervision policy:
-    /// up to 4 workers, a 24 h per-run deadline, 2 retries with 50 ms base
-    /// backoff, and a checkpoint every 2 M engine steps.
+    /// up to 4 workers, a 24 h per-run deadline and 2 retries with 50 ms
+    /// base backoff.
     pub fn new(dir: impl Into<PathBuf>) -> CampaignConfig {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get().min(4))
@@ -188,7 +186,6 @@ impl CampaignConfig {
             deadline: Duration::from_secs(24 * 3600),
             retries: 2,
             backoff: Duration::from_millis(50),
-            checkpoint_every_steps: 2_000_000,
             quiet: false,
             chaos_panic_attempts: 0,
             abort_after_runs: None,
@@ -328,45 +325,11 @@ impl Shared<'_> {
     }
 }
 
-/// Simulate one spec to completion, handing a checkpoint frame to the
-/// store every `checkpoint_every` steps and once more if `opts.cancel` trips. Resumes
-/// from the spec's checkpoint entry when one verifies; a frame the engine
-/// refuses (identity mismatch) is quarantined and the run starts fresh —
-/// the safe choice, since the engine replays deterministically.
-fn execute(
-    spec: &RunSpec,
-    key: &RunKey,
-    store: &ResultStore,
-    checkpoint_every: u64,
-    opts: &SimOptions,
-    quiet: bool,
-) -> Result<SimOutcome, SimError> {
+/// Simulate one spec from step 0 to completion. A run that `opts.cancel`
+/// stops leaves nothing behind: its retry starts again from step 0.
+fn execute(spec: &RunSpec, opts: &SimOptions) -> Result<SimOutcome, SimError> {
     let program = spec.workload.build();
-    let fresh = || SimEngine::new(&program, &spec.machine, spec.protocol, opts);
-    let eng = match store.checkpoint(key) {
-        None => fresh(),
-        Some((steps, frame)) => {
-            match SimEngine::resume_from_bytes(&program, &spec.machine, spec.protocol, opts, &frame)
-            {
-                Ok(eng) => {
-                    if !quiet {
-                        eprintln!("  [resume] {} from step {steps}", spec.id);
-                    }
-                    eng
-                }
-                Err(e) => {
-                    if !quiet {
-                        eprintln!("  [warn] {}: discarding unusable checkpoint ({e})", spec.id);
-                    }
-                    store.quarantine_checkpoint(key);
-                    fresh()
-                }
-            }
-        }
-    };
-    eng.run_with_cancel_frames(checkpoint_every, |steps, frame| {
-        store.put_checkpoint(key, steps, frame)
-    })
+    SimEngine::new(&program, &spec.machine, spec.protocol, opts).run_with_cancel()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -380,7 +343,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn run_one(sh: &Shared<'_>, i: usize) -> Result<(SimOutcome, u32), RunFailure> {
-    let (spec, key) = (&sh.specs[i], &sh.keys[i]);
+    let spec = &sh.specs[i];
     let attempts = sh.cfg.retries + 1;
     for attempt in 1..=attempts {
         let chaos = attempt <= sh.cfg.chaos_panic_attempts;
@@ -398,21 +361,12 @@ fn run_one(sh: &Shared<'_>, i: usize) -> Result<(SimOutcome, u32), RunFailure> {
             if chaos {
                 panic!("chaos monkey: injected panic (test hook)");
             }
-            execute(
-                spec,
-                key,
-                &sh.store,
-                sh.cfg.checkpoint_every_steps,
-                &opts,
-                sh.cfg.quiet,
-            )
+            execute(spec, &opts)
         }));
         sh.watch.lock().expect("watch lock").retain(|e| e.run != i);
         let reason = match result {
             Ok(Ok(out)) => return Ok((out, attempt)),
-            Ok(Err(SimError::Cancelled { .. })) => {
-                "deadline exceeded (progress checkpointed)".to_string()
-            }
+            Ok(Err(SimError::Cancelled { .. })) => "deadline exceeded".to_string(),
             Ok(Err(e)) => e.to_string(),
             Err(payload) => format!("panicked: {}", panic_message(payload.as_ref())),
         };

@@ -8,7 +8,6 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use warden_sim::CheckpointError;
 
 /// One campaign run that kept failing after every allowed retry.
 #[derive(Clone, Debug)]
@@ -48,8 +47,6 @@ pub enum HarnessError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A checkpoint/record operation failed (see [`CheckpointError`]).
-    Checkpoint(CheckpointError),
     /// The two protocols disagree on the final memory image — WARDen's
     /// reconciliation must be semantically transparent.
     ImageMismatch {
@@ -78,7 +75,6 @@ impl fmt::Display for HarnessError {
             HarnessError::Io { path, source } => {
                 write!(f, "I/O error on {}: {source}", path.display())
             }
-            HarnessError::Checkpoint(e) => write!(f, "{e}"),
             HarnessError::ImageMismatch { id, mesi, warden } => write!(
                 f,
                 "{id}: protocols disagree on the final memory image \
@@ -103,15 +99,8 @@ impl std::error::Error for HarnessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             HarnessError::Io { source, .. } => Some(source),
-            HarnessError::Checkpoint(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CheckpointError> for HarnessError {
-    fn from(e: CheckpointError) -> HarnessError {
-        HarnessError::Checkpoint(e)
     }
 }
 

@@ -17,7 +17,7 @@
 //! per-run watchdog deadlines, bounded retry-with-backoff, and — with
 //! `--campaign-dir <dir>` — durable, checksummed per-run records plus a
 //! `manifest.json`, so a killed campaign resumes from completed work and
-//! interrupted runs continue from their engine checkpoints bit-identically.
+//! reruns the interrupted runs from step 0 to bit-identical outcomes.
 //! See [`args`] for the shared strict flag vocabulary.
 
 #![forbid(unsafe_code)]

@@ -1,21 +1,14 @@
-//! The durable result store: one crash-safe directory of simulation
-//! results and mid-run checkpoints, keyed by [`RunKey`]. A campaign
-//! directory is one of these stores plus the campaign's manifest.
+//! The durable result store: one crash-safe directory of finished
+//! simulation results, keyed by [`RunKey`]. A campaign directory is one of
+//! these stores plus the campaign's manifest.
 //!
-//! Two kinds of entry live in one directory, named by the key's content
-//! address and both wrapped in the checkpoint module's checksummed frame
-//! (magic, version, length, payload, FNV-1a-64 checksum — every strict
-//! prefix and every bit flip is a typed error, never a panic):
-//!
-//! - **result entries** (`<key>.rec`): the [`encode_outcome`] bytes of a
-//!   finished [`SimOutcome`];
-//! - **checkpoint entries** (`<key>.ckpt`): a framed [`warden_sim`] engine
-//!   snapshot taken at the caller's cadence while a simulation runs (and
-//!   once more on cooperative cancellation). A later
-//!   run of the same key whose result is missing resumes from the newest
-//!   frame instead of cycle 0. The engine's identity-bound resume
-//!   re-verifies the program/machine/protocol/options fingerprints inside
-//!   the frame, so a stale file can never resume the wrong run.
+//! Each entry is one finished run's record, `<key>.rec`, named by the
+//! key's content address: the [`encode_outcome`] bytes of its
+//! [`SimOutcome`] and the key, wrapped in the checkpoint module's
+//! checksummed frame (magic, version, length, payload, FNV-1a-64 checksum
+//! — every strict prefix and every bit flip is a typed error, never a
+//! panic). A record is the store's unit of progress: a run without one
+//! starts again from step 0.
 //!
 //! Writes go through [`Storage::write_atomic`] (temp file + `fsync` +
 //! rename + parent `fsync`), so a crash at any point leaves either the old
@@ -24,6 +17,8 @@
 //! read and verified, and anything truncated, corrupt, version-skewed or
 //! misnamed is **quarantined** into a `quarantine/` subdirectory — the
 //! scan never panics and never deletes bytes it cannot prove worthless.
+//! The scan also quarantines the `<key>.ckpt` mid-run engine snapshots
+//! that older stores kept beside their records; no reader loads them.
 //! Other files (a campaign's `manifest.json`) are left alone.
 //!
 //! The store never deletes a valid entry on its own: a campaign's records
@@ -44,61 +39,29 @@ use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_sim::checkpoint::{self, CheckpointError};
 use warden_sim::{RunKey, SimOutcome};
 
-/// One decoded on-disk entry: the key it belongs to plus its body. The
-/// codec is public so the fuzz suite can hold it to the
+/// One decoded on-disk entry: a finished run's record under the key it
+/// belongs to. The codec is public so the fuzz suite can hold it to the
 /// every-prefix-fails / every-corruption-is-typed contract directly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiskEntry {
     /// The cell this entry belongs to.
     pub key: RunKey,
-    /// Result or checkpoint body.
-    pub body: DiskBody,
+    /// The [`checkpoint::encode_outcome`] bytes of the outcome.
+    pub outcome: Vec<u8>,
 }
 
-/// The body of a [`DiskEntry`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum DiskBody {
-    /// A finished simulation.
-    Result {
-        /// The [`checkpoint::encode_outcome`] bytes of the outcome.
-        outcome: Vec<u8>,
-    },
-    /// A paused-engine frame taken `steps` into the replay. The bytes are
-    /// themselves a complete checkpoint frame (identity header included).
-    Checkpoint {
-        /// Scheduler steps completed at the frame.
-        steps: u64,
-        /// The framed engine snapshot.
-        frame: Vec<u8>,
-    },
-}
-
+/// The kind byte that leads every entry's payload. Results are the only
+/// kind left; the retired mid-run snapshot kind (`1`) no longer decodes.
 const KIND_RESULT: u8 = 0;
-const KIND_CHECKPOINT: u8 = 1;
-
-impl DiskBody {
-    fn kind(&self) -> u8 {
-        match self {
-            DiskBody::Result { .. } => KIND_RESULT,
-            DiskBody::Checkpoint { .. } => KIND_CHECKPOINT,
-        }
-    }
-}
 
 impl DiskEntry {
     /// Serialize into a checksummed file image (checkpoint frame around
     /// the entry payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        enc.put_u8(self.body.kind());
+        enc.put_u8(KIND_RESULT);
         self.key.encode_into(&mut enc);
-        match &self.body {
-            DiskBody::Result { outcome } => enc.put_bytes(outcome),
-            DiskBody::Checkpoint { steps, frame } => {
-                enc.put_u64(*steps);
-                enc.put_bytes(frame);
-            }
-        }
+        enc.put_bytes(&self.outcome);
         checkpoint::frame(enc.bytes())
     }
 
@@ -108,24 +71,16 @@ impl DiskEntry {
     pub fn decode(bytes: &[u8]) -> Result<DiskEntry, CheckpointError> {
         let mut dec = Decoder::new(checkpoint::unframe(bytes)?);
         let kind = dec.take_u8()?;
+        if kind != KIND_RESULT {
+            return Err(CheckpointError::Corrupt(CodecError::BadTag {
+                what: "disk entry kind",
+                tag: u64::from(kind),
+            }));
+        }
         let key = RunKey::decode_from(&mut dec)?;
-        let body = match kind {
-            KIND_RESULT => DiskBody::Result {
-                outcome: dec.take_bytes()?.to_vec(),
-            },
-            KIND_CHECKPOINT => DiskBody::Checkpoint {
-                steps: dec.take_u64()?,
-                frame: dec.take_bytes()?.to_vec(),
-            },
-            t => {
-                return Err(CheckpointError::Corrupt(CodecError::BadTag {
-                    what: "disk entry kind",
-                    tag: t as u64,
-                }))
-            }
-        };
+        let outcome = dec.take_bytes()?.to_vec();
         dec.finish()?;
-        Ok(DiskEntry { key, body })
+        Ok(DiskEntry { key, outcome })
     }
 }
 
@@ -135,7 +90,7 @@ impl DiskEntry {
 pub struct DiskStats {
     /// Result lookups that found nothing usable.
     pub misses: u64,
-    /// Entries durably written (results + checkpoints).
+    /// Result entries durably written.
     pub writes: u64,
     /// Entries moved to `quarantine/` (torn, corrupt, version-skewed,
     /// misnamed) — at open-time fsck or on a failed read.
@@ -166,26 +121,21 @@ pub struct ResultStore {
 }
 
 const RESULT_SUFFIX: &str = ".rec";
-const CHECKPOINT_SUFFIX: &str = ".ckpt";
+/// The suffix of the mid-run engine snapshots older stores kept. None is
+/// written any more; fsck scans them so that it quarantines them.
+const RETIRED_SNAPSHOT_SUFFIX: &str = ".ckpt";
 const TMP_SUFFIX: &str = ".tmp";
 const QUARANTINE_DIR: &str = "quarantine";
 
-fn entry_name(kind: u8, key: &RunKey) -> String {
-    let suffix = if kind == KIND_RESULT {
-        RESULT_SUFFIX
-    } else {
-        CHECKPOINT_SUFFIX
-    };
-    format!("{:016x}{suffix}", key.address())
-}
-
 /// The file name of `key`'s result entry inside a store directory.
 pub fn result_file_name(key: &RunKey) -> String {
-    entry_name(KIND_RESULT, key)
+    format!("{:016x}{RESULT_SUFFIX}", key.address())
 }
 
+/// Whether fsck scans `name`. A retired snapshot never verifies as a
+/// result entry under its own name, so the scan quarantines it.
 fn is_entry_name(name: &str) -> bool {
-    name.ends_with(RESULT_SUFFIX) || name.ends_with(CHECKPOINT_SUFFIX)
+    name.ends_with(RESULT_SUFFIX) || name.ends_with(RETIRED_SNAPSHOT_SUFFIX)
 }
 
 impl ResultStore {
@@ -244,7 +194,7 @@ impl ResultStore {
         for (name, path) in scanned {
             match self.storage.read(&path) {
                 Ok(bytes) => match DiskEntry::decode(&bytes) {
-                    Ok(entry) if entry_name(entry.body.kind(), &entry.key) == name => {
+                    Ok(entry) if result_file_name(&entry.key) == name => {
                         self.admit(&name);
                     }
                     // Decodes but under the wrong name (stale rename, hash
@@ -288,16 +238,16 @@ impl ResultStore {
         self.index.lock().expect("disk index lock").contains(name)
     }
 
-    /// Read and verify the `kind` entry of `key`, quarantining on any
-    /// damage.
-    fn load(&self, kind: u8, key: &RunKey) -> Option<DiskBody> {
-        let name = entry_name(kind, key);
+    /// Read and verify the result entry of `key`, quarantining on any
+    /// damage, and return its outcome bytes.
+    fn load(&self, key: &RunKey) -> Option<Vec<u8>> {
+        let name = result_file_name(key);
         if !self.indexed(&name) {
             return None;
         }
         match self.storage.read(&self.dir.join(&name)) {
             Ok(bytes) => match DiskEntry::decode(&bytes) {
-                Ok(entry) if entry.key == *key && entry.body.kind() == kind => Some(entry.body),
+                Ok(entry) if entry.key == *key => Some(entry.outcome),
                 // A different key under this name is a hash collision
                 // (last-writer-wins): a miss, not damage.
                 Ok(_) => None,
@@ -323,36 +273,33 @@ impl ResultStore {
     /// Look up a finished result. `None` is a miss (including every
     /// degraded read — the caller recomputes).
     pub fn result(&self, key: &RunKey) -> Option<SimOutcome> {
-        let found = match self.load(KIND_RESULT, key) {
-            Some(DiskBody::Result { outcome }) => match checkpoint::decode_outcome(&outcome) {
+        let found = self
+            .load(key)
+            .and_then(|outcome| match checkpoint::decode_outcome(&outcome) {
                 Ok(out) => Some(out),
                 Err(_) => {
-                    self.quarantine(&entry_name(KIND_RESULT, key));
+                    self.quarantine(&result_file_name(key));
                     None
                 }
-            },
-            _ => None,
-        };
+            });
         if found.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         found
     }
 
-    /// Look up the newest checkpoint frame for `key`.
-    pub fn checkpoint(&self, key: &RunKey) -> Option<(u64, Vec<u8>)> {
-        match self.load(KIND_CHECKPOINT, key) {
-            Some(DiskBody::Checkpoint { steps, frame }) => Some((steps, frame)),
-            _ => None,
-        }
-    }
-
-    fn put(&self, key: &RunKey, body: DiskBody) -> io::Result<()> {
-        let kind = body.kind();
-        let name = entry_name(kind, key);
-        let entry = DiskEntry { key: *key, body };
-        let image = entry.encode();
-        match self.storage.write_atomic(&self.dir.join(&name), &image) {
+    /// Durably store a finished result. A failed write is counted and
+    /// returned: the run's outcome is lost unless the caller keeps it.
+    pub fn put_result(&self, key: &RunKey, out: &SimOutcome) -> io::Result<()> {
+        let name = result_file_name(key);
+        let entry = DiskEntry {
+            key: *key,
+            outcome: checkpoint::encode_outcome(out),
+        };
+        match self
+            .storage
+            .write_atomic(&self.dir.join(&name), &entry.encode())
+        {
             Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
                 self.admit(&name);
@@ -371,46 +318,6 @@ impl ResultStore {
                 Err(e)
             }
         }
-    }
-
-    /// Durably store a finished result, then drop the key's checkpoint —
-    /// the frame is a strict prefix of work that is now complete. A failed
-    /// write is counted and returned, and the checkpoint stays: it is the
-    /// run's only durable progress, so a retry resumes from it.
-    pub fn put_result(&self, key: &RunKey, out: &SimOutcome) -> io::Result<()> {
-        self.put(
-            key,
-            DiskBody::Result {
-                outcome: checkpoint::encode_outcome(out),
-            },
-        )?;
-        self.discard_checkpoint(key);
-        Ok(())
-    }
-
-    /// Durably store (replacing) the key's checkpoint frame. A failed
-    /// write is counted; the run goes on without it.
-    pub fn put_checkpoint(&self, key: &RunKey, steps: u64, frame: &[u8]) {
-        let _ = self.put(
-            key,
-            DiskBody::Checkpoint {
-                steps,
-                frame: frame.to_vec(),
-            },
-        );
-    }
-
-    /// Remove the key's checkpoint entry (normal completion — not damage).
-    fn discard_checkpoint(&self, key: &RunKey) {
-        let name = entry_name(KIND_CHECKPOINT, key);
-        self.forget(&name);
-        let _ = self.storage.remove(&self.dir.join(&name));
-    }
-
-    /// Quarantine the key's checkpoint entry: the outer frame verified but
-    /// the engine refused it (identity mismatch, inner corruption).
-    pub fn quarantine_checkpoint(&self, key: &RunKey) {
-        self.quarantine(&entry_name(KIND_CHECKPOINT, key));
     }
 
     /// Entries currently indexed.

@@ -1,24 +1,25 @@
 //! Supervisor-level crash drills for the benchmark campaign runner: a
 //! killed campaign resumes bit-identically from its durable records,
-//! panicking runs are retried and isolated, a deadline-cancelled run
-//! continues from its mid-run checkpoint instead of restarting, a damaged
-//! record is quarantined and re-run, entries of an older format version
-//! are quarantined and recomputed, and a campaign under seeded storage
-//! faults never reports a wrong outcome and resumes to the reference.
+//! panicking runs are retried and isolated, a deadline-cancelled run leaves
+//! nothing behind and reruns from step 0, a damaged or torn record is
+//! quarantined and re-run, entries of an older format version and the
+//! retired mid-run snapshot entries are quarantined and never loaded, and
+//! a campaign under seeded storage faults never reports a wrong outcome
+//! and resumes to the reference.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use warden_bench::storage::{FaultyStorage, RealStorage, StorageFaultPlan};
-use warden_bench::store::{DiskBody, DiskEntry, ResultStore};
+use warden_bench::store::{DiskEntry, ResultStore};
 use warden_bench::{run_campaign, CampaignConfig, HarnessError, RunSpec, Workload};
 use warden_coherence::ProtocolId;
-use warden_mem::codec::fnv1a64;
+use warden_mem::codec::{fnv1a64, Encoder};
 use warden_pbbs::{Bench, Scale};
 use warden_rt::{trace_program, RtOptions, TraceProgram};
-use warden_sim::checkpoint::{encode_outcome, unique_dir};
-use warden_sim::{simulate_with_options, MachineConfig, SimEngine, SimOptions};
+use warden_sim::checkpoint::{self, encode_outcome, unique_dir};
+use warden_sim::{simulate_with_options, MachineConfig, RunKey, SimOptions};
 
 fn scratch(name: &str) -> PathBuf {
     unique_dir(
@@ -141,8 +142,8 @@ fn panicking_runs_are_retried_and_failures_are_typed() {
     }
 }
 
-/// A workload large enough that the supervisor writes mid-run checkpoints
-/// long before it finishes.
+/// A workload large enough that the watchdog cancels it long before it
+/// finishes.
 fn big_program() -> TraceProgram {
     trace_program("deadline-tab", RtOptions::default(), |ctx| {
         let xs = ctx.tabulate::<u64>(30_000, 64, &|c, i| {
@@ -161,7 +162,7 @@ fn big_program() -> TraceProgram {
 }
 
 #[test]
-fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
+fn deadline_cancelled_run_reruns_from_step_zero_and_completes() {
     let machine = MachineConfig::dual_socket().with_cores(2);
     let spec = RunSpec {
         id: "deadline/tab".into(),
@@ -174,13 +175,11 @@ fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
     let reference = simulate_with_options(&p, &machine, ProtocolId::Warden, &SimOptions::default());
 
     // First invocation: an already-expired deadline and no retries. The
-    // watchdog cancels the run, and the frame the engine hands out at
-    // cancellation survives in the store under the run's key.
+    // watchdog cancels the run, and nothing of it reaches the store.
     let dir = scratch("deadline");
     let mut cfg = quiet_cfg(dir.clone());
     cfg.deadline = Duration::ZERO;
     cfg.retries = 0;
-    cfg.checkpoint_every_steps = 256;
     let err = run_campaign(std::slice::from_ref(&spec), &cfg).expect_err("deadline must cancel");
     match err {
         HarnessError::RunsFailed(fails) => {
@@ -188,19 +187,23 @@ fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
         }
         other => panic!("unexpected error: {other}"),
     }
-    let ckpt = dir.join(format!("{:016x}.ckpt", spec.key().address()));
-    let entry = DiskEntry::decode(&std::fs::read(&ckpt).expect("checkpoint entry"))
-        .expect("the checkpoint entry verifies");
-    assert_eq!(entry.key, spec.key());
-    assert!(matches!(entry.body, DiskBody::Checkpoint { .. }));
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("campaign dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(
+        left,
+        ["manifest.json", "quarantine"],
+        "a cancelled run writes no entry"
+    );
 
-    // Second invocation with a generous deadline: the run continues from
-    // the checkpoint (not from scratch) and matches an uninterrupted
-    // reference bit for bit.
-    let mut cfg = quiet_cfg(dir.clone());
-    cfg.checkpoint_every_steps = 256;
-    let results =
-        run_campaign(std::slice::from_ref(&spec), &cfg).expect("resume must complete the run");
+    // Second invocation with a generous deadline: with nothing stored, the
+    // run starts again from step 0 and matches an uninterrupted reference
+    // bit for bit.
+    let results = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
+        .expect("the rerun completes");
     assert!(!results[0].reused);
     assert_eq!(results[0].outcome.stats, reference.stats);
     assert_eq!(
@@ -208,10 +211,7 @@ fn deadline_cancelled_run_resumes_from_checkpoint_and_completes() {
         reference.memory_image_digest
     );
     assert_eq!(results[0].outcome.energy, reference.energy);
-    assert!(
-        !ckpt.exists(),
-        "a finished run discards the checkpoint it outran"
-    );
+    assert_eq!(records(&dir).len(), 1, "the finished run is recorded");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -274,10 +274,29 @@ fn restamp(mut framed: Vec<u8>, version: u32) -> Vec<u8> {
     framed
 }
 
-/// A result entry and a checkpoint entry of an older format version (4 and
-/// 5) for a cell are both quarantined when the store opens, and the
-/// campaign recomputes the cell to the reference outcome instead of
-/// trusting either.
+/// A mid-run engine snapshot entry (`<key>.ckpt`) as stores of format
+/// version 6 and older wrote them: kind byte `1`, the key, the step count
+/// and the snapshot's own frame, all in the checkpoint frame of `version`.
+/// The snapshot payload is a stand-in; no reader gets that far.
+fn retired_snapshot_entry(key: &RunKey, version: u32) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_u8(1);
+    key.encode_into(&mut enc);
+    enc.put_u64(200);
+    enc.put_bytes(&restamp(checkpoint::frame(b"engine state"), version));
+    restamp(checkpoint::frame(enc.bytes()), version)
+}
+
+/// The file name of `key`'s retired snapshot entry.
+fn snapshot_name(key: &RunKey) -> String {
+    format!("{:016x}.ckpt", key.address())
+}
+
+/// A result entry of an older format version (4 and 5) is quarantined when
+/// the store opens, and the campaign recomputes the cell to the reference
+/// outcome instead of trusting it. A snapshot entry beside the record is
+/// quarantined too, at every version, even beside a current (version 6)
+/// record, which is reused.
 #[test]
 fn older_version_entries_are_quarantined_and_recomputed() {
     let spec = tiny_specs().remove(0);
@@ -287,52 +306,125 @@ fn older_version_entries_are_quarantined_and_recomputed() {
         .remove(0);
 
     let key = spec.key();
-    let program = Bench::MakeArray.build(Scale::Tiny);
-    let mut eng = SimEngine::new(&program, &spec.machine, spec.protocol, &spec.opts);
-    for _ in 0..200 {
-        eng.step();
-    }
-    let (steps, frame) = (eng.steps(), eng.snapshot_to_bytes());
-    for version in [4, 5] {
-        let old = |body| restamp(DiskEntry { key, body }.encode(), version);
-        let rec = old(DiskBody::Result {
+    for version in [4, 5, 6] {
+        let current = version == checkpoint::VERSION;
+        let rec = DiskEntry {
+            key,
             outcome: restamp(encode_outcome(&reference.outcome), version),
-        });
-        let ckpt = old(DiskBody::Checkpoint {
-            steps,
-            frame: restamp(frame.clone(), version),
-        });
+        };
+        let rec = restamp(rec.encode(), version);
 
         let dir = scratch(&format!("skew-v{version}"));
-        let names = [".rec", ".ckpt"].map(|ext| format!("{:016x}{ext}", key.address()));
-        std::fs::write(dir.join(&names[0]), rec).expect("write old record");
-        std::fs::write(dir.join(&names[1]), ckpt).expect("write old checkpoint");
+        let (rec_name, ckpt_name) = (format!("{:016x}.rec", key.address()), snapshot_name(&key));
+        std::fs::write(dir.join(&rec_name), rec).expect("write old record");
+        std::fs::write(dir.join(&ckpt_name), retired_snapshot_entry(&key, version))
+            .expect("write old snapshot");
         let store = ResultStore::open(dir.clone(), Arc::new(RealStorage)).expect("open");
+        let stats = store.stats();
         assert_eq!(
-            store.stats().quarantined,
-            2,
-            "v{version}: both are set aside"
+            stats.quarantined,
+            if current { 1 } else { 2 },
+            "v{version}: {stats:?}"
         );
-        assert!(store.is_empty());
+        assert_eq!(store.len(), usize::from(current), "v{version}");
         drop(store);
-        for name in &names {
-            assert!(
-                dir.join("quarantine").join(name).is_file(),
-                "v{version}: {name}"
-            );
-        }
+        assert!(
+            dir.join("quarantine").join(&ckpt_name).is_file(),
+            "v{version}: the snapshot is set aside"
+        );
+        assert_eq!(
+            dir.join("quarantine").join(&rec_name).is_file(),
+            !current,
+            "v{version}: only an old record is set aside"
+        );
 
         let again = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
             .expect("recomputed campaign")
             .remove(0);
-        assert!(
-            !again.reused,
-            "v{version}: the cell is recomputed, not read back"
+        assert_eq!(
+            again.reused, current,
+            "v{version}: an old record is recomputed, a current one read back"
         );
         assert_eq!(
             fnv1a64(&encode_outcome(&again.outcome)),
             fnv1a64(&encode_outcome(&reference.outcome)),
             "v{version}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// A cell whose only entry is a snapshot in the previous store format is
+/// never resumed from it: fsck quarantines the snapshot, nothing is
+/// admitted, and the campaign recomputes the cell from step 0 to the
+/// reference.
+#[test]
+fn a_retired_snapshot_entry_is_never_loaded() {
+    let spec = tiny_specs().remove(0);
+    let ref_dir = scratch("snapshot-ref");
+    let reference = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(ref_dir.clone()))
+        .expect("reference")
+        .remove(0);
+
+    let key = spec.key();
+    let name = snapshot_name(&key);
+    let dir = scratch("snapshot");
+    std::fs::write(
+        dir.join(&name),
+        retired_snapshot_entry(&key, checkpoint::VERSION),
+    )
+    .expect("write the snapshot entry");
+    let results = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
+        .expect("the cell is recomputed");
+    assert!(!results[0].reused);
+    assert_eq!(results[0].attempts, 1);
+    assert_eq!(
+        fnv1a64(&encode_outcome(&results[0].outcome)),
+        fnv1a64(&encode_outcome(&reference.outcome))
+    );
+    assert!(
+        dir.join("quarantine").join(&name).is_file(),
+        "the snapshot is set aside as evidence"
+    );
+    assert!(!dir.join(&name).exists());
+    assert_eq!(records(&dir).len(), 1);
+    for d in [dir, ref_dir] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+/// Kill-point drill: a result record torn at sampled prefix lengths, as a
+/// write that bypassed the atomic rename would leave it, is quarantined
+/// when the campaign opens its directory, and the cell reruns from step 0
+/// to the outcome of an uninterrupted reference.
+#[test]
+fn a_torn_record_is_quarantined_and_its_cell_reruns_identically() {
+    let spec = tiny_specs().remove(0);
+    let ref_dir = scratch("torn-ref");
+    let reference = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(ref_dir.clone()))
+        .expect("reference")
+        .remove(0);
+    let recs = records(&ref_dir);
+    let name = recs[0].file_name().expect("record name");
+    let full = std::fs::read(&recs[0]).expect("record bytes");
+
+    let stride = (full.len() / 8).max(1);
+    for cut in (0..full.len()).step_by(stride) {
+        let dir = scratch("torn");
+        std::fs::write(dir.join(name), &full[..cut]).expect("tear the record");
+        let again = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
+            .expect("the cell reruns")
+            .remove(0);
+        assert!(!again.reused, "torn at {cut} bytes");
+        assert_eq!(
+            fnv1a64(&encode_outcome(&again.outcome)),
+            fnv1a64(&encode_outcome(&reference.outcome)),
+            "torn at {cut} bytes"
+        );
+        assert!(
+            dir.join("quarantine").join(name).is_file(),
+            "the torn record ({cut} bytes) is set aside as evidence"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -363,7 +455,6 @@ fn a_campaign_under_storage_faults_resumes_to_the_reference_report() {
             StorageFaultPlan::seeded(seed),
         ));
         let mut cfg = quiet_cfg(dir.clone());
-        cfg.checkpoint_every_steps = 256;
         cfg.storage_faults = Some(faulty.clone());
         // The second invocation reads the first one's entries back through
         // the faults.

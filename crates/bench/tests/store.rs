@@ -6,12 +6,9 @@
 //! hit-or-miss and bumps a typed counter; it never panics and never
 //! returns wrong data.
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use warden_bench::storage::{
-    is_enospc, FaultyStorage, RealStorage, Storage, StorageFaultPlan, ENOSPC_OS_ERROR,
-};
+use warden_bench::storage::{is_enospc, FaultyStorage, RealStorage, StorageFaultPlan};
 use warden_bench::store::{result_file_name, ResultStore};
 use warden_coherence::ProtocolId;
 use warden_mem::codec::fnv1a64;
@@ -80,37 +77,22 @@ fn only(f: impl FnOnce(&mut StorageFaultPlan)) -> StorageFaultPlan {
 }
 
 #[test]
-fn results_and_checkpoints_survive_a_reopen_bit_identically() {
+fn results_survive_a_reopen_bit_identically() {
     let dir = scratch("reopen");
     {
         let tier = open_real(&dir);
         tier.put_result(&key(1), &outcome(1)).expect("persisted");
-        tier.put_checkpoint(&key(2), 500, b"frame-bytes");
+        tier.put_result(&key(2), &outcome(2)).expect("persisted");
         assert_eq!(tier.stats().writes, 2);
     }
     // The process is gone; a new one opens the same directory.
     let tier = open_real(&dir);
     assert_eq!(tier.len(), 2, "fsck admitted both entries");
-    let back = tier.result(&key(1)).expect("result survives");
-    assert!(same(&back, 1));
-    let (steps, frame) = tier.checkpoint(&key(2)).expect("checkpoint survives");
-    assert_eq!((steps, frame.as_slice()), (500, &b"frame-bytes"[..]));
+    for tag in [1, 2] {
+        let back = tier.result(&key(tag)).expect("result survives");
+        assert!(same(&back, tag));
+    }
     assert_eq!(tier.stats().quarantined, 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_finished_result_discards_the_checkpoint_it_outran() {
-    let dir = scratch("discard");
-    let tier = open_real(&dir);
-    tier.put_checkpoint(&key(9), 100, b"prefix");
-    assert!(tier.checkpoint(&key(9)).is_some());
-    tier.put_result(&key(9), &outcome(9)).expect("persisted");
-    assert!(
-        tier.checkpoint(&key(9)).is_none(),
-        "the frame is a strict prefix of completed work"
-    );
-    assert!(tier.result(&key(9)).is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -170,55 +152,11 @@ fn enospc_degrades_with_a_typed_counter_and_keeps_serving_misses() {
     let tier = open_faulty(&dir, only(|p| p.enospc_prob = 1.0));
     let err = tier.put_result(&key(1), &outcome(1)).unwrap_err();
     assert!(is_enospc(&err), "the error is returned");
-    tier.put_checkpoint(&key(1), 100, b"frame");
     let stats = tier.stats();
     assert_eq!(stats.writes, 0, "{stats:?}");
-    assert_eq!(stats.enospc_degraded, 2, "{stats:?}");
+    assert_eq!(stats.enospc_degraded, 1, "{stats:?}");
     assert!(tier.result(&key(1)).is_none(), "a clean miss, not an error");
     assert!(tier.is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Real storage whose disk is full for result entries only: every `.rec`
-/// write fails with `ENOSPC`, checkpoint frames still land.
-struct FullForResults;
-
-impl Storage for FullForResults {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        RealStorage.read(path)
-    }
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if path.extension().is_some_and(|e| e == "rec") {
-            return Err(io::Error::from_raw_os_error(ENOSPC_OS_ERROR));
-        }
-        RealStorage.write_atomic(path, bytes)
-    }
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        RealStorage.remove(path)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        RealStorage.rename(from, to)
-    }
-    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        RealStorage.list(dir)
-    }
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        RealStorage.create_dir_all(dir)
-    }
-}
-
-#[test]
-fn a_failed_result_write_keeps_the_checkpoint() {
-    let dir = scratch("enospc-keeps-checkpoint");
-    let tier = ResultStore::open(&dir, Arc::new(FullForResults)).expect("store opens");
-    tier.put_checkpoint(&key(5), 300, b"prefix");
-    let err = tier.put_result(&key(5), &outcome(5)).unwrap_err();
-    assert!(is_enospc(&err), "{err}");
-    // The frame is the run's only durable progress: a retry resumes from
-    // it instead of cycle 0.
-    let (steps, frame) = tier.checkpoint(&key(5)).expect("checkpoint kept");
-    assert_eq!((steps, frame.as_slice()), (300, &b"prefix"[..]));
-    assert_eq!(tier.stats().enospc_degraded, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -143,7 +143,7 @@ pub struct InvariantViolation {
 }
 
 impl InvariantViolation {
-    /// Serialize this violation for a checkpoint or campaign record.
+    /// Serialize this violation for a campaign record.
     pub fn encode_into(&self, enc: &mut Encoder) {
         enc.put_u8(self.kind.tag());
         enc.put_u64(self.block.0);
@@ -392,93 +392,6 @@ impl InvariantChecker {
             reconciliations_audited: self.reconciliations_audited,
             violations: self.violations.len(),
         }
-    }
-
-    /// Serialize the checker's complete bookkeeping for a checkpoint. Maps
-    /// are written sorted by block so equal checkers produce identical
-    /// bytes. (`pending` is drained at the end of every public coherence
-    /// operation, so at instruction boundaries it is normally empty — but it
-    /// is serialized regardless for exactness.)
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.transactions);
-        enc.put_u64(self.blocks_checked);
-        enc.put_u64(self.reconciliations_audited);
-        enc.put_usize(self.pending.len());
-        for (block, dir) in &self.pending {
-            enc.put_u64(block.0);
-            dir.encode_into(enc);
-        }
-        let mut prev: Vec<(&BlockAddr, &DirState)> = self.prev.iter().collect();
-        prev.sort_by_key(|(b, _)| **b);
-        enc.put_usize(prev.len());
-        for (block, dir) in prev {
-            enc.put_u64(block.0);
-            dir.encode_into(enc);
-        }
-        let mut history: Vec<(&BlockAddr, &VecDeque<DirKind>)> = self.history.iter().collect();
-        history.sort_by_key(|(b, _)| **b);
-        enc.put_usize(history.len());
-        for (block, ring) in history {
-            enc.put_u64(block.0);
-            enc.put_usize(ring.len());
-            for k in ring {
-                enc.put_u8(k.tag());
-            }
-        }
-        enc.put_usize(self.violations.len());
-        for v in &self.violations {
-            v.encode_into(enc);
-        }
-    }
-
-    /// Decode a checker serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<InvariantChecker, CodecError> {
-        let transactions = dec.take_u64()?;
-        let blocks_checked = dec.take_u64()?;
-        let reconciliations_audited = dec.take_u64()?;
-        let np = dec.take_count(17)?;
-        let mut pending = Vec::with_capacity(np);
-        for _ in 0..np {
-            let block = BlockAddr(dec.take_u64()?);
-            pending.push((block, DirState::decode_from(dec)?));
-        }
-        let npr = dec.take_count(17)?;
-        let mut prev = HashMap::with_capacity(npr);
-        for _ in 0..npr {
-            let block = BlockAddr(dec.take_u64()?);
-            prev.insert(block, DirState::decode_from(dec)?);
-        }
-        let nh = dec.take_count(16)?;
-        let mut history = HashMap::with_capacity(nh);
-        for _ in 0..nh {
-            let block = BlockAddr(dec.take_u64()?);
-            let n = dec.take_count(1)?;
-            if n > HISTORY_DEPTH {
-                return Err(CodecError::Invalid {
-                    what: "checker history ring",
-                    detail: format!("{n} entries exceed depth {HISTORY_DEPTH}"),
-                });
-            }
-            let mut ring = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                ring.push_back(DirKind::from_tag(dec.take_u8()?)?);
-            }
-            history.insert(block, ring);
-        }
-        let nv = dec.take_count(8)?;
-        let mut violations = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            violations.push(InvariantViolation::decode_from(dec)?);
-        }
-        Ok(InvariantChecker {
-            pending,
-            prev,
-            history,
-            violations,
-            transactions,
-            blocks_checked,
-            reconciliations_audited,
-        })
     }
 }
 

@@ -3,13 +3,13 @@
 use crate::error::CoherenceError;
 use crate::CoreId;
 use std::fmt;
-use warden_mem::codec::{CodecError, Decoder, Encoder};
+use warden_mem::codec::CodecError;
 use warden_mem::{BlockData, WriteMask};
 
 /// Which coherence protocol the system runs.
 ///
 /// This is the *identity* of a protocol — the stable name and wire tag that
-/// checkpoints, serve fingerprints and campaign reports bind to. The
+/// run keys, result records and campaign reports bind to. The
 /// behaviour lives behind the [`crate::Protocol`] trait; [`Self::imp`]
 /// resolves an id to its registered implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -67,8 +67,7 @@ impl ProtocolId {
             .ok_or_else(|| CoherenceError::UnknownProtocol { name: name.into() })
     }
 
-    /// The stable one-byte wire tag (checkpoint identity, serve
-    /// fingerprints, campaign result records).
+    /// The stable one-byte wire tag (run keys, campaign result records).
     pub fn tag(self) -> u8 {
         match self {
             ProtocolId::Msi => 0,
@@ -145,39 +144,6 @@ impl PrivLine {
             mask: WriteMask::empty(),
         }
     }
-
-    /// Serialize this line for a checkpoint.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u8(match self.state {
-            PrivState::Modified => 0,
-            PrivState::Exclusive => 1,
-            PrivState::Shared => 2,
-        });
-        enc.put_raw(self.data.bytes());
-        enc.put_u64(self.mask.bits());
-    }
-
-    /// Decode a line serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<PrivLine, CodecError> {
-        let state = match dec.take_u8()? {
-            0 => PrivState::Modified,
-            1 => PrivState::Exclusive,
-            2 => PrivState::Shared,
-            t => {
-                return Err(CodecError::BadTag {
-                    what: "private cache state",
-                    tag: t as u64,
-                })
-            }
-        };
-        let data = BlockData::from_bytes(
-            dec.take_raw(64)?
-                .try_into()
-                .expect("take_raw(64) yields 64 bytes"),
-        );
-        let mask = WriteMask::from_bits(dec.take_u64()?);
-        Ok(PrivLine { state, data, mask })
-    }
 }
 
 /// Directory state for one block, stored alongside the LLC line.
@@ -207,52 +173,6 @@ impl DirState {
     pub fn cores_in(mask: u64) -> impl Iterator<Item = CoreId> {
         (0..64usize).filter(move |c| mask & (1 << c) != 0)
     }
-
-    /// Serialize this directory entry for a checkpoint.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        match *self {
-            DirState::Uncached => {
-                enc.put_u8(0);
-                enc.put_u64(0);
-            }
-            DirState::Shared(mask) => {
-                enc.put_u8(1);
-                enc.put_u64(mask);
-            }
-            DirState::Owned(core) => {
-                enc.put_u8(2);
-                enc.put_u64(core as u64);
-            }
-            DirState::Ward(mask) => {
-                enc.put_u8(3);
-                enc.put_u64(mask);
-            }
-        }
-    }
-
-    /// Decode a directory entry serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<DirState, CodecError> {
-        let tag = dec.take_u8()?;
-        let payload = dec.take_u64()?;
-        Ok(match tag {
-            0 => DirState::Uncached,
-            1 => DirState::Shared(payload),
-            2 => {
-                let core = usize::try_from(payload).map_err(|_| CodecError::Invalid {
-                    what: "directory owner",
-                    detail: format!("core id {payload} out of range"),
-                })?;
-                DirState::Owned(core)
-            }
-            3 => DirState::Ward(payload),
-            t => {
-                return Err(CodecError::BadTag {
-                    what: "directory state",
-                    tag: t as u64,
-                })
-            }
-        })
-    }
 }
 
 /// One LLC line: data, a dirty bit relative to memory, and the co-located
@@ -281,33 +201,6 @@ impl LlcLine {
             dir: DirState::Uncached,
             ward_partial: false,
         }
-    }
-
-    /// Serialize this LLC line (data, dirty bit, directory entry) for a
-    /// checkpoint.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_raw(self.data.bytes());
-        enc.put_bool(self.dirty);
-        self.dir.encode_into(enc);
-        enc.put_bool(self.ward_partial);
-    }
-
-    /// Decode a line serialized by [`Self::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<LlcLine, CodecError> {
-        let data = BlockData::from_bytes(
-            dec.take_raw(64)?
-                .try_into()
-                .expect("take_raw(64) yields 64 bytes"),
-        );
-        let dirty = dec.take_bool()?;
-        let dir = DirState::decode_from(dec)?;
-        let ward_partial = dec.take_bool()?;
-        Ok(LlcLine {
-            data,
-            dirty,
-            dir,
-            ward_partial,
-        })
     }
 }
 
@@ -365,7 +258,7 @@ mod tests {
             assert_eq!(ProtocolId::from_tag(p.tag()).unwrap(), p);
         }
         // Tags are frozen: reordering the enum would silently re-bind every
-        // existing checkpoint and serve fingerprint.
+        // existing run key and result record.
         assert_eq!(ProtocolId::Msi.tag(), 0);
         assert_eq!(ProtocolId::Mesi.tag(), 1);
         assert_eq!(ProtocolId::Warden.tag(), 2);

@@ -198,7 +198,8 @@ impl CoherenceStats {
         for_each_counter!(list, self);
     }
 
-    /// Serialize every counter, in declaration order, for a checkpoint.
+    /// Serialize every counter, in declaration order, for a campaign
+    /// result record.
     pub fn encode_into(&self, enc: &mut Encoder) {
         macro_rules! put {
             ($self:ident, $enc:ident: $($f:ident),* $(,)?) => {

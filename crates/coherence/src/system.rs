@@ -221,8 +221,7 @@ pub struct CoherenceSystem {
     dir_pages: warden_mem::PageMap<u64>,
     /// Per-core last-page region-lookup cache (the core-side region CAM of
     /// paper §6.2): each entry memoizes "was my last page WARD?" and is
-    /// revalidated against the region store's epoch. Derived state — never
-    /// serialized, reset on restore.
+    /// revalidated against the region store's epoch. Derived state.
     region_cache: Vec<RegionCache>,
     /// Reusable page buffer for reconciliation walks (avoids a fresh
     /// allocation per forced walk).
@@ -344,7 +343,8 @@ impl From<DirState> for DirKind {
 }
 
 impl DirKind {
-    /// Stable one-byte encoding for checkpoints.
+    /// Stable one-byte encoding for result records (a violation's
+    /// history).
     pub(crate) fn tag(self) -> u8 {
         match self {
             DirKind::Uncached => 0,
@@ -856,136 +856,6 @@ impl CoherenceSystem {
             "set_memory requires cold caches"
         );
         self.memory = memory;
-    }
-
-    // ----- checkpoint serialization -------------------------------------
-
-    /// Serialize the system's complete mutable state: every private cache
-    /// (including LRU order and ticks — eviction order must replay
-    /// identically), the LLC slices with their co-located directory entries,
-    /// the region CAM, the memory image, the stats counters, the dirty-page
-    /// index and the optional invariant checker.
-    ///
-    /// Configuration (topology, latencies, geometries, protocol, injected
-    /// mutations) is *not* serialized, nor are the in-memory debugging aids
-    /// (the transition log and the protocol-event buffer); [`Self::restore_state`] is called on a
-    /// freshly constructed system carrying the same configuration, and the
-    /// caller binds config identity via fingerprints at the framing layer.
-    pub fn encode_state(&self, enc: &mut warden_mem::codec::Encoder) {
-        enc.put_usize(self.cores.len());
-        for core in &self.cores {
-            core.l1.encode_with(enc, |_, ()| {});
-            core.l2.encode_with(enc, |e, line| line.encode_into(e));
-        }
-        enc.put_usize(self.llcs.len());
-        for llc in &self.llcs {
-            llc.encode_with(enc, |e, line| line.encode_into(e));
-        }
-        self.regions.encode_into(enc);
-        self.memory.encode_into(enc);
-        self.stats.encode_into(enc);
-        let mut dir_pages: Vec<(PageAddr, u64)> =
-            self.dir_pages.iter().map(|(p, &m)| (p, m)).collect();
-        dir_pages.sort_by_key(|&(p, _)| p);
-        enc.put_usize(dir_pages.len());
-        for (page, mask) in dir_pages {
-            enc.put_u64(page.0);
-            enc.put_u64(mask);
-        }
-        match &self.check {
-            Some(chk) => {
-                enc.put_bool(true);
-                chk.encode_into(enc);
-            }
-            None => enc.put_bool(false),
-        }
-    }
-
-    /// Restore state serialized by [`Self::encode_state`] into this system,
-    /// which must have been constructed with the same configuration
-    /// (topology, geometries, protocol). Counts and geometries are
-    /// re-validated; on mismatch the system is left unchanged.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut warden_mem::codec::Decoder<'_>,
-    ) -> Result<(), warden_mem::codec::CodecError> {
-        use warden_mem::codec::CodecError;
-        let ncores = dec.take_usize()?;
-        if ncores != self.cores.len() {
-            return Err(CodecError::Invalid {
-                what: "coherence snapshot",
-                detail: format!(
-                    "{ncores} cores in snapshot, system has {}",
-                    self.cores.len()
-                ),
-            });
-        }
-        let mut cores = Vec::with_capacity(ncores);
-        for core in &self.cores {
-            let l1 = CacheArray::decode_with(core.l1.geometry(), dec, |_| Ok(()))?;
-            let l2 = CacheArray::decode_with(core.l2.geometry(), dec, PrivLine::decode_from)?;
-            cores.push(PrivateCache { l1, l2 });
-        }
-        let nllcs = dec.take_usize()?;
-        if nllcs != self.llcs.len() {
-            return Err(CodecError::Invalid {
-                what: "coherence snapshot",
-                detail: format!(
-                    "{nllcs} LLC slices in snapshot, system has {}",
-                    self.llcs.len()
-                ),
-            });
-        }
-        let mut llcs = Vec::with_capacity(nllcs);
-        for llc in &self.llcs {
-            llcs.push(CacheArray::decode_with(
-                llc.geometry(),
-                dec,
-                LlcLine::decode_from,
-            )?);
-        }
-        let regions = RegionStore::decode_from(dec)?;
-        if regions.capacity() != self.regions.capacity() {
-            return Err(CodecError::Invalid {
-                what: "coherence snapshot",
-                detail: format!(
-                    "region capacity {} in snapshot, system has {}",
-                    regions.capacity(),
-                    self.regions.capacity()
-                ),
-            });
-        }
-        let memory = Memory::decode_from(dec)?;
-        let stats = CoherenceStats::decode_from(dec)?;
-        let ndp = dec.take_count(16)?;
-        let mut dir_pages = warden_mem::PageMap::new();
-        for _ in 0..ndp {
-            let page = PageAddr(dec.take_u64()?);
-            let mask = dec.take_u64()?;
-            if mask == 0 {
-                return Err(CodecError::Invalid {
-                    what: "dirty-page index",
-                    detail: format!("page {:#x} carries an empty mask", page.0),
-                });
-            }
-            dir_pages.insert(page, mask);
-        }
-        let check = if dec.take_bool()? {
-            Some(InvariantChecker::decode_from(dec)?)
-        } else {
-            None
-        };
-        self.cores = cores;
-        self.llcs = llcs;
-        self.regions = regions;
-        self.memory = memory;
-        self.stats = stats;
-        self.dir_pages = dir_pages;
-        self.check = check;
-        // The per-core region caches are derived from the replaced store;
-        // the defaults never validate against any epoch, forcing re-lookup.
-        self.region_cache.fill(RegionCache::default());
-        Ok(())
     }
 
     // ----- message accounting -------------------------------------------
@@ -2381,84 +2251,6 @@ mod tests {
 
     fn page(n: u64) -> Addr {
         Addr(n * warden_mem::PAGE_SIZE)
-    }
-
-    #[test]
-    fn snapshot_restore_continues_bit_identically() {
-        // Drive two identical WARDen systems through a prefix of work, then
-        // snapshot one, restore it into a cold system, and run the same
-        // suffix on all three (original, donor, restored): every observable
-        // — stats, region peak, final image — must match.
-        let prefix = |s: &mut CoherenceSystem| {
-            s.enable_checker();
-            s.store(0, page(1), &1u64.to_le_bytes());
-            s.add_region(page(1), page(3));
-            s.store(1, Addr(page(1).0 + 8), &2u64.to_le_bytes());
-            s.store(2, Addr(page(2).0 + 16), &3u64.to_le_bytes());
-            s.load(3, page(1), 8);
-        };
-        let suffix = |s: &mut CoherenceSystem| {
-            s.store(3, Addr(page(1).0 + 24), &4u64.to_le_bytes());
-            // Region ids are allocated deterministically; the prefix's only
-            // region is id 0 in both systems.
-            s.remove_region(RegionId(0));
-            s.store(0, page(4), &5u64.to_le_bytes());
-            s.load(1, page(4), 8);
-        };
-
-        let mut a = sys(ProtocolId::Warden);
-        prefix(&mut a);
-        let mut enc = warden_mem::codec::Encoder::new();
-        a.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut b = sys(ProtocolId::Warden);
-        let mut dec = warden_mem::codec::Decoder::new(&bytes);
-        b.restore_state(&mut dec).unwrap();
-        dec.finish().unwrap();
-
-        // Restored state re-encodes to identical bytes.
-        let mut enc2 = warden_mem::codec::Encoder::new();
-        b.encode_state(&mut enc2);
-        assert_eq!(enc2.into_bytes(), bytes);
-
-        suffix(&mut a);
-        suffix(&mut b);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.region_peak(), b.region_peak());
-        assert_eq!(
-            a.final_memory_image().digest(),
-            b.final_memory_image().digest()
-        );
-        assert!(a.take_violations().is_empty());
-        assert!(b.take_violations().is_empty());
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_configuration() {
-        let mut a = sys(ProtocolId::Warden);
-        a.store(0, Addr(64), &9u64.to_le_bytes());
-        let mut enc = warden_mem::codec::Encoder::new();
-        a.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-        // Different core count.
-        let mut wrong = CoherenceSystem::new(
-            Topology::new(1, 2),
-            LatencyModel::xeon_gold_6126(),
-            CacheConfig::paper(2),
-            ProtocolId::Warden,
-        );
-        let mut dec = warden_mem::codec::Decoder::new(&bytes);
-        assert!(wrong.restore_state(&mut dec).is_err());
-        // Different cache geometry.
-        let mut wrong2 = CoherenceSystem::new(
-            Topology::new(2, 2),
-            LatencyModel::xeon_gold_6126(),
-            CacheConfig::tiny(),
-            ProtocolId::Warden,
-        );
-        let mut dec2 = warden_mem::codec::Decoder::new(&bytes);
-        assert!(wrong2.restore_state(&mut dec2).is_err());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Oracle-based property tests for the WARD region store: arbitrary
 //! interleavings of overlapping adds, removes, `remove_covering` calls and
 //! capacity overflows must keep the page index consistent with the live
-//! region list, behave deterministically, and round-trip through the codec.
+//! region list and behave deterministically.
 
 use proptest::prelude::*;
 use warden_coherence::{AddRegion, RegionId, RegionStore};
-use warden_mem::codec::{Decoder, Encoder};
 use warden_mem::{Addr, PAGE_SIZE};
 
 /// One operation against the store, in page units.
@@ -145,10 +144,14 @@ fn check_consistency(store: &RegionStore, model: &Model) {
     }
 }
 
-fn encode(store: &RegionStore) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    store.encode_into(&mut enc);
-    enc.into_bytes()
+/// Everything a caller can ask the store: its counters and the owner of
+/// every page in the near universe and at every far slot.
+fn observe(store: &RegionStore) -> (usize, usize, u64, Vec<Option<RegionId>>) {
+    let bases = (0..20u64)
+        .map(|page| page * PAGE_SIZE)
+        .chain((0..4u64).map(far_base));
+    let owners = bases.map(|base| store.region_of(Addr(base))).collect();
+    (store.len(), store.peak(), store.overflows(), owners)
 }
 
 proptest! {
@@ -156,9 +159,9 @@ proptest! {
 
     /// Any interleaving of overlapping adds, removes, covering removes and
     /// overflows keeps page↔region bookkeeping consistent with the naive
-    /// model, and the final state round-trips through the codec.
+    /// model.
     #[test]
-    fn interleavings_stay_consistent_and_round_trip(
+    fn interleavings_stay_consistent(
         capacity in 1usize..6,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
@@ -168,23 +171,13 @@ proptest! {
             apply(op, &mut store, &mut model, capacity);
             check_consistency(&store, &model);
         }
-
-        let bytes = encode(&store);
-        let mut dec = Decoder::new(&bytes);
-        let restored = RegionStore::decode_from(&mut dec).expect("decodes");
-        dec.finish().expect("no trailing bytes");
-        // Canonical: re-encoding reproduces the bytes, and the restored
-        // store answers lookups exactly like the original.
-        prop_assert_eq!(encode(&restored), bytes);
-        check_consistency(&restored, &model);
-        prop_assert_eq!(restored.peak(), store.peak());
     }
 
     /// Two stores driven by the same operation sequence are observationally
     /// identical — including after removes that force overlapping pages to
     /// be reassigned (the old hash-scan reassignment was nondeterministic).
     #[test]
-    fn identically_driven_stores_encode_identically(
+    fn identically_driven_stores_answer_identically(
         capacity in 1usize..6,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
@@ -196,6 +189,6 @@ proptest! {
             apply(op, &mut a, &mut model_a, capacity);
             apply(op, &mut b, &mut model_b, capacity);
         }
-        prop_assert_eq!(encode(&a), encode(&b));
+        prop_assert_eq!(observe(&a), observe(&b));
     }
 }

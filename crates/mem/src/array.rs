@@ -16,7 +16,6 @@
 //! freeing only the touched sets is what keeps engine setup and teardown
 //! proportional to the run rather than to the machine.
 
-use crate::codec::{CodecError, Decoder, Encoder};
 use crate::{BlockAddr, CacheGeometry};
 use std::fmt;
 
@@ -420,93 +419,6 @@ impl<T> CacheArray<T> {
     pub fn lookup_mut(&mut self, block: BlockAddr) -> Option<LookupMut<'_, T>> {
         self.get_mut(block).map(|payload| LookupMut { payload })
     }
-
-    /// Serialize the array's complete replacement state: the LRU tick and,
-    /// per set, every line *in its exact storage order* with its LRU stamp.
-    /// Every set is written, in set order, with a zero count for a set
-    /// holding no lines, whether or not it has storage. Order matters for
-    /// bit-identical resume: [`Self::insert`] evicts with a swap-remove, so
-    /// within-set position influences future victim selection whenever LRU
-    /// stamps tie.
-    ///
-    /// Payloads are emitted through `put` so the protocol layer controls
-    /// their encoding.
-    pub fn encode_with(&self, enc: &mut Encoder, mut put: impl FnMut(&mut Encoder, &T)) {
-        enc.put_u64(self.tick);
-        enc.put_usize(self.index.len());
-        for &word in &self.index {
-            let n = fill_of(word);
-            enc.put_usize(n);
-            let dense = dense_of(word);
-            let base = dense * self.assoc;
-            for way in 0..n {
-                enc.put_u64(self.blocks[base + way]);
-                enc.put_u64(self.lru[base + way]);
-                put(enc, &self.payloads[dense][way]);
-            }
-        }
-    }
-
-    /// Decode an array serialized by [`Self::encode_with`] into the given
-    /// geometry, restoring tick, per-set line order and LRU stamps exactly.
-    /// Only sets that hold lines get storage.
-    pub fn decode_with(
-        geometry: CacheGeometry,
-        dec: &mut Decoder<'_>,
-        mut take: impl FnMut(&mut Decoder<'_>) -> Result<T, CodecError>,
-    ) -> Result<CacheArray<T>, CodecError> {
-        let tick = dec.take_u64()?;
-        let num_sets = dec.take_usize()?;
-        if num_sets != geometry.num_sets() as usize {
-            return Err(CodecError::Invalid {
-                what: "cache array",
-                detail: format!(
-                    "snapshot has {num_sets} sets, geometry expects {}",
-                    geometry.num_sets()
-                ),
-            });
-        }
-        let ways = geometry.associativity() as usize;
-        let mut out: CacheArray<T> = CacheArray::new(geometry);
-        out.tick = tick;
-        for set_idx in 0..num_sets {
-            let n = dec.take_count(16)?;
-            if n > ways {
-                return Err(CodecError::Invalid {
-                    what: "cache set",
-                    detail: format!("set {set_idx} holds {n} lines, associativity is {ways}"),
-                });
-            }
-            if n == 0 {
-                continue;
-            }
-            let dense = out.storage(set_idx);
-            let base = dense * ways;
-            for way in 0..n {
-                let block = BlockAddr(dec.take_u64()?);
-                if geometry.set_of(block) as usize != set_idx {
-                    return Err(CodecError::Invalid {
-                        what: "cache line",
-                        detail: format!("block {} does not map to set {set_idx}", block.0),
-                    });
-                }
-                if out.blocks[base..base + way].contains(&block.0) {
-                    return Err(CodecError::Invalid {
-                        what: "cache line",
-                        detail: format!("block {} duplicated within set {set_idx}", block.0),
-                    });
-                }
-                let lru = dec.take_u64()?;
-                let payload = take(dec)?;
-                out.blocks[base + way] = block.0;
-                out.lru[base + way] = lru;
-                out.payloads[dense].push(payload);
-            }
-            out.index[set_idx] += n as u64;
-            out.len += n;
-        }
-        Ok(out)
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for CacheArray<T> {
@@ -644,39 +556,5 @@ mod tests {
         assert_eq!(c.at(s4), &40);
         let ev = c.insert(BlockAddr(6), 60).expect("set was full");
         assert_eq!(ev.block, BlockAddr(0));
-    }
-
-    #[test]
-    fn codec_roundtrip_preserves_order_lru_and_tick() {
-        let mut c = small();
-        c.insert(BlockAddr(0), 10);
-        c.insert(BlockAddr(2), 20);
-        c.get(BlockAddr(0));
-        c.insert(BlockAddr(4), 40); // evicts via swap-remove, perturbing order
-        c.insert(BlockAddr(1), 11);
-
-        let mut enc = crate::codec::Encoder::new();
-        c.encode_with(&mut enc, |e, p| e.put_u32(*p));
-        let bytes = enc.into_bytes();
-        let mut dec = crate::codec::Decoder::new(&bytes);
-        let mut d: CacheArray<u32> =
-            CacheArray::decode_with(c.geometry(), &mut dec, |d| d.take_u32()).unwrap();
-        dec.finish().unwrap();
-
-        // Behavioral equivalence: the same future insert evicts the same victim.
-        let ev_c = c.insert(BlockAddr(6), 60).expect("eviction");
-        let ev_d = d.insert(BlockAddr(6), 60).expect("eviction");
-        assert_eq!(ev_c.block, ev_d.block);
-        assert_eq!(ev_c.payload, ev_d.payload);
-        assert_eq!(c.len(), d.len());
-
-        // Re-encoding the decoded array reproduces the snapshot... after
-        // undoing the insert above would be awkward; instead check a fresh
-        // encode of both mutated arrays agrees (same storage order).
-        let mut e1 = crate::codec::Encoder::new();
-        c.encode_with(&mut e1, |e, p| e.put_u32(*p));
-        let mut e2 = crate::codec::Encoder::new();
-        d.encode_with(&mut e2, |e, p| e.put_u32(*p));
-        assert_eq!(e1.into_bytes(), e2.into_bytes());
     }
 }

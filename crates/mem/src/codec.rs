@@ -1,13 +1,14 @@
-//! A tiny, dependency-free binary codec used by the checkpoint subsystem.
+//! A tiny, dependency-free binary codec for traces, run records and
+//! fingerprints.
 //!
-//! The workspace is built offline (no serde), so simulation snapshots are
-//! serialized by hand through this pair of cursor types. The encoding is
+//! The workspace is built offline (no serde), so traces and run records
+//! are serialized by hand through this pair of cursor types. The encoding is
 //! deliberately boring: little-endian fixed-width integers, length-prefixed
 //! byte strings, and nothing self-describing — framing, versioning and
 //! checksumming live one layer up (see `warden-sim`'s `checkpoint` module).
 //!
 //! Every `take_*` method is total: malformed or truncated input produces a
-//! typed [`CodecError`], never a panic, so torn checkpoint files can be
+//! typed [`CodecError`], never a panic, so torn record files can be
 //! rejected gracefully.
 
 use std::fmt;
@@ -57,7 +58,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// FNV-1a 64-bit hash over a byte slice (the checksum and fingerprint
-/// primitive of the checkpoint format).
+/// primitive of the record format).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -126,7 +127,7 @@ impl Encoder {
     }
 
     /// Append an `f64` by bit pattern (exact round trip, including NaN
-    /// payloads — checkpointed energy accumulators must resume bit-identical).
+    /// payloads — recorded energy must read back bit-identical).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -342,7 +343,7 @@ mod tests {
     fn fnv_is_stable() {
         // The empty hash is the offset basis; the prime matches the one
         // Memory::digest has always used, so these values are frozen — a
-        // change here would invalidate existing checkpoints.
+        // change here would invalidate existing records and run keys.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf74_d84c_8601_ec8c);
         assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));

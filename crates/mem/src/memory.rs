@@ -284,8 +284,7 @@ impl Memory {
     ///
     /// A resident all-zero page is written as bitmap 0, which keeps a
     /// decoded memory's page map identical to the original's, not just
-    /// semantically equal — a checkpointed run must resume with the exact
-    /// page map it was snapshotted with.
+    /// semantically equal.
     pub fn encode_into(&self, enc: &mut Encoder) {
         let pages = self.sorted_pages();
         enc.put_usize(pages.len());

@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use warden_mem::codec::{Decoder, Encoder};
 use warden_mem::{BlockAddr, BlockData, CacheArray, CacheGeometry, WriteMask};
 
 /// One resident line of the model.
@@ -112,39 +111,6 @@ impl ModelCache {
             .map(|l| (l.block, l.value))
             .collect()
     }
-
-    /// The bytes `CacheArray::encode_with` must write for this state: the
-    /// tick, the set count, then every set in set order with its line
-    /// count (zero for a set holding no lines) and lines.
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u64(self.tick);
-        let num_sets = self.geometry.num_sets();
-        enc.put_usize(num_sets as usize);
-        for set in 0..num_sets {
-            let lines = self.sets.get(&set).map_or(&[][..], |s| &s[..]);
-            enc.put_usize(lines.len());
-            for l in lines {
-                enc.put_u64(l.block);
-                enc.put_u64(l.stamp);
-                enc.put_u32(l.value);
-            }
-        }
-        enc.into_bytes()
-    }
-}
-
-fn encode(cache: &CacheArray<u32>) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    cache.encode_with(&mut enc, |e, v| e.put_u32(*v));
-    enc.into_bytes()
-}
-
-fn decode(geometry: CacheGeometry, bytes: &[u8]) -> CacheArray<u32> {
-    let mut dec = Decoder::new(bytes);
-    let out = CacheArray::decode_with(geometry, &mut dec, |d| d.take_u32()).unwrap();
-    dec.finish().unwrap();
-    out
 }
 
 fn lines(cache: &CacheArray<u32>) -> Vec<(u64, u32)> {
@@ -173,8 +139,6 @@ enum Op {
     DrainAll,
     /// Start (or restart) a twin from `clone()`, to receive every later op.
     Fork,
-    /// Encode, decode, re-encode; carry on with the decoded array.
-    Roundtrip,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -184,34 +148,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         75..=89 => Op::Invalidate(b),
         90..=93 => Op::DrainMatching(v & 1),
         94 => Op::DrainAll,
-        95..=97 => Op::Fork,
-        _ => Op::Roundtrip,
+        _ => Op::Fork,
     })
-}
-
-#[test]
-fn emptied_sets_encode_and_roundtrip_like_untouched_ones() {
-    let (size, ways) = GEOMETRIES[1];
-    let geometry = CacheGeometry::new(size, ways);
-    let mut real: CacheArray<u32> = CacheArray::new(geometry);
-    let mut model = ModelCache::new(geometry);
-    // Fill two sets, then empty the first one again.
-    for id in [0, 8, 16, 3] {
-        let b = block_of(geometry, id);
-        assert_eq!(
-            real.insert(BlockAddr(b), id as u32).is_some(),
-            model.insert(b, id as u32).is_some()
-        );
-    }
-    for id in [0, 8, 16] {
-        let b = block_of(geometry, id);
-        assert_eq!(real.invalidate(BlockAddr(b)), model.invalidate(b));
-    }
-    let bytes = encode(&real);
-    assert_eq!(bytes, model.encode());
-    let decoded = decode(geometry, &bytes);
-    assert_eq!(encode(&decoded), bytes);
-    assert_eq!(lines(&decoded), vec![(block_of(geometry, 3), 3)]);
 }
 
 proptest! {
@@ -254,27 +192,15 @@ proptest! {
                         cache.drain_all(|b, v| removed.push((b.0, v)));
                         prop_assert_eq!(removed, replay.drain_all());
                     }
-                    Op::Fork | Op::Roundtrip => {}
+                    Op::Fork => {}
                 }
                 prop_assert_eq!(lines(cache), replay.lines());
                 prop_assert_eq!(cache.len(), replay.lines().len());
                 model = replay;
             }
-            match op {
-                Op::Fork => twin = Some(real.clone()),
-                Op::Roundtrip => {
-                    let bytes = encode(&real);
-                    prop_assert_eq!(&bytes, &model.encode());
-                    let decoded = decode(geometry, &bytes);
-                    prop_assert_eq!(encode(&decoded), bytes);
-                    real = decoded;
-                }
-                _ => {}
+            if let Op::Fork = op {
+                twin = Some(real.clone());
             }
-        }
-        prop_assert_eq!(encode(&real), model.encode());
-        if let Some(twin) = &twin {
-            prop_assert_eq!(encode(twin), model.encode());
         }
     }
 

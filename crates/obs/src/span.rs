@@ -8,8 +8,8 @@
 //! profiler.
 //!
 //! Spans measure the *host*, not the simulated machine — they are profiling
-//! state, deliberately excluded from checkpoints (a resumed run starts its
-//! own measurement) and from any determinism guarantee.
+//! state, deliberately excluded from run records and from any determinism
+//! guarantee.
 
 use std::fmt;
 use std::time::Instant;

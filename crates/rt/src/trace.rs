@@ -285,8 +285,7 @@ impl TraceProgram {
 
     /// A content fingerprint of the program: name, the complete spawn tree
     /// with every event, the address range, and the initial memory image.
-    /// Checkpoints embed it so a snapshot taken against one trace can never
-    /// be resumed against a different one.
+    /// Equal fingerprints mean two builds produced the same program.
     ///
     /// (The phase-1 *final* image and stats are derived from the events and
     /// initial image, so they are not hashed separately.)

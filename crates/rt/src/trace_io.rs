@@ -443,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn tasks_longer_than_the_preallocation_decode_without_slack() {
+    fn tasks_longer_than_the_preallocation_leave_no_slack_once_decoded() {
         // Decoding preallocates at most 1 << 16 events per task, so a longer
         // task grows by doubling; finalization must still end slack-free.
         let mut p = sample();

@@ -9,7 +9,7 @@
 //! The token deliberately carries **no identity**: it is not part of the
 //! options fingerprint (two requests for the same simulation with
 //! different tokens are the *same* content-addressed computation), it is
-//! never serialized into checkpoints, and cloning it clones the handle,
+//! never serialized into a record, and cloning it clones the handle,
 //! not the flag — every clone observes and triggers the same cancellation.
 
 use std::fmt;

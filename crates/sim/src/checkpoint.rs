@@ -1,11 +1,10 @@
-//! Crash-safe simulation checkpoints.
+//! Crash-safe run records.
 //!
-//! A checkpoint is a single binary file holding the *complete* mutable state
-//! of a paused [`SimEngine`] — scheduler, per-core clocks/deques/store
-//! buffers, RNG streams, fault-injector cursors, the whole coherence system
-//! (caches, directory, W state, region CAM), the memory image and every
-//! statistics accumulator — so a run interrupted at any instruction boundary
-//! continues **bit-identically**.
+//! A campaign's durable unit is the record of one finished run: the
+//! [`encode_outcome`] bytes of its [`SimOutcome`] in a checksummed frame.
+//! An engine's mid-run state is never persisted; a run that has no record
+//! starts again from step 0, which at this simulator's speed costs well
+//! under a second per cell.
 //!
 //! # File format
 //!
@@ -18,12 +17,6 @@
 //! 20+n    8     FNV-1a-64 checksum of bytes [0, 20+n) (u64 LE)
 //! ```
 //!
-//! The payload of an engine checkpoint starts with an identity header —
-//! fingerprints of the trace program, the machine description, the protocol
-//! and the simulation options — followed by the serialized engine state.
-//! Resume verifies each fingerprint before touching the state, so a
-//! checkpoint can never silently resume under different inputs.
-//!
 //! Every strict byte prefix of a valid file fails [`unframe`] (short header
 //! ⇒ [`CheckpointError::Truncated`], short payload ⇒ `Truncated`, missing
 //! checksum ⇒ `Truncated`), and any bit corruption fails the checksum — a
@@ -34,14 +27,12 @@
 //! [`write_atomic`] writes to a sibling `*.tmp` file, `fsync`s it, renames
 //! it over the destination and `fsync`s the parent directory, so the
 //! destination path always holds either the old or the new complete file.
-//! Where a frame is kept is the caller's business: campaigns persist
-//! frames and finished outcomes in a content-addressed store keyed by
-//! [`RunKey`].
+//! Where a record is kept is the caller's business: campaigns persist
+//! finished outcomes in a content-addressed store keyed by [`RunKey`].
 
 use crate::config::MachineConfig;
 use crate::energy::EnergyBreakdown;
-use crate::engine::{SimEngine, SimOptions, SimOutcome, CANCEL_CHECK_EVENTS};
-use crate::error::SimError;
+use crate::engine::{SimOptions, SimOutcome};
 use crate::stats::SimStats;
 use std::fmt;
 use std::fs;
@@ -51,7 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use warden_coherence::{InvariantViolation, ProtocolId};
 use warden_mem::codec::{fnv1a64, CodecError, Decoder, Encoder};
 use warden_mem::Memory;
-use warden_rt::TraceProgram;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"WARDCKPT";
@@ -82,14 +72,19 @@ pub const MAGIC: [u8; 8] = *b"WARDCKPT";
 ///   recorder section, the coherence payload its event-buffer and
 ///   directory-transition-log sections, the outcome record its report, and
 ///   the options fingerprint its observability byte: recording is now a
-///   property of one direct run ([`SimEngine::run_observed`]), never of a
-///   snapshot or a record. Older files are rejected, not misdecoded.
+///   property of one direct run ([`crate::SimEngine::run_observed`]),
+///   never of a snapshot or a record. Older files are rejected, not
+///   misdecoded.
+///
+/// Mid-run engine snapshots (a store's `.ckpt` entries) were later retired
+/// without a version change: the record payload stayed the same, and a
+/// store quarantines any snapshot entry it finds.
 pub const VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const FOOTER_LEN: usize = 8;
 
-/// Everything that can go wrong writing, reading or resuming a checkpoint.
+/// Everything that can go wrong writing or reading a framed record.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum CheckpointError {
@@ -113,12 +108,6 @@ pub enum CheckpointError {
     ChecksumMismatch,
     /// The frame verified but its payload does not decode.
     Corrupt(CodecError),
-    /// The checkpoint belongs to a different run (program, machine,
-    /// protocol or options fingerprint differs).
-    Mismatch {
-        /// Which identity component differed.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -137,9 +126,6 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint payload: {e}"),
-            CheckpointError::Mismatch { what } => {
-                write!(f, "checkpoint was taken from a different {what}")
-            }
         }
     }
 }
@@ -262,8 +248,7 @@ pub fn unique_dir(parent: &Path, prefix: &str) -> std::io::Result<PathBuf> {
 
 /// Fingerprint of the simulation options (energy parameters, checker flag
 /// and fault plan) — everything besides the program, machine and protocol
-/// that affects a replay. Checkpoints embed this value to bind saved state
-/// to its inputs, and it is the `options` component of every [`RunKey`].
+/// that affects a replay: the `options` component of every [`RunKey`].
 ///
 /// [`SimOptions::cancel`] is deliberately excluded: the token leaves the
 /// replay's event order, statistics and memory images bit-identical, so
@@ -311,15 +296,12 @@ pub fn options_fingerprint(opts: &SimOptions) -> u64 {
 }
 
 /// The identity of one simulation cell: what to replay, on which machine,
-/// under which protocol, with which options. Campaign records and mid-run
-/// checkpoints are both stored under it, so a cell computed by one
-/// campaign is found by the next.
+/// under which protocol, with which options. Campaign records are stored
+/// under it, so a cell computed by one campaign is found by the next.
 ///
 /// `program` hashes the workload's *token* (`bench:<name>:<Scale>` or
 /// `custom:<token>`), not the trace's content fingerprint, so a lookup
-/// never has to build the trace. A token names exactly one program; the
-/// checkpoint frame still carries the content fingerprint, so a stale
-/// frame can never resume.
+/// never has to build the trace. A token names exactly one program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RunKey {
     /// FNV-1a-64 of the workload token.
@@ -372,100 +354,6 @@ impl RunKey {
         let mut enc = Encoder::new();
         self.encode_into(&mut enc);
         fnv1a64(enc.bytes())
-    }
-}
-
-impl<'a> SimEngine<'a> {
-    /// Serialize the paused engine into a complete framed checkpoint
-    /// (identity header + full simulation state + checksum).
-    ///
-    /// Takes `&mut self` because parked idle cores are settled first (see
-    /// [`SimEngine::step`]), so the frame equals a tick-by-tick replay's.
-    pub fn snapshot_to_bytes(&mut self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u64(self.program_ref().fingerprint());
-        enc.put_u64(self.machine_ref().fingerprint());
-        enc.put_u8(self.protocol().tag());
-        enc.put_u64(options_fingerprint(self.opts_ref()));
-        self.encode_state(&mut enc);
-        frame(enc.bytes())
-    }
-
-    /// Reconstruct a paused engine from framed checkpoint bytes. The
-    /// supplied `(program, machine, protocol, opts)` must fingerprint-match
-    /// the ones the checkpoint was taken under.
-    pub fn resume_from_bytes(
-        program: &'a TraceProgram,
-        machine: &'a MachineConfig,
-        protocol: ProtocolId,
-        opts: &SimOptions,
-        bytes: &[u8],
-    ) -> Result<SimEngine<'a>, CheckpointError> {
-        let mut dec = Decoder::new(unframe(bytes)?);
-        if dec.take_u64()? != program.fingerprint() {
-            return Err(CheckpointError::Mismatch { what: "program" });
-        }
-        if dec.take_u64()? != machine.fingerprint() {
-            return Err(CheckpointError::Mismatch { what: "machine" });
-        }
-        if dec.take_u8()? != protocol.tag() {
-            return Err(CheckpointError::Mismatch { what: "protocol" });
-        }
-        if dec.take_u64()? != options_fingerprint(opts) {
-            return Err(CheckpointError::Mismatch { what: "options" });
-        }
-        let mut eng = SimEngine::new(program, machine, protocol, opts);
-        eng.apply_state(&mut dec)?;
-        dec.finish()?;
-        Ok(eng)
-    }
-
-    /// Run to completion like [`SimEngine::run_with_cancel`], additionally
-    /// handing a framed snapshot to `on_frame` every `every` scheduler
-    /// steps — and once more on cooperative cancellation, so an
-    /// interrupted replay always leaves its latest progress behind for a
-    /// later identity-bound resume (`every == 0` is clamped to 1).
-    ///
-    /// Parked idle cores count toward the cadence only when they rejoin
-    /// (see [`SimEngine::step`]), so a frame may land later than `every`
-    /// steps after the previous one by at most one parked stretch; the
-    /// step count handed to `on_frame` is exact. Where frames fall never
-    /// changes the outcome.
-    ///
-    /// `on_frame` receives the step count and the complete checkpoint
-    /// frame; what it does with them (typically a result store's
-    /// checkpoint entry) is the caller's business, and its failures are
-    /// the caller's to swallow — this loop never stops simulating because
-    /// a snapshot could not be persisted.
-    pub fn run_with_cancel_frames(
-        mut self,
-        every: u64,
-        mut on_frame: impl FnMut(u64, &[u8]),
-    ) -> Result<SimOutcome, SimError> {
-        let every = every.max(1);
-        let token = self.opts_ref().cancel.clone();
-        let mut next = self.steps().saturating_add(every);
-        loop {
-            if token.as_ref().is_some_and(|t| t.is_cancelled()) {
-                let steps = self.steps();
-                let frame = self.snapshot_to_bytes();
-                on_frame(steps, &frame);
-                return Err(SimError::Cancelled { steps });
-            }
-            let mut burst = 0u64;
-            while burst < CANCEL_CHECK_EVENTS {
-                if !self.step() {
-                    return Ok(self.finish());
-                }
-                burst += 1;
-                if self.steps_unparked() >= next {
-                    let steps = self.steps();
-                    let frame = self.snapshot_to_bytes();
-                    on_frame(steps, &frame);
-                    next = steps.saturating_add(every);
-                }
-            }
-        }
     }
 }
 
@@ -526,8 +414,7 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
 mod tests {
     use super::*;
     use crate::engine::simulate_with_options;
-    use crate::faults::FaultPlan;
-    use warden_rt::{trace_program, RtOptions};
+    use warden_rt::{trace_program, RtOptions, TraceProgram};
 
     fn tiny_machine() -> MachineConfig {
         MachineConfig::dual_socket().with_cores(2)
@@ -592,38 +479,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn snapshot_resume_cycle_is_bit_identical() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions {
-            faults: Some(FaultPlan::benign(11)),
-            check: true,
-            ..SimOptions::default()
-        };
-        let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..1_500 {
-            if !eng.step() {
-                break;
-            }
-        }
-        let dir = unique_dir(&std::env::temp_dir(), "warden-ckpt-resume").expect("scratch dir");
-        let path = dir.join("run.ckpt");
-        write_atomic(&path, &eng.snapshot_to_bytes()).expect("snapshot");
-        drop(eng); // the interrupted process is gone
-
-        let bytes = fs::read(&path).expect("read snapshot");
-        let resumed = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &bytes)
-            .expect("resume");
-        let out = resumed.run();
-        assert_eq!(out.stats, reference.stats);
-        assert_eq!(out.memory_image_digest, reference.memory_image_digest);
-        assert_eq!(out.energy, reference.energy);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// Each of the four key components separates cells; equal inputs give
     /// equal keys and addresses.
     #[test]
@@ -658,112 +513,6 @@ mod tests {
         let mut dec = Decoder::new(enc.bytes());
         assert_eq!(RunKey::decode_from(&mut dec).expect("key decodes"), base);
         dec.finish().expect("no trailing bytes");
-    }
-
-    #[test]
-    fn framed_runs_leave_resumable_frames_and_identical_outcomes() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions::default();
-        let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-
-        // A framed run produces the same outcome as a plain one and hands
-        // out monotonically advancing frames.
-        let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
-        let eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        let out = eng
-            .run_with_cancel_frames(500, |steps, frame| frames.push((steps, frame.to_vec())))
-            .expect("no cancel token, must complete");
-        assert_eq!(out.stats, reference.stats);
-        assert_eq!(out.memory_image_digest, reference.memory_image_digest);
-        assert!(!frames.is_empty(), "the run must leave frames behind");
-        assert!(frames.windows(2).all(|w| w[0].0 < w[1].0));
-
-        // Every frame resumes to the bit-identical final outcome.
-        for (steps, frame) in &frames {
-            let resumed = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, frame)
-                .unwrap_or_else(|e| panic!("frame at step {steps} must resume: {e}"));
-            assert_eq!(resumed.steps(), *steps);
-            let out = resumed.run();
-            assert_eq!(out.stats, reference.stats);
-            assert_eq!(out.memory_image_digest, reference.memory_image_digest);
-        }
-
-        // A cancelled framed run still emits one final frame at the point
-        // of interruption, and that frame carries the run forward.
-        let token = crate::CancelToken::new();
-        token.cancel();
-        let cancelled_opts = SimOptions {
-            cancel: Some(token),
-            ..SimOptions::default()
-        };
-        let mut last: Option<(u64, Vec<u8>)> = None;
-        let eng = SimEngine::new(&p, &m, ProtocolId::Warden, &cancelled_opts);
-        let err = eng
-            .run_with_cancel_frames(500, |steps, frame| last = Some((steps, frame.to_vec())))
-            .expect_err("pre-cancelled run must not complete");
-        assert!(matches!(err, SimError::Cancelled { .. }));
-        let (steps, frame) = last.expect("cancellation leaves a final frame");
-        let resumed =
-            SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &cancelled_opts, &frame)
-                .expect("final frame resumes");
-        assert_eq!(resumed.steps(), steps);
-        // The cancel token is excluded from the options fingerprint, so the
-        // frame also resumes under plain options — a campaign retry's
-        // path.
-        let retried = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &frame)
-            .expect("frame resumes under a fresh request's options")
-            .run();
-        assert_eq!(retried.stats, reference.stats);
-    }
-
-    #[test]
-    fn resume_rejects_identity_mismatches() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions::default();
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..200 {
-            eng.step();
-        }
-        let bytes = eng.snapshot_to_bytes();
-
-        let other_program = trace_program("other", RtOptions::default(), |ctx| {
-            let xs = ctx.alloc::<u64>(8);
-            ctx.write(&xs, 0, 1);
-        });
-        let err =
-            SimEngine::resume_from_bytes(&other_program, &m, ProtocolId::Warden, &opts, &bytes)
-                .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { what: "program" }));
-
-        let other_machine = tiny_machine().with_seed(99);
-        let err =
-            SimEngine::resume_from_bytes(&p, &other_machine, ProtocolId::Warden, &opts, &bytes)
-                .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { what: "machine" }));
-
-        let err =
-            SimEngine::resume_from_bytes(&p, &m, ProtocolId::Mesi, &opts, &bytes).unwrap_err();
-        assert!(matches!(
-            err,
-            CheckpointError::Mismatch { what: "protocol" }
-        ));
-
-        let other_opts = SimOptions {
-            check: true,
-            ..SimOptions::default()
-        };
-        let err = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &other_opts, &bytes)
-            .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { what: "options" }));
-
-        // The matching identity still resumes.
-        let resumed = SimEngine::resume_from_bytes(&p, &m, ProtocolId::Warden, &opts, &bytes)
-            .expect("resume");
-        let a = resumed.run();
-        let b = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-        assert_eq!(a.stats, b.stats);
     }
 
     #[test]

@@ -185,9 +185,10 @@ impl MachineConfig {
 
     /// A stable fingerprint over every parameter that affects a replay.
     ///
-    /// Checkpoints embed this value so a snapshot taken on one machine
-    /// description can never silently resume under a different one; two
-    /// configurations with equal fingerprints replay identically.
+    /// It is the `machine` component of every [`crate::RunKey`], so a
+    /// record computed on one machine description is never reused for
+    /// another; two configurations with equal fingerprints replay
+    /// identically.
     pub fn fingerprint(&self) -> u64 {
         use warden_mem::codec::{fnv1a64, Encoder};
         let mut enc = Encoder::new();

@@ -14,9 +14,8 @@
 //! The engine runs in one of two modes: the one-shot helpers
 //! ([`simulate`], [`simulate_with_options`], [`try_simulate`]) replay a
 //! whole trace and return the [`SimOutcome`], while [`SimEngine`] exposes
-//! the same replay a few scheduler steps at a time so a run can be paused,
-//! snapshotted to a crash-safe checkpoint (see [`crate::checkpoint`]) and
-//! resumed bit-identically.
+//! the same replay a few scheduler steps at a time, so a caller can watch
+//! its progress, poll a cancellation token or record it.
 
 use crate::cancel::CancelToken;
 use crate::config::{ComputeCost, MachineConfig};
@@ -31,7 +30,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use warden_coherence::{CoherenceSystem, InvariantViolation, ProtocolId, RegionId};
-use warden_mem::codec::{CodecError, Decoder, Encoder};
 use warden_mem::Memory;
 use warden_rt::{Event, TaskId, TraceProgram};
 
@@ -75,7 +73,7 @@ pub struct SimOptions {
     /// nothing: the cancellable run loop collapses to the plain one. The
     /// token is **not** part of the options fingerprint — the same
     /// simulation requested with different tokens is the same
-    /// content-addressed computation — and it is never checkpointed.
+    /// content-addressed computation.
     pub cancel: Option<CancelToken>,
 }
 
@@ -100,8 +98,7 @@ struct TaskRun {
     /// Forked children not yet completed. `u64`, not `u32`: the count comes
     /// from `children.len()`, and narrowing it was the one genuinely lossy
     /// cast on the replay path — a fork wider than `u32::MAX` would have
-    /// wrapped and deadlocked the join. Widening also widens the
-    /// checkpoint field (format version 2).
+    /// wrapped and deadlocked the join.
     pending_children: u64,
 }
 
@@ -145,14 +142,14 @@ pub fn simulate_with_options(
     SimEngine::new(program, machine, protocol, opts).run()
 }
 
-/// A resumable replay: the whole simulation state of one run, advanced a
+/// A steppable replay: the whole simulation state of one run, advanced a
 /// few scheduler steps at a time (see [`Self::step`]).
 ///
 /// `SimEngine::new(p, m, proto, opts).run()` is exactly
-/// [`simulate_with_options`]`(p, m, proto, opts)`. Between any two
-/// [`step`](Self::step) calls the engine sits at an instruction boundary
-/// and can be serialized to a checkpoint ([`crate::checkpoint`]); a fresh
-/// engine restored from that checkpoint continues the run bit-identically.
+/// [`simulate_with_options`]`(p, m, proto, opts)`. The state lives only in
+/// memory: a run that is interrupted starts again from step 0, and the
+/// durable unit is the finished outcome's record
+/// ([`crate::checkpoint::encode_outcome`]).
 pub struct SimEngine<'a> {
     program: &'a TraceProgram,
     machine: &'a MachineConfig,
@@ -160,16 +157,14 @@ pub struct SimEngine<'a> {
     opts: SimOptions,
     coh: CoherenceSystem,
     injector: Option<FaultInjector>,
-    /// Installed only by [`Self::run_observed`], which consumes the engine,
-    /// so an engine that can still be snapshotted never holds one.
+    /// Installed only by [`Self::run_observed`], which consumes the engine.
     recorder: Option<ObsRecorder>,
     rng: SmallRng,
     cores: Vec<Core>,
     tasks: Vec<TaskRun>,
     /// Live region-token → directory id bindings, sorted by token. A flat
-    /// sorted vec: traces hold few simultaneous regions, lookups are binary
-    /// searches, and the checkpoint encoding (sorted by token) falls out
-    /// for free.
+    /// sorted vec: traces hold few simultaneous regions, and lookups are
+    /// binary searches.
     regions: Vec<(u32, RegionId)>,
     stats: SimStats,
     completed: usize,
@@ -310,14 +305,6 @@ impl<'a> SimEngine<'a> {
         self.steps + parked
     }
 
-    /// [`Self::steps`] without the ticks parked cores have taken since
-    /// they parked: `O(1)`, and behind `steps()` by at most one parked
-    /// stretch, because parked cores rejoin at the next fork onto empty
-    /// deques.
-    pub(crate) fn steps_unparked(&self) -> u64 {
-        self.steps
-    }
-
     /// Tasks that have run to completion so far.
     pub fn completed_tasks(&self) -> usize {
         self.completed
@@ -326,18 +313,6 @@ impl<'a> SimEngine<'a> {
     /// The protocol this engine replays under.
     pub fn protocol(&self) -> ProtocolId {
         self.protocol
-    }
-
-    pub(crate) fn program_ref(&self) -> &'a TraceProgram {
-        self.program
-    }
-
-    pub(crate) fn machine_ref(&self) -> &'a MachineConfig {
-        self.machine
-    }
-
-    pub(crate) fn opts_ref(&self) -> &SimOptions {
-        &self.opts
     }
 
     /// Advance the replay by at least one scheduler step: one event, task
@@ -354,7 +329,7 @@ impl<'a> SimEngine<'a> {
     /// core `i` takes at once the `n` ticks a step-by-step replay would
     /// have run before that step, those with `(c + j·idle_tick, i) <
     /// (T, b)` (`idle_ticks_before`), and rejoins the picker. Readers of
-    /// clocks ([`Self::steps`], checkpoints, [`Self::finish`]) see the same
+    /// clocks ([`Self::steps`], [`Self::finish`]) see the same
     /// ticks counted up to the next step, so every observable number equals
     /// the tick-by-tick replay's.
     pub fn step(&mut self) -> bool {
@@ -749,199 +724,6 @@ impl<'a> SimEngine<'a> {
         };
         (outcome, obs)
     }
-
-    /// Serialize the complete mutable simulation state (scheduler, cores,
-    /// store buffers, RNG, fault injector, coherence system, memory image
-    /// and statistics) at the current instruction boundary. Unparks every
-    /// parked core first, so the encoding holds no parking state and equals
-    /// a tick-by-tick replay's.
-    pub(crate) fn encode_state(&mut self, enc: &mut Encoder) {
-        self.settle();
-        enc.put_usize(self.completed);
-        enc.put_u64(self.makespan);
-        enc.put_u64(self.steps);
-        enc.put_u64(self.rng.state());
-
-        enc.put_usize(self.cores.len());
-        for core in &self.cores {
-            enc.put_u64(core.clock);
-            match core.current {
-                Some(t) => {
-                    enc.put_bool(true);
-                    enc.put_usize(t);
-                }
-                None => enc.put_bool(false),
-            }
-            enc.put_usize(core.deque.len());
-            for &t in &core.deque {
-                enc.put_usize(t);
-            }
-            // The heap only ever exposes its minimum, so a sorted vector is
-            // a canonical, replay-equivalent encoding of its contents.
-            let mut pending: Vec<u64> = core.store_buffer.iter().map(|&Reverse(t)| t).collect();
-            pending.sort_unstable();
-            enc.put_usize(pending.len());
-            for t in pending {
-                enc.put_u64(t);
-            }
-        }
-
-        enc.put_usize(self.tasks.len());
-        for t in &self.tasks {
-            enc.put_usize(t.next_event);
-            enc.put_u64(t.pending_children);
-        }
-
-        // `self.regions` is kept sorted by token, which is exactly the
-        // canonical encoding order.
-        enc.put_usize(self.regions.len());
-        for &(tok, id) in &self.regions {
-            enc.put_u32(tok);
-            enc.put_u64(id.0);
-        }
-
-        self.stats.encode_into(enc);
-        match &self.injector {
-            Some(inj) => {
-                enc.put_bool(true);
-                inj.encode_state(enc);
-            }
-            None => enc.put_bool(false),
-        }
-        self.coh.encode_state(enc);
-    }
-
-    /// Restore state serialized by [`Self::encode_state`] into this engine,
-    /// which must have been freshly constructed from the same `(program,
-    /// machine, protocol, opts)` — the checkpoint layer verifies that via
-    /// fingerprints before calling this. On error the engine must be
-    /// discarded (it may be partially updated).
-    pub(crate) fn apply_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let invalid = |what: &'static str, detail: String| CodecError::Invalid { what, detail };
-        let total = self.program.tasks.len();
-
-        let completed = dec.take_usize()?;
-        if completed > total {
-            return Err(invalid(
-                "engine",
-                format!("{completed} completed of {total} tasks"),
-            ));
-        }
-        let makespan = dec.take_u64()?;
-        let steps = dec.take_u64()?;
-        let rng_state = dec.take_u64()?;
-
-        let ncores = dec.take_usize()?;
-        if ncores != self.cores.len() {
-            return Err(invalid(
-                "engine",
-                format!("{ncores} cores, machine has {}", self.cores.len()),
-            ));
-        }
-        let mut cores = Vec::with_capacity(ncores);
-        for _ in 0..ncores {
-            let clock = dec.take_u64()?;
-            let current = if dec.take_bool()? {
-                let t = dec.take_usize()?;
-                if t >= total {
-                    return Err(invalid("engine", format!("current task {t} out of range")));
-                }
-                Some(t)
-            } else {
-                None
-            };
-            let dlen = dec.take_count(8)?;
-            let mut deque = VecDeque::with_capacity(dlen);
-            for _ in 0..dlen {
-                let t = dec.take_usize()?;
-                if t >= total {
-                    return Err(invalid("engine", format!("queued task {t} out of range")));
-                }
-                deque.push_back(t);
-            }
-            let sblen = dec.take_count(8)?;
-            let mut store_buffer = BinaryHeap::with_capacity(sblen);
-            let mut prev = 0u64;
-            for i in 0..sblen {
-                let t = dec.take_u64()?;
-                if i > 0 && t < prev {
-                    return Err(invalid("engine", "store buffer not sorted".into()));
-                }
-                prev = t;
-                store_buffer.push(Reverse(t));
-            }
-            cores.push(Core {
-                clock,
-                deque,
-                current,
-                store_buffer,
-            });
-        }
-
-        let ntasks = dec.take_usize()?;
-        if ntasks != total {
-            return Err(invalid(
-                "engine",
-                format!("{ntasks} tasks, trace has {total}"),
-            ));
-        }
-        let mut tasks = Vec::with_capacity(ntasks);
-        for i in 0..ntasks {
-            let next_event = dec.take_usize()?;
-            if next_event > self.program.tasks[i].events.len() {
-                return Err(invalid(
-                    "engine",
-                    format!("task {i} event cursor {next_event} out of range"),
-                ));
-            }
-            let pending_children = dec.take_u64()?;
-            tasks.push(TaskRun {
-                next_event,
-                pending_children,
-            });
-        }
-
-        let nregions = dec.take_count(12)?;
-        let mut regions = Vec::with_capacity(nregions);
-        let mut prev_tok: Option<u32> = None;
-        for _ in 0..nregions {
-            let tok = dec.take_u32()?;
-            if prev_tok.is_some_and(|p| tok <= p) {
-                return Err(invalid("engine", "region tokens not ascending".into()));
-            }
-            prev_tok = Some(tok);
-            let id = RegionId(dec.take_u64()?);
-            regions.push((tok, id));
-        }
-
-        let stats = SimStats::decode_from(dec)?;
-        let has_injector = dec.take_bool()?;
-        if has_injector != self.injector.is_some() {
-            return Err(invalid(
-                "engine",
-                "fault-plan presence differs from the checkpoint".into(),
-            ));
-        }
-        if let Some(inj) = self.injector.as_mut() {
-            inj.apply_state(dec)?;
-        }
-        self.coh.restore_state(dec)?;
-
-        self.completed = completed;
-        self.makespan = makespan;
-        self.steps = steps;
-        self.rng = SmallRng::seed_from_u64(rng_state);
-        self.cores = cores;
-        self.tasks = tasks;
-        self.regions = regions;
-        self.stats = stats;
-        // The restored clocks moved behind the picker's back; nothing is
-        // parked (encodings are settled).
-        self.stocked = self.nonempty_deques();
-        self.parked = 0;
-        self.picker.rebuild(self.cores.iter().map(|c| c.clock));
-        Ok(())
-    }
 }
 
 /// A fixed-size winner (tournament) tree over the cores' `(clock, core)`
@@ -1201,18 +983,6 @@ mod tests {
         })
     }
 
-    fn assert_same_outcome(a: &SimOutcome, b: &SimOutcome, what: &str) {
-        assert_eq!(a.stats, b.stats, "{what}: stats");
-        let bits = |e: &EnergyBreakdown| {
-            [e.interconnect_nj, e.in_processor_nj, e.static_nj].map(f64::to_bits)
-        };
-        assert_eq!(bits(&a.energy), bits(&b.energy), "{what}: energy bits");
-        assert_eq!(
-            a.memory_image_digest, b.memory_image_digest,
-            "{what}: image digest"
-        );
-    }
-
     fn sample_program() -> TraceProgram {
         trace_program("sample", RtOptions::default(), |ctx| {
             let xs = ctx.tabulate::<u64>(512, 32, &|_c, i| i * 3 + 1);
@@ -1343,107 +1113,6 @@ mod tests {
     }
 
     #[test]
-    fn state_transfer_mid_run_continues_bit_identically() {
-        // The core checkpoint property, without any file I/O: pause a run
-        // (with the checker and a benign fault campaign active, so every
-        // serializable subsystem is live), move its encoded state into a
-        // freshly constructed engine, and the continuation must reproduce
-        // the uninterrupted run exactly — statistics, energy bits, image.
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions {
-            faults: Some(FaultPlan::benign(5)),
-            check: true,
-            ..SimOptions::default()
-        };
-        let reference = simulate_with_options(&p, &m, ProtocolId::Warden, &opts);
-
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..2_000 {
-            if !eng.step() {
-                break;
-            }
-        }
-        let mut enc = Encoder::new();
-        eng.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut fresh = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        let mut dec = Decoder::new(&bytes);
-        fresh.apply_state(&mut dec).expect("state applies");
-        dec.finish().expect("no trailing bytes");
-
-        // Re-encoding the restored engine reproduces the snapshot exactly.
-        let mut enc2 = Encoder::new();
-        fresh.encode_state(&mut enc2);
-        assert_eq!(enc2.bytes(), &bytes[..], "snapshot must be canonical");
-
-        let resumed = fresh.run();
-        assert_eq!(resumed.stats, reference.stats);
-        assert_eq!(resumed.memory_image_digest, reference.memory_image_digest);
-        assert_eq!(resumed.energy, reference.energy);
-        assert!(resumed.violations.is_empty());
-    }
-
-    #[test]
-    fn snapshots_with_parked_cores_are_canonical_and_resume_identically() {
-        // On 48 cores most snapshots fall while cores are parked. Each one
-        // must encode canonically, keep the step count across a restore,
-        // and resume to the uninterrupted run's outcome; the run it was
-        // taken from (settled at every snapshot) must end the same way too,
-        // as must a framed run, whose frames settle it at other points.
-        let p = fork_join_program();
-        let m = MachineConfig::many_socket(4);
-        let opts = SimOptions::default();
-        for proto in [ProtocolId::Warden, ProtocolId::Dls] {
-            let reference = simulate_with_options(&p, &m, proto, &opts);
-            let full = {
-                let mut eng = SimEngine::new(&p, &m, proto, &opts);
-                while eng.step() {}
-                eng.steps()
-            };
-            let mut eng = SimEngine::new(&p, &m, proto, &opts);
-            let mut parked_snapshots = 0;
-            for k in 0..16 {
-                while eng.steps() < full * k / 16 {
-                    assert!(eng.step(), "the run outlasts its last snapshot");
-                }
-                parked_snapshots += usize::from(eng.parked != 0);
-                let steps = eng.steps();
-                let mut enc = Encoder::new();
-                eng.encode_state(&mut enc);
-                assert_eq!(eng.steps(), steps, "settling keeps the step count");
-                let bytes = enc.into_bytes();
-
-                let mut fresh = SimEngine::new(&p, &m, proto, &opts);
-                let mut dec = Decoder::new(&bytes);
-                fresh.apply_state(&mut dec).expect("state applies");
-                dec.finish().expect("no trailing bytes");
-                let mut enc2 = Encoder::new();
-                fresh.encode_state(&mut enc2);
-                assert_eq!(enc2.bytes(), &bytes[..], "snapshot must be canonical");
-                assert_eq!(fresh.steps(), steps, "restore keeps the step count");
-                let what = format!("{proto} resumed at step {steps}");
-                assert_same_outcome(&fresh.run(), &reference, &what);
-            }
-            assert!(
-                parked_snapshots >= 8,
-                "{proto}: only {parked_snapshots} of 16 snapshots had parked cores"
-            );
-            while eng.step() {}
-            assert_eq!(eng.steps(), full);
-            assert_same_outcome(&eng.finish(), &reference, "settled run");
-
-            let mut frames = 0;
-            let framed = SimEngine::new(&p, &m, proto, &opts)
-                .run_with_cancel_frames(97, |_, _| frames += 1)
-                .expect("no cancel token");
-            assert!(frames > 10);
-            assert_same_outcome(&framed, &reference, "framed run");
-        }
-    }
-
-    #[test]
     fn observability_is_passive_and_reports() {
         use crate::obs::SimEvent;
         let p = sample_program();
@@ -1484,60 +1153,6 @@ mod tests {
         assert!(rep.spans.get("reconcile-walk").is_some());
         // And the timeline exports as a well-formed Perfetto trace.
         warden_obs::validate_trace(&rep.trace_event_json("sample")).expect("well-formed trace");
-    }
-
-    #[test]
-    fn state_transfer_rejects_wrong_shapes() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions::default();
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..500 {
-            eng.step();
-        }
-        let mut enc = Encoder::new();
-        eng.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-
-        // A machine with a different core count refuses the state.
-        let m1 = MachineConfig::dual_socket().with_cores(1);
-        let mut other = SimEngine::new(&p, &m1, ProtocolId::Warden, &opts);
-        assert!(other.apply_state(&mut Decoder::new(&bytes)).is_err());
-
-        // An engine expecting a fault injector refuses a fault-free state.
-        let faulty = SimOptions {
-            faults: Some(FaultPlan::benign(1)),
-            ..SimOptions::default()
-        };
-        let mut other = SimEngine::new(&p, &m, ProtocolId::Warden, &faulty);
-        assert!(other.apply_state(&mut Decoder::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn pending_children_survives_codec_beyond_u32() {
-        // Regression for the lossy-cast audit: `pending_children` was `u32`
-        // and `children.len() as u32` would silently wrap for a fork wider
-        // than u32::MAX, deadlocking the join. The field (and its checkpoint
-        // encoding) is now u64; a value past the old limit must round-trip.
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions::default();
-        let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        for _ in 0..100 {
-            eng.step();
-        }
-        let wide = u64::from(u32::MAX) + 5;
-        eng.tasks[0].pending_children = wide;
-
-        let mut enc = Encoder::new();
-        eng.encode_state(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut fresh = SimEngine::new(&p, &m, ProtocolId::Warden, &opts);
-        let mut dec = Decoder::new(&bytes);
-        fresh.apply_state(&mut dec).expect("state applies");
-        dec.finish().expect("no trailing bytes");
-        assert_eq!(fresh.tasks[0].pending_children, wide);
     }
 
     #[test]

@@ -161,7 +161,8 @@ macro_rules! for_each_fault_counter {
 }
 
 impl FaultStats {
-    /// Serialize every counter, in declaration order, for a checkpoint.
+    /// Serialize every counter, in declaration order, for a campaign
+    /// result record.
     pub(crate) fn encode_into(&self, enc: &mut Encoder) {
         macro_rules! put {
             ($self:ident, $enc:ident: $($f:ident),* $(,)?) => {
@@ -316,54 +317,6 @@ impl FaultInjector {
         for id in std::mem::take(&mut self.decoys) {
             coh.remove_region(id);
         }
-    }
-
-    /// Serialize the injector's mutable state for a checkpoint. The plan
-    /// itself is not serialized — it is part of the run's identity and is
-    /// re-supplied (and fingerprint-checked) on resume.
-    pub(crate) fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u64(self.rng.state());
-        enc.put_u64(self.accesses);
-        enc.put_u64(self.region_adds);
-        enc.put_usize(self.decoys.len());
-        for id in &self.decoys {
-            enc.put_u64(id.0);
-        }
-        enc.put_u64(self.decoys_release_at);
-        enc.put_u64(self.next_decoy_page);
-        enc.put_u64(self.addr_lo.0);
-        enc.put_u64(self.addr_hi.0);
-        self.stats.encode_into(enc);
-    }
-
-    /// Restore state serialized by [`Self::encode_state`] into this
-    /// injector (which must carry the same plan). The injector is only
-    /// modified once the whole record has decoded.
-    pub(crate) fn apply_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let rng_state = dec.take_u64()?;
-        let accesses = dec.take_u64()?;
-        let region_adds = dec.take_u64()?;
-        let n = dec.take_count(8)?;
-        let mut decoys = Vec::with_capacity(n);
-        for _ in 0..n {
-            decoys.push(RegionId(dec.take_u64()?));
-        }
-        let decoys_release_at = dec.take_u64()?;
-        let next_decoy_page = dec.take_u64()?;
-        let addr_lo = Addr(dec.take_u64()?);
-        let addr_hi = Addr(dec.take_u64()?);
-        let stats = FaultStats::decode_from(dec)?;
-
-        self.rng = SmallRng::seed_from_u64(rng_state);
-        self.accesses = accesses;
-        self.region_adds = region_adds;
-        self.decoys = decoys;
-        self.decoys_release_at = decoys_release_at;
-        self.next_decoy_page = next_decoy_page;
-        self.addr_lo = addr_lo;
-        self.addr_hi = addr_hi;
-        self.stats = stats;
-        Ok(())
     }
 }
 

@@ -23,7 +23,7 @@
 //! ([`crate::SimEngine::run_observed`]) and purely passive: it never
 //! touches clocks, the RNG or any statistic, so an instrumented run produces
 //! bit-identical [`crate::SimStats`] and memory images. The recorder lives
-//! in memory only: no checkpoint or campaign record carries it, and the
+//! in memory only: no campaign record carries it, and the
 //! wall-clock [`SpanSet`] profile is outside every determinism guarantee.
 
 use std::fmt::Write as _;

@@ -99,8 +99,8 @@ impl SimStats {
         self.coherence.ward_serves as f64 / self.memory_accesses as f64
     }
 
-    /// Serialize every measurement, in declaration order, for a checkpoint
-    /// or a campaign result record.
+    /// Serialize every measurement, in declaration order, for a campaign
+    /// result record.
     pub fn encode_into(&self, enc: &mut Encoder) {
         macro_rules! put {
             ($self:ident, $enc:ident: $($f:ident),* $(,)?) => {

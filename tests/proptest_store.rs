@@ -1,11 +1,11 @@
-//! Property tests of the result store's on-disk entry codec: every entry
-//! survives encode→decode exactly, and every truncation or byte flip of a
+//! Property tests of the result store's on-disk entry codec: every result
+//! record survives encode→decode exactly, and every truncation or byte flip of a
 //! persisted [`DiskEntry`] decodes to a typed error, never a panic and never
 //! wrong data. This is the quarantine-and-continue contract of the store's
 //! fsck scan.
 
 use proptest::prelude::*;
-use warden::bench::store::{DiskBody, DiskEntry};
+use warden::bench::store::DiskEntry;
 use warden::coherence::ProtocolId;
 use warden::sim::RunKey;
 
@@ -22,12 +22,8 @@ fn run_key() -> impl Strategy<Value = RunKey> {
 }
 
 fn disk_entry() -> impl Strategy<Value = DiskEntry> {
-    let bytes = || proptest::collection::vec(any::<u8>(), 0..96);
-    let body = prop_oneof![
-        bytes().prop_map(|outcome| DiskBody::Result { outcome }),
-        (any::<u64>(), bytes()).prop_map(|(steps, frame)| DiskBody::Checkpoint { steps, frame }),
-    ];
-    (run_key(), body).prop_map(|(key, body)| DiskEntry { key, body })
+    let outcome = proptest::collection::vec(any::<u8>(), 0..96);
+    (run_key(), outcome).prop_map(|(key, outcome)| DiskEntry { key, outcome })
 }
 
 proptest! {
