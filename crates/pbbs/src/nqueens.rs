@@ -6,36 +6,29 @@
 
 use warden_rt::{trace_program, RtOptions, TaskCtx, TraceProgram};
 
-/// Sequential bitmask backtracking count with `row` rows already placed.
-fn solve_seq(n: u32, cols: u32, diag1: u32, diag2: u32) -> u64 {
+/// Sequential bitmask backtracking over the rows left after the queens in
+/// `cols`: the solutions found and the board states visited (the cost a
+/// leaf is charged).
+fn search_seq(n: u32, cols: u32, diag1: u32, diag2: u32) -> (u64, u64) {
     let full = (1u32 << n) - 1;
     if cols == full {
-        return 1;
+        return (1, 1);
     }
     let mut free = full & !(cols | diag1 | diag2);
-    let mut count = 0;
+    let (mut solutions, mut nodes) = (0, 1);
     while free != 0 {
         let bit = free & free.wrapping_neg();
         free -= bit;
-        count += solve_seq(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
+        let (s, v) = search_seq(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
+        solutions += s;
+        nodes += v;
     }
-    count
+    (solutions, nodes)
 }
 
-/// Number of board states the sequential search visits (for cost charging).
-fn nodes_seq(n: u32, cols: u32, diag1: u32, diag2: u32) -> u64 {
-    let full = (1u32 << n) - 1;
-    if cols == full {
-        return 1;
-    }
-    let mut free = full & !(cols | diag1 | diag2);
-    let mut nodes = 1;
-    while free != 0 {
-        let bit = free & free.wrapping_neg();
-        free -= bit;
-        nodes += nodes_seq(n, cols | bit, (diag1 | bit) << 1, (diag2 | bit) >> 1);
-    }
-    nodes
+/// The number of solutions [`search_seq`] finds.
+fn solve_seq(n: u32, cols: u32, diag1: u32, diag2: u32) -> u64 {
+    search_seq(n, cols, diag1, diag2).0
 }
 
 /// Known solution counts for validation.
@@ -74,8 +67,9 @@ fn count_par(ctx: &mut TaskCtx<'_>, n: u32) -> u64 {
             let diag1 = (b0 << 2) | (b1 << 1);
             let diag2 = (b0 >> 2) | (b1 >> 1);
             // Charge the cost of the subtree this leaf explores.
-            c.work(10 * nodes_seq(n, cols, diag1, diag2));
-            solve_seq(n, cols, diag1, diag2)
+            let (solutions, nodes) = search_seq(n, cols, diag1, diag2);
+            c.work(10 * nodes);
+            solutions
         },
         &|a, b| a + b,
         0,
