@@ -6,7 +6,9 @@
 #                    tests/invariant_checker.rs and tests/fault_injection.rs),
 #                    the benchmark's own tests (perfbench/: a seeded defect
 #                    is counted, work counters repeat), lints, and
-#                    formatting (of the workspace and of perfbench/)
+#                    formatting (of the workspace and of perfbench/);
+#                    perfbench/Cargo.lock, which building the benchmark
+#                    rewrites, is restored when the script exits
 #   ./ci.sh smoke    kill/resume drill: SIGKILL a tiny benchmark campaign
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
@@ -47,6 +49,14 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 checks() {
+  # Building the benchmark rewrites perfbench/Cargo.lock. Keep a copy and
+  # put it back when the script exits, pass or fail, so this stage leaves
+  # perfbench/ as it found it.
+  local saved_lock
+  saved_lock="$(mktemp)"
+  cp perfbench/Cargo.lock "$saved_lock"
+  trap "cp '$saved_lock' perfbench/Cargo.lock; rm -f '$saved_lock'" EXIT
+
   echo "== build (release) =="
   cargo build --release --offline
 
