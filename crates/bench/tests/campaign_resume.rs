@@ -1,7 +1,7 @@
 //! Supervisor-level crash drills for the benchmark campaign runner: a
 //! killed campaign resumes bit-identically from its durable records,
 //! panicking runs are retried and isolated, a deadline-cancelled run leaves
-//! nothing behind and reruns from step 0, a damaged or torn record is
+//! nothing behind and reruns from step 0, a damaged record is
 //! quarantined and re-run, entries of an older format version and the
 //! retired mid-run snapshot entries are quarantined and never loaded, and
 //! a campaign under seeded storage faults never reports a wrong outcome
@@ -392,43 +392,6 @@ fn a_retired_snapshot_entry_is_never_loaded() {
     for d in [dir, ref_dir] {
         let _ = std::fs::remove_dir_all(&d);
     }
-}
-
-/// Kill-point drill: a result record torn at sampled prefix lengths, as a
-/// write that bypassed the atomic rename would leave it, is quarantined
-/// when the campaign opens its directory, and the cell reruns from step 0
-/// to the outcome of an uninterrupted reference.
-#[test]
-fn a_torn_record_is_quarantined_and_its_cell_reruns_identically() {
-    let spec = tiny_specs().remove(0);
-    let ref_dir = scratch("torn-ref");
-    let reference = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(ref_dir.clone()))
-        .expect("reference")
-        .remove(0);
-    let recs = records(&ref_dir);
-    let name = recs[0].file_name().expect("record name");
-    let full = std::fs::read(&recs[0]).expect("record bytes");
-
-    let stride = (full.len() / 8).max(1);
-    for cut in (0..full.len()).step_by(stride) {
-        let dir = scratch("torn");
-        std::fs::write(dir.join(name), &full[..cut]).expect("tear the record");
-        let again = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
-            .expect("the cell reruns")
-            .remove(0);
-        assert!(!again.reused, "torn at {cut} bytes");
-        assert_eq!(
-            fnv1a64(&encode_outcome(&again.outcome)),
-            fnv1a64(&encode_outcome(&reference.outcome)),
-            "torn at {cut} bytes"
-        );
-        assert!(
-            dir.join("quarantine").join(name).is_file(),
-            "the torn record ({cut} bytes) is set aside as evidence"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// A campaign whose result store sits on seeded storage faults (torn
