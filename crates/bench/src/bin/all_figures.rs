@@ -265,13 +265,12 @@ Re-running the *same command* resumes instead of restarting:
 $ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign
 Figure 7 (single socket)…
 campaign: 28 run(s), 17 reused from records, 11 to execute (4 worker(s))
-  [resume] single-socket/tiny/primes/warden from step 1500000
   ...
 ```
 
 Completed runs load from their checksummed result records; the runs that
-were mid-flight when the process died continue from their latest engine
-checkpoint rather than from step zero. The final report is bit-identical to
+were mid-flight when the process died run again from step zero, which
+costs well under a second per run. The final report is bit-identical to
 an uninterrupted run — `ci.sh smoke` enforces exactly this, with `kill -9`.
 
 Inside the campaign directory:
@@ -284,16 +283,13 @@ The directory is a result store plus a manifest:
   Records are the source of truth for resume: opening the directory
   verifies every entry and moves a damaged one to `quarantine/`, and its
   run is simulated again.
-* `<key>.ckpt` — the newest mid-run engine snapshot of an in-flight run
-  (removed when the run completes).
 * `manifest.json` — the human-readable progress ledger, rewritten
   atomically after every completion. It is *derived* state: resume never
   parses it, so a torn manifest cannot corrupt anything.
 
 Supervision knobs (all binaries): `--jobs <n>` worker threads,
 `--deadline-ms <ms>` per-run watchdog deadline (an expired run is
-checkpointed, cancelled, and retried — long runs can finish across
-deadline slices), `--retries <n>` attempts beyond the first (panics are
+cancelled and retried from step zero), `--retries <n>` attempts beyond the first (panics are
 caught and retried with exponential backoff), `--quiet` to silence
 progress lines.
 "#;
