@@ -132,8 +132,8 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The cell's identity: the key its result entry is stored under. Changing any input re-runs the cell; the id is not
-    /// part of it.
+    /// The cell's identity: the key its result entry is stored under.
+    /// Changing any input re-runs the cell; the id is not part of it.
     pub fn key(&self) -> RunKey {
         RunKey::new(
             self.workload.token(),

@@ -50,8 +50,9 @@ pub struct DiskEntry {
     pub outcome: Vec<u8>,
 }
 
-/// The kind byte that leads every entry's payload. Results are the only
-/// kind left; the retired mid-run snapshot kind (`1`) no longer decodes.
+/// The kind byte that leads every entry's payload, kept so that records
+/// keep their format. Only results decode; a mid-run snapshot entry of
+/// an older store (kind `1`) is rejected.
 const KIND_RESULT: u8 = 0;
 
 impl DiskEntry {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use warden_bench::storage::{FaultyStorage, RealStorage, StorageFaultPlan};
-use warden_bench::store::{DiskEntry, ResultStore};
+use warden_bench::store::{result_file_name, DiskEntry, ResultStore};
 use warden_bench::{run_campaign, CampaignConfig, HarnessError, RunSpec, Workload};
 use warden_coherence::ProtocolId;
 use warden_mem::codec::{fnv1a64, Encoder};
@@ -315,7 +315,7 @@ fn older_version_entries_are_quarantined_and_recomputed() {
         let rec = restamp(rec.encode(), version);
 
         let dir = scratch(&format!("skew-v{version}"));
-        let (rec_name, ckpt_name) = (format!("{:016x}.rec", key.address()), snapshot_name(&key));
+        let (rec_name, ckpt_name) = (result_file_name(&key), snapshot_name(&key));
         std::fs::write(dir.join(&rec_name), rec).expect("write old record");
         std::fs::write(dir.join(&ckpt_name), retired_snapshot_entry(&key, version))
             .expect("write old snapshot");
