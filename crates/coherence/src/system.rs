@@ -1088,7 +1088,13 @@ impl CoherenceSystem {
     /// # Panics
     ///
     /// Panics if the access crosses a block boundary.
-    pub fn load(&mut self, core: CoreId, addr: Addr, size: u64) -> u64 {
+    ///
+    /// The access entry points ([`Self::store`], [`Self::rmw`],
+    /// [`Self::rmw_add`], [`Self::observe`], [`Self::add_region`] too) take
+    /// any `impl Into<Addr>`, so replay loops pass a trace event's packed
+    /// 40-bit address through unchanged.
+    pub fn load(&mut self, core: CoreId, addr: impl Into<Addr>, size: u64) -> u64 {
+        let addr = addr.into();
         assert!(
             addr.block_offset() + size <= BLOCK_SIZE,
             "load at {addr} size {size} crosses a block boundary"
@@ -1121,7 +1127,8 @@ impl CoherenceSystem {
     /// # Panics
     ///
     /// Panics if the access crosses a block boundary or `data` is empty.
-    pub fn store(&mut self, core: CoreId, addr: Addr, data: &[u8]) -> u64 {
+    pub fn store(&mut self, core: CoreId, addr: impl Into<Addr>, data: &[u8]) -> u64 {
+        let addr = addr.into();
         assert!(!data.is_empty(), "empty store");
         assert!(
             addr.block_offset() + data.len() as u64 <= BLOCK_SIZE,
@@ -1162,9 +1169,9 @@ impl CoherenceSystem {
     /// "coherent escape"), because an atomic operating on stale W-state data
     /// would break synchronization. This mirrors how real sync variables in
     /// MPL live outside the marked heap pages.
-    pub fn rmw(&mut self, core: CoreId, addr: Addr, data: &[u8]) -> u64 {
+    pub fn rmw(&mut self, core: CoreId, addr: impl Into<Addr>, data: &[u8]) -> u64 {
         assert!(!data.is_empty(), "empty rmw");
-        let t = self.rmw_inner(core, addr, WriteVal::Bytes(data));
+        let t = self.rmw_inner(core, addr.into(), WriteVal::Bytes(data));
         self.run_checks();
         t
     }
@@ -1177,9 +1184,16 @@ impl CoherenceSystem {
     ///
     /// Panics if the access crosses a block boundary or `size` is not in
     /// `1..=8`.
-    pub fn rmw_add(&mut self, core: CoreId, addr: Addr, size: u64, delta: u64) -> u64 {
+    pub fn rmw_add(
+        &mut self,
+        core: CoreId,
+        addr: impl Into<Addr>,
+        size: u64,
+        delta: impl Into<u64>,
+    ) -> u64 {
         assert!((1..=8).contains(&size), "rmw_add size {size}");
-        let t = self.rmw_inner(core, addr, WriteVal::Add { delta, size });
+        let delta = delta.into();
+        let t = self.rmw_inner(core, addr.into(), WriteVal::Add { delta, size });
         self.run_checks();
         t
     }
@@ -1383,7 +1397,8 @@ impl CoherenceSystem {
     /// holds one, else the home LLC line, else memory. Diagnostic — the
     /// cross-protocol differential tests compare per-core observed-value
     /// sequences on data-race-free traces with this.
-    pub fn observe(&self, core: CoreId, addr: Addr, size: u64) -> u64 {
+    pub fn observe(&self, core: CoreId, addr: impl Into<Addr>, size: u64) -> u64 {
+        let addr = addr.into();
         assert!(
             (1..=8).contains(&size) && addr.block_offset() + size <= BLOCK_SIZE,
             "observe at {addr} size {size}"
@@ -1795,7 +1810,8 @@ impl CoherenceSystem {
     /// # Panics
     ///
     /// Panics if the bounds are not page-aligned.
-    pub fn add_region(&mut self, start: Addr, end: Addr) -> Option<RegionId> {
+    pub fn add_region(&mut self, start: impl Into<Addr>, end: impl Into<Addr>) -> Option<RegionId> {
+        let (start, end) = (start.into(), end.into());
         if !self.uses_regions() {
             return None;
         }
@@ -2615,7 +2631,7 @@ mod tests {
         let a = Addr(0x900);
         for core in 0..3 {
             for _ in 0..5 {
-                s.rmw_add(core, a, 8, 2);
+                s.rmw_add(core, a, 8, 2u64);
             }
         }
         let img = s.final_memory_image();
@@ -2628,7 +2644,7 @@ mod tests {
         let a = page(24);
         let _id = s.add_region(a, page(25)).unwrap();
         s.store(0, a, &10u64.to_le_bytes()); // W copy at core 0
-        s.rmw_add(1, a, 8, 5); // escapes: reconcile + coherent add
+        s.rmw_add(1, a, 8, 5u64); // escapes: reconcile + coherent add
         assert!(s.stats().ward_rmw_escapes >= 1);
         let img = s.final_memory_image();
         assert_eq!(img.read_u64(a), 15);
@@ -2645,7 +2661,7 @@ mod tests {
         let _id = s.add_region(a, page(29)).unwrap();
         // CAS first (coherent GetM: Owned, not Ward), then fetch-add.
         s.rmw(0, a, &5u64.to_le_bytes());
-        s.rmw_add(0, a, 8, 3);
+        s.rmw_add(0, a, 8, 3u64);
         assert_eq!(s.stats().ward_rmw_escapes, 0);
         let img = s.final_memory_image();
         assert_eq!(img.read_u64(a), 8);

@@ -10,7 +10,9 @@
 use crate::disentangle::{is_ancestor_or_self, CheckMode, ScopeKind, WardScopeState};
 use crate::heap::{HeapManager, BASE_ADDR};
 use crate::scalar::{Scalar, SimSlice};
-use crate::trace::{Event, RegionToken, RmwOp, RtStats, TaskId, TaskTrace, TraceProgram};
+use crate::trace::{
+    Event, RegionToken, RmwOp, RtStats, TaskId, TaskTrace, TraceAddr, TraceProgram,
+};
 use warden_mem::{Addr, Memory, PageAddr, PageMap};
 
 /// When the runtime marks WARD regions (paper §4.2 vs. ablation baselines).
@@ -141,6 +143,16 @@ impl<'a> TaskCtx<'a> {
 
     // ----- event plumbing ---------------------------------------------------
 
+    /// Pack a traced address into an event's 40-bit field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bump allocator has passed [`TraceAddr::LIMIT`].
+    fn pack(addr: Addr) -> TraceAddr {
+        TraceAddr::new(addr)
+            .unwrap_or_else(|| panic!("address {addr} does not fit a 40-bit trace address"))
+    }
+
     fn emit(&mut self, ev: Event) {
         if self.st.initial_memory.is_none() {
             self.st.initial_memory = Some(self.st.memory.clone());
@@ -155,7 +167,7 @@ impl<'a> TaskCtx<'a> {
                 }
                 _ => unreachable!(),
             };
-            if self.st.marked_pages.contains(addr.page()) {
+            if self.st.marked_pages.contains(Addr::from(addr).page()) {
                 self.st.stats.accesses_in_ward += 1;
             }
         }
@@ -254,7 +266,11 @@ impl<'a> TaskCtx<'a> {
         for p in crate::pages_between(start, end) {
             *self.st.marked_pages.or_insert_with(p, || 0) += 1;
         }
-        self.emit(Event::RegionAdd { start, end, token });
+        self.emit(Event::RegionAdd {
+            start: Self::pack(start),
+            end: Self::pack(end),
+            token,
+        });
     }
 
     fn unmark_all_regions(&mut self, task: TaskId) {
@@ -312,7 +328,7 @@ impl<'a> TaskCtx<'a> {
             .memory
             .read_bytes(addr, &mut bytes[..T::SIZE as usize]);
         self.emit(Event::Load {
-            addr,
+            addr: Self::pack(addr),
             size: T::SIZE as u8,
         });
         T::from_bits(u64::from_le_bytes(bytes))
@@ -330,9 +346,9 @@ impl<'a> TaskCtx<'a> {
         let bytes = bits.to_le_bytes();
         self.st.memory.write_bytes(addr, &bytes[..T::SIZE as usize]);
         self.emit(Event::Store {
-            addr,
+            addr: Self::pack(addr),
             size: T::SIZE as u8,
-            val: bits,
+            val: bits.into(),
         });
     }
 
@@ -363,9 +379,9 @@ impl<'a> TaskCtx<'a> {
             self.st.memory.write_bytes(addr, &nb[..T::SIZE as usize]);
         }
         self.emit(Event::Rmw {
-            addr,
+            addr: Self::pack(addr),
             size: T::SIZE as u8,
-            val: bits,
+            val: bits.into(),
             op: RmwOp::Swap,
         });
         (success, old)
@@ -379,9 +395,9 @@ impl<'a> TaskCtx<'a> {
         let new = old.wrapping_add(delta);
         self.st.memory.write_u64(addr, new);
         self.emit(Event::Rmw {
-            addr,
+            addr: Self::pack(addr),
             size: 8,
-            val: delta,
+            val: delta.into(),
             op: RmwOp::Add,
         });
         old
@@ -479,7 +495,7 @@ impl<'a> TaskCtx<'a> {
         self.st.stats.tasks += 2;
         self.st.stats.max_depth = self.st.stats.max_depth.max(depth);
         self.emit(Event::Fork {
-            children: Box::new([ca, cb]),
+            children: [ca, cb].into(),
         });
 
         // Run the children depth-first (logical execution order; the timing
@@ -489,11 +505,11 @@ impl<'a> TaskCtx<'a> {
 
         // Parent resumes: read both join words and both result cells.
         self.emit(Event::Load {
-            addr: join_addr,
+            addr: Self::pack(join_addr),
             size: 8,
         });
         self.emit(Event::Load {
-            addr: join_addr + 8,
+            addr: Self::pack(join_addr + 8),
             size: 8,
         });
         self.st.heaps.merge_into_parent(ca, parent);
@@ -544,7 +560,7 @@ impl<'a> TaskCtx<'a> {
             // Parent will read the result cell after the join.
             let rc_addr = result_cell.addr_of(0);
             ctx.st.tasks[parent].events.push(Event::Load {
-                addr: rc_addr,
+                addr: Self::pack(rc_addr),
                 size: 8,
             });
             ctx.st.stats.events += 1;
@@ -731,7 +747,11 @@ impl<'a> TaskCtx<'a> {
             for p in crate::pages_between(start, end) {
                 *self.st.marked_pages.or_insert_with(p, || 0) += 1;
             }
-            self.emit(Event::RegionAdd { start, end, token });
+            self.emit(Event::RegionAdd {
+                start: Self::pack(start),
+                end: Self::pack(end),
+                token,
+            });
             Some(token)
         } else {
             None

@@ -66,7 +66,10 @@ pub use ctx::{trace_program, MarkPolicy, RtOptions, TaskCtx};
 pub use disentangle::{CheckMode, WardViolation};
 pub use scalar::{Scalar, SimSlice};
 pub use summary::{summarize, TraceSummary};
-pub use trace::{Event, RegionToken, RmwOp, RtStats, TaskId, TaskTrace, TraceProgram};
+pub use trace::{
+    Children, Event, RegionToken, RmwOp, RtStats, TaskId, TaskTrace, TraceAddr, TraceProgram,
+    TraceWord,
+};
 pub use trace_io::TraceDecodeError;
 pub use workload::{SharingPattern, WorkloadGen, WorkloadGenError, WorkloadSpec};
 

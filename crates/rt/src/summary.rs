@@ -4,6 +4,7 @@
 
 use crate::trace::{Event, TaskId, TraceProgram};
 use std::fmt;
+use warden_mem::Addr;
 
 /// Aggregate shape of one captured trace.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -137,15 +138,15 @@ pub fn summarize(program: &TraceProgram) -> TraceSummary {
             match ev {
                 Event::Load { addr, .. } => {
                     s.loads += 1;
-                    mark(&mut block_task, addr.block().0, tid as u64);
+                    mark(&mut block_task, Addr::from(*addr).block().0, tid as u64);
                 }
                 Event::Store { addr, .. } => {
                     s.stores += 1;
-                    mark(&mut block_task, addr.block().0, tid as u64);
+                    mark(&mut block_task, Addr::from(*addr).block().0, tid as u64);
                 }
                 Event::Rmw { addr, .. } => {
                     s.rmws += 1;
-                    mark(&mut block_task, addr.block().0, tid as u64);
+                    mark(&mut block_task, Addr::from(*addr).block().0, tid as u64);
                 }
                 Event::Compute { amount } => {
                     s.computes += 1;
@@ -173,7 +174,7 @@ pub fn summarize(program: &TraceProgram) -> TraceSummary {
                 }
                 _ => continue,
             };
-            if block_task.get(&addr.block().0) == Some(&u64::MAX) {
+            if block_task.get(&Addr::from(*addr).block().0) == Some(&u64::MAX) {
                 s.shared_accesses += 1;
             }
         }

@@ -30,6 +30,114 @@ pub enum RmwOp {
     Add,
 }
 
+/// A trace event's byte address, packed into 40 bits (5 bytes,
+/// little-endian, alignment 1) so that an [`Event`] fits in 16 B.
+///
+/// Trace addresses come from the runtime's bump allocator, which starts at
+/// 4 KiB and never reuses an address; the widest paper-scale trace spans
+/// about 4,100 pages, so 40 bits (1 TiB) leave a wide margin. Capture
+/// panics and decoding fails on an address at or above [`Self::LIMIT`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct TraceAddr([u8; 5]);
+
+impl TraceAddr {
+    /// One past the largest address a trace event can hold (2^40).
+    pub const LIMIT: u64 = 1 << 40;
+
+    /// Pack `addr`, or `None` if it is at or above [`Self::LIMIT`].
+    pub fn new(addr: Addr) -> Option<TraceAddr> {
+        if addr.0 >= Self::LIMIT {
+            return None;
+        }
+        let b = addr.0.to_le_bytes();
+        Some(TraceAddr([b[0], b[1], b[2], b[3], b[4]]))
+    }
+}
+
+impl From<TraceAddr> for Addr {
+    fn from(a: TraceAddr) -> Addr {
+        let [b0, b1, b2, b3, b4] = a.0;
+        Addr(u64::from_le_bytes([b0, b1, b2, b3, b4, 0, 0, 0]))
+    }
+}
+
+impl fmt::Debug for TraceAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&Addr::from(*self), f)
+    }
+}
+
+/// A trace event's 64-bit operand, stored as its little-endian bytes
+/// (alignment 1) so that it packs behind a [`TraceAddr`] without padding.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct TraceWord([u8; 8]);
+
+impl TraceWord {
+    /// The value's little-endian bytes.
+    pub fn to_le_bytes(self) -> [u8; 8] {
+        self.0
+    }
+}
+
+impl From<u64> for TraceWord {
+    fn from(v: u64) -> TraceWord {
+        TraceWord(v.to_le_bytes())
+    }
+}
+
+impl From<TraceWord> for u64 {
+    fn from(w: TraceWord) -> u64 {
+        u64::from_le_bytes(w.0)
+    }
+}
+
+impl fmt::Debug for TraceWord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&u64::from(*self), f)
+    }
+}
+
+/// A fork's child ids behind one thin pointer: 8 B in the event, where a
+/// `Box<[TaskId]>` (pointer and length) would take 16 B and make every
+/// event 24 B. It derefs to `[TaskId]`, and `&Children` iterates `&TaskId`.
+/// The list never changes once emitted; the extra indirection is paid once
+/// per fork, not per event.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Children(Box<Box<[TaskId]>>);
+
+impl std::ops::Deref for Children {
+    type Target = [TaskId];
+    fn deref(&self) -> &[TaskId] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a TaskId;
+    type IntoIter = std::slice::Iter<'a, TaskId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<TaskId>> for Children {
+    fn from(ids: Vec<TaskId>) -> Children {
+        Children(Box::new(ids.into_boxed_slice()))
+    }
+}
+
+impl<const N: usize> From<[TaskId; N]> for Children {
+    fn from(ids: [TaskId; N]) -> Children {
+        Children(Box::new(Box::new(ids)))
+    }
+}
+
+impl fmt::Debug for Children {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One event in a task's trace.
 ///
 /// Memory events carry real value bytes so the coherence replay can
@@ -40,28 +148,28 @@ pub enum Event {
     /// Load `size` bytes at `addr` (never crosses a cache block).
     Load {
         /// Byte address.
-        addr: Addr,
+        addr: TraceAddr,
         /// Access size in bytes (1..=8).
         size: u8,
     },
     /// Store `size` bytes of `val` (little-endian) at `addr`.
     Store {
         /// Byte address.
-        addr: Addr,
+        addr: TraceAddr,
         /// Access size in bytes (1..=8).
         size: u8,
         /// Value bytes, little-endian in the low `size` bytes.
-        val: u64,
+        val: TraceWord,
     },
     /// Atomic read-modify-write.
     Rmw {
         /// Byte address.
-        addr: Addr,
+        addr: TraceAddr,
         /// Access size in bytes (1..=8).
         size: u8,
         /// Operand: the stored value for [`RmwOp::Swap`], the delta for
         /// [`RmwOp::Add`].
-        val: u64,
+        val: TraceWord,
         /// What the atomic does to the coherent value at replay time.
         op: RmwOp,
     },
@@ -73,17 +181,15 @@ pub enum Event {
     /// Spawn children; the task suspends here and resumes at the next event
     /// once all children have completed (fork-join).
     Fork {
-        /// Spawned child task ids, in deque-push order. A boxed slice, not a
-        /// `Vec`: its 16 B fit beside the tag, so no variant is wider than a
-        /// `Store`'s and every event is 24 B.
-        children: Box<[TaskId]>,
+        /// Spawned child task ids, in deque-push order.
+        children: Children,
     },
     /// Execute an Add-Region instruction for `[start, end)` (paper §6.1).
     RegionAdd {
         /// First byte (page-aligned).
-        start: Addr,
+        start: TraceAddr,
         /// One past the last byte (page-aligned).
-        end: Addr,
+        end: TraceAddr,
         /// Token matched by the corresponding `RegionRemove`.
         token: RegionToken,
     },
@@ -95,9 +201,11 @@ pub enum Event {
 }
 
 // The trace is the largest thing the simulator holds, and the engine reads
-// it one event per step. `Store`, `Rmw` and `RegionAdd` carry 17–20 B of
-// fields behind the tag, so 24 B is the floor for these field types.
-const _: () = assert!(size_of::<Event>() == 24);
+// it one event per step. Addresses and operands are byte arrays, so the
+// widest variant, `Rmw`, packs 15 B of fields behind the tag; `Compute`'s
+// `u64` and `Fork`'s pointer set the 8-byte alignment. 16 B is the floor
+// for 8-byte-aligned events.
+const _: () = assert!(size_of::<Event>() == 16);
 
 impl Event {
     /// Instructions this event retires on the core (region instructions are
@@ -250,6 +358,7 @@ impl TraceProgram {
                         }
                     }
                     Event::RegionAdd { token, start, end } => {
+                        let (start, end) = (Addr::from(*start), Addr::from(*end));
                         if start.page_offset() != 0 || end.page_offset() != 0 || start >= end {
                             return Err(format!("task {tid}: bad region bounds"));
                         }
@@ -264,6 +373,7 @@ impl TraceProgram {
                         if *size == 0 || *size > 8 {
                             return Err(format!("task {tid}: access size {size}"));
                         }
+                        let addr = Addr::from(*addr);
                         if addr.block_offset() + *size as u64 > warden_mem::BLOCK_SIZE {
                             return Err(format!("task {tid}: access crosses block at {addr}"));
                         }
@@ -283,83 +393,16 @@ impl TraceProgram {
         Ok(())
     }
 
-    /// A content fingerprint of the program: name, the complete spawn tree
-    /// with every event, the address range, and the initial memory image.
-    /// Equal fingerprints mean two builds produced the same program.
-    ///
-    /// (The phase-1 *final* image and stats are derived from the events and
-    /// initial image, so they are not hashed separately.)
+    /// A content fingerprint of the program: FNV-1a-64 of the bytes
+    /// [`crate::trace_io::write_trace`] writes for it (name, the complete
+    /// spawn tree with every event, the stats, the address range, and the
+    /// initial and final memory images). Equal fingerprints mean two builds
+    /// produced the same program. Values are for comparison within one
+    /// build of the crate, not for storing.
     pub fn fingerprint(&self) -> u64 {
-        use warden_mem::codec::{fnv1a64, Encoder};
-        let mut enc = Encoder::new();
-        enc.put_str(&self.name);
-        enc.put_usize(self.tasks.len());
-        for task in &self.tasks {
-            match task.parent {
-                Some(p) => {
-                    enc.put_bool(true);
-                    enc.put_usize(p);
-                }
-                None => enc.put_bool(false),
-            }
-            enc.put_u32(task.depth);
-            enc.put_usize(task.events.len());
-            for ev in &task.events {
-                match ev {
-                    Event::Load { addr, size } => {
-                        enc.put_u8(0);
-                        enc.put_u64(addr.0);
-                        enc.put_u8(*size);
-                    }
-                    Event::Store { addr, size, val } => {
-                        enc.put_u8(1);
-                        enc.put_u64(addr.0);
-                        enc.put_u8(*size);
-                        enc.put_u64(*val);
-                    }
-                    Event::Rmw {
-                        addr,
-                        size,
-                        val,
-                        op,
-                    } => {
-                        enc.put_u8(2);
-                        enc.put_u64(addr.0);
-                        enc.put_u8(*size);
-                        enc.put_u64(*val);
-                        enc.put_u8(match op {
-                            RmwOp::Swap => 0,
-                            RmwOp::Add => 1,
-                        });
-                    }
-                    Event::Compute { amount } => {
-                        enc.put_u8(3);
-                        enc.put_u64(*amount);
-                    }
-                    Event::Fork { children } => {
-                        enc.put_u8(4);
-                        enc.put_usize(children.len());
-                        for &c in children {
-                            enc.put_usize(c);
-                        }
-                    }
-                    Event::RegionAdd { start, end, token } => {
-                        enc.put_u8(5);
-                        enc.put_u64(start.0);
-                        enc.put_u64(end.0);
-                        enc.put_u32(*token);
-                    }
-                    Event::RegionRemove { token } => {
-                        enc.put_u8(6);
-                        enc.put_u32(*token);
-                    }
-                }
-            }
-        }
-        enc.put_u64(self.address_range.0 .0);
-        enc.put_u64(self.address_range.1 .0);
-        enc.put_u64(self.initial_memory.digest());
-        fnv1a64(enc.bytes())
+        let mut bytes = Vec::new();
+        crate::trace_io::write_trace(&mut bytes, self).expect("writing to a Vec cannot fail");
+        warden_mem::codec::fnv1a64(&bytes)
     }
 }
 
@@ -379,12 +422,16 @@ impl fmt::Debug for TraceProgram {
 mod tests {
     use super::*;
 
+    fn at(a: u64) -> TraceAddr {
+        TraceAddr::new(Addr(a)).unwrap()
+    }
+
     #[test]
     fn event_instruction_counts() {
         assert_eq!(Event::Compute { amount: 7 }.instructions(), 7);
         assert_eq!(
             Event::Load {
-                addr: Addr(0),
+                addr: at(0),
                 size: 8
             }
             .instructions(),
@@ -392,7 +439,7 @@ mod tests {
         );
         assert_eq!(
             Event::Fork {
-                children: Box::new([1])
+                children: [1].into()
             }
             .instructions(),
             0
@@ -403,14 +450,14 @@ mod tests {
     #[test]
     fn is_memory_classification() {
         assert!(Event::Load {
-            addr: Addr(0),
+            addr: at(0),
             size: 1
         }
         .is_memory());
         assert!(!Event::Compute { amount: 1 }.is_memory());
         assert!(!Event::RegionAdd {
-            start: Addr(0),
-            end: Addr(4096),
+            start: at(0),
+            end: at(4096),
             token: 0
         }
         .is_memory());
@@ -439,7 +486,7 @@ mod tests {
     fn invariants_accept_well_formed() {
         let p = mini_program(
             vec![Event::Fork {
-                children: Box::new([1]),
+                children: [1].into(),
             }],
             Some(TaskTrace {
                 parent: Some(0),
@@ -467,8 +514,8 @@ mod tests {
     fn invariants_reject_unbalanced_region() {
         let p = mini_program(
             vec![Event::RegionAdd {
-                start: Addr(0),
-                end: Addr(4096),
+                start: at(0),
+                end: at(4096),
                 token: 3,
             }],
             None,
@@ -480,7 +527,7 @@ mod tests {
     fn invariants_reject_block_crossing_access() {
         let p = mini_program(
             vec![Event::Load {
-                addr: Addr(60),
+                addr: at(60),
                 size: 8,
             }],
             None,

@@ -28,7 +28,7 @@
 //! # }
 //! ```
 
-use crate::trace::{Event, RmwOp, RtStats, TaskTrace, TraceProgram};
+use crate::trace::{Event, RmwOp, RtStats, TaskTrace, TraceAddr, TraceProgram};
 use std::fmt;
 use std::io::{self, Read, Write};
 use warden_mem::{Addr, Memory, PageAddr, PAGE_SIZE};
@@ -67,6 +67,9 @@ pub enum TraceDecodeError {
     AccessSize(u8),
     /// An event carries an unrecognized tag byte.
     UnknownTag(u8),
+    /// An event's address is at or above [`TraceAddr::LIMIT`] (2^40), so
+    /// it does not fit an in-memory event.
+    AddrOutOfRange(u64),
 }
 
 impl fmt::Display for TraceDecodeError {
@@ -92,6 +95,9 @@ impl fmt::Display for TraceDecodeError {
                 write!(f, "access size {s} out of range (want 1..=8)")
             }
             TraceDecodeError::UnknownTag(t) => write!(f, "unknown event tag {t}"),
+            TraceDecodeError::AddrOutOfRange(a) => {
+                write!(f, "event address {a:#x} is at or above 2^40")
+            }
         }
     }
 }
@@ -130,6 +136,10 @@ fn put_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
+fn put_addr<W: Write>(w: &mut W, a: TraceAddr) -> io::Result<()> {
+    put_u64(w, Addr::from(a).0)
+}
+
 fn get_u32<R: Read>(r: &mut R) -> Decode<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
@@ -142,16 +152,21 @@ fn get_u64<R: Read>(r: &mut R) -> Decode<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+fn get_addr<R: Read>(r: &mut R) -> Decode<TraceAddr> {
+    let a = get_u64(r)?;
+    TraceAddr::new(Addr(a)).ok_or(TraceDecodeError::AddrOutOfRange(a))
+}
+
 fn put_event<W: Write>(w: &mut W, ev: &Event) -> io::Result<()> {
     match *ev {
         Event::Load { addr, size } => {
             w.write_all(&[0, size])?;
-            put_u64(w, addr.0)
+            put_addr(w, addr)
         }
         Event::Store { addr, size, val } => {
             w.write_all(&[1, size])?;
-            put_u64(w, addr.0)?;
-            put_u64(w, val)
+            put_addr(w, addr)?;
+            w.write_all(&val.to_le_bytes())
         }
         Event::Rmw {
             addr,
@@ -164,8 +179,8 @@ fn put_event<W: Write>(w: &mut W, ev: &Event) -> io::Result<()> {
                 RmwOp::Add => 3,
             };
             w.write_all(&[tag, size])?;
-            put_u64(w, addr.0)?;
-            put_u64(w, val)
+            put_addr(w, addr)?;
+            w.write_all(&val.to_le_bytes())
         }
         Event::Compute { amount } => {
             w.write_all(&[4, 0])?;
@@ -181,8 +196,8 @@ fn put_event<W: Write>(w: &mut W, ev: &Event) -> io::Result<()> {
         }
         Event::RegionAdd { start, end, token } => {
             w.write_all(&[6, 0])?;
-            put_u64(w, start.0)?;
-            put_u64(w, end.0)?;
+            put_addr(w, start)?;
+            put_addr(w, end)?;
             put_u32(w, token)
         }
         Event::RegionRemove { token } => {
@@ -201,18 +216,18 @@ fn get_event<R: Read>(r: &mut R, ntasks: usize) -> Decode<Event> {
     }
     Ok(match tag {
         0 => Event::Load {
-            addr: Addr(get_u64(r)?),
+            addr: get_addr(r)?,
             size,
         },
         1 => Event::Store {
-            addr: Addr(get_u64(r)?),
+            addr: get_addr(r)?,
             size,
-            val: get_u64(r)?,
+            val: get_u64(r)?.into(),
         },
         2 | 3 => Event::Rmw {
-            addr: Addr(get_u64(r)?),
+            addr: get_addr(r)?,
             size,
-            val: get_u64(r)?,
+            val: get_u64(r)?.into(),
             op: if tag == 2 { RmwOp::Swap } else { RmwOp::Add },
         },
         4 => Event::Compute {
@@ -232,12 +247,12 @@ fn get_event<R: Read>(r: &mut R, ntasks: usize) -> Decode<Event> {
                 children.push(c);
             }
             Event::Fork {
-                children: children.into_boxed_slice(),
+                children: children.into(),
             }
         }
         6 => Event::RegionAdd {
-            start: Addr(get_u64(r)?),
-            end: Addr(get_u64(r)?),
+            start: get_addr(r)?,
+            end: get_addr(r)?,
             token: get_u32(r)?,
         },
         7 => Event::RegionRemove { token: get_u32(r)? },
@@ -457,6 +472,135 @@ mod tests {
         for t in &q.tasks {
             assert_eq!(t.events.capacity(), t.events.len());
         }
+    }
+
+    /// Hand-built events at the packing edges: the top 40-bit address,
+    /// all-ones operands, every access size, both atomics, a 3-child fork
+    /// and a region add/remove.
+    fn packing_edges() -> TraceProgram {
+        let top = TraceAddr::new(Addr(TraceAddr::LIMIT - 1)).unwrap();
+        let page = |a: u64| TraceAddr::new(Addr(a)).unwrap();
+        let mut root = Vec::new();
+        for size in 1..=8u8 {
+            let val = u64::MAX.into();
+            root.push(Event::Load { addr: top, size });
+            root.push(Event::Store {
+                addr: top,
+                size,
+                val,
+            });
+            for op in [RmwOp::Swap, RmwOp::Add] {
+                root.push(Event::Rmw {
+                    addr: top,
+                    size,
+                    val,
+                    op,
+                });
+            }
+        }
+        root.push(Event::RegionAdd {
+            start: page(PAGE_SIZE),
+            end: page(TraceAddr::LIMIT - PAGE_SIZE),
+            token: u32::MAX,
+        });
+        root.push(Event::RegionRemove { token: u32::MAX });
+        root.push(Event::Compute { amount: u64::MAX });
+        root.push(Event::Fork {
+            children: [1, 2, 3].into(),
+        });
+        let task = |parent, events| TaskTrace {
+            parent,
+            depth: u32::from(parent.is_some()),
+            events,
+        };
+        let tasks = vec![
+            task(None, root),
+            task(Some(0), vec![Event::Compute { amount: 1 }]),
+            task(Some(0), vec![]),
+            task(Some(0), vec![]),
+        ];
+        let range = (Addr(0), Addr(TraceAddr::LIMIT));
+        TraceProgram::assemble(
+            "edges".into(),
+            tasks,
+            Memory::new(),
+            RtStats::default(),
+            range,
+            Memory::new(),
+        )
+    }
+
+    #[test]
+    fn packing_edges_round_trip() {
+        let p = packing_edges();
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &p).unwrap();
+        let q = read_trace(&mut buf.as_slice()).unwrap();
+        for (a, b) in p.tasks.iter().zip(&q.tasks) {
+            assert_eq!(a.events, b.events);
+        }
+        let Event::Rmw { addr, val, .. } = q.tasks[0].events[2] else {
+            panic!("event 2 is an atomic");
+        };
+        assert_eq!(Addr::from(addr), Addr(TraceAddr::LIMIT - 1));
+        assert_eq!(u64::from(val), u64::MAX);
+        let Some(Event::Fork { children }) = q.tasks[0].events.last() else {
+            panic!("the root ends in a fork");
+        };
+        assert_eq!(&children[..], [1, 2, 3]);
+        // The wire format still carries a full 8-byte address.
+        let mut one = Vec::new();
+        put_event(&mut one, &q.tasks[0].events[0]).unwrap();
+        let mut want = vec![0, 1];
+        want.extend((TraceAddr::LIMIT - 1).to_le_bytes());
+        assert_eq!(&one[..10], &want[..]);
+    }
+
+    #[test]
+    fn addresses_at_or_above_2_pow_40_are_rejected() {
+        let limit = TraceAddr::LIMIT.to_le_bytes();
+        let word = [0xAB; 8];
+        let token = 9u32.to_le_bytes();
+        let cases: [Vec<&[u8]>; 5] = [
+            vec![&[0, 8], &limit],
+            vec![&[1, 8], &limit, &word],
+            vec![&[3, 8], &limit, &word],
+            vec![&[6, 0], &limit, &limit, &token],
+            vec![&[6, 0], &[0; 8], &limit, &token],
+        ];
+        for parts in cases {
+            let bytes = parts.concat();
+            match get_event(&mut bytes.as_slice(), 1) {
+                Err(TraceDecodeError::AddrOutOfRange(a)) => assert_eq!(a, TraceAddr::LIMIT),
+                other => panic!("{bytes:?}: {other:?}"),
+            }
+        }
+        // Through `read_trace`: move the one load in a valid trace to 2^40.
+        let load = Event::Load {
+            addr: TraceAddr::new(Addr(TraceAddr::LIMIT - 1)).unwrap(),
+            size: 8,
+        };
+        let root = TaskTrace {
+            parent: None,
+            depth: 0,
+            events: vec![load],
+        };
+        let p = TraceProgram::assemble(
+            "far".into(),
+            vec![root],
+            Memory::new(),
+            RtStats::default(),
+            (Addr(0), Addr(0)),
+            Memory::new(),
+        );
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &p).unwrap();
+        let top = (TraceAddr::LIMIT - 1).to_le_bytes();
+        let at = buf.windows(8).rposition(|w| w == top).unwrap();
+        buf[at..at + 8].copy_from_slice(&limit);
+        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("2^40"), "{err}");
     }
 
     #[test]

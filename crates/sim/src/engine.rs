@@ -827,51 +827,44 @@ impl CorePicker {
 /// Bytes per host cache line.
 const HOST_LINE: usize = 64;
 
-/// Bytes per trace event (24, asserted where `Event` is defined).
+/// Bytes per trace event (16, asserted where `Event` is defined).
 const EVENT_BYTES: usize = size_of::<Event>();
 
-/// Greatest common divisor, for the chunk size below.
-const fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
+/// Events that start in each host line of an event array: 4 at 16 B.
+const EVENTS_PER_LINE: usize = HOST_LINE / EVENT_BYTES;
+
+// Events tile host lines exactly: wherever an (8-byte-aligned) array sits
+// in its line, event `i + k * EVENTS_PER_LINE` starts `k` lines after the
+// line event `i` starts in.
+const _: () = assert!(HOST_LINE.is_multiple_of(EVENT_BYTES));
+
+/// Host lines one read-ahead chunk starts events in. One line would do,
+/// but reading ahead a single line measured slower than a chunk of
+/// several, and four lines slower than three (DESIGN.md §7k).
+const FETCH_LINES: usize = 3;
+
+/// Events per read-ahead chunk: 12 at 16 B.
+const FETCH_CHUNK: usize = FETCH_LINES * EVENTS_PER_LINE;
+
+/// The indices [`fetch_next_chunk`] reads for the chunk whose first event
+/// is `first`, in an array whose last event is `last`: every
+/// [`EVENTS_PER_LINE`]-th event from `first`, one starting in each of the
+/// chunk's [`FETCH_LINES`] lines, then the next chunk's first event. Unless the array is line-aligned, the chunk's last
+/// event ends in the line after its last start, which that extra read
+/// touches. The indices clamp to `last` instead of branching.
+fn chunk_reads(first: usize, last: usize) -> [usize; FETCH_LINES + 1] {
+    std::array::from_fn(|line| (first + line * EVENTS_PER_LINE).min(last))
 }
 
-/// Events per read-ahead chunk: the fewest whole events that end on a line
-/// boundary, `lcm(EVENT_BYTES, HOST_LINE) / EVENT_BYTES`, so 8 events.
-const FETCH_CHUNK: usize = HOST_LINE / gcd(EVENT_BYTES, HOST_LINE);
-
-/// Host lines one chunk fills: 3 for 24-byte events.
-const FETCH_LINES: usize = FETCH_CHUNK * EVENT_BYTES / HOST_LINE;
-
-// Reading ahead a single line measured slower than a chunk (DESIGN.md §7k).
-const _: () = assert!(FETCH_LINES >= 3);
-
-/// Touch every host line the chunk after the one starting at `next` starts
-/// an event in, so that chunk's line misses overlap here instead of each
-/// stalling the step that reaches it. A task's events are read one per
-/// step, and the steps rotate over up to 64 tasks' streams, which the
-/// host's prefetchers do not follow, and `#![forbid(unsafe_code)]` leaves no
-/// prefetch instruction.
-///
-/// A chunk fills whole lines, so every chunk of a task starts at the
-/// array's own offset within a line. Each read takes the first event that
-/// starts at or after a line boundary, found from byte offsets; the tag
-/// leads the event, so the read lands in that line. Unless the array is
-/// line-aligned a chunk straddles [`FETCH_LINES`]` + 1` lines, hence one
-/// read more; when the last of them holds no start of this chunk, that read
-/// takes the following chunk's first event. `black_box` keeps the otherwise
-/// unused reads; the indices clamp to the last event instead of branching.
+/// Touch every host line the chunk after the one starting at `next` lies
+/// in ([`chunk_reads`]), so that chunk's line misses overlap here instead
+/// of each stalling the step that reaches it. A task's events are read one
+/// per step, and the steps rotate over up to 64 tasks' streams, which the
+/// host's prefetchers do not follow, and `#![forbid(unsafe_code)]` leaves
+/// no prefetch instruction. `black_box` keeps the otherwise unused reads.
 fn fetch_next_chunk(events: &[Event], next: usize) {
-    let last = events.len() - 1;
-    let first = next + FETCH_CHUNK;
-    let phase = events.as_ptr() as usize % HOST_LINE;
-    for line in 0..=FETCH_LINES {
-        let offset = (line * HOST_LINE).saturating_sub(phase);
-        let ev = &events[(first + offset.div_ceil(EVENT_BYTES)).min(last)];
-        std::hint::black_box(std::mem::discriminant(ev));
+    for i in chunk_reads(next + FETCH_CHUNK, events.len() - 1) {
+        std::hint::black_box(std::mem::discriminant(&events[i]));
     }
 }
 
@@ -989,6 +982,45 @@ mod tests {
             let sum = ctx.reduce(0, 512, 32, &|c, i| c.read(&xs, i), &|a, b| a + b, 0);
             assert_eq!(sum, (0..512u64).map(|i| i * 3 + 1).sum());
         })
+    }
+
+    #[test]
+    fn chunk_reads_touch_each_line_of_the_chunk_once() {
+        // Events are 8-byte aligned, so an array may start at any 8-byte
+        // phase of a host line. `line_of(phase, b)` is the line holding
+        // byte `b` of the array, counted from the line the array starts
+        // in; every chunk starts at the array's phase.
+        let line_of = |phase: usize, b: usize| (phase + b) / HOST_LINE;
+        let last = 10 * FETCH_CHUNK;
+        for phase in (0..HOST_LINE).step_by(8) {
+            for first in (FETCH_CHUNK..=4 * FETCH_CHUNK).step_by(FETCH_CHUNK) {
+                let reads = chunk_reads(first, last);
+                let read_lines: Vec<usize> = reads
+                    .iter()
+                    .map(|&r| line_of(phase, r * EVENT_BYTES))
+                    .collect();
+                let chunk = first..first + FETCH_CHUNK;
+                for i in chunk.clone() {
+                    // Each line an event of the chunk starts in is read
+                    // exactly once, and the line it ends in at least once.
+                    let start = line_of(phase, i * EVENT_BYTES);
+                    let end = line_of(phase, (i + 1) * EVENT_BYTES - 1);
+                    let hits = read_lines.iter().filter(|&&l| l == start).count();
+                    assert_eq!(hits, 1, "phase {phase}, chunk {first}, event {i}");
+                    assert!(read_lines.contains(&end), "phase {phase}, event {i}");
+                }
+                // The spare read takes only the next chunk's first event.
+                for &r in &reads {
+                    assert!(
+                        chunk.contains(&r) || r == chunk.end,
+                        "phase {phase}: read {r}"
+                    );
+                }
+            }
+        }
+        // Near the end of the array the reads clamp to the last event.
+        let short = chunk_reads(FETCH_CHUNK, FETCH_CHUNK + 2);
+        assert!(short.iter().all(|&r| r <= FETCH_CHUNK + 2));
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn drf_observed_sequences(proto: ProtocolId) -> Vec<Vec<u64>> {
         }
         // An atomic on a fresh block is a sync point on its own.
         let counter = Addr(0x9_0000);
-        sys.rmw_add(producer, counter, 8, 1);
+        sys.rmw_add(producer, counter, 8, 1u64);
         seen[producer].push(sys.observe(producer, counter, 8));
         sys.task_sync(producer);
     }
