@@ -16,8 +16,6 @@
 //! | `--obs <dir>`          | `all_figures`, `replay`: record one direct run per protocol; export traces + epoch tables here |
 //! | `--campaign-dir <dir>` | durable campaign state (resume after a crash) |
 //! | `--jobs <n>`           | campaign worker threads |
-//! | `--deadline-ms <ms>`   | per-run watchdog deadline |
-//! | `--retries <n>`        | retry budget per campaign run |
 //! | `--quiet`              | suppress campaign progress lines |
 //! | `--fuzz-workloads <n>` | `fuzzgen`: generated workloads per gate run |
 //! | `--fuzz-seed <seed>`   | `fuzzgen`: workload-generator stream seed |
@@ -34,7 +32,6 @@ use crate::campaign::CampaignConfig;
 use crate::error::HarnessError;
 use crate::runner::{RunOptions, SuiteScale};
 use std::path::PathBuf;
-use std::time::Duration;
 use warden_coherence::{ProtocolId, ProtocolMutation};
 use warden_rt::workload::SharingPattern;
 
@@ -45,7 +42,6 @@ pub const VALID_FLAGS: &[&str] = &[
     "--atlas <dir>",
     "--campaign-dir <dir>",
     "--check",
-    "--deadline-ms <ms>",
     "--faults <seed>",
     "--fuzz-seed <seed>",
     "--fuzz-workloads <n>",
@@ -57,7 +53,6 @@ pub const VALID_FLAGS: &[&str] = &[
     "--protocols <names|all>",
     "--quiet",
     "--replay <token>",
-    "--retries <n>",
     "--scale <tiny|paper>",
 ];
 
@@ -79,10 +74,6 @@ pub struct HarnessArgs {
     pub campaign_dir: Option<PathBuf>,
     /// `--jobs <n>` override for the campaign worker count.
     pub jobs: Option<usize>,
-    /// `--deadline-ms <ms>` override for the per-run watchdog deadline.
-    pub deadline_ms: Option<u64>,
-    /// `--retries <n>` override for the per-run retry budget.
-    pub retries: Option<u32>,
     /// `--quiet`: suppress campaign progress lines on stderr.
     pub quiet: bool,
     /// `--protocols <names|all>`: which registered coherence protocols a
@@ -266,10 +257,6 @@ impl HarnessArgs {
                     }
                     out.jobs = Some(n);
                 }
-                "--deadline-ms" => {
-                    out.deadline_ms = Some(number(&mut it, "--deadline-ms", "<ms>")?)
-                }
-                "--retries" => out.retries = Some(number(&mut it, "--retries", "<n>")?),
                 "--protocols" => {
                     let v = value(&mut it, "--protocols", "<names|all>")?;
                     out.protocols = Some(parse_protocols(&v)?);
@@ -311,7 +298,7 @@ impl HarnessArgs {
 
     /// The campaign configuration these flags select: durable under
     /// `--campaign-dir`, otherwise a fresh ephemeral directory,
-    /// with `--jobs` / `--deadline-ms` / `--retries` / `--quiet` applied.
+    /// with `--jobs` and `--quiet` applied.
     pub fn campaign_config(&self) -> CampaignConfig {
         let mut cfg = match &self.campaign_dir {
             Some(dir) => CampaignConfig::new(dir.clone()),
@@ -319,12 +306,6 @@ impl HarnessArgs {
         };
         if let Some(jobs) = self.jobs {
             cfg.workers = jobs;
-        }
-        if let Some(ms) = self.deadline_ms {
-            cfg.deadline = Duration::from_millis(ms);
-        }
-        if let Some(retries) = self.retries {
-            cfg.retries = retries;
         }
         cfg.quiet = self.quiet;
         cfg
@@ -362,10 +343,6 @@ mod tests {
             "camp",
             "--jobs",
             "3",
-            "--deadline-ms",
-            "250",
-            "--retries",
-            "1",
             "--quiet",
             "--fuzz-workloads",
             "5",
@@ -393,10 +370,7 @@ mod tests {
             a.campaign_dir.as_deref(),
             Some(std::path::Path::new("camp"))
         );
-        assert_eq!(
-            (a.jobs, a.deadline_ms, a.retries),
-            (Some(3), Some(250), Some(1))
-        );
+        assert_eq!(a.jobs, Some(3));
         assert!(a.quiet);
         assert_eq!((a.fuzz_workloads, a.fuzz_seed), (Some(5), Some(2023)));
         assert_eq!(
@@ -416,8 +390,6 @@ mod tests {
 
         let cfg = a.campaign_config();
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.deadline, Duration::from_millis(250));
-        assert_eq!(cfg.retries, 1);
         assert!(cfg.quiet);
     }
 
@@ -472,8 +444,6 @@ mod tests {
         assert!(parse(&["--scale"]).is_err());
         assert!(parse(&["--faults", "xyz"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--deadline-ms"]).is_err());
-        assert!(parse(&["--retries", "-1"]).is_err());
         // Retired serve-stack, daemon and throughput-baseline flags fail
         // as unknown flags, whatever the value.
         for gone in [

@@ -288,8 +288,6 @@ fn run() -> Result<(), HarnessError> {
         "--faults",
         "--campaign-dir",
         "--jobs",
-        "--deadline-ms",
-        "--retries",
         "--quiet",
     ])?;
     let cfg = args.campaign_config();

@@ -36,8 +36,6 @@ fn run() -> Result<(), HarnessError> {
         "--obs",
         "--campaign-dir",
         "--jobs",
-        "--deadline-ms",
-        "--retries",
         "--quiet",
         "--protocols",
     ])?;
@@ -288,10 +286,9 @@ The directory is a result store plus a manifest:
   parses it, so a torn manifest cannot corrupt anything.
 
 Supervision knobs (all binaries): `--jobs <n>` worker threads,
-`--deadline-ms <ms>` per-run watchdog deadline (an expired run is
-cancelled and retried from step zero), `--retries <n>` attempts beyond the first (panics are
-caught and retried with exponential backoff), `--quiet` to silence
-progress lines.
+`--quiet` to silence progress lines. A replay is deterministic, so a run
+is attempted once: a panicking run fails typed while the others
+complete, and the next invocation runs it again from step zero.
 "#;
 
 /// The Perfetto walkthrough appended to the generated report (kept here

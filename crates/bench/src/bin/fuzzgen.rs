@@ -37,8 +37,6 @@ fn run() -> Result<(), HarnessError> {
         "--replay",
         "--campaign-dir",
         "--jobs",
-        "--deadline-ms",
-        "--retries",
         "--quiet",
     ])?;
     let cfg = args.campaign_config();

@@ -7,12 +7,8 @@
 //! executed by worker threads under a supervisor that
 //!
 //! * isolates panics with `catch_unwind` (one exploding run cannot take
-//!   down the sweep),
-//! * enforces a per-run wall-clock deadline via a watchdog thread that
-//!   flags a cancellation token the run polls between step batches,
-//! * retries failed runs with bounded exponential backoff — a run
-//!   cancelled on deadline leaves nothing behind, so its retry starts again
-//!   from step 0,
+//!   down the sweep): each cell runs once and yields either an outcome or
+//!   a typed [`RunFailure`],
 //! * persists every finished run in a [`ResultStore`] and keeps a durable
 //!   `manifest.json` of per-run status, both written atomically.
 //!
@@ -38,6 +34,14 @@
 //! next invocation reruns from step 0. Crash safety is per cell: a
 //! paper-scale cell replays in well under a second, so an engine's mid-run
 //! state is never persisted.
+//!
+//! # Why a cell runs once, unwatched
+//!
+//! A replay is deterministic, so running a failed cell again repeats the
+//! same failure: the supervisor reports it instead, and a later invocation
+//! reruns it from step 0. A replay also always terminates, within a step
+//! count fixed by its trace (see [`SimEngine::run`]), so no wall-clock
+//! watchdog guards it.
 
 use crate::error::{HarnessError, RunFailure};
 use crate::runner::BenchRun;
@@ -49,14 +53,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
 use warden_sim::checkpoint;
-use warden_sim::{
-    CancelToken, Comparison, MachineConfig, RunKey, SimEngine, SimError, SimOptions, SimOutcome,
-};
+use warden_sim::{Comparison, MachineConfig, RunKey, SimEngine, SimOptions, SimOutcome};
 
 /// What one campaign run simulates: a PBBS benchmark at a scale, or an
 /// arbitrary trace builder (the ablations' custom programs).
@@ -151,17 +152,8 @@ pub struct CampaignConfig {
     pub dir: PathBuf,
     /// Worker threads executing runs.
     pub workers: usize,
-    /// Per-run wall-clock deadline enforced by the watchdog.
-    pub deadline: Duration,
-    /// Retries per run beyond the first attempt.
-    pub retries: u32,
-    /// Base backoff between attempts (doubled each retry, capped).
-    pub backoff: Duration,
     /// Suppress progress lines on stderr.
     pub quiet: bool,
-    /// Test hook: panic the first N attempts of every run (chaos monkey).
-    #[doc(hidden)]
-    pub chaos_panic_attempts: u32,
     /// Test hook: stop the supervisor after this many completions in this
     /// invocation, leaving the rest queued (simulates a mid-campaign kill).
     #[doc(hidden)]
@@ -173,9 +165,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A durable campaign rooted at `dir`, with default supervision policy:
-    /// up to 4 workers, a 24 h per-run deadline and 2 retries with 50 ms
-    /// base backoff.
+    /// A durable campaign rooted at `dir`, run by up to 4 workers.
     pub fn new(dir: impl Into<PathBuf>) -> CampaignConfig {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get().min(4))
@@ -183,11 +173,7 @@ impl CampaignConfig {
         CampaignConfig {
             dir: dir.into(),
             workers,
-            deadline: Duration::from_secs(24 * 3600),
-            retries: 2,
-            backoff: Duration::from_millis(50),
             quiet: false,
-            chaos_panic_attempts: 0,
             abort_after_runs: None,
             storage_faults: None,
         }
@@ -197,9 +183,8 @@ impl CampaignConfig {
     /// by [`checkpoint::unique_dir`] (`warden-campaign-<pid>-<n>`), so
     /// stale state never carries over and concurrent ephemeral campaigns
     /// never share a directory. Used when no `--campaign-dir` is given:
-    /// the binaries still get supervision (isolation, deadlines, retries)
-    /// without durable resume. If no directory can be created,
-    /// [`run_campaign`] reports the I/O error.
+    /// the binaries still get panic isolation without durable resume. If
+    /// no directory can be created, [`run_campaign`] reports the I/O error.
     pub fn ephemeral() -> CampaignConfig {
         let tmp = std::env::temp_dir();
         let name = "warden-campaign";
@@ -217,8 +202,6 @@ pub struct RunResult {
     pub id: String,
     /// The simulation outcome.
     pub outcome: SimOutcome,
-    /// Attempts made in this invocation (0 when `reused`).
-    pub attempts: u32,
     /// True when the outcome was loaded from a prior invocation's record
     /// instead of being simulated again.
     pub reused: bool,
@@ -230,7 +213,6 @@ pub struct RunResult {
 #[derive(Clone)]
 struct ManifestEntry {
     status: &'static str,
-    attempts: u32,
     record: String,
     note: String,
 }
@@ -254,15 +236,13 @@ fn json_str(s: &str) -> String {
 }
 
 fn render_manifest(entries: &BTreeMap<String, ManifestEntry>) -> String {
-    let mut s = String::from("{\n  \"version\": 1,\n  \"runs\": [\n");
+    let mut s = String::from("{\n  \"version\": 2,\n  \"runs\": [\n");
     let last = entries.len().saturating_sub(1);
     for (i, (id, e)) in entries.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"id\": {}, \"status\": \"{}\", \"attempts\": {}, \"record\": {}, \
-             \"note\": {}}}{}\n",
+            "    {{\"id\": {}, \"status\": \"{}\", \"record\": {}, \"note\": {}}}{}\n",
             json_str(id),
             e.status,
-            e.attempts,
             json_str(&e.record),
             json_str(&e.note),
             if i == last { "" } else { "," }
@@ -275,13 +255,6 @@ fn render_manifest(entries: &BTreeMap<String, ManifestEntry>) -> String {
 // ---------------------------------------------------------------------------
 // The supervisor.
 
-struct WatchEntry {
-    /// Index of the spec the entry watches.
-    run: usize,
-    deadline: Instant,
-    cancel: CancelToken,
-}
-
 struct Shared<'a> {
     specs: &'a [RunSpec],
     cfg: &'a CampaignConfig,
@@ -290,11 +263,9 @@ struct Shared<'a> {
     queue: Mutex<VecDeque<usize>>,
     slots: Mutex<Vec<Option<RunResult>>>,
     manifest: Mutex<BTreeMap<String, ManifestEntry>>,
-    watch: Mutex<Vec<WatchEntry>>,
     failures: Mutex<Vec<RunFailure>>,
     completed: AtomicUsize,
     aborted: AtomicBool,
-    stop_watchdog: AtomicBool,
 }
 
 impl Shared<'_> {
@@ -315,21 +286,26 @@ impl Shared<'_> {
         }
     }
 
-    fn set_status(&self, id: &str, status: &'static str, attempts: u32, note: String) {
+    fn set_status(&self, id: &str, status: &'static str, note: String) {
         if let Some(e) = self.manifest.lock().expect("manifest lock").get_mut(id) {
             e.status = status;
-            e.attempts = attempts;
             e.note = note;
         }
         self.write_manifest();
     }
 }
 
-/// Simulate one spec from step 0 to completion. A run that `opts.cancel`
-/// stops leaves nothing behind: its retry starts again from step 0.
-fn execute(spec: &RunSpec, opts: &SimOptions) -> Result<SimOutcome, SimError> {
-    let program = spec.workload.build();
-    SimEngine::new(&program, &spec.machine, spec.protocol, opts).run_with_cancel()
+/// Simulate one spec from step 0 to completion, once, under
+/// `catch_unwind`: a panic becomes a typed failure naming the run.
+fn run_one(spec: &RunSpec) -> Result<SimOutcome, RunFailure> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let program = spec.workload.build();
+        SimEngine::new(&program, &spec.machine, spec.protocol, &spec.opts).run()
+    }))
+    .map_err(|payload| RunFailure {
+        id: spec.id.clone(),
+        reason: format!("panicked: {}", panic_message(payload.as_ref())),
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -340,54 +316,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-fn run_one(sh: &Shared<'_>, i: usize) -> Result<(SimOutcome, u32), RunFailure> {
-    let spec = &sh.specs[i];
-    let attempts = sh.cfg.retries + 1;
-    for attempt in 1..=attempts {
-        let chaos = attempt <= sh.cfg.chaos_panic_attempts;
-        let cancel = CancelToken::new();
-        sh.watch.lock().expect("watch lock").push(WatchEntry {
-            run: i,
-            deadline: Instant::now() + sh.cfg.deadline,
-            cancel: cancel.clone(),
-        });
-        let opts = SimOptions {
-            cancel: Some(cancel),
-            ..spec.opts.clone()
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if chaos {
-                panic!("chaos monkey: injected panic (test hook)");
-            }
-            execute(spec, &opts)
-        }));
-        sh.watch.lock().expect("watch lock").retain(|e| e.run != i);
-        let reason = match result {
-            Ok(Ok(out)) => return Ok((out, attempt)),
-            Ok(Err(SimError::Cancelled { .. })) => "deadline exceeded".to_string(),
-            Ok(Err(e)) => e.to_string(),
-            Err(payload) => format!("panicked: {}", panic_message(payload.as_ref())),
-        };
-        if attempt < attempts {
-            if !sh.cfg.quiet {
-                eprintln!(
-                    "  [retry] {} attempt {attempt}/{attempts} failed: {reason}",
-                    spec.id
-                );
-            }
-            let shift = (attempt - 1).min(6);
-            std::thread::sleep(sh.cfg.backoff * (1u32 << shift));
-        } else {
-            return Err(RunFailure {
-                id: spec.id.clone(),
-                attempts,
-                reason,
-            });
-        }
-    }
-    unreachable!("the retry loop always returns")
 }
 
 fn worker(sh: &Shared<'_>) {
@@ -404,37 +332,35 @@ fn worker(sh: &Shared<'_>) {
         let next = sh.queue.lock().expect("queue lock").pop_front();
         let Some(i) = next else { break };
         let spec = &sh.specs[i];
-        match run_one(sh, i) {
-            Ok((outcome, attempts)) => {
+        match run_one(spec) {
+            Ok(outcome) => {
                 if let Err(e) = sh.store.put_result(&sh.keys[i], &outcome) {
                     // Without a durable record the result would silently
                     // vanish on resume; treat persist failure as run failure.
                     let fail = RunFailure {
                         id: spec.id.clone(),
-                        attempts,
                         reason: format!("cannot persist result record: {e}"),
                     };
-                    sh.set_status(&spec.id, "failed", attempts, fail.reason.clone());
+                    sh.set_status(&spec.id, "failed", fail.reason.clone());
                     sh.failures.lock().expect("failures lock").push(fail);
                     continue;
                 }
                 sh.slots.lock().expect("slots lock")[i] = Some(RunResult {
                     id: spec.id.clone(),
                     outcome,
-                    attempts,
                     reused: false,
                 });
-                sh.set_status(&spec.id, "done", attempts, String::new());
+                sh.set_status(&spec.id, "done", String::new());
                 sh.completed.fetch_add(1, Ordering::Relaxed);
                 if !sh.cfg.quiet {
-                    eprintln!("  [done] {} (attempt {attempts})", spec.id);
+                    eprintln!("  [done] {}", spec.id);
                 }
             }
             Err(fail) => {
                 if !sh.cfg.quiet {
                     eprintln!("  [fail] {fail}");
                 }
-                sh.set_status(&spec.id, "failed", fail.attempts, fail.reason.clone());
+                sh.set_status(&spec.id, "failed", fail.reason.clone());
                 sh.failures.lock().expect("failures lock").push(fail);
             }
         }
@@ -446,7 +372,8 @@ fn worker(sh: &Shared<'_>) {
 ///
 /// # Errors
 ///
-/// [`HarnessError::RunsFailed`] when any run exhausted its retries,
+/// [`HarnessError::RunsFailed`] when any run failed (it panicked or its
+/// record could not be persisted),
 /// [`HarnessError::Aborted`] when the `abort_after_runs` test hook stopped
 /// the supervisor early, [`HarnessError::Failed`] when two specs share an
 /// id or a [`RunKey`], and I/O errors for an unusable campaign directory.
@@ -494,7 +421,6 @@ pub fn run_campaign(
             spec.id.clone(),
             ManifestEntry {
                 status,
-                attempts: 0,
                 record: result_file_name(key),
                 note: String::new(),
             },
@@ -503,7 +429,6 @@ pub fn run_campaign(
             Some(outcome) => slots.push(Some(RunResult {
                 id: spec.id.clone(),
                 outcome,
-                attempts: 0,
                 reused: true,
             })),
             None => {
@@ -531,27 +456,14 @@ pub fn run_campaign(
         queue: Mutex::new(todo),
         slots: Mutex::new(slots),
         manifest: Mutex::new(manifest),
-        watch: Mutex::new(Vec::new()),
         failures: Mutex::new(Vec::new()),
         completed: AtomicUsize::new(0),
         aborted: AtomicBool::new(false),
-        stop_watchdog: AtomicBool::new(false),
     };
     sh.write_manifest();
 
     if !sh.queue.lock().expect("queue lock").is_empty() {
         std::thread::scope(|scope| {
-            let watchdog = scope.spawn(|| {
-                while !sh.stop_watchdog.load(Ordering::Relaxed) {
-                    let now = Instant::now();
-                    for entry in sh.watch.lock().expect("watch lock").iter() {
-                        if now >= entry.deadline {
-                            entry.cancel.cancel();
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            });
             let workers: Vec<_> = (0..cfg.workers.max(1))
                 .map(|_| scope.spawn(|| worker(&sh)))
                 .collect();
@@ -561,13 +473,10 @@ pub fn run_campaign(
                     // a supervisor bug — surface it as a campaign failure.
                     sh.failures.lock().expect("failures lock").push(RunFailure {
                         id: "(supervisor)".into(),
-                        attempts: 1,
                         reason: "worker thread panicked outside run isolation".into(),
                     });
                 }
             }
-            sh.stop_watchdog.store(true, Ordering::Relaxed);
-            let _ = watchdog.join();
         });
     }
 
@@ -837,7 +746,6 @@ mod tests {
             "a\"b".to_string(),
             ManifestEntry {
                 status: "done",
-                attempts: 2,
                 record: "0123456789abcdef.rec".into(),
                 note: "line\nbreak".into(),
             },
@@ -880,7 +788,6 @@ mod tests {
             .map(|s| {
                 let entry = ManifestEntry {
                     status: "pending",
-                    attempts: 0,
                     record: result_file_name(&s.key()),
                     note: String::new(),
                 };
@@ -895,11 +802,9 @@ mod tests {
             queue: Mutex::new(VecDeque::new()),
             slots: Mutex::new(Vec::new()),
             manifest: Mutex::new(manifest),
-            watch: Mutex::new(Vec::new()),
             failures: Mutex::new(Vec::new()),
             completed: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
-            stop_watchdog: AtomicBool::new(false),
         };
         sh.write_manifest();
         let path = cfg.dir.join("manifest.json");
@@ -915,8 +820,8 @@ mod tests {
                 let (sh, shows) = (&sh, &shows);
                 s.spawn(move || {
                     for spec in chunk {
-                        sh.set_status(&spec.id, "running", 1, String::new());
-                        sh.set_status(&spec.id, "done", 1, String::new());
+                        sh.set_status(&spec.id, "running", String::new());
+                        sh.set_status(&spec.id, "done", String::new());
                         assert!(shows(&spec.id, "done"), "{} not persisted", spec.id);
                     }
                 });

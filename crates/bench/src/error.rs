@@ -9,27 +9,20 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// One campaign run that kept failing after every allowed retry.
+/// One campaign run that failed. Replays are deterministic, so a run is
+/// attempted once: running it again would fail the same way.
 #[derive(Clone, Debug)]
 pub struct RunFailure {
     /// The run's campaign id.
     pub id: String,
-    /// How many attempts were made.
-    pub attempts: u32,
-    /// The last attempt's failure reason (panic message, deadline, I/O).
+    /// Why it failed (panic message, or a record that could not be
+    /// persisted).
     pub reason: String,
 }
 
 impl fmt::Display for RunFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} failed after {} attempt{}: {}",
-            self.id,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.reason
-        )
+        write!(f, "{} failed: {}", self.id, self.reason)
     }
 }
 
@@ -57,7 +50,7 @@ pub enum HarnessError {
         /// The WARDen memory-image digest.
         warden: u64,
     },
-    /// One or more campaign runs kept failing after every retry.
+    /// One or more campaign runs failed.
     RunsFailed(Vec<RunFailure>),
     /// The campaign stopped early (test hook) with work still queued.
     Aborted {
@@ -147,17 +140,19 @@ mod tests {
         let e = HarnessError::RunsFailed(vec![
             RunFailure {
                 id: "a".into(),
-                attempts: 1,
-                reason: "panicked".into(),
+                reason: "panicked: boom".into(),
             },
             RunFailure {
                 id: "b".into(),
-                attempts: 3,
-                reason: "deadline exceeded".into(),
+                reason: "cannot persist result record: disk full".into(),
             },
         ]);
         let s = e.to_string();
-        assert!(s.contains("a failed after 1 attempt: panicked"));
-        assert!(s.contains("b failed after 3 attempts: deadline exceeded"));
+        assert!(s.starts_with("2 campaign run(s) failed:"), "{s}");
+        assert!(s.contains("\n  a failed: panicked: boom"), "{s}");
+        assert!(
+            s.contains("\n  b failed: cannot persist result record: disk full"),
+            "{s}"
+        );
     }
 }

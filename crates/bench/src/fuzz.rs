@@ -140,7 +140,7 @@ pub struct FuzzReport {
 ///
 /// # Errors
 ///
-/// Campaign-level failures (I/O, runs exhausting retries) are
+/// Campaign-level failures (I/O, panicking runs) are
 /// [`HarnessError`]s. Protocol *disagreements* are not errors — they come
 /// back in the report so a mutation gate can assert they happened.
 pub fn run_fuzz_gate(opts: &FuzzOptions, cfg: &CampaignConfig) -> Result<FuzzReport, HarnessError> {

@@ -13,8 +13,9 @@
 //! Run with `cargo run -p warden-bench --release --bin <name> [-- --scale tiny]`.
 //!
 //! Every matrix binary routes its simulations through the supervised
-//! [`campaign`] runner: worker threads with `catch_unwind` panic isolation,
-//! per-run watchdog deadlines, bounded retry-with-backoff, and — with
+//! [`campaign`] runner: worker threads that run each cell once under
+//! `catch_unwind`, so a panicking cell fails typed while the others
+//! complete, and — with
 //! `--campaign-dir <dir>` — durable, checksummed per-run records plus a
 //! `manifest.json`, so a killed campaign resumes from completed work and
 //! reruns the interrupted runs from step 0 to bit-identical outcomes.

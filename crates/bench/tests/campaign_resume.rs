@@ -1,15 +1,15 @@
 //! Supervisor-level crash drills for the benchmark campaign runner: a
-//! killed campaign resumes bit-identically from its durable records,
-//! panicking runs are retried and isolated, a deadline-cancelled run leaves
-//! nothing behind and reruns from step 0, a damaged record is
+//! killed campaign resumes bit-identically from its durable records, a
+//! panicking cell fails typed while the others complete and reruns from
+//! step 0 in the next invocation, a damaged record is
 //! quarantined and re-run, entries of an older format version and the
 //! retired mid-run snapshot entries are quarantined and never loaded, and
 //! a campaign under seeded storage faults never reports a wrong outcome
 //! and resumes to the reference.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use warden_bench::storage::{FaultyStorage, RealStorage, StorageFaultPlan};
 use warden_bench::store::{result_file_name, DiskEntry, ResultStore};
@@ -17,9 +17,9 @@ use warden_bench::{run_campaign, CampaignConfig, HarnessError, RunSpec, Workload
 use warden_coherence::ProtocolId;
 use warden_mem::codec::{fnv1a64, Encoder};
 use warden_pbbs::{Bench, Scale};
-use warden_rt::{trace_program, RtOptions, TraceProgram};
+use warden_rt::TraceProgram;
 use warden_sim::checkpoint::{self, encode_outcome, unique_dir};
-use warden_sim::{simulate_with_options, MachineConfig, RunKey, SimOptions};
+use warden_sim::{MachineConfig, RunKey, SimOptions};
 
 fn scratch(name: &str) -> PathBuf {
     unique_dir(
@@ -33,7 +33,6 @@ fn quiet_cfg(dir: PathBuf) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(dir);
     cfg.quiet = true;
     cfg.workers = 1;
-    cfg.backoff = Duration::from_millis(1);
     cfg
 }
 
@@ -95,124 +94,81 @@ fn aborted_campaign_resumes_bit_identically() {
 
     // Third invocation: everything comes from records, nothing re-runs.
     let third = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("fully-recorded campaign");
-    assert!(third.iter().all(|r| r.reused && r.attempts == 0));
+    assert!(third.iter().all(|r| r.reused));
 
     for d in [ref_dir, dir] {
         let _ = std::fs::remove_dir_all(&d);
     }
 }
 
+/// Trace builds per cell of `a_panicking_cell_fails_typed_while_the_others_complete`.
+static BUILDS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+/// A campaign of two tiny cells and one whose trace builder panics: the
+/// panicking cell fails typed, with its panic message, while the others
+/// complete and are recorded. The next invocation reuses the two records
+/// and runs only the failing cell again, from step 0.
 #[test]
-fn panicking_runs_are_retried_and_failures_are_typed() {
-    let specs = vec![tiny_specs().remove(0)];
-
-    // One injected panic, two retries allowed: the run must recover on its
-    // second attempt.
-    let dir = scratch("chaos-recover");
-    let mut cfg = quiet_cfg(dir.clone());
-    cfg.chaos_panic_attempts = 1;
-    cfg.retries = 2;
-    let results = run_campaign(&specs, &cfg).expect("retry must recover from the panic");
-    assert_eq!(results[0].attempts, 2);
-    assert!(!results[0].reused);
-
-    // Panics on every attempt: the campaign reports a typed failure naming
-    // the run and its attempt count instead of crashing the supervisor.
-    let dir2 = scratch("chaos-exhaust");
-    let mut cfg = quiet_cfg(dir2.clone());
-    cfg.chaos_panic_attempts = u32::MAX;
-    cfg.retries = 1;
-    let err = run_campaign(&specs, &cfg).expect_err("all attempts panic");
-    match err {
-        HarnessError::RunsFailed(fails) => {
-            assert_eq!(fails.len(), 1);
-            assert_eq!(fails[0].id, specs[0].id);
-            assert_eq!(fails[0].attempts, 2);
-            assert!(
-                fails[0].reason.contains("chaos monkey"),
-                "{}",
-                fails[0].reason
-            );
-        }
-        other => panic!("unexpected error: {other}"),
+fn a_panicking_cell_fails_typed_while_the_others_complete() {
+    fn counted(cell: usize, build: fn() -> TraceProgram) -> Workload {
+        Workload::custom(format!("counted-{cell}"), move || {
+            BUILDS[cell].fetch_add(1, Ordering::Relaxed);
+            build()
+        })
     }
-
-    for d in [dir, dir2] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
-}
-
-/// A workload large enough that the watchdog cancels it long before it
-/// finishes.
-fn big_program() -> TraceProgram {
-    trace_program("deadline-tab", RtOptions::default(), |ctx| {
-        let xs = ctx.tabulate::<u64>(30_000, 64, &|c, i| {
-            c.work(2);
-            i * 3 + 1
-        });
-        let _ = ctx.reduce(
-            0,
-            30_000,
-            64,
-            &|c, i| c.read(&xs, i),
-            &|a, b| a.wrapping_add(b),
-            0,
-        );
-    })
-}
-
-#[test]
-fn deadline_cancelled_run_reruns_from_step_zero_and_completes() {
     let machine = MachineConfig::dual_socket().with_cores(2);
-    let spec = RunSpec {
-        id: "deadline/tab".into(),
-        workload: Workload::custom("deadline-tab", big_program),
-        machine: machine.clone(),
-        protocol: ProtocolId::Warden,
-        opts: SimOptions::default(),
-    };
-    let p = big_program();
-    let reference = simulate_with_options(&p, &machine, ProtocolId::Warden, &SimOptions::default());
-
-    // First invocation: an already-expired deadline and no retries. The
-    // watchdog cancels the run, and nothing of it reaches the store.
-    let dir = scratch("deadline");
-    let mut cfg = quiet_cfg(dir.clone());
-    cfg.deadline = Duration::ZERO;
-    cfg.retries = 0;
-    let err = run_campaign(std::slice::from_ref(&spec), &cfg).expect_err("deadline must cancel");
-    match err {
-        HarnessError::RunsFailed(fails) => {
-            assert!(fails[0].reason.contains("deadline"), "{}", fails[0].reason);
-        }
-        other => panic!("unexpected error: {other}"),
-    }
-    let mut left: Vec<String> = std::fs::read_dir(&dir)
-        .expect("campaign dir")
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
+    let cells: [(&str, Workload); 3] = [
+        (
+            "make_array",
+            counted(0, || Bench::MakeArray.build(Scale::Tiny)),
+        ),
+        ("boom", counted(1, || panic!("builder exploded"))),
+        ("primes", counted(2, || Bench::Primes.build(Scale::Tiny))),
+    ];
+    let specs: Vec<RunSpec> = cells
+        .into_iter()
+        .map(|(id, workload)| RunSpec {
+            id: id.into(),
+            workload,
+            machine: machine.clone(),
+            protocol: ProtocolId::Warden,
+            opts: SimOptions::default(),
+        })
         .collect();
-    left.sort();
-    assert_eq!(
-        left,
-        ["manifest.json", "quarantine"],
-        "a cancelled run writes no entry"
-    );
 
-    // Second invocation with a generous deadline: with nothing stored, the
-    // run starts again from step 0 and matches an uninterrupted reference
-    // bit for bit.
-    let results = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
-        .expect("the rerun completes");
-    assert!(!results[0].reused);
-    assert_eq!(results[0].outcome.stats, reference.stats);
-    assert_eq!(
-        results[0].outcome.memory_image_digest,
-        reference.memory_image_digest
-    );
-    assert_eq!(results[0].outcome.energy, reference.energy);
-    assert_eq!(records(&dir).len(), 1, "the finished run is recorded");
-
+    let dir = scratch("panic");
+    for invocation in 1..=2 {
+        let err = run_campaign(&specs, &quiet_cfg(dir.clone())).expect_err("one cell panics");
+        match err {
+            HarnessError::RunsFailed(fails) => {
+                assert_eq!(fails.len(), 1, "invocation {invocation}: {fails:?}");
+                assert_eq!(fails[0].id, "boom");
+                assert!(
+                    fails[0].reason.contains("builder exploded"),
+                    "{}",
+                    fails[0].reason
+                );
+            }
+            other => panic!("invocation {invocation}: unexpected error: {other}"),
+        }
+        assert_eq!(records(&dir).len(), 2, "invocation {invocation}");
+        let builds: Vec<usize> = BUILDS.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        assert_eq!(
+            builds,
+            [1, invocation, 1],
+            "each invocation runs the failing cell once and nothing else again"
+        );
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+        assert!(
+            manifest.contains(r#"{"id": "boom", "status": "failed""#),
+            "{manifest}"
+        );
+        assert_eq!(
+            manifest.matches(r#""status": "done""#).count(),
+            2,
+            "{manifest}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -378,7 +334,6 @@ fn a_retired_snapshot_entry_is_never_loaded() {
     let results = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
         .expect("the cell is recomputed");
     assert!(!results[0].reused);
-    assert_eq!(results[0].attempts, 1);
     assert_eq!(
         fnv1a64(&encode_outcome(&results[0].outcome)),
         fnv1a64(&encode_outcome(&reference.outcome))

@@ -2204,24 +2204,23 @@ impl CoherenceSystem {
             let memory = &mut self.memory;
             let stats = &mut self.stats;
             self.cores[core].l2.drain_all(|block, line| {
+                // A clean line writes nothing back. Its directory entry
+                // lives in the LLC line, which the LLC drain below
+                // discards, so there is nothing to update either.
+                if line.mask.is_empty() {
+                    return;
+                }
                 let home = topo.home_of(block);
                 if let Some(llc) = llcs[home].peek_mut(block) {
-                    let mut wrote = false;
-                    if !line.mask.is_empty() {
-                        llc.data.merge_from(&line.data, line.mask);
-                        llc.dirty = true;
-                        wrote = true;
+                    llc.data.merge_from(&line.data, line.mask);
+                    llc.dirty = true;
+                    stats.writebacks += 1;
+                    if csock == home {
+                        stats.data_intra += 1;
+                    } else {
+                        stats.data_inter += 1;
                     }
-                    llc.dir = DirState::Uncached;
-                    if wrote {
-                        stats.writebacks += 1;
-                        if csock == home {
-                            stats.data_intra += 1;
-                        } else {
-                            stats.data_inter += 1;
-                        }
-                    }
-                } else if !line.mask.is_empty() {
+                } else {
                     let mut blk = memory.read_block(block);
                     blk.merge_from(&line.data, line.mask);
                     memory.write_block(block, &blk);

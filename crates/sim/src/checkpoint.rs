@@ -249,11 +249,6 @@ pub fn unique_dir(parent: &Path, prefix: &str) -> std::io::Result<PathBuf> {
 /// Fingerprint of the simulation options (energy parameters, checker flag
 /// and fault plan) — everything besides the program, machine and protocol
 /// that affects a replay: the `options` component of every [`RunKey`].
-///
-/// [`SimOptions::cancel`] is deliberately excluded: the token leaves the
-/// replay's event order, statistics and memory images bit-identical, so
-/// the same simulation requested with a different token is the same
-/// content-addressed computation.
 pub fn options_fingerprint(opts: &SimOptions) -> u64 {
     let mut enc = Encoder::new();
     let e = &opts.energy;

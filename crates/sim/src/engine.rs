@@ -15,9 +15,9 @@
 //! ([`simulate`], [`simulate_with_options`], [`try_simulate`]) replay a
 //! whole trace and return the [`SimOutcome`], while [`SimEngine`] exposes
 //! the same replay a few scheduler steps at a time, so a caller can watch
-//! its progress, poll a cancellation token or record it.
+//! its progress or record it. A replay always terminates: the number of
+//! steps it takes is bounded by the trace's size (see [`SimEngine::run`]).
 
-use crate::cancel::CancelToken;
 use crate::config::{ComputeCost, MachineConfig};
 use crate::energy::{energy_of, EnergyBreakdown, EnergyParams};
 use crate::error::SimError;
@@ -66,24 +66,7 @@ pub struct SimOptions {
     /// Run the coherence invariant checker after every directory
     /// transaction; violations land in [`SimOutcome::violations`].
     pub check: bool,
-    /// Cooperative cancellation: when set, [`SimEngine::run_with_cancel`]
-    /// (and [`try_simulate`]) poll the token every
-    /// [`CANCEL_CHECK_EVENTS`] [`SimEngine::step`] calls and return a typed
-    /// [`SimError::Cancelled`] once it trips. `None` (the default) costs
-    /// nothing: the cancellable run loop collapses to the plain one. The
-    /// token is **not** part of the options fingerprint — the same
-    /// simulation requested with different tokens is the same
-    /// content-addressed computation.
-    pub cancel: Option<CancelToken>,
 }
-
-/// [`SimEngine::step`] calls between polls of the cancellation token in
-/// [`SimEngine::run_with_cancel`]. One call runs one step of a busy or
-/// stealing core (parked idle ticks ride along for free), so at the
-/// measured millions of events per second this bounds cancellation latency
-/// to well under a millisecond, while keeping the hot loop free of
-/// per-event atomic loads.
-pub const CANCEL_CHECK_EVENTS: u64 = 4096;
 
 struct Core {
     clock: u64,
@@ -128,7 +111,7 @@ pub fn try_simulate(
     protocol: ProtocolId,
     opts: &SimOptions,
 ) -> Result<SimOutcome, SimError> {
-    SimEngine::try_new(program, machine, protocol, opts)?.run_with_cancel()
+    Ok(SimEngine::try_new(program, machine, protocol, opts)?.run())
 }
 
 /// [`simulate`] with full control: energy parameters, the invariant
@@ -419,39 +402,21 @@ impl<'a> SimEngine<'a> {
         );
     }
 
-    /// Run the replay to completion and produce the outcome. Ignores any
-    /// [`SimOptions::cancel`] token; use [`Self::run_with_cancel`] for the
-    /// cooperative path.
+    /// Run the replay to completion and produce the outcome.
+    ///
+    /// The run always ends, after at most `total_events() + 2 · tasks`
+    /// [`Self::step`] calls that return `true`. Each such call runs exactly
+    /// one of: a trace event, a task completion, or an idle core taking a
+    /// task (a pop from its own deque or a steal). Every event and every
+    /// completion runs once, and every task is taken at most once (the
+    /// root never is). An idle core is only picked while some deque is
+    /// non-empty, and then `acquire_work` always takes a task; idle cores
+    /// that find every deque empty are parked inside the call instead of
+    /// costing one. So no replay needs a wall-clock watchdog: its length
+    /// is fixed by its trace.
     pub fn run(mut self) -> SimOutcome {
         while self.step() {}
         self.finish()
-    }
-
-    /// Run the replay to completion, polling the [`SimOptions::cancel`]
-    /// token (if any) every [`CANCEL_CHECK_EVENTS`] [`Self::step`] calls. With
-    /// no token installed this is exactly [`Self::run`] — the per-step
-    /// loop carries no extra branch. With a token, a trip is observed
-    /// within one check interval and surfaces as a typed
-    /// [`SimError::Cancelled`]; the partially-advanced engine is dropped
-    /// (a cancelled replay publishes nothing).
-    pub fn run_with_cancel(mut self) -> Result<SimOutcome, SimError> {
-        let Some(token) = self.opts.cancel.clone() else {
-            return Ok(self.run());
-        };
-        loop {
-            if token.is_cancelled() {
-                return Err(SimError::Cancelled {
-                    steps: self.steps(),
-                });
-            }
-            let mut burst = 0u64;
-            while burst < CANCEL_CHECK_EVENTS {
-                if !self.step() {
-                    return Ok(self.finish());
-                }
-                burst += 1;
-            }
-        }
     }
 
     /// Execute one step on `cid`, the core with the smallest clock (ties:
@@ -666,8 +631,7 @@ impl<'a> SimEngine<'a> {
     /// histograms and the Perfetto exporter. Recording is passive — the
     /// outcome is bit-identical to [`Self::run`]'s. Events are recorded
     /// from this call on, so call it on a freshly built engine for a whole
-    /// run's history. Ignores any [`SimOptions::cancel`] token, like
-    /// [`Self::run`].
+    /// run's history.
     pub fn run_observed(mut self) -> (SimOutcome, ObsReport) {
         self.coh.enable_obs();
         self.recorder = Some(ObsRecorder::new());
@@ -1077,71 +1041,6 @@ mod tests {
         let oneshot = simulate(&p, &m, ProtocolId::Warden);
         assert_eq!(stepped.stats, oneshot.stats);
         assert_eq!(stepped.memory_image_digest, oneshot.memory_image_digest);
-    }
-
-    #[test]
-    fn pre_cancelled_token_rejects_the_replay() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = SimOptions {
-            cancel: Some(token),
-            ..SimOptions::default()
-        };
-        match try_simulate(&p, &m, ProtocolId::Warden, &opts) {
-            Err(SimError::Cancelled { steps }) => assert_eq!(steps, 0),
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn uncancelled_token_is_bit_identical_to_plain_run() {
-        let p = sample_program();
-        let m = tiny_machine();
-        let opts = SimOptions {
-            cancel: Some(CancelToken::new()),
-            ..SimOptions::default()
-        };
-        let with_token =
-            try_simulate(&p, &m, ProtocolId::Warden, &opts).expect("runs to completion");
-        let plain = simulate(&p, &m, ProtocolId::Warden);
-        assert_eq!(with_token.stats, plain.stats);
-        assert_eq!(with_token.memory_image_digest, plain.memory_image_digest);
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_at_the_next_poll_boundary() {
-        // Deterministic mid-run cancellation: advance the engine partway by
-        // hand, flip the token (as the campaign watchdog does from another
-        // thread), then hand the rest of the replay to `run_with_cancel`.
-        // It must stop at its first poll rather than finish the program:
-        // the step count it reports is the one at the flip.
-        let p = sample_program();
-        let m = tiny_machine();
-        let full = {
-            let mut eng = SimEngine::new(&p, &m, ProtocolId::Warden, &SimOptions::default());
-            while eng.step() {}
-            eng.steps()
-        };
-        let token = CancelToken::new();
-        let opts = SimOptions {
-            cancel: Some(token.clone()),
-            ..SimOptions::default()
-        };
-        let mut eng = SimEngine::try_new(&p, &m, ProtocolId::Warden, &opts).expect("valid machine");
-        while eng.steps() < full / 2 {
-            assert!(eng.step(), "half the run must not exhaust the program");
-        }
-        let head = eng.steps();
-        token.cancel();
-        match eng.run_with_cancel() {
-            Err(SimError::Cancelled { steps }) => {
-                assert_eq!(steps, head, "cancellation observed at the first poll");
-                assert!(steps < full);
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
     }
 
     #[test]

@@ -12,12 +12,6 @@ pub enum SimError {
     Config(CoherenceError),
     /// A fault plan's parameters are out of range (see the message).
     BadFaultPlan(String),
-    /// The replay was cooperatively cancelled through its
-    /// [`crate::CancelToken`] before completing.
-    Cancelled {
-        /// Scheduler steps executed before the cancellation was observed.
-        steps: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -25,9 +19,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::Config(e) => write!(f, "invalid machine configuration: {e}"),
             SimError::BadFaultPlan(msg) => write!(f, "invalid fault plan: {msg}"),
-            SimError::Cancelled { steps } => {
-                write!(f, "replay cancelled after {steps} scheduler steps")
-            }
         }
     }
 }
@@ -36,7 +27,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Config(e) => Some(e),
-            SimError::BadFaultPlan(_) | SimError::Cancelled { .. } => None,
+            SimError::BadFaultPlan(_) => None,
         }
     }
 }

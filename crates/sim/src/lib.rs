@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cancel;
 pub mod checkpoint;
 mod config;
 mod energy;
@@ -47,13 +46,11 @@ pub mod pingpong;
 mod report;
 mod stats;
 
-pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, RunKey};
 pub use config::MachineConfig;
 pub use energy::{energy_of, EnergyBreakdown, EnergyParams};
 pub use engine::{
     simulate, simulate_with_options, try_simulate, SimEngine, SimOptions, SimOutcome,
-    CANCEL_CHECK_EVENTS,
 };
 pub use error::SimError;
 pub use faults::{FaultPlan, FaultStats};
