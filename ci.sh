@@ -24,10 +24,11 @@
 #                    encode exactly the pinned bytes), and an end-to-end
 #                    trace export validated with obs_lint (obs_trace_ci/
 #                    is left behind for the workflow to archive)
-#   ./ci.sh protocols  protocol-zoo gate: the full tiny campaign runs once
-#                    with --protocols all and the invariant checker on
-#                    (the campaign layer fails the run if any protocol's
-#                    memory image diverges or any invariant trips), the
+#   ./ci.sh protocols  protocol-zoo gate: the full tiny campaign, which
+#                    runs every registered protocol, runs once with the
+#                    invariant checker on (the campaign layer fails the
+#                    run if any protocol's memory image diverges or any
+#                    invariant trips), the
 #                    protocol-zoo differential suite and per-protocol
 #                    golden stats run, and a per-protocol replay report
 #                    is written into protocols_report_ci/ for the
@@ -207,7 +208,7 @@ protocols() {
   # One combined run: the campaign layer enforces that every protocol's
   # final memory image matches the reference and that the invariant
   # checker stays clean on all of them.
-  target/release/all_figures --scale tiny --quiet --check --protocols all \
+  target/release/all_figures --scale tiny --quiet --check \
     >"$dir/zoo_campaign.txt" 2>/dev/null
   grep -q "Protocol zoo" "$dir/zoo_campaign.txt"
 

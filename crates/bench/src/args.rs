@@ -30,10 +30,11 @@
 
 use crate::campaign::CampaignConfig;
 use crate::error::HarnessError;
-use crate::runner::{RunOptions, SuiteScale};
 use std::path::PathBuf;
 use warden_coherence::{ProtocolId, ProtocolMutation};
+use warden_pbbs::Scale;
 use warden_rt::workload::SharingPattern;
+use warden_sim::{FaultPlan, SimOptions};
 
 /// Every flag the harness binaries understand, with value placeholders —
 /// printed by the unknown-flag error.
@@ -60,9 +61,15 @@ pub const VALID_FLAGS: &[&str] = &[
 #[derive(Clone, Debug, Default)]
 pub struct HarnessArgs {
     /// Input scale (`--scale`, default paper).
-    pub scale: SuiteScale,
-    /// Robustness switches (`--check`, `--faults`).
-    pub run: RunOptions,
+    pub scale: Scale,
+    /// `--check`: run the coherence invariant checker on every simulated
+    /// run ([`SimOptions::check`]).
+    pub check: bool,
+    /// `--faults <seed>`: replay every run under the benign seeded fault
+    /// plan ([`FaultPlan::benign`]: CAM-exhaustion storms, forced
+    /// reconciliations, latency spikes), none of which may change the
+    /// final memory image.
+    pub faults: Option<u64>,
     /// `--markdown <path>`, if given.
     pub markdown: Option<PathBuf>,
     /// `--obs <dir>`: `all_figures` and `replay` record one direct run per
@@ -227,13 +234,13 @@ impl HarnessArgs {
                 });
             }
             match a.as_str() {
-                "--check" => out.run.check = true,
+                "--check" => out.check = true,
                 "--quiet" => out.quiet = true,
                 "--scale" => {
                     let v = value(&mut it, "--scale", "<tiny|paper>")?;
                     out.scale = match v.as_str() {
-                        "tiny" => SuiteScale::Tiny,
-                        "paper" => SuiteScale::Paper,
+                        "tiny" => Scale::Tiny,
+                        "paper" => Scale::Paper,
                         _ => {
                             return Err(HarnessError::Args(format!(
                                 "--scale must be `tiny` or `paper`, got {v:?}"
@@ -241,7 +248,7 @@ impl HarnessArgs {
                         }
                     };
                 }
-                "--faults" => out.run.faults = Some(number(&mut it, "--faults", "<seed>")?),
+                "--faults" => out.faults = Some(number(&mut it, "--faults", "<seed>")?),
                 "--markdown" => {
                     out.markdown = Some(PathBuf::from(value(&mut it, "--markdown", "<path>")?))
                 }
@@ -291,9 +298,14 @@ impl HarnessArgs {
         Ok(out)
     }
 
-    /// The simulator options the robustness switches select.
-    pub fn sim_options(&self) -> warden_sim::SimOptions {
-        self.run.sim_options()
+    /// The simulator options the robustness switches (`--check`,
+    /// `--faults`) select.
+    pub fn sim_options(&self) -> SimOptions {
+        SimOptions {
+            check: self.check,
+            faults: self.faults.map(FaultPlan::benign),
+            ..SimOptions::default()
+        }
     }
 
     /// The campaign configuration these flags select: durable under
@@ -325,8 +337,8 @@ mod tests {
     #[test]
     fn defaults_and_full_vocabulary() {
         let a = parse(&[]).unwrap();
-        assert_eq!(a.scale, SuiteScale::Paper);
-        assert!(!a.run.check && a.run.faults.is_none() && a.positional.is_empty());
+        assert_eq!(a.scale, Scale::Paper);
+        assert!(!a.check && a.faults.is_none() && a.positional.is_empty());
         assert!(a.obs.is_none());
 
         let a = parse(&[
@@ -361,9 +373,9 @@ mod tests {
             "primes",
         ])
         .unwrap();
-        assert_eq!(a.scale, SuiteScale::Tiny);
-        assert!(a.run.check);
-        assert_eq!(a.run.faults, Some(7));
+        assert_eq!(a.scale, Scale::Tiny);
+        assert!(a.check);
+        assert_eq!(a.faults, Some(7));
         assert_eq!(a.markdown.as_deref(), Some(std::path::Path::new("out.md")));
         assert_eq!(a.obs.as_deref(), Some(std::path::Path::new("obs.out")));
         assert_eq!(
@@ -394,6 +406,16 @@ mod tests {
     }
 
     #[test]
+    fn run_options_select_sim_options() {
+        let s = parse(&["--check", "--faults", "7"]).unwrap().sim_options();
+        assert!(s.check);
+        assert_eq!(s.faults.as_ref().map(|p| p.seed), Some(7));
+        assert!(s.faults.unwrap().is_benign());
+        let d = parse(&[]).unwrap().sim_options();
+        assert!(!d.check && d.faults.is_none());
+    }
+
+    #[test]
     fn unknown_flags_are_rejected_with_the_valid_list() {
         let err = parse(&["--chek"]).unwrap_err();
         assert_eq!(err.exit_code(), 2);
@@ -416,7 +438,7 @@ mod tests {
         let parse_as =
             |args: &[&str]| HarnessArgs::parse_from(args.iter().map(|s| s.to_string()), &reads);
         let a = parse_as(&["--scale", "tiny", "--quiet", "primes"]).unwrap();
-        assert_eq!(a.scale, SuiteScale::Tiny);
+        assert_eq!(a.scale, Scale::Tiny);
         assert!(a.quiet);
         let err = parse_as(&["--obs", "d"]).unwrap_err();
         assert_eq!(err.exit_code(), 2);

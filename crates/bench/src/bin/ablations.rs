@@ -9,27 +9,31 @@
 //!    sub-sector bytes, which the memory-image comparison exposes.
 //! 4. **Store MSHRs** — how much store-miss overlap hides invalidation
 //!    latency (the Figure 10 loads-vs-stores argument).
+//! 5. **Protocol baselines** — what the E state buys (MSI vs. MESI) and
+//!    what WARDen adds on top.
 //!
 //! Every simulation routes through the campaign runner, so a killed sweep
 //! resumes from its completed cells when `--campaign-dir` is given. The
 //! sectoring ablation deliberately produces corrupted final memory at coarse
-//! granularities, so it uses the raw campaign API (no digest enforcement)
-//! and compares images itself.
+//! granularities, so ablations 1–4 use the raw campaign API (no digest
+//! enforcement) and the sectoring one compares images itself. Ablation 5
+//! runs suite benchmarks through `protocol_campaign`, which fails on a
+//! diverging image or an invariant violation.
 
 use warden_bench::fmt::{f2, table};
 use warden_bench::{
-    harness_main, run_campaign, CampaignConfig, HarnessArgs, HarnessError, RunSpec, SuiteScale,
-    Workload,
+    harness_main, protocol_campaign, run_campaign, CampaignConfig, HarnessArgs, HarnessError,
+    RunSpec, Workload,
 };
 use warden_coherence::ProtocolId;
-use warden_pbbs::primes;
+use warden_pbbs::{primes, Bench, Scale};
 use warden_rt::{trace_program, MarkPolicy, RtOptions};
 use warden_sim::{Comparison, MachineConfig, SimOptions, SimOutcome};
 
-fn scaled(scale: SuiteScale, tiny: u64, paper: u64) -> u64 {
+fn scaled(scale: Scale, tiny: u64, paper: u64) -> u64 {
     match scale {
-        SuiteScale::Tiny => tiny,
-        SuiteScale::Paper => paper,
+        Scale::Tiny => tiny,
+        Scale::Paper => paper,
     }
 }
 
@@ -56,7 +60,7 @@ fn speedup(name: &str, mesi: &SimOutcome, warden: &SimOutcome) -> f64 {
 }
 
 struct Ctx<'a> {
-    scale: SuiteScale,
+    scale: Scale,
     machine: &'a MachineConfig,
     opts: &'a SimOptions,
     cfg: &'a CampaignConfig,
@@ -237,37 +241,26 @@ fn store_mshrs(ctx: &Ctx) -> Result<String, HarnessError> {
 fn baselines(ctx: &Ctx) -> Result<String, HarnessError> {
     // What does the E state buy, and how much more does WARDen add? All
     // cycles normalized to the MSI baseline.
-    let benches = [
-        warden_pbbs::Bench::MakeArray,
-        warden_pbbs::Bench::Msort,
-        warden_pbbs::Bench::Tokens,
-    ];
+    let benches = [Bench::MakeArray, Bench::Msort, Bench::Tokens];
     let protocols = [ProtocolId::Msi, ProtocolId::Mesi, ProtocolId::Warden];
-    let mut specs = Vec::new();
-    for b in benches {
-        let w = Workload::bench(b, ctx.scale.pbbs());
-        for (p, tag) in protocols.iter().zip(["msi", "mesi", "warden"]) {
-            specs.push(RunSpec {
-                id: format!("abl5/{}/{tag}", b.name()),
-                workload: w.clone(),
-                machine: ctx.machine.clone(),
-                protocol: *p,
-                opts: ctx.opts.clone(),
-            });
-        }
-    }
-    let results = run_campaign(&specs, ctx.cfg)?;
-    let rows: Vec<Vec<String>> = benches
+    let runs = protocol_campaign(
+        &benches,
+        ctx.scale,
+        ctx.machine,
+        &protocols,
+        ctx.opts,
+        ctx.cfg,
+    )?;
+    let rows: Vec<Vec<String>> = runs
         .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let cycles = |j: usize| results[protocols.len() * i + j].outcome.stats.cycles as f64;
-            let msi = cycles(0);
+        .map(|r| {
+            let cycles = |p| r.outcome(p).expect("protocol requested").stats.cycles as f64;
+            let msi = cycles(ProtocolId::Msi);
             vec![
-                b.name().to_string(),
+                r.bench.name().to_string(),
                 "1.00".into(),
-                f2(msi / cycles(1)),
-                f2(msi / cycles(2)),
+                f2(msi / cycles(ProtocolId::Mesi)),
+                f2(msi / cycles(ProtocolId::Warden)),
             ]
         })
         .collect();

@@ -11,17 +11,11 @@
 use warden_bench::figures::*;
 use warden_bench::fmt::f2;
 use warden_bench::{
-    campaign_suite, export_outcome, harness_main, paper, protocol_campaign, BenchRun, HarnessArgs,
-    HarnessError,
+    export_outcome, harness_main, paper, protocol_campaign, HarnessArgs, HarnessError,
 };
 use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
 use warden_sim::{mean, MachineConfig, SimEngine};
-
-fn mean_of(runs: &[BenchRun], f: impl Fn(&warden_sim::Comparison) -> f64) -> f64 {
-    let cmps: Vec<_> = runs.iter().map(|r| r.cmp.clone()).collect();
-    mean(&cmps, f)
-}
 
 fn main() {
     harness_main(run);
@@ -37,11 +31,11 @@ fn run() -> Result<(), HarnessError> {
         "--campaign-dir",
         "--jobs",
         "--quiet",
-        "--protocols",
     ])?;
     let cfg = args.campaign_config();
-    let scale = args.scale.pbbs();
+    let scale = args.scale;
     let opts = args.sim_options();
+    let pair = [ProtocolId::Mesi, ProtocolId::Warden];
     let t0 = std::time::Instant::now();
 
     eprintln!("Table 1 (ping-pong validation)…");
@@ -50,42 +44,37 @@ fn run() -> Result<(), HarnessError> {
     let table2_txt = render_table2(&dual);
 
     eprintln!("Figure 7 (single socket)…");
-    let single_runs = campaign_suite(
-        &Bench::ALL,
-        scale,
-        &MachineConfig::single_socket(),
-        &opts,
-        &cfg,
-    )?;
+    let single = MachineConfig::single_socket();
+    let single_runs = protocol_campaign(&Bench::ALL, scale, &single, &pair, &opts, &cfg)?;
     let fig7_txt = render_fig7(&single_runs);
 
-    eprintln!("Figures 8–11 (dual socket)…");
-    let dual_runs = campaign_suite(&Bench::ALL, scale, &dual, &opts, &cfg)?;
+    eprintln!("Figures 8–11 and the protocol zoo (dual socket, every registered protocol)…");
+    let dual_runs = protocol_campaign(&Bench::ALL, scale, &dual, &ProtocolId::ALL, &opts, &cfg)?;
     let fig8_txt = render_fig8(&dual_runs);
     let fig9_txt = render_fig9(&dual_runs);
     let fig10_txt = render_fig10(&dual_runs);
     let fig11_txt = render_fig11(&dual_runs);
+    let zoo_txt = render_protocol_zoo(&dual_runs, &ProtocolId::ALL);
 
     eprintln!("Figure 12 (disaggregated)…");
     let disagg = MachineConfig::disaggregated();
-    let disagg_runs = campaign_suite(&Bench::DISAGGREGATED, scale, &disagg, &opts, &cfg)?;
+    let disagg_runs = protocol_campaign(&Bench::DISAGGREGATED, scale, &disagg, &pair, &opts, &cfg)?;
     let fig12_txt = render_fig12_titled(
         &disagg_runs,
         "Figure 12 (paper's subset): disaggregated machine (1 µs remote)",
     );
-    let disagg_ours = campaign_suite(&Bench::DISAGGREGATED_OURS, scale, &disagg, &opts, &cfg)?;
+    let disagg_ours = protocol_campaign(
+        &Bench::DISAGGREGATED_OURS,
+        scale,
+        &disagg,
+        &pair,
+        &opts,
+        &cfg,
+    )?;
     let fig12b_txt = render_fig12_titled(
         &disagg_ours,
         "Figure 12 (this reproduction's most-promising subset, same selection rule)",
     );
-
-    eprintln!("Protocol zoo (dual socket, every registered protocol)…");
-    let zoo_protocols = args
-        .protocols
-        .clone()
-        .unwrap_or_else(|| ProtocolId::ALL.to_vec());
-    let zoo_runs = protocol_campaign(&Bench::ALL, scale, &dual, &zoo_protocols, &opts, &cfg)?;
-    let zoo_txt = render_protocol_zoo(&zoo_runs, &zoo_protocols);
 
     let area_txt = render_area();
 
@@ -107,6 +96,7 @@ fn run() -> Result<(), HarnessError> {
     }
 
     // Headline paper-vs-measured summary.
+    let (single_cmps, dual_cmps) = (comparisons(&single_runs), comparisons(&dual_runs));
     let summary = format!(
         "Headline paper-vs-measured summary\n\
          -----------------------------------\n\
@@ -116,15 +106,15 @@ fn run() -> Result<(), HarnessError> {
          dual total energy savings:    paper {}%, measured {}%\n\
          disaggregated mean speedup:   paper {}x, measured {}x\n",
         paper::FIG7_MEAN_SPEEDUP,
-        f2(mean_of(&single_runs, |c| c.speedup)),
+        f2(mean(&single_cmps, |c| c.speedup)),
         paper::FIG8_MEAN_SPEEDUP,
-        f2(mean_of(&dual_runs, |c| c.speedup)),
+        f2(mean(&dual_cmps, |c| c.speedup)),
         paper::FIG8_MEAN_INTERCONNECT_ENERGY,
-        f2(mean_of(&dual_runs, |c| c.interconnect_energy_savings_pct)),
+        f2(mean(&dual_cmps, |c| c.interconnect_energy_savings_pct)),
         paper::FIG8_MEAN_TOTAL_ENERGY,
-        f2(mean_of(&dual_runs, |c| c.total_energy_savings_pct)),
+        f2(mean(&dual_cmps, |c| c.total_energy_savings_pct)),
         paper::FIG12_MEAN_SPEEDUP,
-        f2(mean_of(&disagg_ours, |c| c.speedup)),
+        f2(mean(&comparisons(&disagg_ours), |c| c.speedup)),
     );
     println!("{summary}");
 

@@ -4,7 +4,8 @@
 //! compute stays fixed.
 
 use warden_bench::fmt::table;
-use warden_bench::{campaign_suite, harness_main, HarnessArgs, HarnessError};
+use warden_bench::{harness_main, protocol_campaign, HarnessArgs, HarnessError};
+use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
 use warden_sim::{MachineConfig, SimStats};
 
@@ -39,22 +40,23 @@ fn run() -> Result<(), HarnessError> {
         .collect();
     let mut headers = vec!["benchmark", "protocol", "cycles"];
     headers.extend(labels.iter());
-    let runs = campaign_suite(
+    let runs = protocol_campaign(
         &Bench::ALL,
-        args.scale.pbbs(),
+        args.scale,
         &machine,
+        &[ProtocolId::Mesi, ProtocolId::Warden],
         &args.sim_options(),
         &cfg,
     )?;
     let mut rows = Vec::new();
     for r in &runs {
-        for (proto, stats) in [("MESI", &r.mesi.stats), ("WARDen", &r.warden.stats)] {
+        for o in &r.outcomes {
             let mut row = vec![
                 r.bench.name().to_string(),
-                proto.to_string(),
-                stats.cycles.to_string(),
+                o.protocol.to_string(),
+                o.stats.cycles.to_string(),
             ];
-            row.extend(pct_row(stats));
+            row.extend(pct_row(&o.stats));
             rows.push(row);
         }
     }

@@ -24,7 +24,7 @@ fn run() -> Result<(), HarnessError> {
     let Some(bench) = Bench::by_name(name) else {
         return Err(HarnessError::Args(format!("unknown benchmark {name:?}")));
     };
-    let program = bench.build(args.scale.pbbs());
+    let program = bench.build(args.scale);
     let io_err = |e| HarnessError::Io {
         path: path.into(),
         source: e,

@@ -17,7 +17,7 @@
 //! trace (`<name>-<protocol>.trace.json`) plus a per-epoch activity table
 //! (`.epochs.txt`) per protocol into the directory.
 
-use warden_bench::{export_outcome, harness_main, HarnessArgs, HarnessError, RunOptions};
+use warden_bench::{export_outcome, harness_main, HarnessArgs, HarnessError};
 use warden_coherence::ProtocolId;
 use warden_rt::{summarize, trace_io};
 use warden_sim::{Comparison, MachineConfig, SimEngine, SimOutcome};
@@ -32,16 +32,19 @@ fn machine_by_name(name: &str) -> Option<MachineConfig> {
     })
 }
 
-fn report_robustness(outcome: &SimOutcome, opts: &RunOptions) -> bool {
+/// Print `outcome`'s invariant violations, plus the checker verdict when
+/// `check` is on and the fault tally when `faults` is; false on any
+/// violation.
+fn report_robustness(outcome: &SimOutcome, check: bool, faults: bool) -> bool {
     let mut ok = true;
     for v in &outcome.violations {
         eprintln!("[{:?}] invariant violation: {v}", outcome.protocol);
         ok = false;
     }
-    if opts.check && outcome.violations.is_empty() {
+    if check && outcome.violations.is_empty() {
         println!("[{:?}] invariant checker: clean", outcome.protocol);
     }
-    if opts.faults.is_some() {
+    if faults {
         let f = &outcome.stats.faults;
         println!(
             "[{:?}] faults injected: {} CAM storms ({} decoy regions), {} forced \
@@ -108,7 +111,7 @@ fn run() -> Result<(), HarnessError> {
     }
     let mut clean = true;
     for o in &outcomes {
-        clean &= report_robustness(o, &args.run);
+        clean &= report_robustness(o, args.check, args.faults.is_some());
     }
 
     for (o, &p) in outcomes.iter().zip(&protocols) {

@@ -4,7 +4,8 @@
 //! make WARDen increasingly valuable; this binary puts numbers on it.)
 
 use warden_bench::fmt::{f2, table};
-use warden_bench::{campaign_suite, harness_main, HarnessArgs, HarnessError};
+use warden_bench::{harness_main, protocol_campaign, HarnessArgs, HarnessError};
+use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
 use warden_sim::MachineConfig;
 
@@ -39,10 +40,11 @@ fn run() -> Result<(), HarnessError> {
     // share the campaign directory and a killed grid resumes where it died.
     let mut columns = Vec::new();
     for machine in &machines {
-        columns.push(campaign_suite(
+        columns.push(protocol_campaign(
             &benches,
-            args.scale.pbbs(),
+            args.scale,
             machine,
+            &[ProtocolId::Mesi, ProtocolId::Warden],
             &args.sim_options(),
             &cfg,
         )?);
@@ -51,7 +53,7 @@ fn run() -> Result<(), HarnessError> {
     for (i, bench) in benches.iter().enumerate() {
         let mut row = vec![bench.name().to_string()];
         for col in &columns {
-            row.push(format!("{}x", f2(col[i].cmp.speedup)));
+            row.push(format!("{}x", f2(col[i].comparison().speedup)));
         }
         rows.push(row);
     }

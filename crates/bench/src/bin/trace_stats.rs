@@ -16,7 +16,7 @@ fn run() -> Result<(), HarnessError> {
     let mut rows = Vec::new();
     for bench in Bench::ALL {
         eprint!("  {:<14}\r", bench.name());
-        let p = bench.build(args.scale.pbbs());
+        let p = bench.build(args.scale);
         let s = summarize(&p);
         rows.push(vec![
             bench.name().to_string(),

@@ -44,7 +44,6 @@
 //! watchdog guards it.
 
 use crate::error::{HarnessError, RunFailure};
-use crate::runner::BenchRun;
 use crate::storage::{FaultyStorage, RealStorage, Storage};
 use crate::store::{result_file_name, ResultStore};
 use std::collections::{BTreeMap, VecDeque};
@@ -505,41 +504,6 @@ pub fn run_campaign(
     Ok(out)
 }
 
-/// Run `benches` × {MESI, WARDen} on `machine` through the campaign and
-/// pair the outcomes into [`BenchRun`]s, verifying that both protocols
-/// produced the same final memory image (a disagreement is a typed
-/// [`HarnessError::ImageMismatch`], not a panic).
-pub fn campaign_suite(
-    benches: &[Bench],
-    scale: Scale,
-    machine: &MachineConfig,
-    opts: &SimOptions,
-    cfg: &CampaignConfig,
-) -> Result<Vec<BenchRun>, HarnessError> {
-    let runs = protocol_campaign(
-        benches,
-        scale,
-        machine,
-        &[ProtocolId::Mesi, ProtocolId::Warden],
-        opts,
-        cfg,
-    )?;
-    Ok(runs
-        .into_iter()
-        .map(|r| {
-            let [mesi, warden]: [SimOutcome; 2] =
-                r.outcomes.try_into().expect("two protocols requested");
-            let cmp = Comparison::of(r.bench.name(), &mesi, &warden);
-            BenchRun {
-                bench: r.bench,
-                mesi,
-                warden,
-                cmp,
-            }
-        })
-        .collect())
-}
-
 /// One benchmark's outcomes across a protocol list (parallel to the
 /// `protocols` argument of [`protocol_campaign`]). All outcomes agree on
 /// the final memory image — the campaign verified it.
@@ -549,6 +513,28 @@ pub struct ProtocolRun {
     pub bench: Bench,
     /// One outcome per requested protocol, in request order.
     pub outcomes: Vec<SimOutcome>,
+}
+
+impl ProtocolRun {
+    /// The outcome under `protocol`, if the run requested it.
+    pub fn outcome(&self, protocol: ProtocolId) -> Option<&SimOutcome> {
+        self.outcomes.iter().find(|o| o.protocol == protocol)
+    }
+
+    /// WARDen compared against the MESI baseline.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the benchmark, if the run lacks either protocol —
+    /// the caller asked for a comparison it did not simulate.
+    pub fn comparison(&self) -> Comparison {
+        let name = self.bench.name();
+        let get = |p| {
+            self.outcome(p)
+                .unwrap_or_else(|| panic!("{name}: the run has no {p} outcome to compare"))
+        };
+        Comparison::of(name, get(ProtocolId::Mesi), get(ProtocolId::Warden))
+    }
 }
 
 /// Run `benches` × `protocols` on `machine` through the campaign. Every

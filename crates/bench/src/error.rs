@@ -40,16 +40,6 @@ pub enum HarnessError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The two protocols disagree on the final memory image — WARDen's
-    /// reconciliation must be semantically transparent.
-    ImageMismatch {
-        /// Which benchmark/run pair disagreed.
-        id: String,
-        /// The MESI memory-image digest.
-        mesi: u64,
-        /// The WARDen memory-image digest.
-        warden: u64,
-    },
     /// One or more campaign runs failed.
     RunsFailed(Vec<RunFailure>),
     /// The campaign stopped early (test hook) with work still queued.
@@ -57,7 +47,8 @@ pub enum HarnessError {
         /// How many runs completed before the stop.
         completed: usize,
     },
-    /// Any other typed failure (invalid trace, invariant violations, …).
+    /// Any other typed failure (invalid trace, protocols diverging on the
+    /// final memory image, invariant violations, …).
     Failed(String),
 }
 
@@ -68,11 +59,6 @@ impl fmt::Display for HarnessError {
             HarnessError::Io { path, source } => {
                 write!(f, "I/O error on {}: {source}", path.display())
             }
-            HarnessError::ImageMismatch { id, mesi, warden } => write!(
-                f,
-                "{id}: protocols disagree on the final memory image \
-                 (MESI digest {mesi:#018x}, WARDen digest {warden:#018x})"
-            ),
             HarnessError::RunsFailed(fails) => {
                 write!(f, "{} campaign run(s) failed:", fails.len())?;
                 for r in fails {

@@ -4,10 +4,9 @@
 use crate::campaign::ProtocolRun;
 use crate::fmt::{bar, f2, pct, table};
 use crate::paper;
-use crate::runner::BenchRun;
 use warden_cacti::{CacheBitBudget, RegionCam};
 use warden_coherence::ProtocolId;
-use warden_sim::{mean, table1, MachineConfig};
+use warden_sim::{mean, table1, Comparison, MachineConfig};
 
 /// Table 1: simulator latency validation.
 pub fn render_table1(machine: &MachineConfig, iterations: u64) -> String {
@@ -70,37 +69,37 @@ pub fn render_table2(machine: &MachineConfig) -> String {
     )
 }
 
-fn speedup_energy_figure(title: &str, runs: &[BenchRun], paper_means: (f64, f64, f64)) -> String {
-    let mut rows: Vec<Vec<String>> = runs
+/// Each run's WARDen-vs-MESI comparison ([`ProtocolRun::comparison`]),
+/// one per run in order.
+pub fn comparisons(runs: &[ProtocolRun]) -> Vec<Comparison> {
+    runs.iter().map(ProtocolRun::comparison).collect()
+}
+
+fn speedup_energy_figure(
+    title: &str,
+    runs: &[ProtocolRun],
+    paper_means: (f64, f64, f64),
+) -> String {
+    let cmps = comparisons(runs);
+    let mut rows: Vec<Vec<String>> = cmps
         .iter()
-        .map(|r| {
+        .map(|c| {
             vec![
-                r.bench.name().to_string(),
-                f2(r.cmp.speedup),
-                bar(r.cmp.speedup, 2.2, 24),
-                pct(r.cmp.interconnect_energy_savings_pct),
-                pct(r.cmp.total_energy_savings_pct),
+                c.name.clone(),
+                f2(c.speedup),
+                bar(c.speedup, 2.2, 24),
+                pct(c.interconnect_energy_savings_pct),
+                pct(c.total_energy_savings_pct),
             ]
         })
         .collect();
-    let mean_speedup = mean(
-        &runs.iter().map(|r| r.cmp.clone()).collect::<Vec<_>>(),
-        |c| c.speedup,
-    );
-    let mean_int = mean(
-        &runs.iter().map(|r| r.cmp.clone()).collect::<Vec<_>>(),
-        |c| c.interconnect_energy_savings_pct,
-    );
-    let mean_tot = mean(
-        &runs.iter().map(|r| r.cmp.clone()).collect::<Vec<_>>(),
-        |c| c.total_energy_savings_pct,
-    );
+    let mean_speedup = mean(&cmps, |c| c.speedup);
     rows.push(vec![
         "MEAN".into(),
         f2(mean_speedup),
         bar(mean_speedup, 2.2, 24),
-        pct(mean_int),
-        pct(mean_tot),
+        pct(mean(&cmps, |c| c.interconnect_energy_savings_pct)),
+        pct(mean(&cmps, |c| c.total_energy_savings_pct)),
     ]);
     let (p_speed, p_int, p_tot) = paper_means;
     format!(
@@ -113,7 +112,7 @@ fn speedup_energy_figure(title: &str, runs: &[BenchRun], paper_means: (f64, f64,
 }
 
 /// Figure 7: single-socket performance and energy.
-pub fn render_fig7(runs: &[BenchRun]) -> String {
+pub fn render_fig7(runs: &[ProtocolRun]) -> String {
     speedup_energy_figure(
         "Figure 7: performance and energy gains on single socket",
         runs,
@@ -126,7 +125,7 @@ pub fn render_fig7(runs: &[BenchRun]) -> String {
 }
 
 /// Figure 8: dual-socket performance and energy.
-pub fn render_fig8(runs: &[BenchRun]) -> String {
+pub fn render_fig8(runs: &[ProtocolRun]) -> String {
     speedup_energy_figure(
         "Figure 8: performance and energy gains on dual socket",
         runs,
@@ -139,17 +138,17 @@ pub fn render_fig8(runs: &[BenchRun]) -> String {
 }
 
 /// Figure 9: speedup vs invalidation+downgrade reduction (dual socket).
-pub fn render_fig9(runs: &[BenchRun]) -> String {
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
+pub fn render_fig9(runs: &[ProtocolRun]) -> String {
+    let rows: Vec<Vec<String>> = comparisons(runs)
+        .into_iter()
+        .map(|c| {
             vec![
-                r.bench.name().to_string(),
-                f2(r.cmp.inv_dg_reduced_per_kilo),
-                bar(r.cmp.inv_dg_reduced_per_kilo, 60.0, 20),
-                f2(r.cmp.speedup),
-                format!("{:.0}%", 100.0 * r.cmp.ward_serve_fraction),
-                f2(r.cmp.recon_blocks_per_mcycle / 1000.0 * 50.0), // blocks per 50k cycles
+                c.name,
+                f2(c.inv_dg_reduced_per_kilo),
+                bar(c.inv_dg_reduced_per_kilo, 60.0, 20),
+                f2(c.speedup),
+                format!("{:.0}%", 100.0 * c.ward_serve_fraction),
+                f2(c.recon_blocks_per_mcycle / 1000.0 * 50.0), // blocks per 50k cycles
             ]
         })
         .collect();
@@ -172,17 +171,17 @@ pub fn render_fig9(runs: &[BenchRun]) -> String {
 }
 
 /// Figure 10: share of the reduction from downgrades vs invalidations.
-pub fn render_fig10(runs: &[BenchRun]) -> String {
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
-            let paper_dg = paper::fig10_downgrade_share(r.bench.name())
+pub fn render_fig10(runs: &[ProtocolRun]) -> String {
+    let rows: Vec<Vec<String>> = comparisons(runs)
+        .into_iter()
+        .map(|c| {
+            let paper_dg = paper::fig10_downgrade_share(&c.name)
                 .map(pct)
                 .unwrap_or_else(|| "-".into());
             vec![
-                r.bench.name().to_string(),
-                pct(r.cmp.downgrade_share_pct),
-                pct(r.cmp.invalidation_share_pct),
+                c.name,
+                pct(c.downgrade_share_pct),
+                pct(c.invalidation_share_pct),
                 paper_dg,
             ]
         })
@@ -202,14 +201,14 @@ pub fn render_fig10(runs: &[BenchRun]) -> String {
 }
 
 /// Figure 11: percentage IPC improvement.
-pub fn render_fig11(runs: &[BenchRun]) -> String {
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
+pub fn render_fig11(runs: &[ProtocolRun]) -> String {
+    let rows: Vec<Vec<String>> = comparisons(runs)
+        .into_iter()
+        .map(|c| {
             vec![
-                r.bench.name().to_string(),
-                pct(r.cmp.ipc_improvement_pct),
-                bar(r.cmp.ipc_improvement_pct.max(0.0), 80.0, 20),
+                c.name,
+                pct(c.ipc_improvement_pct),
+                bar(c.ipc_improvement_pct.max(0.0), 80.0, 20),
             ]
         })
         .collect();
@@ -219,35 +218,29 @@ pub fn render_fig11(runs: &[BenchRun]) -> String {
     )
 }
 
-/// Figure 12: disaggregated machine (speedup + energy split).
-pub fn render_fig12(runs: &[BenchRun]) -> String {
-    render_fig12_titled(
-        runs,
-        "Figure 12: performance and energy gains on the disaggregated machine (1 µs remote)",
-    )
-}
-
-/// [`render_fig12`] with an explicit title (used for the paper's subset and
-/// for this reproduction's own most-promising subset).
-pub fn render_fig12_titled(runs: &[BenchRun], title: &str) -> String {
-    let mut rows: Vec<Vec<String>> = runs
+/// Figure 12: disaggregated machine (speedup + energy split), titled for
+/// the benchmark subset it shows (the paper's, or this reproduction's
+/// most-promising one).
+pub fn render_fig12_titled(runs: &[ProtocolRun], title: &str) -> String {
+    let cmps = comparisons(runs);
+    let mut rows: Vec<Vec<String>> = cmps
         .iter()
-        .map(|r| {
+        .map(|c| {
             vec![
-                r.bench.name().to_string(),
-                f2(r.cmp.speedup),
-                bar(r.cmp.speedup, 8.0, 24),
-                pct(r.cmp.in_processor_energy_savings_pct),
-                pct(r.cmp.interconnect_energy_savings_pct),
-                pct(r.cmp.total_energy_savings_pct),
+                c.name.clone(),
+                f2(c.speedup),
+                bar(c.speedup, 8.0, 24),
+                pct(c.in_processor_energy_savings_pct),
+                pct(c.interconnect_energy_savings_pct),
+                pct(c.total_energy_savings_pct),
             ]
         })
         .collect();
-    let cmps: Vec<_> = runs.iter().map(|r| r.cmp.clone()).collect();
+    let mean_speedup = mean(&cmps, |c| c.speedup);
     rows.push(vec![
         "MEAN".into(),
-        f2(mean(&cmps, |c| c.speedup)),
-        bar(mean(&cmps, |c| c.speedup), 8.0, 24),
+        f2(mean_speedup),
+        bar(mean_speedup, 8.0, 24),
         pct(mean(&cmps, |c| c.in_processor_energy_savings_pct)),
         pct(mean(&cmps, |c| c.interconnect_energy_savings_pct)),
         pct(mean(&cmps, |c| c.total_energy_savings_pct)),
@@ -273,7 +266,7 @@ pub fn render_fig12_titled(runs: &[BenchRun], title: &str) -> String {
 }
 
 /// Protocol zoo: per-benchmark cycles for every requested protocol,
-/// normalized to the first one (the reference, conventionally MESI). All
+/// normalized to the first one (the reference: MSI in `all_figures`). All
 /// rows come from runs that already agreed on the final memory image.
 pub fn render_protocol_zoo(runs: &[ProtocolRun], protocols: &[ProtocolId]) -> String {
     let mut headers: Vec<String> = vec!["Benchmark".into()];
@@ -411,8 +404,31 @@ pub fn render_area() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_bench;
     use warden_pbbs::{Bench, Scale};
+    use warden_sim::simulate;
+
+    /// One tiny benchmark on a 2-core dual-socket machine, simulated
+    /// directly under each of `protocols`.
+    fn tiny_run(bench: Bench, protocols: &[ProtocolId]) -> ProtocolRun {
+        let program = bench.build(Scale::Tiny);
+        let m = MachineConfig::dual_socket().with_cores(2);
+        let outcomes = protocols
+            .iter()
+            .map(|&p| simulate(&program, &m, p))
+            .collect();
+        ProtocolRun { bench, outcomes }
+    }
+
+    fn figures(runs: &[ProtocolRun]) -> [String; 6] {
+        [
+            render_fig7(runs),
+            render_fig8(runs),
+            render_fig9(runs),
+            render_fig10(runs),
+            render_fig11(runs),
+            render_fig12_titled(runs, "Figure 12"),
+        ]
+    }
 
     #[test]
     fn renders_are_nonempty() {
@@ -420,16 +436,32 @@ mod tests {
         assert!(render_table1(&m, 50).contains("Same core"));
         assert!(render_table2(&m).contains("L1 size"));
         assert!(render_area().contains("sectoring"));
-        let runs = vec![run_bench(Bench::MakeArray, Scale::Tiny, &m)];
-        for s in [
-            render_fig7(&runs),
-            render_fig8(&runs),
-            render_fig9(&runs),
-            render_fig10(&runs),
-            render_fig11(&runs),
-            render_fig12(&runs),
-        ] {
+        let runs = [tiny_run(
+            Bench::MakeArray,
+            &[ProtocolId::Mesi, ProtocolId::Warden],
+        )];
+        for s in figures(&runs) {
             assert!(s.contains("make_array"), "{s}");
         }
+    }
+
+    /// The figures look MESI and WARDen up by protocol: a run of every
+    /// protocol, where both sit at other positions, renders the same text.
+    #[test]
+    fn figures_find_mesi_and_warden_by_protocol() {
+        let all = tiny_run(Bench::Msort, &ProtocolId::ALL);
+        let pair = ProtocolRun {
+            bench: all.bench,
+            outcomes: [ProtocolId::Mesi, ProtocolId::Warden]
+                .map(|p| all.outcome(p).expect("every protocol ran").clone())
+                .to_vec(),
+        };
+        assert_eq!(figures(&[pair]), figures(&[all]));
+    }
+
+    #[test]
+    #[should_panic(expected = "make_array: the run has no WARDen outcome")]
+    fn a_run_without_warden_panics_naming_the_benchmark() {
+        render_fig8(&[tiny_run(Bench::MakeArray, &[ProtocolId::Mesi])]);
     }
 }

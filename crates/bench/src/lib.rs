@@ -33,19 +33,16 @@ pub mod fmt;
 pub mod fuzz;
 pub mod obs_export;
 pub mod paper;
-pub mod runner;
 pub mod storage;
 pub mod store;
 
 pub use args::{parse_patterns, parse_protocols, HarnessArgs};
 pub use atlas::{atlas_machines, run_atlas, Atlas, AtlasCell};
 pub use campaign::{
-    campaign_suite, protocol_campaign, run_campaign, CampaignConfig, ProtocolRun, RunResult,
-    RunSpec, Workload,
+    protocol_campaign, run_campaign, CampaignConfig, ProtocolRun, RunResult, RunSpec, Workload,
 };
 pub use error::{harness_main, HarnessError, RunFailure};
 pub use fuzz::{
     check_spec, parse_mutation_spec, run_fuzz_gate, Disagreement, FuzzOptions, FuzzReport,
 };
 pub use obs_export::export_outcome;
-pub use runner::{run_bench, run_pair, BenchRun, RunOptions, SuiteScale};

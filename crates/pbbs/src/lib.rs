@@ -55,14 +55,15 @@ pub use tokens::tokens;
 
 use warden_rt::TraceProgram;
 
-/// Input scale for a benchmark build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Input scale for a benchmark build (the evaluation scale by default).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Small inputs for unit/integration tests (fast to trace and replay).
     Tiny,
     /// The evaluation scale used to regenerate the paper's figures —
     /// scaled to simulate in seconds, mirroring the paper's own input
     /// downscaling (§7.1).
+    #[default]
     Paper,
 }
 
