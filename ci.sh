@@ -9,7 +9,9 @@
 #                    formatting (of the workspace and of perfbench/);
 #                    perfbench/Cargo.lock, which building the benchmark
 #                    rewrites, is restored when the script exits
-#   ./ci.sh smoke    kill/resume drill: SIGKILL a tiny benchmark campaign
+#   ./ci.sh smoke    kill/resume drill: run a tiny benchmark campaign as the
+#                    reference (its record count and total record bytes
+#                    are printed), SIGKILL a copy of it
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
 #                    (whose progress output must carry no manifest-write
@@ -91,6 +93,11 @@ count_records() {
   fi
 }
 
+# Total bytes of those records (0 when there are none).
+record_bytes() {
+  find "$1" -maxdepth 1 -name '*.rec' -exec cat {} + | wc -c
+}
+
 smoke() {
   echo "== kill/resume smoke test =="
   cargo build -q --release --offline -p warden-bench --bin all_figures
@@ -108,6 +115,7 @@ smoke() {
   fi
   local total
   total=$(count_records "$dir/ref")
+  echo "   reference campaign: $total records, $(record_bytes "$dir/ref") bytes of records"
 
   # Victim: the same campaign on one worker, SIGKILLed once a few runs have
   # been recorded. Retry in case the kill lands after completion (the tiny

@@ -242,7 +242,7 @@ per-process temp directory (supervision without durability); pass
 $ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign
 Figure 7 (single socket)…
 campaign: 28 run(s), 0 reused from records, 28 to execute (4 worker(s))
-  [done] single-socket/tiny/dedup/warden (attempt 1)
+  [done] single-socket/tiny/dedup/warden
   ...
 ^C                                   # or kill -9, an OOM kill, a power cut
 ```
@@ -267,7 +267,8 @@ The directory is a result store plus a manifest:
 
 * `<key>.rec` — one checksummed, atomically-written result record per
   completed run, named by the run's key (a hash of the workload token,
-  machine, protocol and simulator options) and holding the full outcome.
+  machine, protocol and simulator options). A record holds the run's
+  statistics, energy and final-image digest, never the image itself.
   Records are the source of truth for resume: opening the directory
   verifies every entry and moves a damaged one to `quarantine/`, and its
   run is simulated again.

@@ -3,23 +3,32 @@
 //! these stores plus the campaign's manifest.
 //!
 //! Each entry is one finished run's record, `<key>.rec`, named by the
-//! key's content address: the [`encode_outcome`] bytes of its
-//! [`SimOutcome`] and the key, wrapped in the checkpoint module's
-//! checksummed frame (magic, version, length, payload, FNV-1a-64 checksum
-//! — every strict prefix and every bit flip is a typed error, never a
-//! panic). A record is the store's unit of progress: a run without one
-//! starts again from step 0.
+//! key's content address. A record holds the run's numbers and the digest
+//! of its final memory image, never the image: one checkpoint frame
+//! around the key and the [`encode_outcome`] payload of its
+//! [`SimOutcome`].
+//!
+//! ```text
+//! frame header   magic "WARDCKPT", format version, payload length
+//! payload        RunKey (program, machine, protocol tag, options)
+//!                outcome length, encode_outcome bytes
+//! frame footer   FNV-1a-64 checksum of everything before it
+//! ```
+//!
+//! Every strict prefix and every bit flip of an entry is a typed error,
+//! never a panic. A record is the store's unit of progress: a run without
+//! one starts again from step 0.
 //!
 //! Writes go through [`Storage::write_atomic`] (temp file + `fsync` +
 //! rename + parent `fsync`), so a crash at any point leaves either the old
 //! entry or the new one, never a mixture. Opening the store runs an
-//! **fsck-style scan**: orphaned entry temp files are swept, every entry is
-//! read and verified, and anything truncated, corrupt, version-skewed or
-//! misnamed is **quarantined** into a `quarantine/` subdirectory — the
-//! scan never panics and never deletes bytes it cannot prove worthless.
-//! The scan also quarantines the `<key>.ckpt` mid-run engine snapshots
-//! that older stores kept beside their records; no reader loads them.
-//! Other files (a campaign's `manifest.json`) are left alone.
+//! **fsck-style scan**: orphaned entry temp files are swept, every `.rec`
+//! entry is read and verified, and anything truncated, corrupt,
+//! version-skewed or misnamed is **quarantined** into a `quarantine/`
+//! subdirectory — the scan never panics and never deletes bytes it cannot
+//! prove worthless. Other files (a campaign's `manifest.json`, the
+//! `<key>.ckpt` mid-run snapshots older stores kept) are left alone and
+//! never read.
 //!
 //! The store never deletes a valid entry on its own: a campaign's records
 //! are its results. Storage failures degrade — a typed counter bumps
@@ -35,7 +44,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use warden_mem::codec::{CodecError, Decoder, Encoder};
+use warden_mem::codec::{Decoder, Encoder};
 use warden_sim::checkpoint::{self, CheckpointError};
 use warden_sim::{RunKey, SimOutcome};
 
@@ -50,17 +59,11 @@ pub struct DiskEntry {
     pub outcome: Vec<u8>,
 }
 
-/// The kind byte that leads every entry's payload, kept so that records
-/// keep their format. Only results decode; a mid-run snapshot entry of
-/// an older store (kind `1`) is rejected.
-const KIND_RESULT: u8 = 0;
-
 impl DiskEntry {
-    /// Serialize into a checksummed file image (checkpoint frame around
-    /// the entry payload).
+    /// Serialize into a checksummed file image: the entry's one checkpoint
+    /// frame around the key and the outcome bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        enc.put_u8(KIND_RESULT);
         self.key.encode_into(&mut enc);
         enc.put_bytes(&self.outcome);
         checkpoint::frame(enc.bytes())
@@ -71,13 +74,6 @@ impl DiskEntry {
     /// scan quarantines on any of them, it never panics.
     pub fn decode(bytes: &[u8]) -> Result<DiskEntry, CheckpointError> {
         let mut dec = Decoder::new(checkpoint::unframe(bytes)?);
-        let kind = dec.take_u8()?;
-        if kind != KIND_RESULT {
-            return Err(CheckpointError::Corrupt(CodecError::BadTag {
-                what: "disk entry kind",
-                tag: u64::from(kind),
-            }));
-        }
         let key = RunKey::decode_from(&mut dec)?;
         let outcome = dec.take_bytes()?.to_vec();
         dec.finish()?;
@@ -122,21 +118,12 @@ pub struct ResultStore {
 }
 
 const RESULT_SUFFIX: &str = ".rec";
-/// The suffix of the mid-run engine snapshots older stores kept. None is
-/// written any more; fsck scans them so that it quarantines them.
-const RETIRED_SNAPSHOT_SUFFIX: &str = ".ckpt";
 const TMP_SUFFIX: &str = ".tmp";
 const QUARANTINE_DIR: &str = "quarantine";
 
 /// The file name of `key`'s result entry inside a store directory.
 pub fn result_file_name(key: &RunKey) -> String {
     format!("{:016x}{RESULT_SUFFIX}", key.address())
-}
-
-/// Whether fsck scans `name`. A retired snapshot never verifies as a
-/// result entry under its own name, so the scan quarantines it.
-fn is_entry_name(name: &str) -> bool {
-    name.ends_with(RESULT_SUFFIX) || name.ends_with(RETIRED_SNAPSHOT_SUFFIX)
 }
 
 impl ResultStore {
@@ -179,14 +166,14 @@ impl ResultStore {
                 continue;
             };
             if let Some(stem) = name.strip_suffix(TMP_SUFFIX) {
-                if is_entry_name(stem) {
+                if stem.ends_with(RESULT_SUFFIX) {
                     // An interrupted write's orphan; the rename never
                     // happened, so nothing references it.
                     let _ = self.storage.remove(&path);
                 }
                 continue;
             }
-            if is_entry_name(name) {
+            if name.ends_with(RESULT_SUFFIX) {
                 scanned.push((name.to_string(), path));
             }
         }

@@ -2,10 +2,10 @@
 //! killed campaign resumes bit-identically from its durable records, a
 //! panicking cell fails typed while the others complete and reruns from
 //! step 0 in the next invocation, a damaged record is
-//! quarantined and re-run, entries of an older format version and the
-//! retired mid-run snapshot entries are quarantined and never loaded, and
-//! a campaign under seeded storage faults never reports a wrong outcome
-//! and resumes to the reference.
+//! quarantined and re-run, entries of an older format version are
+//! quarantined and never loaded, the retired mid-run snapshot entries are
+//! left in place and never loaded, and a campaign under seeded storage
+//! faults never reports a wrong outcome and resumes to the reference.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +19,7 @@ use warden_mem::codec::{fnv1a64, Encoder};
 use warden_pbbs::{Bench, Scale};
 use warden_rt::TraceProgram;
 use warden_sim::checkpoint::{self, encode_outcome, unique_dir};
-use warden_sim::{MachineConfig, RunKey, SimOptions};
+use warden_sim::{MachineConfig, RunKey, SimOptions, SimOutcome};
 
 fn scratch(name: &str) -> PathBuf {
     unique_dir(
@@ -205,12 +205,7 @@ fn a_byte_flipped_record_is_quarantined_and_its_cell_reruns_identically() {
     );
     assert_eq!(again.iter().filter(|r| !r.reused).count(), 1, "one re-run");
     for (a, b) in again.iter().zip(&reference) {
-        assert_eq!(
-            fnv1a64(&encode_outcome(&a.outcome)),
-            fnv1a64(&encode_outcome(&b.outcome)),
-            "{}",
-            a.id
-        );
+        assert_eq!(a.outcome, b.outcome, "{}", a.id);
     }
     assert_eq!(
         records(&dir).len(),
@@ -231,28 +226,21 @@ fn restamp(mut framed: Vec<u8>, version: u32) -> Vec<u8> {
 }
 
 /// A mid-run engine snapshot entry (`<key>.ckpt`) as stores of format
-/// version 6 and older wrote them: kind byte `1`, the key, the step count
-/// and the snapshot's own frame, all in the checkpoint frame of `version`.
-/// The snapshot payload is a stand-in; no reader gets that far.
-fn retired_snapshot_entry(key: &RunKey, version: u32) -> Vec<u8> {
+/// version 6 wrote them: kind byte `1`, the key, the step count and the
+/// snapshot's own frame, all in a version-6 checkpoint frame. The snapshot
+/// payload is a stand-in; no reader gets that far.
+fn retired_snapshot_entry(key: &RunKey) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u8(1);
     key.encode_into(&mut enc);
     enc.put_u64(200);
-    enc.put_bytes(&restamp(checkpoint::frame(b"engine state"), version));
-    restamp(checkpoint::frame(enc.bytes()), version)
+    enc.put_bytes(&restamp(checkpoint::frame(b"engine state"), 6));
+    restamp(checkpoint::frame(enc.bytes()), 6)
 }
 
-/// The file name of `key`'s retired snapshot entry.
-fn snapshot_name(key: &RunKey) -> String {
-    format!("{:016x}.ckpt", key.address())
-}
-
-/// A result entry of an older format version (4 and 5) is quarantined when
-/// the store opens, and the campaign recomputes the cell to the reference
-/// outcome instead of trusting it. A snapshot entry beside the record is
-/// quarantined too, at every version, even beside a current (version 6)
-/// record, which is reused.
+/// A result entry of an older format version (4, 5 and 6) is quarantined
+/// when the store opens, and the campaign recomputes the cell to the
+/// reference outcome instead of trusting it; a current one is reused.
 #[test]
 fn older_version_entries_are_quarantined_and_recomputed() {
     let spec = tiny_specs().remove(0);
@@ -262,32 +250,26 @@ fn older_version_entries_are_quarantined_and_recomputed() {
         .remove(0);
 
     let key = spec.key();
-    for version in [4, 5, 6] {
+    for version in [4, 5, 6, checkpoint::VERSION] {
         let current = version == checkpoint::VERSION;
         let rec = DiskEntry {
             key,
-            outcome: restamp(encode_outcome(&reference.outcome), version),
+            outcome: encode_outcome(&reference.outcome),
         };
         let rec = restamp(rec.encode(), version);
 
         let dir = scratch(&format!("skew-v{version}"));
-        let (rec_name, ckpt_name) = (result_file_name(&key), snapshot_name(&key));
+        let rec_name = result_file_name(&key);
         std::fs::write(dir.join(&rec_name), rec).expect("write old record");
-        std::fs::write(dir.join(&ckpt_name), retired_snapshot_entry(&key, version))
-            .expect("write old snapshot");
         let store = ResultStore::open(dir.clone(), Arc::new(RealStorage)).expect("open");
         let stats = store.stats();
         assert_eq!(
             stats.quarantined,
-            if current { 1 } else { 2 },
+            u64::from(!current),
             "v{version}: {stats:?}"
         );
         assert_eq!(store.len(), usize::from(current), "v{version}");
         drop(store);
-        assert!(
-            dir.join("quarantine").join(&ckpt_name).is_file(),
-            "v{version}: the snapshot is set aside"
-        );
         assert_eq!(
             dir.join("quarantine").join(&rec_name).is_file(),
             !current,
@@ -301,20 +283,16 @@ fn older_version_entries_are_quarantined_and_recomputed() {
             again.reused, current,
             "v{version}: an old record is recomputed, a current one read back"
         );
-        assert_eq!(
-            fnv1a64(&encode_outcome(&again.outcome)),
-            fnv1a64(&encode_outcome(&reference.outcome)),
-            "v{version}"
-        );
+        assert_eq!(again.outcome, reference.outcome, "v{version}");
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
-/// A cell whose only entry is a snapshot in the previous store format is
-/// never resumed from it: fsck quarantines the snapshot, nothing is
-/// admitted, and the campaign recomputes the cell from step 0 to the
-/// reference.
+/// A cell whose only entry is a mid-run snapshot an older store kept
+/// (`<key>.ckpt`) is never resumed from it: fsck does not read the file
+/// and leaves it where it is, nothing is admitted, and the campaign
+/// recomputes the cell from step 0 to the reference.
 #[test]
 fn a_retired_snapshot_entry_is_never_loaded() {
     let spec = tiny_specs().remove(0);
@@ -324,25 +302,22 @@ fn a_retired_snapshot_entry_is_never_loaded() {
         .remove(0);
 
     let key = spec.key();
-    let name = snapshot_name(&key);
+    let name = format!("{:016x}.ckpt", key.address());
     let dir = scratch("snapshot");
-    std::fs::write(
-        dir.join(&name),
-        retired_snapshot_entry(&key, checkpoint::VERSION),
-    )
-    .expect("write the snapshot entry");
+    let snapshot = retired_snapshot_entry(&key);
+    std::fs::write(dir.join(&name), &snapshot).expect("write the snapshot entry");
+    let store = ResultStore::open(dir.clone(), Arc::new(RealStorage)).expect("open");
+    assert_eq!((store.len(), store.stats().quarantined), (0, 0));
+    drop(store);
     let results = run_campaign(std::slice::from_ref(&spec), &quiet_cfg(dir.clone()))
         .expect("the cell is recomputed");
     assert!(!results[0].reused);
+    assert_eq!(results[0].outcome, reference.outcome);
     assert_eq!(
-        fnv1a64(&encode_outcome(&results[0].outcome)),
-        fnv1a64(&encode_outcome(&reference.outcome))
+        std::fs::read(dir.join(&name)).expect("the snapshot is left in place"),
+        snapshot
     );
-    assert!(
-        dir.join("quarantine").join(&name).is_file(),
-        "the snapshot is set aside as evidence"
-    );
-    assert!(!dir.join(&name).exists());
+    assert!(!dir.join("quarantine").join(&name).exists());
     assert_eq!(records(&dir).len(), 1);
     for d in [dir, ref_dir] {
         let _ = std::fs::remove_dir_all(&d);
@@ -359,10 +334,10 @@ fn a_campaign_under_storage_faults_resumes_to_the_reference_report() {
     let specs = tiny_specs();
     let ref_dir = scratch("faults-ref");
     let reference = run_campaign(&specs, &quiet_cfg(ref_dir.clone())).expect("reference");
-    let digests = |results: &[warden_bench::RunResult]| -> Vec<(String, u64)> {
+    let outcomes = |results: &[warden_bench::RunResult]| -> Vec<(String, SimOutcome)> {
         results
             .iter()
-            .map(|r| (r.id.clone(), fnv1a64(&encode_outcome(&r.outcome))))
+            .map(|r| (r.id.clone(), r.outcome.clone()))
             .collect()
     };
     let (mut injected, mut quarantined) = (0, 0);
@@ -378,7 +353,7 @@ fn a_campaign_under_storage_faults_resumes_to_the_reference_report() {
         // the faults.
         for _ in 0..2 {
             match run_campaign(&specs, &cfg) {
-                Ok(results) => assert_eq!(digests(&results), digests(&reference), "seed {seed}"),
+                Ok(results) => assert_eq!(outcomes(&results), outcomes(&reference), "seed {seed}"),
                 Err(HarnessError::RunsFailed(fails)) => {
                     for f in fails {
                         assert!(
@@ -393,7 +368,7 @@ fn a_campaign_under_storage_faults_resumes_to_the_reference_report() {
         injected += faulty.stats().injected();
 
         let resumed = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("resume");
-        assert_eq!(digests(&resumed), digests(&reference), "seed {seed}");
+        assert_eq!(outcomes(&resumed), outcomes(&reference), "seed {seed}");
         quarantined += std::fs::read_dir(dir.join("quarantine"))
             .expect("quarantine dir")
             .count();

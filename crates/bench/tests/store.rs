@@ -11,8 +11,6 @@ use std::sync::{Arc, OnceLock};
 use warden_bench::storage::{is_enospc, FaultyStorage, RealStorage, StorageFaultPlan};
 use warden_bench::store::{result_file_name, ResultStore};
 use warden_coherence::ProtocolId;
-use warden_mem::codec::fnv1a64;
-use warden_sim::checkpoint::encode_outcome;
 use warden_sim::{MachineConfig, RunKey, SimOptions, SimOutcome};
 
 fn scratch(name: &str) -> PathBuf {
@@ -47,11 +45,6 @@ fn outcome(tag: u64) -> SimOutcome {
         .clone();
     out.stats.cycles = tag;
     out
-}
-
-/// Whether `got` is bit-identical to `outcome(tag)`.
-fn same(got: &SimOutcome, tag: u64) -> bool {
-    fnv1a64(&encode_outcome(got)) == fnv1a64(&encode_outcome(&outcome(tag)))
 }
 
 fn open_real(dir: &PathBuf) -> ResultStore {
@@ -90,7 +83,7 @@ fn results_survive_a_reopen_bit_identically() {
     assert_eq!(tier.len(), 2, "fsck admitted both entries");
     for tag in [1, 2] {
         let back = tier.result(&key(tag)).expect("result survives");
-        assert!(same(&back, tag));
+        assert_eq!(back, outcome(tag));
     }
     assert_eq!(tier.stats().quarantined, 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -204,14 +197,14 @@ fn a_crash_mid_write_never_damages_the_old_entry() {
         assert_eq!(stats.writes, 0, "{stats:?}");
         assert_eq!(stats.write_errors, 1, "{stats:?}");
         let back = tier.result(&key(1)).expect("old entry intact");
-        assert!(same(&back, 1), "never a mixture of old and new");
+        assert_eq!(back, outcome(1), "never a mixture of old and new");
     }
     // The restart drill: reopen sweeps the orphaned temp file and still
     // serves the old entry bit-identically.
     let tier = open_real(&dir);
     assert_eq!(tier.stats().quarantined, 0);
     let back = tier.result(&key(1)).expect("old entry survives restart");
-    assert!(same(&back, 1));
+    assert_eq!(back, outcome(1));
     assert!(std::fs::read_dir(&dir).unwrap().all(|e| !e
         .unwrap()
         .path()
@@ -232,7 +225,7 @@ fn a_crash_after_rename_is_already_durable() {
     }
     let tier = open_real(&dir);
     let back = tier.result(&key(1)).expect("the rename made it durable");
-    assert!(same(&back, 1));
+    assert_eq!(back, outcome(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -252,7 +245,7 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
         for tag in 0..32u64 {
             let _ = tier.put_result(&key(tag), &outcome(tag));
             if let Some(back) = tier.result(&key(tag)) {
-                assert!(same(&back, tag), "a hit must be bit-identical");
+                assert_eq!(back, outcome(tag), "a hit must be bit-identical");
             }
         }
         // Reopening after the storm must also never panic, and every
@@ -261,7 +254,7 @@ fn seeded_fault_storms_never_panic_and_never_serve_wrong_bytes() {
         let tier = open_real(&dir);
         for tag in 0..32u64 {
             if let Some(back) = tier.result(&key(tag)) {
-                assert!(same(&back, tag));
+                assert_eq!(back, outcome(tag));
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

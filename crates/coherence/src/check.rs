@@ -124,7 +124,7 @@ impl fmt::Display for InvariantKind {
 
 /// One detected invariant violation: which rule broke, where, and the
 /// block's recent directory history leading up to it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InvariantViolation {
     /// The broken invariant.
     pub kind: InvariantKind,

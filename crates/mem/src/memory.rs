@@ -1,6 +1,5 @@
 //! Sparse backing memory holding real data bytes.
 
-use crate::codec::{CodecError, Decoder, Encoder};
 use crate::{Addr, BlockAddr, BlockData, PageAddr, PageMap, BLOCK_SIZE, PAGE_SIZE};
 use std::fmt;
 
@@ -9,9 +8,6 @@ type Block = [u8; BLOCK_SIZE as usize];
 
 /// Cache blocks per page.
 const BLOCKS_PER_PAGE: usize = (PAGE_SIZE / BLOCK_SIZE) as usize;
-
-// The encoding keeps one bit per block of a page in a `u64`.
-const _: () = assert!(BLOCKS_PER_PAGE == 64);
 
 const ZERO_BLOCK: Block = [0; BLOCK_SIZE as usize];
 
@@ -71,12 +67,6 @@ impl Page {
     /// Whether every byte of the page is zero.
     fn is_zero(&self) -> bool {
         self.blocks.iter().all(|b| *b == ZERO_BLOCK)
-    }
-
-    /// The page's blocks that hold a non-zero byte, with their indices, in
-    /// address order.
-    fn nonzero_blocks(&self) -> impl Iterator<Item = (usize, &Block)> {
-        (0..BLOCKS_PER_PAGE).filter_map(|i| Some((i, self.block(i).filter(|b| **b != ZERO_BLOCK)?)))
     }
 
     /// The page's 4 KiB of bytes.
@@ -276,60 +266,6 @@ impl Memory {
         h
     }
 
-    /// Serialize the full memory image: every resident page in ascending
-    /// address order, each as its page address, a `u64` bitmap of its
-    /// blocks that hold a non-zero byte (bit `i` for block `i`), and those
-    /// blocks' 64 bytes in index order. An image costs what the run wrote,
-    /// not 4 KiB per page it touched.
-    ///
-    /// A resident all-zero page is written as bitmap 0, which keeps a
-    /// decoded memory's page map identical to the original's, not just
-    /// semantically equal.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        let pages = self.sorted_pages();
-        enc.put_usize(pages.len());
-        for (p, page) in pages {
-            enc.put_u64(p.0);
-            enc.put_u64(page.nonzero_blocks().fold(0, |m, (i, _)| m | 1 << i));
-            for (_, block) in page.nonzero_blocks() {
-                enc.put_raw(block);
-            }
-        }
-    }
-
-    /// Decode a memory image produced by [`Self::encode_into`]. Pages out
-    /// of address order and listed blocks that are all zero are rejected:
-    /// the encoder writes neither, so each image has one encoding.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Memory, CodecError> {
-        let invalid = |what, detail| CodecError::Invalid { what, detail };
-        let n = dec.take_count(8 + 8)?;
-        let mut pages = PageMap::new();
-        let mut last: Option<u64> = None;
-        for _ in 0..n {
-            let addr = dec.take_u64()?;
-            if last.is_some_and(|prev| addr <= prev) {
-                return Err(invalid(
-                    "memory page",
-                    format!("page {addr:#x} out of order"),
-                ));
-            }
-            last = Some(addr);
-            let mask = dec.take_u64()?;
-            let mut page = Page::new();
-            for i in (0..BLOCKS_PER_PAGE).filter(|&i| mask >> i & 1 == 1) {
-                page.write(i, 0, dec.take_raw(BLOCK_SIZE as usize)?);
-                if page.block(i).is_none() {
-                    return Err(invalid(
-                        "memory block",
-                        format!("block {i} of page {addr:#x} is listed but all zero"),
-                    ));
-                }
-            }
-            pages.insert(PageAddr(addr), page);
-        }
-        Ok(Memory { pages })
-    }
-
     /// Compare two memories over a byte range, returning the first differing
     /// address (useful in tests comparing protocol end states).
     pub fn first_difference(&self, other: &Memory, start: Addr, len: u64) -> Option<Addr> {
@@ -427,59 +363,6 @@ mod tests {
         b.write_u8(Addr(PAGE_SIZE), 2);
         b.write_u8(Addr(0), 1);
         assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn codec_roundtrip_preserves_exact_page_map() {
-        let mut m = Memory::new();
-        m.write_u64(Addr(16), 0xfeed);
-        m.write_bytes(Addr(3 * PAGE_SIZE - 2), &[9; 5]);
-        m.write_bytes(Addr(10 * PAGE_SIZE), &[0; 8]); // resident all-zero page
-        let mut enc = crate::codec::Encoder::new();
-        m.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = crate::codec::Decoder::new(&bytes);
-        let back = Memory::decode_from(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(back.resident_pages(), m.resident_pages());
-        assert_eq!(back.digest(), m.digest());
-        assert_eq!(m.first_difference(&back, Addr(0), 12 * PAGE_SIZE), None);
-    }
-
-    /// Page address, bitmap and listed blocks for each page.
-    fn encode_pages(pages: &[(u64, u64, &[Block])]) -> Vec<u8> {
-        let mut enc = crate::codec::Encoder::new();
-        enc.put_usize(pages.len());
-        for &(addr, mask, blocks) in pages {
-            enc.put_u64(addr);
-            enc.put_u64(mask);
-            for b in blocks {
-                enc.put_raw(b);
-            }
-        }
-        enc.into_bytes()
-    }
-
-    fn decodes(bytes: &[u8]) -> bool {
-        let mut dec = crate::codec::Decoder::new(bytes);
-        Memory::decode_from(&mut dec).is_ok() && dec.finish().is_ok()
-    }
-
-    #[test]
-    fn codec_rejects_out_of_order_pages() {
-        let data = [[7; BLOCK_SIZE as usize]];
-        assert!(decodes(&encode_pages(&[(5, 0, &[]), (6, 1 << 3, &data)])));
-        // Duplicate / not strictly ascending.
-        assert!(!decodes(&encode_pages(&[(5, 0, &[]), (5, 0, &[])])));
-        assert!(!decodes(&encode_pages(&[(6, 1 << 3, &data), (5, 0, &[])])));
-    }
-
-    #[test]
-    fn codec_rejects_listed_zero_and_missing_blocks() {
-        let (data, zero) = ([7; BLOCK_SIZE as usize], ZERO_BLOCK);
-        assert!(decodes(&encode_pages(&[(5, 0b101, &[data, data])])));
-        assert!(!decodes(&encode_pages(&[(5, 0b101, &[data, zero])])));
-        assert!(!decodes(&encode_pages(&[(5, 0b101, &[data])])));
     }
 
     /// Number of blocks `page` stores.

@@ -2,18 +2,15 @@
 //! reference image that stores one zero-filled 4 KiB page per touched page.
 //!
 //! The oracle below is the page-per-`Box` layout `Memory` used to have,
-//! with its digest, and an encoding derived from its 4 KiB pages. Both get
-//! the same random ops — byte writes
-//! that cross block and page boundaries, all-zero writes, whole-block and
-//! `u64` writes, pages far enough apart to land in `PageMap`'s spill tier,
-//! and a `clone()` that later ops are fed to — and after every op the test
-//! compares reads, resident page counts, digests, the encoded bytes (and
-//! their decode→encode identity), the non-zero resident pages and
-//! `first_difference`.
+//! with its digest. Both get the same random ops — byte writes that cross
+//! block and page boundaries, all-zero writes, whole-block and `u64`
+//! writes, pages far enough apart to land in `PageMap`'s spill tier, and a
+//! `clone()` that later ops are fed to — and after every op the test
+//! compares reads, resident page counts, digests, the non-zero resident
+//! pages and `first_difference`.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use warden_mem::codec::{Decoder, Encoder};
 use warden_mem::{Addr, BlockAddr, BlockData, Memory, PageAddr, PageMap, PAGE_SIZE};
 
 const PAGE: usize = PAGE_SIZE as usize;
@@ -98,27 +95,6 @@ impl Oracle {
             }
         }
         h
-    }
-
-    /// Every page ever written, all-zero ones included, in address order:
-    /// its address, a bitmap of its 64-byte blocks that hold a non-zero
-    /// byte, then those blocks in index order.
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_usize(self.pages.len());
-        for (&p, data) in &self.pages {
-            let live: Vec<(usize, &[u8])> = data
-                .chunks_exact(64)
-                .enumerate()
-                .filter(|(_, b)| b.iter().any(|&x| x != 0))
-                .collect();
-            enc.put_u64(p);
-            enc.put_u64(live.iter().map(|&(i, _)| 1u64 << i).sum());
-            for (_, block) in live {
-                enc.put_raw(block);
-            }
-        }
-        enc.into_bytes()
     }
 
     fn first_difference(&self, other: &Oracle, start: Addr, len: u64) -> Option<Addr> {
@@ -243,19 +219,6 @@ fn apply(mem: &mut Memory, oracle: &mut Oracle, op: &Op) {
     }
 }
 
-fn encoded(mem: &Memory) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    mem.encode_into(&mut enc);
-    enc.into_bytes()
-}
-
-fn decoded(bytes: &[u8]) -> Memory {
-    let mut dec = Decoder::new(bytes);
-    let mem = Memory::decode_from(&mut dec).expect("own encoding decodes");
-    dec.finish().expect("no trailing bytes");
-    mem
-}
-
 /// Everything observable about `mem` must match `oracle`.
 fn check(mem: &Memory, oracle: &Oracle) -> Result<(), TestCaseError> {
     for &p in PAGES.iter().chain(&[NEAR + 4, NEAR + 6, FAR + 2]) {
@@ -272,12 +235,6 @@ fn check(mem: &Memory, oracle: &Oracle) -> Result<(), TestCaseError> {
     }
     prop_assert_eq!(mem.resident_pages(), oracle.pages.len());
     prop_assert_eq!(mem.digest(), oracle.digest());
-    let bytes = encoded(mem);
-    prop_assert!(bytes == oracle.encode(), "encoded images differ");
-    let back = decoded(&bytes);
-    prop_assert!(encoded(&back) == bytes, "decode→encode is not the identity");
-    prop_assert_eq!(back.resident_pages(), mem.resident_pages());
-    prop_assert_eq!(back.digest(), mem.digest());
     let resident: Vec<(PageAddr, Vec<u8>)> = mem
         .resident()
         .into_iter()
@@ -294,14 +251,14 @@ proptest! {
     fn memory_matches_the_page_per_box_oracle(ops in proptest::collection::vec(op(), 1..48)) {
         let mut mem = Memory::new();
         let mut oracle = Oracle::default();
-        // Images set aside by `Op::Clone`, with their encoding at the time.
-        let mut frozen: Vec<(Memory, Oracle, Vec<u8>)> = Vec::new();
+        // Images set aside by `Op::Clone`, with their digest at the time.
+        let mut frozen: Vec<(Memory, Oracle, u64)> = Vec::new();
         check(&mem, &oracle)?;
         for op in &ops {
             if let Op::Clone = op {
                 let (m, o) = (mem.clone(), oracle.clone());
-                let bytes = encoded(&mem);
-                frozen.push((std::mem::replace(&mut mem, m), std::mem::replace(&mut oracle, o), bytes));
+                let digest = mem.digest();
+                frozen.push((std::mem::replace(&mut mem, m), std::mem::replace(&mut oracle, o), digest));
                 check(&mem, &oracle)?;
                 continue;
             }
@@ -316,9 +273,7 @@ proptest! {
                 oracle.first_difference(&oracle_before, probe, probe_len)
             );
             // Every candidate page (and the first block past it), against
-            // the image before the op and against a decoded copy of the
-            // oracle.
-            let twin = decoded(&oracle.encode());
+            // the image before the op.
             for &p in &PAGES {
                 let base = PageAddr(p).base();
                 let n = PAGE_SIZE + 64;
@@ -326,13 +281,11 @@ proptest! {
                     mem.first_difference(&mem_before, base, n),
                     oracle.first_difference(&oracle_before, base, n)
                 );
-                prop_assert_eq!(mem.first_difference(&twin, base, n), None);
             }
-            prop_assert_eq!(twin.first_difference(&mem, probe, probe_len), None);
         }
-        for (m, o, bytes) in &frozen {
+        for (m, o, digest) in &frozen {
             check(m, o)?;
-            prop_assert!(&encoded(m) == bytes, "a clone's writes reached its original");
+            prop_assert_eq!(m.digest(), *digest, "a clone's writes reached its original");
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Crash-safe run records.
 //!
 //! A campaign's durable unit is the record of one finished run: the
-//! [`encode_outcome`] bytes of its [`SimOutcome`] in a checksummed frame.
-//! An engine's mid-run state is never persisted; a run that has no record
-//! starts again from step 0, which at this simulator's speed costs well
-//! under a second per cell.
+//! [`encode_outcome`] bytes of its [`SimOutcome`] — protocol, machine name,
+//! statistics, energy, the final image's digest, the region peak and any
+//! invariant violations, a few hundred bytes whatever the image's size —
+//! inside exactly one checksummed [`frame`]. An engine's mid-run state is
+//! never persisted; a run that has no record starts again from step 0,
+//! which at this simulator's speed costs well under a second per cell.
 //!
 //! # File format
 //!
@@ -17,7 +19,9 @@
 //! 20+n    8     FNV-1a-64 checksum of bytes [0, 20+n) (u64 LE)
 //! ```
 //!
-//! Every strict byte prefix of a valid file fails [`unframe`] (short header
+//! [`encode_outcome`] returns the bare payload; the caller frames it once
+//! (a campaign store frames its key and the outcome together). Every
+//! strict byte prefix of a valid file fails [`unframe`] (short header
 //! ⇒ [`CheckpointError::Truncated`], short payload ⇒ `Truncated`, missing
 //! checksum ⇒ `Truncated`), and any bit corruption fails the checksum — a
 //! torn write can never load.
@@ -41,7 +45,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use warden_coherence::{InvariantViolation, ProtocolId};
 use warden_mem::codec::{fnv1a64, CodecError, Decoder, Encoder};
-use warden_mem::Memory;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"WARDCKPT";
@@ -76,10 +79,15 @@ pub const MAGIC: [u8; 8] = *b"WARDCKPT";
 ///   never of a snapshot or a record. Older files are rejected, not
 ///   misdecoded.
 ///
-/// Mid-run engine snapshots (a store's `.ckpt` entries) were later retired
-/// without a version change: the record payload stayed the same, and a
-/// store quarantines any snapshot entry it finds.
-pub const VERSION: u32 = 6;
+///   Mid-run engine snapshots (a store's `.ckpt` entries) were later
+///   retired without a version change: the record payload stayed the same.
+/// * **7** — a record is its numbers and a digest. The outcome payload lost
+///   the final memory image (the digest before it stays), and is no longer
+///   framed on its own: a store entry is one frame around the key and the
+///   outcome payload, without the entry-kind byte that led it. Older files
+///   are rejected, not misdecoded, so a store quarantines every older
+///   record and its campaign reruns the cell.
+pub const VERSION: u32 = 7;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 const FOOTER_LEN: usize = 8;
@@ -352,8 +360,9 @@ impl RunKey {
     }
 }
 
-/// Serialize a finished run's [`SimOutcome`] into a framed, checksummed
-/// record (the body of every stored result entry).
+/// Serialize a finished run's [`SimOutcome`] into a record payload (the
+/// body of every stored result entry). The payload is bare: wrap it in
+/// [`frame`] before it reaches a disk.
 pub fn encode_outcome(out: &SimOutcome) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u8(out.protocol.tag());
@@ -363,18 +372,17 @@ pub fn encode_outcome(out: &SimOutcome) -> Vec<u8> {
     enc.put_f64(out.energy.in_processor_nj);
     enc.put_f64(out.energy.static_nj);
     enc.put_u64(out.memory_image_digest);
-    out.final_memory.encode_into(&mut enc);
     enc.put_usize(out.region_peak);
     enc.put_usize(out.violations.len());
     for v in &out.violations {
         v.encode_into(&mut enc);
     }
-    frame(enc.bytes())
+    enc.into_bytes()
 }
 
-/// Decode a record produced by [`encode_outcome`].
-pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
-    let payload = unframe(bytes)?;
+/// Decode a record payload produced by [`encode_outcome`] (already taken
+/// out of its frame by [`unframe`]).
+pub fn decode_outcome(payload: &[u8]) -> Result<SimOutcome, CheckpointError> {
     let mut dec = Decoder::new(payload);
     let protocol = ProtocolId::from_tag(dec.take_u8()?)?;
     let machine = dec.take_str()?;
@@ -385,7 +393,6 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
         static_nj: dec.take_f64()?,
     };
     let memory_image_digest = dec.take_u64()?;
-    let final_memory = Memory::decode_from(&mut dec)?;
     let region_peak = dec.take_usize()?;
     let n = dec.take_count(1)?;
     let mut violations = Vec::with_capacity(n);
@@ -399,7 +406,6 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<SimOutcome, CheckpointError> {
         stats,
         energy,
         memory_image_digest,
-        final_memory,
         region_peak,
         violations,
     })
@@ -516,22 +522,38 @@ mod tests {
         let m = tiny_machine();
         let out = simulate_with_options(&p, &m, ProtocolId::Warden, &SimOptions::default());
         let bytes = encode_outcome(&out);
-        let back = decode_outcome(&bytes).expect("record decodes");
-        assert_eq!(back.protocol, out.protocol);
-        assert_eq!(back.machine, out.machine);
-        assert_eq!(back.stats, out.stats);
-        assert_eq!(back.energy, out.energy);
-        assert_eq!(back.memory_image_digest, out.memory_image_digest);
-        assert_eq!(back.region_peak, out.region_peak);
-        assert_eq!(back.violations.len(), out.violations.len());
-        assert_eq!(
-            back.final_memory.digest(),
-            out.final_memory.digest(),
-            "memory image survives the record"
-        );
+        assert_eq!(decode_outcome(&bytes).expect("record decodes"), out);
         for cut in 0..bytes.len() {
             assert!(decode_outcome(&bytes[..cut]).is_err());
         }
+        // The payload is bare: it is framed once, by its caller.
+        assert!(matches!(unframe(&bytes), Err(CheckpointError::BadMagic)));
+        let framed = frame(&bytes);
+        let back = decode_outcome(unframe(&framed).expect("frame verifies"));
+        assert_eq!(back.expect("framed record decodes"), out);
+    }
+
+    /// A record holds the final image's digest, never the image: a run
+    /// whose final memory spans more than a mebibyte still encodes to a
+    /// few hundred bytes.
+    #[test]
+    fn outcome_records_hold_no_image() {
+        let input: Vec<u64> = (0..(1u64 << 17) + 512).map(|i| i | 1).collect();
+        let p = trace_program("ckpt-large-image", RtOptions::default(), |ctx| {
+            let xs = ctx.preload(&input);
+            let _ = ctx.read(&xs, 7);
+        });
+        let image_bytes = p.memory.resident_pages() as u64 * warden_mem::PAGE_SIZE;
+        assert!(image_bytes >= 1 << 20, "final image is {image_bytes} B");
+        let out = simulate_with_options(
+            &p,
+            &tiny_machine(),
+            ProtocolId::Mesi,
+            &SimOptions::default(),
+        );
+        assert_eq!(out.memory_image_digest, p.memory.digest());
+        let bytes = encode_outcome(&out);
+        assert!(bytes.len() < 1024, "a record of {} B", bytes.len());
     }
 
     #[test]
@@ -551,16 +573,14 @@ mod tests {
         let p = sample_program();
         let m = tiny_machine();
         let out = simulate_with_options(&p, &m, ProtocolId::Warden, &SimOptions::default());
-        let payload = unframe(&encode_outcome(&out))
-            .expect("frame verifies")
-            .to_vec();
+        let payload = encode_outcome(&out);
         // The protocol tag leads the payload; a stale reader meeting a
         // protocol from the future must get a typed rejection, not a
         // misattributed record.
         for bad in [ProtocolId::ALL.len() as u8, 0xFF] {
             let mut forged = payload.clone();
             forged[0] = bad;
-            match decode_outcome(&frame(&forged)) {
+            match decode_outcome(&forged) {
                 Err(CheckpointError::Corrupt(CodecError::BadTag { what, tag })) => {
                     assert_eq!(what, "protocol");
                     assert_eq!(tag, u64::from(bad));

@@ -33,8 +33,10 @@ use warden_coherence::{CoherenceSystem, InvariantViolation, ProtocolId, RegionId
 use warden_mem::Memory;
 use warden_rt::{Event, TaskId, TraceProgram};
 
-/// The result of one replay.
-#[derive(Clone, Debug)]
+/// The result of one replay: its measurements and a digest of its final
+/// memory image. The image itself is a product of one direct run
+/// ([`SimEngine::run_with_image`]), never of an outcome or a record.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimOutcome {
     /// ProtocolId the machine ran.
     pub protocol: ProtocolId,
@@ -47,8 +49,6 @@ pub struct SimOutcome {
     /// Digest of the final memory image after flushing all caches
     /// (equal digests across protocols ⇒ same final memory).
     pub memory_image_digest: u64,
-    /// The final memory image itself (for exact comparisons in tests).
-    pub final_memory: Memory,
     /// Peak simultaneous WARD regions observed by the directory.
     pub region_peak: usize,
     /// Invariant violations found by the checker (always empty unless
@@ -636,8 +636,17 @@ impl<'a> SimEngine<'a> {
         self.coh.enable_obs();
         self.recorder = Some(ObsRecorder::new());
         while self.step() {}
-        let (outcome, report) = self.conclude();
+        let (outcome, report, _) = self.conclude();
         (outcome, report.expect("the recorder was installed above"))
+    }
+
+    /// Run the replay to completion and return the outcome together with
+    /// the final memory image whose digest it carries, for a caller that
+    /// inspects the bytes themselves.
+    pub fn run_with_image(mut self) -> (SimOutcome, Memory) {
+        while self.step() {}
+        let (outcome, _, image) = self.conclude();
+        (outcome, image)
     }
 
     /// Consume the engine and produce the [`SimOutcome`] (end-of-run
@@ -649,8 +658,8 @@ impl<'a> SimEngine<'a> {
     }
 
     /// [`Self::finish`], also folding the recorder (if installed) into its
-    /// report.
-    fn conclude(mut self) -> (SimOutcome, Option<ObsReport>) {
+    /// report and handing back the final memory image.
+    fn conclude(mut self) -> (SimOutcome, Option<ObsReport>, Memory) {
         self.settle();
         if let Some(inj) = self.injector.as_mut() {
             // End-of-run cleanup: release decoys still pinned, so region
@@ -675,18 +684,17 @@ impl<'a> SimEngine<'a> {
         // The engine is consumed: move the final image out instead of
         // cloning it (the clone used to rival the replay itself on
         // multi-megabyte images).
-        let final_memory = self.coh.take_memory();
+        let image = self.coh.take_memory();
         let outcome = SimOutcome {
             protocol: self.protocol,
             machine: self.machine.name.clone(),
-            memory_image_digest: final_memory.digest(),
-            final_memory,
+            memory_image_digest: image.digest(),
             stats: self.stats,
             energy,
             region_peak,
             violations,
         };
-        (outcome, obs)
+        (outcome, obs, image)
     }
 }
 
@@ -1004,13 +1012,6 @@ mod tests {
         let mesi = simulate(&p, &m, ProtocolId::Mesi);
         let warden = simulate(&p, &m, ProtocolId::Warden);
         assert_eq!(mesi.memory_image_digest, warden.memory_image_digest);
-        let (lo, _) = p.address_range;
-        let len = p.address_range.1 - lo;
-        assert_eq!(
-            mesi.final_memory
-                .first_difference(&warden.final_memory, lo, len),
-            None
-        );
     }
 
     #[test]
@@ -1018,12 +1019,17 @@ mod tests {
         let p = sample_program();
         let m = tiny_machine();
         let out = simulate(&p, &m, ProtocolId::Warden);
-        let (lo, hi) = p.address_range;
         assert_eq!(
-            out.final_memory.first_difference(&p.memory, lo, hi - lo),
-            None,
+            out.memory_image_digest,
+            p.memory.digest(),
             "replayed memory must reproduce the program's logical result"
         );
+        let (direct, image) =
+            SimEngine::new(&p, &m, ProtocolId::Warden, &SimOptions::default()).run_with_image();
+        assert_eq!(direct, out);
+        assert_eq!(image.digest(), out.memory_image_digest);
+        let (lo, hi) = p.address_range;
+        assert_eq!(image.first_difference(&p.memory, lo, hi - lo), None);
     }
 
     #[test]
@@ -1037,10 +1043,7 @@ mod tests {
         assert!(eng.is_done());
         assert!(eng.steps() > 0);
         assert_eq!(eng.completed_tasks(), p.tasks.len());
-        let stepped = eng.finish();
-        let oneshot = simulate(&p, &m, ProtocolId::Warden);
-        assert_eq!(stepped.stats, oneshot.stats);
-        assert_eq!(stepped.memory_image_digest, oneshot.memory_image_digest);
+        assert_eq!(eng.finish(), simulate(&p, &m, ProtocolId::Warden));
     }
 
     #[test]

@@ -99,7 +99,6 @@ mod tests {
     use crate::energy::EnergyBreakdown;
     use crate::stats::SimStats;
     use warden_coherence::ProtocolId;
-    use warden_mem::Memory;
 
     fn outcome(cycles: u64, instrs: u64, inv: u64, dg: u64) -> SimOutcome {
         let mut stats = SimStats {
@@ -119,7 +118,6 @@ mod tests {
                 static_nj: 50.0,
             },
             memory_image_digest: 0,
-            final_memory: Memory::new(),
             region_peak: 0,
             violations: Vec::new(),
         }

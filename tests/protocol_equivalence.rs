@@ -25,19 +25,11 @@ fn all_benchmarks_agree_on_final_memory() {
             "{}: protocols disagree",
             bench.name()
         );
-        // And both must equal the logical execution's image over the whole
-        // allocated range.
-        let (lo, hi) = p.address_range;
+        // And both must equal the logical execution's image.
         assert_eq!(
-            mesi.final_memory.first_difference(&p.memory, lo, hi - lo),
-            None,
+            mesi.memory_image_digest,
+            p.memory.digest(),
             "{}: MESI image differs from the logical result",
-            bench.name()
-        );
-        assert_eq!(
-            warden.final_memory.first_difference(&p.memory, lo, hi - lo),
-            None,
-            "{}: WARDen image differs from the logical result",
             bench.name()
         );
     }
