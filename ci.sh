@@ -10,8 +10,9 @@
 #                    perfbench/Cargo.lock, which building the benchmark
 #                    rewrites, is restored when the script exits
 #   ./ci.sh smoke    kill/resume drill: run a tiny benchmark campaign as the
-#                    reference (its record count and total record bytes
-#                    are printed), SIGKILL a copy of it
+#                    reference (it must print exactly one `campaign:`
+#                    line, which is echoed with its record count and
+#                    total record bytes), SIGKILL a copy of it
 #                    mid-flight, resume it, and require the resumed report
 #                    to be bit-identical to an uninterrupted reference
 #                    (whose progress output must carry no manifest-write
@@ -113,6 +114,15 @@ smoke() {
     rm -rf "$dir"
     exit 1
   fi
+  # The whole report is one campaign, capturing each workload once.
+  local campaign_lines
+  campaign_lines=$(grep -c '^campaign:' "$dir/ref.err" || true)
+  if [ "$campaign_lines" -ne 1 ]; then
+    echo "FAILED: the reference report ran $campaign_lines campaigns, not one" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
+  echo "   reference $(grep '^campaign:' "$dir/ref.err")"
   local total
   total=$(count_records "$dir/ref")
   echo "   reference campaign: $total records, $(record_bytes "$dir/ref") bytes of records"

@@ -19,6 +19,7 @@
 //! | `--quiet`              | suppress campaign progress lines |
 //! | `--fuzz-workloads <n>` | `fuzzgen`: generated workloads per gate run |
 //! | `--fuzz-seed <seed>`   | `fuzzgen`: workload-generator stream seed |
+//! | `--protocols <names|all>` | `replay`, `fuzzgen`: protocols to run |
 //! | `--patterns <names|all>` | `fuzzgen`: sharing patterns to generate |
 //! | `--mutate <protocol:mutation>` | `fuzzgen`: inject a protocol defect the gate must catch |
 //! | `--artifacts <dir>`    | `fuzzgen`: archive shrunk failing seeds here |

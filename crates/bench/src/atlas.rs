@@ -14,11 +14,11 @@
 //! [`Atlas::records`] output, which is what CI diffs against the committed
 //! figure data.
 
-use crate::campaign::{run_campaign, CampaignConfig, RunSpec, Workload};
+use crate::campaign::{check_agreement, run_campaign, CampaignConfig, RunSpec, Workload};
 use crate::error::HarnessError;
 use warden_coherence::{LatencyModel, ProtocolId};
 use warden_rt::workload::{SharingPattern, WorkloadSpec};
-use warden_sim::{MachineConfig, SimOptions};
+use warden_sim::{MachineConfig, SimOptions, SimOutcome};
 
 /// The atlas's machine grid: the paper's native NUMA point scaled down,
 /// a single socket, the §7.3 1 µs disaggregated point, a CXL-class
@@ -160,46 +160,33 @@ pub fn run_atlas(seed: u64, cfg: &CampaignConfig) -> Result<Atlas, HarnessError>
             }
         }
     }
-    let results = run_campaign(&specs, cfg)?;
+    let outcomes: Vec<SimOutcome> = run_campaign(&specs, cfg)?
+        .into_iter()
+        .map(|r| r.outcome)
+        .collect();
 
-    let mut cells = Vec::with_capacity(results.len());
-    for (group, spec_group) in results
-        .chunks(ProtocolId::ALL.len())
-        .zip(specs.chunks(ProtocolId::ALL.len()))
-    {
-        let reference = group[0].outcome.memory_image_digest;
-        for (r, s) in group.iter().zip(spec_group) {
-            if r.outcome.memory_image_digest != reference {
-                return Err(HarnessError::Failed(format!(
-                    "{}: digest diverged from {} ({:#018x} vs {:#018x})",
-                    s.id, spec_group[0].id, r.outcome.memory_image_digest, reference
-                )));
-            }
-            if let Some(v) = r.outcome.violations.first() {
-                return Err(HarnessError::Failed(format!(
-                    "{}: invariant violation: {v}",
-                    s.id
-                )));
-            }
-            let c = &r.outcome.stats.coherence;
+    let groups = machines
+        .iter()
+        .flat_map(|m| SharingPattern::ALL.map(|pattern| (m, pattern)));
+    let mut cells = Vec::with_capacity(outcomes.len());
+    for ((machine, pattern), group) in groups.zip(outcomes.chunks(ProtocolId::ALL.len())) {
+        let name = format!("atlas/{}/{pattern}", machine.name);
+        check_agreement(&name, &ProtocolId::ALL, group)?;
+        for (o, &protocol) in group.iter().zip(&ProtocolId::ALL) {
+            let c = &o.stats.coherence;
             cells.push(AtlasCell {
-                machine: s.machine.name.clone(),
-                pattern: pattern_of(&s.id),
-                protocol: s.protocol,
-                cycles: r.outcome.stats.cycles,
+                machine: machine.name.clone(),
+                pattern,
+                protocol,
+                cycles: o.stats.cycles,
                 invalidations: c.invalidations,
                 downgrades: c.downgrades,
                 llc_misses: c.llc_misses,
-                digest: r.outcome.memory_image_digest,
+                digest: o.memory_image_digest,
             });
         }
     }
     Ok(Atlas { seed, cells })
-}
-
-fn pattern_of(run_id: &str) -> SharingPattern {
-    let name = run_id.split('/').nth(2).unwrap_or_default();
-    SharingPattern::from_name(name).unwrap_or_else(|e| panic!("atlas run id {run_id:?}: {e}"))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 use warden_bench::fmt::{f2, table};
 use warden_bench::{
     harness_main, protocol_campaign, run_campaign, CampaignConfig, HarnessArgs, HarnessError,
-    RunSpec, Workload,
+    Panel, RunSpec, Workload,
 };
 use warden_coherence::ProtocolId;
 use warden_pbbs::{primes, Bench, Scale};
@@ -243,14 +243,8 @@ fn baselines(ctx: &Ctx) -> Result<String, HarnessError> {
     // cycles normalized to the MSI baseline.
     let benches = [Bench::MakeArray, Bench::Msort, Bench::Tokens];
     let protocols = [ProtocolId::Msi, ProtocolId::Mesi, ProtocolId::Warden];
-    let runs = protocol_campaign(
-        &benches,
-        ctx.scale,
-        ctx.machine,
-        &protocols,
-        ctx.opts,
-        ctx.cfg,
-    )?;
+    let panel: Panel = (ctx.machine, &benches, &protocols);
+    let runs = protocol_campaign(&[panel], ctx.scale, ctx.opts, ctx.cfg)?.remove(0);
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {

@@ -11,7 +11,8 @@
 use warden_bench::figures::*;
 use warden_bench::fmt::f2;
 use warden_bench::{
-    export_outcome, harness_main, paper, protocol_campaign, HarnessArgs, HarnessError,
+    export_outcome, harness_main, paper, protocol_campaign, HarnessArgs, HarnessError, Panel,
+    ProtocolRun,
 };
 use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
@@ -43,34 +44,29 @@ fn run() -> Result<(), HarnessError> {
     let table1_txt = render_table1(&dual, 10_000);
     let table2_txt = render_table2(&dual);
 
-    eprintln!("Figure 7 (single socket)…");
+    eprintln!("Figures 7–12 and the protocol zoo (one campaign over three machines)…");
     let single = MachineConfig::single_socket();
-    let single_runs = protocol_campaign(&Bench::ALL, scale, &single, &pair, &opts, &cfg)?;
+    let disagg = MachineConfig::disaggregated();
+    let panels: [Panel; 4] = [
+        (&single, &Bench::ALL, &pair),
+        (&dual, &Bench::ALL, &ProtocolId::ALL),
+        (&disagg, &Bench::DISAGGREGATED, &pair),
+        (&disagg, &Bench::DISAGGREGATED_OURS, &pair),
+    ];
+    let [single_runs, dual_runs, disagg_runs, disagg_ours]: [Vec<ProtocolRun>; 4] =
+        protocol_campaign(&panels, scale, &opts, &cfg)?
+            .try_into()
+            .expect("one result per panel");
     let fig7_txt = render_fig7(&single_runs);
-
-    eprintln!("Figures 8–11 and the protocol zoo (dual socket, every registered protocol)…");
-    let dual_runs = protocol_campaign(&Bench::ALL, scale, &dual, &ProtocolId::ALL, &opts, &cfg)?;
     let fig8_txt = render_fig8(&dual_runs);
     let fig9_txt = render_fig9(&dual_runs);
     let fig10_txt = render_fig10(&dual_runs);
     let fig11_txt = render_fig11(&dual_runs);
     let zoo_txt = render_protocol_zoo(&dual_runs, &ProtocolId::ALL);
-
-    eprintln!("Figure 12 (disaggregated)…");
-    let disagg = MachineConfig::disaggregated();
-    let disagg_runs = protocol_campaign(&Bench::DISAGGREGATED, scale, &disagg, &pair, &opts, &cfg)?;
     let fig12_txt = render_fig12_titled(
         &disagg_runs,
         "Figure 12 (paper's subset): disaggregated machine (1 µs remote)",
     );
-    let disagg_ours = protocol_campaign(
-        &Bench::DISAGGREGATED_OURS,
-        scale,
-        &disagg,
-        &pair,
-        &opts,
-        &cfg,
-    )?;
     let fig12b_txt = render_fig12_titled(
         &disagg_ours,
         "Figure 12 (this reproduction's most-promising subset, same selection rule)",
@@ -233,16 +229,19 @@ const FIDELITY_ANALYSIS: &str = r#"
 const CAMPAIGN_WALKTHROUGH: &str = r#"
 ## Interrupting and resuming a campaign
 
-`all_figures` routes its simulations through the campaign runner, one
-campaign per machine suite. Without flags the campaign state lives in a
-per-process temp directory (supervision without durability); pass
-`--campaign-dir <dir>` to make the run crash-safe:
+`all_figures` routes its simulations through the campaign runner: one
+campaign for the whole report, which captures each benchmark's trace once
+and replays it on every machine and protocol that needs it. Without flags
+the campaign state lives in a per-process temp directory (supervision
+without durability); pass `--campaign-dir <dir>` to make the run
+crash-safe:
 
 ```console
 $ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign
-Figure 7 (single socket)…
-campaign: 28 run(s), 0 reused from records, 28 to execute (4 worker(s))
-  [done] single-socket/tiny/dedup/warden
+Table 1 (ping-pong validation)…
+Figures 7–12 and the protocol zoo (one campaign over three machines)…
+campaign: 114 run(s), 0 reused from records, 114 to execute, 14 workload(s) to capture (4 worker(s))
+  [done] single-socket/tiny/dmm/mesi
   ...
 ^C                                   # or kill -9, an OOM kill, a power cut
 ```
@@ -251,17 +250,17 @@ Re-running the *same command* resumes instead of restarting:
 
 ```console
 $ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign
-Figure 7 (single socket)…
-campaign: 28 run(s), 17 reused from records, 11 to execute (4 worker(s))
+Table 1 (ping-pong validation)…
+Figures 7–12 and the protocol zoo (one campaign over three machines)…
+campaign: 114 run(s), 66 reused from records, 48 to execute, 8 workload(s) to capture (4 worker(s))
   ...
 ```
 
 Completed runs load from their checksummed result records; the runs that
 were mid-flight when the process died run again from step zero, which
-costs well under a second per run. The final report is bit-identical to
+costs well under a second per run, and only the workloads that still have
+runs to execute are captured again. The final report is bit-identical to
 an uninterrupted run — `ci.sh smoke` enforces exactly this, with `kill -9`.
-
-Inside the campaign directory:
 
 The directory is a result store plus a manifest:
 

@@ -4,7 +4,7 @@
 //! compute stays fixed.
 
 use warden_bench::fmt::table;
-use warden_bench::{harness_main, protocol_campaign, HarnessArgs, HarnessError};
+use warden_bench::{harness_main, protocol_campaign, HarnessArgs, HarnessError, Panel};
 use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
 use warden_sim::{MachineConfig, SimStats};
@@ -40,14 +40,12 @@ fn run() -> Result<(), HarnessError> {
         .collect();
     let mut headers = vec!["benchmark", "protocol", "cycles"];
     headers.extend(labels.iter());
-    let runs = protocol_campaign(
-        &Bench::ALL,
-        args.scale,
+    let panel: Panel = (
         &machine,
+        &Bench::ALL,
         &[ProtocolId::Mesi, ProtocolId::Warden],
-        &args.sim_options(),
-        &cfg,
-    )?;
+    );
+    let runs = protocol_campaign(&[panel], args.scale, &args.sim_options(), &cfg)?.remove(0);
     let mut rows = Vec::new();
     for r in &runs {
         for o in &r.outcomes {

@@ -4,7 +4,7 @@
 //! make WARDen increasingly valuable; this binary puts numbers on it.)
 
 use warden_bench::fmt::{f2, table};
-use warden_bench::{harness_main, protocol_campaign, HarnessArgs, HarnessError};
+use warden_bench::{harness_main, protocol_campaign, HarnessArgs, HarnessError, Panel};
 use warden_coherence::ProtocolId;
 use warden_pbbs::Bench;
 use warden_sim::MachineConfig;
@@ -36,19 +36,14 @@ fn run() -> Result<(), HarnessError> {
         Bench::SuffixArray,
         Bench::Tokens,
     ];
-    // One campaign per machine; run ids embed the machine name, so all four
-    // share the campaign directory and a killed grid resumes where it died.
-    let mut columns = Vec::new();
-    for machine in &machines {
-        columns.push(protocol_campaign(
-            &benches,
-            args.scale,
-            machine,
-            &[ProtocolId::Mesi, ProtocolId::Warden],
-            &args.sim_options(),
-            &cfg,
-        )?);
-    }
+    // One campaign over all four machines: each benchmark is captured once
+    // and replayed on every machine.
+    let pair = [ProtocolId::Mesi, ProtocolId::Warden];
+    let panels: Vec<Panel> = machines
+        .iter()
+        .map(|m| (m, &benches[..], &pair[..]))
+        .collect();
+    let columns = protocol_campaign(&panels, args.scale, &args.sim_options(), &cfg)?;
     let mut rows = Vec::new();
     for (i, bench) in benches.iter().enumerate() {
         let mut row = vec![bench.name().to_string()];

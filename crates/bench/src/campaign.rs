@@ -35,6 +35,17 @@
 //! paper-scale cell replays in well under a second, so an engine's mid-run
 //! state is never persisted.
 //!
+//! # One capture per workload
+//!
+//! As the paper evaluates each benchmark from one execution, a worker
+//! claims a workload, not a cell: the cells left to execute are grouped by
+//! [`Workload::token`], and a worker pops one group, captures its trace
+//! once (under `catch_unwind`: a panicking capture fails each cell of the
+//! group typed, and the other groups complete), replays every cell of the
+//! group on it, and drops it before the next claim. So a worker holds one
+//! trace at a time, and a workload whose cells all resume from records is
+//! never captured.
+//!
 //! # Why a cell runs once, unwatched
 //!
 //! A replay is deterministic, so running a failed cell again repeats the
@@ -50,7 +61,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use warden_coherence::ProtocolId;
 use warden_pbbs::{Bench, Scale};
@@ -259,12 +270,12 @@ struct Shared<'a> {
     cfg: &'a CampaignConfig,
     keys: Vec<RunKey>,
     store: ResultStore,
-    queue: Mutex<VecDeque<usize>>,
+    /// The cells still to execute, one group per workload token.
+    queue: Mutex<VecDeque<Vec<usize>>>,
     slots: Mutex<Vec<Option<RunResult>>>,
     manifest: Mutex<BTreeMap<String, ManifestEntry>>,
     failures: Mutex<Vec<RunFailure>>,
     completed: AtomicUsize,
-    aborted: AtomicBool,
 }
 
 impl Shared<'_> {
@@ -292,19 +303,63 @@ impl Shared<'_> {
         }
         self.write_manifest();
     }
+
+    /// Whether the `abort_after_runs` test hook has stopped the supervisor.
+    /// It counts completed cells and is consulted before each cell.
+    fn stopped(&self) -> bool {
+        let completed = self.completed.load(Ordering::Relaxed);
+        self.cfg
+            .abort_after_runs
+            .is_some_and(|limit| completed >= limit)
+    }
+
+    /// Persist and record cell `i`'s outcome, or note why it failed.
+    fn finish(&self, i: usize, outcome: Result<SimOutcome, String>) {
+        let spec = &self.specs[i];
+        // Without a durable record the result would silently vanish on
+        // resume; treat persist failure as run failure.
+        let outcome = outcome.and_then(|o| {
+            self.store
+                .put_result(&self.keys[i], &o)
+                .map(|()| o)
+                .map_err(|e| format!("cannot persist result record: {e}"))
+        });
+        match outcome {
+            Ok(outcome) => {
+                self.slots.lock().expect("slots lock")[i] = Some(RunResult {
+                    id: spec.id.clone(),
+                    outcome,
+                    reused: false,
+                });
+                self.set_status(&spec.id, "done", String::new());
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                if !self.cfg.quiet {
+                    eprintln!("  [done] {}", spec.id);
+                }
+            }
+            Err(reason) => {
+                let fail = RunFailure {
+                    id: spec.id.clone(),
+                    reason,
+                };
+                if !self.cfg.quiet {
+                    eprintln!("  [fail] {fail}");
+                }
+                self.set_status(&spec.id, "failed", fail.reason.clone());
+                self.failures.lock().expect("failures lock").push(fail);
+            }
+        }
+    }
 }
 
-/// Simulate one spec from step 0 to completion, once, under
-/// `catch_unwind`: a panic becomes a typed failure naming the run.
-fn run_one(spec: &RunSpec) -> Result<SimOutcome, RunFailure> {
+/// Simulate one spec against its workload's program from step 0 to
+/// completion, once, under `catch_unwind`: a panic becomes the reason the
+/// run failed.
+fn run_one(program: &TraceProgram, spec: &RunSpec) -> Result<SimOutcome, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        let program = spec.workload.build();
-        SimEngine::new(&program, &spec.machine, spec.protocol, &spec.opts).run()
+        SimEngine::new(program, &spec.machine, spec.protocol, &spec.opts).run()
     }))
-    .map_err(|payload| RunFailure {
-        id: spec.id.clone(),
-        reason: format!("panicked: {}", panic_message(payload.as_ref())),
-    })
+    .map_err(|payload| format!("panicked: {}", panic_message(payload.as_ref())))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -318,61 +373,38 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn worker(sh: &Shared<'_>) {
-    loop {
-        if sh.aborted.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(limit) = sh.cfg.abort_after_runs {
-            if sh.completed.load(Ordering::Relaxed) >= limit {
-                sh.aborted.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
+    while !sh.stopped() {
         let next = sh.queue.lock().expect("queue lock").pop_front();
-        let Some(i) = next else { break };
-        let spec = &sh.specs[i];
-        match run_one(spec) {
-            Ok(outcome) => {
-                if let Err(e) = sh.store.put_result(&sh.keys[i], &outcome) {
-                    // Without a durable record the result would silently
-                    // vanish on resume; treat persist failure as run failure.
-                    let fail = RunFailure {
-                        id: spec.id.clone(),
-                        reason: format!("cannot persist result record: {e}"),
-                    };
-                    sh.set_status(&spec.id, "failed", fail.reason.clone());
-                    sh.failures.lock().expect("failures lock").push(fail);
-                    continue;
-                }
-                sh.slots.lock().expect("slots lock")[i] = Some(RunResult {
-                    id: spec.id.clone(),
-                    outcome,
-                    reused: false,
-                });
-                sh.set_status(&spec.id, "done", String::new());
-                sh.completed.fetch_add(1, Ordering::Relaxed);
-                if !sh.cfg.quiet {
-                    eprintln!("  [done] {}", spec.id);
-                }
+        let Some(group) = next else { break };
+        // One capture serves the whole group; it is dropped before the next
+        // claim, so a worker holds one trace at a time.
+        let program = catch_unwind(AssertUnwindSafe(|| sh.specs[group[0]].workload.build()))
+            .map_err(|payload| {
+                format!(
+                    "trace capture panicked: {}",
+                    panic_message(payload.as_ref())
+                )
+            });
+        for i in group {
+            if sh.stopped() {
+                return;
             }
-            Err(fail) => {
-                if !sh.cfg.quiet {
-                    eprintln!("  [fail] {fail}");
-                }
-                sh.set_status(&spec.id, "failed", fail.reason.clone());
-                sh.failures.lock().expect("failures lock").push(fail);
-            }
+            let outcome = program.as_ref().map_err(Clone::clone);
+            sh.finish(i, outcome.and_then(|p| run_one(p, &sh.specs[i])));
         }
     }
 }
 
 /// Run a campaign over `specs`, resuming from any completed work already
-/// stored under the campaign directory. Results come back in spec order.
+/// stored under the campaign directory. The cells left to execute are
+/// grouped by workload token (groups in order of first appearance, cells in
+/// spec order), and each group's trace is captured once. Results come back
+/// in spec order.
 ///
 /// # Errors
 ///
-/// [`HarnessError::RunsFailed`] when any run failed (it panicked or its
-/// record could not be persisted),
+/// [`HarnessError::RunsFailed`] when any run failed (it or its group's
+/// trace capture panicked, or its record could not be persisted),
 /// [`HarnessError::Aborted`] when the `abort_after_runs` test hook stopped
 /// the supervisor early, [`HarnessError::Failed`] when two specs share an
 /// id or a [`RunKey`], and I/O errors for an unusable campaign directory.
@@ -412,7 +444,8 @@ pub fn run_campaign(
 
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(specs.len());
     let mut manifest = BTreeMap::new();
-    let mut todo = VecDeque::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = std::collections::HashMap::new();
     for (i, (spec, key)) in specs.iter().zip(&keys).enumerate() {
         let reused = store.result(key);
         let status = if reused.is_some() { "done" } else { "pending" };
@@ -432,17 +465,23 @@ pub fn run_campaign(
             })),
             None => {
                 slots.push(None);
-                todo.push_back(i);
+                let g = *group_of.entry(spec.workload.token()).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(i);
             }
         }
     }
-    let reused_count = specs.len() - todo.len();
+    let to_execute: usize = groups.iter().map(Vec::len).sum();
     if !cfg.quiet {
         eprintln!(
-            "campaign: {} run(s), {} reused from records, {} to execute ({} worker(s))",
+            "campaign: {} run(s), {} reused from records, {} to execute, \
+             {} workload(s) to capture ({} worker(s))",
             specs.len(),
-            reused_count,
-            todo.len(),
+            specs.len() - to_execute,
+            to_execute,
+            groups.len(),
             cfg.workers.max(1)
         );
     }
@@ -452,16 +491,15 @@ pub fn run_campaign(
         cfg,
         keys,
         store,
-        queue: Mutex::new(todo),
+        queue: Mutex::new(groups.into()),
         slots: Mutex::new(slots),
         manifest: Mutex::new(manifest),
         failures: Mutex::new(Vec::new()),
         completed: AtomicUsize::new(0),
-        aborted: AtomicBool::new(false),
     };
     sh.write_manifest();
 
-    if !sh.queue.lock().expect("queue lock").is_empty() {
+    if to_execute > 0 {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..cfg.workers.max(1))
                 .map(|_| scope.spawn(|| worker(&sh)))
@@ -479,20 +517,21 @@ pub fn run_campaign(
         });
     }
 
+    let stopped = sh.stopped();
     let failures = sh.failures.into_inner().expect("failures lock");
     if !failures.is_empty() {
         return Err(HarnessError::RunsFailed(failures));
-    }
-    if sh.aborted.load(Ordering::Relaxed) {
-        return Err(HarnessError::Aborted {
-            completed: sh.completed.load(Ordering::Relaxed),
-        });
     }
     let slots = sh.slots.into_inner().expect("slots lock");
     let mut out = Vec::with_capacity(specs.len());
     for (spec, slot) in specs.iter().zip(slots) {
         match slot {
             Some(r) => out.push(r),
+            None if stopped => {
+                return Err(HarnessError::Aborted {
+                    completed: sh.completed.into_inner(),
+                })
+            }
             None => {
                 return Err(HarnessError::Failed(format!(
                     "campaign ended without a result for {:?}",
@@ -504,9 +543,13 @@ pub fn run_campaign(
     Ok(out)
 }
 
-/// One benchmark's outcomes across a protocol list (parallel to the
-/// `protocols` argument of [`protocol_campaign`]). All outcomes agree on
-/// the final memory image — the campaign verified it.
+/// One figure panel of a [`protocol_campaign`]: a machine, the benchmarks
+/// and the protocols it runs them under (the first is the agreement
+/// reference).
+pub type Panel<'a> = (&'a MachineConfig, &'a [Bench], &'a [ProtocolId]);
+
+/// One benchmark's outcomes across a [`Panel`]'s protocol list. All
+/// outcomes agree on the final memory image — the campaign verified it.
 #[derive(Clone, Debug)]
 pub struct ProtocolRun {
     /// The benchmark.
@@ -537,60 +580,68 @@ impl ProtocolRun {
     }
 }
 
-/// Run `benches` × `protocols` on `machine` through the campaign. Every
-/// protocol must produce the same final memory image as the first one
-/// requested (the reference); a disagreement is a typed error naming the
+/// Run every panel's `benches` × `protocols` at `scale` through one
+/// campaign, so each benchmark's trace is captured once whatever the
+/// number of panels, machines and protocols it appears in. Returns one
+/// `Vec<ProtocolRun>` per panel, in panel order. Every protocol must
+/// produce the same final memory image as its panel's first (the
+/// reference); a disagreement is a typed error naming the machine, the
 /// benchmark and the diverging protocol, not a panic. When the invariant
 /// checker is on ([`SimOptions::check`]), any reported violation also
 /// fails the campaign.
 pub fn protocol_campaign(
-    benches: &[Bench],
+    panels: &[Panel<'_>],
     scale: Scale,
-    machine: &MachineConfig,
-    protocols: &[ProtocolId],
     opts: &SimOptions,
     cfg: &CampaignConfig,
-) -> Result<Vec<ProtocolRun>, HarnessError> {
-    if protocols.is_empty() {
+) -> Result<Vec<Vec<ProtocolRun>>, HarnessError> {
+    if panels.iter().any(|(_, _, protocols)| protocols.is_empty()) {
         return Err(HarnessError::Failed(
-            "a protocol campaign needs at least one protocol".into(),
+            "a protocol campaign needs at least one protocol per panel".into(),
         ));
     }
     let scale_token = format!("{scale:?}").to_lowercase();
-    let mut specs = Vec::with_capacity(benches.len() * protocols.len());
-    for &bench in benches {
-        for &protocol in protocols {
-            specs.push(RunSpec {
-                id: format!(
-                    "{}/{scale_token}/{}/{}",
-                    machine.name,
-                    bench.name(),
-                    protocol.name()
-                ),
-                workload: Workload::bench(bench, scale),
-                machine: machine.clone(),
-                protocol,
-                opts: opts.clone(),
-            });
+    let mut specs = Vec::new();
+    for &(machine, benches, protocols) in panels {
+        for &bench in benches {
+            for &protocol in protocols {
+                specs.push(RunSpec {
+                    id: format!(
+                        "{}/{scale_token}/{}/{}",
+                        machine.name,
+                        bench.name(),
+                        protocol.name()
+                    ),
+                    workload: Workload::bench(bench, scale),
+                    machine: machine.clone(),
+                    protocol,
+                    opts: opts.clone(),
+                });
+            }
         }
     }
-    let results = run_campaign(&specs, cfg)?;
-    let mut runs = Vec::with_capacity(benches.len());
-    for (i, &bench) in benches.iter().enumerate() {
-        let outcomes: Vec<SimOutcome> = results[i * protocols.len()..(i + 1) * protocols.len()]
-            .iter()
-            .map(|r| r.outcome.clone())
-            .collect();
-        check_agreement(bench, protocols, &outcomes)?;
-        runs.push(ProtocolRun { bench, outcomes });
-    }
-    Ok(runs)
+    let mut outcomes = run_campaign(&specs, cfg)?.into_iter().map(|r| r.outcome);
+    panels
+        .iter()
+        .map(|&(machine, benches, protocols)| {
+            benches
+                .iter()
+                .map(|&bench| {
+                    let outcomes: Vec<SimOutcome> =
+                        outcomes.by_ref().take(protocols.len()).collect();
+                    let name = format!("{}/{}", machine.name, bench.name());
+                    check_agreement(&name, protocols, &outcomes)?;
+                    Ok(ProtocolRun { bench, outcomes })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Every outcome must match the first protocol's final memory image and
-/// report no invariant violation.
-fn check_agreement(
-    bench: Bench,
+/// report no invariant violation; `name` labels the group in the error.
+pub(crate) fn check_agreement(
+    name: &str,
     protocols: &[ProtocolId],
     outcomes: &[SimOutcome],
 ) -> Result<(), HarnessError> {
@@ -598,9 +649,8 @@ fn check_agreement(
     for (o, &p) in outcomes.iter().zip(protocols) {
         if o.memory_image_digest != reference {
             return Err(HarnessError::Failed(format!(
-                "{}: protocol {} diverged from {} on the final memory image \
+                "{name}: protocol {} diverged from {} on the final memory image \
                  ({:#018x} vs {:#018x})",
-                bench.name(),
                 p.name(),
                 protocols[0].name(),
                 o.memory_image_digest,
@@ -609,8 +659,7 @@ fn check_agreement(
         }
         if !o.violations.is_empty() {
             return Err(HarnessError::Failed(format!(
-                "{}: protocol {} reported {} invariant violation(s); first: {}",
-                bench.name(),
+                "{name}: protocol {} reported {} invariant violation(s); first: {}",
                 p.name(),
                 o.violations.len(),
                 o.violations[0],
@@ -693,15 +742,9 @@ mod tests {
     fn an_empty_protocol_list_is_a_typed_error() {
         let cfg = quiet(CampaignConfig::ephemeral());
         let machine = MachineConfig::dual_socket().with_cores(2);
-        let err = protocol_campaign(
-            &[Bench::MakeArray],
-            Scale::Tiny,
-            &machine,
-            &[],
-            &SimOptions::default(),
-            &cfg,
-        )
-        .unwrap_err();
+        let panel: Panel = (&machine, &[Bench::MakeArray], &[]);
+        let err =
+            protocol_campaign(&[panel], Scale::Tiny, &SimOptions::default(), &cfg).unwrap_err();
         assert!(matches!(err, HarnessError::Failed(_)), "{err}");
         let _ = fs::remove_dir_all(&cfg.dir);
     }
@@ -714,9 +757,9 @@ mod tests {
         let mut diverged = out.clone();
         diverged.memory_image_digest ^= 1;
         let protocols = [ProtocolId::Mesi, ProtocolId::Warden];
-        check_agreement(Bench::MakeArray, &protocols, &[out.clone(), out.clone()])
+        check_agreement("make_array", &protocols, &[out.clone(), out.clone()])
             .expect("equal images agree");
-        let err = check_agreement(Bench::MakeArray, &protocols, &[out, diverged]).unwrap_err();
+        let err = check_agreement("make_array", &protocols, &[out, diverged]).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("final memory image (0x"),
@@ -790,7 +833,6 @@ mod tests {
             manifest: Mutex::new(manifest),
             failures: Mutex::new(Vec::new()),
             completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
         };
         sh.write_manifest();
         let path = cfg.dir.join("manifest.json");

@@ -39,7 +39,8 @@ pub mod store;
 pub use args::{parse_patterns, parse_protocols, HarnessArgs};
 pub use atlas::{atlas_machines, run_atlas, Atlas, AtlasCell};
 pub use campaign::{
-    protocol_campaign, run_campaign, CampaignConfig, ProtocolRun, RunResult, RunSpec, Workload,
+    protocol_campaign, run_campaign, CampaignConfig, Panel, ProtocolRun, RunResult, RunSpec,
+    Workload,
 };
 pub use error::{harness_main, HarnessError, RunFailure};
 pub use fuzz::{

@@ -1,7 +1,9 @@
 //! Supervisor-level crash drills for the benchmark campaign runner: a
-//! killed campaign resumes bit-identically from its durable records, a
-//! panicking cell fails typed while the others complete and reruns from
-//! step 0 in the next invocation, a damaged record is
+//! killed campaign resumes bit-identically from its durable records, each
+//! workload's trace is captured once per campaign and only while it has
+//! cells left to run, a panicking cell fails typed while the others
+//! complete and reruns from step 0 in the next invocation, a damaged
+//! record is
 //! quarantined and re-run, entries of an older format version are
 //! quarantined and never loaded, the retired mid-run snapshot entries are
 //! left in place and never loaded, and a campaign under seeded storage
@@ -101,68 +103,173 @@ fn aborted_campaign_resumes_bit_identically() {
     }
 }
 
-/// Trace builds per cell of `a_panicking_cell_fails_typed_while_the_others_complete`.
-static BUILDS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+/// A workload named `token` that counts its trace builds in `builds`.
+fn counted(token: &str, builds: &'static AtomicUsize, build: fn() -> TraceProgram) -> Workload {
+    Workload::custom(token, move || {
+        builds.fetch_add(1, Ordering::Relaxed);
+        build()
+    })
+}
 
-/// A campaign of two tiny cells and one whose trace builder panics: the
-/// panicking cell fails typed, with its panic message, while the others
-/// complete and are recorded. The next invocation reuses the two records
-/// and runs only the failing cell again, from step 0.
+/// Build counts, one per workload.
+fn loads(builds: &[AtomicUsize]) -> Vec<usize> {
+    builds.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+}
+
+/// Two counted tiny workloads × two machines × three protocols, machine
+/// major, so each workload's cells are spread over the spec list.
+fn counted_matrix(builds: &'static [AtomicUsize; 2]) -> Vec<RunSpec> {
+    let workloads = [
+        counted("make_array", &builds[0], || {
+            Bench::MakeArray.build(Scale::Tiny)
+        }),
+        counted("primes", &builds[1], || Bench::Primes.build(Scale::Tiny)),
+    ];
+    let machines = [
+        MachineConfig::dual_socket().with_cores(2),
+        MachineConfig::single_socket().with_cores(2),
+    ];
+    let protocols = [ProtocolId::Msi, ProtocolId::Mesi, ProtocolId::Warden];
+    let mut specs = Vec::new();
+    for machine in &machines {
+        for workload in &workloads {
+            for protocol in protocols {
+                specs.push(RunSpec {
+                    id: format!("{}/{}/{}", machine.name, workload.token(), protocol.name()),
+                    workload: workload.clone(),
+                    machine: machine.clone(),
+                    protocol,
+                    opts: SimOptions::default(),
+                });
+            }
+        }
+    }
+    specs
+}
+
+/// A campaign captures each workload's trace once, however many machines
+/// and protocols replay it and however many workers share the cells, and
+/// returns the results in spec order.
+#[test]
+fn each_workload_is_built_once_per_campaign() {
+    static BUILDS: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
+    let specs = counted_matrix(&BUILDS);
+    let dir = scratch("built-once");
+    let mut cfg = quiet_cfg(dir.clone());
+    cfg.workers = 2;
+    let results = run_campaign(&specs, &cfg).expect("campaign");
+    assert_eq!(loads(&BUILDS), [1, 1], "one build per workload token");
+    let ids: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();
+    let spec_ids: Vec<&str> = specs.iter().map(|s| s.id.as_str()).collect();
+    assert_eq!(ids, spec_ids, "results come back in spec order");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign stopped by the `abort_after_runs` hook once the first
+/// workload's cells are done never captured the second one; resuming it
+/// captures only the workload that still has cells to run, and a rerun
+/// whose cells are all recorded captures nothing.
+#[test]
+fn a_resumed_campaign_builds_only_workloads_with_cells_left() {
+    static BUILDS: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
+    let specs = counted_matrix(&BUILDS);
+    let dir = scratch("built-on-resume");
+    let mut cfg = quiet_cfg(dir.clone());
+    cfg.abort_after_runs = Some(6);
+    let err = run_campaign(&specs, &cfg).expect_err("aborted campaign must fail");
+    assert!(
+        matches!(err, HarnessError::Aborted { completed: 6 }),
+        "unexpected error: {err}"
+    );
+    assert_eq!(loads(&BUILDS), [1, 0], "the first workload's six cells ran");
+
+    let resumed = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("resume");
+    assert_eq!(resumed.iter().filter(|r| r.reused).count(), 6);
+    assert_eq!(
+        loads(&BUILDS),
+        [1, 1],
+        "only the unfinished workload is built"
+    );
+
+    let again = run_campaign(&specs, &quiet_cfg(dir.clone())).expect("rerun");
+    assert!(again.iter().all(|r| r.reused));
+    assert_eq!(
+        loads(&BUILDS),
+        [1, 1],
+        "a fully recorded rerun builds nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A campaign of two tiny cells and a workload of two cells whose trace
+/// builder panics: both of its cells fail typed, with the panic message,
+/// while the others complete and are recorded. The next invocation reuses
+/// the two records and builds only the failing workload again.
 #[test]
 fn a_panicking_cell_fails_typed_while_the_others_complete() {
-    fn counted(cell: usize, build: fn() -> TraceProgram) -> Workload {
-        Workload::custom(format!("counted-{cell}"), move || {
-            BUILDS[cell].fetch_add(1, Ordering::Relaxed);
-            build()
-        })
-    }
+    static BUILDS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
     let machine = MachineConfig::dual_socket().with_cores(2);
-    let cells: [(&str, Workload); 3] = [
+    let cells = [
         (
             "make_array",
-            counted(0, || Bench::MakeArray.build(Scale::Tiny)),
+            ProtocolId::Warden,
+            counted("make_array", &BUILDS[0], || {
+                Bench::MakeArray.build(Scale::Tiny)
+            }),
         ),
-        ("boom", counted(1, || panic!("builder exploded"))),
-        ("primes", counted(2, || Bench::Primes.build(Scale::Tiny))),
+        (
+            "boom/mesi",
+            ProtocolId::Mesi,
+            counted("boom", &BUILDS[1], || panic!("builder exploded")),
+        ),
+        (
+            "boom/warden",
+            ProtocolId::Warden,
+            counted("boom", &BUILDS[1], || panic!("builder exploded")),
+        ),
+        (
+            "primes",
+            ProtocolId::Warden,
+            counted("primes", &BUILDS[2], || Bench::Primes.build(Scale::Tiny)),
+        ),
     ];
     let specs: Vec<RunSpec> = cells
         .into_iter()
-        .map(|(id, workload)| RunSpec {
+        .map(|(id, protocol, workload)| RunSpec {
             id: id.into(),
             workload,
             machine: machine.clone(),
-            protocol: ProtocolId::Warden,
+            protocol,
             opts: SimOptions::default(),
         })
         .collect();
 
     let dir = scratch("panic");
     for invocation in 1..=2 {
-        let err = run_campaign(&specs, &quiet_cfg(dir.clone())).expect_err("one cell panics");
+        let err = run_campaign(&specs, &quiet_cfg(dir.clone())).expect_err("one workload panics");
         match err {
             HarnessError::RunsFailed(fails) => {
-                assert_eq!(fails.len(), 1, "invocation {invocation}: {fails:?}");
-                assert_eq!(fails[0].id, "boom");
-                assert!(
-                    fails[0].reason.contains("builder exploded"),
-                    "{}",
-                    fails[0].reason
-                );
+                let ids: Vec<&str> = fails.iter().map(|f| f.id.as_str()).collect();
+                assert_eq!(ids, ["boom/mesi", "boom/warden"], "invocation {invocation}");
+                for f in &fails {
+                    assert!(f.reason.contains("builder exploded"), "{f}");
+                }
             }
             other => panic!("invocation {invocation}: unexpected error: {other}"),
         }
         assert_eq!(records(&dir).len(), 2, "invocation {invocation}");
-        let builds: Vec<usize> = BUILDS.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         assert_eq!(
-            builds,
+            loads(&BUILDS),
             [1, invocation, 1],
-            "each invocation runs the failing cell once and nothing else again"
+            "each invocation builds the failing workload once and nothing else again"
         );
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
-        assert!(
-            manifest.contains(r#"{"id": "boom", "status": "failed""#),
-            "{manifest}"
-        );
+        for id in ["boom/mesi", "boom/warden"] {
+            assert!(
+                manifest.contains(&format!(r#"{{"id": "{id}", "status": "failed""#)),
+                "{manifest}"
+            );
+        }
         assert_eq!(
             manifest.matches(r#""status": "done""#).count(),
             2,

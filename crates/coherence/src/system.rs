@@ -493,11 +493,6 @@ impl CoherenceSystem {
         }
     }
 
-    /// Whether [`Self::enable_checker`] has run.
-    pub fn checker_enabled(&self) -> bool {
-        self.check.is_some()
-    }
-
     /// Invariant violations detected so far (empty when the checker is
     /// disabled or the machine is healthy).
     pub fn violations(&self) -> &[InvariantViolation] {
@@ -523,11 +518,6 @@ impl CoherenceSystem {
     /// [`Self::enable_checker`] to prove the defect is caught.
     pub fn inject_mutation(&mut self, m: ProtocolMutation) {
         self.mutations.apply(m);
-    }
-
-    /// Whether any protocol mutation is active.
-    pub fn has_mutations(&self) -> bool {
-        self.mutations.any()
     }
 
     /// Validate and settle all directory transactions recorded since the

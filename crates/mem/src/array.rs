@@ -50,18 +50,6 @@ pub struct Slot {
     way: u32,
 }
 
-/// A successful mutable lookup, exposing the payload.
-pub struct LookupMut<'a, T> {
-    payload: &'a mut T,
-}
-
-impl<'a, T> LookupMut<'a, T> {
-    /// The payload of the found line.
-    pub fn payload(&mut self) -> &mut T {
-        self.payload
-    }
-}
-
 /// A set-associative, LRU-replaced cache array with payloads of type `T`.
 ///
 /// The array itself is protocol-agnostic: the coherence layer stores MESI/W
@@ -413,11 +401,6 @@ impl<T> CacheArray<T> {
             }
         }
         self.len = 0;
-    }
-
-    /// Mutable lookup wrapped in [`LookupMut`], updating LRU state.
-    pub fn lookup_mut(&mut self, block: BlockAddr) -> Option<LookupMut<'_, T>> {
-        self.get_mut(block).map(|payload| LookupMut { payload })
     }
 }
 

@@ -43,7 +43,7 @@ mod pagemap;
 mod sector;
 
 pub use addr::{Addr, BlockAddr, PageAddr, BLOCK_SHIFT, BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE};
-pub use array::{CacheArray, Evicted, LookupMut, Slot};
+pub use array::{CacheArray, Evicted, Slot};
 pub use block::BlockData;
 pub use geometry::CacheGeometry;
 pub use memory::Memory;
