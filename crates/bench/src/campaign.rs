@@ -406,8 +406,9 @@ fn worker(sh: &Shared<'_>) {
 /// [`HarnessError::RunsFailed`] when any run failed (it or its group's
 /// trace capture panicked, or its record could not be persisted),
 /// [`HarnessError::Aborted`] when the `abort_after_runs` test hook stopped
-/// the supervisor early, [`HarnessError::Failed`] when two specs share an
-/// id or a [`RunKey`], and I/O errors for an unusable campaign directory.
+/// the supervisor with cells left to run, [`HarnessError::Failed`] when
+/// two specs share an id or a [`RunKey`], and I/O errors for an unusable
+/// campaign directory.
 /// Completed runs stay durable across all of these — re-invoking resumes
 /// from them.
 pub fn run_campaign(
