@@ -17,7 +17,10 @@
 #                    to be bit-identical to an uninterrupted reference
 #                    (whose progress output must carry no manifest-write
 #                    warning) and the resumed campaign to have quarantined
-#                    nothing (every survivor's entry must read back)
+#                    nothing (every survivor's entry must read back);
+#                    finally a leak guard: without --campaign-dir,
+#                    all_figures and a small fuzz gate run under an empty
+#                    TMPDIR and must leave nothing in it
 #   ./ci.sh obs      observability gate: golden-stats snapshots,
 #                    cross-protocol consistency checks, the release-mode
 #                    exact-work guard (tests/exact_work.rs: both benchmark
@@ -101,7 +104,7 @@ record_bytes() {
 
 smoke() {
   echo "== kill/resume smoke test =="
-  cargo build -q --release --offline -p warden-bench --bin all_figures
+  cargo build -q --release --offline -p warden-bench --bin all_figures --bin fuzzgen
   local bin=target/release/all_figures
   local dir
   dir="$(mktemp -d)"
@@ -189,6 +192,18 @@ smoke() {
   fi
   echo "   resumed report is bit-identical to the uninterrupted reference;" \
     "nothing quarantined"
+
+  echo "== leak guard: no campaign state without --campaign-dir =="
+  mkdir "$dir/tmp"
+  TMPDIR="$dir/tmp" "$bin" --scale tiny --quiet >/dev/null 2>"$dir/leak.err"
+  TMPDIR="$dir/tmp" target/release/fuzzgen --fuzz-workloads 5 --quiet >/dev/null
+  if [ -n "$(ls -A "$dir/tmp")" ]; then
+    echo "FAILED: runs without --campaign-dir left files in TMPDIR:" >&2
+    ls -A "$dir/tmp" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
+  echo "   all_figures and a 5-workload fuzz gate left TMPDIR empty"
   rm -rf "$dir"
 }
 

@@ -14,7 +14,7 @@
 //! | `--faults <seed>`      | inject the benign seeded fault plan |
 //! | `--markdown <path>`    | `all_figures`: also write the report as markdown |
 //! | `--obs <dir>`          | `all_figures`, `replay`: record one direct run per protocol; export traces + epoch tables here |
-//! | `--campaign-dir <dir>` | durable campaign state (resume after a crash) |
+//! | `--campaign-dir <dir>` | persist campaign state here (resume after a crash); without it campaigns run in memory |
 //! | `--jobs <n>`           | campaign worker threads |
 //! | `--quiet`              | suppress campaign progress lines |
 //! | `--fuzz-workloads <n>` | `fuzzgen`: generated workloads per gate run |
@@ -77,8 +77,8 @@ pub struct HarnessArgs {
     /// protocol and write Perfetto trace + epoch-summary exports into this
     /// directory. Campaign runs never record.
     pub obs: Option<PathBuf>,
-    /// `--campaign-dir <dir>`, if given (otherwise campaigns use an
-    /// ephemeral directory under the system temp dir).
+    /// `--campaign-dir <dir>`, if given (otherwise campaigns run in memory
+    /// and write nothing).
     pub campaign_dir: Option<PathBuf>,
     /// `--jobs <n>` override for the campaign worker count.
     pub jobs: Option<usize>,
@@ -305,17 +305,16 @@ impl HarnessArgs {
         SimOptions {
             check: self.check,
             faults: self.faults.map(FaultPlan::benign),
-            ..SimOptions::default()
         }
     }
 
     /// The campaign configuration these flags select: durable under
-    /// `--campaign-dir`, otherwise a fresh ephemeral directory,
-    /// with `--jobs` and `--quiet` applied.
+    /// `--campaign-dir`, otherwise in memory, with `--jobs` and `--quiet`
+    /// applied.
     pub fn campaign_config(&self) -> CampaignConfig {
         let mut cfg = match &self.campaign_dir {
             Some(dir) => CampaignConfig::new(dir.clone()),
-            None => CampaignConfig::ephemeral(),
+            None => CampaignConfig::in_memory(),
         };
         if let Some(jobs) = self.jobs {
             cfg.workers = jobs;
@@ -341,6 +340,7 @@ mod tests {
         assert_eq!(a.scale, Scale::Paper);
         assert!(!a.check && a.faults.is_none() && a.positional.is_empty());
         assert!(a.obs.is_none());
+        assert!(a.campaign_config().dir.is_none(), "in memory by default");
 
         let a = parse(&[
             "--scale",
@@ -402,6 +402,7 @@ mod tests {
         assert_eq!(a.positional, vec!["primes".to_string()]);
 
         let cfg = a.campaign_config();
+        assert_eq!(cfg.dir.as_deref(), Some(std::path::Path::new("camp")));
         assert_eq!(cfg.workers, 3);
         assert!(cfg.quiet);
     }

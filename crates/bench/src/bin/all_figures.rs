@@ -232,9 +232,8 @@ const CAMPAIGN_WALKTHROUGH: &str = r#"
 `all_figures` routes its simulations through the campaign runner: one
 campaign for the whole report, which captures each benchmark's trace once
 and replays it on every machine and protocol that needs it. Without flags
-the campaign state lives in a per-process temp directory (supervision
-without durability); pass `--campaign-dir <dir>` to make the run
-crash-safe:
+the campaign runs in memory (supervision without durability, and no file
+written); pass `--campaign-dir <dir>` to make the run crash-safe:
 
 ```console
 $ cargo run -p warden-bench --release --bin all_figures -- --scale tiny --campaign-dir /tmp/figures.campaign

@@ -12,6 +12,11 @@
 //!   (composable with `--mutate` to reproduce a catch).
 //! * `--atlas <dir>` — run the machine-space sweep instead and write
 //!   `coherence_atlas.txt` / `coherence_atlas.records` into `<dir>`.
+//!
+//! The atlas is a campaign: `--campaign-dir` and `--jobs` apply to it, and
+//! without `--campaign-dir` it runs in memory. The gate and `--replay`
+//! check each workload directly, on one thread, and write nothing but
+//! `--artifacts`.
 
 use std::path::Path;
 use warden_bench::figures::render_coherence_atlas;
@@ -39,7 +44,6 @@ fn run() -> Result<(), HarnessError> {
         "--jobs",
         "--quiet",
     ])?;
-    let cfg = args.campaign_config();
     let protocols = args
         .protocols
         .clone()
@@ -64,7 +68,7 @@ fn run() -> Result<(), HarnessError> {
     opts.mutate = args.mutate;
     opts.artifacts = args.artifacts.clone();
 
-    let report = run_fuzz_gate(&opts, &cfg)?;
+    let report = run_fuzz_gate(&opts)?;
     println!(
         "fuzz gate: {} workloads, {} runs, disagreements: {}",
         report.workloads,

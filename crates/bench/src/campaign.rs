@@ -9,8 +9,14 @@
 //! * isolates panics with `catch_unwind` (one exploding run cannot take
 //!   down the sweep): each cell runs once and yields either an outcome or
 //!   a typed [`RunFailure`],
-//! * persists every finished run in a [`ResultStore`] and keeps a durable
-//!   `manifest.json` of per-run status, both written atomically.
+//! * given a campaign directory ([`CampaignConfig::new`]), persists every
+//!   finished run in a [`ResultStore`] and keeps a durable `manifest.json`
+//!   of per-run status, both written atomically.
+//!
+//! Persistence is the only optional part: an in-memory campaign
+//! ([`CampaignConfig::in_memory`], what the binaries run without
+//! `--campaign-dir`) takes the same grouping, workers, isolation and
+//! result order, but writes nothing and resumes nothing.
 //!
 //! # Crash safety and resume
 //!
@@ -138,7 +144,7 @@ pub struct RunSpec {
     pub machine: MachineConfig,
     /// The coherence protocol.
     pub protocol: ProtocolId,
-    /// Simulator options (energy model, checker, fault plan).
+    /// Simulator options (checker, fault plan).
     pub opts: SimOptions,
 }
 
@@ -158,8 +164,9 @@ impl RunSpec {
 /// Supervisor policy for one campaign invocation.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Campaign state directory: a result store plus the manifest.
-    pub dir: PathBuf,
+    /// Campaign state directory: a result store plus the manifest. `None`
+    /// runs the campaign in memory: nothing is persisted or reused.
+    pub dir: Option<PathBuf>,
     /// Worker threads executing runs.
     pub workers: usize,
     /// Suppress progress lines on stderr.
@@ -177,31 +184,26 @@ pub struct CampaignConfig {
 impl CampaignConfig {
     /// A durable campaign rooted at `dir`, run by up to 4 workers.
     pub fn new(dir: impl Into<PathBuf>) -> CampaignConfig {
+        CampaignConfig {
+            dir: Some(dir.into()),
+            ..CampaignConfig::in_memory()
+        }
+    }
+
+    /// A campaign that keeps its results in memory, run by up to 4
+    /// workers: it gets the supervisor's panic isolation, but persists
+    /// nothing and so never resumes.
+    pub fn in_memory() -> CampaignConfig {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get().min(4))
             .unwrap_or(1);
         CampaignConfig {
-            dir: dir.into(),
+            dir: None,
             workers,
             quiet: false,
             abort_after_runs: None,
             storage_faults: None,
         }
-    }
-
-    /// A campaign in a fresh directory under the system temp dir, claimed
-    /// by [`checkpoint::unique_dir`] (`warden-campaign-<pid>-<n>`), so
-    /// stale state never carries over and concurrent ephemeral campaigns
-    /// never share a directory. Used when no `--campaign-dir` is given:
-    /// the binaries still get panic isolation without durable resume. If
-    /// no directory can be created, [`run_campaign`] reports the I/O error.
-    pub fn ephemeral() -> CampaignConfig {
-        let tmp = std::env::temp_dir();
-        let name = "warden-campaign";
-        CampaignConfig::new(
-            checkpoint::unique_dir(&tmp, name)
-                .unwrap_or_else(|_| tmp.join(format!("{name}-{}", std::process::id()))),
-        )
     }
 }
 
@@ -265,31 +267,39 @@ fn render_manifest(entries: &BTreeMap<String, ManifestEntry>) -> String {
 // ---------------------------------------------------------------------------
 // The supervisor.
 
+/// An open campaign directory: the result store and the manifest that
+/// mirrors it.
+struct Durable {
+    store: ResultStore,
+    manifest_path: PathBuf,
+    manifest: Mutex<BTreeMap<String, ManifestEntry>>,
+}
+
 struct Shared<'a> {
     specs: &'a [RunSpec],
     cfg: &'a CampaignConfig,
     keys: Vec<RunKey>,
-    store: ResultStore,
+    /// `None` for an in-memory campaign.
+    durable: Option<Durable>,
     /// The cells still to execute, one group per workload token.
     queue: Mutex<VecDeque<Vec<usize>>>,
     slots: Mutex<Vec<Option<RunResult>>>,
-    manifest: Mutex<BTreeMap<String, ManifestEntry>>,
     failures: Mutex<Vec<RunFailure>>,
     completed: AtomicUsize,
 }
 
 impl Shared<'_> {
     fn write_manifest(&self) {
+        let Some(d) = &self.durable else { return };
         // The lock is held through the write: every write goes through the
         // same `manifest.json.tmp`, and the latest entries must land last.
-        let entries = self.manifest.lock().expect("manifest lock");
+        let entries = d.manifest.lock().expect("manifest lock");
         // Manifest persistence is best-effort derived state; the result
         // entries are authoritative, so a failed write must not fail the
         // run that just completed.
-        if let Err(e) = checkpoint::write_atomic(
-            &self.cfg.dir.join("manifest.json"),
-            render_manifest(&entries).as_bytes(),
-        ) {
+        if let Err(e) =
+            checkpoint::write_atomic(&d.manifest_path, render_manifest(&entries).as_bytes())
+        {
             if !self.cfg.quiet {
                 eprintln!("  [warn] cannot write manifest: {e}");
             }
@@ -297,7 +307,8 @@ impl Shared<'_> {
     }
 
     fn set_status(&self, id: &str, status: &'static str, note: String) {
-        if let Some(e) = self.manifest.lock().expect("manifest lock").get_mut(id) {
+        let Some(d) = &self.durable else { return };
+        if let Some(e) = d.manifest.lock().expect("manifest lock").get_mut(id) {
             e.status = status;
             e.note = note;
         }
@@ -318,11 +329,13 @@ impl Shared<'_> {
         let spec = &self.specs[i];
         // Without a durable record the result would silently vanish on
         // resume; treat persist failure as run failure.
-        let outcome = outcome.and_then(|o| {
-            self.store
+        let outcome = outcome.and_then(|o| match &self.durable {
+            Some(d) => d
+                .store
                 .put_result(&self.keys[i], &o)
                 .map(|()| o)
-                .map_err(|e| format!("cannot persist result record: {e}"))
+                .map_err(|e| format!("cannot persist result record: {e}")),
+            None => Ok(o),
         });
         match outcome {
             Ok(outcome) => {
@@ -396,7 +409,7 @@ fn worker(sh: &Shared<'_>) {
 }
 
 /// Run a campaign over `specs`, resuming from any completed work already
-/// stored under the campaign directory. The cells left to execute are
+/// stored under the campaign directory, if the config names one. The cells left to execute are
 /// grouped by workload token (groups in order of first appearance, cells in
 /// spec order), and each group's trace is captured once. Results come back
 /// in spec order.
@@ -409,8 +422,8 @@ fn worker(sh: &Shared<'_>) {
 /// the supervisor with cells left to run, [`HarnessError::Failed`] when
 /// two specs share an id or a [`RunKey`], and I/O errors for an unusable
 /// campaign directory.
-/// Completed runs stay durable across all of these — re-invoking resumes
-/// from them.
+/// In a campaign directory, completed runs stay durable across all of
+/// these — re-invoking resumes from them.
 pub fn run_campaign(
     specs: &[RunSpec],
     cfg: &CampaignConfig,
@@ -434,31 +447,26 @@ pub fn run_campaign(
             }
         }
     }
-    let storage: Arc<dyn Storage> = match &cfg.storage_faults {
-        Some(faulty) => faulty.clone(),
-        None => Arc::new(RealStorage),
+    let store = match &cfg.dir {
+        Some(dir) => {
+            let storage: Arc<dyn Storage> = match &cfg.storage_faults {
+                Some(faulty) => faulty.clone(),
+                None => Arc::new(RealStorage),
+            };
+            let store = ResultStore::open(dir, storage).map_err(|msg| HarnessError::Io {
+                path: dir.clone(),
+                source: std::io::Error::other(msg),
+            })?;
+            Some((dir, store))
+        }
+        None => None,
     };
-    let store = ResultStore::open(&cfg.dir, storage).map_err(|msg| HarnessError::Io {
-        path: cfg.dir.clone(),
-        source: std::io::Error::other(msg),
-    })?;
 
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(specs.len());
-    let mut manifest = BTreeMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_of = std::collections::HashMap::new();
     for (i, (spec, key)) in specs.iter().zip(&keys).enumerate() {
-        let reused = store.result(key);
-        let status = if reused.is_some() { "done" } else { "pending" };
-        manifest.insert(
-            spec.id.clone(),
-            ManifestEntry {
-                status,
-                record: result_file_name(key),
-                note: String::new(),
-            },
-        );
-        match reused {
+        match store.as_ref().and_then(|(_, store)| store.result(key)) {
             Some(outcome) => slots.push(Some(RunResult {
                 id: spec.id.clone(),
                 outcome,
@@ -487,14 +495,33 @@ pub fn run_campaign(
         );
     }
 
+    let durable = store.map(|(dir, store)| {
+        let manifest = specs
+            .iter()
+            .zip(&keys)
+            .zip(&slots)
+            .map(|((spec, key), slot)| {
+                let entry = ManifestEntry {
+                    status: if slot.is_some() { "done" } else { "pending" },
+                    record: result_file_name(key),
+                    note: String::new(),
+                };
+                (spec.id.clone(), entry)
+            })
+            .collect();
+        Durable {
+            store,
+            manifest_path: dir.join("manifest.json"),
+            manifest: Mutex::new(manifest),
+        }
+    });
     let sh = Shared {
         specs,
         cfg,
         keys,
-        store,
+        durable,
         queue: Mutex::new(groups.into()),
         slots: Mutex::new(slots),
-        manifest: Mutex::new(manifest),
         failures: Mutex::new(Vec::new()),
         completed: AtomicUsize::new(0),
     };
@@ -693,6 +720,11 @@ mod tests {
         }
     }
 
+    /// A fresh, empty directory under the system temp dir.
+    fn scratch_dir() -> PathBuf {
+        checkpoint::unique_dir(&std::env::temp_dir(), "warden-campaign-test").expect("scratch dir")
+    }
+
     /// A benchmark workload's token is the suite's own token for it, and
     /// each of the key's four components separates cells.
     #[test]
@@ -721,7 +753,8 @@ mod tests {
     /// same cell, whatever its id; a different cell misses.
     #[test]
     fn records_are_found_by_key_not_by_id() {
-        let cfg = quiet(CampaignConfig::ephemeral());
+        let dir = scratch_dir();
+        let cfg = quiet(CampaignConfig::new(&dir));
         let first = run_campaign(&[spec("a", ProtocolId::Mesi)], &cfg).expect("first run");
         let again = run_campaign(&[spec("b", ProtocolId::Mesi)], &cfg).expect("second run");
         assert!(again[0].reused, "same cell, new id: reused");
@@ -731,23 +764,37 @@ mod tests {
         );
         let other = run_campaign(&[spec("c", ProtocolId::Warden)], &cfg).expect("other cell");
         assert!(!other[0].reused, "another protocol is another cell");
-        let store = ResultStore::open(&cfg.dir, Arc::new(RealStorage))
+        let store = ResultStore::open(&dir, Arc::new(RealStorage))
             .expect("the campaign directory is a result store");
         let key = spec("a", ProtocolId::Mesi).key();
-        assert!(cfg.dir.join(result_file_name(&key)).is_file());
+        assert!(dir.join(result_file_name(&key)).is_file());
         assert!(store.result(&key).is_some());
-        let _ = fs::remove_dir_all(&cfg.dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Without a directory a campaign keeps nothing: running the same cell
+    /// again simulates it again.
+    #[test]
+    fn an_in_memory_campaign_reuses_nothing() {
+        let cfg = quiet(CampaignConfig::in_memory());
+        assert!(cfg.dir.is_none());
+        let first = run_campaign(&[spec("a", ProtocolId::Mesi)], &cfg).expect("first run");
+        let again = run_campaign(&[spec("a", ProtocolId::Mesi)], &cfg).expect("second run");
+        assert!(!first[0].reused && !again[0].reused, "nothing to reuse");
+        assert_eq!(
+            again[0].outcome.memory_image_digest,
+            first[0].outcome.memory_image_digest
+        );
     }
 
     #[test]
     fn an_empty_protocol_list_is_a_typed_error() {
-        let cfg = quiet(CampaignConfig::ephemeral());
+        let cfg = quiet(CampaignConfig::in_memory());
         let machine = MachineConfig::dual_socket().with_cores(2);
         let panel: Panel = (&machine, &[Bench::MakeArray], &[]);
         let err =
             protocol_campaign(&[panel], Scale::Tiny, &SimOptions::default(), &cfg).unwrap_err();
         assert!(matches!(err, HarnessError::Failed(_)), "{err}");
-        let _ = fs::remove_dir_all(&cfg.dir);
     }
 
     #[test]
@@ -789,7 +836,7 @@ mod tests {
 
     #[test]
     fn duplicate_ids_and_duplicate_cells_are_rejected() {
-        let cfg = CampaignConfig::ephemeral();
+        let cfg = CampaignConfig::in_memory();
         let dup = spec("dup", ProtocolId::Mesi);
         let err = run_campaign(&[dup.clone(), dup], &cfg).unwrap_err();
         assert!(matches!(err, HarnessError::Failed(_)));
@@ -799,7 +846,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("same cell"), "{err}");
-        let _ = fs::remove_dir_all(&cfg.dir);
     }
 
     /// Workers finishing at once all persist their manifest updates: once
@@ -812,7 +858,8 @@ mod tests {
         let specs: Vec<RunSpec> = (0..THREADS * RUNS)
             .map(|i| spec(&format!("run-{i}"), ProtocolId::Mesi))
             .collect();
-        let cfg = quiet(CampaignConfig::ephemeral());
+        let dir = scratch_dir();
+        let cfg = quiet(CampaignConfig::new(&dir));
         let manifest = specs
             .iter()
             .map(|s| {
@@ -824,19 +871,22 @@ mod tests {
                 (s.id.clone(), entry)
             })
             .collect();
+        let path = dir.join("manifest.json");
         let sh = Shared {
             specs: &specs,
             cfg: &cfg,
             keys: specs.iter().map(RunSpec::key).collect(),
-            store: ResultStore::open(&cfg.dir, Arc::new(RealStorage)).expect("open store"),
+            durable: Some(Durable {
+                store: ResultStore::open(&dir, Arc::new(RealStorage)).expect("open store"),
+                manifest_path: path.clone(),
+                manifest: Mutex::new(manifest),
+            }),
             queue: Mutex::new(VecDeque::new()),
             slots: Mutex::new(Vec::new()),
-            manifest: Mutex::new(manifest),
             failures: Mutex::new(Vec::new()),
             completed: AtomicUsize::new(0),
         };
         sh.write_manifest();
-        let path = cfg.dir.join("manifest.json");
         let shows = |id: &str, status: &str| {
             let text = fs::read_to_string(&path).unwrap_or_default();
             text.contains(&format!(
@@ -863,13 +913,13 @@ mod tests {
                 spec.id
             );
         }
-        let _ = fs::remove_dir_all(&cfg.dir);
+        let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Ephemeral campaigns running at once in one process each get their
-    /// own directory, so none deletes another's records mid-run.
+    /// Campaigns running at once in one process share no state: each
+    /// simulates every cell of its own.
     #[test]
-    fn concurrent_ephemeral_campaigns_all_succeed() {
+    fn concurrent_in_memory_campaigns_all_succeed() {
         let specs: Vec<RunSpec> = [Bench::MakeArray, Bench::Primes, Bench::Fib]
             .into_iter()
             .flat_map(|bench| {
@@ -882,32 +932,15 @@ mod tests {
                 })
             })
             .collect();
-        let dirs: Vec<PathBuf> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..6)
-                .map(|_| {
-                    s.spawn(|| {
-                        let cfg = CampaignConfig {
-                            quiet: true,
-                            workers: 1,
-                            ..CampaignConfig::ephemeral()
-                        };
-                        let results = run_campaign(&specs, &cfg).expect("campaign succeeds");
-                        assert_eq!(results.len(), specs.len());
-                        assert!(results.iter().all(|r| !r.reused), "fresh directory");
-                        cfg.dir
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        std::thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    let cfg = quiet(CampaignConfig::in_memory());
+                    let results = run_campaign(&specs, &cfg).expect("campaign succeeds");
+                    assert_eq!(results.len(), specs.len());
+                    assert!(results.iter().all(|r| !r.reused), "nothing to reuse");
+                });
+            }
         });
-        let unique: std::collections::HashSet<_> = dirs.iter().collect();
-        assert_eq!(
-            unique.len(),
-            dirs.len(),
-            "every campaign owns its directory"
-        );
-        for dir in &dirs {
-            let _ = fs::remove_dir_all(dir);
-        }
     }
 }

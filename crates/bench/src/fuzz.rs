@@ -19,7 +19,6 @@
 //! [`ProtocolMutation`] through the same gate (`--mutate`) proves the gate
 //! is alive: a deliberately broken protocol must be caught.
 
-use crate::campaign::{run_campaign, CampaignConfig, RunSpec, Workload};
 use crate::error::HarnessError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -134,79 +133,52 @@ pub struct FuzzReport {
     pub disagreements: Vec<Disagreement>,
 }
 
-/// Run the differential gate: generate `opts.workloads` specs, run each
-/// under every protocol through the supervised campaign, check the five
-/// agreement obligations, and shrink + archive any failure.
+/// Run the differential gate: generate `opts.workloads` specs, check each
+/// with [`check_spec`] (one capture, every protocol, the five agreement
+/// obligations), and shrink + archive any failure.
 ///
 /// # Errors
 ///
-/// Campaign-level failures (I/O, panicking runs) are
-/// [`HarnessError`]s. Protocol *disagreements* are not errors — they come
-/// back in the report so a mutation gate can assert they happened.
-pub fn run_fuzz_gate(opts: &FuzzOptions, cfg: &CampaignConfig) -> Result<FuzzReport, HarnessError> {
+/// A bad pattern list or an archive write failure is a [`HarnessError`].
+/// Protocol *disagreements* are not errors — they come back in the report
+/// so a mutation gate can assert they happened.
+pub fn run_fuzz_gate(opts: &FuzzOptions) -> Result<FuzzReport, HarnessError> {
     assert!(
         !opts.protocols.is_empty(),
         "protocol list must be non-empty"
     );
     let gen = WorkloadGen::with_patterns(opts.seed, &opts.patterns)
         .map_err(|e| HarnessError::Args(e.to_string()))?;
-    let specs: Vec<WorkloadSpec> = gen.take(opts.workloads).collect();
-
-    let mut runs = Vec::with_capacity(specs.len() * opts.protocols.len());
-    for spec in &specs {
-        for &proto in &opts.protocols {
-            let s = *spec;
-            runs.push(RunSpec {
-                id: format!("fuzz/{}/{}", spec.token(), proto.name()),
-                workload: Workload::custom(spec.token(), move || s.build()),
-                machine: opts.machine.clone(),
-                protocol: proto,
-                opts: sim_opts(proto, opts.mutate),
-            });
-        }
-    }
-    let results = run_campaign(&runs, cfg)?;
-
-    let mut report = FuzzReport {
-        workloads: specs.len(),
-        runs: runs.len(),
-        disagreements: Vec::new(),
-    };
-    for (w, spec) in specs.iter().enumerate() {
-        let outcomes: Vec<&SimOutcome> = results
-            [w * opts.protocols.len()..(w + 1) * opts.protocols.len()]
-            .iter()
-            .map(|r| &r.outcome)
-            .collect();
-        let program = spec.build();
-        if let Some((protocol, detail)) = differential_verdict(
-            &program,
-            &opts.machine,
-            &opts.protocols,
-            &outcomes,
-            opts.mutate,
-        ) {
-            let minimal = shrink(*spec, &opts.machine, &opts.protocols, opts.mutate);
-            let archived = opts
-                .artifacts
-                .as_deref()
-                .map(|dir| archive_seed(dir, &minimal, spec, &protocol, &detail, opts.mutate))
-                .transpose()?;
-            report.disagreements.push(Disagreement {
-                token: minimal.token(),
-                original_token: spec.token(),
-                protocol,
-                detail,
-                archived,
-            });
-        }
+    let mut report = FuzzReport::default();
+    for spec in gen.take(opts.workloads) {
+        report.workloads += 1;
+        report.runs += opts.protocols.len();
+        let Some((protocol, detail)) =
+            check_spec(&spec, &opts.machine, &opts.protocols, opts.mutate)
+        else {
+            continue;
+        };
+        let minimal = shrink(spec, &opts.machine, &opts.protocols, opts.mutate);
+        let archived = opts
+            .artifacts
+            .as_deref()
+            .map(|dir| archive_seed(dir, &minimal, &spec, &protocol, &detail, opts.mutate))
+            .transpose()?;
+        report.disagreements.push(Disagreement {
+            token: minimal.token(),
+            original_token: spec.token(),
+            protocol,
+            detail,
+            archived,
+        });
     }
     Ok(report)
 }
 
-/// Check one spec directly (no campaign): build, simulate under every
-/// protocol, and return the first disagreement — `None` means the
-/// protocols agree. This is the replay path for archived seeds.
+/// Check one spec directly: build, simulate under every protocol, and
+/// return the first disagreement — `None` means the protocols agree. The
+/// gate, the shrinker and the replay of archived seeds all judge a spec
+/// here.
 pub fn check_spec(
     spec: &WorkloadSpec,
     machine: &MachineConfig,
@@ -230,7 +202,6 @@ fn sim_opts(proto: ProtocolId, mutate: Option<(ProtocolId, ProtocolMutation)>) -
     SimOptions {
         check: true,
         faults,
-        ..SimOptions::default()
     }
 }
 

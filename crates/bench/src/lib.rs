@@ -19,6 +19,7 @@
 //! `--campaign-dir <dir>` — durable, checksummed per-run records plus a
 //! `manifest.json`, so a killed campaign resumes from completed work and
 //! reruns the interrupted runs from step 0 to bit-identical outcomes.
+//! Without it a campaign runs in memory and writes nothing.
 //! See [`args`] for the shared strict flag vocabulary.
 
 #![forbid(unsafe_code)]

@@ -17,7 +17,6 @@ fn faulty(seed: u64) -> SimOptions {
     SimOptions {
         check: true,
         faults: Some(FaultPlan::benign(seed)),
-        ..SimOptions::default()
     }
 }
 

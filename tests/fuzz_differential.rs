@@ -20,9 +20,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn clean_generated_workloads_agree_under_every_protocol() {
-    let cfg = quiet(CampaignConfig::ephemeral());
     let opts = FuzzOptions::new(7, 0xf00d);
-    let report = run_fuzz_gate(&opts, &cfg).unwrap();
+    let report = run_fuzz_gate(&opts).unwrap();
     assert_eq!(report.workloads, 7);
     assert_eq!(report.runs, 7 * ProtocolId::ALL.len());
     assert!(
@@ -35,11 +34,10 @@ fn clean_generated_workloads_agree_under_every_protocol() {
 #[test]
 fn mutated_protocol_is_caught_shrunk_and_archived() {
     let dir = temp_dir("artifacts");
-    let cfg = quiet(CampaignConfig::ephemeral());
     let mut opts = FuzzOptions::new(4, 11);
     opts.mutate = Some((ProtocolId::SelfInv, ProtocolMutation::SkipSelfInvalidate));
     opts.artifacts = Some(dir.clone());
-    let report = run_fuzz_gate(&opts, &cfg).unwrap();
+    let report = run_fuzz_gate(&opts).unwrap();
     assert!(
         !report.disagreements.is_empty(),
         "an injected self-invalidation defect escaped the gate"
@@ -89,7 +87,7 @@ fn atlas_sweep_resumes_after_mid_sweep_kill_byte_identically() {
     let seed = 77;
 
     // Uninterrupted reference.
-    let reference = run_atlas(seed, &quiet(CampaignConfig::ephemeral())).unwrap();
+    let reference = run_atlas(seed, &quiet(CampaignConfig::in_memory())).unwrap();
     let reference_records = reference.records();
 
     // Interrupted sweep: stop the supervisor mid-flight (the same state a
@@ -116,7 +114,7 @@ fn atlas_sweep_resumes_after_mid_sweep_kill_byte_identically() {
 
 #[test]
 fn atlas_records_and_winners_are_consistent() {
-    let atlas = run_atlas(3, &quiet(CampaignConfig::ephemeral())).unwrap();
+    let atlas = run_atlas(3, &quiet(CampaignConfig::in_memory())).unwrap();
     let groups = atlas.cells.len() / ProtocolId::ALL.len();
     let wins = atlas.winners();
     assert_eq!(wins.len(), groups);
