@@ -15,8 +15,8 @@
 //!
 //! The atlas is a campaign: `--campaign-dir` and `--jobs` apply to it, and
 //! without `--campaign-dir` it runs in memory. The gate and `--replay`
-//! check each workload directly, on one thread, and write nothing but
-//! `--artifacts`.
+//! check each workload directly, on one thread, write nothing but
+//! `--artifacts`, and reject those two flags.
 
 use std::path::Path;
 use warden_bench::figures::render_coherence_atlas;
@@ -44,6 +44,11 @@ fn run() -> Result<(), HarnessError> {
         "--jobs",
         "--quiet",
     ])?;
+    if args.atlas.is_none() && (args.campaign_dir.is_some() || args.jobs.is_some()) {
+        return Err(HarnessError::Args(
+            "--campaign-dir and --jobs apply only to --atlas".into(),
+        ));
+    }
     let protocols = args
         .protocols
         .clone()

@@ -267,39 +267,33 @@ fn render_manifest(entries: &BTreeMap<String, ManifestEntry>) -> String {
 // ---------------------------------------------------------------------------
 // The supervisor.
 
-/// An open campaign directory: the result store and the manifest that
-/// mirrors it.
-struct Durable {
-    store: ResultStore,
-    manifest_path: PathBuf,
-    manifest: Mutex<BTreeMap<String, ManifestEntry>>,
-}
-
 struct Shared<'a> {
     specs: &'a [RunSpec],
     cfg: &'a CampaignConfig,
     keys: Vec<RunKey>,
-    /// `None` for an in-memory campaign.
-    durable: Option<Durable>,
+    /// `None` for an in-memory campaign, which also writes no manifest.
+    store: Option<ResultStore>,
     /// The cells still to execute, one group per workload token.
     queue: Mutex<VecDeque<Vec<usize>>>,
     slots: Mutex<Vec<Option<RunResult>>>,
+    manifest: Mutex<BTreeMap<String, ManifestEntry>>,
     failures: Mutex<Vec<RunFailure>>,
     completed: AtomicUsize,
 }
 
 impl Shared<'_> {
     fn write_manifest(&self) {
-        let Some(d) = &self.durable else { return };
+        let Some(dir) = &self.cfg.dir else { return };
         // The lock is held through the write: every write goes through the
         // same `manifest.json.tmp`, and the latest entries must land last.
-        let entries = d.manifest.lock().expect("manifest lock");
+        let entries = self.manifest.lock().expect("manifest lock");
         // Manifest persistence is best-effort derived state; the result
         // entries are authoritative, so a failed write must not fail the
         // run that just completed.
-        if let Err(e) =
-            checkpoint::write_atomic(&d.manifest_path, render_manifest(&entries).as_bytes())
-        {
+        if let Err(e) = checkpoint::write_atomic(
+            &dir.join("manifest.json"),
+            render_manifest(&entries).as_bytes(),
+        ) {
             if !self.cfg.quiet {
                 eprintln!("  [warn] cannot write manifest: {e}");
             }
@@ -307,8 +301,7 @@ impl Shared<'_> {
     }
 
     fn set_status(&self, id: &str, status: &'static str, note: String) {
-        let Some(d) = &self.durable else { return };
-        if let Some(e) = d.manifest.lock().expect("manifest lock").get_mut(id) {
+        if let Some(e) = self.manifest.lock().expect("manifest lock").get_mut(id) {
             e.status = status;
             e.note = note;
         }
@@ -329,9 +322,8 @@ impl Shared<'_> {
         let spec = &self.specs[i];
         // Without a durable record the result would silently vanish on
         // resume; treat persist failure as run failure.
-        let outcome = outcome.and_then(|o| match &self.durable {
-            Some(d) => d
-                .store
+        let outcome = outcome.and_then(|o| match &self.store {
+            Some(store) => store
                 .put_result(&self.keys[i], &o)
                 .map(|()| o)
                 .map_err(|e| format!("cannot persist result record: {e}")),
@@ -409,10 +401,10 @@ fn worker(sh: &Shared<'_>) {
 }
 
 /// Run a campaign over `specs`, resuming from any completed work already
-/// stored under the campaign directory, if the config names one. The cells left to execute are
-/// grouped by workload token (groups in order of first appearance, cells in
-/// spec order), and each group's trace is captured once. Results come back
-/// in spec order.
+/// stored under the campaign directory, if the config names one. The
+/// cells left to execute are grouped by workload token (groups in order of
+/// first appearance, cells in spec order), and each group's trace is
+/// captured once. Results come back in spec order.
 ///
 /// # Errors
 ///
@@ -457,16 +449,27 @@ pub fn run_campaign(
                 path: dir.clone(),
                 source: std::io::Error::other(msg),
             })?;
-            Some((dir, store))
+            Some(store)
         }
         None => None,
     };
 
     let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(specs.len());
+    let mut manifest = BTreeMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_of = std::collections::HashMap::new();
     for (i, (spec, key)) in specs.iter().zip(&keys).enumerate() {
-        match store.as_ref().and_then(|(_, store)| store.result(key)) {
+        let reused = store.as_ref().and_then(|store| store.result(key));
+        let status = if reused.is_some() { "done" } else { "pending" };
+        manifest.insert(
+            spec.id.clone(),
+            ManifestEntry {
+                status,
+                record: result_file_name(key),
+                note: String::new(),
+            },
+        );
+        match reused {
             Some(outcome) => slots.push(Some(RunResult {
                 id: spec.id.clone(),
                 outcome,
@@ -495,33 +498,14 @@ pub fn run_campaign(
         );
     }
 
-    let durable = store.map(|(dir, store)| {
-        let manifest = specs
-            .iter()
-            .zip(&keys)
-            .zip(&slots)
-            .map(|((spec, key), slot)| {
-                let entry = ManifestEntry {
-                    status: if slot.is_some() { "done" } else { "pending" },
-                    record: result_file_name(key),
-                    note: String::new(),
-                };
-                (spec.id.clone(), entry)
-            })
-            .collect();
-        Durable {
-            store,
-            manifest_path: dir.join("manifest.json"),
-            manifest: Mutex::new(manifest),
-        }
-    });
     let sh = Shared {
         specs,
         cfg,
         keys,
-        durable,
+        store,
         queue: Mutex::new(groups.into()),
         slots: Mutex::new(slots),
+        manifest: Mutex::new(manifest),
         failures: Mutex::new(Vec::new()),
         completed: AtomicUsize::new(0),
     };
@@ -871,22 +855,19 @@ mod tests {
                 (s.id.clone(), entry)
             })
             .collect();
-        let path = dir.join("manifest.json");
         let sh = Shared {
             specs: &specs,
             cfg: &cfg,
             keys: specs.iter().map(RunSpec::key).collect(),
-            durable: Some(Durable {
-                store: ResultStore::open(&dir, Arc::new(RealStorage)).expect("open store"),
-                manifest_path: path.clone(),
-                manifest: Mutex::new(manifest),
-            }),
+            store: Some(ResultStore::open(&dir, Arc::new(RealStorage)).expect("open store")),
             queue: Mutex::new(VecDeque::new()),
             slots: Mutex::new(Vec::new()),
+            manifest: Mutex::new(manifest),
             failures: Mutex::new(Vec::new()),
             completed: AtomicUsize::new(0),
         };
         sh.write_manifest();
+        let path = dir.join("manifest.json");
         let shows = |id: &str, status: &str| {
             let text = fs::read_to_string(&path).unwrap_or_default();
             text.contains(&format!(

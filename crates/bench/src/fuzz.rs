@@ -190,8 +190,7 @@ pub fn check_spec(
         .iter()
         .map(|&p| simulate_with_options(&program, machine, p, &sim_opts(p, mutate)))
         .collect();
-    let refs: Vec<&SimOutcome> = outcomes.iter().collect();
-    differential_verdict(&program, machine, protocols, &refs, mutate)
+    differential_verdict(&program, machine, protocols, &outcomes, mutate)
 }
 
 fn sim_opts(proto: ProtocolId, mutate: Option<(ProtocolId, ProtocolMutation)>) -> SimOptions {
@@ -211,7 +210,7 @@ fn differential_verdict(
     program: &TraceProgram,
     machine: &MachineConfig,
     protocols: &[ProtocolId],
-    outcomes: &[&SimOutcome],
+    outcomes: &[SimOutcome],
     mutate: Option<(ProtocolId, ProtocolMutation)>,
 ) -> Option<(String, String)> {
     let logical = program.memory.digest();

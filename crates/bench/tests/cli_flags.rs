@@ -32,3 +32,26 @@ fn all_figures_rejects_protocols() {
     assert!(stderr.contains("does not read \"--protocols\""), "{stderr}");
     assert!(out.stdout.is_empty());
 }
+
+/// Only the atlas runs a campaign; the gate and `--replay` check specs
+/// directly, so they have no campaign directory or workers to set.
+#[test]
+fn fuzzgen_rejects_campaign_flags_outside_the_atlas() {
+    let dir = std::env::temp_dir().join(format!("warden-cli-fuzz-{}", std::process::id()));
+    let token = "migratory-s0000000000000007-t4-r3-o24-f4096";
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    for args in [
+        &["--fuzz-workloads", "1", "--campaign-dir", dir_arg][..],
+        &["--replay", token, "--jobs", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fuzzgen"))
+            .args(args)
+            .output()
+            .expect("fuzzgen starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("apply only to --atlas"), "{stderr}");
+        assert!(out.stdout.is_empty());
+    }
+    assert!(!dir.exists());
+}
