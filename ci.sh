@@ -195,7 +195,7 @@ smoke() {
 
   echo "== leak guard: no campaign state without --campaign-dir =="
   mkdir "$dir/tmp"
-  TMPDIR="$dir/tmp" "$bin" --scale tiny --quiet >/dev/null 2>"$dir/leak.err"
+  TMPDIR="$dir/tmp" "$bin" --scale tiny --quiet >/dev/null
   TMPDIR="$dir/tmp" target/release/fuzzgen --fuzz-workloads 5 --quiet >/dev/null
   if [ -n "$(ls -A "$dir/tmp")" ]; then
     echo "FAILED: runs without --campaign-dir left files in TMPDIR:" >&2

@@ -305,6 +305,7 @@ impl HarnessArgs {
         SimOptions {
             check: self.check,
             faults: self.faults.map(FaultPlan::benign),
+            ..SimOptions::default()
         }
     }
 

@@ -274,10 +274,11 @@ The directory is a result store plus a manifest:
   atomically after every completion. It is *derived* state: resume never
   parses it, so a torn manifest cannot corrupt anything.
 
-Supervision knobs (all binaries): `--jobs <n>` worker threads,
-`--quiet` to silence progress lines. A replay is deterministic, so a run
-is attempted once: a panicking run fails typed while the others
-complete, and the next invocation runs it again from step zero.
+Supervision knobs (the report binaries and `fuzzgen --atlas`): `--jobs
+<n>` worker threads, `--quiet` to silence progress lines. A replay is
+deterministic, so a run is attempted once: a panicking run fails typed
+while the others complete, and the next invocation runs it again from
+step zero.
 "#;
 
 /// The Perfetto walkthrough appended to the generated report (kept here

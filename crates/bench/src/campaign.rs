@@ -367,7 +367,8 @@ fn run_one(program: &TraceProgram, spec: &RunSpec) -> Result<SimOutcome, String>
     .map_err(|payload| format!("panicked: {}", panic_message(payload.as_ref())))
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message a panic carried, for a typed failure reason.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

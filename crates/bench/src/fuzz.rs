@@ -19,8 +19,10 @@
 //! [`ProtocolMutation`] through the same gate (`--mutate`) proves the gate
 //! is alive: a deliberately broken protocol must be caught.
 
-use crate::error::HarnessError;
+use crate::campaign::panic_message;
+use crate::error::{HarnessError, RunFailure};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use warden_coherence::{CoherenceSystem, ProtocolId, ProtocolMutation, RegionId};
 use warden_rt::workload::{SharingPattern, WorkloadGen, WorkloadSpec};
@@ -135,13 +137,16 @@ pub struct FuzzReport {
 
 /// Run the differential gate: generate `opts.workloads` specs, check each
 /// with [`check_spec`] (one capture, every protocol, the five agreement
-/// obligations), and shrink + archive any failure.
+/// obligations), and shrink + archive any failure. Each check runs under
+/// `catch_unwind`: a workload whose capture or simulation panics fails
+/// typed, by token, while the remaining workloads are still checked.
 ///
 /// # Errors
 ///
-/// A bad pattern list or an archive write failure is a [`HarnessError`].
-/// Protocol *disagreements* are not errors — they come back in the report
-/// so a mutation gate can assert they happened.
+/// A bad pattern list or an archive write failure is a [`HarnessError`],
+/// and panicking workloads come back as [`HarnessError::RunsFailed`] with
+/// ids `fuzz/<token>`. Protocol *disagreements* are not errors — they come
+/// back in the report so a mutation gate can assert they happened.
 pub fn run_fuzz_gate(opts: &FuzzOptions) -> Result<FuzzReport, HarnessError> {
     assert!(
         !opts.protocols.is_empty(),
@@ -150,12 +155,23 @@ pub fn run_fuzz_gate(opts: &FuzzOptions) -> Result<FuzzReport, HarnessError> {
     let gen = WorkloadGen::with_patterns(opts.seed, &opts.patterns)
         .map_err(|e| HarnessError::Args(e.to_string()))?;
     let mut report = FuzzReport::default();
+    let mut failures = Vec::new();
     for spec in gen.take(opts.workloads) {
         report.workloads += 1;
         report.runs += opts.protocols.len();
-        let Some((protocol, detail)) =
+        let verdict = match catch_unwind(AssertUnwindSafe(|| {
             check_spec(&spec, &opts.machine, &opts.protocols, opts.mutate)
-        else {
+        })) {
+            Ok(verdict) => verdict,
+            Err(payload) => {
+                failures.push(RunFailure {
+                    id: format!("fuzz/{}", spec.token()),
+                    reason: format!("panicked: {}", panic_message(payload.as_ref())),
+                });
+                continue;
+            }
+        };
+        let Some((protocol, detail)) = verdict else {
             continue;
         };
         let minimal = shrink(spec, &opts.machine, &opts.protocols, opts.mutate);
@@ -171,6 +187,9 @@ pub fn run_fuzz_gate(opts: &FuzzOptions) -> Result<FuzzReport, HarnessError> {
             detail,
             archived,
         });
+    }
+    if !failures.is_empty() {
+        return Err(HarnessError::RunsFailed(failures));
     }
     Ok(report)
 }
@@ -201,6 +220,7 @@ fn sim_opts(proto: ProtocolId, mutate: Option<(ProtocolId, ProtocolMutation)>) -
     SimOptions {
         check: true,
         faults,
+        ..SimOptions::default()
     }
 }
 
@@ -488,6 +508,26 @@ mod tests {
                 None,
                 "{pattern} disagreed without a mutation"
             );
+        }
+    }
+
+    #[test]
+    fn a_panicking_workload_fails_typed_by_token() {
+        let mut opts = FuzzOptions::new(2, 7);
+        // A zero CPI denominator makes every engine construction panic.
+        opts.machine.cpi_den = 0;
+        let tokens: Vec<String> = WorkloadGen::with_patterns(7, &opts.patterns)
+            .unwrap()
+            .take(2)
+            .map(|s| format!("fuzz/{}", s.token()))
+            .collect();
+        match run_fuzz_gate(&opts) {
+            Err(HarnessError::RunsFailed(fails)) => {
+                let ids: Vec<String> = fails.iter().map(|f| f.id.clone()).collect();
+                assert_eq!(ids, tokens, "every workload is checked and named");
+                assert!(fails.iter().all(|f| f.reason.starts_with("panicked: ")));
+            }
+            other => panic!("expected RunsFailed, got {other:?}"),
         }
     }
 

@@ -254,11 +254,29 @@ pub fn unique_dir(parent: &Path, prefix: &str) -> std::io::Result<PathBuf> {
     }
 }
 
-/// Fingerprint of the simulation options (checker flag and fault plan) —
-/// everything besides the program, machine and protocol that affects a
-/// replay: the `options` component of every [`RunKey`].
+/// Fingerprint of the simulation options (energy parameters, checker flag
+/// and fault plan) — everything besides the program, machine and protocol
+/// that affects a replay: the `options` component of every [`RunKey`].
 pub fn options_fingerprint(opts: &SimOptions) -> u64 {
     let mut enc = Encoder::new();
+    let e = &opts.energy;
+    for v in [
+        e.e_instr,
+        e.e_l1,
+        e.e_l2,
+        e.e_llc,
+        e.e_dir,
+        e.e_dram,
+        e.e_ctrl_intra,
+        e.e_ctrl_inter,
+        e.e_data_intra,
+        e.e_data_inter,
+        e.p_static_core,
+        e.p_static_uncore,
+        e.freq_ghz,
+    ] {
+        enc.put_f64(v);
+    }
     enc.put_bool(opts.check);
     match &opts.faults {
         Some(p) => {

@@ -59,6 +59,8 @@ pub struct SimOutcome {
 /// Options for [`simulate_with_options`].
 #[derive(Clone, Debug, Default)]
 pub struct SimOptions {
+    /// Energy parameters.
+    pub energy: EnergyParams,
     /// An optional deterministic fault-injection campaign.
     pub faults: Option<FaultPlan>,
     /// Run the coherence invariant checker after every directory
@@ -112,8 +114,8 @@ pub fn try_simulate(
     Ok(SimEngine::try_new(program, machine, protocol, opts)?.run())
 }
 
-/// [`simulate`] with full control: the invariant checker and
-/// deterministic fault injection.
+/// [`simulate`] with full control: energy parameters, the invariant
+/// checker, and deterministic fault injection.
 pub fn simulate_with_options(
     program: &TraceProgram,
     machine: &MachineConfig,
@@ -135,6 +137,7 @@ pub struct SimEngine<'a> {
     program: &'a TraceProgram,
     machine: &'a MachineConfig,
     protocol: ProtocolId,
+    opts: SimOptions,
     coh: CoherenceSystem,
     injector: Option<FaultInjector>,
     /// Installed only by [`Self::run_observed`], which consumes the engine.
@@ -234,6 +237,7 @@ impl<'a> SimEngine<'a> {
             program,
             machine,
             protocol,
+            opts: opts.clone(),
             coh,
             injector,
             recorder: None,
@@ -676,7 +680,7 @@ impl<'a> SimEngine<'a> {
         self.stats.cycles = self.makespan;
         self.stats.core_cycles_total = self.cores.iter().map(|c| c.clock).sum();
         self.stats.coherence = *self.coh.stats();
-        let energy = energy_of(&self.stats, self.machine.topo, &EnergyParams::default());
+        let energy = energy_of(&self.stats, self.machine.topo, &self.opts.energy);
         // The engine is consumed: move the final image out instead of
         // cloning it (the clone used to rival the replay itself on
         // multi-megabyte images).
@@ -1319,15 +1323,23 @@ mod tests {
 
     #[test]
     fn energy_params_scale_reported_energy() {
+        let p = sample_program();
         let m = tiny_machine();
-        let out = simulate(&sample_program(), &m, ProtocolId::Mesi);
-        let priced = |p: &EnergyParams| energy_of(&out.stats, m.topo, p);
-        assert_eq!(out.energy, priced(&EnergyParams::default()));
-        let pricey = priced(&EnergyParams {
-            e_dram: 100.0,
-            ..EnergyParams::default()
-        });
-        assert!(pricey.in_processor_nj > out.energy.in_processor_nj);
+        let cheap = simulate(&p, &m, ProtocolId::Mesi);
+        let pricey = simulate_with_options(
+            &p,
+            &m,
+            ProtocolId::Mesi,
+            &SimOptions {
+                energy: EnergyParams {
+                    e_dram: 100.0,
+                    ..EnergyParams::default()
+                },
+                ..SimOptions::default()
+            },
+        );
+        assert!(pricey.energy.in_processor_nj > cheap.energy.in_processor_nj);
+        assert_eq!(pricey.stats.cycles, cheap.stats.cycles, "energy is passive");
     }
 
     #[test]

@@ -17,6 +17,7 @@ fn faulty(seed: u64) -> SimOptions {
     SimOptions {
         check: true,
         faults: Some(FaultPlan::benign(seed)),
+        ..SimOptions::default()
     }
 }
 

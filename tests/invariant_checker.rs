@@ -164,6 +164,7 @@ fn engine_surfaces_mutation_violations() {
             9,
             ProtocolMutation::SkipReconciliationWriteback,
         )),
+        ..SimOptions::default()
     };
     let out = try_simulate(&p, &m, ProtocolId::Warden, &opts).unwrap();
     assert!(

@@ -218,6 +218,7 @@ fn mutation_is_caught(proto: ProtocolId, mutation: ProtocolMutation) -> bool {
         let opts = SimOptions {
             check: true,
             faults: Some(FaultPlan::mutation_only(1, mutation)),
+            ..SimOptions::default()
         };
         let out = simulate_with_options(&p, &m, proto, &opts);
         !out.violations.is_empty()
